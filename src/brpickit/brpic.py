@@ -19,16 +19,24 @@ subgroup S_alpha = {z : (z, z) in U_alpha} acting as (z, z): off-diagonal
 pairs of U_alpha move a representative to an equivalent datum, so they
 constrain the equivalence class rather than the representative.  Reports
 also carry informational flags for stability under all of U_alpha and under
-the full diagonal of G x G.  Because the diagonal part of a product's
-U_alpha need not sit inside the factors' diagonal parts, a product of two
-valid data is re-validated and any failure is raised loudly instead of
-being assumed away.  The random generators only produce data whose blocks
-commute with the whole diagonal G-action; that set is closed under
+the full diagonal of G x G.
+
+Validity is established once per datum object.  The binding check (the
+conditions that decide 'valid') runs the first time a datum is used and its
+verdict is cached on the immutable datum; factors, inputs and every product,
+inverse and conversion output read that cache.  The report
+(validate_odatum / validate_rdatum) adds the informational flags and is
+computed only on request.  Equivariance is checked in exponent form:
+D_{-x} T D_y has entries zeta^(e_j(y) - e_i(x)) T_ij, so T is moved to
+itself by (x, y) exactly when e_j(y) = e_i(x) mod N on the support of T.
+Because the diagonal part of a product's U_alpha need not sit inside the
+factors' diagonal parts, every product, inverse and conversion output is
+still checked before it is returned, and a failure is raised loudly instead
+of being assumed away.  The random generators only produce data whose
+blocks commute with the whole diagonal G-action; that set is closed under
 products, inverses and G x G-translations, so generated suites never
 trigger the failure path.
 """
-
-from fractions import Fraction
 
 from . import abelian as ab
 from . import linalg as la
@@ -75,24 +83,42 @@ def matrix_inverse(M):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def scale_matrix(c, M):
-    c = la.sc(c)
-    return [[c * x for x in row] for row in M]
+def support(M):
+    """The positions (i, j) of the nonzero entries of M, row by row."""
+    return [(i, j) for i, row in enumerate(M) for j, x in enumerate(row)
+            if not x.is_zero()]
 
 
-def diag_action_matrix(mod: la.GModuleV, g, space: str):
-    """The diagonal matrix by which g (element or (x, y) pair) acts."""
-    exps = la.action_exponents(mod, g, space)
-    N = mod.group.exponent
-    n = len(exps)
-    return [[CycloScalar.root_of_unity(N, exps[i]) if i == j else _ZERO
-             for j in range(n)] for i in range(n)]
+def _diagonal_in_U(alpha: orth.OrthAut, z) -> bool:
+    """(z, z) in U_alpha: alpha_1(z, chi) = z for some character chi."""
+    G = alpha.group
+    return any(alpha.alpha1(orth.embed(G, z, chi)) == z
+               for chi in G.characters())
+
+
+_STABILIZERS = {}
 
 
 def diagonal_stabilizer(alpha: orth.OrthAut):
-    """The subgroup S_alpha = {z in G : (z, z) in U_alpha} as an element list."""
-    U = orth.u_alpha(alpha)
-    return [z for z in alpha.group.elements() if U.contains((z, z))]
+    """The subgroup S_alpha = {z in G : (z, z) in U_alpha} as an element list
+    (computed once per alpha)."""
+    if alpha not in _STABILIZERS:
+        _STABILIZERS[alpha] = tuple(z for z in alpha.group.elements()
+                                    if _diagonal_in_U(alpha, z))
+    return list(_STABILIZERS[alpha])
+
+
+def _moved_to_itself(mod: la.GModuleV, supp, pairs) -> bool:
+    """Whether D_{-x} T D_y = T on V+V* for every (x, y) in pairs, where
+    supp is the support of T: the entries are zeta^(e_j(y) - e_i(x)) T_ij,
+    so this is e_j(y) = e_i(x) mod N at every (i, j) in supp."""
+    N = mod.group.exponent
+    for x, y in pairs:
+        ex = la.action_exponents(mod, x, "VplusVdual")
+        ey = la.action_exponents(mod, y, "VplusVdual")
+        if any((ey[j] - ex[i]) % N for i, j in supp):
+            return False
+    return True
 
 
 # -- datum containers -------------------------------------------------------
@@ -100,7 +126,8 @@ def diagonal_stabilizer(alpha: orth.OrthAut):
 class RDatum:
     """Relation datum (W, beta, alpha) over a module (V, u, G)."""
 
-    __slots__ = ("module", "W", "beta", "alpha")
+    # _binding: the cached binding_report; equality and JSON ignore it
+    __slots__ = ("module", "W", "beta", "alpha", "_binding")
 
     def __init__(self, module: la.GModuleV, W: la.Subspace,
                  beta: la.BilinearForm, alpha: orth.OrthAut):
@@ -116,6 +143,7 @@ class RDatum:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_binding", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RDatum is immutable")
@@ -147,7 +175,8 @@ class RDatum:
 class ODatum:
     """Matrix datum (T, alpha): T on V+V* in blocks [[A, B], [C, D]]."""
 
-    __slots__ = ("module", "T", "alpha")
+    # _binding: the cached binding_report; equality and JSON ignore it
+    __slots__ = ("module", "T", "alpha", "_binding")
 
     def __init__(self, module: la.GModuleV, T, alpha: orth.OrthAut):
         T = la.mat(T)
@@ -159,6 +188,7 @@ class ODatum:
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "T", tuple(tuple(r) for r in T))
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_binding", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ODatum is immutable")
@@ -262,23 +292,60 @@ def _form_invariant(mod, beta, movers, space):
         return False
 
 
-def validate_rdatum(d: RDatum) -> dict:
-    """Per-condition report; 'valid' iff every binding condition passes."""
+def _rdatum_conditions(d: RDatum) -> dict:
     mod = d.module
-    U = orth.u_alpha(d.alpha)
     stab = diagonal_stabilizer(d.alpha)
     a1, a2 = _axis_intersection_dims(d.W)
-    report = {
+    rep = {
         "axis_clear": a1 == 0 and a2 == 0,
-        "uu_in_U": U.contains_uu(mod.u),
+        "uu_in_U": mod.u in stab,  # (u, u) in U_alpha iff u in S_alpha
         "W_stable": _subspace_stable(mod, d.W, stab, "VplusV"),
         "beta_symmetric": d.beta.is_symmetric(),
     }
-    report["beta_invariant"] = (report["W_stable"]
-                                and _form_invariant(mod, d.beta, stab, "VplusV"))
-    report["valid"] = all(report.values())
+    rep["beta_invariant"] = (rep["W_stable"]
+                             and _form_invariant(mod, d.beta, stab, "VplusV"))
+    return rep
+
+
+def _odatum_conditions(d: ODatum) -> dict:
+    mod = d.module
+    stab = diagonal_stabilizer(d.alpha)
+    b_zero = all(x.is_zero() for row in d.block_B() for x in row)
+    AtD = la.product(la.transpose(d.block_A()), d.block_D())
+    duality = mat_equal(AtD, identity_matrix(mod.dim))
+    return {
+        "uu_in_U": mod.u in stab,
+        # B = 0 makes T block triangular with det T = det A det D, and
+        # A^t D = I makes both factors nonzero; only otherwise is a rank needed
+        "invertible": ((b_zero and duality)
+                       or matrix_is_invertible([list(r) for r in d.T])),
+        "equivariant": _moved_to_itself(mod, support(d.T),
+                                        [(z, z) for z in stab]),
+        "B_zero": b_zero,
+        "duality": duality,
+    }
+
+
+def binding_report(d) -> dict:
+    """The binding conditions of a datum and 'valid', their conjunction.
+
+    Computed once per datum object and cached on it; callers must not
+    mutate the returned dict.
+    """
+    if d._binding is None:
+        rep = (_rdatum_conditions(d) if isinstance(d, RDatum)
+               else _odatum_conditions(d))
+        rep["valid"] = all(rep.values())
+        object.__setattr__(d, "_binding", rep)
+    return d._binding
+
+
+def validate_rdatum(d: RDatum) -> dict:
+    """Per-condition report; 'valid' iff every binding condition passes."""
+    mod = d.module
+    report = dict(binding_report(d))
     # informational flags: stability beyond the diagonal part
-    pairs = _pairs_of(U)
+    pairs = _pairs_of(orth.u_alpha(d.alpha))
     report["W_stable_full_U"] = _subspace_stable(mod, d.W, pairs, "VplusV")
     report["beta_invariant_full_U"] = (report["W_stable_full_U"]
                                        and _form_invariant(mod, d.beta, pairs,
@@ -291,41 +358,33 @@ def validate_rdatum(d: RDatum) -> dict:
 def validate_odatum(d: ODatum) -> dict:
     """Per-condition report; 'valid' iff every binding condition passes."""
     mod = d.module
-    dm = mod.dim
-    U = orth.u_alpha(d.alpha)
-    stab = diagonal_stabilizer(d.alpha)
-    T = [list(r) for r in d.T]
-
-    def moved_by(x, y):
-        left = diag_action_matrix(mod, ab.neg(x), "VplusVdual")
-        right = diag_action_matrix(mod, y, "VplusVdual")
-        return la.product(left, la.product(T, right))
-
-    report = {
-        "uu_in_U": U.contains_uu(mod.u),
-        "invertible": matrix_is_invertible(T),
-        "equivariant": all(mat_equal(moved_by(z, z), T) for z in stab),
-        "B_zero": all(x.is_zero() for row in d.block_B() for x in row),
-    }
-    AtD = la.product(la.transpose(d.block_A()), d.block_D())
-    report["duality"] = mat_equal(AtD, identity_matrix(dm))
-    report["valid"] = all(report.values())
-    report["equivariant_full_U"] = all(
-        mat_equal(moved_by(x, y), T) for x, y in _pairs_of(U))
-    report["equivariant_full_diagonal"] = all(
-        mat_equal(moved_by(z, z), T) for z in mod.group.elements())
+    report = dict(binding_report(d))
+    supp = support(d.T)
+    report["equivariant_full_U"] = _moved_to_itself(
+        mod, supp, _pairs_of(orth.u_alpha(d.alpha)))
+    report["equivariant_full_diagonal"] = _moved_to_itself(
+        mod, supp, [(z, z) for z in mod.group.elements()])
     return report
 
 
-def _require_valid(d, validator, what):
-    rep = validator(d)
+def _failing(rep):
+    return [k for k, v in rep.items() if v is False and k != "valid"]
+
+
+def _require_valid(d, what):
+    rep = binding_report(d)
     if not rep["valid"]:
-        failing = [k for k in ("axis_clear", "uu_in_U", "W_stable",
-                               "beta_symmetric", "beta_invariant",
-                               "invertible", "equivariant", "B_zero",
-                               "duality") if rep.get(k) is False]
-        raise DomainError(f"{what} is not a valid datum; failing: {failing}")
-    return rep
+        raise DomainError(
+            f"{what} is not a valid datum; failing: {_failing(rep)}")
+
+
+def _checked(out, what):
+    """out, once its binding check passes; an internal error otherwise."""
+    rep = binding_report(out)
+    if not rep["valid"]:
+        raise BrpicError(f"internal invariant violation: {what} datum fails "
+                         f"validation {_failing(rep)}")
+    return out
 
 
 def _same_module(d, dt):
@@ -354,44 +413,27 @@ def identity_odatum(module: la.GModuleV) -> ODatum:
 
 def rdatum_product(d: RDatum, dt: RDatum) -> RDatum:
     _same_module(d, dt)
-    _require_valid(d, validate_rdatum, "left factor")
-    _require_valid(dt, validate_rdatum, "right factor")
+    _require_valid(d, "left factor")
+    _require_valid(dt, "right factor")
     W = la.relation_compose(d.W, dt.W)
     beta = la.bullet_form(d.W, d.beta, dt.W, dt.beta)
     alpha = orth.orth_compose(d.alpha, dt.alpha)
-    out = RDatum(d.module, W, beta, alpha)
-    rep = validate_rdatum(out)
-    if not rep["valid"]:
-        failing = [k for k, v in rep.items() if v is False]
-        raise BrpicError(
-            f"internal invariant violation: product datum fails validation {failing}")
-    return out
+    return _checked(RDatum(d.module, W, beta, alpha), "product")
 
 
 def odatum_product(d: ODatum, dt: ODatum) -> ODatum:
     _same_module(d, dt)
-    _require_valid(d, validate_odatum, "left factor")
-    _require_valid(dt, validate_odatum, "right factor")
+    _require_valid(d, "left factor")
+    _require_valid(dt, "right factor")
     T = la.product([list(r) for r in d.T], [list(r) for r in dt.T])
-    out = ODatum(d.module, T, orth.orth_compose(d.alpha, dt.alpha))
-    rep = validate_odatum(out)
-    if not rep["valid"]:
-        failing = [k for k, v in rep.items() if v is False]
-        raise BrpicError(
-            f"internal invariant violation: product datum fails validation {failing}")
-    return out
+    return _checked(ODatum(d.module, T, orth.orth_compose(d.alpha, dt.alpha)),
+                    "product")
 
 
 def odatum_invert(d: ODatum) -> ODatum:
-    _require_valid(d, validate_odatum, "datum")
+    _require_valid(d, "datum")
     T = matrix_inverse([list(r) for r in d.T])
-    out = ODatum(d.module, T, orth.orth_invert(d.alpha))
-    rep = validate_odatum(out)
-    if not rep["valid"]:
-        failing = [k for k, v in rep.items() if v is False]
-        raise BrpicError(
-            f"internal invariant violation: inverse datum fails validation {failing}")
-    return out
+    return _checked(ODatum(d.module, T, orth.orth_invert(d.alpha)), "inverse")
 
 
 def rdatum_equiv(d: RDatum, dt: RDatum):
@@ -416,18 +458,34 @@ def rdatum_equiv(d: RDatum, dt: RDatum):
 
 
 def odatum_equiv(d: ODatum, dt: ODatum):
-    """Search G x G for (x, y) with T' = D_x T D_y^{-1}; (found, witness)."""
+    """Search G x G for (x, y) with T' = D_x T D_y^{-1}; (found, witness).
+
+    D_x T D_y^{-1} has entries zeta^(e_i(x) - e_j(y)) T_ij, so the supports
+    must agree, and each T'_ij = zeta^k T_ij (T_ij nonzero) fixes k mod N;
+    the search then compares exponents only.
+    """
     _same_module(d, dt)
     if d.alpha != dt.alpha:
         return False, None
     mod = d.module
-    T = [list(r) for r in d.T]
-    Tt = [list(r) for r in dt.T]
+    supp = support(d.T)
+    if supp != support(dt.T):
+        return False, None
+    N = mod.group.exponent
+    shifts = []
+    for i, j in supp:
+        k = next((k for k in range(N)
+                  if CycloScalar.root_of_unity(N, k) * d.T[i][j] == dt.T[i][j]),
+                 None)
+        if k is None:
+            return False, None
+        shifts.append(k)
     for x in mod.group.elements():
-        left = diag_action_matrix(mod, x, "VplusVdual")
+        ex = la.action_exponents(mod, x, "VplusVdual")
         for y in mod.group.elements():
-            right = diag_action_matrix(mod, ab.neg(y), "VplusVdual")
-            if mat_equal(la.product(left, la.product(T, right)), Tt):
+            ey = la.action_exponents(mod, y, "VplusVdual")
+            if all((ex[i] - ey[j] - k) % N == 0
+                   for (i, j), k in zip(supp, shifts)):
                 return True, (x, y)
     return False, None
 
@@ -438,7 +496,7 @@ def tau(d: RDatum) -> LagDatum:
     """Encode (W, beta) as the subspace of all (w1, f1, w2, f2) with
     (w1, w2) in W and f1(w1') - f2(w2') = beta((w1,w2), (w1',w2')) for all
     (w1', w2') in W."""
-    _require_valid(d, validate_rdatum, "datum")
+    _require_valid(d, "datum")
     mod = d.module
     dm = mod.dim
     m = d.W.dim
@@ -484,7 +542,7 @@ def lag_product(L1: LagDatum, L2: LagDatum) -> LagDatum:
 
 def odatum_to_rdatum(d: ODatum) -> RDatum:
     """W_T = {(Av, v)} with the form (C v1)(A v2), checked symmetric."""
-    _require_valid(d, validate_odatum, "datum")
+    _require_valid(d, "datum")
     mod = d.module
     dm = mod.dim
     A = d.block_A()
@@ -502,13 +560,8 @@ def odatum_to_rdatum(d: ODatum) -> RDatum:
     if any(gram[i][j] != gram[j][i] for i in range(dm) for j in range(dm)):
         raise DomainError(
             "T outside O(V,u,G) image: the induced form is not symmetric")
-    out = RDatum(mod, W, la.BilinearForm(W, gram), d.alpha)
-    rep = validate_rdatum(out)
-    if not rep["valid"]:
-        failing = [k for k, v in rep.items() if v is False]
-        raise BrpicError(
-            f"internal invariant violation: converted datum fails validation {failing}")
-    return out
+    return _checked(RDatum(mod, W, la.BilinearForm(W, gram), d.alpha),
+                    "converted")
 
 
 def rdatum_to_odatum(d: RDatum) -> ODatum:
@@ -523,13 +576,7 @@ def rdatum_to_odatum(d: RDatum) -> ODatum:
             "datum is not invertible: the (w2, f2) projection is degenerate")
     X = [r[:2 * dm] for r in rows]
     T = la.product(la.transpose(X), matrix_inverse(la.transpose(Y)))
-    out = ODatum(mod, T, d.alpha)
-    rep = validate_odatum(out)
-    if not rep["valid"]:
-        failing = [k for k, v in rep.items() if v is False]
-        raise BrpicError(
-            f"internal invariant violation: reconstructed datum fails validation {failing}")
-    return out
+    return _checked(ODatum(mod, T, d.alpha), "reconstructed")
 
 
 def is_invertible(d: RDatum) -> bool:
@@ -672,7 +719,7 @@ def admissible_alphas(module: la.GModuleV, bound: int = 256):
     if key not in _ADMISSIBLE_CACHE:
         _ADMISSIBLE_CACHE[key] = tuple(
             a for a in orth.enumerate_orth(module.group, bound)
-            if orth.u_alpha(a).contains_uu(module.u))
+            if _diagonal_in_U(a, module.u))
     return list(_ADMISSIBLE_CACHE[key])
 
 
@@ -685,7 +732,7 @@ def suite_alphas(module: la.GModuleV, bound: int = 256):
     (u, u) in U_alpha is not preserved by composition in general: for
     G = Z2 x Z2 with u central the admissible set has 48 of the 72
     orthogonal maps and contains subgroups only up to order 12.  Products
-    of data are re-validated loudly, so seeded suites must draw alphas from
+    of data are checked loudly, so seeded suites must draw alphas from
     a subgroup that stays admissible.  Starting from the identity, this
     adds admissible alphas greedily (in enumeration order) whenever the
     subgroup they generate remains inside the admissible set.  Whenever the
@@ -694,32 +741,37 @@ def suite_alphas(module: la.GModuleV, bound: int = 256):
     """
     key = (module.group.factors, module.u.coords, bound)
     if key not in _SUITE_CACHE:
-        admissible = set(admissible_alphas(module, bound))
-        ident = orth.orth_identity(module.group)
+        admissible = admissible_alphas(module, bound)
+        by_matrix = {a.hom.matrix: a for a in admissible}
+        ident = orth.orth_identity(module.group).hom
 
         def closure(gens):
-            seen = {ident}
+            """The hom matrices gens generate, or None at the first product
+            outside the admissible set."""
+            seen = {ident.matrix}
             frontier = [ident]
             while frontier:
                 x = frontier.pop()
                 for g in gens:
-                    y = orth.orth_compose(x, g)
+                    y = ab.hom_compose(x, g.hom).matrix
+                    if y not in by_matrix:
+                        return None
                     if y not in seen:
                         seen.add(y)
-                        frontier.append(y)
+                        frontier.append(by_matrix[y].hom)
             return seen
 
-        group = {ident}
+        group = {ident.matrix}
         gens = []
-        for alpha in admissible_alphas(module, bound):
-            if alpha in group:
+        for alpha in admissible:
+            if alpha.hom.matrix in group:
                 continue
             grown = closure(gens + [alpha])
-            if grown <= admissible:
+            if grown is not None:
                 gens.append(alpha)
                 group = grown
-        _SUITE_CACHE[key] = tuple(
-            a for a in admissible_alphas(module, bound) if a in group)
+        _SUITE_CACHE[key] = tuple(a for a in admissible
+                                  if a.hom.matrix in group)
     return list(_SUITE_CACHE[key])
 
 

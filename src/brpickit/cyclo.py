@@ -413,37 +413,3 @@ def _poly_divmod(num, den):
             for j, dj in enumerate(den):
                 num[i - dd + j] -= c * dj
     return quot, _poly_trim(num)
-
-
-# -- module-level named operations (thin wrappers) -------------------------
-
-def add(a: CycloScalar, b: CycloScalar) -> CycloScalar:
-    return a + b
-
-
-def sub(a: CycloScalar, b: CycloScalar) -> CycloScalar:
-    return a - b
-
-
-def mul(a: CycloScalar, b: CycloScalar) -> CycloScalar:
-    return a * b
-
-
-def inv(a: CycloScalar) -> CycloScalar:
-    return a.inv()
-
-
-def eq(a: CycloScalar, b: CycloScalar) -> bool:
-    return a == b
-
-
-def is_zero(a: CycloScalar) -> bool:
-    return a.is_zero()
-
-
-def from_rational(q, N: int = 1) -> CycloScalar:
-    return CycloScalar.from_rational(q, N)
-
-
-def root_of_unity(N: int, e: int = 1) -> CycloScalar:
-    return CycloScalar.root_of_unity(N, e)

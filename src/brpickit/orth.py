@@ -305,13 +305,23 @@ def _psi_exp(G: FinAbGroup, alpha: OrthAut, rep_a: GroupElement, b) -> int:
     return (-ab.pair(a2, b1) + ab.pair(chi_a, b2)) % N
 
 
+_PSI_CACHE = {}
+
+
 def psi_alpha(alpha: OrthAut) -> TwoCocycle:
     """The 2-cocycle on U_alpha, with well-definedness verified.
 
     The defining formula reads off a chosen preimage of a; before trusting
     it, every other preimage is tried, and a disagreement raises (rather
-    than silently depending on the section).
+    than silently depending on the section).  Built, and its cocycle
+    identity verified, once per alpha.
     """
+    if alpha not in _PSI_CACHE:
+        _PSI_CACHE[alpha] = _build_psi(alpha)
+    return _PSI_CACHE[alpha]
+
+
+def _build_psi(alpha: OrthAut) -> TwoCocycle:
     G = alpha.group
     U = u_alpha(alpha)
     D = dsum_group(G)

@@ -75,3 +75,48 @@ def compose_matrices(factors, A, B):
 def is_abelian(factors, matrices):
     return all(compose_matrices(factors, A, B) == compose_matrices(factors, B, A)
                for A, B in itertools.combinations(matrices, 2))
+
+
+# -- dense reference for the diagonal G x G action on matrix data ---------
+# Entries only need + and *; root(k) returns zeta_N^k in the caller's scalar
+# type and zero its zero.  This is the computation the package replaced by
+# exponent congruences, kept here as the reference for them.
+
+def dense_product(A, B, zero):
+    return [[sum((A[i][k] * B[k][j] for k in range(len(B))), zero)
+             for j in range(len(B[0]))] for i in range(len(A))]
+
+
+def diag_matrix(exps, root, zero):
+    n = len(exps)
+    return [[root(exps[i]) if i == j else zero for j in range(n)]
+            for i in range(n)]
+
+
+def dense_translate(T, left_exps, right_exps, root, zero):
+    """diag(root(left_exps)) . T . diag(root(right_exps)), densely."""
+    T = [list(r) for r in T]
+    left = diag_matrix(left_exps, root, zero)
+    right = diag_matrix(right_exps, root, zero)
+    return dense_product(left, dense_product(T, right, zero), zero)
+
+
+def dense_moved_to_itself(T, pairs, exps, root, zero):
+    """D_{-x} T D_y == T for every (x, y) in pairs; exps(g) lists the
+    exponents e_i(g) by which g acts."""
+    T = [list(r) for r in T]
+    return all(dense_translate(T, [-e for e in exps(x)], exps(y), root,
+                               zero) == T
+               for x, y in pairs)
+
+
+def dense_equiv(T, Tt, elements, exps, root, zero):
+    """First (x, y) in elements x elements with D_x T D_{-y} == T', as
+    (found, witness)."""
+    Tt = [list(r) for r in Tt]
+    for x in elements:
+        for y in elements:
+            if dense_translate(T, exps(x), [-e for e in exps(y)], root,
+                               zero) == Tt:
+                return True, (x, y)
+    return False, None

@@ -110,9 +110,12 @@ def test_criterion_04(capsys):
 
 def _translate(d, x, y):
     mod = d.module
-    left = bp.diag_action_matrix(mod, x, "VplusVdual")
-    right = bp.diag_action_matrix(mod, ab.neg(y), "VplusVdual")
-    T = la.product(left, la.product([list(r) for r in d.T], right))
+    N = mod.group.exponent
+    ex = la.action_exponents(mod, x, "VplusVdual")
+    ey = la.action_exponents(mod, y, "VplusVdual")
+    T = oracles.dense_translate(d.T, ex, [-e for e in ey],
+                                lambda k: CycloScalar.root_of_unity(N, k),
+                                CycloScalar.zero(1))
     return bp.ODatum(mod, T, d.alpha)
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from brpickit import abelian as ab
+import hopf_helpers as hh
+import oracles
 from brpickit import brpic as bp
 from brpickit import linalg as la
 from brpickit import orth
@@ -14,6 +15,21 @@ from brpickit.cyclo import CycloScalar
 from brpickit.errors import BrpicError, CapacityError, DomainError, NotInvertibleError
 
 I = CycloScalar.root_of_unity(4)
+ZERO = CycloScalar.zero(1)
+
+
+def dense_args(mod):
+    """(exps, root, zero) for the dense reference in tests/oracles.py."""
+    N = mod.group.exponent
+    return (lambda g: la.action_exponents(mod, g, "VplusVdual"),
+            lambda k: CycloScalar.root_of_unity(N, k), ZERO)
+
+
+def dense_translate(d, x, y):
+    """D_x T D_{-y}, by dense matrix products."""
+    exps, root, zero = dense_args(d.module)
+    return oracles.dense_translate(d.T, exps(x), [-e for e in exps(y)],
+                                   root, zero)
 
 
 def sweedler_module():
@@ -128,6 +144,9 @@ def test_validate_odatum_examples():
     bad_d = bp.ODatum(mod, [[2, 0], [0, 1]], orth.orth_identity(mod.group))
     rep = bp.validate_odatum(bad_d)
     assert rep["duality"] is False and rep["valid"] is False
+    singular = bp.ODatum(mod, [[0, 0], [0, 1]], orth.orth_identity(mod.group))
+    rep = bp.validate_odatum(singular)
+    assert rep["B_zero"] is True and rep["invertible"] is False
 
 
 def test_odatum_gamma_full_equivariance_is_informational():
@@ -209,10 +228,7 @@ def test_products_descend_to_classes():
     def translate(d):
         x = elems[rng.randrange(len(elems))]
         y = elems[rng.randrange(len(elems))]
-        left = bp.diag_action_matrix(mod, x, "VplusVdual")
-        right = bp.diag_action_matrix(mod, ab.neg(y), "VplusVdual")
-        T = la.product(left, la.product([list(r) for r in d.T], right))
-        return bp.ODatum(mod, T, d.alpha)
+        return bp.ODatum(mod, dense_translate(d, x, y), d.alpha)
 
     for _ in range(4):
         d1, d2 = random_datum(rng, mod), random_datum(rng, mod)
@@ -254,8 +270,7 @@ def test_odatum_equiv_sign_flip():
     assert ok
     # the example witness (u, e) flips the sign directly
     u = mod.group.generator(0)
-    left = bp.diag_action_matrix(mod, u, "VplusVdual")
-    moved = la.product(left, [list(r) for r in d.T])
+    moved = dense_translate(d, u, mod.group.zero())
     assert bp.mat_equal(moved, [list(r) for r in neg.T])
     gam = gamma_of(mod.group)
     other = sweedler_odatum(2, 3, gam)
@@ -465,3 +480,177 @@ def test_json_round_trips():
     assert bp.ODatum.from_json(mod, d.to_json()) == d
     r = bp.odatum_to_rdatum(d)
     assert bp.RDatum.from_json(mod, r.to_json()) == r
+
+
+# -- exponent-form checks against the dense reference ----------------------
+# Zoo modules with group exponent N in {2, 4, 8}; in Z2Z2_d2 the two
+# characters are not +-1 times each other, so (i, j) and (j, i) differ.
+_REFERENCE_MODULES = ("Z2_d1", "Z2_d2", "Z4_d1", "Z4_d2", "Z8_d1", "Z2Z4_d1",
+                      "Z2Z2_d2")
+
+
+def _random_T(rng, n, N):
+    """A random n x n matrix over Q(zeta_N) with a random support, sparse
+    or dense."""
+    density = rng.choice((0.25, 0.5, 0.8))
+
+    def entry():
+        if rng.random() > density:
+            return ZERO
+        c = la.sc(rng.choice((-2, -1, 1, 2, 3)))
+        return c * CycloScalar.root_of_unity(N, rng.randrange(N))
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def _reference_data(rng, mod):
+    """Valid random data, translates of them, a non-equivariant datum and
+    random matrices, each with a random enumerated alpha."""
+    n = 2 * mod.dim
+    N = mod.group.exponent
+    alphas = orth.enumerate_orth(mod.group)
+    els = list(mod.group.elements())
+    out = []
+    for _ in range(3):
+        d = random_datum(rng, mod)
+        out.append(d)
+        out.append(bp.ODatum(mod, dense_translate(d, rng.choice(els),
+                                                  rng.choice(els)), d.alpha))
+    # an off-diagonal A entry between characters that differ
+    chars = mod.chars
+    pairs = [(i, j) for i in range(mod.dim) for j in range(mod.dim)
+             if chars[i] != chars[j]]
+    if pairs:
+        i, j = pairs[0]
+        T = bp.identity_matrix(n)
+        T[i][j] = la.sc(1)
+        out.append(bp.ODatum(mod, T, orth.orth_identity(mod.group)))
+    for _ in range(6):
+        out.append(bp.ODatum(mod, _random_T(rng, n, N), rng.choice(alphas)))
+    # the identity plus one off-diagonal entry: a support that is not
+    # symmetric
+    for _ in range(6):
+        T = bp.identity_matrix(n)
+        i, j = rng.sample(range(n), 2)
+        T[i][j] = la.sc(1)
+        out.append(bp.ODatum(mod, T, rng.choice(alphas)))
+    return out
+
+
+def test_equivariance_flags_match_dense_reference():
+    rng = random.Random(43)
+    zoo = dict(hh.module_zoo())
+    seen = {"equivariant": set(), "equivariant_full_U": set(),
+            "equivariant_full_diagonal": set()}
+    for name in _REFERENCE_MODULES:
+        mod = zoo[name]
+        exps, root, zero = dense_args(mod)
+        els = list(mod.group.elements())
+        for d in _reference_data(rng, mod):
+            rep = bp.validate_odatum(d)
+            U = orth.u_alpha(d.alpha)
+            movers = {
+                "equivariant": [(z, z)
+                                for z in bp.diagonal_stabilizer(d.alpha)],
+                "equivariant_full_U": [U.components(e) for e in U.elements],
+                "equivariant_full_diagonal": [(z, z) for z in els],
+            }
+            for flag, pairs in movers.items():
+                ref = oracles.dense_moved_to_itself(d.T, pairs, exps, root,
+                                                    zero)
+                assert rep[flag] is ref, (name, flag, d)
+                seen[flag].add(ref)
+            stab = [z for z in els if U.contains((z, z))]
+            assert bp.diagonal_stabilizer(d.alpha) == stab
+            assert rep["uu_in_U"] is U.contains_uu(mod.u)
+            assert rep["invertible"] is bp.matrix_is_invertible(
+                [list(r) for r in d.T])
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
+def test_odatum_equiv_matches_dense_reference():
+    rng = random.Random(47)
+    zoo = dict(hh.module_zoo())
+    outcomes = set()
+    for name in _REFERENCE_MODULES:
+        mod = zoo[name]
+        exps, root, zero = dense_args(mod)
+        els = list(mod.group.elements())
+        N = mod.group.exponent
+        for d in rng.sample(_reference_data(rng, mod), 6):
+            T = [list(r) for r in d.T]
+            x, y = rng.choice(els), rng.choice(els)
+            # each support entry scaled by its own root of unity
+            scaled = [[t * root(rng.randrange(N)) for t in row] for row in T]
+            # a different support: one entry moved to or from zero
+            other = [row[:] for row in T]
+            other[0][0] = ZERO if not T[0][0].is_zero() else la.sc(1)
+            candidates = [dense_translate(d, x, y), scaled, other,
+                          [[-t for t in row] for row in T],
+                          [[2 * t for t in row] for row in T]]
+            for Tt in candidates:
+                dt = bp.ODatum(mod, Tt, d.alpha)
+                got = bp.odatum_equiv(d, dt)
+                assert got == oracles.dense_equiv(d.T, dt.T, els, exps, root,
+                                                  zero), (name, d, dt)
+                outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+# -- binding checks: cached per datum, still run on every output -----------
+
+def _inadmissible_alpha(mod):
+    admissible = bp.admissible_alphas(mod)
+    return next(a for a in orth.enumerate_orth(mod.group)
+                if a not in admissible)
+
+
+def test_products_still_check_their_output(monkeypatch):
+    rng = random.Random(53)
+    mod = z2z2_module(True)
+    d1, d2 = random_datum(rng, mod), random_datum(rng, mod)
+    r1, r2 = bp.odatum_to_rdatum(d1), bp.odatum_to_rdatum(d2)
+    bad = _inadmissible_alpha(mod)
+    monkeypatch.setattr(orth, "orth_compose", lambda a, b: bad)
+    with pytest.raises(BrpicError, match="product datum fails"):
+        bp.odatum_product(d1, d2)
+    with pytest.raises(BrpicError, match="product datum fails"):
+        bp.rdatum_product(r1, r2)
+    monkeypatch.setattr(orth, "orth_invert", lambda a: bad)
+    with pytest.raises(BrpicError, match="inverse datum fails"):
+        bp.odatum_invert(d1)
+
+
+def test_invalid_factor_still_refused():
+    mod = z2z2_module(True)
+    T = bp.identity_matrix(2 * mod.dim)
+    bad = bp.ODatum(mod, T, _inadmissible_alpha(mod))
+    with pytest.raises(DomainError, match=r"failing: \['uu_in_U'\]"):
+        bp.odatum_product(bad, bp.identity_odatum(mod))
+    # the cached verdict refuses it again, as the left factor now
+    with pytest.raises(DomainError, match="right factor"):
+        bp.odatum_product(bp.identity_odatum(mod), bad)
+
+
+def test_binding_check_runs_once_per_datum(monkeypatch):
+    rng = random.Random(59)
+    mod = z2z2_module(True)
+    for kind in ("odatum", "rdatum"):
+        name = f"_{kind}_conditions"
+        checked = []
+        original = getattr(bp, name)
+        monkeypatch.setattr(bp, name, lambda d, f=original, log=checked:
+                            log.append(d) or f(d))
+        data = [random_datum(rng, mod) for _ in range(2)]
+        if kind == "odatum":
+            product, report = bp.odatum_product, bp.validate_odatum
+        else:
+            data = [bp.odatum_to_rdatum(d) for d in data]
+            product, report = bp.rdatum_product, bp.validate_rdatum
+        p = product(data[0], data[1])
+        # products reused as factors, next to a factor used before
+        q = product(p, data[0])
+        r = product(q, p)
+        assert report(r)["valid"]
+        for x in (*data, p, q, r):
+            assert sum(c is x for c in checked) == 1, (kind, x)
+        assert len(checked) == 5

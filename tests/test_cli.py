@@ -123,6 +123,45 @@ def test_equiv_self(tmp_path, capsys):
     assert obj["equivalent"] and obj["witness"] == [[0], [0]]
 
 
+# The validation report of each `brpic mul|inv|convert --json` output, key
+# for key: the binding conditions, 'valid', and the informational flags.
+_ODATUM_REPORT = {"B_zero": True, "duality": True, "equivariant": True,
+                  "equivariant_full_U": False,
+                  "equivariant_full_diagonal": True, "invertible": True,
+                  "uu_in_U": True, "valid": True}
+_RDATUM_REPORT = {"W_stable": True, "W_stable_full_U": False,
+                  "W_stable_full_diagonal": True, "axis_clear": True,
+                  "beta_invariant": True, "beta_invariant_full_U": False,
+                  "beta_symmetric": True, "uu_in_U": True, "valid": True}
+
+
+def test_validation_reports_pinned(tmp_path, capsys):
+    d1 = {"T": [["1/2@1", "0@1"], ["3@1", "2@1"]],
+          "alpha": {"matrix": [[1, 0], [0, 1]]}}
+    d2 = {"T": [["2@1", "0@1"], ["1@1", "1/2@1"]],
+          "alpha": {"matrix": [[0, 1], [1, 0]]}}
+
+    def run(verb, **data):
+        spec = _write(tmp_path, "pin.json", SWEEDLER | data)
+        code, out, err = _run(capsys, ["brpic", verb, "--spec", spec,
+                                       "--json"])
+        assert code == 0 and err == ""
+        return json.loads(out)
+
+    conv = run("convert", datum=d2)
+    r2 = conv["converted"]
+    assert r2 == {"W": {"ambient": 2, "basis": [["1@1", "1/2@1"]]},
+                  "beta": {"gram": [["1/2@1"]]},
+                  "alpha": {"matrix": [[0, 1], [1, 0]]}}
+    r1 = run("convert", datum=d1)["converted"]
+    assert conv["validation"] == _RDATUM_REPORT
+    assert run("mul", datum=d1, datum2=d2)["validation"] == _ODATUM_REPORT
+    assert run("inv", datum=d2)["validation"] == _ODATUM_REPORT
+    assert run("mul", datum=r1, datum2=r2)["validation"] == _RDATUM_REPORT
+    assert run("inv", datum=r2)["validation"] == _RDATUM_REPORT
+    assert run("convert", datum=r2)["validation"] == _ODATUM_REPORT
+
+
 def test_validation_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
