@@ -187,6 +187,34 @@ def subgroup_generated(gens):
     return [seen[c] for c in sorted(seen)]
 
 
+def addition_table(elements):
+    """The group law restricted to a list of distinct elements of one group.
+
+    Returns (index, add): index maps coordinates to list positions and
+    add[i][j] is the position of elements[i] + elements[j].  Returns None
+    when some sum falls outside the list.
+    """
+    elements = list(elements)
+    if not elements:
+        return {}, []
+    parent = elements[0].parent
+    if any(x.parent != parent or type(x) is not type(elements[0]) for x in elements):
+        raise DomainError("operands live in different groups")
+    vecs = [_vec(x) for x in elements]
+    index = {v: k for k, v in enumerate(vecs)}
+    fs = parent.factors
+    add = []
+    for va in vecs:
+        row = []
+        for vb in vecs:
+            k = index.get(tuple((x + y) % f for x, y, f in zip(va, vb, fs)))
+            if k is None:
+                return None
+            row.append(k)
+        add.append(row)
+    return index, add
+
+
 def direct_sum(G: FinAbGroup, H: FinAbGroup) -> FinAbGroup:
     return FinAbGroup(G.factors + H.factors)
 

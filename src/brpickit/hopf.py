@@ -34,6 +34,7 @@ assumed to hold by construction.
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import abelian as ab
 from . import linalg as la
@@ -534,11 +535,19 @@ class CompatibleData:
 
     beta is a raw gram table over the concatenated canonical sector bases
     (a BilinearForm is accepted when only the third sector is present); F is
-    a subset of G x G; psi is a table of scalars over F x F, defaulting to 1.
+    a subset of G x G; psi is a table of scalars over F x F, defaulting to 1
+    (a TwoCocycle is read as its table of roots of unity).  law is F's
+    (index, addition table), or None when F is not closed under addition.
+
+    compatible_violations checks psi the same exact way whatever its source,
+    a TwoCocycle included: each value is lifted to the lcm L of the table's
+    conductors, where equal values have equal coefficient tuples, and given
+    an id; the cocycle identity is then compared triple by triple on the
+    ids of memoized products, read through law.
     """
 
     __slots__ = ("module", "W1", "W2", "W3", "gram", "F", "psi", "alpha",
-                 "rows", "types", "coords_set", "pair_group")
+                 "rows", "types", "coords_set", "pair_group", "law")
 
     def __init__(self, module, W1, W2, W3, beta, F, psi=None, alpha=None):
         m = module.dim
@@ -592,7 +601,8 @@ class CompatibleData:
         if psi is None:
             table = {}
         elif isinstance(psi, orth.TwoCocycle):
-            table = {(a.coords, b.coords): psi.value(a, b)
+            roots = [CycloScalar.root_of_unity(psi.N, e) for e in range(psi.N)]
+            table = {(a.coords, b.coords): roots[psi.exp(a, b) % psi.N]
                      for a in els for b in els}
         else:
             table = {k: la.sc(v) for k, v in dict(psi).items()}
@@ -613,6 +623,7 @@ class CompatibleData:
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "coords_set", frozenset(seen))
         object.__setattr__(self, "pair_group", GG)
+        object.__setattr__(self, "law", ab.addition_table(els))
 
     def __setattr__(self, name, value):
         raise AttributeError("CompatibleData is immutable")
@@ -670,13 +681,8 @@ def compatible_violations(data) -> list:
     if data.W1.sum(data.W2).sum(data.W3).dim != len(data.rows):
         bad.append("independent")
 
-    if GG.zero().coords not in data.coords_set:
+    if GG.zero().coords not in data.coords_set or data.law is None:
         bad.append("F_subgroup")
-    else:
-        for a in data.F:
-            if any(ab.add(a, b).coords not in data.coords_set for b in data.F):
-                bad.append("F_subgroup")
-                break
 
     stable = True
     for t, name in ((1, "F_stable_W1"), (2, "F_stable_W2"), (3, "F_stable_W3")):
@@ -730,24 +736,14 @@ def compatible_violations(data) -> list:
             bad.append("beta_F_invariant")
 
     zero_c = GG.zero().coords
-    if any(data.psi[(zero_c, f.coords)] != _ONE or data.psi[(f.coords, zero_c)] != _ONE
-           for f in data.F):
+    if zero_c in data.coords_set and any(
+            data.psi[(zero_c, f.coords)] != _ONE or data.psi[(f.coords, zero_c)] != _ONE
+            for f in data.F):
         bad.append("psi_normalized")
     if any(v.is_zero() for v in data.psi.values()):
         bad.append("psi_cocycle")
-    elif "F_subgroup" not in bad:
-        coc_ok = True
-        for a in data.F:
-            for b in data.F:
-                midab = ab.add(a, b).coords
-                for c in data.F:
-                    lhs = data.psi[(a.coords, b.coords)] * data.psi[(midab, c.coords)]
-                    rhs = data.psi[(b.coords, c.coords)] \
-                        * data.psi[(a.coords, ab.add(b, c).coords)]
-                    if lhs != rhs:
-                        coc_ok = False
-        if not coc_ok:
-            bad.append("psi_cocycle")
+    elif "F_subgroup" not in bad and not _psi_cocycle_ok(data):
+        bad.append("psi_cocycle")
 
     if needs_u and has_u:
         uu = data.uu_coords()
@@ -755,6 +751,38 @@ def compatible_violations(data) -> list:
                for f in data.F):
             bad.append("psi_u_central")
     return bad
+
+
+def _psi_cocycle_ok(data) -> bool:
+    """psi(a,b) psi(a+b,c) == psi(b,c) psi(a,b+c) on all of F^3, exactly.
+
+    Values are interned at the common conductor L, where coeffs is
+    canonical, so two values are equal iff their ids are; each product of
+    two ids is computed once and interned the same way.
+    """
+    add = data.law[1]
+    L = lcm(*(v.N for v in data.psi.values()))
+    ids = {}
+    P = [[ids.setdefault(data.psi[(a.coords, b.coords)].lift(L).coeffs, len(ids))
+          for b in data.F] for a in data.F]
+    vals = [CycloScalar(L, c) for c in ids]
+    prod_ids, memo = {}, {}
+
+    def times(x, y):
+        key = (x, y) if x <= y else (y, x)
+        if key not in memo:
+            memo[key] = prod_ids.setdefault((vals[x] * vals[y]).coeffs, len(prod_ids))
+        return memo[key]
+
+    n = len(data.F)
+    for i in range(n):
+        Pi, addi = P[i], add[i]
+        for j in range(n):
+            Pab, Pj, addj, pij = P[addi[j]], P[j], add[j], Pi[j]
+            for k in range(n):
+                if times(pij, Pab[k]) != times(Pj[k], Pi[addj[k]]):
+                    return False
+    return True
 
 
 def alpha_supports_w3(module, alpha) -> bool:
@@ -766,7 +794,7 @@ def alpha_supports_w3(module, alpha) -> bool:
     e = next((f for f in U.elements if f.coords == uu), None)
     if e is None:
         return False
-    return all(psi.value(f, e) == psi.value(e, f) for f in U.elements)
+    return all((psi.exp(f, e) - psi.exp(e, f)) % psi.N == 0 for f in U.elements)
 
 
 def build_K(data, host=None) -> ComodAlg:
@@ -789,9 +817,8 @@ def build_K(data, host=None) -> ComodAlg:
     if (1 << nW) * nF > 8192:
         raise CapacityError("comodule algebra dimension exceeds the supported bound")
     GG = data.pair_group
-    f_index = {f.coords: k for k, f in enumerate(Fels)}
+    f_index, f_mul = data.law
     id_f = f_index[GG.zero().coords]
-    f_mul = [[f_index[ab.add(a, b).coords] for b in Fels] for a in Fels]
     u_f = f_index.get(data.uu_coords())
     psiv = [[data.psi[(a.coords, b.coords)] for b in Fels] for a in Fels]
     act_rows = []
@@ -1589,23 +1616,22 @@ def verify_cotensor_iso(d, dt):
             if lhs != target:
                 note("relations_w", (i, j))
     psi1 = data1.psi
-    fpos = {f.coords: k for k, f in enumerate(data1.F)}
-    for a in data1.F:
-        for b in data1.F:
-            lhs = flat_mul(phie[fpos[a.coords]], phie[fpos[b.coords]])
-            rhs = _scaled(phie[fpos[ab.add(a, b).coords]],
-                          psi1[(a.coords, b.coords)])
+    fpos, fadd = data1.law
+    for i, a in enumerate(data1.F):
+        for j, b in enumerate(data1.F):
+            lhs = flat_mul(phie[i], phie[j])
+            rhs = _scaled(phie[fadd[i][j]], psi1[(a.coords, b.coords)])
             if lhs != rhs:
                 note("relations_psi", (a.coords, b.coords))
-    for f in data1.F:
+    for fk, f in enumerate(data1.F):
         P = data3.act_matrix(f)
         for wi in range(nW3):
-            lhs = flat_mul(phie[fpos[f.coords]], phiw[wi])
+            lhs = flat_mul(phie[fk], phiw[wi])
             rhs = {}
             for wj in range(nW3):
                 if P[wi][wj].is_zero():
                     continue
-                for k, c in flat_mul(phiw[wj], phie[fpos[f.coords]]).items():
+                for k, c in flat_mul(phiw[wj], phie[fk]).items():
                     _addin(rhs, k, P[wi][wj] * c)
             if lhs != rhs:
                 note("relations_action", (f.coords, wi))

@@ -411,8 +411,10 @@ class BilinearForm:
         raise AttributeError("BilinearForm is immutable")
 
     def evaluate(self, v, w) -> CycloScalar:
-        cv = self.space.coords_of(v)
-        cw = self.space.coords_of(w)
+        return self.on_coords(self.space.coords_of(v), self.space.coords_of(w))
+
+    def on_coords(self, cv, cw) -> CycloScalar:
+        """cv^T . gram . cw, for coordinates against the space's basis."""
         s = _ZERO
         for i, a in enumerate(cv):
             if a.is_zero():
@@ -459,12 +461,13 @@ def form_invariant_under(mod: GModuleV, beta: BilinearForm, elements,
     S = beta.space
     for g in elements:
         moved = [act(mod, g, space, row) for row in S.basis]
-        for mv in moved:
-            if not S.contains(mv):
-                raise DomainError("subspace is not invariant under the given action")
-        for i, mi in enumerate(moved):
-            for j, mj in enumerate(moved):
-                if beta.evaluate(mi, mj) != beta.gram[i][j]:
+        try:
+            C = [S.coords_of(mv) for mv in moved]
+        except DomainError:
+            raise DomainError("subspace is not invariant under the given action") from None
+        for i, ci in enumerate(C):
+            for j, cj in enumerate(C):
+                if beta.on_coords(ci, cj) != beta.gram[i][j]:
                     return False
     return True
 

@@ -187,22 +187,22 @@ def enumerate_orth(G: FinAbGroup, bound: int = 256):
 class TwistedSubgroup:
     """The subgroup U_alpha of G x G, with a chosen section back to G+G^."""
 
-    __slots__ = ("group", "pair_group", "elements", "section")
+    __slots__ = ("group", "pair_group", "elements", "section", "law")
 
     def __init__(self, group: FinAbGroup, elements, section):
         pair_group = ab.direct_sum(group, group)
         elements = tuple(sorted(elements, key=lambda e: e.coords))
-        coords = {e.coords for e in elements}
-        for x in elements:
-            for y in elements:
-                if ab.add(x, y).coords not in coords:
-                    raise DomainError("element list is not closed under the product")
-            if ab.neg(x).coords not in coords:
-                raise DomainError("element list is not closed under inverses")
+        law = ab.addition_table(elements)
+        if law is None:
+            raise DomainError("element list is not closed under the product")
+        zero = law[0].get(pair_group.zero().coords)
+        if any(zero not in row for row in law[1]):
+            raise DomainError("element list is not closed under inverses")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "pair_group", pair_group)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "section", dict(section))
+        object.__setattr__(self, "law", law)
 
     def __setattr__(self, name, value):
         raise AttributeError("TwistedSubgroup is immutable")
@@ -216,7 +216,7 @@ class TwistedSubgroup:
         else:
             g, h = x
             coords = g.coords + h.coords
-        return any(e.coords == coords for e in self.elements)
+        return coords in self.law[0]
 
     def contains_uu(self, u: GroupElement) -> bool:
         return self.contains((u, u))
@@ -280,15 +280,16 @@ class TwoCocycle:
         for a in elems:
             if self.exps[(zero, a.coords)] % self.N or self.exps[(a.coords, zero)] % self.N:
                 raise DomainError("cocycle is not normalized at the identity")
-        for a in elems:
-            for b in elems:
-                ab_ = ab.add(a, b)
-                for c in elems:
-                    lhs = self.exps[(a.coords, b.coords)] + self.exps[(ab_.coords, c.coords)]
-                    rhs = self.exps[(b.coords, c.coords)] + self.exps[(a.coords, ab.add(b, c).coords)]
-                    if (lhs - rhs) % self.N:
-                        raise DomainError(
-                            f"2-cocycle identity fails at {a.coords},{b.coords},{c.coords}")
+        add = self.domain.law[1]
+        E = [[self.exps[(a.coords, b.coords)] for b in elems] for a in elems]
+        n = len(elems)
+        for i in range(n):
+            for j in range(n):
+                Eij, Eab, Ej, Ei, addj = E[i][j], E[add[i][j]], E[j], E[i], add[j]
+                for k in range(n):
+                    if (Eij + Eab[k] - Ej[k] - Ei[addj[k]]) % self.N:
+                        raise DomainError("2-cocycle identity fails at "
+                                          f"{elems[i].coords},{elems[j].coords},{elems[k].coords}")
 
     def __repr__(self):
         return f"TwoCocycle(on order-{len(self.domain)} subgroup, N={self.N})"

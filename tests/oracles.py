@@ -120,3 +120,27 @@ def dense_equiv(T, Tt, elements, exps, root, zero):
                                zero) == Tt:
                 return True, (x, y)
     return False, None
+
+
+# -- the 2-cocycle identity, one scalar product per side per triple --------
+
+def cocycle_ok(elements, factors, psi):
+    """psi(a,b) psi(a+b,c) == psi(b,c) psi(a,b+c) for all a, b, c, and no
+    value is zero.
+
+    elements: coordinate tuples of a subgroup of Z/f1 x ... (f in factors);
+    psi: {(a, b): scalar} over elements x elements, scalars supporting *
+    and == (equality must hold across representations of one value).
+    """
+    def add(x, y):
+        return tuple((s + t) % f for s, t, f in zip(x, y, factors))
+
+    if any(v == 0 * v for v in psi.values()):
+        return False
+    for a in elements:
+        for b in elements:
+            for c in elements:
+                if psi[(a, b)] * psi[(add(a, b), c)] \
+                        != psi[(b, c)] * psi[(a, add(b, c))]:
+                    return False
+    return True

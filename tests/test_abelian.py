@@ -6,6 +6,7 @@ import random
 import pytest
 
 from brpickit import abelian as ab
+from brpickit import orth
 from brpickit.abelian import FinAbGroup, GroupHom
 from brpickit.cyclo import CycloScalar
 from brpickit.errors import DomainError
@@ -173,3 +174,39 @@ def test_json_round_trips():
     assert Z2xZ3.element(e.to_json()["coords"]) == e
     c = Z2xZ3.character([0, 1])
     assert Z2xZ3.character(c.to_json()["exps"]) == c
+
+
+def test_addition_table_matches_add():
+    Z2xZ4 = FinAbGroup([2, 4])
+    for els in (list(Z2xZ3.elements()), list(Z2xZ4.elements()),
+                [Z2xZ4.element(c) for c in [(0, 0), (1, 2), (0, 2), (1, 0)]]):
+        index, add = ab.addition_table(els)
+        assert index == {x.coords: k for k, x in enumerate(els)}
+        for i, x in enumerate(els):
+            for j, y in enumerate(els):
+                assert els[add[i][j]] == ab.add(x, y)
+    assert ab.addition_table([]) == ({}, [])
+
+
+def test_addition_table_none_when_not_closed():
+    # {0, 1} in Z4: 1 + 1 = 2 is missing; so is the inverse 3 of 1
+    assert ab.addition_table([Z4.zero(), Z4.element([1])]) is None
+    assert ab.addition_table([Z2xZ2.element([1, 0]), Z2xZ2.element([0, 1])]) is None
+    with pytest.raises(DomainError):
+        ab.addition_table([Z2.zero(), Z4.zero()])
+
+
+def test_twisted_subgroup_closure_errors(monkeypatch):
+    GG = ab.direct_sum(Z4, Z4)
+    with pytest.raises(DomainError, match="not closed under the product"):
+        orth.TwistedSubgroup(Z4, [GG.zero(), GG.element([1, 1])], {})
+    U = orth.TwistedSubgroup(Z4, [GG.element([k, k]) for k in range(4)], {})
+    assert U.contains((Z4.element([3]), Z4.element([3])))
+    assert not U.contains(GG.element([1, 0]))
+    # a finite list closed under + is a subgroup, so the inverse check can
+    # only fire on a law that is not a group law: x + y = x
+    monkeypatch.setattr(ab, "addition_table", lambda els: (
+        {e.coords: k for k, e in enumerate(els)},
+        [[k] * len(els) for k in range(len(els))]))
+    with pytest.raises(DomainError, match="not closed under inverses"):
+        orth.TwistedSubgroup(Z4, [GG.zero(), GG.element([1, 1])], {})

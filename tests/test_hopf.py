@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import hopf_helpers as hh
+import oracles
 from brpickit import abelian as ab
 from brpickit import brpic as bp
 from brpickit import hopf
@@ -152,8 +153,9 @@ def test_rejections_each_clause():
     d = hopf.CompatibleData(mod2, _axis(2, [0], 1), _axis(2, [0], 2),
                             _graph(2, [0], 1), None, diag2, None)
     assert "independent" in hopf.compatible_violations(d)
-    # F not closed under addition
+    # F not closed under addition, or without the identity
     assert "F_subgroup" in viol(F=[z, GG.element((1, 0)), GG.element((0, 1))])
+    assert viol(F=[uu]) == ["F_subgroup"]
     # graph not stable under non-diagonal F
     gamma = [f for f in bp.suite_alphas(mod)
              if f.hom.matrix != orth.orth_identity(G).hom.matrix][0]
@@ -183,6 +185,85 @@ def test_rejections_each_clause():
                                     psi={(z.coords, uu.coords): Fraction(2)})
     assert "psi_cocycle" in viol(F=[z, uu],
                                  psi={(uu.coords, uu.coords): Fraction(0)})
+
+
+def _whole_F(G):
+    GG = ab.direct_sum(G, G)
+    return [GG.element(a.coords + b.coords) for a in G.elements()
+            for b in G.elements()]
+
+
+def _psi_violations(mod, F, psi):
+    return hopf.compatible_violations(
+        hopf.CompatibleData(mod, None, None, None, None, F, psi))
+
+
+def test_normalized_non_cocycle_table_rejected():
+    mod = _sw()
+    F = _whole_F(mod.group)
+    # normalized and nowhere zero; the triple (x, x, (0, 1)) breaks it
+    x = (1, 0)
+    assert _psi_violations(mod, F, {(x, x): Fraction(2)}) == ["psi_cocycle"]
+    # the bicharacter (-1)^(a_1 b_1) is a cocycle
+    bichar = {(a.coords, b.coords): Fraction(-1) for a in F for b in F
+              if a.coords[0] * b.coords[0] % 2}
+    assert _psi_violations(mod, F, bichar) == []
+
+
+def _mixed_coboundary(F):
+    """psi(a,b) = mu(a) mu(b) / mu(a+b) with mu in {1, i}; rational values
+    are stored in turn as a Fraction or at conductor 2 or 1 (the rest at 4),
+    so equal values arrive in different representations."""
+    I4 = CycloScalar.root_of_unity(4, 1)
+    mu = {f.coords: (I4 if sum(f.coords) % 2 else ONE) for f in F}
+    psi = {}
+    for k, (a, b) in enumerate((a, b) for a in F for b in F):
+        v = mu[a.coords] * mu[b.coords] / mu[ab.add(a, b).coords]
+        if v.is_rational() and k % 3 == 0:
+            v = v.coeffs[0]
+        elif v.is_rational() and k % 3 == 1:
+            v = CycloScalar.from_rational(v.coeffs[0], 2)
+        psi[(a.coords, b.coords)] = v
+    return psi
+
+
+def test_mixed_conductor_coboundary():
+    for mod in (_sw(), hh.z22_module()):
+        F = _whole_F(mod.group)
+        psi = _mixed_coboundary(F)
+        assert {la.sc(v).N for v in psi.values()} == {1, 2, 4}
+        assert _psi_violations(mod, F, psi) == []
+        key = (F[1].coords, F[2].coords)
+        bad = dict(psi)
+        bad[key] = la.sc(psi[key]) * CycloScalar.root_of_unity(4, 1)
+        assert _psi_violations(mod, F, bad) == ["psi_cocycle"]
+
+
+def test_cocycle_check_agrees_with_scalar_oracle():
+    seen = set()
+    rejected = 0
+    I8 = CycloScalar.root_of_unity(8, 1)
+    for _, mod in hh.module_zoo():
+        if mod.group.order > 4:
+            continue
+        GG = ab.direct_sum(mod.group, mod.group)
+        for _, F, psi, _ in hh.f_families(mod):
+            data = hopf.CompatibleData(mod, None, None, None, None, F, psi)
+            key = (GG.factors, tuple(sorted((k, v.to_string())
+                                            for k, v in data.psi.items())))
+            if key in seen:
+                continue
+            seen.add(key)
+            assert "F_subgroup" not in hopf.compatible_violations(data)
+            elems = [f.coords for f in data.F]
+            a, b = elems[-1], elems[len(elems) // 2]
+            perturbed = dict(data.psi)
+            perturbed[(a, b)] = perturbed[(a, b)] * I8
+            for table in (data.psi, perturbed):
+                got = "psi_cocycle" in _psi_violations(mod, data.F, table)
+                assert got == (not oracles.cocycle_ok(elems, GG.factors, table))
+                rejected += got
+    assert len(seen) > 10 and rejected > 5
 
 
 def test_noncentral_twist_blocks_sector3_only():
