@@ -2,19 +2,33 @@
 
 A scalar is a residue mod Phi_N (the N-th cyclotomic polynomial) with
 rational coefficients, i.e. an element of Q(zeta_N) written in the power
-basis 1, z, ..., z^(phi(N)-1) where z = zeta_N = exp(2*pi*i/N).  Values at
-different conductors interoperate by lifting both to Q(zeta_lcm) exactly.
+basis 1, z, ..., z^(phi(N)-1) where z = zeta_N = exp(2*pi*i/N).
+
+Representation: a conductor N, a tuple num of phi(N) integer numerators
+and one common denominator den > 0, in lowest terms (gcd(den, *num) == 1;
+zero is (0, ...), 1).  At a fixed N this form is canonical, so equality is
+a tuple comparison.  phi(N) and the table of x^k mod Phi_N are cached per
+N; Phi_N is monic over Z, so the table is integral and reduction, products
+and lifts run on ints, with one gcd per result.  The stored N is kept as
+computed (it is part of the JSON form), so equal values may carry
+different conductors.
+
+Values at different conductors interoperate by lifting both to
+Q(zeta_lcm) exactly.  Fast path: when one operand is rational (no
+coefficient beyond the constant term) and its conductor divides the
+other's, its lift is (q, 0, ...), so * scales the other operand's
+numerators and + shifts its constant term without lifting; the result
+conductor is still lcm(N_a, N_b).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import DomainError
-
-Rat = Fraction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -88,88 +102,107 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return _PHI_CACHE[n]
 
 
-_RED_CACHE: dict[int, tuple[tuple[Fraction, ...], ...]] = {}
+_phi = cache(euler_phi)
 
 
-def _monomial_reductions(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    # Table of x^k mod Phi_n for k = 0 .. 2*phi-2, each as a phi-length tuple.
-    cached = _RED_CACHE.get(n)
-    if cached is not None:
-        return cached
+@cache
+def _monomial_reductions(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # x^k mod Phi_n for k = 0 .. 2*phi-2, each row as its nonzero (j, c)
+    # pairs.  Phi_n is monic over Z, so every entry is an int.
     phi_poly = cyclotomic_poly(n)
     phi = len(phi_poly) - 1
-    top = [Fraction(-c) for c in phi_poly[:phi]]  # x^phi = -(lower part)
-    rows: list[tuple[Fraction, ...]] = []
-    for k in range(phi):
-        row = [_F0] * phi
-        row[k] = _F1
-        rows.append(tuple(row))
-    current = list(top)
-    rows.append(tuple(current))
+    top = [-c for c in phi_poly[:phi]]  # x^phi = -(lower part)
+    rows = [[1 if j == k else 0 for j in range(phi)] for k in range(phi)]
+    current = top
+    rows.append(current)
     for _ in range(phi - 2):
-        shifted = [_F0] + current[:-1]
         overflow = current[-1]
+        current = [0] + current[:-1]
         if overflow:
-            shifted = [s + overflow * t for s, t in zip(shifted, top)]
-        current = shifted
-        rows.append(tuple(current))
-    result = tuple(rows)
-    _RED_CACHE.setdefault(n, result)
-    return _RED_CACHE[n]
+            current = [s + overflow * t for s, t in zip(current, top)]
+        rows.append(current)
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
 
 
-def _reduce(n: int, coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    # Reduce an arbitrary-degree coefficient list mod Phi_n.
-    phi = euler_phi(n)
-    out = [_F0] * phi
+def _reduce(n: int, raw: list[int]) -> list[int]:
+    # Reduce an integer coefficient list of any length mod Phi_n, in place
+    # from the top, so every monomial lands inside the table range.
+    phi = _phi(n)
+    if len(raw) <= phi:
+        return raw + [0] * (phi - len(raw))
     table = _monomial_reductions(n)
-    pending = list(coeffs)
-    # Fold down from the top so every monomial lands inside the table range.
-    for k in range(len(pending) - 1, -1, -1):
-        c = pending[k]
-        if not c:
-            continue
-        if k < phi:
-            out[k] += c
-        elif k <= 2 * phi - 2:
-            row = table[k]
-            for j in range(phi):
-                if row[j]:
-                    out[j] += c * row[j]
-        else:
-            # x^k = x^(k-phi) * x^phi; push down using the top reduction row.
-            row = table[phi]
-            for j in range(phi):
-                if row[j]:
-                    pending[k - phi + j] += c * row[j]
-        pending[k] = _F0
-    return tuple(out)
+    last = 2 * phi - 2
+    for k in range(len(raw) - 1, phi - 1, -1):
+        c = raw[k]
+        if c:
+            if k <= last:
+                for j, t in table[k]:
+                    raw[j] += c * t
+            else:
+                # x^k = x^(k-phi) * x^phi; push down using the top row.
+                base = k - phi
+                for j, t in table[phi]:
+                    raw[base + j] += c * t
+    del raw[phi:]
+    return raw
+
+
+_new = object.__new__
+
+
+def _make(N: int, num, den: int) -> "CycloScalar":
+    """The scalar num/den at N, brought to lowest terms (den > 0)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    s = _new(CycloScalar)
+    _set_N(s, N)
+    _set_num(s, tuple(num))
+    _set_den(s, den)
+    return s
 
 
 class CycloScalar:
-    """An element of Q(zeta_N), stored canonically mod Phi_N."""
+    """An element of Q(zeta_N), stored canonically mod Phi_N.
 
-    __slots__ = ("N", "coeffs")
+    num holds phi(N) integer numerators over the common denominator
+    den > 0, with gcd(den, *num) == 1 (zero is (0, ...), 1).
+    """
+
+    __slots__ = ("N", "num", "den")
 
     def __init__(self, N: int, coeffs: Iterable[Fraction | int | str]):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        phi = euler_phi(N)
-        if len(coeffs) != phi:
-            coeffs = _reduce(N, coeffs)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        if len(num) != _phi(N):
+            num = _reduce(N, num)
+        g = gcd(den, *num)
+        _set_N(self, N)
+        _set_num(self, tuple(x // g for x in num))
+        _set_den(self, den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloScalar is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as reduced fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def from_rational(q, N: int = 1) -> "CycloScalar":
-        phi = euler_phi(N)
-        coeffs = [_F0] * phi
-        coeffs[0] = Fraction(q)
-        return CycloScalar(N, coeffs)
+        if type(q) is int:
+            num, den = q, 1
+        else:
+            q = Fraction(q)
+            num, den = q.numerator, q.denominator
+        return _make(N, (num,) + (0,) * (_phi(N) - 1), den)
 
     @staticmethod
     def zero(N: int = 1) -> "CycloScalar":
@@ -183,9 +216,9 @@ class CycloScalar:
     def root_of_unity(N: int, e: int = 1) -> "CycloScalar":
         """zeta_N^e as an element of Q(zeta_N)."""
         e %= N
-        coeffs = [_F0] * (e + 1)
-        coeffs[e] = _F1
-        return CycloScalar(N, coeffs)
+        raw = [0] * (e + 1)
+        raw[e] = 1
+        return _make(N, _reduce(N, raw), 1)
 
     # -- conductor handling ------------------------------------------------
 
@@ -196,11 +229,9 @@ class CycloScalar:
         if M % self.N != 0:
             raise DomainError(f"cannot lift conductor {self.N} into {M}")
         step = M // self.N
-        raw = [_F0] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                raw[i * step] = c
-        return CycloScalar(M, _reduce(M, raw))
+        raw = [0] * ((len(self.num) - 1) * step + 1)
+        raw[::step] = self.num
+        return _make(M, _reduce(M, raw), self.den)
 
     def _pair(self, other: "CycloScalar") -> tuple["CycloScalar", "CycloScalar"]:
         if self.N == other.N:
@@ -209,18 +240,37 @@ class CycloScalar:
         return self.lift(M), other.lift(M)
 
     # -- arithmetic --------------------------------------------------------
+    # A rational operand (nothing beyond the constant term) whose conductor
+    # divides the other's lifts to (q, 0, ...), so it scales or shifts the
+    # other operand directly; the result keeps conductor lcm(N_a, N_b).
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._pair(other)
-        return CycloScalar(a.N, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if type(other) is not CycloScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self, other
+        if b.N % a.N == 0 and not any(a.num[1:]):
+            a, b = b, a
+        elif not (a.N % b.N == 0 and not any(b.num[1:])):
+            if a.N != b.N:
+                a, b = self._pair(other)
+            da, db = a.den, b.den
+            if da == db:
+                return _make(a.N, [x + y for x, y in zip(a.num, b.num)], da)
+            return _make(a.N, [x * db + y * da for x, y in zip(a.num, b.num)],
+                         da * db)
+        # b is a rational q = b.num[0] / b.den: add it to a's constant term
+        da, db = a.den, b.den
+        if db == 1:
+            return _make(a.N, (a.num[0] + b.num[0] * da,) + a.num[1:], da)
+        return _make(a.N, [a.num[0] * db + b.num[0] * da]
+                     + [x * db for x in a.num[1:]], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloScalar(self.N, tuple(-x for x in self.coeffs))
+        return _make(self.N, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -235,26 +285,40 @@ class CycloScalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._pair(other)
-        phi = len(a.coeffs)
-        raw = [_F0] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    raw[i + j] += x * y
-        return CycloScalar(a.N, _reduce(a.N, raw))
+        if type(other) is not CycloScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self, other
+        if b.N % a.N == 0 and not any(a.num[1:]):
+            a, b = b, a
+        elif not (a.N % b.N == 0 and not any(b.num[1:])):
+            if a.N != b.N:
+                a, b = self._pair(other)
+            an, bn = a.num, b.num
+            raw = [0] * (2 * len(an) - 1)
+            for i, x in enumerate(an):
+                if x:
+                    for j, y in enumerate(bn, i):
+                        if y:
+                            raw[j] += x * y
+            return _make(a.N, _reduce(a.N, raw), a.den * b.den)
+        # b is a rational q = b.num[0] / b.den: scale a's numerators by it
+        q = b.num[0]
+        return _make(a.N, [q * x for x in a.num], a.den * b.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloScalar":
-        """Multiplicative inverse via extended gcd with Phi_N."""
+        """Multiplicative inverse: 1/q for a rational q, else by extended
+        gcd with Phi_N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
+        if not any(self.num[1:]):
+            q, den = self.num[0], self.den
+            if q < 0:
+                q, den = -q, -den
+            return _make(self.N, (den,) + self.num[1:], q)
         phi_poly = [Fraction(c) for c in cyclotomic_poly(self.N)]
         r0, r1 = phi_poly, list(self.coeffs)
         s0, s1 = [_F0], [_F1]
@@ -267,8 +331,7 @@ class CycloScalar:
         if len(r0) != 1:
             raise ArithmeticError("gcd with Phi_N not constant; Phi_N reducible?")
         c = r0[0]
-        return CycloScalar(self.N, _reduce(self.N, [x / c for x in s0]))
-
+        return CycloScalar(self.N, [x / c for x in s0])
     def __truediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -296,20 +359,28 @@ class CycloScalar:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        if type(other) is not CycloScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self, other
+        if a.N != b.N:
+            a_flat, b_flat = not any(a.num[1:]), not any(b.num[1:])
+            if a_flat or b_flat:
+                # a rational has only a constant term at every conductor
+                return (a_flat and b_flat and a.den == b.den
+                        and a.num[0] == b.num[0])
+            a, b = self._pair(other)
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None  # semantic equality crosses conductors; do not hash
 
@@ -335,7 +406,7 @@ class CycloScalar:
         if not sep:
             raise DomainError(f"missing conductor suffix in {text!r}")
         N = int(n_part)
-        coeffs = [_F0] * euler_phi(N)
+        coeffs = [_F0] * _phi(N)
         body = body.strip()
         if body != "0":
             for term in body.split(" + "):
@@ -359,6 +430,11 @@ class CycloScalar:
 
     def __repr__(self):
         return f"CycloScalar({self.to_string()!r})"
+
+
+_set_N = CycloScalar.N.__set__
+_set_num = CycloScalar.num.__set__
+_set_den = CycloScalar.den.__set__
 
 
 def _coerce(x):

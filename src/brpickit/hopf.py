@@ -756,22 +756,31 @@ def compatible_violations(data) -> list:
 def _psi_cocycle_ok(data) -> bool:
     """psi(a,b) psi(a+b,c) == psi(b,c) psi(a,b+c) on all of F^3, exactly.
 
-    Values are interned at the common conductor L, where coeffs is
+    Values are interned at the common conductor L, where (num, den) is
     canonical, so two values are equal iff their ids are; each product of
     two ids is computed once and interned the same way.
     """
     add = data.law[1]
     L = lcm(*(v.N for v in data.psi.values()))
-    ids = {}
-    P = [[ids.setdefault(data.psi[(a.coords, b.coords)].lift(L).coeffs, len(ids))
-          for b in data.F] for a in data.F]
-    vals = [CycloScalar(L, c) for c in ids]
+    ids, vals = {}, []
+
+    def intern(v):
+        if v.N != L:
+            v = v.lift(L)
+        key = (v.num, v.den)
+        if key not in ids:
+            ids[key] = len(vals)
+            vals.append(v)
+        return ids[key]
+
+    P = [[intern(data.psi[(a.coords, b.coords)]) for b in data.F] for a in data.F]
     prod_ids, memo = {}, {}
 
     def times(x, y):
         key = (x, y) if x <= y else (y, x)
         if key not in memo:
-            memo[key] = prod_ids.setdefault((vals[x] * vals[y]).coeffs, len(prod_ids))
+            p = vals[x] * vals[y]
+            memo[key] = prod_ids.setdefault((p.num, p.den), len(prod_ids))
         return memo[key]
 
     n = len(data.F)

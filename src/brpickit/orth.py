@@ -230,21 +230,37 @@ class TwistedSubgroup:
         return f"TwistedSubgroup(order {len(self.elements)})"
 
 
+def _alpha_table(alpha: OrthAut):
+    """(x, alpha(x)) as coordinate tuples for every x in G+G^, in the order
+    of dsum_group(G).elements()."""
+    fs = dsum_group(alpha.group).factors
+    M = alpha.hom.matrix
+    table = []
+    for x in itertools.product(*(range(f) for f in fs)):
+        y = [0] * len(fs)
+        for c, row in zip(x, M):
+            if c:
+                for j, m in enumerate(row):
+                    y[j] += c * m
+        table.append((x, tuple(v % f for v, f in zip(y, fs))))
+    return table
+
+
 def u_alpha(alpha: OrthAut) -> TwistedSubgroup:
     """U_alpha = {(alpha_1(x), g_x)} with a first-found section per element."""
-    G = alpha.group
+    return _u_alpha(alpha.group, _alpha_table(alpha))
+
+
+def _u_alpha(G: FinAbGroup, table) -> TwistedSubgroup:
+    n = G.rank
     D = dsum_group(G)
     GG = ab.direct_sum(G, G)
     section = {}
-    elements = []
-    for x in D.elements():
-        g, _ = split(G, x)
-        a1 = alpha.alpha1(x)
-        p = GG.element(a1.coords + g.coords)
-        if p.coords not in section:
-            section[p.coords] = x
-            elements.append(p)
-    return TwistedSubgroup(G, elements, section)
+    for x, y in table:
+        p = y[:n] + x[:n]
+        if p not in section:
+            section[p] = GroupElement(D, x)
+    return TwistedSubgroup(G, [GroupElement(GG, p) for p in section], section)
 
 
 class TwoCocycle:
@@ -295,17 +311,6 @@ class TwoCocycle:
         return f"TwoCocycle(on order-{len(self.domain)} subgroup, N={self.N})"
 
 
-def _psi_exp(G: FinAbGroup, alpha: OrthAut, rep_a: GroupElement, b) -> int:
-    # <alpha_2(rep_a)^-1, b_1> <chi_{rep_a}, b_2> as an exponent
-    N = G.exponent
-    n = G.rank
-    b1 = G.element(b.coords[:n])
-    b2 = G.element(b.coords[n:])
-    _, chi_a = split(G, rep_a)
-    a2 = alpha.alpha2(rep_a)
-    return (-ab.pair(a2, b1) + ab.pair(chi_a, b2)) % N
-
-
 _PSI_CACHE = {}
 
 
@@ -323,22 +328,26 @@ def psi_alpha(alpha: OrthAut) -> TwoCocycle:
 
 
 def _build_psi(alpha: OrthAut) -> TwoCocycle:
+    # psi(a, b) = <alpha_2(r)^-1, b_1> <chi_r, b_2> for a preimage r = (g,
+    # chi) of a, whose exponent mod N is the dot product of b's coordinates
+    # with v_r = (-alpha_2(r) * w, chi * w), w_i = N / f_i.
     G = alpha.group
-    U = u_alpha(alpha)
-    D = dsum_group(G)
-    GG = U.pair_group
+    n = G.rank
     N = G.exponent
-    # group all preimages of each subgroup element
-    reps: dict = {e.coords: [] for e in U.elements}
-    for x in D.elements():
-        g, _ = split(G, x)
-        p = alpha.alpha1(x).coords + g.coords
-        reps[p].append(x)
+    w = [N // f for f in G.factors]
+    table = _alpha_table(alpha)
+    U = _u_alpha(G, table)
+    # the distinct v_r mod N over all preimages r of each subgroup element
+    vecs: dict = {e.coords: set() for e in U.elements}
+    for x, y in table:
+        v = tuple(-a * wi % N for a, wi in zip(y[n:], w)) \
+            + tuple(c * wi for c, wi in zip(x[n:], w))
+        vecs[y[:n] + x[:n]].add(v)
     exps = {}
     for a in U.elements:
-        rep_list = reps[a.coords]
+        vs = vecs[a.coords]
         for b in U.elements:
-            vals = {_psi_exp(G, alpha, r, b) for r in rep_list}
+            vals = {sum(s * t for s, t in zip(v, b.coords)) % N for v in vs}
             if len(vals) != 1:
                 raise DomainError("psi ill-defined for this alpha")
             exps[(a.coords, b.coords)] = vals.pop()

@@ -6,6 +6,7 @@ serve as oracles for it.
 """
 
 import itertools
+from fractions import Fraction
 from math import lcm, prod
 
 
@@ -144,3 +145,63 @@ def cocycle_ok(elements, factors, psi):
                         != psi[(b, c)] * psi[(a, add(b, c))]:
                     return False
     return True
+
+
+# -- cyclotomic arithmetic on Fraction coefficients -----------------------
+# A value is (N, coeffs) with coeffs the Fraction coefficients of an element
+# of Q(zeta_N) in the power basis 1, z, ..., z^(phi(N)-1), reduced mod
+# Phi_N.  This is the package's arithmetic before it moved to integer
+# numerators over one denominator, kept here as the reference for it.
+
+def cyclotomic_poly(n):
+    """Integer coefficients of Phi_n, constant term first."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _div_monic(poly, cyclotomic_poly(d))[0]
+    return poly
+
+
+def _div_monic(num, den):
+    """(quotient, remainder) of num by a monic den, low degree first."""
+    num = list(num)
+    dd = len(den) - 1
+    quot = [0] * max(len(num) - dd, 1)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c:
+            quot[i - dd] = c
+            for j, dj in enumerate(den):
+                num[i - dd + j] -= c * dj
+    return quot, num[:dd]
+
+
+def cyclo_reduce(N, coeffs):
+    phi = cyclotomic_poly(N)
+    rem = _div_monic([Fraction(c) for c in coeffs], phi)[1]
+    return N, tuple(rem + [Fraction(0)] * (len(phi) - 1 - len(rem)))
+
+
+def cyclo_lift(value, M):
+    N, coeffs = value
+    step = M // N
+    raw = [Fraction(0)] * ((len(coeffs) - 1) * step + 1)
+    for i, c in enumerate(coeffs):
+        raw[i * step] = c
+    return cyclo_reduce(M, raw)
+
+
+def cyclo_add(a, b):
+    M = lcm(a[0], b[0])
+    (_, x), (_, y) = cyclo_lift(a, M), cyclo_lift(b, M)
+    return M, tuple(s + t for s, t in zip(x, y))
+
+
+def cyclo_mul(a, b):
+    M = lcm(a[0], b[0])
+    (_, x), (_, y) = cyclo_lift(a, M), cyclo_lift(b, M)
+    raw = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, s in enumerate(x):
+        for j, t in enumerate(y):
+            raw[i + j] += s * t
+    return cyclo_reduce(M, raw)

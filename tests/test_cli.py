@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -241,3 +242,43 @@ def test_seed_from_spec_file(tmp_path, capsys):
     code, out, _ = _run(capsys, ["verify", "--spec", spec, "--json"])
     assert code == 0
     assert json.loads(out)["seed"] == 11
+
+
+# sha256 of the `--json` stdout of fixed commands, recorded before the
+# scalar kernel moved to integer numerators.  Z4 and Z2xZ4 compute over
+# Q(i); the brpic payload carries conductor-4 entries (and "0@4"/"1@4"
+# entries whose conductor comes from mixed-conductor arithmetic).
+Z4 = {"group": [4], "u": [2], "V": [[1], [3]]}
+Z2Z4 = {"group": [2, 4], "u": [0, 2], "V": [[0, 1]]}
+_Z4_DATUM = {"T": [["-1 + -1*z@4", "0@1", "0@1", "0@1"],
+                   ["0@1", "-3*z@4", "0@1", "0@1"],
+                   ["0@1", "0@1", "-1/2 + 1/2*z@4", "0@1"],
+                   ["0@1", "0@1", "0@1", "1/3*z@4"]],
+             "alpha": {"matrix": [[0, 1], [1, 0]]}}
+Z4_PAIR = Z4 | {"datum": _Z4_DATUM, "datum2": _Z4_DATUM}
+GOLDEN = [
+    (Z4, ["verify", "all", "--seed", "3"],
+     "f63db1a82d25e0fbbcdbfa4c6b18f1a091bca01f4662d6734ae8f773da2de771"),
+    (Z4, ["verify", "comodule", "--seed", "5", "--count", "4"],
+     "e47a653c41790f9bbed97176321feef598c53d1cf3fc06b9d832cfa8747676ad"),
+    (Z4, ["brpic", "describe"],
+     "29f847433f97511e43a24e188f2fa441a122bf2aa9089ad2b27a079c57c512cb"),
+    (Z2Z4, ["verify", "cotensor", "--seed", "2", "--count", "3"],
+     "a346ed0750ce29de6e57cd75685b4b706e946c646101ab57e56de6a351d7f798"),
+    (Z4_PAIR, ["brpic", "mul"],
+     "6e15806fd52139c6bf0b3de03df760ef0117d7b86ebe98346b67bd0722070e08"),
+    (Z4_PAIR, ["brpic", "inv"],
+     "f63d9cfe85968caa82bf756ab2d6db117fca6b7b0c54fd4678fae6a3592906ad"),
+    (Z4_PAIR, ["brpic", "convert"],
+     "76e0bc97e9c1166d4f3369ea61bc7f7baf1289475c63ac9b26b699dbcd15d397"),
+]
+
+
+@pytest.mark.parametrize("spec_obj,argv,digest", GOLDEN,
+                         ids=[" ".join(g[1][:2]) + f"-{k}"
+                              for k, g in enumerate(GOLDEN)])
+def test_json_output_golden(tmp_path, capsys, spec_obj, argv, digest):
+    spec = _write(tmp_path, "spec.json", spec_obj)
+    code, out, err = _run(capsys, argv + ["--spec", spec, "--json"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,10 +1,12 @@
 """Field-axiom and serialization tests for exact cyclotomic scalars."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from brpickit.cyclo import CycloScalar, cyclotomic_poly, euler_phi, divisors
 
 CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
@@ -180,3 +182,124 @@ def test_pow_negative_exponent():
     z = CycloScalar.root_of_unity(8, 3)
     assert z ** -1 == CycloScalar.root_of_unity(8, 5)
     assert z ** -2 == CycloScalar.root_of_unity(8, 2)
+
+
+# -- the integer kernel against the Fraction reference ---------------------
+
+@st.composite
+def mixed_scalars(draw):
+    """Any conductor in CONDUCTORS; a third of the values are flat (rational),
+    so the rational fast path meets every conductor pair."""
+    N = draw(st.sampled_from(CONDUCTORS))
+    a = _rand_scalar(draw, N)
+    if draw(st.integers(0, 2)) == 0:
+        return CycloScalar(N, [a.coeffs[0]])
+    return a
+
+
+def _ref(a):
+    return a.N, a.coeffs
+
+
+def _assert_lowest_terms(a):
+    assert len(a.num) == euler_phi(a.N)
+    assert all(type(x) is int for x in a.num)
+    assert type(a.den) is int and a.den > 0
+    assert gcd(a.den, *a.num) == 1
+    if not any(a.num):
+        assert a.den == 1
+
+
+def _assert_matches(got, ref):
+    N, coeffs = ref
+    assert got.N == N
+    assert got.coeffs == coeffs
+    assert got.to_json() == {"N": N, "coeffs": [str(c) for c in coeffs]}
+    assert got == CycloScalar(N, coeffs)
+    _assert_lowest_terms(got)
+
+
+@given(mixed_scalars(), mixed_scalars())
+@settings(max_examples=200)
+def test_kernel_matches_fraction_reference(a, b):
+    _assert_matches(a * b, oracles.cyclo_mul(_ref(a), _ref(b)))
+    _assert_matches(b * a, oracles.cyclo_mul(_ref(b), _ref(a)))
+    _assert_matches(a + b, oracles.cyclo_add(_ref(a), _ref(b)))
+    _assert_matches(b + a, oracles.cyclo_add(_ref(b), _ref(a)))
+    M = a.N * b.N
+    _assert_matches(a.lift(M), oracles.cyclo_lift(_ref(a), M))
+    same = oracles.cyclo_lift(_ref(a), M) == oracles.cyclo_lift(_ref(b), M)
+    assert (a == b) == same and (b == a) == same
+
+
+@given(mixed_scalars())
+@settings(max_examples=100)
+def test_lowest_terms_after_each_op(a):
+    _assert_lowest_terms(a)
+    b = CycloScalar(a.N, [Fraction(1, 2)] * euler_phi(a.N))
+    for r in (a + a, a - a, -a, a * b, b * a, a + b, b + a, a * a,
+              a + Fraction(1, 2), Fraction(2, 3) * a, a.lift(3 * a.N),
+              a * 0, 2 * a - a):
+        _assert_lowest_terms(r)
+    if not a.is_zero():
+        _assert_lowest_terms(a.inv())
+        _assert_lowest_terms(b / a)
+
+
+def _count_lifts(monkeypatch):
+    calls = []
+    lift = CycloScalar.lift
+
+    def counted(self, M):
+        calls.append((self.N, M))
+        return lift(self, M)
+
+    monkeypatch.setattr(CycloScalar, "lift", counted)
+    return calls
+
+
+def test_flat_n2_times_n3_lands_at_n6_by_lift(monkeypatch):
+    flat = CycloScalar(2, [Fraction(-3, 2)])
+    z3 = CycloScalar(3, [1, 2])
+    lifts = _count_lifts(monkeypatch)
+    for p in (flat * z3, z3 * flat):
+        assert p.N == 6
+        _assert_matches(p, oracles.cyclo_mul(_ref(flat), _ref(z3)))
+    assert (2, 6) in lifts and (3, 6) in lifts
+    s = flat + z3
+    assert s.N == 6
+    _assert_matches(s, oracles.cyclo_add(_ref(flat), _ref(z3)))
+
+
+def test_flat_n4_times_n8_scales_without_lift(monkeypatch):
+    flat = CycloScalar(4, [Fraction(5, 6)])
+    v = CycloScalar(8, [Fraction(3, 5), 0, Fraction(-6, 7), 2])
+    lifts = _count_lifts(monkeypatch)
+    for p in (flat * v, v * flat):
+        assert p.N == 8
+        _assert_matches(p, oracles.cyclo_mul(_ref(flat), _ref(v)))
+    for s in (flat + v, v + flat):
+        assert s.N == 8
+        _assert_matches(s, oracles.cyclo_add(_ref(flat), _ref(v)))
+    assert flat * v != v and flat + v != v
+    assert lifts == []
+
+
+def test_minus_one_across_conductors():
+    assert CycloScalar(2, [-1]) == CycloScalar(1, [-1])
+    assert CycloScalar(1, [-1]) == CycloScalar(2, [-1])
+    assert CycloScalar.root_of_unity(2) == -1
+    assert CycloScalar(2, [-1]) != CycloScalar(1, [1])
+    assert CycloScalar(4, [-1, 0]) == CycloScalar(2, [-1])
+    assert CycloScalar(4, [-1, 1]) != CycloScalar(2, [-1])
+
+
+def test_inv_of_negative_rational():
+    q = CycloScalar.from_rational(Fraction(-3, 5), 4)
+    r = q.inv()
+    assert r.N == 4 and r.coeffs == (Fraction(-5, 3), 0)
+    assert (r.num, r.den) == ((-5, 0), 3)
+    assert q * r == 1
+    assert CycloScalar.from_rational(-7).inv().coeffs == (Fraction(-1, 7),)
+    assert CycloScalar.from_rational(Fraction(2, 9), 8).inv().coeffs == (
+        Fraction(9, 2), 0, 0, 0)

@@ -151,6 +151,36 @@ def test_psi_cocycle_identity_all_alphas():
             orth.psi_alpha(a)
 
 
+def test_psi_exponents_match_the_pairing_formula():
+    # psi(a, b) = <alpha_2(r)^-1, b_1> <chi_r, b_2> at the section's
+    # preimage r = (g, chi) of a
+    G24 = FinAbGroup([2, 4])
+    cases = [(G, a) for G in [Z2, Z3, Z4, Z2xZ2] for a in orth.enumerate_orth(G)]
+    cases += [(G24, a) for a in orth.enumerate_orth(G24)[::16]]
+    for G, alpha in cases:
+        psi = orth.psi_alpha(alpha)
+        U = psi.domain
+        for a in U.elements:
+            r = U.section[a.coords]
+            _, chi = orth.split(G, r)
+            a2 = alpha.alpha2(r)
+            for b in U.elements:
+                b1, b2 = U.components(b)
+                assert psi.exp(a, b) == \
+                    (-ab.pair(a2, b1) + ab.pair(chi, b2)) % G.exponent
+
+
+def test_psi_ill_defined_for_a_non_orthogonal_automorphism():
+    # chi -> chi^-1 on Z3 + Z3^ is bijective but not orthogonal, and the
+    # preimages (g, chi) of one element of U give different pairings
+    D = orth.dsum_group(Z3)
+    hom = GroupHom(D, D, [[1, 0], [0, 2]])
+    assert ab.hom_is_automorphism(hom) and not orth.is_orthogonal(Z3, hom)
+    alpha = orth.OrthAut(Z3, hom, _checked=True)
+    with pytest.raises(DomainError, match="psi ill-defined"):
+        orth._build_psi(alpha)
+
+
 def test_u_alpha_inverse_is_transpose():
     for G in [Z2, Z3, Z4, Z2xZ2]:
         for a in orth.enumerate_orth(G):
