@@ -73,14 +73,15 @@ def matrix_is_invertible(M) -> bool:
 
 
 def matrix_inverse(M):
+    """M^-1 from one rref of [M | I].  M is invertible iff its columns are
+    the pivots; column j of the I block gets the ops of solve(M, e_j)."""
     n = len(M)
     if n == 0:
         return []
-    if not matrix_is_invertible(M):
+    R, pivots = la.rref([list(r) + e for r, e in zip(M, identity_matrix(n))])
+    if pivots != list(range(n)):
         raise NotInvertibleError("matrix is singular")
-    cols = [la.solve(M, [_ONE if i == j else _ZERO for i in range(n)])
-            for j in range(n)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return [r[n:] for r in R]
 
 
 def support(M):
@@ -262,17 +263,6 @@ class LagDatum:
 
 # -- validation -------------------------------------------------------------
 
-def _axis_intersection_dims(W: la.Subspace):
-    d = W.ambient_dim // 2
-    if d == 0:
-        return 0, 0
-    axis1 = la.Subspace(2 * d, [[_ONE if j == i else _ZERO
-                                 for j in range(2 * d)] for i in range(d)])
-    axis2 = la.Subspace(2 * d, [[_ONE if j == i + d else _ZERO
-                                 for j in range(2 * d)] for i in range(d)])
-    return W.intersect(axis1).dim, W.intersect(axis2).dim
-
-
 def _pairs_of(U: orth.TwistedSubgroup):
     return [U.components(e) for e in U.elements]
 
@@ -295,9 +285,8 @@ def _form_invariant(mod, beta, movers, space):
 def _rdatum_conditions(d: RDatum) -> dict:
     mod = d.module
     stab = diagonal_stabilizer(d.alpha)
-    a1, a2 = _axis_intersection_dims(d.W)
     rep = {
-        "axis_clear": a1 == 0 and a2 == 0,
+        "axis_clear": not any(la.axis_meets(d.W)),
         "uu_in_U": mod.u in stab,  # (u, u) in U_alpha iff u in S_alpha
         "W_stable": _subspace_stable(mod, d.W, stab, "VplusV"),
         "beta_symmetric": d.beta.is_symmetric(),

@@ -42,6 +42,7 @@ from . import orth
 from . import brpic as bp
 from .cyclo import CycloScalar
 from .errors import BrpicError, CapacityError, DomainError, InputValidationError
+from .linalg import addin
 
 _ZERO = CycloScalar.zero(1)
 _ONE = CycloScalar.one(1)
@@ -49,15 +50,6 @@ _HALF = la.sc(Fraction(1, 2))
 
 
 # -- sparse element helpers -------------------------------------------------
-
-def _addin(acc, key, c):
-    v = acc.get(key)
-    v = c if v is None else v + c
-    if v.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = v
-
 
 def _scaled(d, c):
     if c.is_zero():
@@ -68,7 +60,7 @@ def _scaled(d, c):
 def _elem_add(a, b):
     out = dict(a)
     for k, c in b.items():
-        _addin(out, k, c)
+        addin(out, k, c)
     return out
 
 
@@ -181,7 +173,7 @@ class HopfAlg:
         for i, cx in x.items():
             for j, cy in y.items():
                 for k, c in self.mono_mul(i, j).items():
-                    _addin(acc, k, cx * cy * c)
+                    addin(acc, k, cx * cy * c)
         return acc
 
     def tensor_mul(self, t1, t2):
@@ -196,7 +188,7 @@ class HopfAlg:
                     continue
                 for a3, ca in pa.items():
                     for b3, cb in pb.items():
-                        _addin(acc, (a3, b3), c1 * c2 * ca * cb)
+                        addin(acc, (a3, b3), c1 * c2 * ca * cb)
         return acc
 
     def comult(self, i):
@@ -218,7 +210,7 @@ class HopfAlg:
         acc = {}
         for i, c in x.items():
             for key, c2 in self.comult(i).items():
-                _addin(acc, key, c * c2)
+                addin(acc, key, c * c2)
         return acc
 
     def counit(self, i):
@@ -249,7 +241,7 @@ class HopfAlg:
         acc = {}
         for i, c in x.items():
             for k, c2 in self.antipode(i).items():
-                _addin(acc, k, c * c2)
+                addin(acc, k, c * c2)
         return acc
 
 
@@ -273,9 +265,9 @@ def check_hopf_axioms(H, rng=None, pair_limit=None):
         right = {}
         for (a, b), c in com.items():
             for (a1, a2), c2 in H.comult(a).items():
-                _addin(left, (a1, a2, b), c * c2)
+                addin(left, (a1, a2, b), c * c2)
             for (b1, b2), c2 in H.comult(b).items():
-                _addin(right, (a, b1, b2), c * c2)
+                addin(right, (a, b1, b2), c * c2)
         if left != right:
             note("coassoc", i)
         cl = {}
@@ -283,19 +275,19 @@ def check_hopf_axioms(H, rng=None, pair_limit=None):
         for (a, b), c in com.items():
             e = H.counit(a)
             if not e.is_zero():
-                _addin(cl, b, e * c)
+                addin(cl, b, e * c)
             e = H.counit(b)
             if not e.is_zero():
-                _addin(cr, a, e * c)
+                addin(cr, a, e * c)
         if cl != {i: _ONE} or cr != {i: _ONE}:
             note("counit", i)
         sl = {}
         sr = {}
         for (a, b), c in com.items():
             for k, c2 in H.mul(H.antipode(a), {b: _ONE}).items():
-                _addin(sl, k, c * c2)
+                addin(sl, k, c * c2)
             for k, c2 in H.mul({a: _ONE}, H.antipode(b)).items():
-                _addin(sr, k, c * c2)
+                addin(sr, k, c * c2)
         eps = H.counit(i)
         target = {} if eps.is_zero() else {one: eps}
         if sl != target or sr != target:
@@ -418,7 +410,7 @@ def check_cop_iso(H, rng=None):
         acc = {}
         for i, c in x.items():
             for k, c2 in phi[i].items():
-                _addin(acc, k, c * c2)
+                addin(acc, k, c * c2)
         return acc
 
     npairs = H.dim * H.dim
@@ -438,7 +430,7 @@ def check_cop_iso(H, rng=None):
         for (a, b), c in H.comult(i).items():
             for a2, ca in phi[a].items():
                 for b2, cb in phi[b].items():
-                    _addin(rhs, (b2, a2), c * ca * cb)
+                    addin(rhs, (b2, a2), c * ca * cb)
         if lhs != rhs:
             note("coproduct_reversal", i)
         if H.counit_elem(phi[i]) != H.counit(i):
@@ -508,7 +500,7 @@ class ComodAlg:
         for i, cx in x.items():
             for j, cy in y.items():
                 for k, c in self.mul_basis(i, j).items():
-                    _addin(acc, k, cx * cy * c)
+                    addin(acc, k, cx * cy * c)
         return acc
 
     def coact_basis(self, i):
@@ -524,7 +516,7 @@ class ComodAlg:
         acc = {}
         for i, c in x.items():
             for key, c2 in self.coact_basis(i).items():
-                _addin(acc, key, c * c2)
+                addin(acc, key, c * c2)
         return acc
 
 
@@ -672,11 +664,7 @@ def compatible_violations(data) -> list:
         bad.append("W1_axis")
     if any(any(not c.is_zero() for c in row[:m]) for row in data.W2.basis):
         bad.append("W2_axis")
-    axis1 = la.Subspace(2 * m, [[_ONE if j == i else _ZERO for j in range(2 * m)]
-                                for i in range(m)])
-    axis2 = la.Subspace(2 * m, [[_ONE if j == m + i else _ZERO for j in range(2 * m)]
-                                for i in range(m)])
-    if data.W3.intersect(axis1).dim or data.W3.intersect(axis2).dim:
+    if any(la.axis_meets(data.W3)):
         bad.append("W3_axis")
     if data.W1.sum(data.W2).sum(data.W3).dim != len(data.rows):
         bad.append("independent")
@@ -856,7 +844,7 @@ def build_K(data, host=None) -> ComodAlg:
                 for wj, cj in act_rows[a][b].items():
                     sub = nf(word[:p] + (("w", wj), ("e", a)) + word[p + 2:])
                     for k, v in sub.items():
-                        _addin(acc, k, cj * v)
+                        addin(acc, k, cj * v)
                 out = acc
                 break
             if ka == "w" and kb == "w":
@@ -872,7 +860,7 @@ def build_K(data, host=None) -> ComodAlg:
                         if not c.is_zero():
                             sub = nf(word[:p] + (("e", u_f),) + word[p + 2:])
                             for k, v in sub.items():
-                                _addin(acc, k, -(c * v))
+                                addin(acc, k, -(c * v))
                         out = acc
                     else:
                         acc = _scaled(nf(word[:p] + (("w", b), ("w", a)) + word[p + 2:]),
@@ -880,7 +868,7 @@ def build_K(data, host=None) -> ComodAlg:
                         if not c.is_zero():
                             sub = nf(word[:p] + word[p + 2:])
                             for k, v in sub.items():
-                                _addin(acc, k, c * v)
+                                addin(acc, k, c * v)
                         out = acc
                     break
         if out is None:
@@ -915,22 +903,22 @@ def build_K(data, host=None) -> ComodAlg:
         if t == 1:
             for j in range(m):
                 if not row[j].is_zero():
-                    _addin(d, (host.index[((j,), zeroGG)], unit_k), row[j])
-            _addin(d, (host.index[((), ue)], kidx[((wi,), id_f)]), _ONE)
+                    addin(d, (host.index[((j,), zeroGG)], unit_k), row[j])
+            addin(d, (host.index[((), ue)], kidx[((wi,), id_f)]), _ONE)
         elif t == 2:
             for j in range(m):
                 if not row[m + j].is_zero():
-                    _addin(d, (host.index[((m + j,), zeroGG)], unit_k), row[m + j])
-            _addin(d, (host.index[((), eu)], kidx[((wi,), id_f)]), _ONE)
+                    addin(d, (host.index[((m + j,), zeroGG)], unit_k), row[m + j])
+            addin(d, (host.index[((), eu)], kidx[((wi,), id_f)]), _ONE)
         else:
             for j in range(m):
                 if not row[j].is_zero():
-                    _addin(d, (host.index[((j,), zeroGG)], unit_k), row[j])
+                    addin(d, (host.index[((j,), zeroGG)], unit_k), row[j])
             for j in range(m):
                 if not row[m + j].is_zero():
-                    _addin(d, (host.index[((m + j,), uu)], kidx[((), u_f)]),
-                           row[m + j])
-            _addin(d, (host.index[((), ue)], kidx[((wi,), id_f)]), _ONE)
+                    addin(d, (host.index[((m + j,), uu)], kidx[((), u_f)]),
+                          row[m + j])
+            addin(d, (host.index[((), ue)], kidx[((wi,), id_f)]), _ONE)
         lamw.append(d)
     lame = [{(host.index[((), f.coords)], kidx[((), fk)]): _ONE}
             for fk, f in enumerate(Fels)]
@@ -947,7 +935,7 @@ def build_K(data, host=None) -> ComodAlg:
                     continue
                 for h3, ch in hp.items():
                     for k3, ck in kd.items():
-                        _addin(acc, (h3, k3), c1 * c2 * ch * ck)
+                        addin(acc, (h3, k3), c1 * c2 * ch * ck)
         return acc
 
     coaction = {}
@@ -976,62 +964,6 @@ def build_L(module, W, beta, alpha, host=None) -> ComodAlg:
 
 # -- abstract subalgebra model ----------------------------------------------
 
-class _SparseEchelon:
-    """Incremental exact echelon over sparse vectors with hashable keys."""
-
-    __slots__ = ("pivots", "order", "rows_by_pos")
-
-    def __init__(self):
-        self.pivots = {}
-        self.order = []
-        self.rows_by_pos = []
-
-    @property
-    def dim(self):
-        return len(self.order)
-
-    def reduce(self, d):
-        d = dict(d)
-        coords = {}
-        while True:
-            hit = None
-            for k in d:
-                if k in self.pivots and (hit is None or k < hit):
-                    hit = k
-            if hit is None:
-                break
-            pos, row = self.pivots[hit]
-            f = d[hit]
-            coords[pos] = f
-            for k2, c2 in row.items():
-                _addin(d, k2, -(f * c2))
-        return d, coords
-
-    def insert(self, d):
-        res, _ = self.reduce(d)
-        if not res:
-            return None
-        piv = min(res)
-        f = res[piv].inv()
-        row = {k: f * c for k, c in res.items()}
-        for _, (pos, r) in list(self.pivots.items()):
-            c = r.get(piv)
-            if c is not None:
-                for k2, c2 in row.items():
-                    _addin(r, k2, -(c * c2))
-        pos = len(self.order)
-        self.pivots[piv] = (pos, row)
-        self.order.append(piv)
-        self.rows_by_pos.append(row)
-        return pos
-
-    def coords(self, d):
-        res, coords = self.reduce(d)
-        if res:
-            return None
-        return coords
-
-
 def build_C(module, W1, W2, W3, F, host=None) -> ComodAlg:
     """Subalgebra of the doubled host generated by kF, W1 + W2 and graph
     brackets from W3, with the restricted coaction (= coproduct)."""
@@ -1055,14 +987,14 @@ def build_C(module, W1, W2, W3, F, host=None) -> ComodAlg:
         d = {}
         for j in range(m):
             if not row[j].is_zero():
-                _addin(d, host.index[((j,), zeroGG)], row[j])
+                addin(d, host.index[((j,), zeroGG)], row[j])
         for j in range(m):
             if not row[m + j].is_zero():
                 grp = uu if t == 3 else zeroGG
-                _addin(d, host.index[((m + j,), grp)], row[m + j])
+                addin(d, host.index[((m + j,), grp)], row[m + j])
         gens.append(d)
 
-    ech = _SparseEchelon()
+    ech = la.Echelon()
     for g in gens:
         ech.insert(g)
     current = list(gens)
@@ -1099,7 +1031,7 @@ def build_C(module, W1, W2, W3, F, host=None) -> ComodAlg:
         byh = {}
         for h, c in rowv.items():
             for (h1, h2), c2 in host.comult(h).items():
-                _addin(byh.setdefault(h1, {}), h2, c * c2)
+                addin(byh.setdefault(h1, {}), h2, c * c2)
         entry = {}
         md = 0
         for h1 in sorted(byh):
@@ -1109,7 +1041,7 @@ def build_C(module, W1, W2, W3, F, host=None) -> ComodAlg:
                                   "coproduct leaves H tensor C")
             md = max(md, host.deg(h1))
             for pos, c in co.items():
-                _addin(entry, (h1, pos), c)
+                addin(entry, (h1, pos), c)
         coaction[i] = entry
         loewy.append(md)
 
@@ -1141,12 +1073,12 @@ def diag_comodule(H) -> ComodAlg:
         t3 = {}
         for (a, b), c in H.comult(i).items():
             for (b1, b2), c2 in H.comult(b).items():
-                _addin(t3, (a, b1, b2), c * c2)
+                addin(t3, (a, b1, b2), c * c2)
         acc = {}
         for (a1, a2, a3), c in t3.items():
             for p, cp in phi[a3].items():
                 for h, ch in B.mono_mul(emb1[p], emb2[a1]).items():
-                    _addin(acc, (h, a2), c * cp * ch)
+                    addin(acc, (h, a2), c * cp * ch)
         coaction[i] = acc
         loewy.append(max((B.deg(h) for (h, _k) in acc), default=0))
 
@@ -1192,7 +1124,7 @@ def check_diag_iso(H):
         acc = {}
         for i, c in x.items():
             for k, c2 in sig[i].items():
-                _addin(acc, k, c * c2)
+                addin(acc, k, c * c2)
         return acc
 
     if sig[H.one_idx] != K.unit:
@@ -1205,10 +1137,10 @@ def check_diag_iso(H):
         lhs = {}
         for (h, k), c in D.coact_basis(i).items():
             for k2, c2 in sig[k].items():
-                _addin(lhs, (h, k2), c * c2)
+                addin(lhs, (h, k2), c * c2)
         if lhs != K.coact(sig[i]):
             note("comodule_map", i)
-    ech = _SparseEchelon()
+    ech = la.Echelon()
     for x in sig:
         ech.insert(x)
     bij = ech.dim == H.dim and K.dim == H.dim
@@ -1226,9 +1158,9 @@ def coinvariants(A) -> list:
     rows = {}
     for i in range(A.dim):
         for (h, k), c in A.coact_basis(i).items():
-            _addin(rows.setdefault((h, k), {}), i, c)
+            addin(rows.setdefault((h, k), {}), i, c)
     for i in range(A.dim):
-        _addin(rows.setdefault((host.one_idx, i), {}), i, -_ONE)
+        addin(rows.setdefault((host.one_idx, i), {}), i, -_ONE)
     return la.kernel_sparse_rows([r for r in rows.values() if r], A.dim)
 
 
@@ -1250,23 +1182,23 @@ def check_comodule_algebra(A, rng=None, pair_limit=None):
         right = {}
         for (h, k), c in lam.items():
             for (h1, h2), c2 in host.comult(h).items():
-                _addin(left, (h1, h2, k), c * c2)
+                addin(left, (h1, h2, k), c * c2)
             for (h2, k2), c2 in A.coact_basis(k).items():
-                _addin(right, (h, h2, k2), c * c2)
+                addin(right, (h, h2, k2), c * c2)
         if left != right:
             note("coassoc", A.basis[i])
         cu = {}
         for (h, k), c in lam.items():
             e = host.counit(h)
             if not e.is_zero():
-                _addin(cu, k, e * c)
+                addin(cu, k, e * c)
         if cu != {i: _ONE}:
             note("counit", A.basis[i])
 
     lam1 = A.coact(A.unit)
     unit_target = {}
     for k, c in A.unit.items():
-        _addin(unit_target, (host.one_idx, k), c)
+        addin(unit_target, (host.one_idx, k), c)
     if lam1 != unit_target:
         note("unit", None)
 
@@ -1289,11 +1221,11 @@ def check_comodule_algebra(A, rng=None, pair_limit=None):
                     continue
                 for h3, ch in hp.items():
                     for k3, ck in kd.items():
-                        _addin(lhs, (h3, k3), c1 * c2 * ch * ck)
+                        addin(lhs, (h3, k3), c1 * c2 * ch * ck)
         rhs = {}
         for k, c in A.mul_basis(i, j).items():
             for key, c2 in A.coact_basis(k).items():
-                _addin(rhs, key, c * c2)
+                addin(rhs, key, c * c2)
         if lhs != rhs:
             note("multiplicative", (A.basis[i], A.basis[j]))
 
@@ -1312,25 +1244,25 @@ def _one_sided_ok(entries, H, dim, side):
         if side == "right":
             for (k, p), c in lam.items():
                 for (p1, p2), c2 in H.comult(p).items():
-                    _addin(left, (k, p1, p2), c * c2)
+                    addin(left, (k, p1, p2), c * c2)
                 for (k2, p2), c2 in entries[k].items():
-                    _addin(right, (k2, p2, p), c * c2)
+                    addin(right, (k2, p2, p), c * c2)
             cu = {}
             for (k, p), c in lam.items():
                 e = H.counit(p)
                 if not e.is_zero():
-                    _addin(cu, k, e * c)
+                    addin(cu, k, e * c)
         else:
             for (p, k), c in lam.items():
                 for (p1, p2), c2 in H.comult(p).items():
-                    _addin(left, (p1, p2, k), c * c2)
+                    addin(left, (p1, p2, k), c * c2)
                 for (p2, k2), c2 in entries[k].items():
-                    _addin(right, (p, p2, k2), c * c2)
+                    addin(right, (p, p2, k2), c * c2)
             cu = {}
             for (p, k), c in lam.items():
                 e = H.counit(p)
                 if not e.is_zero():
-                    _addin(cu, k, e * c)
+                    addin(cu, k, e * c)
         if left != right or cu != {i: _ONE}:
             return False
     return True
@@ -1374,7 +1306,7 @@ def cotensor(L, K) -> ComodAlg:
             img = p2H(h)
             if img:
                 for p, cp in img.items():
-                    _addin(d, (k, p), c * cp)
+                    addin(d, (k, p), c * cp)
         lam_r.append(d)
     lam_l = []
     for j in range(K.dim):
@@ -1382,7 +1314,7 @@ def cotensor(L, K) -> ComodAlg:
         for (h, k), c in K.coact_basis(j).items():
             p = p1H(h)
             if p is not None:
-                _addin(d, (p, k), c)
+                addin(d, (p, k), c)
         lam_l.append(d)
     if not _one_sided_ok(lam_r, H, L.dim, "right"):
         raise BrpicError("internal invariant violation: induced right coaction "
@@ -1406,7 +1338,7 @@ def cotensor(L, K) -> ComodAlg:
     for j in range(K.dim):
         kcl.setdefault(klass(K.group_part[j]), []).append(j)
 
-    ech = _SparseEchelon()
+    ech = la.Echelon()
     for ka in sorted(lcl):
         for kb in sorted(kcl):
             cols = [(i, j) for i in lcl[ka] for j in kcl[kb]]
@@ -1415,9 +1347,9 @@ def cotensor(L, K) -> ComodAlg:
             for i, j in cols:
                 t = cix[(i, j)]
                 for (k, p), c in lam_r[i].items():
-                    _addin(rows.setdefault((k, p, j), {}), t, c)
+                    addin(rows.setdefault((k, p, j), {}), t, c)
                 for (p, k), c in lam_l[j].items():
-                    _addin(rows.setdefault((i, p, k), {}), t, -c)
+                    addin(rows.setdefault((i, p, k), {}), t, -c)
             for vec in la.kernel_sparse_rows(
                     [r_ for r_ in rows.values() if r_], len(cols)):
                 flat = {}
@@ -1446,7 +1378,7 @@ def cotensor(L, K) -> ComodAlg:
                     continue
                 for a3, c3 in ld.items():
                     for b3, c4 in kd.items():
-                        _addin(acc, a3 * K.dim + b3, ca * cb * c3 * c4)
+                        addin(acc, a3 * K.dim + b3, ca * cb * c3 * c4)
         return acc
 
     def mulfn(i, j):
@@ -1481,8 +1413,8 @@ def cotensor(L, K) -> ComodAlg:
                     if q2 is None:
                         continue
                     for h3, ch in host.mono_mul(q1, q2).items():
-                        _addin(byh.setdefault(h3, {}),
-                               a0 * K.dim + b0, c * c1 * c2 * ch)
+                        addin(byh.setdefault(h3, {}),
+                              a0 * K.dim + b0, c * c1 * c2 * ch)
         entry = {}
         for h3 in sorted(byh):
             vec = {k: c for k, c in byh[h3].items() if not c.is_zero()}
@@ -1493,13 +1425,13 @@ def cotensor(L, K) -> ComodAlg:
                 raise BrpicError("internal invariant violation: cotensor "
                                  "coaction left the computed kernel")
             for pos, c in co.items():
-                _addin(entry, (h3, pos), c)
+                addin(entry, (h3, pos), c)
         return entry
 
     uflat = {}
     for a, ca in L.unit.items():
         for b, cb in K.unit.items():
-            _addin(uflat, a * K.dim + b, ca * cb)
+            addin(uflat, a * K.dim + b, ca * cb)
     unit = ech.coords(uflat)
     if unit is None:
         raise BrpicError("internal invariant violation: unit is outside "
@@ -1570,7 +1502,7 @@ def verify_cotensor_iso(d, dt):
                     continue
                 for a3, c3 in ld.items():
                     for b3, c4 in kd.items():
-                        _addin(acc, a3 * Kdim + b3, ca * cb * c3 * c4)
+                        addin(acc, a3 * Kdim + b3, ca * cb * c3 * c4)
         return acc
 
     R = d.W.basis
@@ -1601,11 +1533,11 @@ def verify_cotensor_iso(d, dt):
         vec = {}
         for k, c in enumerate(cw):
             if not c.is_zero():
-                _addin(vec, L1.index[((k,), zeroGG)] * Kdim + unit2, c)
+                addin(vec, L1.index[((k,), zeroGG)] * Kdim + unit2, c)
         eu1 = L1.index[((), uu)]
         for k, c in enumerate(ct):
             if not c.is_zero():
-                _addin(vec, eu1 * Kdim + L2.index[((k,), zeroGG)], c)
+                addin(vec, eu1 * Kdim + L2.index[((k,), zeroGG)], c)
         phiw.append(vec)
 
     phie = []
@@ -1641,7 +1573,7 @@ def verify_cotensor_iso(d, dt):
                 if P[wi][wj].is_zero():
                     continue
                 for k, c in flat_mul(phiw[wj], phie[fk]).items():
-                    _addin(rhs, k, P[wi][wj] * c)
+                    addin(rhs, k, P[wi][wj] * c)
             if lhs != rhs:
                 note("relations_action", (f.coords, wi))
 
@@ -1653,7 +1585,7 @@ def verify_cotensor_iso(d, dt):
         acc = flat_mul(acc, phie[fpos[fc]])
         phimat.append(acc)
 
-    ech2 = _SparseEchelon()
+    ech2 = la.Echelon()
     coords3 = []
     for b, vecb in enumerate(phimat):
         ech2.insert(vecb)
@@ -1674,11 +1606,11 @@ def verify_cotensor_iso(d, dt):
             lhs = {}
             for pos, c in coords3[b].items():
                 for key, c2 in C.coact_basis(pos).items():
-                    _addin(lhs, key, c * c2)
+                    addin(lhs, key, c * c2)
             rhs = {}
             for (h, b2), c in L3.coact_basis(b).items():
                 for pos, c2 in coords3[b2].items():
-                    _addin(rhs, (h, pos), c * c2)
+                    addin(rhs, (h, pos), c * c2)
             if lhs != rhs:
                 note("comodule_map", L3.basis[b])
 
@@ -1709,7 +1641,7 @@ def loewy_graded(A) -> ComodAlg:
         for i in range(A.dim):
             for (h, k), c in A.coact_basis(i).items():
                 if host.deg(h) > n:
-                    _addin(rows.setdefault((h, k), {}), i, c)
+                    addin(rows.setdefault((h, k), {}), i, c)
         kern = la.kernel_sparse_rows([r_ for r_ in rows.values() if r_], A.dim)
         count = sum(1 for i in range(A.dim) if deg[i] <= n)
         if len(kern) != count:
@@ -1790,7 +1722,7 @@ def probe_right_simple(A, rng=None, extra_vectors=4):
     checked = 0
     for v in starts:
         checked += 1
-        ech = _SparseEchelon()
+        ech = la.Echelon()
         ech.insert(v)
         frontier = [v]
         while frontier and ech.dim < A.dim:
@@ -1799,7 +1731,7 @@ def probe_right_simple(A, rng=None, extra_vectors=4):
                 img = {}
                 for i, c in w.items():
                     for k, c2 in op[i].items():
-                        _addin(img, k, c * c2)
+                        addin(img, k, c * c2)
                 if img and ech.insert(img) is not None:
                     frontier.append(img)
                     if ech.dim == A.dim:
@@ -1896,10 +1828,10 @@ def freeness_probe(L, K, C=None):
                     continue
                 for a3, c3 in ld.items():
                     for b3, c4 in kd.items():
-                        _addin(acc, a3 * Kdim + b3, ca * cb * c3 * c4)
+                        addin(acc, a3 * Kdim + b3, ca * cb * c3 * c4)
         return acc
 
-    ech = _SparseEchelon()
+    ech = la.Echelon()
     gens = 0
     for flat in range(n):
         v = {flat: _ONE}

@@ -5,6 +5,13 @@ row-reduced echelon bases (zero rows dropped, pivots normalized to 1 and
 cleared above), so two equal subspaces have literally equal bases and
 equality is entrywise comparison.
 
+Two elimination engines.  The dense rref is the one behind Subspace, kernel,
+solve and the matrix inverse: the conductor that to_json prints for a scalar
+comes from its arithmetic history, so printed entries must keep going
+through this elimination (a sparse rref turned printed 0@4 entries into 0@1).
+Echelon is the incremental sparse engine, used by kernel_sparse_rows and the
+comodule-algebra code, whose scalars are never printed.
+
 Also houses the diagonal G-action on V, V*, V+V and V+V* (V presented in a
 character-diagonal basis), composition of linear relations inside V+V, and
 the bilinear form transported along such a composition.
@@ -148,45 +155,93 @@ def solve(A, b):
     return x
 
 
+def addin(acc, key, c):
+    """acc[key] += c on a sparse {key: scalar} dict, dropping a zero sum."""
+    v = acc.get(key)
+    v = c if v is None else v + c
+    if v.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = v
+
+
+class Echelon:
+    """Incremental exact reduced echelon form over sparse {key: scalar} rows.
+
+    Keys must be mutually comparable; a row's pivot is its least key.  Zero
+    values in an input row are dropped before it is reduced.  pivots maps a
+    pivot key to (position, row); rows_by_pos lists the rows as inserted.
+    """
+
+    __slots__ = ("pivots", "rows_by_pos")
+
+    def __init__(self):
+        self.pivots = {}
+        self.rows_by_pos = []
+
+    @property
+    def dim(self):
+        return len(self.rows_by_pos)
+
+    def reduce(self, d):
+        d = {k: c for k, c in d.items() if not c.is_zero()}
+        coords = {}
+        while True:
+            hit = None
+            for k in d:
+                if k in self.pivots and (hit is None or k < hit):
+                    hit = k
+            if hit is None:
+                break
+            pos, row = self.pivots[hit]
+            f = d[hit]
+            coords[pos] = f
+            for k2, c2 in row.items():
+                addin(d, k2, -(f * c2))
+        return d, coords
+
+    def insert(self, d):
+        res, _ = self.reduce(d)
+        if not res:
+            return None
+        piv = min(res)
+        f = res[piv].inv()
+        row = {k: f * c for k, c in res.items()}
+        for _, r in self.pivots.values():
+            c = r.get(piv)
+            if c is not None:
+                for k2, c2 in row.items():
+                    addin(r, k2, -(c * c2))
+        pos = len(self.rows_by_pos)
+        self.pivots[piv] = (pos, row)
+        self.rows_by_pos.append(row)
+        return pos
+
+    def coords(self, d):
+        res, coords = self.reduce(d)
+        return None if res else coords
+
+
 def kernel_sparse_rows(rows, n) -> list:
     """Common null space of sparse constraint rows ({col: scalar} dicts) in k^n.
 
-    Maintains a running kernel basis and cuts it down one constraint at a
-    time, so cost scales with the final kernel dimension rather than with
-    the full constraint matrix.
+    One basis vector per non-pivot column c of the rows' reduced echelon
+    form: 1 at c and minus each pivot row's entry at c in its pivot column.
     Returns a list of dense basis vectors (not canonicalized).
     """
-    basis = []
-    for i in range(n):
-        v = [_ZERO] * n
-        v[i] = _ONE
-        basis.append(v)
+    ech = Echelon()
     for row in rows:
-        items = [(j, c) for j, c in row.items() if not c.is_zero()]
-        if not items:
+        ech.insert(row)
+    basis = []
+    for c in range(n):
+        if c in ech.pivots:
             continue
-        vals = []
-        for v in basis:
-            s = _ZERO
-            for j, c in items:
-                if not v[j].is_zero():
-                    s = s + c * v[j]
-            vals.append(s)
-        pivot = next((k for k, s in enumerate(vals) if not s.is_zero()), None)
-        if pivot is None:
-            continue
-        pv = basis[pivot]
-        pval_inv = vals[pivot].inv()
-        new_basis = []
-        for k, (v, s) in enumerate(zip(basis, vals)):
-            if k == pivot:
-                continue
-            if s.is_zero():
-                new_basis.append(v)
-            else:
-                f = s * pval_inv
-                new_basis.append([x - f * y for x, y in zip(v, pv)])
-        basis = new_basis
+        v = [_ZERO] * n
+        v[c] = _ONE
+        for p, (_, row) in ech.pivots.items():
+            if c in row:
+                v[p] = -row[c]
+        basis.append(v)
     return basis
 
 
@@ -474,14 +529,16 @@ def form_invariant_under(mod: GModuleV, beta: BilinearForm, elements,
 
 # -- relation composition and the transported form -------------------------
 
-def _check_axis_conditions(W: Subspace, name: str):
+def axis_meets(W: Subspace):
+    """(dim W & (V+0), dim W & (0+V)) for a subspace W of V+V.
+
+    W meets the first axis in the kernel of its projection onto the second
+    block, so that dimension is dim W minus the rank of the second block,
+    and the other way round.
+    """
     d = W.ambient_dim // 2
-    axis1 = Subspace(2 * d, [[_ONE if j == i else _ZERO for j in range(2 * d)]
-                             for i in range(d)])
-    axis2 = Subspace(2 * d, [[_ONE if j == i + d else _ZERO for j in range(2 * d)]
-                             for i in range(d)])
-    if W.intersect(axis1).dim or W.intersect(axis2).dim:
-        raise DomainError(f"witness not unique: {name} meets a coordinate axis")
+    return (W.dim - rank([r[d:] for r in W.basis]),
+            W.dim - rank([r[:d] for r in W.basis]))
 
 
 def _compose_with_lift(W: Subspace, Wt: Subspace):
@@ -493,8 +550,10 @@ def _compose_with_lift(W: Subspace, Wt: Subspace):
     if W.ambient_dim != Wt.ambient_dim or W.ambient_dim % 2:
         raise DomainError("relation composition wants two subspaces of V+V")
     d = W.ambient_dim // 2
-    _check_axis_conditions(W, "left factor")
-    _check_axis_conditions(Wt, "right factor")
+    for S, name in ((W, "left factor"), (Wt, "right factor")):
+        if any(axis_meets(S)):
+            raise DomainError(
+                f"witness not unique: {name} meets a coordinate axis")
     n = 3 * d
     # X1 = {(v1,v2,w)) : (v1,v2) in W},  X2 = {(v1,v2,w) : (v2,w) in Wt}
     x1_rows = [list(r) + [_ZERO] * d for r in W.basis]

@@ -205,3 +205,29 @@ def cyclo_mul(a, b):
         for j, t in enumerate(y):
             raw[i + j] += s * t
     return cyclo_reduce(M, raw)
+
+
+# -- elimination references -------------------------------------------------
+# The package's earlier computations, kept as references for the ones that
+# replaced them.  They drive the caller's own objects: W is a subspace with
+# ambient_dim, dim and intersect, whose type builds a subspace from integer
+# rows; solve(A, b) is one exact solution of A x = b.
+
+def axis_intersection_dims(W):
+    """(dim W & (V+0), dim W & (0+V)) for W inside V+V, by intersection."""
+    d = W.ambient_dim // 2
+    if d == 0:
+        return 0, 0
+    axis1 = type(W)(2 * d, [[int(j == i) for j in range(2 * d)]
+                            for i in range(d)])
+    axis2 = type(W)(2 * d, [[int(j == i + d) for j in range(2 * d)]
+                            for i in range(d)])
+    return W.intersect(axis1).dim, W.intersect(axis2).dim
+
+
+def inverse_by_solves(M, solve, one, zero):
+    """M^-1 column by column: column j is solve(M, e_j)."""
+    n = len(M)
+    cols = [solve(M, [one if i == j else zero for i in range(n)])
+            for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]

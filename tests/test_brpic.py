@@ -654,3 +654,63 @@ def test_binding_check_runs_once_per_datum(monkeypatch):
         for x in (*data, p, q, r):
             assert sum(c is x for c in checked) == 1, (kind, x)
         assert len(checked) == 5
+
+
+# -- the inverse: one elimination of [M | I] ---------------------------------
+
+def _random_qi_matrix(rng, n):
+    """Entries 0@1, rationals and Gaussian rationals, so that conductors
+    from mixed arithmetic show up in the inverse."""
+    def entry():
+        c = la.sc(Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)))
+        if rng.random() < 0.5:
+            c = c + la.sc(rng.randrange(-2, 3)) * I
+        return ZERO if rng.random() < 0.3 else c
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def _json(M):
+    return [[x.to_json() for x in r] for r in M]
+
+
+def test_matrix_inverse_matches_solves():
+    rng = random.Random(61)
+    one = CycloScalar.one(1)
+    seen = set()
+    tested = 0
+    while tested < 20:
+        n = rng.randrange(1, 5)
+        M = _random_qi_matrix(rng, n)
+        if la.rank(M) < n:
+            continue
+        tested += 1
+        Mi = bp.matrix_inverse(M)
+        assert bp.mat_equal(la.product(M, Mi), bp.identity_matrix(n))
+        assert bp.mat_equal(la.product(Mi, M), bp.identity_matrix(n))
+        # entry for entry, conductors included
+        assert _json(Mi) == _json(oracles.inverse_by_solves(
+            M, la.solve, one, ZERO))
+        seen.update(x.to_string() for r in Mi for x in r)
+    assert "0@1" in seen and "0@4" in seen
+    assert bp.matrix_inverse([]) == []
+
+
+def test_matrix_inverse_singular():
+    rng = random.Random(67)
+    zero_col = [[1, 0], [I, 0]]
+    dependent = [[1, I, 2], [0, 1, 1], [2, 3 * I, 4 + I]]  # 2 r1 + i r2
+    for M in (zero_col, dependent, [[0]], [[ZERO, ZERO], [ZERO, ZERO]]):
+        M = la.mat(M)
+        n = len(M)
+        # the rref of [M | I] goes on to find pivots past column n
+        _, pivots = la.rref([list(r) + e for r, e in
+                             zip(M, bp.identity_matrix(n))])
+        assert len(pivots) == n and pivots[-1] >= n
+        with pytest.raises(NotInvertibleError):
+            bp.matrix_inverse(M)
+    for _ in range(5):
+        M = _random_qi_matrix(rng, 3)
+        c = la.sc(rng.randrange(1, 4)) * I
+        M[2] = [x + c * y for x, y in zip(M[0], M[1])]
+        with pytest.raises(NotInvertibleError):
+            bp.matrix_inverse(M)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from brpickit import abelian as ab
 from brpickit import linalg as la
 from brpickit.abelian import FinAbGroup
@@ -113,22 +114,66 @@ def test_coords_of():
 
 def test_kernel_sparse_rows_matches_dense():
     rng = random.Random(17)
-    n = 8
-    for _ in range(6):
-        rows = []
-        dense = []
-        for _ in range(5):
-            row = {}
-            dense_row = [la.sc(0)] * n
-            for _ in range(rng.randrange(1, 4)):
-                j = rng.randrange(n)
-                c = _rand_scalar(rng)
-                row[j] = row.get(j, la.sc(0)) + c
-                dense_row[j] = dense_row[j] + c
-            rows.append(row)
-            dense.append(dense_row)
+    # (columns, rows, kernel dim to draw until): wide sparse systems, then
+    # systems with more rows than columns and a kernel of dimension 0 or 1
+    cases = [(8, 5, None)] * 6 + [(4, 7, 0), (4, 7, 1)] * 2
+    for n, m, kdim in cases:
+        # a kernel of dimension 1 leaves the last column free, held as an
+        # explicit zero entry in every row
+        cols = n - 1 if kdim == 1 else n
+        while True:
+            rows = []
+            dense = []
+            for _ in range(m):
+                row = {n - 1: la.sc(0)} if kdim == 1 else {}
+                dense_row = [la.sc(0)] * n
+                for _ in range(rng.randrange(1, 4)):
+                    j = rng.randrange(cols)
+                    c = _rand_scalar(rng)
+                    row[j] = row.get(j, la.sc(0)) + c
+                    dense_row[j] = dense_row[j] + c
+                rows.append(row)
+                dense.append(dense_row)
+            if kdim is None or la.kernel(dense).dim == kdim:
+                break
         sparse_basis = la.kernel_sparse_rows(rows, n)
         assert la.Subspace(n, sparse_basis) == la.kernel(dense)
+        assert kdim is None or len(sparse_basis) == kdim
+
+
+def test_echelon_drops_zero_entries():
+    zero, one = la.sc(0), la.sc(1)
+    ech = la.Echelon()
+    assert ech.insert({0: zero}) is None
+    assert ech.insert({0: zero, 2: I4}) == 0
+    assert ech.pivots.keys() == {2}
+    assert ech.rows_by_pos == [{2: one}]
+    assert ech.coords({1: zero, 2: la.sc(3)}) == {0: la.sc(3)}
+    assert ech.insert({1: one, 2: one}) == 1
+    assert ech.rows_by_pos == [{2: one}, {1: one}]
+    assert ech.dim == 2
+
+
+def test_axis_meets_matches_intersections():
+    rng = random.Random(23)
+    for d in (1, 2, 3):
+        axis1 = [[int(j == i) for j in range(2 * d)] for i in range(d)]
+        axis2 = [[int(j == i + d) for j in range(2 * d)] for i in range(d)]
+        spaces = [la.Subspace(2 * d, axis1), la.Subspace(2 * d, axis2),
+                  la.zero_space(2 * d), la.full_space(2 * d)]
+        for _ in range(8):
+            # random rows, some of them pushed onto one axis
+            rows = _rand_matrix(rng, rng.randrange(1, 2 * d + 1), 2 * d)
+            for r in rows:
+                if rng.random() < 0.3:
+                    side = rng.choice((slice(0, d), slice(d, 2 * d)))
+                    r[side] = [la.sc(0)] * d
+            spaces.append(la.Subspace(2 * d, rows))
+        for W in spaces:
+            assert la.axis_meets(W) == oracles.axis_intersection_dims(W)
+        assert la.axis_meets(spaces[0]) == (d, 0)
+        assert la.axis_meets(spaces[1]) == (0, d)
+    assert la.axis_meets(la.zero_space(0)) == (0, 0)
 
 
 def test_gmodule_validation():
