@@ -404,10 +404,9 @@ def rdatum_product(d: RDatum, dt: RDatum) -> RDatum:
     _same_module(d, dt)
     _require_valid(d, "left factor")
     _require_valid(dt, "right factor")
-    W = la.relation_compose(d.W, dt.W)
     beta = la.bullet_form(d.W, d.beta, dt.W, dt.beta)
     alpha = orth.orth_compose(d.alpha, dt.alpha)
-    return _checked(RDatum(d.module, W, beta, alpha), "product")
+    return _checked(RDatum(d.module, beta.space, beta, alpha), "product")
 
 
 def odatum_product(d: ODatum, dt: ODatum) -> ODatum:
@@ -560,11 +559,15 @@ def rdatum_to_odatum(d: RDatum) -> ODatum:
     dm = mod.dim
     rows = [list(r) for r in L.L.basis]
     Y = [r[2 * dm:] for r in rows]
-    if len(rows) != 2 * dm or not matrix_is_invertible(Y):
+    try:
+        Yit = matrix_inverse(la.transpose(Y)) if len(rows) == 2 * dm else None
+    except NotInvertibleError:
+        Yit = None
+    if Yit is None:
         raise NotInvertibleError(
             "datum is not invertible: the (w2, f2) projection is degenerate")
     X = [r[:2 * dm] for r in rows]
-    T = la.product(la.transpose(X), matrix_inverse(la.transpose(Y)))
+    T = la.product(la.transpose(X), Yit)
     return _checked(ODatum(mod, T, d.alpha), "reconstructed")
 
 
@@ -787,8 +790,11 @@ def random_odatum(module: la.GModuleV, rng, alpha: orth.OrthAut = None) -> ODatu
         for i in range(dm):
             if A[i][i].is_zero():
                 A[i][i] = la.sc(rng.choice((-3, -2, -1, 1, 2, 3)))
-        if matrix_is_invertible(A):
+        try:
+            Ait = matrix_inverse(la.transpose(A))
             break
+        except NotInvertibleError:
+            pass
     triv = [[_char_product_trivial_on(chars[i], chars[j], list(G.elements()))
              for j in range(dm)] for i in range(dm)]
     M = [[_ZERO] * dm for _ in range(dm)]
@@ -798,7 +804,6 @@ def random_odatum(module: la.GModuleV, rng, alpha: orth.OrthAut = None) -> ODatu
                 v = la.sc(rng.randint(-3, 3))
                 M[i][j] = v
                 M[j][i] = v
-    Ait = matrix_inverse(la.transpose(A))
     C = la.product(Ait, M)
     T = [[_ZERO] * (2 * dm) for _ in range(2 * dm)]
     for i in range(dm):

@@ -116,6 +116,16 @@ def parse_datum(module, obj, path):
     raise SpecError(path, "expected keys {T, alpha} or {W, beta, alpha}")
 
 
+def _int_field(spec, name, default):
+    """spec[name] as a JSON integer, or default when absent or null."""
+    value = spec.get(name)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(name, f"must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _module_line(module):
     return (f"module: group {list(module.group.factors)}, "
             f"u {list(module.u.coords)}, dim V {module.dim}")
@@ -371,7 +381,7 @@ def _suite_cotensor(module, rng, count, checks, lines, report_extra):
                                      orth.orth_identity(module.group))
         rep = hopf.verify_cotensor_iso(d, dt)
         U = orth.u_alpha(d.alpha)
-        wdim = bp.rdatum_product(d, dt).W.dim
+        wdim = rep["W_product_dim"]
         instances.append({"dim_cot": rep["dim_cot"],
                           "dim_expected": rep["dim_expected"],
                           "W_product_dim": wdim,
@@ -456,7 +466,7 @@ def main(argv=None) -> int:
     try:
         spec = load_spec(args.spec)
         bound = args.bound if args.bound is not None \
-            else int(spec.get("bound", 256))
+            else _int_field(spec, "bound", 256)
         if args.command == "orth":
             ok, report, lines = cmd_orth(spec, bound)
         elif args.command == "brpic":
@@ -467,9 +477,9 @@ def main(argv=None) -> int:
                              "all"):
                 raise SpecError("suite", f"unknown suite {suite!r}")
             seed = args.seed if args.seed is not None \
-                else int(spec.get("seed", 0))
+                else _int_field(spec, "seed", 0)
             count = args.count if args.count is not None \
-                else spec.get("count")
+                else _int_field(spec, "count", None)
             ok, report, lines = cmd_verify(suite, spec, seed, count, bound)
     except SpecError as e:
         print(str(e), file=sys.stderr)

@@ -402,6 +402,9 @@ class CycloScalar:
 
     @staticmethod
     def from_string(text: str) -> "CycloScalar":
+        if not isinstance(text, str):
+            raise TypeError("a scalar is a string such as '1/2@4', "
+                            f"got {text!r}")
         body, sep, n_part = text.rpartition("@")
         if not sep:
             raise DomainError(f"missing conductor suffix in {text!r}")

@@ -64,6 +64,103 @@ def _elem_add(a, b):
     return out
 
 
+def _apply(images, x):
+    """Linear extension of the basis map i -> images(i), applied to x."""
+    acc = {}
+    for i, c in x.items():
+        for k, c2 in images(i).items():
+            addin(acc, k, c * c2)
+    return acc
+
+
+def _mul(mono, x, y):
+    """Product of x and y from the basis product table mono(i, j)."""
+    acc = {}
+    for i, cx in x.items():
+        for j, cy in y.items():
+            for k, c in mono(i, j).items():
+                addin(acc, k, cx * cy * c)
+    return acc
+
+
+def _tensor_mul(mono_a, mono_b, t1, t2):
+    """Product in A x B of elements keyed by basis pairs (a, b)."""
+    acc = {}
+    for (a1, b1), c1 in t1.items():
+        for (a2, b2), c2 in t2.items():
+            pa = mono_a(a1, a2)
+            if not pa:
+                continue
+            pb = mono_b(b1, b2)
+            if not pb:
+                continue
+            for a3, ca in pa.items():
+                for b3, cb in pb.items():
+                    addin(acc, (a3, b3), c1 * c2 * ca * cb)
+    return acc
+
+
+def _flat_mul(L, K, x, y):
+    """Product in L x K of elements keyed by flat indices a * K.dim + b."""
+    acc = {}
+    n = K.dim
+    for fa, ca in x.items():
+        a, b = divmod(fa, n)
+        for fb, cb in y.items():
+            a2, b2 = divmod(fb, n)
+            ld = L.mul_basis(a, a2)
+            if not ld:
+                continue
+            kd = K.mul_basis(b, b2)
+            if not kd:
+                continue
+            for a3, c3 in ld.items():
+                for b3, c4 in kd.items():
+                    addin(acc, a3 * n + b3, ca * cb * c3 * c4)
+    return acc
+
+
+def _coaction_law(coact, H, i):
+    """(coassociative, counital) at basis i for a coaction over H keyed
+    (host index, basis index): (Delta x id) lam == (id x lam) lam, and
+    (eps x id) lam(i) == i."""
+    left, right, cu = {}, {}, {}
+    for (h, k), c in coact(i).items():
+        for (h1, h2), c2 in H.comult(h).items():
+            addin(left, (h1, h2, k), c * c2)
+        for (h2, k2), c2 in coact(k).items():
+            addin(right, (h, h2, k2), c * c2)
+        e = H.counit(h)
+        if not e.is_zero():
+            addin(cu, k, e * c)
+    return left == right, cu == {i: _ONE}
+
+
+def _congruent(P, gram, target) -> bool:
+    """P gram P^t == target, entry by entry."""
+    n = len(P)
+    for i in range(n):
+        for j in range(n):
+            acc = _ZERO
+            for k in range(n):
+                if P[i][k].is_zero():
+                    continue
+                for l in range(n):
+                    if P[j][l].is_zero() or gram[k][l].is_zero():
+                        continue
+                    acc = acc + P[i][k] * P[j][l] * gram[k][l]
+            if acc != target[i][j]:
+                return False
+    return True
+
+
+def _split_pair(module, f):
+    """The two G-components of an element f of G x G."""
+    r = len(module.group.factors)
+    return (module.group.element(f.coords[:r]),
+            module.group.element(f.coords[r:]))
+
+
 def _subsets(n):
     return sorted(itertools.chain.from_iterable(
         itertools.combinations(range(n), r) for r in range(n + 1)))
@@ -169,27 +266,10 @@ class HopfAlg:
         return out
 
     def mul(self, x, y):
-        acc = {}
-        for i, cx in x.items():
-            for j, cy in y.items():
-                for k, c in self.mono_mul(i, j).items():
-                    addin(acc, k, cx * cy * c)
-        return acc
+        return _mul(self.mono_mul, x, y)
 
     def tensor_mul(self, t1, t2):
-        acc = {}
-        for (a1, b1), c1 in t1.items():
-            for (a2, b2), c2 in t2.items():
-                pa = self.mono_mul(a1, a2)
-                if not pa:
-                    continue
-                pb = self.mono_mul(b1, b2)
-                if not pb:
-                    continue
-                for a3, ca in pa.items():
-                    for b3, cb in pb.items():
-                        addin(acc, (a3, b3), c1 * c2 * ca * cb)
-        return acc
+        return _tensor_mul(self.mono_mul, self.mono_mul, t1, t2)
 
     def comult(self, i):
         got = self._com.get(i)
@@ -207,11 +287,7 @@ class HopfAlg:
         return acc
 
     def comult_elem(self, x):
-        acc = {}
-        for i, c in x.items():
-            for key, c2 in self.comult(i).items():
-                addin(acc, key, c * c2)
-        return acc
+        return _apply(self.comult, x)
 
     def counit(self, i):
         S, _ = self.basis[i]
@@ -238,11 +314,7 @@ class HopfAlg:
         return acc
 
     def antipode_elem(self, x):
-        acc = {}
-        for i, c in x.items():
-            for k, c2 in self.antipode(i).items():
-                addin(acc, k, c * c2)
-        return acc
+        return _apply(self.antipode, x)
 
 
 def check_hopf_axioms(H, rng=None, pair_limit=None):
@@ -261,25 +333,15 @@ def check_hopf_axioms(H, rng=None, pair_limit=None):
     one = H.one_idx
     for i in range(H.dim):
         com = H.comult(i)
-        left = {}
-        right = {}
-        for (a, b), c in com.items():
-            for (a1, a2), c2 in H.comult(a).items():
-                addin(left, (a1, a2, b), c * c2)
-            for (b1, b2), c2 in H.comult(b).items():
-                addin(right, (a, b1, b2), c * c2)
-        if left != right:
+        coassoc, counit_left = _coaction_law(H.comult, H, i)
+        if not coassoc:
             note("coassoc", i)
-        cl = {}
         cr = {}
         for (a, b), c in com.items():
-            e = H.counit(a)
-            if not e.is_zero():
-                addin(cl, b, e * c)
             e = H.counit(b)
             if not e.is_zero():
                 addin(cr, a, e * c)
-        if cl != {i: _ONE} or cr != {i: _ONE}:
+        if not counit_left or cr != {i: _ONE}:
             note("counit", i)
         sl = {}
         sr = {}
@@ -406,13 +468,6 @@ def check_cop_iso(H, rng=None):
         if len(failures) < 10:
             failures.append((kind, where))
 
-    def apply_phi(x):
-        acc = {}
-        for i, c in x.items():
-            for k, c2 in phi[i].items():
-                addin(acc, k, c * c2)
-        return acc
-
     npairs = H.dim * H.dim
     if npairs <= 4096:
         pairs = [(i, j) for i in range(H.dim) for j in range(H.dim)]
@@ -420,7 +475,7 @@ def check_cop_iso(H, rng=None):
         pairs = [(rng.randrange(H.dim), rng.randrange(H.dim))
                  for _ in range(2048)]
     for i, j in pairs:
-        lhs = apply_phi(H.mono_mul(i, j))
+        lhs = _apply(phi.__getitem__, H.mono_mul(i, j))
         rhs = H.mul(phi[i], phi[j])
         if lhs != rhs:
             note("multiplicative", (i, j))
@@ -496,12 +551,7 @@ class ComodAlg:
         return got
 
     def mul(self, x, y):
-        acc = {}
-        for i, cx in x.items():
-            for j, cy in y.items():
-                for k, c in self.mul_basis(i, j).items():
-                    addin(acc, k, cx * cy * c)
-        return acc
+        return _mul(self.mul_basis, x, y)
 
     def coact_basis(self, i):
         got = self.coaction.get(i)
@@ -513,11 +563,7 @@ class ComodAlg:
         return got
 
     def coact(self, x):
-        acc = {}
-        for i, c in x.items():
-            for key, c2 in self.coact_basis(i).items():
-                addin(acc, key, c * c2)
-        return acc
+        return _apply(self.coact_basis, x)
 
 
 # -- compatible data --------------------------------------------------------
@@ -624,26 +670,23 @@ class CompatibleData:
         dims = (self.W1.dim, self.W2.dim, self.W3.dim)
         return f"CompatibleData(sectors {dims}, |F|={len(self.F)})"
 
-    def split(self, f):
-        r = len(self.module.group.factors)
-        G = self.module.group
-        return G.element(f.coords[:r]), G.element(f.coords[r:])
-
     def uu_coords(self):
         return tuple(self.module.u.coords) + tuple(self.module.u.coords)
 
     def sector_space(self, t):
         return (self.W1, self.W2, self.W3)[t - 1]
 
-    def act_matrix(self, f):
-        """Rows: coordinates of f.w_i against the global sector basis."""
-        f1, f2 = self.split(f)
+    def act_matrix(self, f, onto=None):
+        """Rows: coordinates of f.w_i against the global sector basis of
+        onto (default self), whose sector dimensions must equal these."""
+        onto = self if onto is None else onto
+        f12 = _split_pair(self.module, f)
         offs = (0, self.W1.dim, self.W1.dim + self.W2.dim)
         out = []
         for wi, row in enumerate(self.rows):
-            moved = la.act(self.module, (f1, f2), "VplusV", row)
+            moved = la.act(self.module, f12, "VplusV", row)
             t = self.types[wi]
-            local = self.sector_space(t).coords_of(moved)
+            local = onto.sector_space(t).coords_of(moved)
             dense = [_ZERO] * len(self.rows)
             for k, c in enumerate(local):
                 dense[offs[t - 1] + k] = c
@@ -678,8 +721,8 @@ def compatible_violations(data) -> list:
         if S.dim == 0:
             continue
         for f in data.F:
-            f1, f2 = data.split(f)
-            if not la.act_subspace(module, (f1, f2), "VplusV", S).equals(S):
+            if not la.act_subspace(module, _split_pair(module, f), "VplusV",
+                                   S).equals(S):
                 bad.append(name)
                 stable = False
                 break
@@ -704,24 +747,10 @@ def compatible_violations(data) -> list:
     if not sym_ok:
         bad.append("beta_symmetry")
 
-    if stable and "F_subgroup" not in bad:
-        inv_ok = True
-        for f in data.F:
-            P = data.act_matrix(f)
-            for i in range(nW):
-                for j in range(nW):
-                    acc = _ZERO
-                    for k in range(nW):
-                        if P[i][k].is_zero():
-                            continue
-                        for l in range(nW):
-                            if P[j][l].is_zero() or data.gram[k][l].is_zero():
-                                continue
-                            acc = acc + P[i][k] * P[j][l] * data.gram[k][l]
-                    if acc != data.gram[i][j]:
-                        inv_ok = False
-        if not inv_ok:
-            bad.append("beta_F_invariant")
+    if stable and "F_subgroup" not in bad and not all(
+            _congruent(data.act_matrix(f), data.gram, data.gram)
+            for f in data.F):
+        bad.append("beta_F_invariant")
 
     zero_c = GG.zero().coords
     if zero_c in data.coords_set and any(
@@ -923,34 +952,17 @@ def build_K(data, host=None) -> ComodAlg:
     lame = [{(host.index[((), f.coords)], kidx[((), fk)]): _ONE}
             for fk, f in enumerate(Fels)]
 
-    def ctmul(t1, t2):
-        acc = {}
-        for (h1, k1), c1 in t1.items():
-            for (h2, k2), c2 in t2.items():
-                hp = host.mono_mul(h1, h2)
-                if not hp:
-                    continue
-                kd = mult.get((k1, k2))
-                if not kd:
-                    continue
-                for h3, ch in hp.items():
-                    for k3, ck in kd.items():
-                        addin(acc, (h3, k3), c1 * c2 * ch * ck)
-        return acc
-
-    coaction = {}
-    for i, (S, fk) in enumerate(keys):
-        acc = {(host.one_idx, unit_k): _ONE}
-        for s in S:
-            acc = ctmul(acc, lamw[s])
-        acc = ctmul(acc, lame[fk])
-        coaction[i] = acc
-
-    unit = {unit_k: _ONE}
     group_part = tuple(Fels[fk] for S, fk in keys)
     loewy = tuple(len(S) for S, fk in keys)
-    return ComodAlg(host, labels, mult, coaction, unit, group_part, loewy,
-                    meta={"kind": "K", "data": data})
+    K = ComodAlg(host, labels, mult, {}, {unit_k: _ONE}, group_part, loewy,
+                 meta={"kind": "K", "data": data})
+    # the coaction is multiplicative: a product of generator coactions
+    for i, (S, fk) in enumerate(keys):
+        acc = {(host.one_idx, unit_k): _ONE}
+        for factor in [lamw[s] for s in S] + [lame[fk]]:
+            acc = _tensor_mul(host.mono_mul, K.mul_basis, acc, factor)
+        K.coaction[i] = acc
+    return K
 
 
 def build_L(module, W, beta, alpha, host=None) -> ComodAlg:
@@ -1120,18 +1132,12 @@ def check_diag_iso(H):
         if len(failures) < 10:
             failures.append((kind, where))
 
-    def push(x):
-        acc = {}
-        for i, c in x.items():
-            for k, c2 in sig[i].items():
-                addin(acc, k, c * c2)
-        return acc
-
     if sig[H.one_idx] != K.unit:
         note("unit", None)
     for i in range(H.dim):
         for j in range(H.dim):
-            if K.mul(sig[i], sig[j]) != push(H.mono_mul(i, j)):
+            if K.mul(sig[i], sig[j]) != _apply(sig.__getitem__,
+                                               H.mono_mul(i, j)):
                 note("algebra_map", (i, j))
     for i in range(H.dim):
         lhs = {}
@@ -1177,22 +1183,10 @@ def check_comodule_algebra(A, rng=None, pair_limit=None):
             failures.append((kind, where))
 
     for i in range(A.dim):
-        lam = A.coact_basis(i)
-        left = {}
-        right = {}
-        for (h, k), c in lam.items():
-            for (h1, h2), c2 in host.comult(h).items():
-                addin(left, (h1, h2, k), c * c2)
-            for (h2, k2), c2 in A.coact_basis(k).items():
-                addin(right, (h, h2, k2), c * c2)
-        if left != right:
+        coassoc, counit = _coaction_law(A.coact_basis, host, i)
+        if not coassoc:
             note("coassoc", A.basis[i])
-        cu = {}
-        for (h, k), c in lam.items():
-            e = host.counit(h)
-            if not e.is_zero():
-                addin(cu, k, e * c)
-        if cu != {i: _ONE}:
+        if not counit:
             note("counit", A.basis[i])
 
     lam1 = A.coact(A.unit)
@@ -1210,23 +1204,9 @@ def check_comodule_algebra(A, rng=None, pair_limit=None):
         pairs = [(rng.randrange(A.dim), rng.randrange(A.dim))
                  for _ in range(pair_limit)]
     for i, j in pairs:
-        lhs = {}
-        for (h1, k1), c1 in A.coact_basis(i).items():
-            for (h2, k2), c2 in A.coact_basis(j).items():
-                hp = host.mono_mul(h1, h2)
-                if not hp:
-                    continue
-                kd = A.mul_basis(k1, k2)
-                if not kd:
-                    continue
-                for h3, ch in hp.items():
-                    for k3, ck in kd.items():
-                        addin(lhs, (h3, k3), c1 * c2 * ch * ck)
-        rhs = {}
-        for k, c in A.mul_basis(i, j).items():
-            for key, c2 in A.coact_basis(k).items():
-                addin(rhs, key, c * c2)
-        if lhs != rhs:
+        lhs = _tensor_mul(host.mono_mul, A.mul_basis, A.coact_basis(i),
+                          A.coact_basis(j))
+        if lhs != A.coact(A.mul_basis(i, j)):
             note("multiplicative", (A.basis[i], A.basis[j]))
 
     coin = coinvariants(A)
@@ -1236,33 +1216,18 @@ def check_comodule_algebra(A, rng=None, pair_limit=None):
 
 # -- cotensor products ------------------------------------------------------
 
-def _one_sided_ok(entries, H, dim, side):
-    for i in range(dim):
-        lam = entries[i]
-        left = {}
-        right = {}
-        if side == "right":
-            for (k, p), c in lam.items():
-                for (p1, p2), c2 in H.comult(p).items():
-                    addin(left, (k, p1, p2), c * c2)
-                for (k2, p2), c2 in entries[k].items():
-                    addin(right, (k2, p2, p), c * c2)
-            cu = {}
-            for (k, p), c in lam.items():
-                e = H.counit(p)
-                if not e.is_zero():
-                    addin(cu, k, e * c)
-        else:
-            for (p, k), c in lam.items():
-                for (p1, p2), c2 in H.comult(p).items():
-                    addin(left, (p1, p2, k), c * c2)
-                for (p2, k2), c2 in entries[k].items():
-                    addin(right, (p, p2, k2), c * c2)
-            cu = {}
-            for (p, k), c in lam.items():
-                e = H.counit(p)
-                if not e.is_zero():
-                    addin(cu, k, e * c)
+def _right_coaction_ok(entries, H) -> bool:
+    """Coassociativity and counit of a right coaction keyed (index, host)."""
+    for i, lam in enumerate(entries):
+        left, right, cu = {}, {}, {}
+        for (k, p), c in lam.items():
+            for (p1, p2), c2 in H.comult(p).items():
+                addin(left, (k, p1, p2), c * c2)
+            for (k2, p2), c2 in entries[k].items():
+                addin(right, (k2, p2, p), c * c2)
+            e = H.counit(p)
+            if not e.is_zero():
+                addin(cu, k, e * c)
         if left != right or cu != {i: _ONE}:
             return False
     return True
@@ -1316,10 +1281,11 @@ def cotensor(L, K) -> ComodAlg:
             if p is not None:
                 addin(d, (p, k), c)
         lam_l.append(d)
-    if not _one_sided_ok(lam_r, H, L.dim, "right"):
+    if not _right_coaction_ok(lam_r, H):
         raise BrpicError("internal invariant violation: induced right coaction "
                          "is not a comodule structure")
-    if not _one_sided_ok(lam_l, H, K.dim, "left"):
+    if not all(_coaction_law(lam_l.__getitem__, H, j) == (True, True)
+               for j in range(K.dim)):
         raise BrpicError("internal invariant violation: induced left coaction "
                          "is not a comodule structure")
 
@@ -1364,25 +1330,8 @@ def cotensor(L, K) -> ComodAlg:
     labels = tuple(("z", t) for t in range(n))
     zrows = ech.rows_by_pos
 
-    def flat_mul(x, y):
-        acc = {}
-        for fa, ca in x.items():
-            a, b = divmod(fa, K.dim)
-            for fb, cb in y.items():
-                a2, b2 = divmod(fb, K.dim)
-                ld = L.mul_basis(a, a2)
-                if not ld:
-                    continue
-                kd = K.mul_basis(b, b2)
-                if not kd:
-                    continue
-                for a3, c3 in ld.items():
-                    for b3, c4 in kd.items():
-                        addin(acc, a3 * K.dim + b3, ca * cb * c3 * c4)
-        return acc
-
     def mulfn(i, j):
-        co = ech.coords(flat_mul(zrows[i], zrows[j]))
+        co = ech.coords(_flat_mul(L, K, zrows[i], zrows[j]))
         if co is None:
             raise BrpicError("internal invariant violation: cotensor product "
                              "left the computed kernel")
@@ -1479,7 +1428,8 @@ def verify_cotensor_iso(d, dt):
             failures.append((kind, where))
 
     expected = (1 << d3.W.dim) * len(data1.F)
-    report = {"dim_cot": C.dim, "dim_expected": expected, "dim_model": L3.dim}
+    report = {"dim_cot": C.dim, "dim_expected": expected, "dim_model": L3.dim,
+              "W_product_dim": d3.W.dim}
     if not (C.dim == expected == L3.dim):
         note("dimension_law", (C.dim, expected, L3.dim))
 
@@ -1487,23 +1437,6 @@ def verify_cotensor_iso(d, dt):
     unit1 = L1.index[((), zeroGG)]
     unit2 = L2.index[((), zeroGG)]
     uflat = {unit1 * Kdim + unit2: _ONE}
-
-    def flat_mul(x, y):
-        acc = {}
-        for fa, ca in x.items():
-            a, b = divmod(fa, Kdim)
-            for fb, cb in y.items():
-                a2, b2 = divmod(fb, Kdim)
-                ld = L1.mul_basis(a, a2)
-                if not ld:
-                    continue
-                kd = L2.mul_basis(b, b2)
-                if not kd:
-                    continue
-                for a3, c3 in ld.items():
-                    for b3, c4 in kd.items():
-                        addin(acc, a3 * Kdim + b3, ca * cb * c3 * c4)
-        return acc
 
     R = d.W.basis
     dW = len(R)
@@ -1550,9 +1483,9 @@ def verify_cotensor_iso(d, dt):
     nW3 = len(data3.rows)
     for i in range(nW3):
         for j in range(i, nW3):
-            lhs = _elem_add(flat_mul(phiw[i], phiw[j]),
-                            flat_mul(phiw[j], phiw[i])) if i != j \
-                else flat_mul(phiw[i], phiw[i])
+            lhs = _elem_add(_flat_mul(L1, L2, phiw[i], phiw[j]),
+                            _flat_mul(L1, L2, phiw[j], phiw[i])) if i != j \
+                else _flat_mul(L1, L2, phiw[i], phiw[i])
             target = _scaled(uflat, g3[i][j] if i != j else _HALF * g3[i][i])
             if lhs != target:
                 note("relations_w", (i, j))
@@ -1560,19 +1493,19 @@ def verify_cotensor_iso(d, dt):
     fpos, fadd = data1.law
     for i, a in enumerate(data1.F):
         for j, b in enumerate(data1.F):
-            lhs = flat_mul(phie[i], phie[j])
+            lhs = _flat_mul(L1, L2, phie[i], phie[j])
             rhs = _scaled(phie[fadd[i][j]], psi1[(a.coords, b.coords)])
             if lhs != rhs:
                 note("relations_psi", (a.coords, b.coords))
     for fk, f in enumerate(data1.F):
         P = data3.act_matrix(f)
         for wi in range(nW3):
-            lhs = flat_mul(phie[fk], phiw[wi])
+            lhs = _flat_mul(L1, L2, phie[fk], phiw[wi])
             rhs = {}
             for wj in range(nW3):
                 if P[wi][wj].is_zero():
                     continue
-                for k, c in flat_mul(phiw[wj], phie[fk]).items():
+                for k, c in _flat_mul(L1, L2, phiw[wj], phie[fk]).items():
                     addin(rhs, k, P[wi][wj] * c)
             if lhs != rhs:
                 note("relations_action", (f.coords, wi))
@@ -1581,8 +1514,8 @@ def verify_cotensor_iso(d, dt):
     for S, fc in L3.basis:
         acc = dict(uflat)
         for s in S:
-            acc = flat_mul(acc, phiw[s])
-        acc = flat_mul(acc, phie[fpos[fc]])
+            acc = _flat_mul(L1, L2, acc, phiw[s])
+        acc = _flat_mul(L1, L2, acc, phie[fpos[fc]])
         phimat.append(acc)
 
     ech2 = la.Echelon()
@@ -1603,10 +1536,7 @@ def verify_cotensor_iso(d, dt):
 
     if all(co is not None for co in coords3):
         for b in range(L3.dim):
-            lhs = {}
-            for pos, c in coords3[b].items():
-                for key, c2 in C.coact_basis(pos).items():
-                    addin(lhs, key, c * c2)
+            lhs = C.coact(coords3[b])
             rhs = {}
             for (h, b2), c in L3.coact_basis(b).items():
                 for pos, c2 in coords3[b2].items():
@@ -1728,10 +1658,7 @@ def probe_right_simple(A, rng=None, extra_vectors=4):
         while frontier and ech.dim < A.dim:
             w = frontier.pop()
             for op in ops:
-                img = {}
-                for i, c in w.items():
-                    for k, c2 in op[i].items():
-                        addin(img, k, c * c2)
+                img = _apply(op.__getitem__, w)
                 if img and ech.insert(img) is not None:
                     frontier.append(img)
                     if ech.dim == A.dim:
@@ -1762,44 +1689,14 @@ def morita_equiv_criterion(data1, data2):
         return False, None
     module = data1.module
     GG = data1.pair_group
-    nW = len(data1.rows)
-    offs = (0, data1.W1.dim, data1.W1.dim + data1.W2.dim)
     for g in GG.elements():
-        g1, g2 = data1.split(g)
-        ok = True
-        for t in (1, 2, 3):
-            S1 = data1.sector_space(t)
-            if S1.dim == 0:
-                continue
-            moved = la.act_subspace(module, (g1, g2), "VplusV", S1)
-            if not moved.equals(data2.sector_space(t)):
-                ok = False
-                break
-        if not ok:
-            continue
-        P = []
-        for wi, row in enumerate(data1.rows):
-            t = data1.types[wi]
-            moved = la.act(module, (g1, g2), "VplusV", row)
-            local = data2.sector_space(t).coords_of(moved)
-            dense = [_ZERO] * nW
-            for k, c in enumerate(local):
-                dense[offs[t - 1] + k] = c
-            P.append(dense)
-        match = True
-        for i in range(nW):
-            for j in range(nW):
-                acc = _ZERO
-                for k in range(nW):
-                    if P[i][k].is_zero():
-                        continue
-                    for l in range(nW):
-                        if P[j][l].is_zero() or data2.gram[k][l].is_zero():
-                            continue
-                        acc = acc + P[i][k] * P[j][l] * data2.gram[k][l]
-                if acc != data1.gram[i][j]:
-                    match = False
-        if match:
+        g12 = _split_pair(module, g)
+        moves = all(la.act_subspace(module, g12, "VplusV", S1).equals(S2)
+                    for S1, S2 in zip((data1.W1, data1.W2, data1.W3),
+                                      (data2.W1, data2.W2, data2.W3))
+                    if S1.dim)
+        if moves and _congruent(data1.act_matrix(g, onto=data2), data2.gram,
+                                data1.gram):
             return True, g
     return False, None
 
@@ -1812,24 +1709,6 @@ def freeness_probe(L, K, C=None):
         C = cotensor(L, K)
     n = L.dim * K.dim
     zrows = C.meta["echelon"].rows_by_pos
-    Kdim = K.dim
-
-    def flat_mul(x, y):
-        acc = {}
-        for fa, ca in x.items():
-            a, b = divmod(fa, Kdim)
-            for fb, cb in y.items():
-                a2, b2 = divmod(fb, Kdim)
-                ld = L.mul_basis(a, a2)
-                if not ld:
-                    continue
-                kd = K.mul_basis(b, b2)
-                if not kd:
-                    continue
-                for a3, c3 in ld.items():
-                    for b3, c4 in kd.items():
-                        addin(acc, a3 * Kdim + b3, ca * cb * c3 * c4)
-        return acc
 
     ech = la.Echelon()
     gens = 0
@@ -1839,7 +1718,7 @@ def freeness_probe(L, K, C=None):
             continue
         gens += 1
         for z in zrows:
-            prod = flat_mul(v, z)
+            prod = _flat_mul(L, K, v, z)
             if prod:
                 ech.insert(prod)
     divisible = C.dim > 0 and n % C.dim == 0
@@ -1850,8 +1729,6 @@ def freeness_probe(L, K, C=None):
             "free_consistent": divisible and gens * C.dim == n and ech.dim == n}
 
 
-# -- serialization ----------------------------------------------------------
-
 # -- seeded generators ------------------------------------------------------
 
 _T_CHOICES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
@@ -1860,10 +1737,19 @@ _B_CHOICES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
               Fraction(-3))
 
 
-def _split_pair(module, f):
-    r = len(module.group.factors)
-    return (module.group.element(f.coords[:r]),
-            module.group.element(f.coords[r:]))
+def _graph_positions(module, F):
+    """Generators whose character agrees on both components of all of F."""
+    halves = [_split_pair(module, f) for f in F]
+    return [i for i, chi in enumerate(module.chars)
+            if all(ab.pair(chi, a) == ab.pair(chi, b) for a, b in halves)]
+
+
+def _graph_row(rng, m, i):
+    """The line of e_i + t e_(m+i) in V + V, t drawn from _T_CHOICES."""
+    row = [_ZERO] * (2 * m)
+    row[i] = _ONE
+    row[m + i] = la.sc(_T_CHOICES[rng.randrange(len(_T_CHOICES))])
+    return row
 
 
 def compatible_families(module):
@@ -1928,12 +1814,7 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
     uu = tuple(module.u.coords) + tuple(module.u.coords)
     has_uu = any(f.coords == uu for f in Fels) and central_ok
 
-    graph_ok = []
-    for i in range(m):
-        chi = module.chars[i]
-        if all(ab.pair(chi, _split_pair(module, f)[0])
-               == ab.pair(chi, _split_pair(module, f)[1]) for f in Fels):
-            graph_ok.append(i)
+    graph_ok = _graph_positions(module, Fels)
 
     S1 = _random_subset(rng, m, 2)
     S2 = _random_subset(rng, m, 2)
@@ -1948,13 +1829,7 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
 
     rows1 = [[_ONE if j == i else _ZERO for j in range(2 * m)] for i in S1]
     rows2 = [[_ONE if j == m + i else _ZERO for j in range(2 * m)] for i in S2]
-    rows3 = []
-    for i in S3:
-        t = la.sc(_T_CHOICES[rng.randrange(len(_T_CHOICES))])
-        row = [_ZERO] * (2 * m)
-        row[i] = _ONE
-        row[m + i] = t
-        rows3.append(row)
+    rows3 = [_graph_row(rng, m, i) for i in S3]
 
     types = [1] * len(S1) + [2] * len(S2) + [3] * len(S3)
     pos = S1 + S2 + S3
@@ -1992,24 +1867,12 @@ def random_graph_datum(module, rng, alpha, dim_cap=64):
     N = module.group.exponent
     U = orth.u_alpha(alpha)
 
-    graph_ok = []
-    if alpha_supports_w3(module, alpha):
-        for i in range(m):
-            chi = module.chars[i]
-            if all(ab.pair(chi, _split_pair(module, f)[0])
-                   == ab.pair(chi, _split_pair(module, f)[1])
-                   for f in U.elements):
-                graph_ok.append(i)
+    graph_ok = (_graph_positions(module, U.elements)
+                if alpha_supports_w3(module, alpha) else [])
     S3 = [i for i in graph_ok if rng.random() < 0.6]
     while (1 << len(S3)) * len(U.elements) > dim_cap and S3:
         S3.pop()
-    rows = []
-    for i in S3:
-        t = la.sc(_T_CHOICES[rng.randrange(len(_T_CHOICES))])
-        row = [_ZERO] * (2 * m)
-        row[i] = _ONE
-        row[m + i] = t
-        rows.append(row)
+    rows = [_graph_row(rng, m, i) for i in S3]
     W = la.Subspace(2 * m, rows) if rows else la.zero_space(2 * m)
     nW = W.dim
     gram = [[_ZERO] * nW for _ in range(nW)]
@@ -2027,6 +1890,8 @@ def random_graph_datum(module, rng, alpha, dim_cap=64):
                 gram[b][a] = c
     return bp.RDatum(module, W, la.BilinearForm(W, gram), alpha)
 
+
+# -- serialization ----------------------------------------------------------
 
 def hopf_to_json(H) -> dict:
     basis = [{"v": list(S), "g": list(g.coords)} for S, g in H.basis]

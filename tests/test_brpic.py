@@ -309,6 +309,10 @@ def test_tau_dimension_and_injectivity():
         seen.append(L)
 
 
+DEGENERATE = (r"^datum is not invertible: the \(w2, f2\) projection is "
+              r"degenerate$")
+
+
 def test_tau_of_degenerate_datum():
     mod = sweedler_module()
     W = la.zero_space(2)
@@ -316,7 +320,7 @@ def test_tau_of_degenerate_datum():
     assert bp.validate_rdatum(d)["valid"]
     L = bp.tau(d)
     assert L.L.dim == 2  # all (0, f1, 0, f2)
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(NotInvertibleError, match=DEGENERATE):
         bp.rdatum_to_odatum(d)
     assert bp.is_invertible(d) is False
 
@@ -390,6 +394,8 @@ def test_is_invertible():
     d = bp.RDatum(mod2, W, la.BilinearForm(W, [[2]]),
                   orth.orth_identity(mod2.group))
     assert bp.validate_rdatum(d)["valid"]
+    with pytest.raises(NotInvertibleError, match=DEGENERATE):
+        bp.rdatum_to_odatum(d)
     assert bp.is_invertible(d) is False
 
 
@@ -714,3 +720,41 @@ def test_matrix_inverse_singular():
         M[2] = [x + c * y for x, y in zip(M[0], M[1])]
         with pytest.raises(NotInvertibleError):
             bp.matrix_inverse(M)
+
+
+# -- no repeated work in products and conversions ----------------------------
+
+def test_rdatum_product_composes_once(monkeypatch):
+    rng = random.Random(71)
+    calls = []
+    original = la._compose_with_lift
+    monkeypatch.setattr(la, "_compose_with_lift",
+                        lambda W, Wt: calls.append(1) or original(W, Wt))
+    for mod in (sweedler_module(), z2z2_module(True), z4_module()):
+        d, dt = (bp.odatum_to_rdatum(random_datum(rng, mod)) for _ in "ab")
+        calls.clear()
+        p = bp.rdatum_product(d, dt)
+        assert len(calls) == 1
+        assert p.W == la.relation_compose(d.W, dt.W)
+
+
+def test_random_odatum_retries_singular_draws():
+    """The A block is the first invertible draw, as with a rank test."""
+    mod = z2_module_dim2()
+    alpha = orth.orth_identity(mod.group)
+    retried = 0
+    for seed in range(40):
+        ref = random.Random(seed)
+        while True:
+            A = [[la.sc(ref.randint(-3, 3)) for _ in range(2)]
+                 for _ in range(2)]
+            for i in range(2):
+                if A[i][i].is_zero():
+                    A[i][i] = la.sc(ref.choice((-3, -2, -1, 1, 2, 3)))
+            if la.rank(A) == 2:
+                break
+            retried += 1
+        d = bp.random_odatum(mod, random.Random(seed), alpha)
+        assert bp.mat_equal(d.block_A(), A)
+        assert bp.validate_odatum(d)["valid"]
+    assert retried > 0

@@ -256,6 +256,19 @@ _Z4_DATUM = {"T": [["-1 + -1*z@4", "0@1", "0@1", "0@1"],
                    ["0@1", "0@1", "0@1", "1/3*z@4"]],
              "alpha": {"matrix": [[0, 1], [1, 0]]}}
 Z4_PAIR = Z4 | {"datum": _Z4_DATUM, "datum2": _Z4_DATUM}
+# Relation data: `brpic convert` of a Z4 matrix datum with a nonzero C
+# block (first) and of _Z4_DATUM (second); W and beta mix "@1" and "@4".
+_Z4_RDATUM = {"W": {"ambient": 4,
+                    "basis": [["1@1", "0@1", "1/2@1", "0@1"],
+                              ["0@4", "1@4", "0@4", "-1*z@4"]]},
+              "beta": {"gram": [["0@1", "1@4"], ["1@4", "0@4"]]},
+              "alpha": {"matrix": [[1, 0], [0, 1]]}}
+_Z4_RDATUM2 = {"W": {"ambient": 4,
+                     "basis": [["1@4", "0@4", "-1/2 + 1/2*z@4", "0@4"],
+                               ["0@4", "1@4", "0@4", "1/3*z@4"]]},
+               "beta": {"gram": [["0@4", "0@4"], ["0@4", "0@4"]]},
+               "alpha": {"matrix": [[0, 1], [1, 0]]}}
+Z4_RPAIR = Z4 | {"datum": _Z4_RDATUM, "datum2": _Z4_RDATUM2}
 GOLDEN = [
     (Z4, ["verify", "all", "--seed", "3"],
      "f63db1a82d25e0fbbcdbfa4c6b18f1a091bca01f4662d6734ae8f773da2de771"),
@@ -271,6 +284,12 @@ GOLDEN = [
      "f63d9cfe85968caa82bf756ab2d6db117fca6b7b0c54fd4678fae6a3592906ad"),
     (Z4_PAIR, ["brpic", "convert"],
      "76e0bc97e9c1166d4f3369ea61bc7f7baf1289475c63ac9b26b699dbcd15d397"),
+    (Z4_RPAIR, ["brpic", "mul"],
+     "bff601774d453396f84f236e38265e3d6a8889d8ca3d52b6817b46dc07ce7b0c"),
+    (Z4_RPAIR, ["brpic", "inv"],
+     "88f18c86b1389d37e411269db85d33baa22d8c01ae9ff8bffb872cd62616b0ca"),
+    (Z4_RPAIR, ["brpic", "convert"],
+     "bf9bcbc58c6041470efa853117d5ce3f666560731d8c5c8fda38f5d7ce738910"),
 ]
 
 
@@ -282,3 +301,35 @@ def test_json_output_golden(tmp_path, capsys, spec_obj, argv, digest):
     code, out, err = _run(capsys, argv + ["--spec", spec, "--json"])
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Fields whose wrong JSON type used to end in a traceback with exit 1.
+_BAD_T = {"T": [[1]], "alpha": {"matrix": [[1, 0], [0, 1]]}}
+BAD_FIELDS = [
+    ({"seed": "a"}, ["verify", "all"], "seed"),
+    ({"bound": "x"}, ["verify", "all"], "bound"),
+    ({"count": "3"}, ["verify", "comodule"], "count"),
+    ({"datum": _BAD_T}, ["brpic", "inv"], "datum"),
+]
+
+
+@pytest.mark.parametrize("fields,argv,name", BAD_FIELDS,
+                         ids=[b[2] for b in BAD_FIELDS])
+def test_bad_field_exits_2(tmp_path, capsys, fields, argv, name):
+    spec = _write(tmp_path, "bad.json", SWEEDLER | fields)
+    code, out, err = _run(capsys, argv + ["--spec", spec])
+    assert code == 2 and out == ""
+    assert err.startswith(name + ":") and "Traceback" not in err
+
+
+def test_cotensor_suite_composes_once_per_instance(tmp_path, capsys,
+                                                   monkeypatch):
+    calls = []
+    original = la._compose_with_lift
+    monkeypatch.setattr(la, "_compose_with_lift",
+                        lambda W, Wt: calls.append(1) or original(W, Wt))
+    spec = _write(tmp_path, "z2z4.json", Z2Z4)
+    code, out, _ = _run(capsys, ["verify", "cotensor", "--spec", spec,
+                                 "--seed", "2", "--count", "3"])
+    assert code == 0 and "check cotensor_iso: pass" in out
+    assert len(calls) == 3

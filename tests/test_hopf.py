@@ -368,18 +368,22 @@ def test_diag_comodule_and_iso():
 
 
 def test_comodule_check_catches_corruption():
+    """Negate the term of lam(w) whose host leg has a given degree."""
     mod = _sw()
     L = hopf.build_L(mod, _graph(1, [0], 1), None,
                      orth.orth_identity(mod.group))
-    coaction = {i: dict(L.coact_basis(i)) for i in range(L.dim)}
+    iw = L.index[((0,), (0, 0))]
     mult = {(i, j): L.mul_basis(i, j)
             for i in range(L.dim) for j in range(L.dim)}
-    iw = L.index[((0,), (0, 0))]
-    key = next(k for k in coaction[iw] if L.host.basis[k[0]][0])
-    coaction[iw][key] = -coaction[iw][key]
-    broken = hopf.ComodAlg(L.host, L.basis, mult, coaction, L.unit)
-    rep = hopf.check_comodule_algebra(broken)
-    assert not rep["ok"] and rep["failures"]
+    for degree, kinds in ((1, {"multiplicative"}),
+                          (0, {"coassoc", "counit", "multiplicative"})):
+        coaction = {i: dict(L.coact_basis(i)) for i in range(L.dim)}
+        key = next(k for k in coaction[iw] if L.host.deg(k[0]) == degree)
+        coaction[iw][key] = -coaction[iw][key]
+        broken = hopf.ComodAlg(L.host, L.basis, mult, coaction, L.unit)
+        rep = hopf.check_comodule_algebra(broken)
+        assert not rep["ok"]
+        assert {kind for kind, _ in rep["failures"]} == kinds, degree
 
 
 def test_two_block_algebra_is_not_right_simple():
