@@ -769,19 +769,21 @@ def suite_alphas(module: la.GModuleV, bound: int = 256):
 
 # -- random suites ----------------------------------------------------------
 
-def random_odatum(module: la.GModuleV, rng, alpha: orth.OrthAut = None) -> ODatum:
+def random_odatum(module: la.GModuleV, rng, alpha: orth.OrthAut = None,
+                  bound: int = 256) -> ODatum:
     """A seeded random valid datum whose blocks commute with all of diag(G).
 
     A is supported on positions with equal characters, M (the induced form)
     on positions whose character product is trivial, C = A^{-T} M and
     D = A^{-T}; such data stay valid under every product, inverse and
     G x G-translation, which keeps randomized suites inside the valid set.
+    Without an alpha, one is drawn from suite_alphas(module, bound).
     """
     G = module.group
     dm = module.dim
     chars = module.chars
     if alpha is None:
-        choices = suite_alphas(module)
+        choices = suite_alphas(module, bound)
         alpha = choices[rng.randrange(len(choices))]
     same = [[chars[i] == chars[j] for j in range(dm)] for i in range(dm)]
     while True:

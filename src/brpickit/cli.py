@@ -286,14 +286,14 @@ def _suite_datum(module, spec, checks, lines):
                "" if rep["valid"] else f"failing: {failing}")
 
 
-def _suite_group_axioms(module, rng, count, checks, lines):
+def _suite_group_axioms(module, rng, count, bound, checks, lines):
     e = bp.identity_odatum(module)
     tallies = {"identity_laws": [], "associativity": [], "inverses": [],
                "convert_round_trip": [], "tau_multiplicative": []}
     for i in range(count):
-        d1 = bp.random_odatum(module, rng)
-        d2 = bp.random_odatum(module, rng)
-        d3 = bp.random_odatum(module, rng)
+        d1 = bp.random_odatum(module, rng, bound=bound)
+        d2 = bp.random_odatum(module, rng, bound=bound)
+        d3 = bp.random_odatum(module, rng, bound=bound)
         if not (bp.odatum_product(e, d1) == d1
                 and bp.odatum_product(d1, e) == d1):
             tallies["identity_laws"].append(i)
@@ -370,8 +370,8 @@ def _suite_comodule(module, rng, count, checks, lines):
                else f"failed instances {failed[:5]}")
 
 
-def _suite_cotensor(module, rng, count, checks, lines, report_extra):
-    suite = bp.suite_alphas(module)
+def _suite_cotensor(module, rng, count, bound, checks, lines, report_extra):
+    suite = bp.suite_alphas(module, bound)
     instances = []
     failed = []
     for i in range(count):
@@ -409,13 +409,13 @@ def cmd_verify(suite, spec, seed, count, bound):
               "u": list(module.u.coords), "dim_V": module.dim}
     _suite_datum(module, spec, checks, lines)
     if suite in ("group-axioms", "all"):
-        _suite_group_axioms(module, rng, count or 25, checks, lines)
+        _suite_group_axioms(module, rng, count or 25, bound, checks, lines)
     if suite in ("hopf", "all"):
         _suite_hopf(module, rng, checks, lines)
     if suite in ("comodule", "all"):
         _suite_comodule(module, rng, count or 10, checks, lines)
     if suite in ("cotensor", "all"):
-        _suite_cotensor(module, rng, count or 8, checks, lines, report)
+        _suite_cotensor(module, rng, count or 8, bound, checks, lines, report)
     ok = all(c["ok"] for c in checks)
     report["checks"] = checks
     report["ok"] = ok

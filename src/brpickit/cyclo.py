@@ -28,10 +28,15 @@ from functools import cache
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+# Largest conductor from_string accepts.  A scalar at conductor N carries
+# phi(N) coefficients and its products cost about phi(N)^2, so a large N in
+# a spec is refused before anything is allocated.
+MAX_CONDUCTOR = 1000
 
 
 def divisors(n: int) -> list[int]:
@@ -409,6 +414,9 @@ class CycloScalar:
         if not sep:
             raise DomainError(f"missing conductor suffix in {text!r}")
         N = int(n_part)
+        if N > MAX_CONDUCTOR:
+            raise CapacityError(f"conductor {N} in {text!r} exceeds the supported "
+                                f"maximum {MAX_CONDUCTOR}")
         coeffs = [_F0] * _phi(N)
         body = body.strip()
         if body != "0":

@@ -2,17 +2,26 @@
 
 Elements of G+G^ are coordinate vectors (G coordinates first, dual exps
 second).  The quadratic value q(g,chi) = <chi,g> is carried as an integer
-exponent mod N.  Orthogonality of an automorphism means q is preserved at
-every point — a quadratic condition, so it is checked pointwise, not just
-on generators (at larger sizes: generator values plus all polarization
-values, which together imply the pointwise condition, plus random spot
-checks).
+exponent mod N, and b(x, y) = q(x+y) - q(x) - q(y) is its polarization.
+Orthogonality of an automorphism means q is preserved at every point — a
+quadratic condition, so it is checked pointwise, not just on generators.
+
+The pointwise work runs on plain integer tuples.  Per group G, _tables
+builds once: the elements of G+G^ as tuples in dsum_group(G).elements()
+order, their q exponents, and for each element x the vector v_x with
+b(x, y) = v_x . y mod N.  Up to _POINTWISE_LIMIT elements, is_orthogonal
+(and with it every OrthAut construction, so every orth_compose), the leaf
+of enumerate_orth and the preimage table of orth_invert read these
+tables; above it, is_orthogonal checks bijectivity exactly and q through
+generator values, all polarizations and random spot checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from functools import cache
+from operator import mul
 
 from . import abelian as ab
 from .abelian import Character, FinAbGroup, GroupElement, GroupHom
@@ -22,6 +31,7 @@ from .errors import CapacityError, DomainError
 _POINTWISE_LIMIT = 4096  # exhaustive q check up to this |G+G^|
 
 
+@cache
 def dsum_group(G: FinAbGroup) -> FinAbGroup:
     return ab.direct_sum(G, ab.dual_group(G))
 
@@ -93,15 +103,64 @@ class OrthAut:
         return OrthAut(group, GroupHom(D, D, obj["matrix"]))
 
 
+@cache
+def _tables(G: FinAbGroup):
+    """(elements, q, v) for G+G^ on coordinate tuples, built once per G.
+
+    elements lists G+G^ in dsum_group(G).elements() order, q[k] is the q
+    exponent of elements[k], and v maps x to the vector with
+    b(x, y) = v[x] . y mod N, N the exponent of G.
+    """
+    n = G.rank
+    N = G.exponent
+    w = [N // f for f in G.factors]
+    elements = list(itertools.product(*(range(f) for f in dsum_group(G).factors)))
+    q = [sum(x[i] * x[n + i] * w[i] for i in range(n)) % N for x in elements]
+    v = {x: tuple(c * wi for c, wi in zip(x[n:], w)) + tuple(c * wi for c, wi in zip(x[:n], w))
+         for x in elements}
+    return elements, q, v
+
+
+def _image_columns(factors, rows):
+    """Column j holds coordinate j, not yet reduced mod factors[j], of the
+    image of every element, in itertools.product order over factors, under
+    the hom sending the i-th generator to the tuple rows[i]."""
+    cols = []
+    for j in range(len(factors)):
+        col = [0]
+        for f, row in zip(factors, rows):
+            steps = [c * row[j] for c in range(f)]
+            col = [a + s for a in col for s in steps]
+        cols.append(col)
+    return cols
+
+
+def _images(factors, rows):
+    cols = _image_columns(factors, rows)
+    return list(zip(*([a % f for a in col] for f, col in zip(factors, cols))))
+
+
+def _preserves_q(G: FinAbGroup, rows) -> bool:
+    """Both exhaustive checks on tuples: the hom with generator images rows
+    is a bijection of G+G^ and keeps q at every point.  An image is read by
+    its position in the element list (mixed radix over the factors)."""
+    elements, q, _ = _tables(G)
+    factors = dsum_group(G).factors
+    pos = [0] * len(elements)
+    for f, col in zip(factors, _image_columns(factors, rows)):
+        pos = [p * f + c % f for p, c in zip(pos, col)]
+    return len(set(pos)) == len(elements) and [q[p] for p in pos] == q
+
+
 def is_orthogonal(G: FinAbGroup, hom: GroupHom) -> bool:
     """Automorphism of G+G^ with q preserved at every point."""
     D = dsum_group(G)
     if hom.source != D or hom.target != D:
         return False
+    if D.order <= _POINTWISE_LIMIT:
+        return _preserves_q(G, hom.matrix)
     if not ab.hom_is_automorphism(hom):
         return False
-    if D.order <= _POINTWISE_LIMIT:
-        return all(q_exp(G, hom(x)) == q_exp(G, x) for x in D.elements())
     # generator q-values plus all polarizations determine q everywhere
     gens = [D.generator(i) for i in range(D.rank)]
     if any(q_exp(G, hom(e)) != q_exp(G, e) for e in gens):
@@ -132,56 +191,72 @@ def orth_invert(a: OrthAut) -> OrthAut:
     D = dsum_group(a.group)
     if D.order > _POINTWISE_LIMIT:
         raise CapacityError(f"inversion by preimage table needs |G+G^| <= {_POINTWISE_LIMIT}")
-    preimage = {a.hom(x).coords: x for x in D.elements()}
-    rows = []
-    for i in range(D.rank):
-        e = D.generator(i)
-        rows.append(preimage[e.coords].coords)
-    return OrthAut(a.group, GroupHom(D, D, rows))
+    elements = _tables(a.group)[0]
+    preimage = dict(zip(_images(D.factors, a.hom.matrix), elements))
+    return OrthAut(a.group, GroupHom(D, D, [preimage[e] for e in _unit_rows(D.rank)]))
+
+
+def _unit_rows(r: int):
+    return [tuple(int(i == j) for j in range(r)) for i in range(r)]
 
 
 def enumerate_orth(G: FinAbGroup, bound: int = 256):
-    """All of O(G+G^), by pruned depth-first search over generator images.
+    """All of O(G+G^), sorted by matrix, by depth-first search over the
+    images of the generators of D = G+G^, on coordinate tuples.
 
-    Pruning: each generator image must be order-compatible, carry the same
-    q-value as the generator, and reproduce all pairwise polarization values
-    against the images already placed.  Those constraints exactly capture
-    pointwise q-preservation, so leaves only need the bijectivity check
-    (a full pointwise re-check is still done defensively).
+    Three prunings, read from the _tables of G: the image of the i-th
+    generator e_i has order dividing that of e_i and the same q exponent,
+    and b(image, image_j) = b(e_i, e_j) for every image already placed.
+    Placing an image narrows the candidate lists of all later generators
+    by that polarization test.  The prunings imply q-preservation at every
+    point, yet each leaf still gets both exhaustive checks of _preserves_q
+    (|D| distinct images, q kept at every point) before it becomes an
+    OrthAut.
+
+    The bound caps the work twice: |G|^2 <= bound, checked first, and at
+    most bound automorphisms; CapacityError is raised as soon as the
+    search has found bound + 1.
     """
     if G.order ** 2 > bound:
         raise CapacityError(
             f"|G|^2 = {G.order ** 2} exceeds the enumeration bound {bound}")
     D = dsum_group(G)
-    elements = list(D.elements())
-    gens = [D.generator(i) for i in range(D.rank)]
-    gen_q = [q_exp(G, e) for e in gens]
-    gen_b = [[b_exp(G, e, f) for f in gens] for e in gens]
-    candidates = []
-    for i, e in enumerate(gens):
-        m = D.factors[i]
-        cand = [x for x in elements
-                if all((m * c) % f == 0 for c, f in zip(x.coords, D.factors))
-                and q_exp(G, x) == gen_q[i]]
-        candidates.append(cand)
+    N = G.exponent
+    elements, q, v = _tables(G)
+    gens = _unit_rows(D.rank)
+    gen_b = [[sum(map(mul, v[e], f)) % N for f in gens] for e in gens]
+    gen_q = [q[elements.index(e)] for e in gens]
+    candidates = [[x for x, qx in zip(elements, q)
+                   if qx == qe and all(m * c % f == 0 for c, f in zip(x, D.factors))]
+                  for m, qe in zip(D.factors, gen_q)]
     found = []
     images: list = []
 
-    def place(i):
-        if i == len(gens):
-            hom = GroupHom(D, D, [x.coords for x in images])
-            if ab.hom_is_automorphism(hom) and is_orthogonal(G, hom):
-                found.append(OrthAut(G, hom, _checked=True))
+    def place(live):
+        if not live:
+            if _preserves_q(G, images):
+                found.append(tuple(images))
+                if len(found) > bound:
+                    raise CapacityError(
+                        f"O(G+G^) has more than {bound} elements, the enumeration bound")
             return
-        for x in candidates[i]:
-            if all(b_exp(G, x, images[j]) == gen_b[i][j] for j in range(i)):
+        i = len(images)
+        for x in live[0]:
+            vx = v[x]
+            narrowed = []
+            for k, cand in enumerate(live[1:], i + 1):
+                t = gen_b[k][i]
+                kept = [y for y in cand if sum(map(mul, vx, y)) % N == t]
+                if not kept:
+                    break
+                narrowed.append(kept)
+            else:
                 images.append(x)
-                place(i + 1)
+                place(narrowed)
                 images.pop()
 
-    place(0)
-    found.sort(key=lambda a: a.hom.matrix)
-    return found
+    place(candidates)
+    return [OrthAut(G, GroupHom(D, D, rows), _checked=True) for rows in sorted(found)]
 
 
 class TwistedSubgroup:
@@ -233,17 +308,8 @@ class TwistedSubgroup:
 def _alpha_table(alpha: OrthAut):
     """(x, alpha(x)) as coordinate tuples for every x in G+G^, in the order
     of dsum_group(G).elements()."""
-    fs = dsum_group(alpha.group).factors
-    M = alpha.hom.matrix
-    table = []
-    for x in itertools.product(*(range(f) for f in fs)):
-        y = [0] * len(fs)
-        for c, row in zip(x, M):
-            if c:
-                for j, m in enumerate(row):
-                    y[j] += c * m
-        table.append((x, tuple(v % f for v, f in zip(y, fs))))
-    return table
+    G = alpha.group
+    return list(zip(_tables(G)[0], _images(dsum_group(G).factors, alpha.hom.matrix)))
 
 
 def u_alpha(alpha: OrthAut) -> TwistedSubgroup:

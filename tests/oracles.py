@@ -231,3 +231,22 @@ def inverse_by_solves(M, solve, one, zero):
     cols = [solve(M, [one if i == j else zero for i in range(n)])
             for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def is_orthogonal_pointwise(D, n, hom):
+    """Orthogonality of hom on D = G+G^ (rank 2n), element by element.
+
+    D is the package's group object and hom a callable on its elements, read
+    only through D.factors, D.elements(), hom(x) and x.coords: the map is a
+    bijection and keeps q(g, chi) = <chi, g> at every point.
+    """
+    factors = D.factors
+    N = lcm(*factors[:n])
+
+    def q(c):
+        return sum(c[i] * c[n + i] * (N // factors[i]) for i in range(n)) % N
+
+    elements = list(D.elements())
+    images = [hom(x).coords for x in elements]
+    return (len(set(images)) == len(elements)
+            and all(q(y) == q(x.coords) for x, y in zip(elements, images)))

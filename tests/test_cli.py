@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -333,3 +334,41 @@ def test_cotensor_suite_composes_once_per_instance(tmp_path, capsys,
                                  "--seed", "2", "--count", "3"])
     assert code == 0 and "check cotensor_iso: pass" in out
     assert len(calls) == 3
+
+
+# |G|^2 <= 256 passes the size gate, but O(G+G^) is far larger than the
+# default bound: O+_6(2) has 40,320 elements, O(Z4xZ4 + dual) 4,608.
+OVER_BOUND = [{"group": [2, 2, 2], "u": [1, 0, 0], "V": [[1, 0, 0]]},
+              {"group": [4, 4], "u": [2, 0], "V": [[1, 0]]}]
+
+
+@pytest.mark.parametrize("spec_obj", OVER_BOUND, ids=["Z2^3", "Z4xZ4"])
+def test_verify_all_over_the_bound_exits_3(tmp_path, capsys, spec_obj):
+    spec = _write(tmp_path, "big.json", spec_obj)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["verify", "all", "--seed", "7", "--spec", spec])
+    assert time.perf_counter() - start < 10
+    assert code == 3 and out == ""
+    assert "more than 256" in err and "Traceback" not in err
+
+
+def test_bound_option_raises_the_automorphism_cap(tmp_path, capsys):
+    # Z2 x Z6 has 288 orthogonal automorphisms
+    spec = _write(tmp_path, "z2z6.json",
+                  {"group": [2, 6], "u": [1, 0], "V": [[1, 0]]})
+    argv = ["verify", "group-axioms", "--count", "1", "--spec", spec]
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and "more than 256" in err
+    code, out, err = _run(capsys, argv + ["--bound", "512"])
+    assert code == 0 and err == "" and "result: PASS" in out
+
+
+def test_huge_conductor_exits_3(tmp_path, capsys):
+    datum = {"T": [["1@1000003", "0@1"], ["0@1", "1@1"]],
+             "alpha": {"matrix": [[1, 0], [0, 1]]}}
+    spec = _write(tmp_path, "bigN.json", SWEEDLER | {"datum": datum})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["brpic", "inv", "--spec", spec])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert "1000003" in err and "Traceback" not in err

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from brpickit.cyclo import CycloScalar, cyclotomic_poly, euler_phi, divisors
+from brpickit.cyclo import (MAX_CONDUCTOR, CycloScalar, cyclotomic_poly, divisors,
+                            euler_phi)
+from brpickit.errors import CapacityError
 
 CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
 
@@ -168,6 +170,18 @@ def test_string_format_examples():
     assert (half + z).to_string() == "1/2 + 1*z@4"
     assert CycloScalar.from_string("-1/2 + -2*z^3@8") == CycloScalar(
         8, [Fraction(-1, 2), 0, 0, -2])
+
+
+def test_from_string_caps_the_conductor():
+    assert CycloScalar.from_string("1@4") == CycloScalar.from_rational(1)
+    assert CycloScalar.from_string("1@4").N == 4
+    assert CycloScalar.from_string("0@1") == CycloScalar.zero(1)
+    assert CycloScalar.from_string("0@1").N == 1
+    assert 105 < MAX_CONDUCTOR
+    assert CycloScalar.from_string(f"1*z@{MAX_CONDUCTOR}").N == MAX_CONDUCTOR
+    for text in (f"1@{MAX_CONDUCTOR + 1}", "1@1000003"):
+        with pytest.raises(CapacityError, match="exceeds"):
+            CycloScalar.from_string(text)
 
 
 def test_int_interop():

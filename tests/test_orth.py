@@ -1,7 +1,9 @@
 """Tests for O(G+G^), U_alpha, and psi_alpha against brute-force oracles."""
 
+import hashlib
 import itertools
 import random
+from math import gcd, prod
 
 import pytest
 
@@ -85,13 +87,112 @@ def test_group_axioms_closure_exhaustive():
             assert orth.orth_compose(a, b) in aset
 
 
-def test_enumeration_capacity_bound():
+def _record_leaves(monkeypatch):
+    """Verdicts of every leaf check enumerate_orth makes, in order."""
+    verdicts = []
+    original = orth._preserves_q
+
+    def recorded(G, rows):
+        verdicts.append(original(G, rows))
+        return verdicts[-1]
+
+    monkeypatch.setattr(orth, "_preserves_q", recorded)
+    return verdicts
+
+
+def test_enumeration_capacity_bound(monkeypatch):
     with pytest.raises(CapacityError, match="256"):
         orth.enumerate_orth(FinAbGroup([3, 3, 3]))
     # overriding the bound lets it through the size gate
     assert len(orth.enumerate_orth(Z2, bound=16)) == 2
     with pytest.raises(CapacityError):
         orth.enumerate_orth(Z2, bound=3)
+    # the bound also caps the number of automorphisms found
+    G = FinAbGroup([2, 4])  # |G|^2 = 64, |O| = 128
+    assert len(orth.enumerate_orth(G, bound=128)) == 128
+    with pytest.raises(CapacityError, match="more than 127"):
+        orth.enumerate_orth(G, bound=127)
+    # Z2^3 passes the |G|^2 gate at 256 but has 40,320 automorphisms; the
+    # search stops at the 257th
+    verdicts = _record_leaves(monkeypatch)
+    with pytest.raises(CapacityError, match="more than 256"):
+        orth.enumerate_orth(FinAbGroup([2, 2, 2]))
+    assert len(verdicts) == 257
+
+
+# sha256 of repr([a.hom.matrix for a in enumerate_orth(G, bound)]), recorded
+# before the search moved onto coordinate tuples: pins the set and the order
+ENUMERATION_DIGESTS = [
+    ([8], 256, 8, "0089de51fdee801272aff8c505faca4077bac3bebc49536c865067d647a6f721"),
+    ([2, 2], 256, 72, "b3810486c9f403ba4e2cfc1a4d618d1d253752846d2ada2884e2939d2f44c65b"),
+    ([2, 4], 256, 128, "a00d5eddb41ef448d6073f7c113ade12a5cd7e5b417fefbd136c5ba25e6580ce"),
+    ([2, 6], 512, 288, "59bdf4ed63de2f32233e8102fa3a1033b0965526214670bea1bacfeeef8b1a55"),
+    ([3, 3], 2048, 1152, "416a1386994c91703b74c136beea1a3b7dad0cfb3e6dc56959e01fad8b0db9b6"),
+]
+
+
+@pytest.mark.parametrize("factors,bound,count,digest", ENUMERATION_DIGESTS,
+                         ids=["x".join(map(str, e[0])) for e in ENUMERATION_DIGESTS])
+def test_enumeration_set_and_order_pinned(factors, bound, count, digest):
+    matrices = [a.hom.matrix for a in orth.enumerate_orth(FinAbGroup(factors), bound)]
+    assert len(matrices) == count
+    assert hashlib.sha256(repr(matrices).encode()).hexdigest() == digest
+
+
+def _o_plus_2n_2(n):
+    # |O+_2n(2)| = 2 * 2^(n(n-1)) * (2^n - 1) * prod_{0<i<n} (2^(2i) - 1)
+    # (Taylor, The Geometry of the Classical Groups, 1992)
+    return 2 * 2 ** (n * (n - 1)) * (2 ** n - 1) * prod(4 ** i - 1 for i in range(1, n))
+
+
+def test_elementary_abelian_count_matches_closed_form():
+    assert _o_plus_2n_2(2) == 72 and _o_plus_2n_2(3) == 40320
+    assert len(orth.enumerate_orth(Z2xZ2)) == _o_plus_2n_2(2)
+
+
+@pytest.mark.parametrize("factors", [[2], [3], [4], [8], [2, 2], [2, 4]])
+def test_prunings_leave_only_orthogonal_leaves(monkeypatch, factors):
+    # order, q and polarization prunings together imply q-preservation at
+    # every point, so every leaf that reaches the exhaustive checks passes
+    verdicts = _record_leaves(monkeypatch)
+    found = orth.enumerate_orth(FinAbGroup(factors))
+    assert verdicts and all(verdicts) and len(verdicts) == len(found)
+
+
+def test_leaf_check_tests_bijectivity_on_its_own(monkeypatch):
+    # with q flattened to 0 only the bijectivity check can reject a map
+    elements, q, v = orth._tables(Z2xZ2)
+    monkeypatch.setattr(orth, "_tables", lambda G: (elements, [0] * len(q), v))
+    ident = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    assert orth._preserves_q(Z2xZ2, ident)
+    assert not orth._preserves_q(Z2xZ2, [(0, 0, 0, 0)] + ident[1:])
+    assert not orth._preserves_q(Z2xZ2, [ident[1]] + ident[1:])
+
+
+def _random_hom(D, rng):
+    # each generator image has order dividing the generator's order
+    rows = [[rng.randrange(gcd(m, f)) * (f // gcd(m, f)) for f in D.factors]
+            for m in D.factors]
+    return GroupHom(D, D, rows)
+
+
+def test_is_orthogonal_matches_pointwise_oracle():
+    rng = random.Random(20260)
+    for G in [Z2, Z3, Z4, Z2xZ2, FinAbGroup([2, 4]), FinAbGroup([3, 3])]:
+        D = orth.dsum_group(G)
+        homs = [_random_hom(D, rng) for _ in range(300)]
+        homs += [a.hom for a in orth.enumerate_orth(G, bound=2048)[::4]]
+        kinds = {"orthogonal": 0, "bijective, not orthogonal": 0, "not bijective": 0}
+        for h in homs:
+            expected = oracles.is_orthogonal_pointwise(D, G.rank, h)
+            assert orth.is_orthogonal(G, h) == expected, (G, h)
+            if expected:
+                kinds["orthogonal"] += 1
+            elif ab.hom_is_automorphism(h):
+                kinds["bijective, not orthogonal"] += 1
+            else:
+                kinds["not bijective"] += 1
+        assert all(kinds.values()), (G, kinds)
 
 
 def test_u_alpha_identity_is_diagonal():
