@@ -148,10 +148,6 @@ def sub(a, b):
     return add(a, neg(b))
 
 
-def eq(a, b) -> bool:
-    return type(a) is type(b) and a.parent == b.parent and _vec(a) == _vec(b)
-
-
 def is_zero(a) -> bool:
     return all(c == 0 for c in _vec(a))
 

@@ -587,11 +587,11 @@ def is_invertible(d: RDatum) -> bool:
     return True
 
 
-def class_order(d: ODatum, max_order: int = 16):
-    """Order of the datum's equivalence class, or None if above max_order."""
+def class_order(d: ODatum):
+    """Order of the datum's equivalence class, or None if above 16."""
     idd = identity_odatum(d.module)
     power = d
-    for n in range(1, max_order + 1):
+    for n in range(1, 17):
         if odatum_equiv(power, idd)[0]:
             return n
         power = odatum_product(power, d)
@@ -814,7 +814,3 @@ def random_odatum(module: la.GModuleV, rng, alpha: orth.OrthAut = None,
             T[dm + i][j] = C[i][j]
             T[dm + i][dm + j] = Ait[i][j]
     return ODatum(module, T, alpha)
-
-
-def random_rdatum(module: la.GModuleV, rng, alpha: orth.OrthAut = None) -> RDatum:
-    return odatum_to_rdatum(random_odatum(module, rng, alpha))

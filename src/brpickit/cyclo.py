@@ -414,6 +414,8 @@ class CycloScalar:
         if not sep:
             raise DomainError(f"missing conductor suffix in {text!r}")
         N = int(n_part)
+        if N < 1:
+            raise DomainError(f"conductor {N} in {text!r} is not positive")
         if N > MAX_CONDUCTOR:
             raise CapacityError(f"conductor {N} in {text!r} exceeds the supported "
                                 f"maximum {MAX_CONDUCTOR}")
@@ -429,6 +431,9 @@ class CycloScalar:
                     c, k = term[:-2], 1
                 else:
                     c, k = term, 0
+                if not 0 <= k < len(coeffs):
+                    raise DomainError(f"exponent {k} in {text!r} is outside "
+                                      f"[0, {len(coeffs)}) for conductor {N}")
                 coeffs[k] += Fraction(c)
         return CycloScalar(N, coeffs)
 

@@ -29,6 +29,11 @@ by the host coradical filtration, the diagonal comodule model of a host
 over its own double, and simplicity/freeness probes all live here.
 Verification routines return reports with located witnesses; nothing is
 assumed to hold by construction.
+
+Every tensor is keyed by tuples of basis indices: H x H by (h1, h2), L x K
+by (a, b), a coaction by (host index, basis index).  One law checks every
+coaction (_coaction_law); a right coaction is flipped to that key order and
+checked over the co-opposite comultiplication.
 """
 
 import itertools
@@ -100,40 +105,40 @@ def _tensor_mul(mono_a, mono_b, t1, t2):
     return acc
 
 
-def _flat_mul(L, K, x, y):
-    """Product in L x K of elements keyed by flat indices a * K.dim + b."""
-    acc = {}
-    n = K.dim
-    for fa, ca in x.items():
-        a, b = divmod(fa, n)
-        for fb, cb in y.items():
-            a2, b2 = divmod(fb, n)
-            ld = L.mul_basis(a, a2)
-            if not ld:
-                continue
-            kd = K.mul_basis(b, b2)
-            if not kd:
-                continue
-            for a3, c3 in ld.items():
-                for b3, c4 in kd.items():
-                    addin(acc, a3 * n + b3, ca * cb * c3 * c4)
-    return acc
-
-
-def _coaction_law(coact, H, i):
-    """(coassociative, counital) at basis i for a coaction over H keyed
+def _coaction_law(coact, comult, counit, i):
+    """(coassociative, counital) at basis i for a left coaction keyed
     (host index, basis index): (Delta x id) lam == (id x lam) lam, and
-    (eps x id) lam(i) == i."""
+    (eps x id) lam(i) == i.  A right coaction rho is checked as the left
+    coaction lam = flip rho over the co-opposite comultiplication: reversing
+    the three tensor legs turns (rho x id) rho == (id x Delta) rho into
+    (id x lam) lam == (Delta^cop x id) lam."""
     left, right, cu = {}, {}, {}
     for (h, k), c in coact(i).items():
-        for (h1, h2), c2 in H.comult(h).items():
+        for (h1, h2), c2 in comult(h).items():
             addin(left, (h1, h2, k), c * c2)
         for (h2, k2), c2 in coact(k).items():
             addin(right, (h, h2, k2), c * c2)
-        e = H.counit(h)
+        e = counit(h)
         if not e.is_zero():
             addin(cu, k, e * c)
     return left == right, cu == {i: _ONE}
+
+
+def _recorder(cap=10):
+    """A failure list and note(kind, where) appending to it up to cap."""
+    failures = []
+
+    def note(kind, where=None):
+        if len(failures) < cap:
+            failures.append((kind, where))
+    return failures, note
+
+
+def _pairs(n, rng, limit):
+    """All n^2 basis pairs when limit is None, else limit pairs drawn by rng."""
+    if limit is None:
+        return [(i, j) for i in range(n) for j in range(n)]
+    return [(rng.randrange(n), rng.randrange(n)) for _ in range(limit)]
 
 
 def _congruent(P, gram, target) -> bool:
@@ -317,23 +322,20 @@ class HopfAlg:
         return _apply(self.antipode, x)
 
 
-def check_hopf_axioms(H, rng=None, pair_limit=None):
+def check_hopf_axioms(H, rng=None):
     """Verify the Hopf axioms on H basiswise; returns a report with witnesses.
 
-    Comultiplicativity of Delta and associativity of the product run over
-    all pairs/triples on small hosts and over a random sample on large ones.
+    Comultiplicativity of Delta runs over all basis pairs when dim H <= 72
+    and over max(400, 4 dim H) random pairs above; associativity over
+    min(300, dim^3) random triples.
     """
     rng = rng if rng is not None else random.Random(0)
-    failures = []
-
-    def note(kind, where):
-        if len(failures) < 10:
-            failures.append((kind, where))
+    failures, note = _recorder()
 
     one = H.one_idx
     for i in range(H.dim):
         com = H.comult(i)
-        coassoc, counit_left = _coaction_law(H.comult, H, i)
+        coassoc, counit_left = _coaction_law(H.comult, H.comult, H.counit, i)
         if not coassoc:
             note("coassoc", i)
         cr = {}
@@ -362,13 +364,7 @@ def check_hopf_axioms(H, rng=None, pair_limit=None):
     if H.comult(one) != {(one, one): _ONE}:
         note("comult_unit", one)
 
-    if pair_limit is None:
-        pair_limit = H.dim * H.dim if H.dim <= 72 else max(400, 4 * H.dim)
-    if H.dim * H.dim <= pair_limit:
-        pairs = [(i, j) for i in range(H.dim) for j in range(H.dim)]
-    else:
-        pairs = [(rng.randrange(H.dim), rng.randrange(H.dim))
-                 for _ in range(pair_limit)]
+    pairs = _pairs(H.dim, rng, None if H.dim <= 72 else max(400, 4 * H.dim))
     for i, j in pairs:
         prod = H.mono_mul(i, j)
         lhs = H.comult_elem(prod)
@@ -462,18 +458,8 @@ def check_cop_iso(H, rng=None):
     """Check that cop_phi is a bijective algebra map reversing the coproduct."""
     rng = rng if rng is not None else random.Random(0)
     phi = cop_phi(H)
-    failures = []
-
-    def note(kind, where):
-        if len(failures) < 10:
-            failures.append((kind, where))
-
-    npairs = H.dim * H.dim
-    if npairs <= 4096:
-        pairs = [(i, j) for i in range(H.dim) for j in range(H.dim)]
-    else:
-        pairs = [(rng.randrange(H.dim), rng.randrange(H.dim))
-                 for _ in range(2048)]
+    failures, note = _recorder()
+    pairs = _pairs(H.dim, rng, None if H.dim * H.dim <= 4096 else 2048)
     for i, j in pairs:
         lhs = _apply(phi.__getitem__, H.mono_mul(i, j))
         rhs = H.mul(phi[i], phi[j])
@@ -621,8 +607,6 @@ class CompatibleData:
                 raise InputValidationError(
                     f"gram table must be {nW} x {nW} over the sector basis")
 
-        if isinstance(F, orth.TwistedSubgroup):
-            F = F.elements
         els = []
         seen = set()
         for f in F:
@@ -823,7 +807,7 @@ def alpha_supports_w3(module, alpha) -> bool:
     return all((psi.exp(f, e) - psi.exp(e, f)) % psi.N == 0 for f in U.elements)
 
 
-def build_K(data, host=None) -> ComodAlg:
+def build_K(data) -> ComodAlg:
     """The comodule algebra K of a compatible datum over the doubled host."""
     bad = compatible_violations(data)
     if bad:
@@ -831,10 +815,7 @@ def build_K(data, host=None) -> ComodAlg:
                           + ", ".join(bad))
     module = data.module
     m = module.dim
-    if host is None:
-        host = doubled_host(module)
-    elif host.kind != "tensor" or host.modules != (module, module):
-        raise InputValidationError("host must be the doubled host of the module")
+    host = doubled_host(module)
 
     rows = data.rows
     nW = len(rows)
@@ -925,29 +906,22 @@ def build_K(data, host=None) -> ComodAlg:
     uu = data.uu_coords()
     unit_k = kidx[((), id_f)]
 
+    # lam(w) = sum_j w_j v_j x 1 + g x w with g = (u, 1), or (1, u) on the
+    # second axis; a graph row's second-axis terms are w_j v_j (u, u) x e_u.
+    # The axis clauses make first- and second-axis rows zero off their axis.
     lamw = []
     for wi, row in enumerate(rows):
         t = types[wi]
         d = {}
-        if t == 1:
-            for j in range(m):
-                if not row[j].is_zero():
-                    addin(d, (host.index[((j,), zeroGG)], unit_k), row[j])
-            addin(d, (host.index[((), ue)], kidx[((wi,), id_f)]), _ONE)
-        elif t == 2:
-            for j in range(m):
-                if not row[m + j].is_zero():
-                    addin(d, (host.index[((m + j,), zeroGG)], unit_k), row[m + j])
-            addin(d, (host.index[((), eu)], kidx[((wi,), id_f)]), _ONE)
-        else:
-            for j in range(m):
-                if not row[j].is_zero():
-                    addin(d, (host.index[((j,), zeroGG)], unit_k), row[j])
-            for j in range(m):
-                if not row[m + j].is_zero():
-                    addin(d, (host.index[((m + j,), uu)], kidx[((), u_f)]),
-                          row[m + j])
-            addin(d, (host.index[((), ue)], kidx[((wi,), id_f)]), _ONE)
+        for j, c in enumerate(row):
+            if c.is_zero():
+                continue
+            if j >= m and t == 3:
+                addin(d, (host.index[((j,), uu)], kidx[((), u_f)]), c)
+            else:
+                addin(d, (host.index[((j,), zeroGG)], unit_k), c)
+        addin(d, (host.index[((), eu if t == 2 else ue)], kidx[((wi,), id_f)]),
+              _ONE)
         lamw.append(d)
     lame = [{(host.index[((), f.coords)], kidx[((), fk)]): _ONE}
             for fk, f in enumerate(Fels)]
@@ -965,18 +939,18 @@ def build_K(data, host=None) -> ComodAlg:
     return K
 
 
-def build_L(module, W, beta, alpha, host=None) -> ComodAlg:
+def build_L(module, W, beta, alpha) -> ComodAlg:
     """K built from the twisted subgroup and cocycle attached to alpha."""
     U = orth.u_alpha(alpha)
     psi = orth.psi_alpha(alpha)
     data = CompatibleData(module, None, None, W, beta, U.elements, psi,
                           alpha=alpha)
-    return build_K(data, host)
+    return build_K(data)
 
 
 # -- abstract subalgebra model ----------------------------------------------
 
-def build_C(module, W1, W2, W3, F, host=None) -> ComodAlg:
+def build_C(module, W1, W2, W3, F) -> ComodAlg:
     """Subalgebra of the doubled host generated by kF, W1 + W2 and graph
     brackets from W3, with the restricted coaction (= coproduct)."""
     data = CompatibleData(module, W1, W2, W3, None, F)
@@ -985,25 +959,20 @@ def build_C(module, W1, W2, W3, F, host=None) -> ComodAlg:
         raise DomainError("incompatible subalgebra data; violated: "
                           + ", ".join(bad))
     m = module.dim
-    if host is None:
-        host = doubled_host(module)
-    GG = data.pair_group
-    zeroGG = GG.zero().coords
+    host = doubled_host(module)
+    zeroGG = data.pair_group.zero().coords
     uu = data.uu_coords()
 
     gens = []
     for f in data.F:
         gens.append({host.index[((), f.coords)]: _ONE})
     for wi, row in enumerate(data.rows):
-        t = data.types[wi]
+        graph = data.types[wi] == 3
         d = {}
-        for j in range(m):
-            if not row[j].is_zero():
-                addin(d, host.index[((j,), zeroGG)], row[j])
-        for j in range(m):
-            if not row[m + j].is_zero():
-                grp = uu if t == 3 else zeroGG
-                addin(d, host.index[((m + j,), grp)], row[m + j])
+        for j, c in enumerate(row):
+            if not c.is_zero():
+                grp = uu if graph and j >= m else zeroGG
+                addin(d, host.index[((j,), grp)], c)
         gens.append(d)
 
     ech = la.Echelon()
@@ -1126,12 +1095,7 @@ def check_diag_iso(H):
         acc = K.mul(acc, {K.index[((), tuple(g.coords) + tuple(g.coords))]: _ONE})
         sig.append(acc)
 
-    failures = []
-
-    def note(kind, where):
-        if len(failures) < 10:
-            failures.append((kind, where))
-
+    failures, note = _recorder()
     if sig[H.one_idx] != K.unit:
         note("unit", None)
     for i in range(H.dim):
@@ -1170,20 +1134,17 @@ def coinvariants(A) -> list:
     return la.kernel_sparse_rows([r for r in rows.values() if r], A.dim)
 
 
-def check_comodule_algebra(A, rng=None, pair_limit=None):
+def check_comodule_algebra(A, rng=None):
     """Verify coassociativity, counitality and multiplicativity of the
     coaction; returns a report with located witnesses and the dimension of
-    the coinvariant subalgebra."""
+    the coinvariant subalgebra.  Multiplicativity runs over all basis pairs
+    when dim A <= 24 and over max(200, 4 dim A) random pairs above."""
     rng = rng if rng is not None else random.Random(0)
     host = A.host
-    failures = []
-
-    def note(kind, where):
-        if len(failures) < 10:
-            failures.append((kind, where))
-
+    failures, note = _recorder()
     for i in range(A.dim):
-        coassoc, counit = _coaction_law(A.coact_basis, host, i)
+        coassoc, counit = _coaction_law(A.coact_basis, host.comult,
+                                        host.counit, i)
         if not coassoc:
             note("coassoc", A.basis[i])
         if not counit:
@@ -1196,13 +1157,7 @@ def check_comodule_algebra(A, rng=None, pair_limit=None):
     if lam1 != unit_target:
         note("unit", None)
 
-    if pair_limit is None:
-        pair_limit = A.dim * A.dim if A.dim <= 24 else max(200, 4 * A.dim)
-    if A.dim * A.dim <= pair_limit:
-        pairs = [(i, j) for i in range(A.dim) for j in range(A.dim)]
-    else:
-        pairs = [(rng.randrange(A.dim), rng.randrange(A.dim))
-                 for _ in range(pair_limit)]
+    pairs = _pairs(A.dim, rng, None if A.dim <= 24 else max(200, 4 * A.dim))
     for i, j in pairs:
         lhs = _tensor_mul(host.mono_mul, A.mul_basis, A.coact_basis(i),
                           A.coact_basis(j))
@@ -1216,26 +1171,47 @@ def check_comodule_algebra(A, rng=None, pair_limit=None):
 
 # -- cotensor products ------------------------------------------------------
 
-def _right_coaction_ok(entries, H) -> bool:
-    """Coassociativity and counit of a right coaction keyed (index, host)."""
-    for i, lam in enumerate(entries):
-        left, right, cu = {}, {}, {}
-        for (k, p), c in lam.items():
-            for (p1, p2), c2 in H.comult(p).items():
-                addin(left, (k, p1, p2), c * c2)
-            for (k2, p2), c2 in entries[k].items():
-                addin(right, (k2, p2, p), c * c2)
-            e = H.counit(p)
-            if not e.is_zero():
-                addin(cu, k, e * c)
-        if left != right or cu != {i: _ONE}:
-            return False
-    return True
+def _counit_legs(host, H, side):
+    """Per basis index h of the doubled host H x H: what the counit of the
+    other factor leaves of h, as (H index, host index of that leg embedded
+    back on its side), or None where that counit kills h.  Side 0 applies
+    id x eps, side 1 eps x id."""
+    m, r = H.nv, len(H.group.factors)
+    zero = H.group.zero().coords
+    out = []
+    for S, g in host.basis:
+        if any((s >= m) != side for s in S):
+            out.append(None)
+            continue
+        leg = g.coords[r:] if side else g.coords[:r]
+        out.append((H.index[(tuple(s - side * m for s in S), leg)],
+                    host.index[(S, zero + leg if side else leg + zero)]))
+    return out
+
+
+def _induced_right(L, phi, leg2):
+    """The right coaction of L over the supergroup host through the second
+    leg of the doubled host and cop_phi, flipped: keyed (H index, L index)."""
+    out = []
+    for i in range(L.dim):
+        d = {}
+        for (h, k), c in L.coact_basis(i).items():
+            if leg2[h] is not None:
+                for p, cp in phi[leg2[h][0]].items():
+                    addin(d, (p, k), c * cp)
+        out.append(d)
+    return out
 
 
 def cotensor(L, K) -> ComodAlg:
     """Exact cotensor product of two group-labeled comodule algebras over the
-    doubled host, computed blockwise over (u, u)-classes of group parts."""
+    doubled host, computed blockwise over (u, u)-classes of group parts.
+
+    Elements of L x K are keyed by basis pairs (a, b) and multiplied with
+    _tensor_mul.  L coacts on the right over the supergroup host H through
+    the second leg and cop_phi; that coaction is held flipped, keyed
+    (H index, L index), and checked as a left coaction over the co-opposite
+    comultiplication of H.  K coacts on the left through the first leg."""
     host = L.host
     if K.host is not host:
         if (K.host.kind != host.kind or K.host.group != host.group
@@ -1246,46 +1222,27 @@ def cotensor(L, K) -> ComodAlg:
     if L.group_part is None or K.group_part is None:
         raise DomainError("cotensor requires group-labeled factors")
     module = host.modules[0]
-    m = module.dim
-    r = len(module.group.factors)
-    zeroG = module.group.zero().coords
     H = build_supergroup(module)
     phi = cop_phi(H)
+    leg1 = _counit_legs(host, H, 0)
+    leg2 = _counit_legs(host, H, 1)
 
-    def p1H(h):
-        S, g = host.basis[h]
-        if any(s >= m for s in S):
-            return None
-        return H.index[(S, g.coords[:r])]
-
-    def p2H(h):
-        S, g = host.basis[h]
-        if any(s < m for s in S):
-            return None
-        return phi[H.index[(tuple(s - m for s in S), g.coords[r:])]]
-
-    lam_r = []
-    for i in range(L.dim):
-        d = {}
-        for (h, k), c in L.coact_basis(i).items():
-            img = p2H(h)
-            if img:
-                for p, cp in img.items():
-                    addin(d, (k, p), c * cp)
-        lam_r.append(d)
+    lam_r = _induced_right(L, phi, leg2)
     lam_l = []
     for j in range(K.dim):
         d = {}
         for (h, k), c in K.coact_basis(j).items():
-            p = p1H(h)
-            if p is not None:
-                addin(d, (p, k), c)
+            if leg1[h] is not None:
+                addin(d, (leg1[h][0], k), c)
         lam_l.append(d)
-    if not _right_coaction_ok(lam_r, H):
+    cop = [{(h2, h1): c for (h1, h2), c in H.comult(h).items()}
+           for h in range(H.dim)]
+    if not all(_coaction_law(lam_r.__getitem__, cop.__getitem__, H.counit, i)
+               == (True, True) for i in range(L.dim)):
         raise BrpicError("internal invariant violation: induced right coaction "
                          "is not a comodule structure")
-    if not all(_coaction_law(lam_l.__getitem__, H, j) == (True, True)
-               for j in range(K.dim)):
+    if not all(_coaction_law(lam_l.__getitem__, H.comult, H.counit, j)
+               == (True, True) for j in range(K.dim)):
         raise BrpicError("internal invariant violation: induced left coaction "
                          "is not a comodule structure")
 
@@ -1308,62 +1265,43 @@ def cotensor(L, K) -> ComodAlg:
     for ka in sorted(lcl):
         for kb in sorted(kcl):
             cols = [(i, j) for i in lcl[ka] for j in kcl[kb]]
-            cix = {c: t for t, c in enumerate(cols)}
             rows = {}
-            for i, j in cols:
-                t = cix[(i, j)]
-                for (k, p), c in lam_r[i].items():
+            for t, (i, j) in enumerate(cols):
+                for (p, k), c in lam_r[i].items():
                     addin(rows.setdefault((k, p, j), {}), t, c)
                 for (p, k), c in lam_l[j].items():
                     addin(rows.setdefault((i, p, k), {}), t, -c)
             for vec in la.kernel_sparse_rows(
                     [r_ for r_ in rows.values() if r_], len(cols)):
-                flat = {}
-                for t, c in enumerate(vec):
-                    if not c.is_zero():
-                        i, j = cols[t]
-                        flat[i * K.dim + j] = c
-                if flat:
-                    ech.insert(flat)
+                z = {cols[t]: c for t, c in enumerate(vec) if not c.is_zero()}
+                if z:
+                    ech.insert(z)
 
     n = ech.dim
     labels = tuple(("z", t) for t in range(n))
     zrows = ech.rows_by_pos
 
     def mulfn(i, j):
-        co = ech.coords(_flat_mul(L, K, zrows[i], zrows[j]))
+        co = ech.coords(_tensor_mul(L.mul_basis, K.mul_basis,
+                                    zrows[i], zrows[j]))
         if co is None:
             raise BrpicError("internal invariant violation: cotensor product "
                              "left the computed kernel")
         return co
 
-    def P1(h):
-        S, g = host.basis[h]
-        if any(s >= m for s in S):
-            return None
-        return host.index[(S, g.coords[:r] + zeroG)]
-
-    def P2(h):
-        S, g = host.basis[h]
-        if any(s < m for s in S):
-            return None
-        return host.index[(S, zeroG + g.coords[r:])]
-
     def coactfn(t):
         byh = {}
-        for flat, c in zrows[t].items():
-            a, b = divmod(flat, K.dim)
+        for (a, b), c in zrows[t].items():
             for (h1, a0), c1 in L.coact_basis(a).items():
-                q1 = P1(h1)
-                if q1 is None:
+                if leg1[h1] is None:
                     continue
                 for (h2, b0), c2 in K.coact_basis(b).items():
-                    q2 = P2(h2)
-                    if q2 is None:
+                    if leg2[h2] is None:
                         continue
-                    for h3, ch in host.mono_mul(q1, q2).items():
-                        addin(byh.setdefault(h3, {}),
-                              a0 * K.dim + b0, c * c1 * c2 * ch)
+                    for h3, ch in host.mono_mul(leg1[h1][1],
+                                                leg2[h2][1]).items():
+                        addin(byh.setdefault(h3, {}), (a0, b0),
+                              c * c1 * c2 * ch)
         entry = {}
         for h3 in sorted(byh):
             vec = {k: c for k, c in byh[h3].items() if not c.is_zero()}
@@ -1377,18 +1315,15 @@ def cotensor(L, K) -> ComodAlg:
                 addin(entry, (h3, pos), c)
         return entry
 
-    uflat = {}
-    for a, ca in L.unit.items():
-        for b, cb in K.unit.items():
-            addin(uflat, a * K.dim + b, ca * cb)
-    unit = ech.coords(uflat)
+    unit = ech.coords({(a, b): ca * cb for a, ca in L.unit.items()
+                       for b, cb in K.unit.items()})
     if unit is None:
         raise BrpicError("internal invariant violation: unit is outside "
                          "the cotensor kernel")
 
     return ComodAlg(host, labels, {}, {}, unit, None, None,
                     meta={"kind": "cotensor", "left": L, "right": K,
-                          "echelon": ech, "flat_dim": L.dim * K.dim},
+                          "echelon": ech},
                     mulfn=mulfn, coactfn=coactfn)
 
 
@@ -1408,7 +1343,6 @@ def verify_cotensor_iso(d, dt):
         raise DomainError("factors live over different modules")
     m = module.dim
     r = len(G.factors)
-    zeroG = G.zero().coords
     zeroGG = GG.zero().coords
 
     d3 = bp.rdatum_product(d, dt)
@@ -1419,13 +1353,10 @@ def verify_cotensor_iso(d, dt):
     data1 = L1.meta["data"]
     data3 = L3.meta["data"]
     ech = C.meta["echelon"]
-    Kdim = L2.dim
+    failures, note = _recorder(12)
 
-    failures = []
-
-    def note(kind, where=None):
-        if len(failures) < 12:
-            failures.append((kind, where))
+    def tmul(x, y):
+        return _tensor_mul(L1.mul_basis, L2.mul_basis, x, y)
 
     expected = (1 << d3.W.dim) * len(data1.F)
     report = {"dim_cot": C.dim, "dim_expected": expected, "dim_model": L3.dim,
@@ -1436,7 +1367,7 @@ def verify_cotensor_iso(d, dt):
     uu = data1.uu_coords()
     unit1 = L1.index[((), zeroGG)]
     unit2 = L2.index[((), zeroGG)]
-    uflat = {unit1 * Kdim + unit2: _ONE}
+    one = {(unit1, unit2): _ONE}
 
     R = d.W.basis
     dW = len(R)
@@ -1466,56 +1397,55 @@ def verify_cotensor_iso(d, dt):
         vec = {}
         for k, c in enumerate(cw):
             if not c.is_zero():
-                addin(vec, L1.index[((k,), zeroGG)] * Kdim + unit2, c)
+                addin(vec, (L1.index[((k,), zeroGG)], unit2), c)
         eu1 = L1.index[((), uu)]
         for k, c in enumerate(ct):
             if not c.is_zero():
-                addin(vec, eu1 * Kdim + L2.index[((k,), zeroGG)], c)
+                addin(vec, (eu1, L2.index[((k,), zeroGG)]), c)
         phiw.append(vec)
 
     phie = []
     for f in data1.F:
         f2 = f.coords[r:]
-        phie.append({L1.index[((), f.coords)] * Kdim
-                     + L2.index[((), f2 + f2)]: _ONE})
+        phie.append({(L1.index[((), f.coords)], L2.index[((), f2 + f2)]): _ONE})
 
     g3 = data3.gram
     nW3 = len(data3.rows)
     for i in range(nW3):
         for j in range(i, nW3):
-            lhs = _elem_add(_flat_mul(L1, L2, phiw[i], phiw[j]),
-                            _flat_mul(L1, L2, phiw[j], phiw[i])) if i != j \
-                else _flat_mul(L1, L2, phiw[i], phiw[i])
-            target = _scaled(uflat, g3[i][j] if i != j else _HALF * g3[i][i])
+            lhs = _elem_add(tmul(phiw[i], phiw[j]),
+                            tmul(phiw[j], phiw[i])) if i != j \
+                else tmul(phiw[i], phiw[i])
+            target = _scaled(one, g3[i][j] if i != j else _HALF * g3[i][i])
             if lhs != target:
                 note("relations_w", (i, j))
     psi1 = data1.psi
     fpos, fadd = data1.law
     for i, a in enumerate(data1.F):
         for j, b in enumerate(data1.F):
-            lhs = _flat_mul(L1, L2, phie[i], phie[j])
+            lhs = tmul(phie[i], phie[j])
             rhs = _scaled(phie[fadd[i][j]], psi1[(a.coords, b.coords)])
             if lhs != rhs:
                 note("relations_psi", (a.coords, b.coords))
     for fk, f in enumerate(data1.F):
         P = data3.act_matrix(f)
         for wi in range(nW3):
-            lhs = _flat_mul(L1, L2, phie[fk], phiw[wi])
+            lhs = tmul(phie[fk], phiw[wi])
             rhs = {}
             for wj in range(nW3):
                 if P[wi][wj].is_zero():
                     continue
-                for k, c in _flat_mul(L1, L2, phiw[wj], phie[fk]).items():
+                for k, c in tmul(phiw[wj], phie[fk]).items():
                     addin(rhs, k, P[wi][wj] * c)
             if lhs != rhs:
                 note("relations_action", (f.coords, wi))
 
     phimat = []
     for S, fc in L3.basis:
-        acc = dict(uflat)
+        acc = dict(one)
         for s in S:
-            acc = _flat_mul(L1, L2, acc, phiw[s])
-        acc = _flat_mul(L1, L2, acc, phie[fpos[fc]])
+            acc = tmul(acc, phiw[s])
+        acc = tmul(acc, phie[fpos[fc]])
         phimat.append(acc)
 
     ech2 = la.Echelon()
@@ -1624,10 +1554,11 @@ def same_tables(A, B):
 
 # -- probes -----------------------------------------------------------------
 
-def probe_right_simple(A, rng=None, extra_vectors=4):
+def probe_right_simple(A, rng=None):
     """Search for a proper invariant right ideal by closing start vectors
-    under right multiplications and coaction functionals.  Reports the first
-    counterexample found, or that none was found; it never claims a proof."""
+    (the basis and four random vectors) under right multiplications and
+    coaction functionals.  Reports the first counterexample found, or that
+    none was found; it never claims a proof."""
     rng = rng if rng is not None else random.Random(0)
     host = A.host
     rmul = []
@@ -1640,7 +1571,7 @@ def probe_right_simple(A, rng=None, extra_vectors=4):
     ops = rmul + [legs[h] for h in sorted(legs)]
 
     starts = [{i: _ONE} for i in range(A.dim)]
-    for _ in range(extra_vectors):
+    for _ in range(4):
         v = {}
         for i in range(A.dim):
             c = rng.randint(-3, 3)
@@ -1701,24 +1632,23 @@ def morita_equiv_criterion(data1, data2):
     return False, None
 
 
-def freeness_probe(L, K, C=None):
+def freeness_probe(L, K):
     """Greedy generator count for L tensor K as a right module over its
     cotensor subalgebra; records whether the numbers are consistent with
     freeness.  A probe, not a proof."""
-    if C is None:
-        C = cotensor(L, K)
+    C = cotensor(L, K)
     n = L.dim * K.dim
     zrows = C.meta["echelon"].rows_by_pos
 
     ech = la.Echelon()
     gens = 0
-    for flat in range(n):
-        v = {flat: _ONE}
+    for key in itertools.product(range(L.dim), range(K.dim)):
+        v = {key: _ONE}
         if ech.coords(v) is not None:
             continue
         gens += 1
         for z in zrows:
-            prod = _flat_mul(L, K, v, z)
+            prod = _tensor_mul(L.mul_basis, K.mul_basis, v, z)
             if prod:
                 ech.insert(prod)
     divisible = C.dim > 0 and n % C.dim == 0

@@ -75,9 +75,6 @@ class OrthAut:
     def __setattr__(self, name, value):
         raise AttributeError("OrthAut is immutable")
 
-    def apply(self, x: GroupElement) -> GroupElement:
-        return self.hom(x)
-
     def alpha1(self, x: GroupElement) -> GroupElement:
         return split(self.group, self.hom(x))[0]
 
@@ -350,10 +347,6 @@ class TwoCocycle:
 
     def value(self, a, b) -> CycloScalar:
         return CycloScalar.root_of_unity(self.N, self.exp(a, b))
-
-    @property
-    def table(self):
-        return {k: CycloScalar.root_of_unity(self.N, e) for k, e in self.exps.items()}
 
     def _verify_cocycle_identity(self):
         GG = self.domain.pair_group

@@ -250,3 +250,33 @@ def is_orthogonal_pointwise(D, n, hom):
     images = [hom(x).coords for x in elements]
     return (len(set(images)) == len(elements)
             and all(q(y) == q(x.coords) for x, y in zip(elements, images)))
+
+
+def right_coaction_ok(entries, H, one):
+    """Coassociativity and counit of a right coaction keyed (index, host).
+
+    entries[i] maps (k, p) to the coefficient of k x p in rho(i); H is read
+    only through H.comult(p) -> {(p1, p2): c} and H.counit(p).  Checks
+    (rho x id) rho == (id x Delta) rho and (id x eps) rho(i) == i for every i.
+    """
+    def addin(acc, key, c):
+        v = acc.get(key)
+        v = c if v is None else v + c
+        if v.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = v
+
+    for i, lam in enumerate(entries):
+        left, right, cu = {}, {}, {}
+        for (k, p), c in lam.items():
+            for (p1, p2), c2 in H.comult(p).items():
+                addin(left, (k, p1, p2), c * c2)
+            for (k2, p2), c2 in entries[k].items():
+                addin(right, (k2, p2, p), c * c2)
+            e = H.counit(p)
+            if not e.is_zero():
+                addin(cu, k, e * c)
+        if left != right or cu != {i: one}:
+            return False
+    return True

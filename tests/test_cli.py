@@ -251,6 +251,7 @@ def test_seed_from_spec_file(tmp_path, capsys):
 # entries whose conductor comes from mixed-conductor arithmetic).
 Z4 = {"group": [4], "u": [2], "V": [[1], [3]]}
 Z2Z4 = {"group": [2, 4], "u": [0, 2], "V": [[0, 1]]}
+Z2Z2 = {"group": [2, 2], "u": [1, 1], "V": [[1, 0], [0, 1]]}
 _Z4_DATUM = {"T": [["-1 + -1*z@4", "0@1", "0@1", "0@1"],
                    ["0@1", "-3*z@4", "0@1", "0@1"],
                    ["0@1", "0@1", "-1/2 + 1/2*z@4", "0@1"],
@@ -291,6 +292,9 @@ GOLDEN = [
      "88f18c86b1389d37e411269db85d33baa22d8c01ae9ff8bffb872cd62616b0ca"),
     (Z4_RPAIR, ["brpic", "convert"],
      "bf9bcbc58c6041470efa853117d5ce3f666560731d8c5c8fda38f5d7ce738910"),
+    # recorded before elements of L x K were keyed by pairs (a, b)
+    (Z2Z2, ["verify", "cotensor", "--seed", "5", "--count", "4"],
+     "5e1470df18ee1daef51d943844d480c6bc27acd350d7e7c492a07af4a9344e28"),
 ]
 
 
@@ -304,23 +308,30 @@ def test_json_output_golden(tmp_path, capsys, spec_obj, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Fields whose wrong JSON type used to end in a traceback with exit 1.
+# Fields whose wrong JSON type used to end in a traceback with exit 1, and a
+# scalar whose exponent is past phi(4) = 2, which used to end in a bare
+# IndexError message that did not name it.
 _BAD_T = {"T": [[1]], "alpha": {"matrix": [[1, 0], [0, 1]]}}
+_BAD_EXP = {"T": [["1*z^5@4", "0@1"], ["0@1", "1@1"]],
+            "alpha": {"matrix": [[1, 0], [0, 1]]}}
 BAD_FIELDS = [
-    ({"seed": "a"}, ["verify", "all"], "seed"),
-    ({"bound": "x"}, ["verify", "all"], "bound"),
-    ({"count": "3"}, ["verify", "comodule"], "count"),
-    ({"datum": _BAD_T}, ["brpic", "inv"], "datum"),
+    ({"seed": "a"}, ["verify", "all"], "seed", ""),
+    ({"bound": "x"}, ["verify", "all"], "bound", ""),
+    ({"count": "3"}, ["verify", "comodule"], "count", ""),
+    ({"datum": _BAD_T}, ["brpic", "inv"], "datum", ""),
+    ({"datum": _BAD_EXP}, ["brpic", "inv"], "datum", "'1*z^5@4'"),
 ]
 
 
-@pytest.mark.parametrize("fields,argv,name", BAD_FIELDS,
-                         ids=[b[2] for b in BAD_FIELDS])
-def test_bad_field_exits_2(tmp_path, capsys, fields, argv, name):
+@pytest.mark.parametrize("fields,argv,name,named", BAD_FIELDS,
+                         ids=[b[2] + ("-scalar" if b[3] else "")
+                              for b in BAD_FIELDS])
+def test_bad_field_exits_2(tmp_path, capsys, fields, argv, name, named):
     spec = _write(tmp_path, "bad.json", SWEEDLER | fields)
     code, out, err = _run(capsys, argv + ["--spec", spec])
     assert code == 2 and out == ""
     assert err.startswith(name + ":") and "Traceback" not in err
+    assert named in err
 
 
 def test_cotensor_suite_composes_once_per_instance(tmp_path, capsys,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from brpickit.cyclo import (MAX_CONDUCTOR, CycloScalar, cyclotomic_poly, divisors,
                             euler_phi)
-from brpickit.errors import CapacityError
+from brpickit.errors import CapacityError, DomainError
 
 CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
 
@@ -182,6 +182,14 @@ def test_from_string_caps_the_conductor():
     for text in (f"1@{MAX_CONDUCTOR + 1}", "1@1000003"):
         with pytest.raises(CapacityError, match="exceeds"):
             CycloScalar.from_string(text)
+
+
+@pytest.mark.parametrize("text", ["1@0", "1@-3", "1*z^5@4", "1*z^-1@4"])
+def test_from_string_rejects_conductor_and_exponent_out_of_range(text):
+    # "1*z^-1@4" used to read coeffs[-1], i.e. +i, where z^-1 is -i
+    with pytest.raises(DomainError) as err:
+        CycloScalar.from_string(text)
+    assert repr(text) in str(err.value)
 
 
 def test_int_interop():

@@ -547,3 +547,66 @@ def test_json_shapes_and_determinism():
     assert ja["dim"] == L.dim and len(ja["mult"]) > 0
     for ent in ja["coaction"]:
         assert len(ent) == 4
+
+
+def test_right_coaction_law_matches_reference():
+    """cotensor checks L's induced right coaction as a left coaction over
+    the co-opposite comultiplication; that must agree with a direct
+    right-coaction check, and both must reject a coefficient scaled by 2
+    and a dropped leading term.  The scaled term is one the counit does not
+    see, so that coassociativity must catch it, whenever dim V >= 2 gives
+    one; scaling a term k x p where rho(k) has a single term only rescales
+    k, which is no error."""
+    for name, mod in hh.module_zoo():
+        assert mod.group.order <= 8
+        m = mod.dim
+        L = hopf.build_L(mod, _graph(m, range(m), 1), None,
+                         orth.orth_identity(mod.group))
+        H = hopf.build_supergroup(mod)
+        lam = hopf._induced_right(L, hopf.cop_phi(H),
+                                  hopf._counit_legs(L.host, H, 1))
+        cop = [{(b, a): c for (a, b), c in H.comult(h).items()}
+               for h in range(H.dim)]
+        top = L.dim - 1
+        lead = next(key for key in lam[top] if key[1] == top)
+        i, key = next(((i, (p, k)) for i, x in enumerate(lam) for p, k in x
+                       if H.counit(p).is_zero() and len(lam[k]) > 1),
+                      (top, lead))
+        assert (i, key) != (top, lead) or m == 1, name
+        scaled = [dict(x) for x in lam]
+        scaled[i][key] = la.sc(2) * scaled[i][key]
+        dropped = [dict(x) for x in lam]
+        del dropped[top][lead]
+        for entries, want in ((lam, True), (scaled, False), (dropped, False)):
+            ours = all(hopf._coaction_law(entries.__getitem__, cop.__getitem__,
+                                          H.counit, j) == (True, True)
+                       for j in range(L.dim))
+            ref = oracles.right_coaction_ok(
+                [{(k, p): c for (p, k), c in x.items()} for x in entries],
+                H, ONE)
+            assert ours == ref == want, (name, want)
+
+
+def _z2z4_d2():
+    G = ab.FinAbGroup([2, 4])
+    return la.GModuleV(G, G.element((0, 2)),
+                       [G.character((0, 1)), G.character((0, 3))])
+
+
+def test_checked_pairs_below_and_above_each_threshold():
+    # every pair up to dim 72 (Hopf axioms), dim^2 4096 (cop iso) and dim 24
+    # (comodule algebras); max(400, 4 dim), 2048 and max(200, 4 dim) above
+    small = hopf.doubled_host(hh.z4_module())
+    big = hopf.doubled_host(dict(hh.module_zoo())["Z2Z4_d1"])
+    assert (small.dim, big.dim) == (64, 256)
+    for H, axiom_pairs, cop_pairs in ((small, 4096, 4096), (big, 1024, 2048)):
+        rep = hopf.check_hopf_axioms(H, rng=random.Random(0))
+        assert rep["ok"] and rep["checked_pairs"] == axiom_pairs
+        rep = hopf.check_cop_iso(H)
+        assert rep["ok"] and rep["checked_pairs"] == cop_pairs
+    for mod, dim, pairs in ((dict(hh.module_zoo())["Z2Z2_d2"], 16, 256),
+                            (_z2z4_d2(), 32, 200)):
+        A = hopf.diag_comodule(hopf.build_supergroup(mod))
+        assert A.dim == dim
+        rep = hopf.check_comodule_algebra(A, rng=random.Random(0))
+        assert rep["ok"] and rep["checked_pairs"] == pairs
