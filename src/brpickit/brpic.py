@@ -26,9 +26,10 @@ conditions that decide 'valid') runs the first time a datum is used and its
 verdict is cached on the immutable datum; factors, inputs and every product,
 inverse and conversion output read that cache.  The report
 (validate_odatum / validate_rdatum) adds the informational flags and is
-computed only on request.  Equivariance is checked in exponent form:
+computed only on request.  Both kinds are checked in exponent form:
 D_{-x} T D_y has entries zeta^(e_j(y) - e_i(x)) T_ij, so T is moved to
-itself by (x, y) exactly when e_j(y) = e_i(x) mod N on the support of T.
+itself by (x, y) exactly when e_j(y) = e_i(x) mod N on the support of T,
+and W-stability and beta-invariance are linalg.pivot_exponents congruences.
 Because the diagonal part of a product's U_alpha need not sit inside the
 factors' diagonal parts, every product, inverse and conversion output is
 still checked before it is returned, and a failure is raised loudly instead
@@ -82,12 +83,6 @@ def matrix_inverse(M):
     if pivots != list(range(n)):
         raise NotInvertibleError("matrix is singular")
     return [r[n:] for r in R]
-
-
-def support(M):
-    """The positions (i, j) of the nonzero entries of M, row by row."""
-    return [(i, j) for i, row in enumerate(M) for j, x in enumerate(row)
-            if not x.is_zero()]
 
 
 def _diagonal_in_U(alpha: orth.OrthAut, z) -> bool:
@@ -267,33 +262,26 @@ def _pairs_of(U: orth.TwistedSubgroup):
     return [U.components(e) for e in U.elements]
 
 
-def _subspace_stable(mod, W, movers, space):
-    for g in movers:
-        if not la.act_subspace(mod, g, space, W).equals(W):
-            return False
-    return True
-
-
-def _form_invariant(mod, beta, movers, space):
-    """form_invariant_under, with a non-stable subspace reported as False."""
-    try:
-        return la.form_invariant_under(mod, beta, movers, space)
-    except DomainError:
-        return False
+def _stable_invariant(d: RDatum, movers):
+    """(W stable, beta invariant) under every mover acting on V+V, in
+    exponent form; beta is only tested once W is stable."""
+    if not all(la.pivot_exponents(d.module, g, "VplusV", d.W)[1]
+               for g in movers):
+        return False, False
+    return True, la.form_invariant_under(d.module, d.beta, movers)
 
 
 def _rdatum_conditions(d: RDatum) -> dict:
     mod = d.module
     stab = diagonal_stabilizer(d.alpha)
-    rep = {
+    stable, invariant = _stable_invariant(d, stab)
+    return {
         "axis_clear": not any(la.axis_meets(d.W)),
         "uu_in_U": mod.u in stab,  # (u, u) in U_alpha iff u in S_alpha
-        "W_stable": _subspace_stable(mod, d.W, stab, "VplusV"),
+        "W_stable": stable,
         "beta_symmetric": d.beta.is_symmetric(),
+        "beta_invariant": invariant,
     }
-    rep["beta_invariant"] = (rep["W_stable"]
-                             and _form_invariant(mod, d.beta, stab, "VplusV"))
-    return rep
 
 
 def _odatum_conditions(d: ODatum) -> dict:
@@ -308,7 +296,7 @@ def _odatum_conditions(d: ODatum) -> dict:
         # A^t D = I makes both factors nonzero; only otherwise is a rank needed
         "invertible": ((b_zero and duality)
                        or matrix_is_invertible([list(r) for r in d.T])),
-        "equivariant": _moved_to_itself(mod, support(d.T),
+        "equivariant": _moved_to_itself(mod, la.support(d.T),
                                         [(z, z) for z in stab]),
         "B_zero": b_zero,
         "duality": duality,
@@ -331,16 +319,12 @@ def binding_report(d) -> dict:
 
 def validate_rdatum(d: RDatum) -> dict:
     """Per-condition report; 'valid' iff every binding condition passes."""
-    mod = d.module
     report = dict(binding_report(d))
     # informational flags: stability beyond the diagonal part
-    pairs = _pairs_of(orth.u_alpha(d.alpha))
-    report["W_stable_full_U"] = _subspace_stable(mod, d.W, pairs, "VplusV")
-    report["beta_invariant_full_U"] = (report["W_stable_full_U"]
-                                       and _form_invariant(mod, d.beta, pairs,
-                                                           "VplusV"))
-    report["W_stable_full_diagonal"] = _subspace_stable(
-        mod, d.W, list(mod.group.elements()), "VplusV")
+    report["W_stable_full_U"], report["beta_invariant_full_U"] = \
+        _stable_invariant(d, _pairs_of(orth.u_alpha(d.alpha)))
+    report["W_stable_full_diagonal"] = _stable_invariant(
+        d, list(d.module.group.elements()))[0]
     return report
 
 
@@ -348,7 +332,7 @@ def validate_odatum(d: ODatum) -> dict:
     """Per-condition report; 'valid' iff every binding condition passes."""
     mod = d.module
     report = dict(binding_report(d))
-    supp = support(d.T)
+    supp = la.support(d.T)
     report["equivariant_full_U"] = _moved_to_itself(
         mod, supp, _pairs_of(orth.u_alpha(d.alpha)))
     report["equivariant_full_diagonal"] = _moved_to_itself(
@@ -424,24 +408,59 @@ def odatum_invert(d: ODatum) -> ODatum:
     return _checked(ODatum(d.module, T, orth.orth_invert(d.alpha)), "inverse")
 
 
+def _shifts(A, B, N):
+    """[((i, j), k)] with B_ij = zeta_N^k A_ij over the support of A, or None
+    when the supports differ or some B_ij is no such multiple of A_ij."""
+    supp = la.support(A)
+    if supp != la.support(B):
+        return None
+    out = []
+    for i, j in supp:
+        k = next((k for k in range(N)
+                  if CycloScalar.root_of_unity(N, k) * A[i][j] == B[i][j]),
+                 None)
+        if k is None:
+            return None
+        out.append(((i, j), k))
+    return out
+
+
+def translation(mod: la.GModuleV, rows, rows_t, gram, gram_t):
+    """A test of whether (x, y), acting on V+V, carries the reduced rows and
+    the form gram on them onto rows_t and gram_t; None when no pair can.
+
+    The image rows have entries zeta^(e_j - e_{p_i}) W_ij (pivots p_i) and
+    the carried form zeta^-(e_{p_i} + e_{p_j}) gram_ij (linalg), so the
+    shifts k of rows_t must be e_j - e_{p_i} and those of gram_t
+    -(e_{p_i} + e_{p_j}) mod N."""
+    N = mod.group.exponent
+    w_shifts = _shifts(rows, rows_t, N)
+    g_shifts = _shifts(gram, gram_t, N)
+    if w_shifts is None or g_shifts is None:
+        return None
+    piv = [next(j for j, x in enumerate(r) if not x.is_zero()) for r in rows]
+
+    def moves(pair):
+        e = la.action_exponents(mod, pair, "VplusV")
+        return (all((e[j] - e[piv[i]] - k) % N == 0 for (i, j), k in w_shifts)
+                and all((e[piv[i]] + e[piv[j]] + k) % N == 0
+                        for (i, j), k in g_shifts))
+    return moves
+
+
 def rdatum_equiv(d: RDatum, dt: RDatum):
-    """Search G x G for (x, y) moving d to dt; (found, witness)."""
+    """Search G x G for (x, y) moving d to dt, on exponents (translation);
+    (found, witness)."""
     _same_module(d, dt)
     if d.alpha != dt.alpha:
         return False, None
-    mod = d.module
-    if d.W.dim != dt.W.dim:
-        return False, None
-    for x in mod.group.elements():
-        for y in mod.group.elements():
-            if not la.act_subspace(mod, (x, y), "VplusV", d.W).equals(dt.W):
-                continue
-            inv = (ab.neg(x), ab.neg(y))
-            back = [la.act(mod, inv, "VplusV", row) for row in dt.W.basis]
-            ok = all(d.beta.evaluate(back[i], back[j]) == dt.beta.gram[i][j]
-                     for i in range(dt.W.dim) for j in range(dt.W.dim))
-            if ok:
-                return True, (x, y)
+    moves = translation(d.module, d.W.basis, dt.W.basis, d.beta.gram,
+                        dt.beta.gram)
+    if moves is not None:
+        for x in d.module.group.elements():
+            for y in d.module.group.elements():
+                if moves((x, y)):
+                    return True, (x, y)
     return False, None
 
 
@@ -456,24 +475,15 @@ def odatum_equiv(d: ODatum, dt: ODatum):
     if d.alpha != dt.alpha:
         return False, None
     mod = d.module
-    supp = support(d.T)
-    if supp != support(dt.T):
-        return False, None
     N = mod.group.exponent
-    shifts = []
-    for i, j in supp:
-        k = next((k for k in range(N)
-                  if CycloScalar.root_of_unity(N, k) * d.T[i][j] == dt.T[i][j]),
-                 None)
-        if k is None:
-            return False, None
-        shifts.append(k)
+    shifts = _shifts(d.T, dt.T, N)
+    if shifts is None:
+        return False, None
     for x in mod.group.elements():
         ex = la.action_exponents(mod, x, "VplusVdual")
         for y in mod.group.elements():
             ey = la.action_exponents(mod, y, "VplusVdual")
-            if all((ex[i] - ey[j] - k) % N == 0
-                   for (i, j), k in zip(supp, shifts)):
+            if all((ex[i] - ey[j] - k) % N == 0 for (i, j), k in shifts):
                 return True, (x, y)
     return False, None
 

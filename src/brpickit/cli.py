@@ -116,13 +116,16 @@ def parse_datum(module, obj, path):
     raise SpecError(path, "expected keys {T, alpha} or {W, beta, alpha}")
 
 
-def _int_field(spec, name, default):
-    """spec[name] as a JSON integer, or default when absent or null."""
-    value = spec.get(name)
+def _int_field(spec, name, default, flag=None, positive=False):
+    """The flag when given, else spec[name] as a JSON integer, else default
+    (field absent or null); positive demands a value >= 1."""
+    value = spec.get(name) if flag is None else flag
     if value is None:
         return default
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(name, f"must be an integer, got {json.dumps(value)}")
+    if positive and value < 1:
+        raise SpecError(name, f"must be an integer >= 1, got {value}")
     return value
 
 
@@ -465,8 +468,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = load_spec(args.spec)
-        bound = args.bound if args.bound is not None \
-            else _int_field(spec, "bound", 256)
+        bound = _int_field(spec, "bound", 256, args.bound, positive=True)
         if args.command == "orth":
             ok, report, lines = cmd_orth(spec, bound)
         elif args.command == "brpic":
@@ -476,10 +478,8 @@ def main(argv=None) -> int:
             if suite not in ("hopf", "comodule", "cotensor", "group-axioms",
                              "all"):
                 raise SpecError("suite", f"unknown suite {suite!r}")
-            seed = args.seed if args.seed is not None \
-                else _int_field(spec, "seed", 0)
-            count = args.count if args.count is not None \
-                else _int_field(spec, "count", None)
+            seed = _int_field(spec, "seed", 0, args.seed)
+            count = _int_field(spec, "count", None, args.count, positive=True)
             ok, report, lines = cmd_verify(suite, spec, seed, count, bound)
     except SpecError as e:
         print(str(e), file=sys.stderr)

@@ -413,7 +413,7 @@ class CycloScalar:
         body, sep, n_part = text.rpartition("@")
         if not sep:
             raise DomainError(f"missing conductor suffix in {text!r}")
-        N = int(n_part)
+        N = _literal(int, n_part, text)
         if N < 1:
             raise DomainError(f"conductor {N} in {text!r} is not positive")
         if N > MAX_CONDUCTOR:
@@ -425,8 +425,8 @@ class CycloScalar:
             for term in body.split(" + "):
                 term = term.strip()
                 if "*z^" in term:
-                    c, k = term.split("*z^")
-                    k = int(k)
+                    c, _, k = term.partition("*z^")
+                    k = _literal(int, k, text)
                 elif term.endswith("*z"):
                     c, k = term[:-2], 1
                 else:
@@ -434,7 +434,7 @@ class CycloScalar:
                 if not 0 <= k < len(coeffs):
                     raise DomainError(f"exponent {k} in {text!r} is outside "
                                       f"[0, {len(coeffs)}) for conductor {N}")
-                coeffs[k] += Fraction(c)
+                coeffs[k] += _literal(Fraction, c, text)
         return CycloScalar(N, coeffs)
 
     def to_json(self) -> dict:
@@ -451,6 +451,14 @@ class CycloScalar:
 _set_N = CycloScalar.N.__set__
 _set_num = CycloScalar.num.__set__
 _set_den = CycloScalar.den.__set__
+
+
+def _literal(kind, part, text):
+    """kind(part) for a number inside the scalar string text."""
+    try:
+        return kind(part)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"malformed scalar {text!r}") from None
 
 
 def _coerce(x):

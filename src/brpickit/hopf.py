@@ -141,24 +141,6 @@ def _pairs(n, rng, limit):
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(limit)]
 
 
-def _congruent(P, gram, target) -> bool:
-    """P gram P^t == target, entry by entry."""
-    n = len(P)
-    for i in range(n):
-        for j in range(n):
-            acc = _ZERO
-            for k in range(n):
-                if P[i][k].is_zero():
-                    continue
-                for l in range(n):
-                    if P[j][l].is_zero() or gram[k][l].is_zero():
-                        continue
-                    acc = acc + P[i][k] * P[j][l] * gram[k][l]
-            if acc != target[i][j]:
-                return False
-    return True
-
-
 def _split_pair(module, f):
     """The two G-components of an element f of G x G."""
     r = len(module.group.factors)
@@ -568,6 +550,10 @@ class CompatibleData:
     conductors, where equal values have equal coefficient tuples, and given
     an id; the cocycle identity is then compared triple by triple on the
     ids of memoized products, read through law.
+
+    f in G x G scales each reduced row of an f-stable sector by zeta_N^e, e
+    its exponent at the row's pivot (act_exponents), so F-stability, beta's
+    F-invariance and the e_f w = (f.w) e_f rule are congruences on them.
     """
 
     __slots__ = ("module", "W1", "W2", "W3", "gram", "F", "psi", "alpha",
@@ -657,25 +643,17 @@ class CompatibleData:
     def uu_coords(self):
         return tuple(self.module.u.coords) + tuple(self.module.u.coords)
 
-    def sector_space(self, t):
-        return (self.W1, self.W2, self.W3)[t - 1]
-
-    def act_matrix(self, f, onto=None):
-        """Rows: coordinates of f.w_i against the global sector basis of
-        onto (default self), whose sector dimensions must equal these."""
-        onto = self if onto is None else onto
+    def act_exponents(self, f):
+        """(exps, stable) over the global sector basis: stable[t - 1] says
+        whether f keeps sector t, and then f.w_i = zeta_N^exps[i] w_i on its
+        rows (linalg.pivot_exponents)."""
         f12 = _split_pair(self.module, f)
-        offs = (0, self.W1.dim, self.W1.dim + self.W2.dim)
-        out = []
-        for wi, row in enumerate(self.rows):
-            moved = la.act(self.module, f12, "VplusV", row)
-            t = self.types[wi]
-            local = onto.sector_space(t).coords_of(moved)
-            dense = [_ZERO] * len(self.rows)
-            for k, c in enumerate(local):
-                dense[offs[t - 1] + k] = c
-            out.append(dense)
-        return out
+        exps, stable = [], []
+        for S in (self.W1, self.W2, self.W3):
+            e, ok = la.pivot_exponents(self.module, f12, "VplusV", S)
+            exps += e
+            stable.append(ok)
+        return exps, stable
 
 
 _SYM_SIGN = {(1, 1): 1, (2, 2): 1, (3, 3): 1, (1, 3): 1, (1, 2): -1, (2, 3): -1}
@@ -699,17 +677,12 @@ def compatible_violations(data) -> list:
     if GG.zero().coords not in data.coords_set or data.law is None:
         bad.append("F_subgroup")
 
+    acts = [data.act_exponents(f) for f in data.F]
     stable = True
     for t, name in ((1, "F_stable_W1"), (2, "F_stable_W2"), (3, "F_stable_W3")):
-        S = data.sector_space(t)
-        if S.dim == 0:
-            continue
-        for f in data.F:
-            if not la.act_subspace(module, _split_pair(module, f), "VplusV",
-                                   S).equals(S):
-                bad.append(name)
-                stable = False
-                break
+        if not all(ok[t - 1] for _, ok in acts):
+            bad.append(name)
+            stable = False
 
     nW = len(data.rows)
     eu_beta = any(not data.gram[i][j].is_zero()
@@ -731,9 +704,11 @@ def compatible_violations(data) -> list:
     if not sym_ok:
         bad.append("beta_symmetry")
 
-    if stable and "F_subgroup" not in bad and not all(
-            _congruent(data.act_matrix(f), data.gram, data.gram)
-            for f in data.F):
+    # f.beta = beta: zeta^(e_i + e_j) gram_ij = gram_ij on the support
+    N = module.group.exponent
+    supp = la.support(data.gram)
+    if stable and "F_subgroup" not in bad and any(
+            (e[i] + e[j]) % N for e, _ in acts for i, j in supp):
         bad.append("beta_F_invariant")
 
     zero_c = GG.zero().coords
@@ -828,11 +803,9 @@ def build_K(data) -> ComodAlg:
     id_f = f_index[GG.zero().coords]
     u_f = f_index.get(data.uu_coords())
     psiv = [[data.psi[(a.coords, b.coords)] for b in Fels] for a in Fels]
-    act_rows = []
-    for fk, f in enumerate(Fels):
-        P = data.act_matrix(f)
-        act_rows.append([{j: c for j, c in enumerate(P[i]) if not c.is_zero()}
-                         for i in range(nW)])
+    N = module.group.exponent
+    act_roots = [[CycloScalar.root_of_unity(N, e)
+                  for e in data.act_exponents(f)[0]] for f in Fels]
     gram = data.gram
     types = data.types
 
@@ -850,12 +823,8 @@ def build_K(data) -> ComodAlg:
                               psiv[a][b])
                 break
             if ka == "e" and kb == "w":
-                acc = {}
-                for wj, cj in act_rows[a][b].items():
-                    sub = nf(word[:p] + (("w", wj), ("e", a)) + word[p + 2:])
-                    for k, v in sub.items():
-                        addin(acc, k, cj * v)
-                out = acc
+                out = _scaled(nf(word[:p] + (("w", b), ("e", a)) + word[p + 2:]),
+                              act_roots[a][b])
                 break
             if ka == "w" and kb == "w":
                 if a == b:
@@ -1427,17 +1396,13 @@ def verify_cotensor_iso(d, dt):
             rhs = _scaled(phie[fadd[i][j]], psi1[(a.coords, b.coords)])
             if lhs != rhs:
                 note("relations_psi", (a.coords, b.coords))
+    N = G.exponent
     for fk, f in enumerate(data1.F):
-        P = data3.act_matrix(f)
+        exps = data3.act_exponents(f)[0]
         for wi in range(nW3):
-            lhs = tmul(phie[fk], phiw[wi])
-            rhs = {}
-            for wj in range(nW3):
-                if P[wi][wj].is_zero():
-                    continue
-                for k, c in tmul(phiw[wj], phie[fk]).items():
-                    addin(rhs, k, P[wi][wj] * c)
-            if lhs != rhs:
+            rhs = _scaled(tmul(phiw[wi], phie[fk]),
+                          CycloScalar.root_of_unity(N, exps[wi]))
+            if tmul(phie[fk], phiw[wi]) != rhs:
                 note("relations_action", (f.coords, wi))
 
     phimat = []
@@ -1608,7 +1573,8 @@ def probe_right_simple(A, rng=None):
 def morita_equiv_criterion(data1, data2):
     """Translation test for two compatible data over one module: succeeds if
     some g in G x G carries the sectors of the first onto the second with
-    matching beta, while F and psi agree (conjugation is trivial here).
+    matching beta, zeta^(e_i + e_j) gram2_ij = gram1_ij at the pivot
+    exponents of g, while F and psi agree (conjugation is trivial here).
     Returns (found, witness)."""
     if data1.module != data2.module:
         return False, None
@@ -1619,16 +1585,12 @@ def morita_equiv_criterion(data1, data2):
     if dims1 != dims2:
         return False, None
     module = data1.module
-    GG = data1.pair_group
-    for g in GG.elements():
-        g12 = _split_pair(module, g)
-        moves = all(la.act_subspace(module, g12, "VplusV", S1).equals(S2)
-                    for S1, S2 in zip((data1.W1, data1.W2, data1.W3),
-                                      (data2.W1, data2.W2, data2.W3))
-                    if S1.dim)
-        if moves and _congruent(data1.act_matrix(g, onto=data2), data2.gram,
-                                data1.gram):
-            return True, g
+    moves = bp.translation(module, data1.rows, data2.rows, data1.gram,
+                           data2.gram)
+    if moves is not None:
+        for g in data1.pair_group.elements():
+            if moves(_split_pair(module, g)):
+                return True, g
     return False, None
 
 

@@ -15,6 +15,14 @@ comodule-algebra code, whose scalars are never printed.
 Also houses the diagonal G-action on V, V*, V+V and V+V* (V presented in a
 character-diagonal basis), composition of linear relations inside V+V, and
 the bilinear form transported along such a composition.
+
+Subspaces are moved by the action in exponent form (pivot_exponents): if g
+acts as diag(zeta_N^e), it sends reduced row i of S (pivot p_i) to
+zeta^(e_{p_i}) times row i of the reduced basis of g.S, which has entries
+zeta^(e_j - e_{p_i}) S_ij.  So g.S = S iff e_j = e_{p_i} mod N on each row's
+support, and then a form is g-invariant iff e_{p_i} + e_{p_j} = 0 mod N
+wherever gram_ij != 0.  RDatum validity and equivalence (brpic) and the
+comodule-algebra sector clauses (hopf) rest on this congruence.
 """
 
 from __future__ import annotations
@@ -109,6 +117,12 @@ def product(A, B):
             row.append(s)
         out.append(row)
     return out
+
+
+def support(M):
+    """The positions (i, j) of the nonzero entries of M, row by row."""
+    return [(i, j) for i, row in enumerate(M) for j, x in enumerate(row)
+            if not x.is_zero()]
 
 
 def mat_vec(A, x):
@@ -443,10 +457,6 @@ def act(mod: GModuleV, g, space: str, v):
     return [CycloScalar.root_of_unity(N, e) * x for e, x in zip(exps, v)]
 
 
-def act_subspace(mod: GModuleV, g, space: str, S: Subspace) -> Subspace:
-    return Subspace(S.ambient_dim, [act(mod, g, space, row) for row in S.basis])
-
-
 # -- bilinear forms --------------------------------------------------------
 
 class BilinearForm:
@@ -466,10 +476,7 @@ class BilinearForm:
         raise AttributeError("BilinearForm is immutable")
 
     def evaluate(self, v, w) -> CycloScalar:
-        return self.on_coords(self.space.coords_of(v), self.space.coords_of(w))
-
-    def on_coords(self, cv, cw) -> CycloScalar:
-        """cv^T . gram . cw, for coordinates against the space's basis."""
+        cv, cw = self.space.coords_of(v), self.space.coords_of(w)
         s = _ZERO
         for i, a in enumerate(cv):
             if a.is_zero():
@@ -505,6 +512,19 @@ def zero_form(space: Subspace) -> BilinearForm:
     return BilinearForm(space, [[_ZERO] * d for _ in range(d)])
 
 
+def pivot_exponents(mod: GModuleV, g, space: str, S: Subspace):
+    """(exps, stable): g sends basis row i of S to zeta^exps[i] times row i
+    of the reduced basis of g.S, and stable says whether g.S = S."""
+    e = action_exponents(mod, g, space)
+    N = mod.group.exponent
+    exps, stable = [], True
+    for row in S.basis:
+        supp = [j for j, x in enumerate(row) if not x.is_zero()]
+        exps.append(e[supp[0]])
+        stable = stable and all((e[j] - e[supp[0]]) % N == 0 for j in supp)
+    return exps, stable
+
+
 def form_invariant_under(mod: GModuleV, beta: BilinearForm, elements,
                          space: str = "VplusV") -> bool:
     """Whether the form is preserved by each listed group action.
@@ -513,17 +533,14 @@ def form_invariant_under(mod: GModuleV, beta: BilinearForm, elements,
     Raises DomainError if the underlying subspace itself is not preserved
     (a different failure kind than the form changing).
     """
-    S = beta.space
+    N = mod.group.exponent
+    supp = support(beta.gram)
     for g in elements:
-        moved = [act(mod, g, space, row) for row in S.basis]
-        try:
-            C = [S.coords_of(mv) for mv in moved]
-        except DomainError:
-            raise DomainError("subspace is not invariant under the given action") from None
-        for i, ci in enumerate(C):
-            for j, cj in enumerate(C):
-                if beta.on_coords(ci, cj) != beta.gram[i][j]:
-                    return False
+        exps, stable = pivot_exponents(mod, g, space, beta.space)
+        if not stable:
+            raise DomainError("subspace is not invariant under the given action")
+        if any((exps[i] + exps[j]) % N for i, j in supp):
+            return False
     return True
 
 

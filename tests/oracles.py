@@ -123,6 +123,71 @@ def dense_equiv(T, Tt, elements, exps, root, zero):
     return False, None
 
 
+# -- dense reference for the diagonal action on subspaces and forms -------
+# The package's earlier computations, replaced by pivot-exponent congruences.
+# W is the caller's subspace (ambient_dim, basis, dim, equals, coords_of),
+# whose type builds a reduced subspace from rows; exps lists the exponents
+# e_i by which one group element acts, root(k) is zeta_N^k, zero the zero.
+
+def dense_moved(W, exps, root):
+    """g.W: the span of the moved basis rows, reduced again."""
+    return type(W)(W.ambient_dim, [[root(e) * x for e, x in zip(exps, row)]
+                                   for row in W.basis])
+
+
+def dense_stable(W, exps_list, root):
+    """g.W == W for every g, given by its exponents in exps_list."""
+    return all(dense_moved(W, e, root).equals(W) for e in exps_list)
+
+
+def dense_act_matrix(sectors, exps, root, zero, onto=None):
+    """Rows: coordinates of g.w_i against the concatenated sector bases of
+    onto (default sectors); coords_of raises once g.w_i leaves its sector."""
+    onto = sectors if onto is None else onto
+    n = sum(S.dim for S in sectors)
+    out, off = [], 0
+    for S, T in zip(sectors, onto):
+        for row in S.basis:
+            local = T.coords_of([root(e) * x for e, x in zip(exps, row)])
+            dense = [zero] * n
+            dense[off:off + len(local)] = local
+            out.append(dense)
+        off += S.dim
+    return out
+
+
+def congruence(P, gram, zero):
+    """P gram P^t, entry by entry."""
+    n = len(P)
+    return [[sum((P[i][k] * gram[k][l] * P[j][l] for k in range(n)
+                  for l in range(n)), zero) for j in range(n)]
+            for i in range(n)]
+
+
+def dense_invariant(W, gram, exps_list, root, zero):
+    """(W stable, form invariant) under every g: the form is tested, with
+    P gram P^t == gram, only once W is stable."""
+    if not dense_stable(W, exps_list, root):
+        return False, False
+    gram = [list(r) for r in gram]
+    return True, all(congruence(dense_act_matrix([W], e, root, zero), gram,
+                                zero) == gram for e in exps_list)
+
+
+def dense_translation(W, gram, Wt, gram_t, movers, exps, root, zero):
+    """First g in movers with g.W == Wt whose form, carried back along g,
+    is gram_t, as (found, witness)."""
+    gram_t = [list(r) for r in gram_t]
+    for g in movers:
+        e = exps(g)
+        if not dense_moved(W, e, root).equals(Wt):
+            continue
+        back = dense_act_matrix([Wt], [-k for k in e], root, zero, onto=[W])
+        if congruence(back, gram, zero) == gram_t:
+            return True, g
+    return False, None
+
+
 # -- the 2-cocycle identity, one scalar product per side per triple --------
 
 def cocycle_ok(elements, factors, psi):

@@ -18,10 +18,10 @@ I = CycloScalar.root_of_unity(4)
 ZERO = CycloScalar.zero(1)
 
 
-def dense_args(mod):
-    """(exps, root, zero) for the dense reference in tests/oracles.py."""
+def dense_args(mod, space="VplusVdual"):
+    """(exps, root, zero) for the dense references in tests/oracles.py."""
     N = mod.group.exponent
-    return (lambda g: la.action_exponents(mod, g, "VplusVdual"),
+    return (lambda g: la.action_exponents(mod, g, space),
             lambda k: CycloScalar.root_of_unity(N, k), ZERO)
 
 
@@ -255,8 +255,9 @@ def test_rdatum_equiv_basics():
     d2 = bp.RDatum(mod, W, la.zero_form(W), orth.orth_identity(mod.group))
     ok, witness = bp.rdatum_equiv(idd, d2)
     assert ok
-    moved = la.act_subspace(mod, (u, mod.group.zero()), "VplusV", idd.W)
-    assert moved.equals(W)
+    exps, root, _ = dense_args(mod, "VplusV")
+    assert oracles.dense_moved(idd.W, exps((u, mod.group.zero())),
+                               root).equals(W)
     # differing alpha is never equivalent
     gam_d = bp.RDatum(mod, idd.W, idd.beta, gamma_of(mod.group))
     assert bp.rdatum_equiv(idd, gam_d) == (False, None)
@@ -600,6 +601,108 @@ def test_odatum_equiv_matches_dense_reference():
                                                   zero), (name, d, dt)
                 outcomes.add(got[0])
     assert outcomes == {True, False}
+
+
+def _symmetric_gram(rng, n, N):
+    gram = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.5:
+                gram[i][j] = gram[j][i] = la.sc(rng.choice(
+                    (-1, 1, 2))) * CycloScalar.root_of_unity(N, rng.randrange(N))
+    return gram
+
+
+def _reference_rdata(rng, mod):
+    """Converted valid data, and graphs {(Av, v)} of sparse random A with
+    random symmetric forms and random enumerated alphas: W stable or not,
+    beta invariant or not."""
+    m = mod.dim
+    N = mod.group.exponent
+    alphas = orth.enumerate_orth(mod.group)
+    out = [bp.odatum_to_rdatum(random_datum(rng, mod)) for _ in range(2)]
+    for _ in range(5):
+        A = [[la.sc(rng.choice((0, 0, 1, -1, 2))) for _ in range(m)]
+             for _ in range(m)]
+        W = la.Subspace(2 * m, [[A[i][j] for i in range(m)]
+                                + [la.sc(int(i == j)) for i in range(m)]
+                                for j in range(m)])
+        gram = (_symmetric_gram(rng, m, N) if rng.random() < 0.7
+                else [[ZERO] * m for _ in range(m)])
+        out.append(bp.RDatum(mod, W, la.BilinearForm(W, gram),
+                             rng.choice(alphas)))
+    return out
+
+
+def test_rdatum_flags_match_dense_reference():
+    rng = random.Random(53)
+    seen = {}
+    for _, mod in hh.module_zoo():
+        exps, root, zero = dense_args(mod, "VplusV")
+        for d in _reference_rdata(rng, mod):
+            rep = bp.validate_rdatum(d)
+            U = orth.u_alpha(d.alpha)
+            movers = {
+                "": [(z, z) for z in bp.diagonal_stabilizer(d.alpha)],
+                "_full_U": [U.components(e) for e in U.elements],
+            }
+            for suffix, pairs in movers.items():
+                ref = oracles.dense_invariant(d.W, d.beta.gram,
+                                              [exps(g) for g in pairs],
+                                              root, zero)
+                got = (rep["W_stable" + suffix], rep["beta_invariant" + suffix])
+                assert got == ref, (mod, d, suffix)
+                seen.setdefault("W_stable" + suffix, set()).add(ref[0])
+                seen.setdefault("beta_invariant" + suffix, set()).add(ref[1])
+            ref = oracles.dense_stable(
+                d.W, [exps((z, z)) for z in mod.group.elements()], root)
+            assert rep["W_stable_full_diagonal"] is ref
+            seen.setdefault("W_stable_full_diagonal", set()).add(ref)
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
+def test_rdatum_equiv_matches_dense_reference():
+    rng = random.Random(59)
+    outcomes = []
+    for _, mod in hh.module_zoo():
+        exps, root, zero = dense_args(mod, "VplusV")
+        els = list(mod.group.elements())
+        pairs = [(x, y) for x in els for y in els]
+        N = mod.group.exponent
+        for d in _reference_rdata(rng, mod):
+            # d carried along a random (x, y): g.W, and the form that
+            # carried back along (x, y) gives d's form
+            e = exps((rng.choice(els), rng.choice(els)))
+            Wt = oracles.dense_moved(d.W, e, root)
+            back = oracles.dense_act_matrix([Wt], [-k for k in e], root,
+                                            zero, onto=[d.W])
+            gram_t = oracles.congruence(back, d.beta.gram, zero)
+            # another support: the last row gains a zero entry off the pivots
+            rows = [list(r) for r in Wt.basis]
+            pivots = {next(j for j, x in enumerate(r) if x) for r in rows}
+            free = [j for j in range(2 * mod.dim)
+                    if j not in pivots and rows and not rows[-1][j]]
+            if free:
+                rows[-1][free[0]] = la.sc(1)
+            # another form: one diagonal entry doubled, or made nonzero
+            bumped = [list(r) for r in gram_t]
+            if bumped:
+                bumped[0][0] = 2 * bumped[0][0] or la.sc(1)
+            scaled = [[x * root(N // 2) for x in r] for r in gram_t]
+            # (W', gram', whether d ~ (W', gram'), None where either holds)
+            cases = [(Wt, gram_t, True),
+                     (la.Subspace(Wt.ambient_dim, rows), gram_t, not free),
+                     (Wt, bumped, not bumped), (Wt, scaled, None),
+                     (d.W, d.beta.gram, True)]
+            for W2, gram2, expected in cases:
+                dt = bp.RDatum(mod, W2, la.BilinearForm(W2, gram2), d.alpha)
+                got = bp.rdatum_equiv(d, dt)
+                assert got == oracles.dense_translation(
+                    d.W, d.beta.gram, dt.W, dt.beta.gram, pairs, exps, root,
+                    zero), (mod, d, dt)
+                assert expected is None or got[0] is expected, (mod, d, dt)
+                outcomes.append(got[0])
+    assert True in outcomes and False in outcomes
 
 
 # -- binding checks: cached per datum, still run on every output -----------

@@ -310,28 +310,76 @@ def test_json_output_golden(tmp_path, capsys, spec_obj, argv, digest):
 
 # Fields whose wrong JSON type used to end in a traceback with exit 1, and a
 # scalar whose exponent is past phi(4) = 2, which used to end in a bare
-# IndexError message that did not name it.
+# IndexError message that did not name it.  A zero denominator used to end
+# in a ZeroDivisionError traceback, and the other malformed scalars in a
+# message naming only the bad fragment.  A count or bound below 1 used to
+# run (count -3 checked nothing and passed) or exit 3 (bound 0).
 _BAD_T = {"T": [[1]], "alpha": {"matrix": [[1, 0], [0, 1]]}}
-_BAD_EXP = {"T": [["1*z^5@4", "0@1"], ["0@1", "1@1"]],
+
+
+def _t_with(scalar):
+    return {"T": [[scalar, "0@1"], ["0@1", "1@1"]],
             "alpha": {"matrix": [[1, 0], [0, 1]]}}
+
+
+def _w_with(scalar):
+    return {"W": {"ambient": 2, "basis": [["1@1", scalar]]},
+            "beta": {"gram": [["0@1"]]},
+            "alpha": {"matrix": [[1, 0], [0, 1]]}}
+
+
+def _bad(fields, argv, name, named="", id=None):
+    return pytest.param(fields, argv, name, named,
+                        id=id or name + ("-scalar" if named else ""))
+
+
 BAD_FIELDS = [
-    ({"seed": "a"}, ["verify", "all"], "seed", ""),
-    ({"bound": "x"}, ["verify", "all"], "bound", ""),
-    ({"count": "3"}, ["verify", "comodule"], "count", ""),
-    ({"datum": _BAD_T}, ["brpic", "inv"], "datum", ""),
-    ({"datum": _BAD_EXP}, ["brpic", "inv"], "datum", "'1*z^5@4'"),
+    _bad({"seed": "a"}, ["verify", "all"], "seed"),
+    _bad({"bound": "x"}, ["verify", "all"], "bound"),
+    _bad({"count": "3"}, ["verify", "comodule"], "count"),
+    _bad({"datum": _BAD_T}, ["brpic", "inv"], "datum"),
+    _bad({"datum": _t_with("1*z^5@4")}, ["brpic", "inv"], "datum",
+         "'1*z^5@4'"),
+    _bad({"datum": _t_with("1/0@1")}, ["brpic", "inv"], "datum", "'1/0@1'",
+         "datum-T-zero-denominator"),
+    _bad({"datum": _w_with("1/0@1")}, ["brpic", "inv"], "datum", "'1/0@1'",
+         "datum-W-zero-denominator"),
+    _bad({"datum": _t_with("1@x")}, ["brpic", "inv"], "datum", "'1@x'",
+         "datum-conductor"),
+    _bad({"datum": _t_with("abc@4")}, ["brpic", "inv"], "datum", "'abc@4'",
+         "datum-coefficient"),
+    _bad({"datum": _t_with("1*z^q@4")}, ["brpic", "inv"], "datum",
+         "'1*z^q@4'", "datum-exponent"),
+    _bad({"datum": _t_with("@4")}, ["brpic", "inv"], "datum", "'@4'",
+         "datum-empty"),
+    _bad({"count": 0}, ["verify", "comodule"], "count", "got 0", "count-0"),
+    _bad({"count": -3}, ["verify", "group-axioms"], "count", "got -3",
+         "count-negative"),
+    _bad({"bound": 0}, ["verify", "all"], "bound", "got 0", "bound-0"),
+    _bad({"bound": -1}, ["orth"], "bound", "got -1", "bound-negative"),
 ]
 
 
-@pytest.mark.parametrize("fields,argv,name,named", BAD_FIELDS,
-                         ids=[b[2] + ("-scalar" if b[3] else "")
-                              for b in BAD_FIELDS])
+@pytest.mark.parametrize("fields,argv,name,named", BAD_FIELDS)
 def test_bad_field_exits_2(tmp_path, capsys, fields, argv, name, named):
     spec = _write(tmp_path, "bad.json", SWEEDLER | fields)
     code, out, err = _run(capsys, argv + ["--spec", spec])
     assert code == 2 and out == ""
     assert err.startswith(name + ":") and "Traceback" not in err
     assert named in err
+
+
+@pytest.mark.parametrize("flags,name", [
+    (["--count", "-3"], "count"), (["--count", "0"], "count"),
+    (["--bound", "0"], "bound")])
+def test_count_and_bound_flags_below_one_exit_2(tmp_path, capsys, flags,
+                                                name):
+    # the flags override valid file fields, and are checked the same way
+    spec = _write(tmp_path, "sw.json", SWEEDLER | {"count": 2, "bound": 256})
+    code, out, err = _run(capsys, ["verify", "group-axioms", "--spec", spec]
+                          + flags)
+    assert code == 2 and out == ""
+    assert err.startswith(name + ":") and f"got {flags[1]}" in err
 
 
 def test_cotensor_suite_composes_once_per_instance(tmp_path, capsys,

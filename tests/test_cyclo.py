@@ -192,6 +192,16 @@ def test_from_string_rejects_conductor_and_exponent_out_of_range(text):
     assert repr(text) in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["1/0@1", "1@x", "abc@4", "1*z^q@4", "@4",
+                                  "1*z^1*z^2@4", "1 + @4"])
+def test_from_string_rejects_malformed_scalars_by_name(text):
+    # these used to end in ZeroDivisionError or a ValueError naming only
+    # the fragment that int() or Fraction() could not read
+    with pytest.raises(DomainError, match="malformed scalar") as err:
+        CycloScalar.from_string(text)
+    assert repr(text) in str(err.value)
+
+
 def test_int_interop():
     z = CycloScalar.root_of_unity(8)
     assert 1 + z == z + 1

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -492,6 +493,96 @@ def test_morita_translation_criterion():
                              None, diag, None)
     found, _ = hopf.morita_equiv_criterion(d1, d3)
     assert not found
+
+
+def _reference_sector_data(rng, mod):
+    """Seeded compatible data, and random sectors (a first-axis row, a
+    second-axis row, a graph row, each with one or two entries) with random
+    symmetric forms over random families: stable or not, invariant or not."""
+    m = mod.dim
+    out = [hh.random_data(mod, rng) for _ in range(3)]
+    for _ in range(4):
+        _, F, psi, _ = rng.choice(hopf.compatible_families(mod))
+        sectors = []
+        for offsets in ((0,), (m,), (0, m)):
+            row = [ZERO] * (2 * m)
+            for off in offsets:
+                for i in rng.sample(range(m), rng.choice((1, 2)) if m > 1 else 1):
+                    row[off + i] = la.sc(rng.choice((1, -1, 2)))
+            sectors.append(la.Subspace(2 * m, [row]) if rng.random() < 0.8
+                           else None)
+        n = sum(1 for S in sectors if S is not None)
+        gram = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.4:
+                    gram[i][j] = gram[j][i] = la.sc(rng.choice((1, 2)))
+        out.append(hopf.CompatibleData(mod, *sectors, gram, F, psi))
+    return out
+
+
+def test_sector_clauses_match_dense_reference():
+    rng = random.Random(71)
+    seen = {}
+    for _, mod in hh.module_zoo():
+        root = partial(CycloScalar.root_of_unity, mod.group.exponent)
+        for data in _reference_sector_data(rng, mod):
+            bad = hopf.compatible_violations(data)
+            exps = [la.action_exponents(mod, hopf._split_pair(mod, f),
+                                        "VplusV") for f in data.F]
+            sectors = [data.W1, data.W2, data.W3]
+            stable = [oracles.dense_stable(S, exps, root) for S in sectors]
+            for t, ok in enumerate(stable, 1):
+                assert (f"F_stable_W{t}" in bad) is (not ok), (mod, data)
+                seen.setdefault(f"F_stable_W{t}", set()).add(ok)
+            if all(stable) and "F_subgroup" not in bad:
+                gram = [list(r) for r in data.gram]
+                ok = all(oracles.congruence(
+                    oracles.dense_act_matrix(sectors, e, root, ZERO), gram,
+                    ZERO) == gram for e in exps)
+                assert ("beta_F_invariant" in bad) is (not ok), (mod, data)
+                seen.setdefault("beta_F_invariant", set()).add(ok)
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
+def test_morita_criterion_matches_dense_reference():
+    rng = random.Random(73)
+    outcomes = []
+    for _, mod in hh.module_zoo()[:6]:
+        root = partial(CycloScalar.root_of_unity, mod.group.exponent)
+        GG = ab.direct_sum(mod.group, mod.group)
+        exps = {g.coords: la.action_exponents(mod, hopf._split_pair(mod, g),
+                                              "VplusV") for g in GG.elements()}
+
+        def dense(d1, d2):
+            """First g carrying each sector of d1 onto that of d2 with
+            P gram2 P^t == gram1, P the coordinates of g.w_i in d2."""
+            s1, s2 = [d1.W1, d1.W2, d1.W3], [d2.W1, d2.W2, d2.W3]
+            for g in GG.elements():
+                e = exps[g.coords]
+                if all(oracles.dense_moved(S, e, root).equals(T)
+                       for S, T in zip(s1, s2)) and oracles.congruence(
+                        oracles.dense_act_matrix(s1, e, root, ZERO, onto=s2),
+                        d2.gram, ZERO) == [list(r) for r in d1.gram]:
+                    return True, g
+            return False, None
+
+        for d1 in [hh.random_data(mod, rng) for _ in range(3)]:
+            e = exps[rng.choice(list(GG.elements())).coords]
+            moved = [oracles.dense_moved(S, e, root)
+                     for S in (d1.W1, d1.W2, d1.W3)]
+            back = oracles.dense_act_matrix(moved, [-k for k in e], root, ZERO,
+                                            onto=[d1.W1, d1.W2, d1.W3])
+            gram2 = oracles.congruence(back, d1.gram, ZERO)
+            bumped = [list(r) for r in gram2]
+            if bumped:
+                bumped[0][0] = 2 * bumped[0][0] or ONE
+            for g2 in (gram2, bumped):
+                d2 = hopf.CompatibleData(mod, *moved, g2, d1.F, d1.psi)
+                got = hopf.morita_equiv_criterion(d1, d2)
+                assert got == dense(d1, d2), (mod, d1, d2)
+                outcomes.append(got[0])
+    assert True in outcomes and False in outcomes
 
 
 def test_freeness_probe_consistent():

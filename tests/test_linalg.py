@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+import hopf_helpers as hh
 import oracles
 from brpickit import abelian as ab
 from brpickit import linalg as la
@@ -345,6 +347,73 @@ def test_form_invariant_space_not_invariant_is_distinct_error():
     f = la.BilinearForm(S, [[1]])
     with pytest.raises(DomainError, match="not invariant"):
         la.form_invariant_under(mod, f, [(u, Z2.zero())])
+
+
+def _sparse_subspace(rng, n):
+    """Rows with one or two nonzero entries: some spans are moved by the
+    diagonal action, some are not."""
+    rows = []
+    for _ in range(rng.randrange(n + 1)):
+        row = [0] * n
+        for j in rng.sample(range(n), min(n, rng.choice((1, 2)))):
+            row[j] = rng.choice((1, -2, I4, 1 + I4))
+        rows.append(row)
+    return la.Subspace(n, rows)
+
+
+def _movers(mod, space):
+    els = list(mod.group.elements())
+    if space in ("V", "Vdual"):
+        return els
+    return els + [(x, y) for x in els for y in els]
+
+
+def test_pivot_exponents_matches_dense_action():
+    rng = random.Random(61)
+    seen = set()
+    for _, mod in hh.module_zoo():
+        root = partial(CycloScalar.root_of_unity, mod.group.exponent)
+        for space in ("V", "Vdual", "VplusV", "VplusVdual"):
+            n = mod.dim * (1 if space in ("V", "Vdual") else 2)
+            for _ in range(3):
+                S = _sparse_subspace(rng, n)
+                for g in _movers(mod, space):
+                    exps, stable = la.pivot_exponents(mod, g, space, S)
+                    moved = oracles.dense_moved(
+                        S, la.action_exponents(mod, g, space), root)
+                    assert stable is moved.equals(S), (S, g)
+                    # g sends row k to zeta^exps[k] times row k of g.S
+                    for k, row in enumerate(S.basis):
+                        assert la.act(mod, g, space, row) == [
+                            root(exps[k]) * x for x in moved.basis[k]]
+                    seen.add(stable)
+    assert seen == {True, False}
+
+
+def test_form_invariant_under_matches_dense_reference():
+    rng = random.Random(62)
+    seen = set()
+    for _, mod in hh.module_zoo():
+        root = partial(CycloScalar.root_of_unity, mod.group.exponent)
+        for _ in range(3):
+            S = _sparse_subspace(rng, 2 * mod.dim)
+            gram = [[0] * S.dim for _ in range(S.dim)]
+            for i in range(S.dim):
+                for j in range(i, S.dim):
+                    if rng.random() < 0.5:
+                        gram[i][j] = gram[j][i] = _rand_scalar(rng)
+            beta = la.BilinearForm(S, gram)
+            for g in _movers(mod, "VplusV"):
+                stable, invariant = oracles.dense_invariant(
+                    S, beta.gram, [la.action_exponents(mod, g, "VplusV")],
+                    root, CycloScalar.zero())
+                if not stable:
+                    with pytest.raises(DomainError, match="not invariant"):
+                        la.form_invariant_under(mod, beta, [g])
+                    continue
+                assert la.form_invariant_under(mod, beta, [g]) is invariant
+                seen.add(invariant)
+    assert seen == {True, False}
 
 
 def test_subspace_json_round_trip():
