@@ -303,12 +303,9 @@ def hom_compose(f: GroupHom, g: GroupHom) -> GroupHom:
 
 
 def hom_is_automorphism(h: GroupHom) -> bool:
-    """Bijectivity test: exhaustive for small groups, Smith form above 10^4."""
+    """Bijectivity test by the Smith form, exact at every size."""
     if h.source.order != h.target.order:
         return False
-    if h.source.order <= 10 ** 4:
-        images = {h(g).coords for g in h.source.elements()}
-        return len(images) == h.source.order
     # Surjectivity of the induced map: rows of the hom matrix together with
     # the target relations must generate Z^rank.  For equal finite orders
     # surjective implies bijective.

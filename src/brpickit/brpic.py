@@ -55,17 +55,6 @@ def identity_matrix(n):
     return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_equal(A, B) -> bool:
-    if len(A) != len(B):
-        return False
-    for ra, rb in zip(A, B):
-        if len(ra) != len(rb):
-            return False
-        if any(x != y for x, y in zip(ra, rb)):
-            return False
-    return True
-
-
 def matrix_is_invertible(M) -> bool:
     n = len(M)
     if n == 0:
@@ -83,25 +72,6 @@ def matrix_inverse(M):
     if pivots != list(range(n)):
         raise NotInvertibleError("matrix is singular")
     return [r[n:] for r in R]
-
-
-def _diagonal_in_U(alpha: orth.OrthAut, z) -> bool:
-    """(z, z) in U_alpha: alpha_1(z, chi) = z for some character chi."""
-    G = alpha.group
-    return any(alpha.alpha1(orth.embed(G, z, chi)) == z
-               for chi in G.characters())
-
-
-_STABILIZERS = {}
-
-
-def diagonal_stabilizer(alpha: orth.OrthAut):
-    """The subgroup S_alpha = {z in G : (z, z) in U_alpha} as an element list
-    (computed once per alpha)."""
-    if alpha not in _STABILIZERS:
-        _STABILIZERS[alpha] = tuple(z for z in alpha.group.elements()
-                                    if _diagonal_in_U(alpha, z))
-    return list(_STABILIZERS[alpha])
 
 
 def _moved_to_itself(mod: la.GModuleV, supp, pairs) -> bool:
@@ -210,9 +180,7 @@ class ODatum:
 
     def __eq__(self, other):
         return (isinstance(other, ODatum) and self.module == other.module
-                and self.alpha == other.alpha
-                and mat_equal([list(r) for r in self.T],
-                              [list(r) for r in other.T]))
+                and self.alpha == other.alpha and self.T == other.T)
 
     __hash__ = None
 
@@ -273,7 +241,7 @@ def _stable_invariant(d: RDatum, movers):
 
 def _rdatum_conditions(d: RDatum) -> dict:
     mod = d.module
-    stab = diagonal_stabilizer(d.alpha)
+    stab = orth.diagonal_stabilizer(d.alpha)
     stable, invariant = _stable_invariant(d, stab)
     return {
         "axis_clear": not any(la.axis_meets(d.W)),
@@ -286,10 +254,10 @@ def _rdatum_conditions(d: RDatum) -> dict:
 
 def _odatum_conditions(d: ODatum) -> dict:
     mod = d.module
-    stab = diagonal_stabilizer(d.alpha)
+    stab = orth.diagonal_stabilizer(d.alpha)
     b_zero = all(x.is_zero() for row in d.block_B() for x in row)
     AtD = la.product(la.transpose(d.block_A()), d.block_D())
-    duality = mat_equal(AtD, identity_matrix(mod.dim))
+    duality = AtD == identity_matrix(mod.dim)
     return {
         "uu_in_U": mod.u in stab,
         # B = 0 makes T block triangular with det T = det A det D, and
@@ -340,7 +308,8 @@ def validate_odatum(d: ODatum) -> dict:
     return report
 
 
-def _failing(rep):
+def failing(rep):
+    """The names of the conditions of a report that fail."""
     return [k for k, v in rep.items() if v is False and k != "valid"]
 
 
@@ -348,7 +317,7 @@ def _require_valid(d, what):
     rep = binding_report(d)
     if not rep["valid"]:
         raise DomainError(
-            f"{what} is not a valid datum; failing: {_failing(rep)}")
+            f"{what} is not a valid datum; failing: {failing(rep)}")
 
 
 def _checked(out, what):
@@ -356,7 +325,7 @@ def _checked(out, what):
     rep = binding_report(out)
     if not rep["valid"]:
         raise BrpicError(f"internal invariant violation: {what} datum fails "
-                         f"validation {_failing(rep)}")
+                         f"validation {failing(rep)}")
     return out
 
 
@@ -672,7 +641,7 @@ def describe_brpic(module: la.GModuleV, bound: int = 256) -> BrPicDescription:
     dm = module.dim
     components = []
     for alpha in admissible_alphas(module, bound):
-        stab = diagonal_stabilizer(alpha)
+        stab = orth.diagonal_stabilizer(alpha)
         allowed_a = [(i, j) for i in range(dm) for j in range(dm)
                      if _char_eq_on(chars[i], chars[j], stab)]
         allowed_c = [(i, j) for i in range(dm) for j in range(dm)
@@ -721,7 +690,7 @@ def admissible_alphas(module: la.GModuleV, bound: int = 256):
     if key not in _ADMISSIBLE_CACHE:
         _ADMISSIBLE_CACHE[key] = tuple(
             a for a in orth.enumerate_orth(module.group, bound)
-            if _diagonal_in_U(a, module.u))
+            if module.u in orth.diagonal_stabilizer(a))
     return list(_ADMISSIBLE_CACHE[key])
 
 

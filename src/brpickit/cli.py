@@ -279,14 +279,10 @@ def _suite_datum(module, spec, checks, lines):
     for field in ("datum", "datum2"):
         if field not in spec:
             continue
-        kind, d = parse_datum(module, spec[field], field)
-        rep = _validation_for(kind, d)
-        failing = sorted(k for k, v in rep.items()
-                         if isinstance(v, bool) and not v and k != "valid"
-                         and not k.endswith("_full_U")
-                         and not k.endswith("_full_diagonal"))
+        _, d = parse_datum(module, spec[field], field)
+        rep = bp.binding_report(d)
         _check(checks, lines, f"{field}_valid", rep["valid"],
-               "" if rep["valid"] else f"failing: {failing}")
+               "" if rep["valid"] else f"failing: {sorted(bp.failing(rep))}")
 
 
 def _suite_group_axioms(module, rng, count, bound, checks, lines):

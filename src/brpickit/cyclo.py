@@ -11,7 +11,11 @@ a tuple comparison.  phi(N) and the table of x^k mod Phi_N are cached per
 N; Phi_N is monic over Z, so the table is integral and reduction, products
 and lifts run on ints, with one gcd per result.  The stored N is kept as
 computed (it is part of the JSON form), so equal values may carry
-different conductors.
+different conductors.  Fractions appear only at the boundary (the
+constructor, coeffs, from_rational, from_string and from_json); all
+arithmetic, the inverse included, runs on ints.  The inverse of a
+non-rational value is taken through its norm, at phi(N) - 1 products
+whatever the value.
 
 Values at different conductors interoperate by lifting both to
 Q(zeta_lcm) exactly.  Fast path: when one operand is rational (no
@@ -31,7 +35,6 @@ from typing import Iterable
 from .errors import CapacityError, DomainError
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 # Largest conductor from_string accepts.  A scalar at conductor N carries
 # phi(N) coefficients and its products cost about phi(N)^2, so a large N in
@@ -82,29 +85,21 @@ def _poly_exact_div(num: list[int], den: list[int]) -> list[int]:
     return quot
 
 
-_PHI_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@cache
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Monic integer coefficients of Phi_n, constant term first.
 
-    Computed by dividing x^n - 1 by all Phi_d with d | n, d < n.  The cache
-    is filled idempotently, so concurrent/repeated computation is harmless.
+    Computed by dividing x^n - 1 by all Phi_d with d | n, d < n.
     """
     if n < 1:
         raise DomainError(f"conductor must be positive, got {n}")
-    cached = _PHI_CACHE.get(n)
-    if cached is not None:
-        return cached
     poly = [0] * (n + 1)
     poly[0] = -1
     poly[n] = 1
     for d in divisors(n):
         if d < n:
             poly = _poly_exact_div(poly, list(cyclotomic_poly(d)))
-    result = tuple(poly)
-    _PHI_CACHE.setdefault(n, result)
-    return _PHI_CACHE[n]
+    return tuple(poly)
 
 
 _phi = cache(euler_phi)
@@ -315,28 +310,35 @@ class CycloScalar:
     __rmul__ = __mul__
 
     def inv(self) -> "CycloScalar":
-        """Multiplicative inverse: 1/q for a rational q, else by extended
-        gcd with Phi_N."""
+        """Multiplicative inverse: 1/q for a rational q, else by the norm.
+
+        sigma_k (k prime to N) sends zeta to zeta^k, and num times the
+        product of its phi(N) - 1 conjugates sigma_k(num), k != 1, is the
+        norm of num, a nonzero integer; so the inverse is den times that
+        product over the norm (the adjugate column of multiplication by num
+        over its determinant).  For N > 2 the field is CM, its conjugates
+        pair off into |sigma(num)|^2 and the norm is positive.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
-        if not any(self.num[1:]):
-            q, den = self.num[0], self.den
+        N, num, den = self.N, self.num, self.den
+        if not any(num[1:]):
+            q = num[0]
             if q < 0:
                 q, den = -q, -den
-            return _make(self.N, (den,) + self.num[1:], q)
-        phi_poly = [Fraction(c) for c in cyclotomic_poly(self.N)]
-        r0, r1 = phi_poly, list(self.coeffs)
-        s0, s1 = [_F0], [_F1]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 = gcd = s_prev*Phi + s0*self; Phi_N irreducible => gcd is a constant.
-        r0 = _poly_trim(r0)
-        if len(r0) != 1:
-            raise ArithmeticError("gcd with Phi_N not constant; Phi_N reducible?")
-        c = r0[0]
-        return CycloScalar(self.N, [x / c for x in s0])
+            return _make(N, (den,) + num[1:], q)
+        adj = CycloScalar.one(N)
+        for k in range(2, N):
+            if gcd(k, N) == 1:
+                raw = [0] * N
+                for j, c in enumerate(num):
+                    raw[j * k % N] += c
+                adj = adj * _make(N, _reduce(N, raw), 1)
+        norm = _make(N, num, 1) * adj
+        if any(norm.num[1:]):
+            raise ArithmeticError("norm of a nonzero value is not rational")
+        return _make(N, [den * x for x in adj.num], norm.num[0])
+
     def __truediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -467,49 +469,3 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return CycloScalar.from_rational(x)
     return NotImplemented
-
-
-# -- small exact polynomial helpers (low degree first, Fraction coeffs) ----
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    i = len(p)
-    while i > 0 and p[i - 1] == 0:
-        i -= 1
-    return p[:i] if i else [_F0]
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [_F0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
-
-
-def _poly_mul(a, b):
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    den = _poly_trim(list(den))
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(_poly_trim(num)) - 1 < dd:
-        return [_F0], num
-    quot = [_F0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
-        if c:
-            quot[i - dd] = c
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    return quot, _poly_trim(num)

@@ -36,10 +36,6 @@ def dsum_group(G: FinAbGroup) -> FinAbGroup:
     return ab.direct_sum(G, ab.dual_group(G))
 
 
-def embed(G: FinAbGroup, g: GroupElement, chi: Character) -> GroupElement:
-    return dsum_group(G).element(g.coords + chi.exps)
-
-
 def split(G: FinAbGroup, x: GroupElement):
     n = G.rank
     return G.element(x.coords[:n]), G.character(x.coords[n:])
@@ -312,6 +308,15 @@ def _alpha_table(alpha: OrthAut):
 def u_alpha(alpha: OrthAut) -> TwistedSubgroup:
     """U_alpha = {(alpha_1(x), g_x)} with a first-found section per element."""
     return _u_alpha(alpha.group, _alpha_table(alpha))
+
+
+@cache
+def diagonal_stabilizer(alpha: OrthAut) -> tuple:
+    """S_alpha = {z in G : (z, z) in U_alpha} = {g_x : alpha_1(x) = g_x},
+    in G.elements() order (computed once per alpha)."""
+    n = alpha.group.rank
+    diagonal = {x[:n] for x, y in _alpha_table(alpha) if y[:n] == x[:n]}
+    return tuple(z for z in alpha.group.elements() if z.coords in diagonal)
 
 
 def _u_alpha(G: FinAbGroup, table) -> TwistedSubgroup:

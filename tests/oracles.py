@@ -272,6 +272,56 @@ def cyclo_mul(a, b):
     return cyclo_reduce(M, raw)
 
 
+def cyclo_inv(value):
+    """The inverse of a nonzero value by the extended Euclidean algorithm
+    on Fraction polynomials: s * a = gcd(a, Phi_N), a nonzero constant
+    because Phi_N is irreducible.  The package inverted this way before it
+    moved to the norm."""
+    N, coeffs = value
+    r0, r1 = [Fraction(c) for c in cyclotomic_poly(N)], list(coeffs)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while any(r1):
+        q, r = _divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    r0 = _trim(r0)
+    assert len(r0) == 1, "gcd with Phi_N is not constant"
+    return cyclo_reduce(N, [x / r0[0] for x in s0])
+
+
+def _trim(p):
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+            for i in range(n)]
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _divmod(num, den):
+    """(quotient, remainder) of num by a nonzero den, low degree first."""
+    num, den = list(num), _trim(list(den))
+    dd = len(den) - 1
+    quot = [Fraction(0)] * max(len(num) - dd, 1)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i] / den[-1]
+        quot[i - dd] = c
+        for j, dj in enumerate(den):
+            num[i - dd + j] -= c * dj
+    return quot, _trim(num[:dd] or [Fraction(0)])
+
+
 # -- elimination references -------------------------------------------------
 # The package's earlier computations, kept as references for the ones that
 # replaced them.  They drive the caller's own objects: W is a subspace with

@@ -272,7 +272,7 @@ def test_odatum_equiv_sign_flip():
     # the example witness (u, e) flips the sign directly
     u = mod.group.generator(0)
     moved = dense_translate(d, u, mod.group.zero())
-    assert bp.mat_equal(moved, [list(r) for r in neg.T])
+    assert moved == [list(r) for r in neg.T]
     gam = gamma_of(mod.group)
     other = sweedler_odatum(2, 3, gam)
     assert bp.odatum_equiv(d, other) == (False, None)
@@ -456,12 +456,11 @@ def test_family_order_probe():
     assert bp.validate_odatum(d)["valid"]
     sq = bp.odatum_product(d, d)
     minus_id = la.mat([[-1, 0], [0, -1]])
-    assert bp.mat_equal([list(r) for r in sq.T], minus_id)
+    assert [list(r) for r in sq.T] == minus_id
     # matrix order is 4, class order is 2 (the sign is absorbed by (u, e))
     assert bp.class_order(d) == 2
     fourth = bp.odatum_product(sq, sq)
-    assert bp.mat_equal([list(r) for r in fourth.T],
-                        bp.identity_matrix(2))
+    assert [list(r) for r in fourth.T] == bp.identity_matrix(2)
 
 
 # -- random suite hygiene ---------------------------------------------------
@@ -557,7 +556,7 @@ def test_equivariance_flags_match_dense_reference():
             U = orth.u_alpha(d.alpha)
             movers = {
                 "equivariant": [(z, z)
-                                for z in bp.diagonal_stabilizer(d.alpha)],
+                                for z in orth.diagonal_stabilizer(d.alpha)],
                 "equivariant_full_U": [U.components(e) for e in U.elements],
                 "equivariant_full_diagonal": [(z, z) for z in els],
             }
@@ -566,8 +565,6 @@ def test_equivariance_flags_match_dense_reference():
                                                     zero)
                 assert rep[flag] is ref, (name, flag, d)
                 seen[flag].add(ref)
-            stab = [z for z in els if U.contains((z, z))]
-            assert bp.diagonal_stabilizer(d.alpha) == stab
             assert rep["uu_in_U"] is U.contains_uu(mod.u)
             assert rep["invertible"] is bp.matrix_is_invertible(
                 [list(r) for r in d.T])
@@ -643,7 +640,7 @@ def test_rdatum_flags_match_dense_reference():
             rep = bp.validate_rdatum(d)
             U = orth.u_alpha(d.alpha)
             movers = {
-                "": [(z, z) for z in bp.diagonal_stabilizer(d.alpha)],
+                "": [(z, z) for z in orth.diagonal_stabilizer(d.alpha)],
                 "_full_U": [U.components(e) for e in U.elements],
             }
             for suffix, pairs in movers.items():
@@ -703,6 +700,25 @@ def test_rdatum_equiv_matches_dense_reference():
                 assert expected is None or got[0] is expected, (mod, d, dt)
                 outcomes.append(got[0])
     assert True in outcomes and False in outcomes
+
+
+def test_diagonal_stabilizer_matches_u_alpha():
+    # S_alpha against (z, z) in U_alpha for every alpha of each zoo group;
+    # module.u in S_alpha decides admissibility
+    counts = {}
+    for name, mod in hh.module_zoo():
+        els = list(mod.group.elements())
+        alphas = orth.enumerate_orth(mod.group)
+        for a in alphas:
+            U = orth.u_alpha(a)
+            assert orth.diagonal_stabilizer(a) == tuple(
+                z for z in els if U.contains((z, z))), (name, a)
+        admissible = bp.admissible_alphas(mod)
+        assert admissible == [a for a in alphas
+                              if orth.u_alpha(a).contains_uu(mod.u)]
+        counts[name] = (len(admissible), len(alphas))
+    assert counts["Z2Z2_d1"] == counts["Z2Z2_d2"] == (48, 72)
+    assert counts["Z2Z4_d1"] == (128, 128)
 
 
 # -- binding checks: cached per datum, still run on every output -----------
@@ -794,8 +810,8 @@ def test_matrix_inverse_matches_solves():
             continue
         tested += 1
         Mi = bp.matrix_inverse(M)
-        assert bp.mat_equal(la.product(M, Mi), bp.identity_matrix(n))
-        assert bp.mat_equal(la.product(Mi, M), bp.identity_matrix(n))
+        assert la.product(M, Mi) == bp.identity_matrix(n)
+        assert la.product(Mi, M) == bp.identity_matrix(n)
         # entry for entry, conductors included
         assert _json(Mi) == _json(oracles.inverse_by_solves(
             M, la.solve, one, ZERO))
@@ -858,6 +874,6 @@ def test_random_odatum_retries_singular_draws():
                 break
             retried += 1
         d = bp.random_odatum(mod, random.Random(seed), alpha)
-        assert bp.mat_equal(d.block_A(), A)
+        assert d.block_A() == A
         assert bp.validate_odatum(d)["valid"]
     assert retried > 0

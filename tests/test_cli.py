@@ -308,6 +308,38 @@ def test_json_output_golden(tmp_path, capsys, spec_obj, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# `verify` with an invalid datum in the spec exits 1 and names the failing
+# binding conditions; recorded before the check read brpic's binding report.
+_Z4_BAD_ODATUM = {"T": [["2@1", "0@1", "1@1", "0@1"],
+                        ["0@1", "1@1", "0@1", "0@1"],
+                        ["0@1", "0@1", "1@1", "0@1"],
+                        ["0@1", "0@1", "0@1", "1@1"]],
+                  "alpha": {"matrix": [[1, 0], [0, 1]]}}
+_Z4_BAD_RDATUM = {"W": {"ambient": 4,
+                        "basis": [["1@1", "0@1", "0@1", "0@1"],
+                                  ["0@1", "1@1", "0@1", "1@1"]]},
+                  "beta": {"gram": [["0@1", "1@1"], ["2@1", "0@1"]]},
+                  "alpha": {"matrix": [[1, 0], [0, 1]]}}
+GOLDEN_INVALID = [
+    (_Z4_BAD_ODATUM, "['B_zero', 'duality', 'equivariant']",
+     "f35de9c5b1ac0a1e4850fe18e60ef7dcf40644a4617851dd05d586f0f08e5e2d"),
+    (_Z4_BAD_RDATUM, "['axis_clear', 'beta_symmetric']",
+     "231c171f28ad4be8cf55cb65066ed21152b9ae0ae5984c98db4291670c87b68a"),
+]
+
+
+@pytest.mark.parametrize("datum,failing,digest", GOLDEN_INVALID,
+                         ids=["odatum", "rdatum"])
+def test_verify_invalid_datum_golden(tmp_path, capsys, datum, failing, digest):
+    spec = _write(tmp_path, "spec.json", Z4 | {"datum": datum})
+    code, out, err = _run(capsys, ["verify", "group-axioms", "--seed", "1",
+                                   "--count", "2", "--spec", spec, "--json"])
+    assert code == 1 and err == ""
+    assert json.loads(out)["checks"][0] == {
+        "name": "datum_valid", "ok": False, "detail": f"failing: {failing}"}
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # Fields whose wrong JSON type used to end in a traceback with exit 1, and a
 # scalar whose exponent is past phi(4) = 2, which used to end in a bare
 # IndexError message that did not name it.  A zero denominator used to end

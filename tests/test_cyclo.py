@@ -335,3 +335,40 @@ def test_inv_of_negative_rational():
     assert CycloScalar.from_rational(-7).inv().coeffs == (Fraction(-1, 7),)
     assert CycloScalar.from_rational(Fraction(2, 9), 8).inv().coeffs == (
         Fraction(9, 2), 0, 0, 0)
+
+
+# -- the inverse by the norm against the extended-gcd reference ------------
+
+@st.composite
+def irrational_scalars(draw):
+    """A value with a nonzero coefficient beyond the constant term, at a
+    conductor with phi(N) > 1; dense or sparse."""
+    N = draw(st.sampled_from([N for N in CONDUCTORS + [5, 7, 9, 15, 16, 24]
+                              if euler_phi(N) > 1]))
+    a = _rand_scalar(draw, N)
+    if draw(st.booleans()):  # sparse: most coefficients dropped
+        keep = draw(st.sets(st.integers(0, euler_phi(N) - 1), max_size=2))
+        a = CycloScalar(N, [c if k in keep else 0
+                            for k, c in enumerate(a.coeffs)])
+    if a.is_rational():
+        a = a + CycloScalar.root_of_unity(N)
+    return a
+
+
+@given(irrational_scalars())
+@settings(max_examples=150)
+def test_inv_matches_extended_gcd_reference(a):
+    r = a.inv()
+    _assert_matches(r, oracles.cyclo_inv(_ref(a)))
+    assert a * r == 1
+
+
+@pytest.mark.parametrize("N", [97, 256])
+def test_inv_of_dense_value_at_large_conductor(N):
+    # every coefficient nonzero, so no product in the norm is sparse
+    phi = euler_phi(N)
+    a = CycloScalar(N, [Fraction((-1) ** k * (k % 7 + 1), k % 3 + 1)
+                        for k in range(phi)])
+    r = a.inv()
+    _assert_lowest_terms(r)
+    assert r.N == N and a * r == 1
