@@ -23,12 +23,19 @@ with f acting componentwise on V + V.  The validator enforces the axis and
 independence conditions, F-stability of each sector, invariance of beta,
 the cocycle law for psi, and the centrality of e_u in k_psi F whenever the
 presentation mentions e_u; incompatible data raises a DomainError listing
-every violated clause.  Coactions, cotensor products (computed as exact
-kernels, blockwise over group-part classes), the Loewy filtration induced
-by the host coradical filtration, the diagonal comodule model of a host
-over its own double, and simplicity/freeness probes all live here.
-Verification routines return reports with located witnesses; nothing is
-assumed to hold by construction.
+every violated clause.  Read as a rewriting system towards the words
+w_S e_f, these clauses are its overlap conditions, so by Bergman's diamond
+lemma (Adv. Math. 29, 1978) every order of reduction gives the same normal
+form.  build_K checks them before it builds any table, and then assembles
+the product of w_S1 e_f1 and w_S2 e_f2 from three small tables instead of
+rewriting the whole word: the products w_S1 w_S2, the roots e_f picks up
+passing w_S, and the twisted law of F.  Coactions, cotensor products
+(computed as exact kernels, blockwise over group-part classes), the Loewy
+filtration induced by the host coradical filtration, the diagonal comodule
+model of a host over its own double, and simplicity/freeness probes all
+live here.  Verification routines return reports with located witnesses;
+check_comodule_algebra verifies every K that build_K returns, and nothing
+is assumed to hold by construction.
 
 Every tensor is keyed by tuples of basis indices: H x H by (h1, h2), L x K
 by (a, b), a coaction by (host index, basis index).  One law checks every
@@ -783,7 +790,21 @@ def alpha_supports_w3(module, alpha) -> bool:
 
 
 def build_K(data) -> ComodAlg:
-    """The comodule algebra K of a compatible datum over the doubled host."""
+    """The comodule algebra K of a compatible datum over the doubled host.
+
+    Once compatible_violations passes, every reduction order gives the same
+    normal form (see the module docstring), so the product is assembled as
+
+        w_S1 e_f1 . w_S2 e_f2 = chi(f1, S2) sum c psi'(g, f1, f2) w_T e_h
+
+    over w_S1 w_S2 = sum c w_T e_g (nf on words of w's, so g is 0 or
+    (u, u)), with chi(f1, S2) the product of the roots e_f1 picks up passing
+    each row of S2 and e_g e_f1 e_f2 = psi'(g, f1, f2) e_h, h = g + f1 + f2.
+    Each coefficient keeps the conductors of its factors, as rewriting the
+    whole word gives it.  The coaction is multiplicative and is built by
+    prefix: lam(w_S e_f) = lam(w_S) lam(e_f), lam(w_S) = lam(w_S') lam(w_s)
+    with s = max S and S' = S minus s.
+    """
     bad = compatible_violations(data)
     if bad:
         raise DomainError("incompatible comodule-algebra data; violated: "
@@ -857,16 +878,45 @@ def build_K(data) -> ComodAlg:
         memo[word] = out
         return out
 
-    keys = [(S, fk) for S in _subsets(nW) for fk in range(nF)]
+    subsets = _subsets(nW)
+    keys = [(S, fk) for S in subsets for fk in range(nF)]
     kidx = {key: i for i, key in enumerate(keys)}
     labels = tuple((S, Fels[fk].coords) for S, fk in keys)
 
+    # w_S1 w_S2 = sum c w_T e_g, g in {0, (u, u)}, as (kidx[(T, 0)], g, c)
+    words = [tuple(("w", s) for s in S) for S in subsets]
+    wtab = [[[(kidx[(T, 0)], g, c) for (T, g), c in nf(a + b).items()]
+             for b in words] for a in words]
+    # chi(f, S): the root e_f picks up passing w_S, built by prefix
+    chi = []
+    for roots in act_roots:
+        row = {(): _ONE}
+        for S in subsets[1:]:
+            row[S] = row[S[:-1]] * roots[S[-1]]
+        chi.append([row[S] for S in subsets])
+    # e_g e_f1 e_f2 = psi' e_h; no word holds an e_0, so g = 0 adds no psi
+    twist = {id_f: [[(f_mul[a][b], psiv[a][b]) for b in range(nF)]
+                    for a in range(nF)]}
+    if any(g != id_f for row in wtab for terms in row for _, g, _ in terms):
+        twist[u_f] = [[(f_mul[f_mul[u_f][a]][b],
+                        psiv[u_f][a] * psiv[f_mul[u_f][a]][b])
+                       for b in range(nF)] for a in range(nF)]
+    # scale[f1][S2][f2][g] = (h, chi(f1, S2) psi'), psi' bare at S2 = ()
+    scale = [[[{g: (tw[f1][f2][0], tw[f1][f2][1] if x is _ONE
+                    else x * tw[f1][f2][1]) for g, tw in twist.items()}
+               for f2 in range(nF)] for x in chi[f1]] for f1 in range(nF)]
+
     mult = {}
-    for i, (S1, f1) in enumerate(keys):
-        for j, (S2, f2) in enumerate(keys):
-            word = tuple(("w", s) for s in S1) + (("e", f1),) \
-                + tuple(("w", s) for s in S2) + (("e", f2),)
-            mult[(i, j)] = {kidx[key]: c for key, c in nf(word).items()}
+    for s1, row in enumerate(wtab):
+        for f1 in range(nF):
+            i = s1 * nF + f1
+            for s2, terms in enumerate(row):
+                for f2, sc in enumerate(scale[f1][s2]):
+                    out = {}
+                    for k, g, c in terms:
+                        h, t = sc[g]
+                        out[k + h] = c if t is _ONE else c * t
+                    mult[(i, s2 * nF + f2)] = out
 
     zeroG = module.group.zero().coords
     zeroGG = GG.zero().coords
@@ -899,12 +949,14 @@ def build_K(data) -> ComodAlg:
     loewy = tuple(len(S) for S, fk in keys)
     K = ComodAlg(host, labels, mult, {}, {unit_k: _ONE}, group_part, loewy,
                  meta={"kind": "K", "data": data})
-    # the coaction is multiplicative: a product of generator coactions
+    # the coaction is multiplicative: lam(w_S) by prefix, then lam(w_S e_f)
+    lam_S = {(): {(host.one_idx, unit_k): _ONE}}
+    for S in subsets[1:]:
+        lam_S[S] = _tensor_mul(host.mono_mul, K.mul_basis, lam_S[S[:-1]],
+                               lamw[S[-1]])
     for i, (S, fk) in enumerate(keys):
-        acc = {(host.one_idx, unit_k): _ONE}
-        for factor in [lamw[s] for s in S] + [lame[fk]]:
-            acc = _tensor_mul(host.mono_mul, K.mul_basis, acc, factor)
-        K.coaction[i] = acc
+        K.coaction[i] = _tensor_mul(host.mono_mul, K.mul_basis, lam_S[S],
+                                    lame[fk])
     return K
 
 

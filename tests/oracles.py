@@ -395,3 +395,148 @@ def right_coaction_ok(entries, H, one):
         if left != right or cu != {i: one}:
             return False
     return True
+
+
+# -- comodule algebra K by rewriting every word -------------------------------
+
+_SECTOR_SIGN = {(1, 1): 1, (2, 2): 1, (3, 3): 1, (1, 3): 1, (1, 2): -1,
+                (2, 3): -1}
+
+
+def rewrite_K_tables(data, host, scalar):
+    """(mult, coaction) of K rewritten word by word, as the package built it
+    before its product table was assembled from factors.
+
+    Each product w_S1 e_f1 . w_S2 e_f2 is brought to normal form by the
+    leftmost-first rewriting of the presentation (e_f e_h = psi(f,h) e_fh,
+    e_f w = (f.w) e_f, the beta-commutator rules) on the whole word, and the
+    coaction of w_S e_f is the product of its generators' coactions, left to
+    right.  data (a compatible datum) and host (its doubled host) are read
+    only through their attributes and methods; scalar is the scalar class,
+    used for one(N), root_of_unity(N, e) and from_rational(q).
+    """
+    one = scalar.one(1)
+    half = scalar.from_rational(Fraction(1, 2))
+
+    def addin(acc, key, c):
+        v = acc.get(key)
+        v = c if v is None else v + c
+        if v.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = v
+
+    def scaled(d, c):
+        return {} if c.is_zero() else {k: c * v for k, v in d.items()}
+
+    module = data.module
+    m = module.dim
+    rows, types, gram = data.rows, data.types, data.gram
+    nW, Fels = len(rows), data.F
+    nF = len(Fels)
+    f_index, f_mul = data.law
+    zero_gg = tuple(module.group.zero().coords) * 2
+    id_f = f_index[zero_gg]
+    uu = data.uu_coords()
+    u_f = f_index.get(uu)
+    psiv = [[data.psi[(a.coords, b.coords)] for b in Fels] for a in Fels]
+    N = module.group.exponent
+    act_roots = [[scalar.root_of_unity(N, e)
+                  for e in data.act_exponents(f)[0]] for f in Fels]
+    memo = {}
+
+    def nf(word):
+        got = memo.get(word)
+        if got is not None:
+            return got
+        out = None
+        for p in range(len(word) - 1):
+            (ka, a), (kb, b) = word[p], word[p + 1]
+            head, tail = word[:p], word[p + 2:]
+            if ka == "e" and kb == "e":
+                out = scaled(nf(head + (("e", f_mul[a][b]),) + tail), psiv[a][b])
+                break
+            if ka == "e" and kb == "w":
+                out = scaled(nf(head + (("w", b), ("e", a)) + tail),
+                             act_roots[a][b])
+                break
+            if ka == "w" and kb == "w":
+                if a == b:
+                    out = scaled(nf(head + tail), half * gram[a][a])
+                    break
+                if a > b:
+                    sign = _SECTOR_SIGN[tuple(sorted((types[a], types[b])))]
+                    c = gram[b][a]
+                    if sign == -1:
+                        acc = dict(nf(head + (("w", b), ("w", a)) + tail))
+                        if not c.is_zero():
+                            for k, v in nf(head + (("e", u_f),) + tail).items():
+                                addin(acc, k, -(c * v))
+                    else:
+                        acc = scaled(nf(head + (("w", b), ("w", a)) + tail), -one)
+                        if not c.is_zero():
+                            for k, v in nf(head + tail).items():
+                                addin(acc, k, c * v)
+                    out = acc
+                    break
+        if out is None:
+            S = tuple(i for k, i in word if k == "w")
+            f = next((i for k, i in word if k == "e"), id_f)
+            out = {(S, f): one}
+        memo[word] = out
+        return out
+
+    subsets = sorted(itertools.chain.from_iterable(
+        itertools.combinations(range(nW), r) for r in range(nW + 1)))
+    keys = [(S, fk) for S in subsets for fk in range(nF)]
+    kidx = {key: i for i, key in enumerate(keys)}
+    mult = {}
+    for i, (S1, f1) in enumerate(keys):
+        for j, (S2, f2) in enumerate(keys):
+            word = tuple(("w", s) for s in S1) + (("e", f1),) \
+                + tuple(("w", s) for s in S2) + (("e", f2),)
+            mult[(i, j)] = {kidx[key]: c for key, c in nf(word).items()}
+
+    def tensor_mul(t1, t2):
+        acc = {}
+        for (a1, b1), c1 in t1.items():
+            for (a2, b2), c2 in t2.items():
+                pa = host.mono_mul(a1, a2)
+                if not pa:
+                    continue
+                pb = mult.get((b1, b2), {})
+                if not pb:
+                    continue
+                for a3, ca in pa.items():
+                    for b3, cb in pb.items():
+                        addin(acc, (a3, b3), c1 * c2 * ca * cb)
+        return acc
+
+    g = module.group
+    zero_g = tuple(g.zero().coords)
+    ue = tuple(module.u.coords) + zero_g
+    eu = zero_g + tuple(module.u.coords)
+    unit_k = kidx[((), id_f)]
+    lamw = []
+    for wi, row in enumerate(rows):
+        t = types[wi]
+        d = {}
+        for j, c in enumerate(row):
+            if c.is_zero():
+                continue
+            if j >= m and t == 3:
+                addin(d, (host.index[((j,), uu)], kidx[((), u_f)]), c)
+            else:
+                addin(d, (host.index[((j,), zero_gg)], unit_k), c)
+        addin(d, (host.index[((), eu if t == 2 else ue)], kidx[((wi,), id_f)]),
+              one)
+        lamw.append(d)
+    lame = [{(host.index[((), f.coords)], kidx[((), fk)]): one}
+            for fk, f in enumerate(Fels)]
+    coaction = {}
+    for i, (S, fk) in enumerate(keys):
+        acc = {(host.one_idx, unit_k): one}
+        for factor in [lamw[s] for s in S] + [lame[fk]]:
+            acc = tensor_mul(acc, factor)
+        coaction[i] = acc
+    return mult, coaction

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from unittest import mock
 
 import pytest
 
@@ -613,6 +614,65 @@ def test_random_data_property_sweep():
         rep = hopf.check_comodule_algebra(K, rng=random.Random(seed))
         assert rep["ok"], (name, seed, rep["failures"][:3])
         assert rep["coinvariants_dim"] == 1
+
+
+@cache
+def _K_sample():
+    """(name, data, K) over every compatible_families table of the zoo
+    modules with |G| <= 4, and five seeded random data per zoo module."""
+    out = []
+    for name, mod in hh.module_zoo():
+        if mod.group.order <= 4:
+            for k, fam in enumerate(hopf.compatible_families(mod)):
+                # the generator draws its family from this one-entry list
+                with mock.patch.object(hopf, "compatible_families",
+                                       lambda module: [fam]):
+                    data = hh.random_data(mod, random.Random(100 * k),
+                                          dim_cap=32)
+                out.append((f"{name}/{fam[0]}", data, hopf.build_K(data)))
+        for seed in range(5):
+            data = hh.random_data(mod, random.Random(2000 + seed), dim_cap=64)
+            out.append((f"{name}/seed {seed}", data, hopf.build_K(data)))
+    return out
+
+
+def _exact(table):
+    return [(key, [(k, (c.N, c.num, c.den)) for k, c in entry.items()])
+            for key, entry in table.items()]
+
+
+def test_build_K_matches_word_rewriting():
+    """K's product table, assembled from factors, and its coaction equal
+    the tables of rewriting every word, entry by entry: same keys in the
+    same order, same (conductor, numerators, denominator)."""
+    hit_eu = hit_psi = False
+    for name, data, K in _K_sample():
+        mult, coaction = oracles.rewrite_K_tables(data, K.host, CycloScalar)
+        assert _exact(K.mult) == _exact(mult), name
+        assert _exact(K.coaction) == _exact(coaction), name
+        nW = len(data.rows)
+        hit_eu |= any(not data.gram[i][j].is_zero()
+                      and hopf._SYM_SIGN[tuple(sorted((data.types[i],
+                                                       data.types[j])))] < 0
+                      for i in range(nW) for j in range(nW))
+        hit_psi |= any(v != ONE for v in data.psi.values())
+    assert hit_eu and hit_psi
+
+
+def test_K_associative_on_all_triples():
+    checked = 0
+    for name, data, K in _K_sample():
+        if K.dim > 16:
+            continue
+        for i in range(K.dim):
+            for j in range(K.dim):
+                xy = K.mul_basis(i, j)
+                for k in range(K.dim):
+                    assert K.mul(xy, {k: ONE}) == K.mul({i: ONE},
+                                                        K.mul_basis(j, k)), \
+                        (name, i, j, k)
+        checked += 1
+    assert checked >= 20
 
 
 def test_random_cotensor_sweep():
