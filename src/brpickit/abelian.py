@@ -22,9 +22,10 @@ class FinAbGroup:
     __slots__ = ("factors", "exponent")
 
     def __init__(self, factors):
-        factors = tuple(int(f) for f in factors)
-        if any(f < 1 for f in factors):
-            raise DomainError(f"cyclic factor orders must be >= 1, got {factors}")
+        factors = tuple(factors)
+        if any(type(f) is not int or f < 1 for f in factors):
+            raise DomainError(
+                f"cyclic factor orders must be integers >= 1, got {factors}")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "exponent", lcm(*factors) if factors else 1)
 
@@ -58,7 +59,7 @@ class FinAbGroup:
 
     def generator(self, i: int) -> "GroupElement":
         coords = [0] * self.rank
-        coords[i] = 1
+        coords[i] = 1 % self.factors[i]
         return GroupElement(self, tuple(coords))
 
     def character(self, exps) -> "Character":
@@ -69,11 +70,14 @@ class FinAbGroup:
 
     def char_generator(self, i: int) -> "Character":
         exps = [0] * self.rank
-        exps[i] = 1
+        exps[i] = 1 % self.factors[i]
         return Character(self, tuple(exps))
 
     def _normalize(self, coords) -> tuple:
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(coords)
+        for c in coords:
+            if type(c) is not int:
+                raise DomainError(f"coordinates must be integers, got {c!r}")
         if len(coords) != self.rank:
             raise DomainError(
                 f"coordinate vector of length {len(coords)} for group of rank {self.rank}")

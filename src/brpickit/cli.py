@@ -62,12 +62,12 @@ def _parse_group_u_V(obj):
     if not isinstance(factors, list) or not factors:
         raise SpecError("group", "required: a non-empty list of integers")
     for i, n in enumerate(factors):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise SpecError(f"group[{i}]", "factors must be integers >= 1")
     G = ab.FinAbGroup(factors)
     u = obj.get("u")
     if (not isinstance(u, list) or len(u) != len(factors)
-            or any(not isinstance(c, int) for c in u)):
+            or any(type(c) is not int for c in u)):
         raise SpecError("u", f"required: a list of {len(factors)} integers")
     uel = G.element(tuple(u))
     if ab.order_of(uel) > 2:
@@ -79,7 +79,7 @@ def _parse_group_u_V(obj):
     chars = []
     for i, exps in enumerate(V):
         if (not isinstance(exps, list) or len(exps) != len(factors)
-                or any(not isinstance(c, int) for c in exps)):
+                or any(type(c) is not int for c in exps)):
             raise SpecError(f"V[{i}]",
                             f"must be a list of {len(factors)} integers")
         chi = G.character(tuple(exps))
@@ -122,7 +122,7 @@ def _int_field(spec, name, default, flag=None, positive=False):
     value = spec.get(name) if flag is None else flag
     if value is None:
         return default
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise SpecError(name, f"must be an integer, got {json.dumps(value)}")
     if positive and value < 1:
         raise SpecError(name, f"must be an integer >= 1, got {value}")

@@ -16,6 +16,15 @@ Also houses the diagonal G-action on V, V*, V+V and V+V* (V presented in a
 character-diagonal basis), composition of linear relations inside V+V, and
 the bilinear form transported along such a composition.
 
+Relations compose through their middle match alone.  For W with basis rows
+(a_i | b_i) and Wt with rows (c_j | e_j), the coefficient pairs (s, t) with
+s.b = t.c form a kernel, and one rref of the rows (s.a | t.e | s, t) over
+its basis gives the reduced composite basis together with each basis row's
+witness coordinates (s, t) in W and Wt; the transported form reads
+s^T beta s' + t^T betat t' off those coordinates.  Neither factor may meet
+a coordinate axis, and that makes the witness unique: s.a = 0 would put
+(0 | s.b) in W & (0+V), and t.e = 0 would put (t.c | 0) in Wt & (V+0).
+
 Subspaces are moved by the action in exponent form (pivot_exponents): if g
 acts as diag(zeta_N^e), it sends reduced row i of S (pivot p_i) to
 zeta^(e_{p_i}) times row i of the reduced basis of g.S, which has entries
@@ -317,35 +326,10 @@ class Subspace:
 
     __hash__ = None
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DomainError("ambient dimension mismatch")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.ambient_dim, [])
-        # coefficient pairs (s, t) with sum_i s_i a_i = sum_j t_j b_j
-        cols = [list(r) for r in self.basis] + [[-x for x in r] for r in other.basis]
-        M = transpose(cols)
-        K = kernel(M)
-        d = self.dim
-        rows = []
-        for coeffs in K.basis:
-            v = [_ZERO] * self.ambient_dim
-            for s, row in zip(coeffs[:d], self.basis):
-                if not s.is_zero():
-                    v = [x + s * y for x, y in zip(v, row)]
-            rows.append(v)
-        return Subspace(self.ambient_dim, rows)
-
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DomainError("ambient dimension mismatch")
         return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
-
-    def project(self, indices) -> "Subspace":
-        """Image under the coordinate projection onto the listed indices."""
-        indices = list(indices)
-        rows = [[r[i] for i in indices] for r in self.basis]
-        return Subspace(len(indices), rows)
 
     def to_json(self):
         return {"ambient": self.ambient_dim,
@@ -476,15 +460,7 @@ class BilinearForm:
         raise AttributeError("BilinearForm is immutable")
 
     def evaluate(self, v, w) -> CycloScalar:
-        cv, cw = self.space.coords_of(v), self.space.coords_of(w)
-        s = _ZERO
-        for i, a in enumerate(cv):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(cw):
-                if not b.is_zero() and not self.gram[i][j].is_zero():
-                    s = s + a * self.gram[i][j] * b
-        return s
+        return _pair(self.gram, self.space.coords_of(v), self.space.coords_of(w))
 
     def is_symmetric(self) -> bool:
         d = self.space.dim
@@ -505,6 +481,18 @@ class BilinearForm:
 
     def __repr__(self):
         return f"BilinearForm(on dim {self.space.dim})"
+
+
+def _pair(gram, x, y) -> CycloScalar:
+    """x^T gram y for coordinate vectors x, y, skipping zero terms."""
+    s = _ZERO
+    for i, a in enumerate(x):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(y):
+            if not b.is_zero() and not gram[i][j].is_zero():
+                s = s + a * gram[i][j] * b
+    return s
 
 
 def zero_form(space: Subspace) -> BilinearForm:
@@ -559,10 +547,18 @@ def axis_meets(W: Subspace):
 
 
 def _compose_with_lift(W: Subspace, Wt: Subspace):
-    """Shared core of relation_compose/bullet_form.
+    """Shared core of relation_compose/bullet_form: (composite, witnesses).
 
-    Returns (composite, lift) where lift maps the composite's basis rows to
-    their unique middle-coordinate witnesses.
+    With W spanned by rows (a_i | b_i) and Wt by rows (c_j | e_j), a
+    coefficient pair (s, t) gives a composite vector (s.a | t.e) with middle
+    witness s.b = t.c exactly when it lies in the kernel of
+    (s, t) -> s.b - t.c.  One rref of the rows (s.a | t.e | s, t), over a
+    kernel basis, gives the canonical composite basis in its first 2 dim V
+    columns and, on the same rows, the pair (s, t) of each basis row, its
+    witness coordinates in W and Wt.  The witness is unique because neither
+    factor meets an axis: s.a = 0 puts (0 | s.b) in W & (0+V), so s = 0,
+    and t.e = 0 puts (t.c | 0) in Wt & (V+0), so t = 0.  A pivot in the
+    (s, t) block would be a nonzero pair with no outer part.
     """
     if W.ambient_dim != Wt.ambient_dim or W.ambient_dim % 2:
         raise DomainError("relation composition wants two subspaces of V+V")
@@ -571,35 +567,17 @@ def _compose_with_lift(W: Subspace, Wt: Subspace):
         if any(axis_meets(S)):
             raise DomainError(
                 f"witness not unique: {name} meets a coordinate axis")
-    n = 3 * d
-    # X1 = {(v1,v2,w)) : (v1,v2) in W},  X2 = {(v1,v2,w) : (v2,w) in Wt}
-    x1_rows = [list(r) + [_ZERO] * d for r in W.basis]
-    for i in range(d):
-        row = [_ZERO] * n
-        row[2 * d + i] = _ONE
-        x1_rows.append(row)
-    x2_rows = [[_ZERO] * d + list(r) for r in Wt.basis]
-    for i in range(d):
-        row = [_ZERO] * n
-        row[i] = _ONE
-        x2_rows.append(row)
-    X = Subspace(n, x1_rows).intersect(Subspace(n, x2_rows))
-    outer = list(range(d)) + list(range(2 * d, 3 * d))
-    composite = X.project(outer)
-    if composite.dim != X.dim:
+    p = W.dim
+    middles = [r[d:] for r in W.basis] + [[-x for x in r[:d]] for r in Wt.basis]
+    pairs = kernel(transpose(middles)).basis if middles else ()
+    rows = [a + e + list(st) for a, e, st in zip(
+        product([st[:p] for st in pairs], [r[:d] for r in W.basis]),
+        product([st[p:] for st in pairs], [r[d:] for r in Wt.basis]), pairs)]
+    R, pivots = rref(rows)
+    if pivots and pivots[-1] >= 2 * d:
         raise DomainError("witness not unique: middle coordinate is not determined")
-    # For each composite basis row, solve for its lift in X and read off the
-    # middle block.
-    O = [[r[i] for i in outer] for r in X.basis]
-    lifts = []
-    for crow in composite.basis:
-        lam = solve(transpose(O), crow)
-        middle = [_ZERO] * d
-        for l, xrow in zip(lam, X.basis):
-            if not l.is_zero():
-                middle = [m + l * xrow[d + i] for i, m in enumerate(middle)]
-        lifts.append(middle)
-    return composite, lifts
+    composite = Subspace(2 * d, [r[:2 * d] for r in R])
+    return composite, [(r[2 * d:2 * d + p], r[2 * d + p:]) for r in R]
 
 
 def relation_compose(W: Subspace, Wt: Subspace) -> Subspace:
@@ -610,18 +588,15 @@ def relation_compose(W: Subspace, Wt: Subspace) -> Subspace:
 
 def bullet_form(W: Subspace, beta: BilinearForm, Wt: Subspace,
                 betat: BilinearForm) -> BilinearForm:
-    """The form on the composite: sum of the two forms through the witnesses."""
+    """The form on the composite: sum of the two forms through the witnesses.
+
+    Composite basis row i is (s_i.a | t_i.e) with witness coordinates
+    (s_i, t_i) against the bases of W and Wt (_compose_with_lift), so
+    gram_ij = s_i^T beta s_j + t_i^T betat t_j.
+    """
     if beta.space != W or betat.space != Wt:
         raise DomainError("forms must live on the subspaces being composed")
-    composite, lifts = _compose_with_lift(W, Wt)
-    d = W.ambient_dim // 2
-    left_vecs = []
-    right_vecs = []
-    for crow, middle in zip(composite.basis, lifts):
-        left_vecs.append(list(crow[:d]) + middle)
-        right_vecs.append(middle + list(crow[d:]))
-    m = composite.dim
-    gram = [[beta.evaluate(left_vecs[i], left_vecs[j])
-             + betat.evaluate(right_vecs[i], right_vecs[j])
-             for j in range(m)] for i in range(m)]
+    composite, witnesses = _compose_with_lift(W, Wt)
+    gram = [[_pair(beta.gram, s, s2) + _pair(betat.gram, t, t2)
+             for s2, t2 in witnesses] for s, t in witnesses]
     return BilinearForm(composite, gram)

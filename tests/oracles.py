@@ -324,11 +324,35 @@ def _divmod(num, den):
 
 # -- elimination references -------------------------------------------------
 # The package's earlier computations, kept as references for the ones that
-# replaced them.  They drive the caller's own objects: W is a subspace with
-# ambient_dim, dim and intersect, whose type builds a subspace from integer
-# rows; solve(A, b) is one exact solution of A x = b.
+# replaced them.  They drive the caller's own objects: a subspace has
+# ambient_dim, dim and basis, and its type builds a reduced subspace from
+# rows; kernel(M) is the null space of M as such a subspace, solve(A, b)
+# one exact solution of A x = b, and zero and one the caller's scalars.
 
-def axis_intersection_dims(W):
+def intersect(A, B, kernel, zero):
+    """A & B, spanned by s.A over the coefficient pairs (s, t) with
+    s.A = t.B."""
+    n = A.ambient_dim
+    if A.dim == 0 or B.dim == 0:
+        return type(A)(n, [])
+    cols = [list(r) for r in A.basis] + [[-x for x in r] for r in B.basis]
+    K = kernel([list(c) for c in zip(*cols)])
+    rows = []
+    for coeffs in K.basis:
+        v = [zero] * n
+        for s, row in zip(coeffs[:A.dim], A.basis):
+            if not s.is_zero():
+                v = [x + s * y for x, y in zip(v, row)]
+        rows.append(v)
+    return type(A)(n, rows)
+
+
+def project(S, indices):
+    """The image of S under the coordinate projection onto indices."""
+    return type(S)(len(indices), [[r[i] for i in indices] for r in S.basis])
+
+
+def axis_intersection_dims(W, kernel, zero):
     """(dim W & (V+0), dim W & (0+V)) for W inside V+V, by intersection."""
     d = W.ambient_dim // 2
     if d == 0:
@@ -337,7 +361,59 @@ def axis_intersection_dims(W):
                             for i in range(d)])
     axis2 = type(W)(2 * d, [[int(j == i + d) for j in range(2 * d)]
                             for i in range(d)])
-    return W.intersect(axis1).dim, W.intersect(axis2).dim
+    return (intersect(W, axis1, kernel, zero).dim,
+            intersect(W, axis2, kernel, zero).dim)
+
+
+def compose_by_intersection(W, Wt, kernel, solve, zero, one):
+    """(composite, middles) of the relations W, Wt inside V+V: both are
+    embedded in V+V+V, intersected there and projected to the outer blocks,
+    and each composite basis row is lifted back by a solve to read off its
+    middle coordinate."""
+    d = W.ambient_dim // 2
+    for S, name in ((W, "left factor"), (Wt, "right factor")):
+        if any(axis_intersection_dims(S, kernel, zero)):
+            raise ValueError(
+                f"witness not unique: {name} meets a coordinate axis")
+    n = 3 * d
+
+    def unit(i):
+        return [one if j == i else zero for j in range(n)]
+    x1 = type(W)(n, [list(r) + [zero] * d for r in W.basis]
+                 + [unit(2 * d + i) for i in range(d)])
+    x2 = type(W)(n, [[zero] * d + list(r) for r in Wt.basis]
+                 + [unit(i) for i in range(d)])
+    X = intersect(x1, x2, kernel, zero)
+    outer = list(range(d)) + list(range(2 * d, 3 * d))
+    composite = project(X, outer)
+    if composite.dim != X.dim:
+        raise ValueError(
+            "witness not unique: middle coordinate is not determined")
+    O = [[r[i] for i in outer] for r in X.basis]
+    Ot = [list(c) for c in zip(*O)]
+    middles = []
+    for crow in composite.basis:
+        middle = [zero] * d
+        for lam, xrow in zip(solve(Ot, crow), X.basis):
+            if not lam.is_zero():
+                middle = [m + lam * xrow[d + i] for i, m in enumerate(middle)]
+        middles.append(middle)
+    return composite, middles
+
+
+def bullet_by_intersection(W, beta, Wt, betat, kernel, solve, zero, one):
+    """The form beta . betat on the composite, evaluated through each basis
+    row's witness from compose_by_intersection; beta and betat are read
+    through evaluate and their type builds a form from (space, gram)."""
+    composite, middles = compose_by_intersection(W, Wt, kernel, solve, zero,
+                                                 one)
+    d = W.ambient_dim // 2
+    left = [list(c[:d]) + m for c, m in zip(composite.basis, middles)]
+    right = [m + list(c[d:]) for c, m in zip(composite.basis, middles)]
+    gram = [[beta.evaluate(left[i], left[j])
+             + betat.evaluate(right[i], right[j])
+             for j in range(composite.dim)] for i in range(composite.dim)]
+    return type(beta)(composite, gram)
 
 
 def inverse_by_solves(M, solve, one, zero):

@@ -205,3 +205,23 @@ def test_twisted_subgroup_closure_errors(monkeypatch):
         [[k] * len(els) for k in range(len(els))]))
     with pytest.raises(DomainError, match="not closed under inverses"):
         orth.TwistedSubgroup(Z4, [GG.zero(), GG.element([1, 1])], {})
+
+
+def test_non_integer_factors_and_coordinates_refused():
+    # int() used to truncate them: [2.7] was Z2, [True] was Z1
+    for factors in ([2.7], [True], ["2"]):
+        with pytest.raises(DomainError, match="integers >= 1"):
+            FinAbGroup(factors)
+    G = FinAbGroup([4])
+    for bad in (1.5, True, "1"):
+        with pytest.raises(DomainError, match="coordinates must be integers"):
+            G.element((bad,))
+        with pytest.raises(DomainError, match="coordinates must be integers"):
+            GroupHom(G, G, [(bad,)])
+
+
+def test_generators_of_a_trivial_factor_are_reduced():
+    G = FinAbGroup([2, 1])
+    assert G.generator(1) == G.zero()
+    assert G.char_generator(1) == G.trivial_character()
+    assert G.generator(0).coords == (1, 0)

@@ -877,3 +877,68 @@ def test_random_odatum_retries_singular_draws():
         assert d.block_A() == A
         assert bp.validate_odatum(d)["valid"]
     assert retried > 0
+
+
+# -- composition against the intersection reference ---------------------------
+
+def _cyclic_module(N, exps):
+    G = FinAbGroup([N])
+    return la.GModuleV(G, G.element((N // 2,)),
+                       [G.character((e,)) for e in exps])
+
+
+def _compose_reference(W, Wt):
+    return oracles.compose_by_intersection(W, Wt, la.kernel, la.solve, ZERO,
+                                           CycloScalar.one(1))[0]
+
+
+def _bullet_reference(W, beta, Wt, betat):
+    return oracles.bullet_by_intersection(W, beta, Wt, betat, la.kernel,
+                                          la.solve, ZERO, CycloScalar.one(1))
+
+
+def _composition_outputs(data):
+    """to_json text of the products of neighbours, of a product with the
+    next datum, and of the Lagrangian products of neighbours, or the error
+    each one ends in."""
+    def text(f):
+        try:
+            return repr(f().to_json())
+        except (BrpicError, DomainError, ValueError) as e:
+            return "error: " + str(e)
+    out = []
+    for a, b, c in zip(data, data[1:], data[2:]):
+        out.append(text(lambda: bp.rdatum_product(a, b)))
+        out.append(text(lambda: bp.rdatum_product(bp.rdatum_product(a, b), c)))
+        out.append(text(lambda: bp.lag_product(bp.tau(a), bp.tau(b)).L))
+    return out
+
+
+def test_composition_matches_intersection_reference(monkeypatch):
+    # Every zoo module plus Z6 and Z8 ones.  Data are translated by
+    # D_x T D_y^-1, which puts zeta entries of conductor N next to the
+    # conductor-1 entries of the untranslated data and the identity; the
+    # reference is the intersection algorithm the composition replaced, and
+    # the printed text, conductors included, must not move.
+    rng = random.Random(73)
+    modules = [mod for _, mod in hh.module_zoo()]
+    modules += [_cyclic_module(6, (1, 5)), _cyclic_module(8, (1, 3))]
+    with_zeta = 0
+    for mod in modules:
+        els = list(mod.group.elements())
+        data = [bp.identity_rdatum(mod)]
+        for _ in range(4):
+            d = random_datum(rng, mod)
+            data.append(bp.odatum_to_rdatum(d))
+            moved = dense_translate(d, rng.choice(els), rng.choice(els))
+            data.append(bp.odatum_to_rdatum(bp.ODatum(mod, moved, d.alpha)))
+        rng.shuffle(data)
+        got = _composition_outputs(data)
+        with monkeypatch.context() as m:
+            m.setattr(la, "relation_compose", _compose_reference)
+            m.setattr(la, "bullet_form", _bullet_reference)
+            expected = _composition_outputs(data)
+        assert got == expected
+        assert not any(t.startswith("error") for t in got)
+        with_zeta += sum("*z" in t for t in got)
+    assert with_zeta > 0

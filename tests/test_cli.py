@@ -340,7 +340,10 @@ def test_verify_invalid_datum_golden(tmp_path, capsys, datum, failing, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Fields whose wrong JSON type used to end in a traceback with exit 1, and a
+# Fields whose wrong JSON type used to end in a traceback with exit 1, or,
+# for a boolean group, u or V entry and a float, boolean or string alpha
+# entry, to be read as an integer and run (alpha [[1.5, 0], [0, true]] as
+# the identity), and a
 # scalar whose exponent is past phi(4) = 2, which used to end in a bare
 # IndexError message that did not name it.  A zero denominator used to end
 # in a ZeroDivisionError traceback, and the other malformed scalars in a
@@ -358,6 +361,10 @@ def _w_with(scalar):
     return {"W": {"ambient": 2, "basis": [["1@1", scalar]]},
             "beta": {"gram": [["0@1"]]},
             "alpha": {"matrix": [[1, 0], [0, 1]]}}
+
+
+def _alpha_with(matrix):
+    return {"T": [["1@1", "0@1"], ["0@1", "1@1"]], "alpha": {"matrix": matrix}}
 
 
 def _bad(fields, argv, name, named="", id=None):
@@ -389,6 +396,20 @@ BAD_FIELDS = [
          "count-negative"),
     _bad({"bound": 0}, ["verify", "all"], "bound", "got 0", "bound-0"),
     _bad({"bound": -1}, ["orth"], "bound", "got -1", "bound-negative"),
+    _bad({"group": [True]}, ["orth"], "group[0]", id="group-bool"),
+    _bad({"group": [2.0]}, ["orth"], "group[0]", id="group-float"),
+    _bad({"u": [True], "V": [[True]]}, ["verify", "all"], "u", id="u-bool"),
+    _bad({"V": [[True]]}, ["brpic", "describe"], "V[0]", id="V-bool"),
+    _bad({"V": [["1"]]}, ["brpic", "describe"], "V[0]", id="V-string"),
+    _bad({"datum": _alpha_with([[1.5, 0], [0, True]])}, ["brpic", "inv"],
+         "datum", "alpha.matrix: coordinates must be integers, got 1.5",
+         "datum-alpha-float"),
+    _bad({"datum": _alpha_with([[1, 0], [0, True]])}, ["brpic", "inv"],
+         "datum", "alpha.matrix: coordinates must be integers, got True",
+         "datum-alpha-bool"),
+    _bad({"datum": _alpha_with([[1, 0], ["0", 1]])}, ["brpic", "inv"],
+         "datum", "alpha.matrix: coordinates must be integers, got '0'",
+         "datum-alpha-string"),
 ]
 
 
@@ -463,3 +484,17 @@ def test_huge_conductor_exits_3(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert "1000003" in err and "Traceback" not in err
+
+
+# A cyclic factor of order 1 used to end in a KeyError traceback: the
+# generator of Z1 was taken as the unreduced coordinate 1.
+def test_trivial_cyclic_factor_runs(tmp_path, capsys):
+    spec = _write(tmp_path, "z2z1.json",
+                  {"group": [2, 1], "u": [1, 0], "V": [[1, 0]]})
+    code, out, err = _run(capsys, ["orth", "--spec", spec])
+    assert code == 0 and err == ""
+    assert "orthogonal automorphisms: 2" in out
+    for argv in (["brpic", "describe"], ["verify", "all", "--seed", "3"]):
+        code, out, err = _run(capsys, argv + ["--spec", spec])
+        assert code == 0 and err == ""
+    assert "result: PASS" in out

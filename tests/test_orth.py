@@ -176,9 +176,9 @@ def _random_hom(D, rng):
     return GroupHom(D, D, rows)
 
 
-def test_is_orthogonal_matches_pointwise_oracle():
-    rng = random.Random(20260)
-    for G in [Z2, Z3, Z4, Z2xZ2, FinAbGroup([2, 4]), FinAbGroup([3, 3])]:
+def _is_orthogonal_agrees_with_pointwise_oracle(rng):
+    for G in [Z2, Z3, Z4, Z2xZ2, FinAbGroup([2, 4]), FinAbGroup([3, 3]),
+              FinAbGroup([2, 1]), FinAbGroup([6])]:
         D = orth.dsum_group(G)
         homs = [_random_hom(D, rng) for _ in range(300)]
         homs += [a.hom for a in orth.enumerate_orth(G, bound=2048)[::4]]
@@ -193,6 +193,16 @@ def test_is_orthogonal_matches_pointwise_oracle():
             else:
                 kinds["not bijective"] += 1
         assert all(kinds.values()), (G, kinds)
+
+
+def test_is_orthogonal_matches_pointwise_oracle():
+    _is_orthogonal_agrees_with_pointwise_oracle(random.Random(20260))
+
+
+def test_is_orthogonal_by_generators_matches_pointwise_oracle(monkeypatch):
+    # above the limit, q is read off generator values and polarizations
+    monkeypatch.setattr(orth, "_POINTWISE_LIMIT", 0)
+    _is_orthogonal_agrees_with_pointwise_oracle(random.Random(20261))
 
 
 def test_u_alpha_identity_is_diagonal():
