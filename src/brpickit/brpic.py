@@ -130,6 +130,9 @@ class RDatum:
 
     @staticmethod
     def from_json(module: la.GModuleV, obj) -> "RDatum":
+        ambient = obj["W"]["ambient"]
+        if type(ambient) is not int:
+            raise DomainError(f"W.ambient: must be an integer, got {ambient!r}")
         W = la.Subspace.from_json(obj["W"])
         gram = [[CycloScalar.from_string(s) for s in row]
                 for row in obj["beta"]["gram"]]

@@ -553,10 +553,11 @@ class CompatibleData:
     (index, addition table), or None when F is not closed under addition.
 
     compatible_violations checks psi the same exact way whatever its source,
-    a TwoCocycle included: each value is lifted to the lcm L of the table's
-    conductors, where equal values have equal coefficient tuples, and given
-    an id; the cocycle identity is then compared triple by triple on the
-    ids of memoized products, read through law.
+    a TwoCocycle included, from its values alone: each is lifted to
+    M = lcm(2, the table's conductors) and read as an exponent k when it is
+    zeta_M^k, and the cocycle identity is then a congruence mod M on those
+    exponents, read through law.  A table with a value that is not a root
+    of unity is checked by multiplying the values instead.
 
     f in G x G scales each reduced row of an f-stable sector by zeta_N^e, e
     its exponent at the row's pivot (act_exponents), so F-stability, beta's
@@ -739,42 +740,25 @@ def compatible_violations(data) -> list:
 def _psi_cocycle_ok(data) -> bool:
     """psi(a,b) psi(a+b,c) == psi(b,c) psi(a,b+c) on all of F^3, exactly.
 
-    Values are interned at the common conductor L, where (num, den) is
-    canonical, so two values are equal iff their ids are; each product of
-    two ids is computed once and interned the same way.
+    Each value is lifted once to M = lcm(2, its conductors), where
+    (num, den) is canonical, and looked up among the M roots zeta_M^k.
+    Every root of unity in Q(zeta_M) is +-zeta_M^k, of order dividing M,
+    so the lookup finds each value that is one.  When all are found, psi
+    is zeta_M^E and the identity is orth.cocycle_failure's congruence on E
+    mod M.  Otherwise (only a table with a value that is not a root of
+    unity) the lifted values are multiplied triple by triple.
     """
     add = data.law[1]
-    L = lcm(*(v.N for v in data.psi.values()))
-    ids, vals = {}, []
-
-    def intern(v):
-        if v.N != L:
-            v = v.lift(L)
-        key = (v.num, v.den)
-        if key not in ids:
-            ids[key] = len(vals)
-            vals.append(v)
-        return ids[key]
-
-    P = [[intern(data.psi[(a.coords, b.coords)]) for b in data.F] for a in data.F]
-    prod_ids, memo = {}, {}
-
-    def times(x, y):
-        key = (x, y) if x <= y else (y, x)
-        if key not in memo:
-            p = vals[x] * vals[y]
-            memo[key] = prod_ids.setdefault((p.num, p.den), len(prod_ids))
-        return memo[key]
-
-    n = len(data.F)
-    for i in range(n):
-        Pi, addi = P[i], add[i]
-        for j in range(n):
-            Pab, Pj, addj, pij = P[addi[j]], P[j], add[j], Pi[j]
-            for k in range(n):
-                if times(pij, Pab[k]) != times(Pj[k], Pi[addj[k]]):
-                    return False
-    return True
+    M = lcm(2, *(v.N for v in data.psi.values()))
+    roots = [CycloScalar.root_of_unity(M, k) for k in range(M)]
+    exponent = {(z.num, z.den): k for k, z in enumerate(roots)}
+    P = [[data.psi[(a.coords, b.coords)].lift(M) for b in data.F] for a in data.F]
+    E = [[exponent.get((v.num, v.den)) for v in row] for row in P]
+    if all(None not in row for row in E):
+        return orth.cocycle_failure(add, E, M) is None
+    n = len(P)
+    return all(P[i][j] * P[add[i][j]][k] == P[j][k] * P[i][add[j][k]]
+               for i in range(n) for j in range(n) for k in range(n))
 
 
 def alpha_supports_w3(module, alpha) -> bool:
@@ -1410,13 +1394,12 @@ def verify_cotensor_iso(d, dt):
         iota1 = v1 + v2
         iota2 = v2 + list(row[m:])
         try:
-            cw = d.W.coords_of(iota1)
             ct = dt.W.coords_of(iota2)
         except DomainError:
             note("iota_membership", row)
             return {"ok": False, "failures": failures, **report}
         vec = {}
-        for k, c in enumerate(cw):
+        for k, c in enumerate(s):
             if not c.is_zero():
                 addin(vec, (L1.index[((k,), zeroGG)], unit2), c)
         eu1 = L1.index[((), uu)]

@@ -358,24 +358,37 @@ class TwoCocycle:
         for a in elems:
             if self.exps[(zero, a.coords)] % self.N or self.exps[(a.coords, zero)] % self.N:
                 raise DomainError("cocycle is not normalized at the identity")
-        add = self.domain.law[1]
         E = [[self.exps[(a.coords, b.coords)] for b in elems] for a in elems]
-        n = len(elems)
-        for i in range(n):
-            for j in range(n):
-                Eij, Eab, Ej, Ei, addj = E[i][j], E[add[i][j]], E[j], E[i], add[j]
-                for k in range(n):
-                    if (Eij + Eab[k] - Ej[k] - Ei[addj[k]]) % self.N:
-                        raise DomainError("2-cocycle identity fails at "
-                                          f"{elems[i].coords},{elems[j].coords},{elems[k].coords}")
+        bad = cocycle_failure(self.domain.law[1], E, self.N)
+        if bad is not None:
+            i, j, k = bad
+            raise DomainError("2-cocycle identity fails at "
+                              f"{elems[i].coords},{elems[j].coords},{elems[k].coords}")
 
     def __repr__(self):
         return f"TwoCocycle(on order-{len(self.domain)} subgroup, N={self.N})"
 
 
-_PSI_CACHE = {}
+def cocycle_failure(add, E, N: int):
+    """The first (i, j, k), in lexicographic order, with
+    E[i][j] + E[i+j][k] != E[j][k] + E[i][j+k] (mod N), or None.
+
+    E is a table of exponents of zeta_N over the elements of a group whose
+    addition table on indices is add; the congruence is the 2-cocycle
+    identity psi(a,b) psi(a+b,c) = psi(b,c) psi(a,b+c) for psi = zeta_N^E.
+    """
+    n = len(E)
+    for i in range(n):
+        Ei, addi = E[i], add[i]
+        for j in range(n):
+            Eij, Eab, Ej, addj = Ei[j], E[addi[j]], E[j], add[j]
+            for k in range(n):
+                if (Eij + Eab[k] - Ej[k] - Ei[addj[k]]) % N:
+                    return i, j, k
+    return None
 
 
+@cache
 def psi_alpha(alpha: OrthAut) -> TwoCocycle:
     """The 2-cocycle on U_alpha, with well-definedness verified.
 
@@ -384,12 +397,6 @@ def psi_alpha(alpha: OrthAut) -> TwoCocycle:
     than silently depending on the section).  Built, and its cocycle
     identity verified, once per alpha.
     """
-    if alpha not in _PSI_CACHE:
-        _PSI_CACHE[alpha] = _build_psi(alpha)
-    return _PSI_CACHE[alpha]
-
-
-def _build_psi(alpha: OrthAut) -> TwoCocycle:
     # psi(a, b) = <alpha_2(r)^-1, b_1> <chi_r, b_2> for a preimage r = (g,
     # chi) of a, whose exponent mod N is the dot product of b's coordinates
     # with v_r = (-alpha_2(r) * w, chi * w), w_i = N / f_i.

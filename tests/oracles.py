@@ -212,6 +212,20 @@ def cocycle_ok(elements, factors, psi):
     return True
 
 
+def first_cocycle_failure(elements, factors, exps, N):
+    """The first (a, b, c), each running over elements in order, with
+    exps[(a,b)] + exps[(a+b,c)] != exps[(b,c)] + exps[(a,b+c)] (mod N), or
+    None: the identity above for psi = zeta_N^exps, on exponents."""
+    def add(x, y):
+        return tuple((s + t) % f for s, t, f in zip(x, y, factors))
+
+    for a, b, c in itertools.product(elements, repeat=3):
+        if (exps[(a, b)] + exps[(add(a, b), c)]
+                - exps[(b, c)] - exps[(a, add(b, c))]) % N:
+            return a, b, c
+    return None
+
+
 # -- cyclotomic arithmetic on Fraction coefficients -----------------------
 # A value is (N, coeffs) with coeffs the Fraction coefficients of an element
 # of Q(zeta_N) in the power basis 1, z, ..., z^(phi(N)-1), reduced mod

@@ -357,8 +357,8 @@ def _t_with(scalar):
             "alpha": {"matrix": [[1, 0], [0, 1]]}}
 
 
-def _w_with(scalar):
-    return {"W": {"ambient": 2, "basis": [["1@1", scalar]]},
+def _w_with(scalar, ambient=2):
+    return {"W": {"ambient": ambient, "basis": [["1@1", scalar]]},
             "beta": {"gram": [["0@1"]]},
             "alpha": {"matrix": [[1, 0], [0, 1]]}}
 
@@ -410,6 +410,10 @@ BAD_FIELDS = [
     _bad({"datum": _alpha_with([[1, 0], ["0", 1]])}, ["brpic", "inv"],
          "datum", "alpha.matrix: coordinates must be integers, got '0'",
          "datum-alpha-string"),
+    _bad({"datum": _w_with("0@1", 2.0)}, ["brpic", "inv"], "datum",
+         "W.ambient: must be an integer, got 2.0", "datum-W-ambient-float"),
+    _bad({"datum": _w_with("0@1", True)}, ["brpic", "inv"], "datum",
+         "W.ambient: must be an integer, got True", "datum-W-ambient-bool"),
 ]
 
 

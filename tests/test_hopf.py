@@ -268,6 +268,47 @@ def test_cocycle_check_agrees_with_scalar_oracle():
     assert len(seen) > 10 and rejected > 5
 
 
+def test_cocycle_check_on_values_that_are_not_roots_of_unity():
+    # psi(a,b) = mu(a) mu(b) / mu(a+b), mu(0) = 1 and mu in {2, 3}
+    # elsewhere, on F = Z2 x Z2: a cocycle with psi(a, a) in {4, 9}
+    mod = _sw()
+    GG = ab.direct_sum(mod.group, mod.group)
+    F = _whole_F(mod.group)
+    mu = {f.coords: Fraction(2 + k % 2) if k else Fraction(1)
+          for k, f in enumerate(F)}
+    psi = {(a.coords, b.coords): mu[a.coords] * mu[b.coords]
+           / mu[ab.add(a, b).coords] for a in F for b in F}
+    key = (F[1].coords, F[2].coords)
+    bad = dict(psi)
+    bad[key] = psi[key] * 2
+    elems = [f.coords for f in F]
+    for table, ok in ((psi, True), (bad, False)):
+        assert oracles.cocycle_ok(elems, GG.factors, table) is ok
+        assert ("psi_cocycle" not in _psi_violations(mod, F, table)) is ok
+
+
+def test_cocycle_check_paths(monkeypatch):
+    # zoo-family tables hold roots of unity only, so each is decided by the
+    # exponent congruence; a table with a 2 in it multiplies values
+    tables = [(mod, F, psi) for _, mod in hh.module_zoo()
+              for _, F, psi, _ in hh.f_families(mod)]
+    calls = []
+    original = orth.cocycle_failure
+    monkeypatch.setattr(orth, "cocycle_failure",
+                        lambda *args: calls.append(1) or original(*args))
+    for mod, F, psi in tables:
+        assert _psi_violations(mod, F, psi) == []
+    assert len(calls) == len(tables) > 50
+    # one sign flipped: -1 = zeta_2, rejected by the congruence mod 2
+    mod = _sw()
+    F = _whole_F(mod.group)
+    x = (1, 0)
+    assert _psi_violations(mod, F, {(x, x): Fraction(-1)}) == ["psi_cocycle"]
+    assert len(calls) == len(tables) + 1
+    assert _psi_violations(mod, F, {(x, x): Fraction(2)}) == ["psi_cocycle"]
+    assert len(calls) == len(tables) + 1
+
+
 def test_noncentral_twist_blocks_sector3_only():
     mod = _sw()
     fams = dict((n, (F, psi, ok)) for n, F, psi, ok in hh.f_families(mod))

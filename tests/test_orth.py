@@ -262,6 +262,30 @@ def test_psi_cocycle_identity_all_alphas():
             orth.psi_alpha(a)
 
 
+def test_two_cocycle_raises_at_the_first_failing_triple():
+    # one entry of a valid psi_alpha table moved by +1 breaks the identity;
+    # the error names the first failing triple in element order
+    G24 = FinAbGroup([2, 4])
+    cases = [(G, a) for G in [Z2, Z3, Z4, Z2xZ2] for a in orth.enumerate_orth(G)[::3]]
+    cases += [(G24, a) for a in orth.enumerate_orth(G24)[::48]]
+    for G, alpha in cases:
+        psi = orth.psi_alpha(alpha)
+        U = psi.domain
+        elems = [e.coords for e in U.elements]
+        key = (elems[-1], elems[len(elems) // 2])
+        exps = dict(psi.exps)
+        exps[key] += 1
+        first = oracles.first_cocycle_failure(elems, U.pair_group.factors,
+                                              exps, psi.N)
+        assert first is not None
+        assert oracles.first_cocycle_failure(elems, U.pair_group.factors,
+                                             psi.exps, psi.N) is None
+        with pytest.raises(DomainError) as err:
+            orth.TwoCocycle(U, psi.N, exps)
+        assert str(err.value) == ("2-cocycle identity fails at "
+                                  + ",".join(map(str, first)))
+
+
 def test_psi_exponents_match_the_pairing_formula():
     # psi(a, b) = <alpha_2(r)^-1, b_1> <chi_r, b_2> at the section's
     # preimage r = (g, chi) of a
@@ -289,7 +313,7 @@ def test_psi_ill_defined_for_a_non_orthogonal_automorphism():
     assert ab.hom_is_automorphism(hom) and not orth.is_orthogonal(Z3, hom)
     alpha = orth.OrthAut(Z3, hom, _checked=True)
     with pytest.raises(DomainError, match="psi ill-defined"):
-        orth._build_psi(alpha)
+        orth.psi_alpha(alpha)
 
 
 def test_u_alpha_inverse_is_transpose():
