@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, lcm, prod
 
 from .cyclo import CycloScalar
@@ -192,11 +193,16 @@ def addition_table(elements):
 
     Returns (index, add): index maps coordinates to list positions and
     add[i][j] is the position of elements[i] + elements[j].  Returns None
-    when some sum falls outside the list.
+    when some sum falls outside the list.  Computed once per tuple of
+    elements and shared; callers must not mutate index.
     """
-    elements = list(elements)
+    return _addition_table(tuple(elements))
+
+
+@cache
+def _addition_table(elements):
     if not elements:
-        return {}, []
+        return {}, ()
     parent = elements[0].parent
     if any(x.parent != parent or type(x) is not type(elements[0]) for x in elements):
         raise DomainError("operands live in different groups")
@@ -211,8 +217,8 @@ def addition_table(elements):
             if k is None:
                 return None
             row.append(k)
-        add.append(row)
-    return index, add
+        add.append(tuple(row))
+    return index, tuple(add)
 
 
 def direct_sum(G: FinAbGroup, H: FinAbGroup) -> FinAbGroup:

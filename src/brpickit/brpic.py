@@ -23,7 +23,7 @@ the full diagonal of G x G.
 
 Validity is established once per datum object.  The binding check (the
 conditions that decide 'valid') runs the first time a datum is used and its
-verdict is cached on the immutable datum; factors, inputs and every product,
+verdict is cached on the immutable datum; operands, inputs and every product,
 inverse and conversion output read that cache.  The report
 (validate_odatum / validate_rdatum) adds the informational flags and is
 computed only on request.  Both kinds are checked in exponent form:
@@ -38,6 +38,8 @@ blocks commute with the whole diagonal G-action; that set is closed under
 products, inverses and G x G-translations, so generated suites never
 trigger the failure path.
 """
+
+from functools import cache
 
 from . import abelian as ab
 from . import linalg as la
@@ -337,6 +339,12 @@ def _same_module(d, dt):
         raise DomainError("data live over different modules")
 
 
+def _valid_operands(d, dt, what, what_t):
+    _same_module(d, dt)
+    _require_valid(d, what)
+    _require_valid(dt, what_t)
+
+
 # -- identity data ----------------------------------------------------------
 
 def identity_rdatum(module: la.GModuleV) -> RDatum:
@@ -357,18 +365,14 @@ def identity_odatum(module: la.GModuleV) -> ODatum:
 # -- products, inverses, equivalence ---------------------------------------
 
 def rdatum_product(d: RDatum, dt: RDatum) -> RDatum:
-    _same_module(d, dt)
-    _require_valid(d, "left factor")
-    _require_valid(dt, "right factor")
+    _valid_operands(d, dt, "left factor", "right factor")
     beta = la.bullet_form(d.W, d.beta, dt.W, dt.beta)
     alpha = orth.orth_compose(d.alpha, dt.alpha)
     return _checked(RDatum(d.module, beta.space, beta, alpha), "product")
 
 
 def odatum_product(d: ODatum, dt: ODatum) -> ODatum:
-    _same_module(d, dt)
-    _require_valid(d, "left factor")
-    _require_valid(dt, "right factor")
+    _valid_operands(d, dt, "left factor", "right factor")
     T = la.product([list(r) for r in d.T], [list(r) for r in dt.T])
     return _checked(ODatum(d.module, T, orth.orth_compose(d.alpha, dt.alpha)),
                     "product")
@@ -421,9 +425,14 @@ def translation(mod: la.GModuleV, rows, rows_t, gram, gram_t):
 
 
 def rdatum_equiv(d: RDatum, dt: RDatum):
-    """Search G x G for (x, y) moving d to dt, on exponents (translation);
-    (found, witness)."""
-    _same_module(d, dt)
+    """Search G x G for (x, y) moving valid d to valid dt, on exponents
+    (translation); (found, witness)."""
+    _valid_operands(d, dt, "first datum", "second datum")
+    return _rdatum_search(d, dt)
+
+
+def _rdatum_search(d: RDatum, dt: RDatum):
+    """rdatum_equiv's search, on data valid or not."""
     if d.alpha != dt.alpha:
         return False, None
     moves = translation(d.module, d.W.basis, dt.W.basis, d.beta.gram,
@@ -437,13 +446,19 @@ def rdatum_equiv(d: RDatum, dt: RDatum):
 
 
 def odatum_equiv(d: ODatum, dt: ODatum):
-    """Search G x G for (x, y) with T' = D_x T D_y^{-1}; (found, witness).
+    """Search G x G for (x, y) with T' = D_x T D_y^{-1}, d and dt valid;
+    (found, witness)."""
+    _valid_operands(d, dt, "first datum", "second datum")
+    return _odatum_search(d, dt)
+
+
+def _odatum_search(d: ODatum, dt: ODatum):
+    """odatum_equiv's search, on data valid or not.
 
     D_x T D_y^{-1} has entries zeta^(e_i(x) - e_j(y)) T_ij, so the supports
     must agree, and each T'_ij = zeta^k T_ij (T_ij nonzero) fixes k mod N;
     the search then compares exponents only.
     """
-    _same_module(d, dt)
     if d.alpha != dt.alpha:
         return False, None
     mod = d.module
@@ -684,20 +699,15 @@ def describe_brpic(module: la.GModuleV, bound: int = 256) -> BrPicDescription:
     return BrPicDescription(module, components)
 
 
-_ADMISSIBLE_CACHE = {}
-
-
 def admissible_alphas(module: la.GModuleV, bound: int = 256):
-    """All enumerated alphas with (u, u) in U_alpha (cached per group/u)."""
-    key = (module.group.factors, module.u.coords, bound)
-    if key not in _ADMISSIBLE_CACHE:
-        _ADMISSIBLE_CACHE[key] = tuple(
-            a for a in orth.enumerate_orth(module.group, bound)
-            if module.u in orth.diagonal_stabilizer(a))
-    return list(_ADMISSIBLE_CACHE[key])
+    """All enumerated alphas with (u, u) in U_alpha."""
+    return list(_admissible(module.group, module.u, bound))
 
 
-_SUITE_CACHE = {}
+@cache
+def _admissible(group, u, bound):
+    return tuple(a for a in orth.enumerate_orth(group, bound)
+                 if u in orth.diagonal_stabilizer(a))
 
 
 def suite_alphas(module: la.GModuleV, bound: int = 256):
@@ -713,40 +723,41 @@ def suite_alphas(module: la.GModuleV, bound: int = 256):
     admissible set is itself closed (e.g. cyclic G at small orders) the
     result is the whole set.
     """
-    key = (module.group.factors, module.u.coords, bound)
-    if key not in _SUITE_CACHE:
-        admissible = admissible_alphas(module, bound)
-        by_matrix = {a.hom.matrix: a for a in admissible}
-        ident = orth.orth_identity(module.group).hom
+    return list(_suite(module.group, module.u, bound))
 
-        def closure(gens):
-            """The hom matrices gens generate, or None at the first product
-            outside the admissible set."""
-            seen = {ident.matrix}
-            frontier = [ident]
-            while frontier:
-                x = frontier.pop()
-                for g in gens:
-                    y = ab.hom_compose(x, g.hom).matrix
-                    if y not in by_matrix:
-                        return None
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(by_matrix[y].hom)
-            return seen
 
-        group = {ident.matrix}
-        gens = []
-        for alpha in admissible:
-            if alpha.hom.matrix in group:
-                continue
-            grown = closure(gens + [alpha])
-            if grown is not None:
-                gens.append(alpha)
-                group = grown
-        _SUITE_CACHE[key] = tuple(a for a in admissible
-                                  if a.hom.matrix in group)
-    return list(_SUITE_CACHE[key])
+@cache
+def _suite(group, u, bound):
+    admissible = _admissible(group, u, bound)
+    by_matrix = {a.hom.matrix: a for a in admissible}
+    ident = orth.orth_identity(group).hom
+
+    def closure(gens):
+        """The hom matrices gens generate, or None at the first product
+        outside the admissible set."""
+        seen = {ident.matrix}
+        frontier = [ident]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = ab.hom_compose(x, g.hom).matrix
+                if y not in by_matrix:
+                    return None
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(by_matrix[y].hom)
+        return seen
+
+    subgroup = {ident.matrix}
+    gens = []
+    for alpha in admissible:
+        if alpha.hom.matrix in subgroup:
+            continue
+        grown = closure(gens + [alpha])
+        if grown is not None:
+            gens.append(alpha)
+            subgroup = grown
+    return tuple(a for a in admissible if a.hom.matrix in subgroup)
 
 
 # -- random suites ----------------------------------------------------------

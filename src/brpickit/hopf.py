@@ -46,6 +46,7 @@ checked over the co-opposite comultiplication.
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from . import abelian as ab
@@ -141,11 +142,11 @@ def _recorder(cap=10):
     return failures, note
 
 
-def _pairs(n, rng, limit):
-    """All n^2 basis pairs when limit is None, else limit pairs drawn by rng."""
+def _tuples(n, arity, rng, limit):
+    """All n^arity basis tuples when limit is None, else limit drawn by rng."""
     if limit is None:
-        return [(i, j) for i in range(n) for j in range(n)]
-    return [(rng.randrange(n), rng.randrange(n)) for _ in range(limit)]
+        return list(itertools.product(range(n), repeat=arity))
+    return [tuple(rng.randrange(n) for _ in range(arity)) for _ in range(limit)]
 
 
 def _split_pair(module, f):
@@ -315,8 +316,8 @@ def check_hopf_axioms(H, rng=None):
     """Verify the Hopf axioms on H basiswise; returns a report with witnesses.
 
     Comultiplicativity of Delta runs over all basis pairs when dim H <= 72
-    and over max(400, 4 dim H) random pairs above; associativity over
-    min(300, dim^3) random triples.
+    and over max(400, 4 dim H) random pairs above; associativity over all
+    dim^3 basis triples when dim^3 <= 300 and over 300 random triples above.
     """
     rng = rng if rng is not None else random.Random(0)
     failures, note = _recorder()
@@ -353,7 +354,7 @@ def check_hopf_axioms(H, rng=None):
     if H.comult(one) != {(one, one): _ONE}:
         note("comult_unit", one)
 
-    pairs = _pairs(H.dim, rng, None if H.dim <= 72 else max(400, 4 * H.dim))
+    pairs = _tuples(H.dim, 2, rng, None if H.dim <= 72 else max(400, 4 * H.dim))
     for i, j in pairs:
         prod = H.mono_mul(i, j)
         lhs = H.comult_elem(prod)
@@ -364,41 +365,25 @@ def check_hopf_axioms(H, rng=None):
         if le != H.counit(i) * H.counit(j):
             note("counit_mult", (i, j))
 
-    ntriples = min(300, H.dim ** 3)
-    for _ in range(ntriples):
-        i = rng.randrange(H.dim)
-        j = rng.randrange(H.dim)
-        k = rng.randrange(H.dim)
+    triples = _tuples(H.dim, 3, rng, None if H.dim ** 3 <= 300 else 300)
+    for i, j, k in triples:
         lhs = H.mul(H.mono_mul(i, j), {k: _ONE})
         rhs = H.mul({i: _ONE}, H.mono_mul(j, k))
         if lhs != rhs:
             note("assoc", (i, j, k))
 
     return {"ok": not failures, "failures": failures,
-            "checked_pairs": len(pairs), "checked_triples": ntriples}
+            "checked_pairs": len(pairs), "checked_triples": len(triples)}
 
 
 # -- host constructors ------------------------------------------------------
 
-_SUPER_CACHE = {}
-_DOUBLE_CACHE = {}
-
-
-def _module_key(module):
-    return (module.group.factors, module.u.coords,
-            tuple(chi.exps for chi in module.chars))
-
-
+@cache
 def build_supergroup(module) -> HopfAlg:
     """Host of a module (V, u, G): exterior V smashed with kG, colabels u."""
-    key = _module_key(module)
-    got = _SUPER_CACHE.get(key)
-    if got is None:
-        got = HopfAlg(module.group, module.chars, (module.u,) * module.dim,
-                      blocks=(0,) * module.dim, modules=(module,),
-                      kind="supergroup")
-        _SUPER_CACHE[key] = got
-    return got
+    return HopfAlg(module.group, module.chars, (module.u,) * module.dim,
+                   blocks=(0,) * module.dim, modules=(module,),
+                   kind="supergroup")
 
 
 def build_tensor_hopf(m1, m2) -> HopfAlg:
@@ -420,14 +405,10 @@ def build_tensor_hopf(m1, m2) -> HopfAlg:
                    kind="tensor")
 
 
+@cache
 def doubled_host(module) -> HopfAlg:
-    """Tensor host of two copies of a module; cached by module value."""
-    key = _module_key(module)
-    got = _DOUBLE_CACHE.get(key)
-    if got is None:
-        got = build_tensor_hopf(module, module)
-        _DOUBLE_CACHE[key] = got
-    return got
+    """Tensor host of two copies of a module."""
+    return build_tensor_hopf(module, module)
 
 
 def cop_phi(H):
@@ -448,7 +429,7 @@ def check_cop_iso(H, rng=None):
     rng = rng if rng is not None else random.Random(0)
     phi = cop_phi(H)
     failures, note = _recorder()
-    pairs = _pairs(H.dim, rng, None if H.dim * H.dim <= 4096 else 2048)
+    pairs = _tuples(H.dim, 2, rng, None if H.dim * H.dim <= 4096 else 2048)
     for i, j in pairs:
         lhs = _apply(phi.__getitem__, H.mono_mul(i, j))
         rhs = H.mul(phi[i], phi[j])
@@ -557,7 +538,8 @@ class CompatibleData:
     M = lcm(2, the table's conductors) and read as an exponent k when it is
     zeta_M^k, and the cocycle identity is then a congruence mod M on those
     exponents, read through law.  A table with a value that is not a root
-    of unity is checked by multiplying the values instead.
+    of unity is checked by multiplying the values instead.  For psi_alpha at
+    an even N that congruence is the one TwoCocycle already decided.
 
     f in G x G scales each reduced row of an f-stable sector by zeta_N^e, e
     its exponent at the row's pivot (act_exponents), so F-stability, beta's
@@ -753,7 +735,7 @@ def _psi_cocycle_ok(data) -> bool:
     roots = [CycloScalar.root_of_unity(M, k) for k in range(M)]
     exponent = {(z.num, z.den): k for k, z in enumerate(roots)}
     P = [[data.psi[(a.coords, b.coords)].lift(M) for b in data.F] for a in data.F]
-    E = [[exponent.get((v.num, v.den)) for v in row] for row in P]
+    E = tuple(tuple(exponent.get((v.num, v.den)) for v in row) for row in P)
     if all(None not in row for row in E):
         return orth.cocycle_failure(add, E, M) is None
     n = len(P)
@@ -764,13 +746,13 @@ def _psi_cocycle_ok(data) -> bool:
 def alpha_supports_w3(module, alpha) -> bool:
     """True when (u, u) lies in U_alpha and psi_alpha commutes with it, so
     data with a nonzero graph sector can be built over alpha."""
-    U = orth.u_alpha(alpha)
     psi = orth.psi_alpha(alpha)
+    U = psi.domain.elements
     uu = tuple(module.u.coords) + tuple(module.u.coords)
-    e = next((f for f in U.elements if f.coords == uu), None)
+    e = next((f for f in U if f.coords == uu), None)
     if e is None:
         return False
-    return all((psi.exp(f, e) - psi.exp(e, f)) % psi.N == 0 for f in U.elements)
+    return all((psi.exp(f, e) - psi.exp(e, f)) % psi.N == 0 for f in U)
 
 
 def build_K(data) -> ComodAlg:
@@ -946,10 +928,9 @@ def build_K(data) -> ComodAlg:
 
 def build_L(module, W, beta, alpha) -> ComodAlg:
     """K built from the twisted subgroup and cocycle attached to alpha."""
-    U = orth.u_alpha(alpha)
     psi = orth.psi_alpha(alpha)
-    data = CompatibleData(module, None, None, W, beta, U.elements, psi,
-                          alpha=alpha)
+    data = CompatibleData(module, None, None, W, beta, psi.domain.elements,
+                          psi, alpha=alpha)
     return build_K(data)
 
 
@@ -1162,7 +1143,7 @@ def check_comodule_algebra(A, rng=None):
     if lam1 != unit_target:
         note("unit", None)
 
-    pairs = _pairs(A.dim, rng, None if A.dim <= 24 else max(200, 4 * A.dim))
+    pairs = _tuples(A.dim, 2, rng, None if A.dim <= 24 else max(200, 4 * A.dim))
     for i, j in pairs:
         lhs = _tensor_mul(host.mono_mul, A.mul_basis, A.coact_basis(i),
                           A.coact_basis(j))
@@ -1679,9 +1660,11 @@ def _graph_row(rng, m, i):
     return row
 
 
+@cache
 def compatible_families(module):
     """Candidate (name, F elements, psi, central_ok) tuples for a module.
 
+    psi is None, a TwoCocycle or a tuple of ((a, b), value) pairs.
     central_ok marks whether the family's twist commutes with (u, u), i.e.
     whether data over it may carry a nonzero third sector.
     """
@@ -1690,14 +1673,14 @@ def compatible_families(module):
     zero = GG.zero().coords
     uu = tuple(module.u.coords) + tuple(module.u.coords)
     fams = []
-    diag = [tuple(g.coords) + tuple(g.coords) for g in G.elements()]
+    diag = tuple(tuple(g.coords) + tuple(g.coords) for g in G.elements())
     fams.append(("diag", diag, None, True))
-    fams.append(("trivial", [zero], None, True))
-    fams.append(("order2", [zero, uu], None, True))
-    fams.append(("order2_sign", [zero, uu], {(uu, uu): Fraction(-1)}, True))
+    fams.append(("trivial", (zero,), None, True))
+    fams.append(("order2", (zero, uu), None, True))
+    fams.append(("order2_sign", (zero, uu), (((uu, uu), Fraction(-1)),), True))
+    whole = tuple(tuple(a.coords) + tuple(b.coords)
+                  for a in G.elements() for b in G.elements())
     if G.order <= 4:
-        whole = [tuple(a.coords) + tuple(b.coords)
-                 for a in G.elements() for b in G.elements()]
         fams.append(("whole", whole, None, True))
         for k, alpha in enumerate(bp.suite_alphas(module)):
             U = orth.u_alpha(alpha)
@@ -1705,15 +1688,10 @@ def compatible_families(module):
                          alpha_supports_w3(module, alpha)))
     if G.order == 2:
         # bicharacter twist on G x G that is not central at (u, u)
-        whole = [tuple(a.coords) + tuple(b.coords)
-                 for a in G.elements() for b in G.elements()]
-        psi = {}
-        for a in whole:
-            for b in whole:
-                if a[0] * b[1] % 2:
-                    psi[(a, b)] = Fraction(-1)
+        psi = tuple(((a, b), Fraction(-1)) for a in whole for b in whole
+                    if a[0] * b[1] % 2)
         fams.append(("bichar", whole, psi, False))
-    return fams
+    return tuple(fams)
 
 
 def _random_subset(rng, n, cap):

@@ -362,7 +362,8 @@ def zero_space(n: int) -> Subspace:
 class GModuleV:
     """V with a character-diagonal basis: basis vector i spans the chi_i line.
 
-    u must have order 2 and every character must send u to -1.
+    u must have order 2 and every character must send u to -1.  Immutable
+    and hashed by value, as the memo key of what a module alone determines.
     """
 
     __slots__ = ("group", "u", "chars")
@@ -398,7 +399,8 @@ class GModuleV:
         return (isinstance(other, GModuleV) and self.group == other.group
                 and self.u == other.u and self.chars == other.chars)
 
-    __hash__ = None
+    def __hash__(self):
+        return hash((self.group, self.u, self.chars))
 
     def __repr__(self):
         return f"GModuleV(dim {self.dim} over {self.group!r})"

@@ -303,9 +303,19 @@ def _alpha_table(alpha: OrthAut):
     return list(zip(_tables(G)[0], _images(dsum_group(G).factors, alpha.hom.matrix)))
 
 
+@cache
 def u_alpha(alpha: OrthAut) -> TwistedSubgroup:
     """U_alpha = {(alpha_1(x), g_x)} with a first-found section per element."""
-    return _u_alpha(alpha.group, _alpha_table(alpha))
+    G = alpha.group
+    n = G.rank
+    D = dsum_group(G)
+    GG = ab.direct_sum(G, G)
+    section = {}
+    for x, y in _alpha_table(alpha):
+        p = y[:n] + x[:n]
+        if p not in section:
+            section[p] = GroupElement(D, x)
+    return TwistedSubgroup(G, [GroupElement(GG, p) for p in section], section)
 
 
 @cache
@@ -315,18 +325,6 @@ def diagonal_stabilizer(alpha: OrthAut) -> tuple:
     n = alpha.group.rank
     diagonal = {x[:n] for x, y in _alpha_table(alpha) if y[:n] == x[:n]}
     return tuple(z for z in alpha.group.elements() if z.coords in diagonal)
-
-
-def _u_alpha(G: FinAbGroup, table) -> TwistedSubgroup:
-    n = G.rank
-    D = dsum_group(G)
-    GG = ab.direct_sum(G, G)
-    section = {}
-    for x, y in table:
-        p = y[:n] + x[:n]
-        if p not in section:
-            section[p] = GroupElement(D, x)
-    return TwistedSubgroup(G, [GroupElement(GG, p) for p in section], section)
 
 
 class TwoCocycle:
@@ -358,7 +356,8 @@ class TwoCocycle:
         for a in elems:
             if self.exps[(zero, a.coords)] % self.N or self.exps[(a.coords, zero)] % self.N:
                 raise DomainError("cocycle is not normalized at the identity")
-        E = [[self.exps[(a.coords, b.coords)] for b in elems] for a in elems]
+        E = tuple(tuple(self.exps[(a.coords, b.coords)] for b in elems)
+                  for a in elems)
         bad = cocycle_failure(self.domain.law[1], E, self.N)
         if bad is not None:
             i, j, k = bad
@@ -369,6 +368,7 @@ class TwoCocycle:
         return f"TwoCocycle(on order-{len(self.domain)} subgroup, N={self.N})"
 
 
+@cache
 def cocycle_failure(add, E, N: int):
     """The first (i, j, k), in lexicographic order, with
     E[i][j] + E[i+j][k] != E[j][k] + E[i][j+k] (mod N), or None.
@@ -376,6 +376,8 @@ def cocycle_failure(add, E, N: int):
     E is a table of exponents of zeta_N over the elements of a group whose
     addition table on indices is add; the congruence is the 2-cocycle
     identity psi(a,b) psi(a+b,c) = psi(b,c) psi(a,b+c) for psi = zeta_N^E.
+    add and E are tuples of tuples; for psi_alpha at an even N, TwoCocycle
+    and hopf's psi check reach one memoized verdict.
     """
     n = len(E)
     for i in range(n):
@@ -405,7 +407,7 @@ def psi_alpha(alpha: OrthAut) -> TwoCocycle:
     N = G.exponent
     w = [N // f for f in G.factors]
     table = _alpha_table(alpha)
-    U = _u_alpha(G, table)
+    U = u_alpha(alpha)
     # the distinct v_r mod N over all preimages r of each subgroup element
     vecs: dict = {e.coords: set() for e in U.elements}
     for x, y in table:

@@ -180,7 +180,7 @@ def test_addition_table_matches_add():
         for i, x in enumerate(els):
             for j, y in enumerate(els):
                 assert els[add[i][j]] == ab.add(x, y)
-    assert ab.addition_table([]) == ({}, [])
+    assert ab.addition_table([]) == ({}, ())
 
 
 def test_addition_table_none_when_not_closed():

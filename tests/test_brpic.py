@@ -242,6 +242,20 @@ def test_products_descend_to_classes():
         assert ok
 
 
+def test_alpha_lists_are_fresh_copies_of_one_entry():
+    # the default bound and an explicit 256 share one memo entry, and a
+    # caller mutating a returned list does not reach the next caller
+    mod = hh.z4_module()
+    for f, memo in ((bp.admissible_alphas, bp._admissible),
+                    (bp.suite_alphas, bp._suite)):
+        got = f(mod)
+        expected = list(got)
+        size = memo.cache_info().currsize
+        got.clear()
+        assert f(mod) == f(mod, 256) == f(mod, bound=256) == expected
+        assert memo.cache_info().currsize == size
+
+
 # -- equivalence ------------------------------------------------------------
 
 def test_rdatum_equiv_basics():
@@ -571,6 +585,15 @@ def test_equivariance_flags_match_dense_reference():
     assert all(v == {True, False} for v in seen.values()), seen
 
 
+def _assert_equiv_gated(equiv, d, dt, found):
+    """equiv runs the search on valid data and refuses any other."""
+    if bp.binding_report(d)["valid"] and bp.binding_report(dt)["valid"]:
+        assert equiv(d, dt) == found
+    else:
+        with pytest.raises(DomainError, match="not a valid datum; failing"):
+            equiv(d, dt)
+
+
 def test_odatum_equiv_matches_dense_reference():
     rng = random.Random(47)
     zoo = dict(hh.module_zoo())
@@ -593,9 +616,10 @@ def test_odatum_equiv_matches_dense_reference():
                           [[2 * t for t in row] for row in T]]
             for Tt in candidates:
                 dt = bp.ODatum(mod, Tt, d.alpha)
-                got = bp.odatum_equiv(d, dt)
+                got = bp._odatum_search(d, dt)
                 assert got == oracles.dense_equiv(d.T, dt.T, els, exps, root,
                                                   zero), (name, d, dt)
+                _assert_equiv_gated(bp.odatum_equiv, d, dt, got)
                 outcomes.add(got[0])
     assert outcomes == {True, False}
 
@@ -693,10 +717,11 @@ def test_rdatum_equiv_matches_dense_reference():
                      (d.W, d.beta.gram, True)]
             for W2, gram2, expected in cases:
                 dt = bp.RDatum(mod, W2, la.BilinearForm(W2, gram2), d.alpha)
-                got = bp.rdatum_equiv(d, dt)
+                got = bp._rdatum_search(d, dt)
                 assert got == oracles.dense_translation(
                     d.W, d.beta.gram, dt.W, dt.beta.gram, pairs, exps, root,
                     zero), (mod, d, dt)
+                _assert_equiv_gated(bp.rdatum_equiv, d, dt, got)
                 assert expected is None or got[0] is expected, (mod, d, dt)
                 outcomes.append(got[0])
     assert True in outcomes and False in outcomes

@@ -426,6 +426,19 @@ def test_bad_field_exits_2(tmp_path, capsys, fields, argv, name, named):
     assert named in err
 
 
+# `brpic equiv` used to search on invalid data and print `equivalent: True`
+# with exit 0; like mul, inv and convert it now refuses them.
+@pytest.mark.parametrize("datum,failing", [
+    (_w_with("0@1"), "['axis_clear']"), (_t_with("2@1"), "['duality']")],
+    ids=["rdatum-axis", "odatum-duality"])
+def test_equiv_refuses_invalid_data(tmp_path, capsys, datum, failing):
+    spec = _write(tmp_path, "bad.json",
+                  SWEEDLER | {"datum": datum, "datum2": datum})
+    code, out, err = _run(capsys, ["brpic", "equiv", "--spec", spec])
+    assert code == 2 and out == ""
+    assert f"failing: {failing}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags,name", [
     (["--count", "-3"], "count"), (["--count", "0"], "count"),
     (["--bound", "0"], "bound")])

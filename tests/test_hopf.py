@@ -67,6 +67,28 @@ def test_hopf_axioms_small_hosts():
         assert rep["ok"], (name, rep["failures"][:3])
 
 
+def test_equal_modules_share_hosts_and_families():
+    m1, m2 = hh.z4_module(), hh.z4_module()
+    assert m1 is not m2 and m1 == m2 and hash(m1) == hash(m2)
+    assert hopf.build_supergroup(m1) is hopf.build_supergroup(m2)
+    assert hopf.doubled_host(m1) is hopf.doubled_host(m2)
+    assert hopf.compatible_families(m1) is hopf.compatible_families(m2)
+
+
+def test_psi_alpha_cocycle_verdict_is_reached_once():
+    # TwoCocycle and compatible_violations hand cocycle_failure the same
+    # (add, E, N) for psi_alpha at an even exponent N
+    mod = dict(hh.module_zoo())["Z2Z4_d1"]
+    alpha = bp.suite_alphas(mod)[-1]
+    orth.psi_alpha.cache_clear()
+    orth.cocycle_failure.cache_clear()
+    orth.psi_alpha(alpha)
+    for _ in range(3):
+        hopf.build_L(mod, None, None, alpha)
+    info = orth.cocycle_failure.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 def test_tensor_host_cross_block_commutes():
     H = hopf.build_tensor_hopf(_sw(), hh.z4_module())
     assert H.dim == (1 << 2) * 2 * 4
@@ -783,6 +805,29 @@ def _z2z4_d2():
     G = ab.FinAbGroup([2, 4])
     return la.GModuleV(G, G.element((0, 2)),
                        [G.character((0, 1)), G.character((0, 3))])
+
+
+class _CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+def test_associativity_triples_below_and_above_300():
+    # dim^3 <= 300: all triples, drawing nothing; above: 300 random triples
+    rng = _CountingRandom(0)
+    rep = hopf.check_hopf_axioms(hopf.build_supergroup(_sw()), rng=rng)
+    assert rep["ok"] and rep["checked_triples"] == 64
+    assert rng.draws == 0 and rng.getstate() == random.Random(0).getstate()
+    H = hopf.build_supergroup(dict(hh.module_zoo())["Z4_d2"])
+    rng = _CountingRandom(0)
+    rep = hopf.check_hopf_axioms(H, rng=rng)
+    assert H.dim == 16 and rep["ok"] and rep["checked_triples"] == 300
+    assert rng.draws == 900
 
 
 def test_checked_pairs_below_and_above_each_threshold():

@@ -236,6 +236,15 @@ def test_u_alpha_divides_g_squared():
                 assert a.alpha1(x).coords + g.coords == e.coords
 
 
+def test_u_alpha_built_once_and_shared_with_psi():
+    # an equal but distinct alpha reaches the same memo entries
+    for G in [Z2, Z4, Z2xZ2]:
+        for a in orth.enumerate_orth(G):
+            b = orth.OrthAut(G, a.hom)
+            assert orth.u_alpha(a) is orth.u_alpha(a) is orth.u_alpha(b)
+            assert orth.psi_alpha(b).domain is orth.u_alpha(a)
+
+
 def test_psi_identity_trivial():
     for G in [Z2, Z3, Z4, Z2xZ2]:
         psi = orth.psi_alpha(orth.orth_identity(G))
