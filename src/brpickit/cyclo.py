@@ -455,6 +455,27 @@ _set_num = CycloScalar.num.__set__
 _set_den = CycloScalar.den.__set__
 
 
+def memo_mul():
+    """A fresh times(a, b) equal to a * b that computes each distinct pair
+    of operand values once and looks every repeat up.
+
+    The key is both operands' (N, num, den).  At a fixed N that form is
+    canonical and __mul__ reads nothing else, so equal keys give the scalar
+    a * b gives, conductor included (2@1 x 3@1 is 6@1, 2@4 x 3@1 is 6@4).
+    The memo lives as long as times: make one per table or call that owns
+    the products.
+    """
+    memo = {}
+
+    def times(a, b):
+        key = (a.N, a.num, a.den, b.N, b.num, b.den)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = a * b
+        return got
+    return times
+
+
 def _literal(kind, part, text):
     """kind(part) for a number inside the scalar string text."""
     try:

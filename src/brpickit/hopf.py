@@ -41,6 +41,16 @@ Every tensor is keyed by tuples of basis indices: H x H by (h1, h2), L x K
 by (a, b), a coaction by (host index, basis index).  One law checks every
 coaction (_coaction_law); a right coaction is flipped to that key order and
 checked over the co-opposite comultiplication.
+
+The scalars in these tables repeat heavily (host coefficients are
++-zeta^k, most coaction coefficients are 1), so the sparse kernels take a
+times(a, b) and each owner of a table passes one cyclo.memo_mul(): build_K
+per call for its product table and coaction, check_comodule_algebra and
+verify_cotensor_iso per call, cotensor for the tables it fills on demand.
+times is keyed on both operands' (N, num, den), which is canonical at a
+fixed N and all that a * b reads, so it returns the scalar a * b returns,
+conductor included, and every table has the same keys, order and values
+as with plain multiplication.  No memo outlives its owner.
 """
 
 import itertools
@@ -48,12 +58,13 @@ import random
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from operator import mul
 
 from . import abelian as ab
 from . import linalg as la
 from . import orth
 from . import brpic as bp
-from .cyclo import CycloScalar
+from .cyclo import CycloScalar, memo_mul
 from .errors import BrpicError, CapacityError, DomainError, InputValidationError
 from .linalg import addin
 
@@ -63,11 +74,12 @@ _HALF = la.sc(Fraction(1, 2))
 
 
 # -- sparse element helpers -------------------------------------------------
+# times is a * b, or the memo_mul() of the table's owner (module docstring).
 
-def _scaled(d, c):
+def _scaled(d, c, times=mul):
     if c.is_zero():
         return {}
-    return {k: c * v for k, v in d.items()}
+    return {k: times(c, v) for k, v in d.items()}
 
 
 def _elem_add(a, b):
@@ -77,12 +89,12 @@ def _elem_add(a, b):
     return out
 
 
-def _apply(images, x):
+def _apply(images, x, times=mul):
     """Linear extension of the basis map i -> images(i), applied to x."""
     acc = {}
     for i, c in x.items():
         for k, c2 in images(i).items():
-            addin(acc, k, c * c2)
+            addin(acc, k, times(c, c2))
     return acc
 
 
@@ -96,7 +108,7 @@ def _mul(mono, x, y):
     return acc
 
 
-def _tensor_mul(mono_a, mono_b, t1, t2):
+def _tensor_mul(mono_a, mono_b, t1, t2, times=mul):
     """Product in A x B of elements keyed by basis pairs (a, b)."""
     acc = {}
     for (a1, b1), c1 in t1.items():
@@ -107,13 +119,15 @@ def _tensor_mul(mono_a, mono_b, t1, t2):
             pb = mono_b(b1, b2)
             if not pb:
                 continue
+            c12 = times(c1, c2)
             for a3, ca in pa.items():
+                c12a = times(c12, ca)
                 for b3, cb in pb.items():
-                    addin(acc, (a3, b3), c1 * c2 * ca * cb)
+                    addin(acc, (a3, b3), times(c12a, cb))
     return acc
 
 
-def _coaction_law(coact, comult, counit, i):
+def _coaction_law(coact, comult, counit, i, times=mul):
     """(coassociative, counital) at basis i for a left coaction keyed
     (host index, basis index): (Delta x id) lam == (id x lam) lam, and
     (eps x id) lam(i) == i.  A right coaction rho is checked as the left
@@ -123,12 +137,12 @@ def _coaction_law(coact, comult, counit, i):
     left, right, cu = {}, {}, {}
     for (h, k), c in coact(i).items():
         for (h1, h2), c2 in comult(h).items():
-            addin(left, (h1, h2, k), c * c2)
+            addin(left, (h1, h2, k), times(c, c2))
         for (h2, k2), c2 in coact(k).items():
-            addin(right, (h, h2, k2), c * c2)
+            addin(right, (h, h2, k2), times(c, c2))
         e = counit(h)
         if not e.is_zero():
-            addin(cu, k, e * c)
+            addin(cu, k, times(e, c))
     return left == right, cu == {i: _ONE}
 
 
@@ -544,10 +558,12 @@ class CompatibleData:
     f in G x G scales each reduced row of an f-stable sector by zeta_N^e, e
     its exponent at the row's pivot (act_exponents), so F-stability, beta's
     F-invariance and the e_f w = (f.w) e_f rule are congruences on them.
+    actions() holds them for every f in F, computed on first use.
     """
 
+    # _acts: the cached actions(); built once, read by every later caller
     __slots__ = ("module", "W1", "W2", "W3", "gram", "F", "psi", "alpha",
-                 "rows", "types", "coords_set", "pair_group", "law")
+                 "rows", "types", "coords_set", "pair_group", "law", "_acts")
 
     def __init__(self, module, W1, W2, W3, beta, F, psi=None, alpha=None):
         m = module.dim
@@ -622,6 +638,7 @@ class CompatibleData:
         object.__setattr__(self, "coords_set", frozenset(seen))
         object.__setattr__(self, "pair_group", GG)
         object.__setattr__(self, "law", ab.addition_table(els))
+        object.__setattr__(self, "_acts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CompatibleData is immutable")
@@ -645,6 +662,13 @@ class CompatibleData:
             stable.append(ok)
         return exps, stable
 
+    def actions(self):
+        """act_exponents(f) for every f in F, in F's order."""
+        if self._acts is None:
+            object.__setattr__(self, "_acts",
+                               tuple(self.act_exponents(f) for f in self.F))
+        return self._acts
+
 
 _SYM_SIGN = {(1, 1): 1, (2, 2): 1, (3, 3): 1, (1, 3): 1, (1, 2): -1, (2, 3): -1}
 
@@ -667,7 +691,7 @@ def compatible_violations(data) -> list:
     if GG.zero().coords not in data.coords_set or data.law is None:
         bad.append("F_subgroup")
 
-    acts = [data.act_exponents(f) for f in data.F]
+    acts = data.actions()
     stable = True
     for t, name in ((1, "F_stable_W1"), (2, "F_stable_W2"), (3, "F_stable_W3")):
         if not all(ok[t - 1] for _, ok in acts):
@@ -770,6 +794,9 @@ def build_K(data) -> ComodAlg:
     whole word gives it.  The coaction is multiplicative and is built by
     prefix: lam(w_S e_f) = lam(w_S) lam(e_f), lam(w_S) = lam(w_S') lam(w_s)
     with s = max S and S' = S minus s.
+
+    Every product runs through one memo_mul() of this call (see the
+    module docstring), so the tables are the ones a * b would give.
     """
     bad = compatible_violations(data)
     if bad:
@@ -791,10 +818,11 @@ def build_K(data) -> ComodAlg:
     u_f = f_index.get(data.uu_coords())
     psiv = [[data.psi[(a.coords, b.coords)] for b in Fels] for a in Fels]
     N = module.group.exponent
-    act_roots = [[CycloScalar.root_of_unity(N, e)
-                  for e in data.act_exponents(f)[0]] for f in Fels]
+    act_roots = [[CycloScalar.root_of_unity(N, e) for e in exps]
+                 for exps, _ in data.actions()]
     gram = data.gram
     types = data.types
+    times = memo_mul()
 
     memo = {}
 
@@ -807,16 +835,16 @@ def build_K(data) -> ComodAlg:
             (ka, a), (kb, b) = word[p], word[p + 1]
             if ka == "e" and kb == "e":
                 out = _scaled(nf(word[:p] + (("e", f_mul[a][b]),) + word[p + 2:]),
-                              psiv[a][b])
+                              psiv[a][b], times)
                 break
             if ka == "e" and kb == "w":
                 out = _scaled(nf(word[:p] + (("w", b), ("e", a)) + word[p + 2:]),
-                              act_roots[a][b])
+                              act_roots[a][b], times)
                 break
             if ka == "w" and kb == "w":
                 if a == b:
                     out = _scaled(nf(word[:p] + word[p + 2:]),
-                                  _HALF * gram[a][a])
+                                  _HALF * gram[a][a], times)
                     break
                 if a > b:
                     sector = tuple(sorted((types[a], types[b])))
@@ -826,15 +854,15 @@ def build_K(data) -> ComodAlg:
                         if not c.is_zero():
                             sub = nf(word[:p] + (("e", u_f),) + word[p + 2:])
                             for k, v in sub.items():
-                                addin(acc, k, -(c * v))
+                                addin(acc, k, -times(c, v))
                         out = acc
                     else:
                         acc = _scaled(nf(word[:p] + (("w", b), ("w", a)) + word[p + 2:]),
-                                      -_ONE)
+                                      -_ONE, times)
                         if not c.is_zero():
                             sub = nf(word[:p] + word[p + 2:])
                             for k, v in sub.items():
-                                addin(acc, k, c * v)
+                                addin(acc, k, times(c, v))
                         out = acc
                     break
         if out is None:
@@ -858,18 +886,18 @@ def build_K(data) -> ComodAlg:
     for roots in act_roots:
         row = {(): _ONE}
         for S in subsets[1:]:
-            row[S] = row[S[:-1]] * roots[S[-1]]
+            row[S] = times(row[S[:-1]], roots[S[-1]])
         chi.append([row[S] for S in subsets])
     # e_g e_f1 e_f2 = psi' e_h; no word holds an e_0, so g = 0 adds no psi
     twist = {id_f: [[(f_mul[a][b], psiv[a][b]) for b in range(nF)]
                     for a in range(nF)]}
     if any(g != id_f for row in wtab for terms in row for _, g, _ in terms):
         twist[u_f] = [[(f_mul[f_mul[u_f][a]][b],
-                        psiv[u_f][a] * psiv[f_mul[u_f][a]][b])
+                        times(psiv[u_f][a], psiv[f_mul[u_f][a]][b]))
                        for b in range(nF)] for a in range(nF)]
-    # scale[f1][S2][f2][g] = (h, chi(f1, S2) psi'), psi' bare at S2 = ()
-    scale = [[[{g: (tw[f1][f2][0], tw[f1][f2][1] if x is _ONE
-                    else x * tw[f1][f2][1]) for g, tw in twist.items()}
+    # scale[f1][S2][f2][g] = (h, chi(f1, S2) psi')
+    scale = [[[{g: (tw[f1][f2][0], times(x, tw[f1][f2][1]))
+                for g, tw in twist.items()}
                for f2 in range(nF)] for x in chi[f1]] for f1 in range(nF)]
 
     mult = {}
@@ -881,7 +909,7 @@ def build_K(data) -> ComodAlg:
                     out = {}
                     for k, g, c in terms:
                         h, t = sc[g]
-                        out[k + h] = c if t is _ONE else c * t
+                        out[k + h] = times(c, t)
                     mult[(i, s2 * nF + f2)] = out
 
     zeroG = module.group.zero().coords
@@ -919,10 +947,10 @@ def build_K(data) -> ComodAlg:
     lam_S = {(): {(host.one_idx, unit_k): _ONE}}
     for S in subsets[1:]:
         lam_S[S] = _tensor_mul(host.mono_mul, K.mul_basis, lam_S[S[:-1]],
-                               lamw[S[-1]])
+                               lamw[S[-1]], times)
     for i, (S, fk) in enumerate(keys):
         K.coaction[i] = _tensor_mul(host.mono_mul, K.mul_basis, lam_S[S],
-                                    lame[fk])
+                                    lame[fk], times)
     return K
 
 
@@ -1124,19 +1152,21 @@ def check_comodule_algebra(A, rng=None):
     """Verify coassociativity, counitality and multiplicativity of the
     coaction; returns a report with located witnesses and the dimension of
     the coinvariant subalgebra.  Multiplicativity runs over all basis pairs
-    when dim A <= 24 and over max(200, 4 dim A) random pairs above."""
+    when dim A <= 24 and over max(200, 4 dim A) random pairs above.  Every
+    product of the call runs through one memo_mul()."""
     rng = rng if rng is not None else random.Random(0)
     host = A.host
+    times = memo_mul()
     failures, note = _recorder()
     for i in range(A.dim):
         coassoc, counit = _coaction_law(A.coact_basis, host.comult,
-                                        host.counit, i)
+                                        host.counit, i, times)
         if not coassoc:
             note("coassoc", A.basis[i])
         if not counit:
             note("counit", A.basis[i])
 
-    lam1 = A.coact(A.unit)
+    lam1 = _apply(A.coact_basis, A.unit, times)
     unit_target = {}
     for k, c in A.unit.items():
         addin(unit_target, (host.one_idx, k), c)
@@ -1146,8 +1176,8 @@ def check_comodule_algebra(A, rng=None):
     pairs = _tuples(A.dim, 2, rng, None if A.dim <= 24 else max(200, 4 * A.dim))
     for i, j in pairs:
         lhs = _tensor_mul(host.mono_mul, A.mul_basis, A.coact_basis(i),
-                          A.coact_basis(j))
-        if lhs != A.coact(A.mul_basis(i, j)):
+                          A.coact_basis(j), times)
+        if lhs != _apply(A.coact_basis, A.mul_basis(i, j), times):
             note("multiplicative", (A.basis[i], A.basis[j]))
 
     coin = coinvariants(A)
@@ -1197,7 +1227,8 @@ def cotensor(L, K) -> ComodAlg:
     _tensor_mul.  L coacts on the right over the supergroup host H through
     the second leg and cop_phi; that coaction is held flipped, keyed
     (H index, L index), and checked as a left coaction over the co-opposite
-    comultiplication of H.  K coacts on the left through the first leg."""
+    comultiplication of H.  K coacts on the left through the first leg.
+    The coaction checks and the filled tables share one memo_mul()."""
     host = L.host
     if K.host is not host:
         if (K.host.kind != host.kind or K.host.group != host.group
@@ -1212,6 +1243,7 @@ def cotensor(L, K) -> ComodAlg:
     phi = cop_phi(H)
     leg1 = _counit_legs(host, H, 0)
     leg2 = _counit_legs(host, H, 1)
+    times = memo_mul()
 
     lam_r = _induced_right(L, phi, leg2)
     lam_l = []
@@ -1223,12 +1255,12 @@ def cotensor(L, K) -> ComodAlg:
         lam_l.append(d)
     cop = [{(h2, h1): c for (h1, h2), c in H.comult(h).items()}
            for h in range(H.dim)]
-    if not all(_coaction_law(lam_r.__getitem__, cop.__getitem__, H.counit, i)
-               == (True, True) for i in range(L.dim)):
+    if not all(_coaction_law(lam_r.__getitem__, cop.__getitem__, H.counit, i,
+                             times) == (True, True) for i in range(L.dim)):
         raise BrpicError("internal invariant violation: induced right coaction "
                          "is not a comodule structure")
-    if not all(_coaction_law(lam_l.__getitem__, H.comult, H.counit, j)
-               == (True, True) for j in range(K.dim)):
+    if not all(_coaction_law(lam_l.__getitem__, H.comult, H.counit, j,
+                             times) == (True, True) for j in range(K.dim)):
         raise BrpicError("internal invariant violation: induced left coaction "
                          "is not a comodule structure")
 
@@ -1269,7 +1301,7 @@ def cotensor(L, K) -> ComodAlg:
 
     def mulfn(i, j):
         co = ech.coords(_tensor_mul(L.mul_basis, K.mul_basis,
-                                    zrows[i], zrows[j]))
+                                    zrows[i], zrows[j], times))
         if co is None:
             raise BrpicError("internal invariant violation: cotensor product "
                              "left the computed kernel")
@@ -1281,13 +1313,14 @@ def cotensor(L, K) -> ComodAlg:
             for (h1, a0), c1 in L.coact_basis(a).items():
                 if leg1[h1] is None:
                     continue
+                cc1 = times(c, c1)
                 for (h2, b0), c2 in K.coact_basis(b).items():
                     if leg2[h2] is None:
                         continue
                     for h3, ch in host.mono_mul(leg1[h1][1],
                                                 leg2[h2][1]).items():
                         addin(byh.setdefault(h3, {}), (a0, b0),
-                              c * c1 * c2 * ch)
+                              times(times(cc1, c2), ch))
         entry = {}
         for h3 in sorted(byh):
             vec = {k: c for k, c in byh[h3].items() if not c.is_zero()}
@@ -1318,7 +1351,8 @@ def verify_cotensor_iso(d, dt):
     identity twist) is isomorphic, as a comodule algebra, to the model of
     their composed datum, via w -> iota1(w) x 1 + e_u x iota2(w) and
     e_f -> e_f x e_(f2,f2).  Returns a report; 'ok' requires the dimension
-    law and every structural check."""
+    law and every structural check.  Every product of the check runs
+    through one memo_mul()."""
     module = d.module
     G = module.group
     GG = ab.direct_sum(G, G)
@@ -1340,9 +1374,10 @@ def verify_cotensor_iso(d, dt):
     data3 = L3.meta["data"]
     ech = C.meta["echelon"]
     failures, note = _recorder(12)
+    times = memo_mul()
 
     def tmul(x, y):
-        return _tensor_mul(L1.mul_basis, L2.mul_basis, x, y)
+        return _tensor_mul(L1.mul_basis, L2.mul_basis, x, y, times)
 
     expected = (1 << d3.W.dim) * len(data1.F)
     report = {"dim_cot": C.dim, "dim_expected": expected, "dim_model": L3.dim,
@@ -1401,7 +1436,8 @@ def verify_cotensor_iso(d, dt):
             lhs = _elem_add(tmul(phiw[i], phiw[j]),
                             tmul(phiw[j], phiw[i])) if i != j \
                 else tmul(phiw[i], phiw[i])
-            target = _scaled(one, g3[i][j] if i != j else _HALF * g3[i][i])
+            target = _scaled(one, g3[i][j] if i != j else _HALF * g3[i][i],
+                             times)
             if lhs != target:
                 note("relations_w", (i, j))
     psi1 = data1.psi
@@ -1409,15 +1445,17 @@ def verify_cotensor_iso(d, dt):
     for i, a in enumerate(data1.F):
         for j, b in enumerate(data1.F):
             lhs = tmul(phie[i], phie[j])
-            rhs = _scaled(phie[fadd[i][j]], psi1[(a.coords, b.coords)])
+            rhs = _scaled(phie[fadd[i][j]], psi1[(a.coords, b.coords)], times)
             if lhs != rhs:
                 note("relations_psi", (a.coords, b.coords))
     N = G.exponent
+    acts3 = data3.actions()
+    fpos3 = data3.law[0]
     for fk, f in enumerate(data1.F):
-        exps = data3.act_exponents(f)[0]
+        exps = acts3[fpos3[f.coords]][0]
         for wi in range(nW3):
             rhs = _scaled(tmul(phiw[wi], phie[fk]),
-                          CycloScalar.root_of_unity(N, exps[wi]))
+                          CycloScalar.root_of_unity(N, exps[wi]), times)
             if tmul(phie[fk], phiw[wi]) != rhs:
                 note("relations_action", (f.coords, wi))
 
@@ -1447,11 +1485,11 @@ def verify_cotensor_iso(d, dt):
 
     if all(co is not None for co in coords3):
         for b in range(L3.dim):
-            lhs = C.coact(coords3[b])
+            lhs = _apply(C.coact_basis, coords3[b], times)
             rhs = {}
             for (h, b2), c in L3.coact_basis(b).items():
                 for pos, c2 in coords3[b2].items():
-                    addin(rhs, (h, pos), c * c2)
+                    addin(rhs, (h, pos), times(c, c2))
             if lhs != rhs:
                 note("comodule_map", L3.basis[b])
 

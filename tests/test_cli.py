@@ -295,6 +295,11 @@ GOLDEN = [
     # recorded before elements of L x K were keyed by pairs (a, b)
     (Z2Z2, ["verify", "cotensor", "--seed", "5", "--count", "4"],
      "5e1470df18ee1daef51d943844d480c6bc27acd350d7e7c492a07af4a9344e28"),
+    # recorded before products in the comodule layer were memoized
+    (Z4, ["verify", "comodule", "--seed", "5", "--count", "12"],
+     "fd7ec0ea54abc1f166b78b3c88174844490078e435a2373430ca589344118654"),
+    (Z2Z4, ["verify", "cotensor", "--seed", "1", "--count", "6"],
+     "1c3ac7297860e19b3d3b0e66fc8b61b4071f4b1ea4d37587f03a6608389f331e"),
 ]
 
 

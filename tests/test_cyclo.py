@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from brpickit.cyclo import (MAX_CONDUCTOR, CycloScalar, cyclotomic_poly, divisors,
-                            euler_phi)
+                            euler_phi, memo_mul)
 from brpickit.errors import CapacityError, DomainError
 
 CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
@@ -372,3 +372,53 @@ def test_inv_of_dense_value_at_large_conductor(N):
     r = a.inv()
     _assert_lowest_terms(r)
     assert r.N == N and a * r == 1
+
+
+MEMO_CONDUCTORS = [1, 2, 3, 4, 8, 12]
+
+
+@st.composite
+def memo_operands(draw):
+    """A value at a conductor in MEMO_CONDUCTORS; half are rationals, small
+    enough that equal numerators recur at different conductors."""
+    N = draw(st.sampled_from(MEMO_CONDUCTORS))
+    if draw(st.booleans()):
+        return CycloScalar.from_rational(
+            Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2))), N)
+    return _rand_scalar(draw, N)
+
+
+def _key(a):
+    return a.N, a.num, a.den
+
+
+@given(st.lists(memo_operands(), min_size=2, max_size=8),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                min_size=1, max_size=24))
+@settings(max_examples=150)
+def test_memo_mul_is_exact_at_every_conductor(pool, picks):
+    """One times over many pairs, repeats included: every result has the
+    (N, num, den) of a * b, on the first call and on every repeat."""
+    times = memo_mul()
+    for _ in range(2):
+        for i, j in picks:
+            a, b = pool[i % len(pool)], pool[j % len(pool)]
+            assert _key(times(a, b)) == _key(a * b)
+
+
+def test_memo_mul_keys_on_the_conductor():
+    """Equal (num, den) at different conductors: phi(1) = phi(2) and
+    phi(3) = phi(4), so only N tells these operands apart."""
+    times = memo_mul()
+    two = {N: CycloScalar.from_rational(2, N) for N in (1, 2, 4)}
+    three1 = CycloScalar.from_rational(3, 1)
+    assert _key(times(two[1], three1)) == (1, (6,), 1)
+    assert _key(times(two[4], three1)) == (4, (6, 0), 1)
+    assert _key(times(two[2], three1)) == (2, (6,), 1)
+    assert _key(times(two[1], three1)) == (1, (6,), 1)
+    assert _key(times(three1, two[1])) == (1, (6,), 1)
+    assert _key(times(three1, two[2])) == (2, (6,), 1)
+    z3, z4 = CycloScalar.root_of_unity(3), CycloScalar.root_of_unity(4)
+    assert z3.num == z4.num
+    assert _key(times(z3, z3)) == (3, (-1, -1), 1)
+    assert _key(times(z4, z4)) == (4, (-1, 0), 1)

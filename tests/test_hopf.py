@@ -1,4 +1,6 @@
+import operator
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache, partial
 from unittest import mock
@@ -847,3 +849,112 @@ def test_checked_pairs_below_and_above_each_threshold():
         assert A.dim == dim
         rep = hopf.check_comodule_algebra(A, rng=random.Random(0))
         assert rep["ok"] and rep["checked_pairs"] == pairs
+
+
+# -- one memo_mul per table: the same tables as plain a * b -----------------
+
+def _memo_off():
+    """hopf with every memo_mul() replaced by plain multiplication."""
+    return mock.patch.object(hopf, "memo_mul", lambda: operator.mul)
+
+
+@cache
+def _zoo_data():
+    """(name, data): a datum over each compatible_families entry of every
+    zoo module, and three seeded random data per zoo module."""
+    out = []
+    for name, mod in hh.module_zoo():
+        for k, fam in enumerate(hopf.compatible_families(mod)):
+            with mock.patch.object(hopf, "compatible_families",
+                                   lambda module: [fam]):
+                data = hh.random_data(mod, random.Random(300 + k), dim_cap=32)
+            out.append((f"{name}/{fam[0]}", data))
+        for seed in range(3):
+            data = hh.random_data(mod, random.Random(3000 + seed), dim_cap=64)
+            out.append((f"{name}/seed {seed}", data))
+    return out
+
+
+def test_build_K_same_tables_without_memo():
+    for name, data in _zoo_data():
+        K = hopf.build_K(data)
+        with _memo_off():
+            plain = hopf.build_K(data)
+        assert _exact(K.mult) == _exact(plain.mult), name
+        assert _exact(K.coaction) == _exact(plain.coaction), name
+
+
+def _doubled_entry(K):
+    """K with x_i . 1 = 2 x_i at its first basis element x_i of degree 1,
+    which breaks multiplicativity: lam(x_i) has a term off 1 x x_i."""
+    unit = next(iter(K.unit))
+    i = K.loewy_degree.index(1)
+    mult = dict(K.mult)
+    mult[(i, unit)] = {i: la.sc(2)}
+    return hopf.ComodAlg(K.host, K.basis, mult, dict(K.coaction), K.unit)
+
+
+def test_check_comodule_algebra_same_reports_without_memo():
+    checked = 0
+    for name, data in _zoo_data():
+        K = hopf.build_K(data)
+        if K.dim > 32:
+            continue
+        # every pair is checked up to dim 24, so the doubled entry is met
+        cases = [K] + ([_doubled_entry(K)] if data.rows and K.dim <= 24
+                       else [])
+        for A in cases:
+            rep = hopf.check_comodule_algebra(A, rng=random.Random(7))
+            with _memo_off():
+                plain = hopf.check_comodule_algebra(A, rng=random.Random(7))
+            assert rep == plain, name
+            assert rep["ok"] == (A is K), name
+        checked += len(cases) - 1
+    assert checked >= 40
+
+
+def test_cotensor_same_tables_and_reports_without_memo():
+    # |U_alpha| 64, 8 and 32, each with a graph line in the second factor
+    mod = dict(hh.module_zoo())["Z2Z4_d1"]
+    for seed in (5000, 5004, 5013):
+        d, dt = hh.random_rpair(mod, random.Random(seed))
+        assert dt.W.dim == 1
+        runs = []
+        for off in (False, True):
+            with _memo_off() if off else nullcontext():
+                rep = hopf.verify_cotensor_iso(d, dt)
+                C = hopf.cotensor(hopf.build_L(mod, d.W, d.beta, d.alpha),
+                                  hopf.build_L(mod, dt.W, dt.beta, dt.alpha))
+                for i in range(C.dim):
+                    C.coact_basis(i)
+                    for j in range(C.dim):
+                        C.mul_basis(i, j)
+            runs.append((rep, _exact(C.mult), _exact(C.coaction)))
+        assert runs[0] == runs[1], seed
+        assert runs[0][0]["ok"], seed
+
+
+def test_action_exponents_are_computed_once_per_datum(monkeypatch):
+    calls = []
+    original = hopf.CompatibleData.act_exponents
+
+    def counted(self, f):
+        calls.append(id(self))
+        return original(self, f)
+
+    monkeypatch.setattr(hopf.CompatibleData, "act_exponents", counted)
+    data = hh.random_data(hh.z4_module(), random.Random(11))
+    assert len(data.F) > 1
+    for _ in range(2):
+        assert not hopf.compatible_violations(data)
+        hopf.build_K(data)
+    assert len(calls) == len(data.F)
+    # verify_cotensor_iso builds three models and reads the third one's
+    # actions again: once per element of each model's F
+    calls.clear()
+    mod = dict(hh.module_zoo())["Z2Z4_d1"]
+    d, dt = hh.random_rpair(mod, random.Random(5004))
+    assert hopf.verify_cotensor_iso(d, dt)["ok"]
+    sizes = [len(orth.u_alpha(a).elements)
+             for a in (d.alpha, dt.alpha, bp.rdatum_product(d, dt).alpha)]
+    assert len(calls) == sum(sizes) and len(set(calls)) == 3
