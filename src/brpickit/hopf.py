@@ -29,7 +29,11 @@ lemma (Adv. Math. 29, 1978) every order of reduction gives the same normal
 form.  build_K checks them before it builds any table, and then assembles
 the product of w_S1 e_f1 and w_S2 e_f2 from three small tables instead of
 rewriting the whole word: the products w_S1 w_S2, the roots e_f picks up
-passing w_S, and the twisted law of F.  Coactions, cotensor products
+passing w_S, and the twisted law of F.  K keeps its product as those
+tables (KFactors) and computes an entry when it is first read.
+loewy_graded grades the tables, and same_tables proves two models equal
+on them, without reading the dim^2 entries; any difference is left to
+their per-entry loops, which find and name it.  Coactions, cotensor products
 (computed as exact kernels, blockwise over group-part classes), the Loewy
 filtration induced by the host coradical filtration, the diagonal comodule
 model of a host over its own double, and simplicity/freeness probes all
@@ -45,8 +49,9 @@ checked over the co-opposite comultiplication.
 The scalars in these tables repeat heavily (host coefficients are
 +-zeta^k, most coaction coefficients are 1), so the sparse kernels take a
 times(a, b) and each owner of a table passes one cyclo.memo_mul(): build_K
-per call for its product table and coaction, check_comodule_algebra and
-verify_cotensor_iso per call, cotensor for the tables it fills on demand.
+per call for its factor tables and coaction, each algebra with factors for
+the entries it computes, check_comodule_algebra and verify_cotensor_iso per
+call, cotensor for the tables it fills on demand.
 times is keyed on both operands' (N, num, den), which is canonical at a
 fixed N and all that a * b reads, so it returns the scalar a * b returns,
 conductor included, and every table has the same keys, order and values
@@ -59,6 +64,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from . import abelian as ab
 from . import linalg as la
@@ -476,19 +482,56 @@ def check_cop_iso(H, rng=None):
 
 # -- comodule algebras ------------------------------------------------------
 
+class KFactors(NamedTuple):
+    """The product of K held as the factors build_K assembles it from.
+
+    The basis index of w_S e_f is s nF + f, s the index of S among the
+    subsets.  wtab[s1][s2] lists w_S1 w_S2 = sum c w_T e_g as terms
+    (index of w_T e_0, index of g, c), with distinct (index, g); chi[f][s]
+    is the root e_f picks up passing w_S; twist[g][f1][f2] is (h, psi')
+    with e_g e_f1 e_f2 = psi' e_h.  mulfn(times) computes one entry as
+    build_K defines it (see there), every product through times.
+    """
+
+    nF: int
+    wtab: list
+    chi: list
+    twist: dict
+
+    def mulfn(self, times):
+        nF, wtab, chi, twist = self
+
+        def entry(i, j):
+            s1, f1 = divmod(i, nF)
+            s2, f2 = divmod(j, nF)
+            x = chi[f1][s2]
+            out = {}
+            for k, g, c in wtab[s1][s2]:
+                h, p = twist[g][f1][f2]
+                out[k + h] = times(c, times(x, p))
+            return out
+        return entry
+
+
 class ComodAlg:
     """A right comodule algebra over a host, held as sparse tables.
 
     mult maps basis pairs (i, j) to {k: coefficient}; coaction maps a basis
     index to {(host_index, k): coefficient}.  Either table may be backed by
     a builder function and filled on demand (cotensor products do this).
+    An algebra with factors (a KFactors; build_K and loewy_graded give
+    them) has mulfn = factors.mulfn of its own memo_mul(), and mult is
+    then only the memo of the entries read so far: callers must not write
+    into it, since same_tables and loewy_graded read the factors instead.
     """
 
     __slots__ = ("host", "dim", "basis", "index", "mult", "coaction", "unit",
-                 "group_part", "loewy_degree", "meta", "_mulfn", "_coactfn")
+                 "group_part", "loewy_degree", "meta", "factors", "_mulfn",
+                 "_coactfn")
 
     def __init__(self, host, basis, mult, coaction, unit, group_part=None,
-                 loewy_degree=None, meta=None, mulfn=None, coactfn=None):
+                 loewy_degree=None, meta=None, mulfn=None, coactfn=None,
+                 factors=None):
         basis = tuple(basis)
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "dim", len(basis))
@@ -502,7 +545,9 @@ class ComodAlg:
         object.__setattr__(self, "loewy_degree",
                            tuple(loewy_degree) if loewy_degree is not None else None)
         object.__setattr__(self, "meta", dict(meta) if meta else {})
-        object.__setattr__(self, "_mulfn", mulfn)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_mulfn", mulfn if factors is None
+                           else factors.mulfn(memo_mul()))
         object.__setattr__(self, "_coactfn", coactfn)
 
     def __setattr__(self, name, value):
@@ -561,9 +606,11 @@ class CompatibleData:
     actions() holds them for every f in F, computed on first use.
     """
 
-    # _acts: the cached actions(); built once, read by every later caller
+    # _acts: the cached actions(), _violations: compatible_violations' names;
+    # each built once, read by every later caller
     __slots__ = ("module", "W1", "W2", "W3", "gram", "F", "psi", "alpha",
-                 "rows", "types", "coords_set", "pair_group", "law", "_acts")
+                 "rows", "types", "coords_set", "pair_group", "law", "_acts",
+                 "_violations")
 
     def __init__(self, module, W1, W2, W3, beta, F, psi=None, alpha=None):
         m = module.dim
@@ -639,6 +686,7 @@ class CompatibleData:
         object.__setattr__(self, "pair_group", GG)
         object.__setattr__(self, "law", ab.addition_table(els))
         object.__setattr__(self, "_acts", None)
+        object.__setattr__(self, "_violations", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CompatibleData is immutable")
@@ -674,7 +722,12 @@ _SYM_SIGN = {(1, 1): 1, (2, 2): 1, (3, 3): 1, (1, 3): 1, (1, 2): -1, (2, 3): -1}
 
 
 def compatible_violations(data) -> list:
-    """Names of every compatibility clause the data violates (empty = valid)."""
+    """Names of every compatibility clause the data violates (empty = valid).
+
+    They are found once per datum and held in its _violations slot; every
+    call returns a fresh list of them."""
+    if data._violations is not None:
+        return list(data._violations)
     module = data.module
     m = module.dim
     GG = data.pair_group
@@ -740,6 +793,7 @@ def compatible_violations(data) -> list:
         if any(data.psi[(f.coords, uu)] != data.psi[(uu, f.coords)]
                for f in data.F):
             bad.append("psi_u_central")
+    object.__setattr__(data, "_violations", tuple(bad))
     return bad
 
 
@@ -791,11 +845,14 @@ def build_K(data) -> ComodAlg:
     (u, u)), with chi(f1, S2) the product of the roots e_f1 picks up passing
     each row of S2 and e_g e_f1 e_f2 = psi'(g, f1, f2) e_h, h = g + f1 + f2.
     Each coefficient keeps the conductors of its factors, as rewriting the
-    whole word gives it.  The coaction is multiplicative and is built by
-    prefix: lam(w_S e_f) = lam(w_S) lam(e_f), lam(w_S) = lam(w_S') lam(w_s)
-    with s = max S and S' = S minus s.
+    whole word gives it.  K holds its product as those three tables
+    (K.factors, a KFactors), and computes entry (i, j) by this formula on
+    its first read, as c (chi(f1, S2) psi'), through K's own memo_mul().
+    The coaction is multiplicative and is built by prefix:
+    lam(w_S e_f) = lam(w_S) lam(e_f), lam(w_S) = lam(w_S') lam(w_s) with
+    s = max S and S' = S minus s; it reads the entries it needs.
 
-    Every product runs through one memo_mul() of this call (see the
+    Every other product runs through one memo_mul() of this call (see the
     module docstring), so the tables are the ones a * b would give.
     """
     bad = compatible_violations(data)
@@ -895,22 +952,6 @@ def build_K(data) -> ComodAlg:
         twist[u_f] = [[(f_mul[f_mul[u_f][a]][b],
                         times(psiv[u_f][a], psiv[f_mul[u_f][a]][b]))
                        for b in range(nF)] for a in range(nF)]
-    # scale[f1][S2][f2][g] = (h, chi(f1, S2) psi')
-    scale = [[[{g: (tw[f1][f2][0], times(x, tw[f1][f2][1]))
-                for g, tw in twist.items()}
-               for f2 in range(nF)] for x in chi[f1]] for f1 in range(nF)]
-
-    mult = {}
-    for s1, row in enumerate(wtab):
-        for f1 in range(nF):
-            i = s1 * nF + f1
-            for s2, terms in enumerate(row):
-                for f2, sc in enumerate(scale[f1][s2]):
-                    out = {}
-                    for k, g, c in terms:
-                        h, t = sc[g]
-                        out[k + h] = times(c, t)
-                    mult[(i, s2 * nF + f2)] = out
 
     zeroG = module.group.zero().coords
     zeroGG = GG.zero().coords
@@ -941,8 +982,9 @@ def build_K(data) -> ComodAlg:
 
     group_part = tuple(Fels[fk] for S, fk in keys)
     loewy = tuple(len(S) for S, fk in keys)
-    K = ComodAlg(host, labels, mult, {}, {unit_k: _ONE}, group_part, loewy,
-                 meta={"kind": "K", "data": data})
+    K = ComodAlg(host, labels, {}, {}, {unit_k: _ONE}, group_part, loewy,
+                 meta={"kind": "K", "data": data},
+                 factors=KFactors(nF, wtab, chi, twist))
     # the coaction is multiplicative: lam(w_S) by prefix, then lam(w_S e_f)
     lam_S = {(): {(host.one_idx, unit_k): _ONE}}
     for S in subsets[1:]:
@@ -1503,41 +1545,60 @@ def verify_cotensor_iso(d, dt):
 def loewy_graded(A) -> ComodAlg:
     """Associated graded of A under the filtration pulled back from the host
     coradical filtration.  Requires (and verifies) that each filtration step
-    is spanned by basis vectors of the recorded degree."""
+    is spanned by basis vectors of the recorded degree.
+
+    Step n is the kernel of the coaction rows (h, k) with deg h > n, so its
+    dimension is dim A minus their rank.  Those rows only grow as n falls:
+    one echelon takes them from the top host degree down and gives every
+    step's rank, and the steps are then checked from n = 0 up.
+
+    When A has factors with degrees constant on each w_S e_F block, the
+    product is graded on them: each term of an entry is a term (T, g) of
+    wtab, so an entry has a term above |S1| + |S2| exactly when wtab has,
+    and the graded algebra keeps the top-degree terms of wtab and the same
+    chi and twist.  Any term above, or no factors, runs the per-entry loop,
+    which raises at the first entry in row-major order."""
     host = A.host
     if A.loewy_degree is None:
         raise DomainError("algebra carries no degree labels to grade against")
     deg = A.loewy_degree
-    maxd = max((host.deg(h) for i in range(A.dim)
-                for (h, _k) in A.coact_basis(i)), default=0)
+    top = [max((host.deg(h) for (h, _k) in A.coact_basis(i)), default=0)
+           for i in range(A.dim)]
     for i in range(A.dim):
-        md = max((host.deg(h) for (h, _k) in A.coact_basis(i)), default=0)
-        if md != deg[i]:
+        if top[i] != deg[i]:
             raise BrpicError("recorded degree disagrees with the coaction "
                              f"at basis {A.basis[i]}")
+    maxd = max(top, default=0)
+    by_deg = [{} for _ in range(maxd + 1)]
+    for i in range(A.dim):
+        for (h, k), c in A.coact_basis(i).items():
+            addin(by_deg[host.deg(h)].setdefault((h, k), {}), i, c)
+    ech = la.Echelon()
+    kernel_dim = [0] * (maxd + 1)
+    for n in range(maxd, -1, -1):
+        kernel_dim[n] = A.dim - ech.dim
+        for row in by_deg[n].values():
+            if row:
+                ech.insert(row)
     for n in range(maxd + 1):
-        rows = {}
-        for i in range(A.dim):
-            for (h, k), c in A.coact_basis(i).items():
-                if host.deg(h) > n:
-                    addin(rows.setdefault((h, k), {}), i, c)
-        kern = la.kernel_sparse_rows([r_ for r_ in rows.values() if r_], A.dim)
         count = sum(1 for i in range(A.dim) if deg[i] <= n)
-        if len(kern) != count:
+        if kernel_dim[n] != count:
             raise BrpicError("Loewy filtration step is not spanned by the "
                              f"monomial basis at degree {n}")
 
+    factors = _graded_factors(A.factors, deg)
     mult = {}
-    for i in range(A.dim):
-        for j in range(A.dim):
-            entry = {}
-            for k, c in A.mul_basis(i, j).items():
-                if deg[k] > deg[i] + deg[j]:
-                    raise BrpicError("product violates the filtration at "
-                                     f"{A.basis[i]} * {A.basis[j]}")
-                if deg[k] == deg[i] + deg[j]:
-                    entry[k] = c
-            mult[(i, j)] = entry
+    if factors is None:
+        for i in range(A.dim):
+            for j in range(A.dim):
+                entry = {}
+                for k, c in A.mul_basis(i, j).items():
+                    if deg[k] > deg[i] + deg[j]:
+                        raise BrpicError("product violates the filtration at "
+                                         f"{A.basis[i]} * {A.basis[j]}")
+                    if deg[k] == deg[i] + deg[j]:
+                        entry[k] = c
+                mult[(i, j)] = entry
     coaction = {}
     for i in range(A.dim):
         entry = {}
@@ -1550,21 +1611,69 @@ def loewy_graded(A) -> ComodAlg:
                 entry[(h, k)] = c
         coaction[i] = entry
     return ComodAlg(host, A.basis, mult, coaction, A.unit, A.group_part,
-                    deg, meta={"kind": "graded", "of": A})
+                    deg, meta={"kind": "graded", "of": A}, factors=factors)
+
+
+def _graded_factors(factors, deg):
+    """The factors of the graded algebra (loewy_graded), or None when there
+    are none, the degrees are not constant on blocks or a term lies above."""
+    if factors is None:
+        return None
+    nF = factors.nF
+    if any(deg[i] != deg[i - i % nF] for i in range(len(deg))):
+        return None
+    block = deg[::nF]
+    wtab = []
+    for s1, row in enumerate(factors.wtab):
+        graded = []
+        for s2, terms in enumerate(row):
+            d = block[s1] + block[s2]
+            if any(deg[k] > d for k, _, _ in terms):
+                return None
+            graded.append([t for t in terms if deg[t[0]] == d])
+        wtab.append(graded)
+    return factors._replace(wtab=wtab)
+
+
+def _same_factors(fa, fb):
+    """True when the factors fa and fb give equal product entries: the same
+    nF and chi, at every (s1, s2) the same wtab terms read as a dict
+    {(index, g): c}, so their order does not matter, and the same twist
+    rows for every g those terms use.  False proves nothing."""
+    if (fa is None or fb is None or fa.nF != fb.nF or fa.chi != fb.chi
+            or len(fa.wtab) != len(fb.wtab)):
+        return False
+    used = set()
+    for ra, rb in zip(fa.wtab, fb.wtab):
+        if len(ra) != len(rb):
+            return False
+        for ta, tb in zip(ra, rb):
+            terms = {(k, g): c for k, g, c in ta}
+            if terms != {(k, g): c for k, g, c in tb}:
+                return False
+            used.update(g for _, g in terms)
+    return all(g in fa.twist and g in fb.twist and fa.twist[g] == fb.twist[g]
+               for g in used)
 
 
 def same_tables(A, B):
-    """Exact structural equality of two table-backed comodule algebras."""
+    """Exact structural equality of two table-backed comodule algebras.
+
+    When A and B both have factors and _same_factors proves them equal, no
+    product entry is read; otherwise every entry is compared, in row-major
+    order.  So a difference is always found, and named, by that loop."""
     if A.basis != B.basis:
         return False, "basis labels differ"
     if A.unit != B.unit:
         return False, "units differ"
     if A.loewy_degree != B.loewy_degree:
         return False, "degree labels differ"
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if A.mul_basis(i, j) != B.mul_basis(i, j):
-                return False, f"products differ at {A.basis[i]} * {A.basis[j]}"
+    if not _same_factors(A.factors, B.factors):
+        for i in range(A.dim):
+            for j in range(A.dim):
+                if A.mul_basis(i, j) != B.mul_basis(i, j):
+                    return False, ("products differ at "
+                                   f"{A.basis[i]} * {A.basis[j]}")
     for i in range(A.dim):
         if A.coact_basis(i) != B.coact_basis(i):
             return False, f"coactions differ at {A.basis[i]}"

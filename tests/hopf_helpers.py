@@ -65,6 +65,13 @@ def zero_beta_copy(data):
                                data.F, data.psi, alpha=data.alpha)
 
 
+def mult_table(A):
+    """Every product entry of A, read through mul_basis in row-major order:
+    a full table in a fixed key order, whatever A had computed before."""
+    return {(i, j): A.mul_basis(i, j)
+            for i in range(A.dim) for j in range(A.dim)}
+
+
 def random_rpair(module, rng, dim_cap=64):
     """A pair (d, dt) for the cotensor law: dt carries the identity twist."""
     suite = bp.suite_alphas(module)

@@ -300,6 +300,9 @@ GOLDEN = [
      "fd7ec0ea54abc1f166b78b3c88174844490078e435a2373430ca589344118654"),
     (Z2Z4, ["verify", "cotensor", "--seed", "1", "--count", "6"],
      "1c3ac7297860e19b3d3b0e66fc8b61b4071f4b1ea4d37587f03a6608389f331e"),
+    # recorded before K held its product as factor tables
+    (Z2Z2, ["verify", "comodule", "--seed", "5", "--count", "12"],
+     "b18fb5eb98e642eeb84df450069d86b9315a5b5444700f3a9e3b1f6a4c71529c"),
 ]
 
 

@@ -713,7 +713,7 @@ def test_build_K_matches_word_rewriting():
     hit_eu = hit_psi = False
     for name, data, K in _K_sample():
         mult, coaction = oracles.rewrite_K_tables(data, K.host, CycloScalar)
-        assert _exact(K.mult) == _exact(mult), name
+        assert _exact(hh.mult_table(K)) == _exact(mult), name
         assert _exact(K.coaction) == _exact(coaction), name
         nW = len(data.rows)
         hit_eu |= any(not data.gram[i][j].is_zero()
@@ -880,7 +880,7 @@ def test_build_K_same_tables_without_memo():
         K = hopf.build_K(data)
         with _memo_off():
             plain = hopf.build_K(data)
-        assert _exact(K.mult) == _exact(plain.mult), name
+        assert _exact(hh.mult_table(K)) == _exact(hh.mult_table(plain)), name
         assert _exact(K.coaction) == _exact(plain.coaction), name
 
 
@@ -889,7 +889,7 @@ def _doubled_entry(K):
     which breaks multiplicativity: lam(x_i) has a term off 1 x x_i."""
     unit = next(iter(K.unit))
     i = K.loewy_degree.index(1)
-    mult = dict(K.mult)
+    mult = hh.mult_table(K)
     mult[(i, unit)] = {i: la.sc(2)}
     return hopf.ComodAlg(K.host, K.basis, mult, dict(K.coaction), K.unit)
 
@@ -911,6 +911,217 @@ def test_check_comodule_algebra_same_reports_without_memo():
             assert rep["ok"] == (A is K), name
         checked += len(cases) - 1
     assert checked >= 40
+
+
+# -- K's product held as factors: the fast paths only prove equality ------
+
+def _factor_free(A):
+    """A copy of A with every table materialized and no factors, so
+    loewy_graded and same_tables take their per-entry loops on it."""
+    return hopf.ComodAlg(A.host, A.basis, hh.mult_table(A),
+                         {i: A.coact_basis(i) for i in range(A.dim)}, A.unit,
+                         A.group_part, A.loewy_degree, A.meta)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the BrpicError it raises."""
+    try:
+        return fn(*args)
+    except BrpicError as exc:
+        return str(exc)
+
+
+def test_graded_model_on_factors_matches_the_entry_loop():
+    for name, data in _zoo_data():
+        K = hopf.build_K(data)
+        K0 = hopf.build_K(hh.zero_beta_copy(data))
+        gr = hopf.loewy_graded(K)
+        assert gr.factors is not None, name
+        got = hopf.same_tables(gr, K0)
+        # decided on the factors: no product entry of gr was computed
+        assert got == (True, None) and not gr.mult, name
+        assert hopf.same_tables(hopf.loewy_graded(_factor_free(K)),
+                                _factor_free(K0)) == got, name
+
+
+def _beta_on(data, kind):
+    """data with beta doubled on the 12 and 23 sectors (kind "eu") or on the
+    diagonal (kind "ii") and zero elsewhere; None when that leaves it zero.
+    Every clause on beta holds entry by entry, so the result is compatible."""
+    def keep(i, j):
+        if kind == "ii":
+            return i == j
+        sector = tuple(sorted((data.types[i], data.types[j])))
+        return hopf._SYM_SIGN[sector] < 0
+    gram = [[c + c if keep(i, j) else ZERO for j, c in enumerate(row)]
+            for i, row in enumerate(data.gram)]
+    if all(c.is_zero() for row in gram for c in row):
+        return None
+    return hopf.CompatibleData(data.module, data.W1, data.W2, data.W3, gram,
+                               data.F, data.psi, alpha=data.alpha)
+
+
+def _psi_coboundary(data):
+    """data with psi times the coboundary of c = -1 at F's second element
+    and 1 elsewhere: a compatible, different psi when |F| >= 3."""
+    if len(data.F) < 3:
+        return None
+    f_mul = data.law[1]
+    c = [-1 if k == 1 else 1 for k in range(len(data.F))]
+    psi = {(a.coords, b.coords): data.psi[(a.coords, b.coords)]
+           * la.sc(c[i] * c[j] * c[f_mul[i][j]])
+           for i, a in enumerate(data.F) for j, b in enumerate(data.F)}
+    return hopf.CompatibleData(data.module, data.W1, data.W2, data.W3,
+                               data.gram, data.F, psi, alpha=data.alpha)
+
+
+def _chi_flipped(K):
+    """A hand-made factored copy of K whose e_f passes w_0 with the other
+    sign, f the second element of F; None without one or without rows."""
+    fac = K.factors
+    if fac.nF < 2 or len(fac.wtab) < 2:
+        return None
+    chi = [list(row) for row in fac.chi]
+    chi[1][1] = -chi[1][1]
+    return hopf.ComodAlg(K.host, K.basis, {}, dict(K.coaction), K.unit,
+                         K.group_part, K.loewy_degree,
+                         factors=fac._replace(chi=chi))
+
+
+def test_every_difference_reaches_the_entry_loop():
+    """A model with another beta or psi differs from K, and one with another
+    beta from gr K; same_tables names the same first entry on factors as on
+    factor-free copies, so the factors never decide a difference.  Some
+    pairs have the same wtab keys with other coefficients; another psi
+    changes only the twist, and a hand-made flipped root only chi."""
+    hits = {"eu": 0, "ii": 0, "psi": 0, "chi": 0}
+    same_keys = 0
+    for name, data in _zoo_data():
+        K = hopf.build_K(data)
+        for kind in hits:
+            if kind == "chi":
+                B = _chi_flipped(K)
+            else:
+                mutant = (_psi_coboundary(data) if kind == "psi"
+                          else _beta_on(data, kind))
+                assert mutant is None or not hopf.compatible_violations(
+                    mutant), (name, kind)
+                B = None if mutant is None else hopf.build_K(mutant)
+            if B is None:
+                continue
+            graded = kind in ("eu", "ii")
+            for A in (K, hopf.loewy_graded(K))[:2 if graded else 1]:
+                got = hopf.same_tables(A, B)
+                assert not got[0] and got[1].startswith("products differ"), \
+                    (name, kind)
+                assert hopf.same_tables(_factor_free(A), _factor_free(B)) \
+                    == got, (name, kind)
+            hits[kind] += 1
+            same_keys += [[[t[:2] for t in terms] for terms in row]
+                          for row in K.factors.wtab] == \
+                [[[t[:2] for t in terms] for terms in row]
+                 for row in B.factors.wtab]
+    assert min(hits.values()) >= 5 and same_keys >= 10, (hits, same_keys)
+
+
+def test_term_above_the_filtration_raises_on_both_paths():
+    """A hand-made factored K whose w_S1 . 1 (S1 the last subset, one row)
+    gains a term w_(0,1) of degree 2 > |S1| + 0."""
+    checked = 0
+    for name, data in _zoo_data():
+        if len(data.rows) < 2:
+            continue
+        K = hopf.build_K(data)
+        fac = K.factors
+        wtab = [list(row) for row in fac.wtab]
+        wtab[-1][0] = wtab[-1][0] + [(2 * fac.nF, 0, ONE)]
+        bad = hopf.ComodAlg(K.host, K.basis, {}, dict(K.coaction), K.unit,
+                            K.group_part, K.loewy_degree,
+                            factors=fac._replace(wtab=wtab))
+        msg = _outcome(hopf.loewy_graded, bad)
+        s1 = (len(wtab) - 1) * fac.nF
+        assert msg == ("product violates the filtration at "
+                       f"{K.basis[s1]} * {K.basis[0]}"), name
+        assert _outcome(hopf.loewy_graded, _factor_free(bad)) == msg, name
+        checked += 1
+    assert checked >= 10
+
+
+def _failing_steps(A):
+    """The degrees n whose filtration step has another dimension than the
+    basis vectors of degree <= n, by one kernel per step."""
+    deg = A.loewy_degree
+    out = []
+    for n in range(max(deg) + 1):
+        rows = {}
+        for i in range(A.dim):
+            for (h, k), c in A.coact_basis(i).items():
+                if A.host.deg(h) > n:
+                    la.addin(rows.setdefault((h, k), {}), i, c)
+        kern = la.kernel_sparse_rows([r for r in rows.values() if r], A.dim)
+        if len(kern) != sum(1 for d in deg if d <= n):
+            out.append(n)
+    return out
+
+
+def test_filtration_steps_by_rank_name_the_first_failing_degree(monkeypatch):
+    """For two basis elements x_i, x_j of one degree d >= 1, x_j's coaction
+    is replaced by x_i's, or by x_i's top-degree terms and x_j's own lower
+    ones.  x_i - x_j then has no term of host degree d, and steps below d
+    fail; loewy_graded names the first, and computes no kernel."""
+    degrees = set()
+    several = 0
+    kernels = []
+    for name, data in _zoo_data():
+        K = hopf.build_K(data)
+        deg = K.loewy_degree
+        for d in range(1, max(deg) + 1):
+            same = [t for t in range(K.dim) if deg[t] == d]
+            if len(same) < 2:
+                continue
+            i, j = same[:2]
+            coaction = {t: K.coact_basis(t) for t in range(K.dim)}
+            top = {key: c for key, c in coaction[i].items()
+                   if K.host.deg(key[0]) == d}
+            low = {key: c for key, c in coaction[j].items()
+                   if K.host.deg(key[0]) < d}
+            for lam_j in (coaction[i], {**top, **low}):
+                A = hopf.ComodAlg(K.host, K.basis, hh.mult_table(K),
+                                  coaction | {j: lam_j}, K.unit,
+                                  K.group_part, deg)
+                failing = _failing_steps(A)
+                assert failing and failing[-1] < d, (name, d)
+                with monkeypatch.context() as m:
+                    m.setattr(la, "kernel_sparse_rows",
+                              lambda *a: kernels.append(a))
+                    with pytest.raises(BrpicError) as exc:
+                        hopf.loewy_graded(A)
+                assert str(exc.value) == (
+                    "Loewy filtration step is not spanned by the monomial "
+                    f"basis at degree {failing[0]}"), (name, d)
+                degrees.add(failing[0])
+                several += len(failing) > 1
+    assert kernels == [] and degrees >= {0, 1} and several >= 5, \
+        (degrees, several)
+
+
+def test_compatible_violations_found_once_per_datum(monkeypatch):
+    calls = []
+    original = hopf._psi_cocycle_ok
+    monkeypatch.setattr(hopf, "_psi_cocycle_ok",
+                        lambda data: calls.append(data) or original(data))
+    mod = _sw()
+    good = hh.random_data(mod, random.Random(11))
+    bad = hopf.CompatibleData(mod, None, None, _graph(1, [0], 1), None,
+                              [ab.direct_sum(mod.group, mod.group).zero()])
+    assert hopf.compatible_violations(good) == []
+    hopf.build_K(good)
+    names = hopf.compatible_violations(bad)
+    names.append("edited by the caller")
+    assert hopf.compatible_violations(bad) == ["u_in_F"]
+    with pytest.raises(DomainError, match="u_in_F"):
+        hopf.build_K(bad)
+    assert calls == [good, bad]
 
 
 def test_cotensor_same_tables_and_reports_without_memo():
