@@ -335,11 +335,6 @@ def _suite_hopf(module, rng, checks, lines):
            "" if rep["ok"] else str(rep["failures"][:3]))
 
 
-def _zero_beta(data):
-    return hopf.CompatibleData(data.module, data.W1, data.W2, data.W3, None,
-                               data.F, data.psi, alpha=data.alpha)
-
-
 def _suite_comodule(module, rng, count, checks, lines):
     bad_build, bad_dim, bad_comod, bad_coinv, bad_gr = [], [], [], [], []
     for i in range(count):
@@ -357,7 +352,7 @@ def _suite_comodule(module, rng, count, checks, lines):
         if rep["coinvariants_dim"] != 1:
             bad_coinv.append(i)
         same, _why = hopf.same_tables(hopf.loewy_graded(K),
-                                      hopf.build_K(_zero_beta(data)))
+                                      hopf.build_K(data.zero_beta()))
         if not same:
             bad_gr.append(i)
     for name, failed in (("generator_valid", bad_build),

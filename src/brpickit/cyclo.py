@@ -17,6 +17,14 @@ arithmetic, the inverse included, runs on ints.  The inverse of a
 non-rational value is taken through its norm, at phi(N) - 1 products
 whatever the value.
 
+Products are memoized.  a * b looks up _product, an lru_cache of at most
+2^16 entries keyed on both operands' (N, num, den); that form is
+canonical at a fixed N and all a product reads, so a hit is the scalar the
+arithmetic gives, conductor included (2@1 x 3@1 is 6@1, 2@4 x 3@1 is 6@4).
+The tables built over these scalars hold mostly +-zeta^k, so most products
+repeat.  inv bypasses the memo: the conjugates of its norm never repeat,
+and at a large conductor each would pin a phi(N)-sized entry.
+
 Values at different conductors interoperate by lifting both to
 Q(zeta_lcm) exactly.  Fast path: when one operand is rational (no
 coefficient beyond the constant term) and its conductor divides the
@@ -28,7 +36,7 @@ conductor is still lcm(N_a, N_b).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, lcm
 from typing import Iterable
 
@@ -228,10 +236,7 @@ class CycloScalar:
             return self
         if M % self.N != 0:
             raise DomainError(f"cannot lift conductor {self.N} into {M}")
-        step = M // self.N
-        raw = [0] * ((len(self.num) - 1) * step + 1)
-        raw[::step] = self.num
-        return _make(M, _reduce(M, raw), self.den)
+        return _make(M, _lifted(self.N, self.num, M), self.den)
 
     def _pair(self, other: "CycloScalar") -> tuple["CycloScalar", "CycloScalar"]:
         if self.N == other.N:
@@ -285,27 +290,12 @@ class CycloScalar:
         return other + (-self)
 
     def __mul__(self, other):
+        """self * other through _product's memo (module docstring)."""
         if type(other) is not CycloScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b = self, other
-        if b.N % a.N == 0 and not any(a.num[1:]):
-            a, b = b, a
-        elif not (a.N % b.N == 0 and not any(b.num[1:])):
-            if a.N != b.N:
-                a, b = self._pair(other)
-            an, bn = a.num, b.num
-            raw = [0] * (2 * len(an) - 1)
-            for i, x in enumerate(an):
-                if x:
-                    for j, y in enumerate(bn, i):
-                        if y:
-                            raw[j] += x * y
-            return _make(a.N, _reduce(a.N, raw), a.den * b.den)
-        # b is a rational q = b.num[0] / b.den: scale a's numerators by it
-        q = b.num[0]
-        return _make(a.N, [q * x for x in a.num], a.den * b.den)
+        return _product(self.N, self.num, self.den, other.N, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -333,8 +323,8 @@ class CycloScalar:
                 raw = [0] * N
                 for j, c in enumerate(num):
                     raw[j * k % N] += c
-                adj = adj * _make(N, _reduce(N, raw), 1)
-        norm = _make(N, num, 1) * adj
+                adj = _fresh_product(N, adj.num, adj.den, N, _reduce(N, raw), 1)
+        norm = _fresh_product(N, num, 1, N, adj.num, adj.den)
         if any(norm.num[1:]):
             raise ArithmeticError("norm of a nonzero value is not rational")
         return _make(N, [den * x for x in adj.num], norm.num[0])
@@ -455,25 +445,38 @@ _set_num = CycloScalar.num.__set__
 _set_den = CycloScalar.den.__set__
 
 
-def memo_mul():
-    """A fresh times(a, b) equal to a * b that computes each distinct pair
-    of operand values once and looks every repeat up.
+def _lifted(N: int, num, M: int) -> list[int]:
+    """The numerators num at conductor N rewritten at M, N | M."""
+    step = M // N
+    raw = [0] * ((len(num) - 1) * step + 1)
+    raw[::step] = num
+    return _reduce(M, raw)
 
-    The key is both operands' (N, num, den).  At a fixed N that form is
-    canonical and __mul__ reads nothing else, so equal keys give the scalar
-    a * b gives, conductor included (2@1 x 3@1 is 6@1, 2@4 x 3@1 is 6@4).
-    The memo lives as long as times: make one per table or call that owns
-    the products.
-    """
-    memo = {}
 
-    def times(a, b):
-        key = (a.N, a.num, a.den, b.N, b.num, b.den)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = a * b
-        return got
-    return times
+@lru_cache(maxsize=1 << 16)
+def _product(aN, anum, aden, bN, bnum, bden) -> CycloScalar:
+    """The product of anum/aden at aN and bnum/bden at bN (module docstring)."""
+    if bN % aN == 0 and not any(anum[1:]):
+        # a is a rational q = anum[0] / aden: scale b's numerators by it
+        q = anum[0]
+        return _make(bN, [q * y for y in bnum], aden * bden)
+    if aN % bN == 0 and not any(bnum[1:]):
+        q = bnum[0]
+        return _make(aN, [q * x for x in anum], aden * bden)
+    if aN != bN:
+        M = lcm(aN, bN)
+        aN, anum, bnum = M, _lifted(aN, anum, M), _lifted(bN, bnum, M)
+    raw = [0] * (2 * len(anum) - 1)
+    for i, x in enumerate(anum):
+        if x:
+            for j, y in enumerate(bnum, i):
+                if y:
+                    raw[j] += x * y
+    return _make(aN, _reduce(aN, raw), aden * bden)
+
+
+# the arithmetic without the memo, for inv (module docstring)
+_fresh_product = _product.__wrapped__
 
 
 def _literal(kind, part, text):

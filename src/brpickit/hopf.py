@@ -45,17 +45,6 @@ Every tensor is keyed by tuples of basis indices: H x H by (h1, h2), L x K
 by (a, b), a coaction by (host index, basis index).  One law checks every
 coaction (_coaction_law); a right coaction is flipped to that key order and
 checked over the co-opposite comultiplication.
-
-The scalars in these tables repeat heavily (host coefficients are
-+-zeta^k, most coaction coefficients are 1), so the sparse kernels take a
-times(a, b) and each owner of a table passes one cyclo.memo_mul(): build_K
-per call for its factor tables and coaction, each algebra with factors for
-the entries it computes, check_comodule_algebra and verify_cotensor_iso per
-call, cotensor for the tables it fills on demand.
-times is keyed on both operands' (N, num, den), which is canonical at a
-fixed N and all that a * b reads, so it returns the scalar a * b returns,
-conductor included, and every table has the same keys, order and values
-as with plain multiplication.  No memo outlives its owner.
 """
 
 import itertools
@@ -63,14 +52,13 @@ import random
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from operator import mul
 from typing import NamedTuple
 
 from . import abelian as ab
 from . import linalg as la
 from . import orth
 from . import brpic as bp
-from .cyclo import CycloScalar, memo_mul
+from .cyclo import CycloScalar
 from .errors import BrpicError, CapacityError, DomainError, InputValidationError
 from .linalg import addin
 
@@ -80,12 +68,11 @@ _HALF = la.sc(Fraction(1, 2))
 
 
 # -- sparse element helpers -------------------------------------------------
-# times is a * b, or the memo_mul() of the table's owner (module docstring).
 
-def _scaled(d, c, times=mul):
+def _scaled(d, c):
     if c.is_zero():
         return {}
-    return {k: times(c, v) for k, v in d.items()}
+    return {k: c * v for k, v in d.items()}
 
 
 def _elem_add(a, b):
@@ -95,12 +82,12 @@ def _elem_add(a, b):
     return out
 
 
-def _apply(images, x, times=mul):
+def _apply(images, x):
     """Linear extension of the basis map i -> images(i), applied to x."""
     acc = {}
     for i, c in x.items():
         for k, c2 in images(i).items():
-            addin(acc, k, times(c, c2))
+            addin(acc, k, c * c2)
     return acc
 
 
@@ -114,7 +101,7 @@ def _mul(mono, x, y):
     return acc
 
 
-def _tensor_mul(mono_a, mono_b, t1, t2, times=mul):
+def _tensor_mul(mono_a, mono_b, t1, t2):
     """Product in A x B of elements keyed by basis pairs (a, b)."""
     acc = {}
     for (a1, b1), c1 in t1.items():
@@ -125,15 +112,15 @@ def _tensor_mul(mono_a, mono_b, t1, t2, times=mul):
             pb = mono_b(b1, b2)
             if not pb:
                 continue
-            c12 = times(c1, c2)
+            c12 = c1 * c2
             for a3, ca in pa.items():
-                c12a = times(c12, ca)
+                c12a = c12 * ca
                 for b3, cb in pb.items():
-                    addin(acc, (a3, b3), times(c12a, cb))
+                    addin(acc, (a3, b3), c12a * cb)
     return acc
 
 
-def _coaction_law(coact, comult, counit, i, times=mul):
+def _coaction_law(coact, comult, counit, i):
     """(coassociative, counital) at basis i for a left coaction keyed
     (host index, basis index): (Delta x id) lam == (id x lam) lam, and
     (eps x id) lam(i) == i.  A right coaction rho is checked as the left
@@ -143,12 +130,12 @@ def _coaction_law(coact, comult, counit, i, times=mul):
     left, right, cu = {}, {}, {}
     for (h, k), c in coact(i).items():
         for (h1, h2), c2 in comult(h).items():
-            addin(left, (h1, h2, k), times(c, c2))
+            addin(left, (h1, h2, k), c * c2)
         for (h2, k2), c2 in coact(k).items():
-            addin(right, (h, h2, k2), times(c, c2))
+            addin(right, (h, h2, k2), c * c2)
         e = counit(h)
         if not e.is_zero():
-            addin(cu, k, times(e, c))
+            addin(cu, k, e * c)
     return left == right, cu == {i: _ONE}
 
 
@@ -489,8 +476,8 @@ class KFactors(NamedTuple):
     subsets.  wtab[s1][s2] lists w_S1 w_S2 = sum c w_T e_g as terms
     (index of w_T e_0, index of g, c), with distinct (index, g); chi[f][s]
     is the root e_f picks up passing w_S; twist[g][f1][f2] is (h, psi')
-    with e_g e_f1 e_f2 = psi' e_h.  mulfn(times) computes one entry as
-    build_K defines it (see there), every product through times.
+    with e_g e_f1 e_f2 = psi' e_h.  entry(i, j) computes one entry as
+    build_K defines it (see there).
     """
 
     nF: int
@@ -498,19 +485,16 @@ class KFactors(NamedTuple):
     chi: list
     twist: dict
 
-    def mulfn(self, times):
+    def entry(self, i, j):
         nF, wtab, chi, twist = self
-
-        def entry(i, j):
-            s1, f1 = divmod(i, nF)
-            s2, f2 = divmod(j, nF)
-            x = chi[f1][s2]
-            out = {}
-            for k, g, c in wtab[s1][s2]:
-                h, p = twist[g][f1][f2]
-                out[k + h] = times(c, times(x, p))
-            return out
-        return entry
+        s1, f1 = divmod(i, nF)
+        s2, f2 = divmod(j, nF)
+        x = chi[f1][s2]
+        out = {}
+        for k, g, c in wtab[s1][s2]:
+            h, p = twist[g][f1][f2]
+            out[k + h] = c * (x * p)
+        return out
 
 
 class ComodAlg:
@@ -520,9 +504,9 @@ class ComodAlg:
     index to {(host_index, k): coefficient}.  Either table may be backed by
     a builder function and filled on demand (cotensor products do this).
     An algebra with factors (a KFactors; build_K and loewy_graded give
-    them) has mulfn = factors.mulfn of its own memo_mul(), and mult is
-    then only the memo of the entries read so far: callers must not write
-    into it, since same_tables and loewy_graded read the factors instead.
+    them) has mulfn = factors.entry, and mult is then only the memo of the
+    entries read so far: callers must not write into it, since same_tables
+    and loewy_graded read the factors instead.
     """
 
     __slots__ = ("host", "dim", "basis", "index", "mult", "coaction", "unit",
@@ -547,7 +531,7 @@ class ComodAlg:
         object.__setattr__(self, "meta", dict(meta) if meta else {})
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_mulfn", mulfn if factors is None
-                           else factors.mulfn(memo_mul()))
+                           else factors.entry)
         object.__setattr__(self, "_coactfn", coactfn)
 
     def __setattr__(self, name, value):
@@ -717,6 +701,19 @@ class CompatibleData:
                                tuple(self.act_exponents(f) for f in self.F))
         return self._acts
 
+    def zero_beta(self):
+        """The same data with beta = 0, the model gr K is compared with.
+        The actions do not depend on beta, so the copy shares them; its
+        compatibility is decided afresh."""
+        nW = len(self.rows)
+        z = object.__new__(CompatibleData)
+        for name in self.__slots__:
+            object.__setattr__(z, name, getattr(self, name))
+        object.__setattr__(z, "gram", tuple((_ZERO,) * nW for _ in range(nW)))
+        object.__setattr__(z, "_acts", self.actions())
+        object.__setattr__(z, "_violations", None)
+        return z
+
 
 _SYM_SIGN = {(1, 1): 1, (2, 2): 1, (3, 3): 1, (1, 3): 1, (1, 2): -1, (2, 3): -1}
 
@@ -847,13 +844,10 @@ def build_K(data) -> ComodAlg:
     Each coefficient keeps the conductors of its factors, as rewriting the
     whole word gives it.  K holds its product as those three tables
     (K.factors, a KFactors), and computes entry (i, j) by this formula on
-    its first read, as c (chi(f1, S2) psi'), through K's own memo_mul().
+    its first read, as c (chi(f1, S2) psi').
     The coaction is multiplicative and is built by prefix:
     lam(w_S e_f) = lam(w_S) lam(e_f), lam(w_S) = lam(w_S') lam(w_s) with
     s = max S and S' = S minus s; it reads the entries it needs.
-
-    Every other product runs through one memo_mul() of this call (see the
-    module docstring), so the tables are the ones a * b would give.
     """
     bad = compatible_violations(data)
     if bad:
@@ -879,7 +873,6 @@ def build_K(data) -> ComodAlg:
                  for exps, _ in data.actions()]
     gram = data.gram
     types = data.types
-    times = memo_mul()
 
     memo = {}
 
@@ -892,16 +885,16 @@ def build_K(data) -> ComodAlg:
             (ka, a), (kb, b) = word[p], word[p + 1]
             if ka == "e" and kb == "e":
                 out = _scaled(nf(word[:p] + (("e", f_mul[a][b]),) + word[p + 2:]),
-                              psiv[a][b], times)
+                              psiv[a][b])
                 break
             if ka == "e" and kb == "w":
                 out = _scaled(nf(word[:p] + (("w", b), ("e", a)) + word[p + 2:]),
-                              act_roots[a][b], times)
+                              act_roots[a][b])
                 break
             if ka == "w" and kb == "w":
                 if a == b:
                     out = _scaled(nf(word[:p] + word[p + 2:]),
-                                  _HALF * gram[a][a], times)
+                                  _HALF * gram[a][a])
                     break
                 if a > b:
                     sector = tuple(sorted((types[a], types[b])))
@@ -911,15 +904,15 @@ def build_K(data) -> ComodAlg:
                         if not c.is_zero():
                             sub = nf(word[:p] + (("e", u_f),) + word[p + 2:])
                             for k, v in sub.items():
-                                addin(acc, k, -times(c, v))
+                                addin(acc, k, -(c * v))
                         out = acc
                     else:
                         acc = _scaled(nf(word[:p] + (("w", b), ("w", a)) + word[p + 2:]),
-                                      -_ONE, times)
+                                      -_ONE)
                         if not c.is_zero():
                             sub = nf(word[:p] + word[p + 2:])
                             for k, v in sub.items():
-                                addin(acc, k, times(c, v))
+                                addin(acc, k, c * v)
                         out = acc
                     break
         if out is None:
@@ -943,14 +936,14 @@ def build_K(data) -> ComodAlg:
     for roots in act_roots:
         row = {(): _ONE}
         for S in subsets[1:]:
-            row[S] = times(row[S[:-1]], roots[S[-1]])
+            row[S] = row[S[:-1]] * roots[S[-1]]
         chi.append([row[S] for S in subsets])
     # e_g e_f1 e_f2 = psi' e_h; no word holds an e_0, so g = 0 adds no psi
     twist = {id_f: [[(f_mul[a][b], psiv[a][b]) for b in range(nF)]
                     for a in range(nF)]}
     if any(g != id_f for row in wtab for terms in row for _, g, _ in terms):
         twist[u_f] = [[(f_mul[f_mul[u_f][a]][b],
-                        times(psiv[u_f][a], psiv[f_mul[u_f][a]][b]))
+                        psiv[u_f][a] * psiv[f_mul[u_f][a]][b])
                        for b in range(nF)] for a in range(nF)]
 
     zeroG = module.group.zero().coords
@@ -989,10 +982,10 @@ def build_K(data) -> ComodAlg:
     lam_S = {(): {(host.one_idx, unit_k): _ONE}}
     for S in subsets[1:]:
         lam_S[S] = _tensor_mul(host.mono_mul, K.mul_basis, lam_S[S[:-1]],
-                               lamw[S[-1]], times)
+                               lamw[S[-1]])
     for i, (S, fk) in enumerate(keys):
         K.coaction[i] = _tensor_mul(host.mono_mul, K.mul_basis, lam_S[S],
-                                    lame[fk], times)
+                                    lame[fk])
     return K
 
 
@@ -1194,21 +1187,19 @@ def check_comodule_algebra(A, rng=None):
     """Verify coassociativity, counitality and multiplicativity of the
     coaction; returns a report with located witnesses and the dimension of
     the coinvariant subalgebra.  Multiplicativity runs over all basis pairs
-    when dim A <= 24 and over max(200, 4 dim A) random pairs above.  Every
-    product of the call runs through one memo_mul()."""
+    when dim A <= 24 and over max(200, 4 dim A) random pairs above."""
     rng = rng if rng is not None else random.Random(0)
     host = A.host
-    times = memo_mul()
     failures, note = _recorder()
     for i in range(A.dim):
         coassoc, counit = _coaction_law(A.coact_basis, host.comult,
-                                        host.counit, i, times)
+                                        host.counit, i)
         if not coassoc:
             note("coassoc", A.basis[i])
         if not counit:
             note("counit", A.basis[i])
 
-    lam1 = _apply(A.coact_basis, A.unit, times)
+    lam1 = _apply(A.coact_basis, A.unit)
     unit_target = {}
     for k, c in A.unit.items():
         addin(unit_target, (host.one_idx, k), c)
@@ -1218,8 +1209,8 @@ def check_comodule_algebra(A, rng=None):
     pairs = _tuples(A.dim, 2, rng, None if A.dim <= 24 else max(200, 4 * A.dim))
     for i, j in pairs:
         lhs = _tensor_mul(host.mono_mul, A.mul_basis, A.coact_basis(i),
-                          A.coact_basis(j), times)
-        if lhs != _apply(A.coact_basis, A.mul_basis(i, j), times):
+                          A.coact_basis(j))
+        if lhs != _apply(A.coact_basis, A.mul_basis(i, j)):
             note("multiplicative", (A.basis[i], A.basis[j]))
 
     coin = coinvariants(A)
@@ -1269,8 +1260,7 @@ def cotensor(L, K) -> ComodAlg:
     _tensor_mul.  L coacts on the right over the supergroup host H through
     the second leg and cop_phi; that coaction is held flipped, keyed
     (H index, L index), and checked as a left coaction over the co-opposite
-    comultiplication of H.  K coacts on the left through the first leg.
-    The coaction checks and the filled tables share one memo_mul()."""
+    comultiplication of H.  K coacts on the left through the first leg."""
     host = L.host
     if K.host is not host:
         if (K.host.kind != host.kind or K.host.group != host.group
@@ -1285,7 +1275,6 @@ def cotensor(L, K) -> ComodAlg:
     phi = cop_phi(H)
     leg1 = _counit_legs(host, H, 0)
     leg2 = _counit_legs(host, H, 1)
-    times = memo_mul()
 
     lam_r = _induced_right(L, phi, leg2)
     lam_l = []
@@ -1297,12 +1286,12 @@ def cotensor(L, K) -> ComodAlg:
         lam_l.append(d)
     cop = [{(h2, h1): c for (h1, h2), c in H.comult(h).items()}
            for h in range(H.dim)]
-    if not all(_coaction_law(lam_r.__getitem__, cop.__getitem__, H.counit, i,
-                             times) == (True, True) for i in range(L.dim)):
+    if not all(_coaction_law(lam_r.__getitem__, cop.__getitem__, H.counit, i)
+               == (True, True) for i in range(L.dim)):
         raise BrpicError("internal invariant violation: induced right coaction "
                          "is not a comodule structure")
-    if not all(_coaction_law(lam_l.__getitem__, H.comult, H.counit, j,
-                             times) == (True, True) for j in range(K.dim)):
+    if not all(_coaction_law(lam_l.__getitem__, H.comult, H.counit, j)
+               == (True, True) for j in range(K.dim)):
         raise BrpicError("internal invariant violation: induced left coaction "
                          "is not a comodule structure")
 
@@ -1343,7 +1332,7 @@ def cotensor(L, K) -> ComodAlg:
 
     def mulfn(i, j):
         co = ech.coords(_tensor_mul(L.mul_basis, K.mul_basis,
-                                    zrows[i], zrows[j], times))
+                                    zrows[i], zrows[j]))
         if co is None:
             raise BrpicError("internal invariant violation: cotensor product "
                              "left the computed kernel")
@@ -1355,14 +1344,14 @@ def cotensor(L, K) -> ComodAlg:
             for (h1, a0), c1 in L.coact_basis(a).items():
                 if leg1[h1] is None:
                     continue
-                cc1 = times(c, c1)
+                cc1 = c * c1
                 for (h2, b0), c2 in K.coact_basis(b).items():
                     if leg2[h2] is None:
                         continue
                     for h3, ch in host.mono_mul(leg1[h1][1],
                                                 leg2[h2][1]).items():
                         addin(byh.setdefault(h3, {}), (a0, b0),
-                              times(times(cc1, c2), ch))
+                              cc1 * c2 * ch)
         entry = {}
         for h3 in sorted(byh):
             vec = {k: c for k, c in byh[h3].items() if not c.is_zero()}
@@ -1393,8 +1382,7 @@ def verify_cotensor_iso(d, dt):
     identity twist) is isomorphic, as a comodule algebra, to the model of
     their composed datum, via w -> iota1(w) x 1 + e_u x iota2(w) and
     e_f -> e_f x e_(f2,f2).  Returns a report; 'ok' requires the dimension
-    law and every structural check.  Every product of the check runs
-    through one memo_mul()."""
+    law and every structural check."""
     module = d.module
     G = module.group
     GG = ab.direct_sum(G, G)
@@ -1416,10 +1404,9 @@ def verify_cotensor_iso(d, dt):
     data3 = L3.meta["data"]
     ech = C.meta["echelon"]
     failures, note = _recorder(12)
-    times = memo_mul()
 
     def tmul(x, y):
-        return _tensor_mul(L1.mul_basis, L2.mul_basis, x, y, times)
+        return _tensor_mul(L1.mul_basis, L2.mul_basis, x, y)
 
     expected = (1 << d3.W.dim) * len(data1.F)
     report = {"dim_cot": C.dim, "dim_expected": expected, "dim_model": L3.dim,
@@ -1478,8 +1465,7 @@ def verify_cotensor_iso(d, dt):
             lhs = _elem_add(tmul(phiw[i], phiw[j]),
                             tmul(phiw[j], phiw[i])) if i != j \
                 else tmul(phiw[i], phiw[i])
-            target = _scaled(one, g3[i][j] if i != j else _HALF * g3[i][i],
-                             times)
+            target = _scaled(one, g3[i][j] if i != j else _HALF * g3[i][i])
             if lhs != target:
                 note("relations_w", (i, j))
     psi1 = data1.psi
@@ -1487,7 +1473,7 @@ def verify_cotensor_iso(d, dt):
     for i, a in enumerate(data1.F):
         for j, b in enumerate(data1.F):
             lhs = tmul(phie[i], phie[j])
-            rhs = _scaled(phie[fadd[i][j]], psi1[(a.coords, b.coords)], times)
+            rhs = _scaled(phie[fadd[i][j]], psi1[(a.coords, b.coords)])
             if lhs != rhs:
                 note("relations_psi", (a.coords, b.coords))
     N = G.exponent
@@ -1497,7 +1483,7 @@ def verify_cotensor_iso(d, dt):
         exps = acts3[fpos3[f.coords]][0]
         for wi in range(nW3):
             rhs = _scaled(tmul(phiw[wi], phie[fk]),
-                          CycloScalar.root_of_unity(N, exps[wi]), times)
+                          CycloScalar.root_of_unity(N, exps[wi]))
             if tmul(phie[fk], phiw[wi]) != rhs:
                 note("relations_action", (f.coords, wi))
 
@@ -1527,11 +1513,11 @@ def verify_cotensor_iso(d, dt):
 
     if all(co is not None for co in coords3):
         for b in range(L3.dim):
-            lhs = _apply(C.coact_basis, coords3[b], times)
+            lhs = _apply(C.coact_basis, coords3[b])
             rhs = {}
             for (h, b2), c in L3.coact_basis(b).items():
                 for pos, c2 in coords3[b2].items():
-                    addin(rhs, (h, pos), times(c, c2))
+                    addin(rhs, (h, pos), c * c2)
             if lhs != rhs:
                 note("comodule_map", L3.basis[b])
 

@@ -60,11 +60,6 @@ random_data = hopf.random_compatible_data
 random_gdatum = hopf.random_graph_datum
 
 
-def zero_beta_copy(data):
-    return hopf.CompatibleData(data.module, data.W1, data.W2, data.W3, None,
-                               data.F, data.psi, alpha=data.alpha)
-
-
 def mult_table(A):
     """Every product entry of A, read through mul_basis in row-major order:
     a full table in a fixed key order, whatever A had computed before."""

@@ -225,7 +225,7 @@ def test_criterion_08(capsys):
         if any(not c.is_zero() for row in data.gram for c in row):
             with_beta += 1
         same, _why = hopf.same_tables(hopf.loewy_graded(K),
-                                      hopf.build_K(hh.zero_beta_copy(data)))
+                                      hopf.build_K(data.zero_beta()))
         ok = ok and same
         if not ok:
             break

@@ -6,6 +6,7 @@ import pytest
 
 from brpickit import brpic as bp
 from brpickit import cli
+from brpickit import hopf
 from brpickit import linalg as la
 
 
@@ -523,3 +524,22 @@ def test_trivial_cyclic_factor_runs(tmp_path, capsys):
         code, out, err = _run(capsys, argv + ["--spec", spec])
         assert code == 0 and err == ""
     assert "result: PASS" in out
+
+
+# The zero-beta model of each instance shares the actions of its datum:
+# before CompatibleData.zero_beta this run made 140 act_exponents calls.
+def test_comodule_suite_computes_actions_once_per_datum(tmp_path, capsys,
+                                                        monkeypatch):
+    calls = []
+    original = hopf.CompatibleData.act_exponents
+
+    def counted(self, f):
+        calls.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(hopf.CompatibleData, "act_exponents", counted)
+    spec = _write(tmp_path, "z4.json", Z4)
+    code, out, err = _run(capsys, ["verify", "comodule", "--seed", "5",
+                                   "--count", "12", "--spec", spec])
+    assert code == 0 and err == "" and "result: PASS" in out
+    assert len(calls) == 70

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from brpickit import cyclo
 from brpickit.cyclo import (MAX_CONDUCTOR, CycloScalar, cyclotomic_poly, divisors,
-                            euler_phi, memo_mul)
+                            euler_phi)
 from brpickit.errors import CapacityError, DomainError
 
 CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
@@ -279,14 +280,17 @@ def test_lowest_terms_after_each_op(a):
 
 
 def _count_lifts(monkeypatch):
+    """Record (N, M) for every lift from N to M, products' included.  A
+    product lifts only when it misses the memo, so the memo starts empty."""
     calls = []
-    lift = CycloScalar.lift
+    lifted = cyclo._lifted
 
-    def counted(self, M):
-        calls.append((self.N, M))
-        return lift(self, M)
+    def counted(N, num, M):
+        calls.append((N, M))
+        return lifted(N, num, M)
 
-    monkeypatch.setattr(CycloScalar, "lift", counted)
+    monkeypatch.setattr(cyclo, "_lifted", counted)
+    cyclo._product.cache_clear()
     return calls
 
 
@@ -397,28 +401,42 @@ def _key(a):
                 min_size=1, max_size=24))
 @settings(max_examples=150)
 def test_memo_mul_is_exact_at_every_conductor(pool, picks):
-    """One times over many pairs, repeats included: every result has the
-    (N, num, den) of a * b, on the first call and on every repeat."""
-    times = memo_mul()
+    """a * b over many pairs, repeats included: every result has the
+    (N, num, den) of the arithmetic without the memo, on the first call and
+    on every repeat."""
+    plain = cyclo._product.__wrapped__
     for _ in range(2):
         for i, j in picks:
             a, b = pool[i % len(pool)], pool[j % len(pool)]
-            assert _key(times(a, b)) == _key(a * b)
+            assert _key(a * b) == _key(plain(*_key(a), *_key(b)))
 
 
 def test_memo_mul_keys_on_the_conductor():
     """Equal (num, den) at different conductors: phi(1) = phi(2) and
     phi(3) = phi(4), so only N tells these operands apart."""
-    times = memo_mul()
     two = {N: CycloScalar.from_rational(2, N) for N in (1, 2, 4)}
     three1 = CycloScalar.from_rational(3, 1)
-    assert _key(times(two[1], three1)) == (1, (6,), 1)
-    assert _key(times(two[4], three1)) == (4, (6, 0), 1)
-    assert _key(times(two[2], three1)) == (2, (6,), 1)
-    assert _key(times(two[1], three1)) == (1, (6,), 1)
-    assert _key(times(three1, two[1])) == (1, (6,), 1)
-    assert _key(times(three1, two[2])) == (2, (6,), 1)
     z3, z4 = CycloScalar.root_of_unity(3), CycloScalar.root_of_unity(4)
     assert z3.num == z4.num
-    assert _key(times(z3, z3)) == (3, (-1, -1), 1)
-    assert _key(times(z4, z4)) == (4, (-1, 0), 1)
+    cases = [(two[1], three1, (1, (6,), 1)), (two[4], three1, (4, (6, 0), 1)),
+             (two[2], three1, (2, (6,), 1)), (two[1], three1, (1, (6,), 1)),
+             (three1, two[1], (1, (6,), 1)), (three1, two[2], (2, (6,), 1)),
+             (z3, z3, (3, (-1, -1), 1)), (z4, z4, (4, (-1, 0), 1))]
+    plain = cyclo._product.__wrapped__
+    for a, b, want in cases:
+        assert _key(plain(*_key(a), *_key(b))) == want
+        assert _key(a * b) == want
+
+
+@pytest.mark.parametrize("N", [5, 12, 97])
+def test_inv_bypasses_the_product_memo(N):
+    """inv forms its norm chain outside the memo: the conjugates never
+    repeat, so they would only crowd it.  The result is the one inverse at
+    N, so it has the (N, num, den) inv gave before the memo."""
+    phi = euler_phi(N)
+    a = CycloScalar(N, [Fraction(k % 5 - 2, k % 3 + 1) for k in range(phi)])
+    assert not a.is_rational()
+    before = cyclo._product.cache_info().currsize
+    r = a.inv()
+    assert cyclo._product.cache_info().currsize == before
+    _assert_matches(r, oracles.cyclo_inv(_ref(a)))

@@ -1,4 +1,3 @@
-import operator
 import random
 from contextlib import nullcontext
 from fractions import Fraction
@@ -11,6 +10,7 @@ import hopf_helpers as hh
 import oracles
 from brpickit import abelian as ab
 from brpickit import brpic as bp
+from brpickit import cyclo
 from brpickit import hopf
 from brpickit import linalg as la
 from brpickit import orth
@@ -406,7 +406,7 @@ def test_graded_algebra_matches_zero_beta_model():
         if any(not c.is_zero() for row in data.gram for c in row):
             hit_beta += 1
         gr = hopf.loewy_graded(K)
-        K0 = hopf.build_K(hh.zero_beta_copy(data))
+        K0 = hopf.build_K(data.zero_beta())
         same, why = hopf.same_tables(gr, K0)
         assert same, (name, seed, why)
         # grading is idempotent
@@ -851,11 +851,11 @@ def test_checked_pairs_below_and_above_each_threshold():
         assert rep["ok"] and rep["checked_pairs"] == pairs
 
 
-# -- one memo_mul per table: the same tables as plain a * b -----------------
+# -- the scalar-product memo: the same tables as the plain arithmetic ------
 
 def _memo_off():
-    """hopf with every memo_mul() replaced by plain multiplication."""
-    return mock.patch.object(hopf, "memo_mul", lambda: operator.mul)
+    """Every a * b computed afresh, with the memo of cyclo._product off."""
+    return mock.patch.object(cyclo, "_product", cyclo._product.__wrapped__)
 
 
 @cache
@@ -934,7 +934,7 @@ def _outcome(fn, *args):
 def test_graded_model_on_factors_matches_the_entry_loop():
     for name, data in _zoo_data():
         K = hopf.build_K(data)
-        K0 = hopf.build_K(hh.zero_beta_copy(data))
+        K0 = hopf.build_K(data.zero_beta())
         gr = hopf.loewy_graded(K)
         assert gr.factors is not None, name
         got = hopf.same_tables(gr, K0)
