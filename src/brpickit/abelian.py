@@ -149,43 +149,9 @@ def neg(a):
     return _same_kind(a, tuple((-x) % f for x, f in zip(_vec(a), a.parent.factors)))
 
 
-def sub(a, b):
-    return add(a, neg(b))
-
-
-def is_zero(a) -> bool:
-    return all(c == 0 for c in _vec(a))
-
-
 def order_of(a) -> int:
     fs = a.parent.factors
     return lcm(*(f // gcd(f, c) for c, f in zip(_vec(a), fs))) if fs else 1
-
-
-def scalar_mul(k: int, a):
-    return _same_kind(a, tuple((k * x) % f for x, f in zip(_vec(a), a.parent.factors)))
-
-
-def subgroup_generated(gens):
-    """Closure of a set of elements (or characters) under the group law.
-
-    Returns a deterministically sorted list.
-    """
-    gens = list(gens)
-    if not gens:
-        raise DomainError("need at least one generator to know the ambient group")
-    parent = gens[0].parent
-    zero = _same_kind(gens[0], (0,) * parent.rank)
-    seen = {_vec(zero): zero}
-    frontier = [zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = add(x, g)
-            if _vec(y) not in seen:
-                seen[_vec(y)] = y
-                frontier.append(y)
-    return [seen[c] for c in sorted(seen)]
 
 
 def addition_table(elements):

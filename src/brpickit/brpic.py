@@ -568,33 +568,6 @@ def rdatum_to_odatum(d: RDatum) -> ODatum:
     return _checked(ODatum(mod, T, d.alpha), "reconstructed")
 
 
-def is_invertible(d: RDatum) -> bool:
-    """True iff the datum inverts; confirms both products against identity."""
-    try:
-        o = rdatum_to_odatum(d)
-    except NotInvertibleError:
-        return False
-    inverse = odatum_to_rdatum(odatum_invert(o))
-    idd = identity_rdatum(d.module)
-    ok1, _ = rdatum_equiv(rdatum_product(d, inverse), idd)
-    ok2, _ = rdatum_equiv(rdatum_product(inverse, d), idd)
-    if not (ok1 and ok2):
-        raise BrpicError(
-            "internal invariant violation: constructed inverse does not invert")
-    return True
-
-
-def class_order(d: ODatum):
-    """Order of the datum's equivalence class, or None if above 16."""
-    idd = identity_odatum(d.module)
-    power = d
-    for n in range(1, 17):
-        if odatum_equiv(power, idd)[0]:
-            return n
-        power = odatum_product(power, d)
-    return None
-
-
 # -- structural description -------------------------------------------------
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,

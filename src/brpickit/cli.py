@@ -23,6 +23,7 @@ import sys
 
 from . import abelian as ab
 from . import brpic as bp
+from . import cyclo
 from . import hopf
 from . import linalg as la
 from . import orth
@@ -65,6 +66,9 @@ def _parse_group_u_V(obj):
         if type(n) is not int or n < 1:
             raise SpecError(f"group[{i}]", "factors must be integers >= 1")
     G = ab.FinAbGroup(factors)
+    if G.exponent > cyclo.MAX_CONDUCTOR:
+        raise CapacityError(f"group: exponent {G.exponent} exceeds the "
+                            f"supported maximum {cyclo.MAX_CONDUCTOR}")
     u = obj.get("u")
     if (not isinstance(u, list) or len(u) != len(factors)
             or any(type(c) is not int for c in u)):
@@ -319,11 +323,11 @@ def _suite_group_axioms(module, rng, count, bound, checks, lines):
 
 
 def _suite_hopf(module, rng, checks, lines):
+    B = hopf.doubled_host(module)  # an over-capacity host exits before work
     H = hopf.build_supergroup(module)
     rep = hopf.check_hopf_axioms(H, rng=rng)
     _check(checks, lines, "host_hopf_axioms", rep["ok"],
            f"dim {H.dim}" if rep["ok"] else str(rep["failures"][:3]))
-    B = hopf.doubled_host(module)
     rep = hopf.check_hopf_axioms(B, rng=rng)
     _check(checks, lines, "doubled_host_hopf_axioms", rep["ok"],
            f"dim {B.dim}" if rep["ok"] else str(rep["failures"][:3]))
@@ -336,6 +340,7 @@ def _suite_hopf(module, rng, checks, lines):
 
 
 def _suite_comodule(module, rng, count, checks, lines):
+    hopf.doubled_host(module)  # an over-capacity host exits before drawing data
     bad_build, bad_dim, bad_comod, bad_coinv, bad_gr = [], [], [], [], []
     for i in range(count):
         data = hopf.random_compatible_data(module, rng)

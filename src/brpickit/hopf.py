@@ -35,11 +35,11 @@ loewy_graded grades the tables, and same_tables proves two models equal
 on them, without reading the dim^2 entries; any difference is left to
 their per-entry loops, which find and name it.  Coactions, cotensor products
 (computed as exact kernels, blockwise over group-part classes), the Loewy
-filtration induced by the host coradical filtration, the diagonal comodule
-model of a host over its own double, and simplicity/freeness probes all
-live here.  Verification routines return reports with located witnesses;
-check_comodule_algebra verifies every K that build_K returns, and nothing
-is assumed to hold by construction.
+filtration induced by the host coradical filtration and the diagonal
+comodule model of a host over its own double all live here.  Verification
+routines return reports with located witnesses; check_comodule_algebra
+verifies every K that build_K returns, and nothing is assumed to hold by
+construction.
 
 Every tensor is keyed by tuples of basis indices: H x H by (h1, h2), L x K
 by (a, b), a coaction by (host index, basis index).  One law checks every
@@ -997,89 +997,6 @@ def build_L(module, W, beta, alpha) -> ComodAlg:
     return build_K(data)
 
 
-# -- abstract subalgebra model ----------------------------------------------
-
-def build_C(module, W1, W2, W3, F) -> ComodAlg:
-    """Subalgebra of the doubled host generated by kF, W1 + W2 and graph
-    brackets from W3, with the restricted coaction (= coproduct)."""
-    data = CompatibleData(module, W1, W2, W3, None, F)
-    bad = [b for b in compatible_violations(data) if not b.startswith("psi")]
-    if bad:
-        raise DomainError("incompatible subalgebra data; violated: "
-                          + ", ".join(bad))
-    m = module.dim
-    host = doubled_host(module)
-    zeroGG = data.pair_group.zero().coords
-    uu = data.uu_coords()
-
-    gens = []
-    for f in data.F:
-        gens.append({host.index[((), f.coords)]: _ONE})
-    for wi, row in enumerate(data.rows):
-        graph = data.types[wi] == 3
-        d = {}
-        for j, c in enumerate(row):
-            if not c.is_zero():
-                grp = uu if graph and j >= m else zeroGG
-                addin(d, host.index[((j,), grp)], c)
-        gens.append(d)
-
-    ech = la.Echelon()
-    for g in gens:
-        ech.insert(g)
-    current = list(gens)
-    while True:
-        added = []
-        for a in current:
-            for g in gens:
-                prod = host.mul(a, g)
-                if prod and ech.insert(prod) is not None:
-                    added.append(prod)
-        if not added:
-            break
-        current = added
-    if ech.coords(host.one) is None:
-        ech.insert(host.one)
-
-    basis_rows = list(ech.rows_by_pos)
-    n = len(basis_rows)
-    labels = tuple(("c", i) for i in range(n))
-
-    mult = {}
-    for i in range(n):
-        for j in range(n):
-            prod = host.mul(basis_rows[i], basis_rows[j])
-            co = ech.coords(prod)
-            if co is None:
-                raise BrpicError("internal invariant violation: "
-                                 "subalgebra closure failed on a product")
-            mult[(i, j)] = co
-
-    coaction = {}
-    loewy = []
-    for i, rowv in enumerate(basis_rows):
-        byh = {}
-        for h, c in rowv.items():
-            for (h1, h2), c2 in host.comult(h).items():
-                addin(byh.setdefault(h1, {}), h2, c * c2)
-        entry = {}
-        md = 0
-        for h1 in sorted(byh):
-            co = ech.coords(byh[h1])
-            if co is None:
-                raise DomainError("generated subalgebra is not a coideal: "
-                                  "coproduct leaves H tensor C")
-            md = max(md, host.deg(h1))
-            for pos, c in co.items():
-                addin(entry, (h1, pos), c)
-        coaction[i] = entry
-        loewy.append(md)
-
-    unit = ech.coords(host.one)
-    return ComodAlg(host, labels, mult, coaction, unit, None, loewy,
-                    meta={"kind": "C", "data": data, "echelon": ech})
-
-
 # -- diagonal model ---------------------------------------------------------
 
 def diag_comodule(H) -> ComodAlg:
@@ -1666,110 +1583,6 @@ def same_tables(A, B):
     return True, None
 
 
-# -- probes -----------------------------------------------------------------
-
-def probe_right_simple(A, rng=None):
-    """Search for a proper invariant right ideal by closing start vectors
-    (the basis and four random vectors) under right multiplications and
-    coaction functionals.  Reports the first counterexample found, or that
-    none was found; it never claims a proof."""
-    rng = rng if rng is not None else random.Random(0)
-    host = A.host
-    rmul = []
-    for b in range(A.dim):
-        rmul.append([A.mul_basis(i, b) for i in range(A.dim)])
-    legs = {}
-    for i in range(A.dim):
-        for (h, k), c in A.coact_basis(i).items():
-            legs.setdefault(h, [dict() for _ in range(A.dim)])[i][k] = c
-    ops = rmul + [legs[h] for h in sorted(legs)]
-
-    starts = [{i: _ONE} for i in range(A.dim)]
-    for _ in range(4):
-        v = {}
-        for i in range(A.dim):
-            c = rng.randint(-3, 3)
-            if c:
-                v[i] = la.sc(c)
-        if v:
-            starts.append(v)
-
-    checked = 0
-    for v in starts:
-        checked += 1
-        ech = la.Echelon()
-        ech.insert(v)
-        frontier = [v]
-        while frontier and ech.dim < A.dim:
-            w = frontier.pop()
-            for op in ops:
-                img = _apply(op.__getitem__, w)
-                if img and ech.insert(img) is not None:
-                    frontier.append(img)
-                    if ech.dim == A.dim:
-                        break
-        if ech.dim < A.dim:
-            witness = sorted((A.basis[i], c.to_string()) for i, c in v.items())
-            return {"simple": False, "counterexample":
-                    {"start": witness, "span_dim": ech.dim, "dim": A.dim},
-                    "vectors_checked": checked,
-                    "note": "proper invariant right ideal found"}
-    return {"simple": None, "counterexample": None,
-            "vectors_checked": checked,
-            "note": "no counterexample found"}
-
-
-def morita_equiv_criterion(data1, data2):
-    """Translation test for two compatible data over one module: succeeds if
-    some g in G x G carries the sectors of the first onto the second with
-    matching beta, zeta^(e_i + e_j) gram2_ij = gram1_ij at the pivot
-    exponents of g, while F and psi agree (conjugation is trivial here).
-    Returns (found, witness)."""
-    if data1.module != data2.module:
-        return False, None
-    if data1.coords_set != data2.coords_set or data1.psi != data2.psi:
-        return False, None
-    dims1 = (data1.W1.dim, data1.W2.dim, data1.W3.dim)
-    dims2 = (data2.W1.dim, data2.W2.dim, data2.W3.dim)
-    if dims1 != dims2:
-        return False, None
-    module = data1.module
-    moves = bp.translation(module, data1.rows, data2.rows, data1.gram,
-                           data2.gram)
-    if moves is not None:
-        for g in data1.pair_group.elements():
-            if moves(_split_pair(module, g)):
-                return True, g
-    return False, None
-
-
-def freeness_probe(L, K):
-    """Greedy generator count for L tensor K as a right module over its
-    cotensor subalgebra; records whether the numbers are consistent with
-    freeness.  A probe, not a proof."""
-    C = cotensor(L, K)
-    n = L.dim * K.dim
-    zrows = C.meta["echelon"].rows_by_pos
-
-    ech = la.Echelon()
-    gens = 0
-    for key in itertools.product(range(L.dim), range(K.dim)):
-        v = {key: _ONE}
-        if ech.coords(v) is not None:
-            continue
-        gens += 1
-        for z in zrows:
-            prod = _tensor_mul(L.mul_basis, K.mul_basis, v, z)
-            if prod:
-                ech.insert(prod)
-    divisible = C.dim > 0 and n % C.dim == 0
-    return {"flat_dim": n, "sub_dim": C.dim,
-            "expected_rank": n // C.dim if divisible else None,
-            "divisible": divisible, "generators_used": gens,
-            "spanned": ech.dim == n,
-            "free_consistent": divisible and gens * C.dim == n and ech.dim == n}
-
-
 # -- seeded generators ------------------------------------------------------
 
 _T_CHOICES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
@@ -1928,48 +1741,3 @@ def random_graph_datum(module, rng, alpha, dim_cap=64):
                 gram[b][a] = c
     return bp.RDatum(module, W, la.BilinearForm(W, gram), alpha)
 
-
-# -- serialization ----------------------------------------------------------
-
-def hopf_to_json(H) -> dict:
-    basis = [{"v": list(S), "g": list(g.coords)} for S, g in H.basis]
-    mult = []
-    for i in range(H.dim):
-        for j in range(H.dim):
-            for k, c in sorted(H.mono_mul(i, j).items()):
-                mult.append([i, j, k, c.to_string()])
-    comult = []
-    for i in range(H.dim):
-        for (a, b), c in sorted(H.comult(i).items()):
-            comult.append([i, a, b, c.to_string()])
-    counit = [H.counit(i).to_string() for i in range(H.dim)]
-    antipode = []
-    for i in range(H.dim):
-        for k, c in sorted(H.antipode(i).items()):
-            antipode.append([i, k, c.to_string()])
-    return {"dim": H.dim, "basis": basis, "mult": mult, "comult": comult,
-            "counit": counit, "antipode": antipode}
-
-
-def _label_json(lab):
-    if isinstance(lab, tuple) and len(lab) == 2 and isinstance(lab[0], tuple):
-        return {"w": list(lab[0]), "f": list(lab[1])}
-    return {"tag": str(lab[0]), "i": lab[1]}
-
-
-def comodalg_to_json(A) -> dict:
-    basis = [_label_json(lab) for lab in A.basis]
-    mult = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k, c in sorted(A.mul_basis(i, j).items()):
-                mult.append([i, j, k, c.to_string()])
-    coaction = []
-    for i in range(A.dim):
-        for (h, k), c in sorted(A.coact_basis(i).items()):
-            coaction.append([i, h, k, c.to_string()])
-    out = {"dim": A.dim, "basis": basis, "mult": mult, "coaction": coaction,
-           "unit": [[k, c.to_string()] for k, c in sorted(A.unit.items())]}
-    if A.loewy_degree is not None:
-        out["loewy_degree"] = list(A.loewy_degree)
-    return out

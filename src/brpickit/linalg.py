@@ -344,15 +344,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
 
-def full_space(n: int) -> Subspace:
-    rows = []
-    for i in range(n):
-        r = [_ZERO] * n
-        r[i] = _ONE
-        rows.append(r)
-    return Subspace(n, rows)
-
-
 def zero_space(n: int) -> Subspace:
     return Subspace(n, [])
 
@@ -431,16 +422,6 @@ def action_exponents(mod: GModuleV, g, space: str):
     if space == "VplusV":
         return v_part + second
     return v_part + [(-e) % N for e in second]
-
-
-def act(mod: GModuleV, g, space: str, v):
-    """Apply the diagonal action of g on the named space to a vector."""
-    exps = action_exponents(mod, g, space)
-    v = vec(v)
-    if len(v) != len(exps):
-        raise DomainError(f"vector length {len(v)} does not match {space} dimension {len(exps)}")
-    N = mod.group.exponent
-    return [CycloScalar.root_of_unity(N, e) * x for e, x in zip(exps, v)]
 
 
 # -- bilinear forms --------------------------------------------------------

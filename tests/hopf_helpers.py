@@ -1,4 +1,5 @@
-"""Module zoo and thin wrappers around the package's seeded generators."""
+"""Module zoo, thin wrappers around the package's seeded generators, and
+the class order of a datum."""
 
 from brpickit import abelian as ab
 from brpickit import brpic as bp
@@ -75,3 +76,14 @@ def random_rpair(module, rng, dim_cap=64):
     dt = hopf.random_graph_datum(module, rng,
                                  orth.orth_identity(module.group), dim_cap)
     return d, dt
+
+
+def class_order(d):
+    """Order of the ODatum's equivalence class, or None if above 16."""
+    idd = bp.identity_odatum(d.module)
+    power = d
+    for n in range(1, 17):
+        if bp.odatum_equiv(power, idd)[0]:
+            return n
+        power = bp.odatum_product(power, d)
+    return None

@@ -129,9 +129,14 @@ def dense_equiv(T, Tt, elements, exps, root, zero):
 # whose type builds a reduced subspace from rows; exps lists the exponents
 # e_i by which one group element acts, root(k) is zeta_N^k, zero the zero.
 
+def dense_act(exps, v, root):
+    """g.v: entry i of v times zeta^(e_i)."""
+    return [root(e) * x for e, x in zip(exps, v)]
+
+
 def dense_moved(W, exps, root):
     """g.W: the span of the moved basis rows, reduced again."""
-    return type(W)(W.ambient_dim, [[root(e) * x for e, x in zip(exps, row)]
+    return type(W)(W.ambient_dim, [dense_act(exps, row, root)
                                    for row in W.basis])
 
 
@@ -148,7 +153,7 @@ def dense_act_matrix(sectors, exps, root, zero, onto=None):
     out, off = [], 0
     for S, T in zip(sectors, onto):
         for row in S.basis:
-            local = T.coords_of([root(e) * x for e, x in zip(exps, row)])
+            local = T.coords_of(dense_act(exps, row, root))
             dense = [zero] * n
             dense[off:off + len(local)] = local
             out.append(dense)

@@ -273,7 +273,7 @@ def test_criterion_11(capsys):
     T = [[i4, la.sc(0)], [la.sc(1), -i4]]
     d = bp.ODatum(module, T, orth.orth_identity(module.group))
     t0 = time.perf_counter()
-    k = bp.class_order(d)
+    k = hh.class_order(d)
     elapsed = time.perf_counter() - t0
     ok = k is not None
     with capsys.disabled():

@@ -512,6 +512,42 @@ def test_huge_conductor_exits_3(tmp_path, capsys):
     assert "1000003" in err and "Traceback" not in err
 
 
+# The check that V pairs to -1 with u builds zeta_N at N = exponent of G; at
+# Z20000 that alone took 14 s before the enumeration bound was reached.
+@pytest.mark.parametrize("argv", [["orth"], ["brpic", "describe"],
+                                  ["verify", "all"],
+                                  ["verify", "comodule", "--count", "1"]])
+def test_group_exponent_above_max_conductor_exits_3(tmp_path, capsys, argv):
+    spec = _write(tmp_path, "z20000.json",
+                  {"group": [20000], "u": [10000], "V": [[1]]})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv + ["--spec", spec])
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "group: exponent 20000" in err and "Traceback" not in err
+
+
+# Drawing compatible data on these hosts ran for more than 40 s before
+# build_K refused the doubled host.
+OVER_CAPACITY_HOST = [{"group": [100, 100], "u": [50, 0], "V": [[1, 0]]},
+                      {"group": [2] * 20, "u": [1] + [0] * 19,
+                       "V": [[1] + [0] * 19]}]
+
+
+@pytest.mark.parametrize("spec_obj", OVER_CAPACITY_HOST,
+                         ids=["Z100xZ100", "Z2^20"])
+@pytest.mark.parametrize("suite", ["comodule", "hopf"])
+def test_over_capacity_doubled_host_exits_3(tmp_path, capsys, spec_obj,
+                                            suite):
+    spec = _write(tmp_path, "big.json", spec_obj)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["verify", suite, "--count", "1",
+                                   "--spec", spec])
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "host dimension" in err and "Traceback" not in err
+
+
 # A cyclic factor of order 1 used to end in a KeyError traceback: the
 # generator of Z1 was taken as the unreduced coordinate 1.
 def test_trivial_cyclic_factor_runs(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 
 import hopf_helpers as hh
 import oracles
-from brpickit import abelian as ab
 from brpickit import linalg as la
 from brpickit.abelian import FinAbGroup
 from brpickit.cyclo import CycloScalar
@@ -38,13 +37,17 @@ def _rand_invertible(rng, n):
             return M
 
 
+def _full_space(n):
+    return la.Subspace(n, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_kernel_of_identity_and_zero():
     I3 = la.mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert la.kernel(I3).dim == 0
     Z = la.mat([[0, 0], [0, 0]])
     K = la.kernel(Z)
     assert K.dim == 2
-    assert K == la.full_space(2)
+    assert K == _full_space(2)
 
 
 def test_solve_invertible_roundtrip():
@@ -91,7 +94,7 @@ def test_subspace_intersect_axes():
     assert _intersect(V0, OV).dim == 0
     diag = la.Subspace(4, [[1, 0, 1, 0], [0, 1, 0, 1]])
     assert _intersect(diag, V0).dim == 0
-    assert diag.sum(V0) == la.full_space(4)
+    assert diag.sum(V0) == _full_space(4)
 
 
 def test_dim_formula_random():
@@ -159,7 +162,7 @@ def test_axis_meets_matches_intersections():
         axis1 = [[int(j == i) for j in range(2 * d)] for i in range(d)]
         axis2 = [[int(j == i + d) for j in range(2 * d)] for i in range(d)]
         spaces = [la.Subspace(2 * d, axis1), la.Subspace(2 * d, axis2),
-                  la.zero_space(2 * d), la.full_space(2 * d)]
+                  la.zero_space(2 * d), _full_space(2 * d)]
         for _ in range(8):
             # random rows, some of them pushed onto one axis
             rows = _rand_matrix(rng, rng.randrange(1, 2 * d + 1), 2 * d)
@@ -198,23 +201,30 @@ def _z4_module(dim=1):
     return la.GModuleV(Z4, Z4.element([2]), [Z4.char_generator(0)] * dim)
 
 
+def _act(mod, g, space, v):
+    """The diagonal action of g on the named space, by the dense oracle."""
+    root = partial(CycloScalar.root_of_unity, mod.group.exponent)
+    return oracles.dense_act(la.action_exponents(mod, g, space), la.vec(v),
+                             root)
+
+
 def test_act_u_by_minus_one():
     mod = _sweedler_module()
     u = Z2.generator(0)
-    assert la.act(mod, u, "V", [1]) == [la.sc(-1)]
-    assert la.act(mod, u, "Vdual", [1]) == [la.sc(-1)]
-    assert la.act(mod, Z2.zero(), "V", [5]) == [la.sc(5)]
+    assert _act(mod, u, "V", [1]) == [la.sc(-1)]
+    assert _act(mod, u, "Vdual", [1]) == [la.sc(-1)]
+    assert _act(mod, Z2.zero(), "V", [5]) == [la.sc(5)]
 
 
 def test_act_z4_and_dual_inverse():
     mod = _z4_module()
     g = Z4.generator(0)
-    assert la.act(mod, g, "V", [1]) == [I4]
-    assert la.act(mod, g, "Vdual", [1]) == [I4 ** 3]
+    assert _act(mod, g, "V", [1]) == [I4]
+    assert _act(mod, g, "Vdual", [1]) == [I4 ** 3]
     # a pair acts componentwise on V+V
-    out = la.act(mod, (g, Z4.zero()), "VplusV", [1, 1])
+    out = _act(mod, (g, Z4.zero()), "VplusV", [1, 1])
     assert out == [I4, la.sc(1)]
-    out = la.act(mod, (Z4.zero(), g), "VplusVdual", [1, 1])
+    out = _act(mod, (Z4.zero(), g), "VplusVdual", [1, 1])
     assert out == [la.sc(1), I4 ** 3]
 
 
@@ -329,7 +339,7 @@ def test_form_invariant_zeta4_scaling():
     # one-dimensional space scaled by zeta_4: only the zero form survives
     mod = _z4_module(1)
     g = Z4.generator(0)
-    S = la.full_space(1)
+    S = _full_space(1)
     good = la.BilinearForm(S, [[0]])
     bad = la.BilinearForm(S, [[1]])
     assert la.form_invariant_under(mod, good, [g], space="V")
@@ -382,7 +392,7 @@ def test_pivot_exponents_matches_dense_action():
                     assert stable is moved.equals(S), (S, g)
                     # g sends row k to zeta^exps[k] times row k of g.S
                     for k, row in enumerate(S.basis):
-                        assert la.act(mod, g, space, row) == [
+                        assert _act(mod, g, space, row) == [
                             root(exps[k]) * x for x in moved.basis[k]]
                     seen.add(stable)
     assert seen == {True, False}
