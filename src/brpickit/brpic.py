@@ -574,13 +574,15 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
            59, 61, 67, 71, 73, 79, 83, 89, 97, 101)
 
 
-def _char_eq_on(chi, psi, elements):
-    return all(ab.pair(chi, z) == ab.pair(psi, z) for z in elements)
+def _char_eq_on(module, i, j, elements):
+    """chi_i = chi_j on elements."""
+    return all(e[i] == e[j] for e in map(module.exponents, elements))
 
 
-def _char_product_trivial_on(chi, psi, elements):
-    N = chi.parent.exponent
-    return all((ab.pair(chi, z) + ab.pair(psi, z)) % N == 0 for z in elements)
+def _char_product_trivial_on(module, i, j, elements):
+    """chi_i chi_j = 1 on elements."""
+    N = module.group.exponent
+    return all((e[i] + e[j]) % N == 0 for e in map(module.exponents, elements))
 
 
 class BrPicDescription:
@@ -628,15 +630,14 @@ def describe_brpic(module: la.GModuleV, bound: int = 256) -> BrPicDescription:
     of A.  Invertibility of A is an open condition not captured by the
     dimension count.
     """
-    chars = module.chars
     dm = module.dim
     components = []
     for alpha in admissible_alphas(module, bound):
         stab = orth.diagonal_stabilizer(alpha)
         allowed_a = [(i, j) for i in range(dm) for j in range(dm)
-                     if _char_eq_on(chars[i], chars[j], stab)]
+                     if _char_eq_on(module, i, j, stab)]
         allowed_c = [(i, j) for i in range(dm) for j in range(dm)
-                     if _char_product_trivial_on(chars[i], chars[j], stab)]
+                     if _char_product_trivial_on(module, i, j, stab)]
         # generic equivariant A: distinct primes at the allowed positions
         A0 = [[_ZERO] * dm for _ in range(dm)]
         for k, (i, j) in enumerate(allowed_a):
@@ -763,7 +764,8 @@ def random_odatum(module: la.GModuleV, rng, alpha: orth.OrthAut = None,
             break
         except NotInvertibleError:
             pass
-    triv = [[_char_product_trivial_on(chars[i], chars[j], list(G.elements()))
+    elements = list(G.elements())
+    triv = [[_char_product_trivial_on(module, i, j, elements)
              for j in range(dm)] for i in range(dm)]
     M = [[_ZERO] * dm for _ in range(dm)]
     for i in range(dm):

@@ -1593,9 +1593,9 @@ _B_CHOICES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
 
 def _graph_positions(module, F):
     """Generators whose character agrees on both components of all of F."""
-    halves = [_split_pair(module, f) for f in F]
-    return [i for i, chi in enumerate(module.chars)
-            if all(ab.pair(chi, a) == ab.pair(chi, b) for a, b in halves)]
+    halves = [tuple(map(module.exponents, _split_pair(module, f))) for f in F]
+    return [i for i in range(module.dim)
+            if all(ea[i] == eb[i] for ea, eb in halves)]
 
 
 def _graph_row(rng, m, i):
@@ -1688,8 +1688,7 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
 
     def eigen(k, f):
         f1, f2 = _split_pair(module, f)
-        chi = module.chars[pos[k]]
-        return ab.pair(chi, f2) if types[k] == 2 else ab.pair(chi, f1)
+        return module.exponents(f2 if types[k] == 2 else f1)[pos[k]]
 
     gram = [[_ZERO] * nW for _ in range(nW)]
     for i in range(nW):
@@ -1726,14 +1725,11 @@ def random_graph_datum(module, rng, alpha, dim_cap=64):
     rows = [_graph_row(rng, m, i) for i in S3]
     W = la.Subspace(2 * m, rows) if rows else la.zero_space(2 * m)
     nW = W.dim
+    firsts = [module.exponents(_split_pair(module, f)[0]) for f in U.elements]
     gram = [[_ZERO] * nW for _ in range(nW)]
     for a in range(nW):
         for b in range(a, nW):
-            chi_a = module.chars[S3[a]]
-            chi_b = module.chars[S3[b]]
-            if any((ab.pair(chi_a, _split_pair(module, f)[0])
-                    + ab.pair(chi_b, _split_pair(module, f)[0])) % N
-                   for f in U.elements):
+            if any((e[S3[a]] + e[S3[b]]) % N for e in firsts):
                 continue
             if rng.random() < 0.5:
                 c = la.sc(_B_CHOICES[rng.randrange(len(_B_CHOICES))])

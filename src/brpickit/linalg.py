@@ -355,9 +355,13 @@ class GModuleV:
 
     u must have order 2 and every character must send u to -1.  Immutable
     and hashed by value, as the memo key of what a module alone determines.
+    exponents(g) reads a table, filled on first use and kept in the _exps
+    slot, from g.coords to (pair(chi_1, g), ..., pair(chi_m, g)); every
+    character exponent of the module is computed once, there.  Like a
+    datum's _binding, == and hash ignore the table.
     """
 
-    __slots__ = ("group", "u", "chars")
+    __slots__ = ("group", "u", "chars", "_exps")
 
     def __init__(self, group: FinAbGroup, u: GroupElement, chars):
         chars = tuple(chars)
@@ -374,9 +378,20 @@ class GModuleV:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "chars", chars)
+        object.__setattr__(self, "_exps", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GModuleV is immutable")
+
+    def exponents(self, g: GroupElement) -> tuple:
+        """(e_1, ..., e_m) with chi_i(g) = zeta_N^{e_i}, N the group exponent."""
+        if not isinstance(g, GroupElement) or (g.parent is not self.group
+                                               and g.parent != self.group):
+            raise DomainError("g is not an element of the module's group")
+        row = self._exps.get(g.coords)
+        if row is None:
+            row = self._exps[g.coords] = tuple(ab.pair(chi, g) for chi in self.chars)
+        return row
 
     @property
     def dim(self) -> int:
@@ -413,15 +428,15 @@ def action_exponents(mod: GModuleV, g, space: str):
     else:
         x, y = g
     N = mod.group.exponent
-    v_part = [ab.pair(chi, x) for chi in mod.chars]
+    v_part = mod.exponents(x)
     if space == "V":
-        return v_part
+        return list(v_part)
     if space == "Vdual":
         return [(-e) % N for e in v_part]
-    second = [ab.pair(chi, y) for chi in mod.chars]
+    second = mod.exponents(y)
     if space == "VplusV":
-        return v_part + second
-    return v_part + [(-e) % N for e in second]
+        return [*v_part, *second]
+    return [*v_part, *((-e) % N for e in second)]
 
 
 # -- bilinear forms --------------------------------------------------------

@@ -10,10 +10,11 @@ The pointwise work runs on plain integer tuples.  Per group G, _tables
 builds once: the elements of G+G^ as tuples in dsum_group(G).elements()
 order, their q exponents, and for each element x the vector v_x with
 b(x, y) = v_x . y mod N.  Up to _POINTWISE_LIMIT elements, is_orthogonal
-(and with it every OrthAut construction, so every orth_compose), the leaf
-of enumerate_orth and the preimage table of orth_invert read these
-tables; above it, is_orthogonal checks bijectivity exactly and q through
-generator values and all generator polarizations, which determine it.
+(and with it every OrthAut construction, so the result of orth_compose
+for each distinct pair, once), the leaf of enumerate_orth and the
+preimage table of orth_invert read these tables; above it, is_orthogonal
+checks bijectivity exactly and q through generator values and all
+generator polarizations, which determine it.
 """
 
 from __future__ import annotations
@@ -174,14 +175,19 @@ def orth_identity(G: FinAbGroup) -> OrthAut:
     return OrthAut(G, ab.hom_identity(dsum_group(G)), _checked=True)
 
 
+@cache
 def orth_compose(a: OrthAut, b: OrthAut) -> OrthAut:
-    """a after b; the result is re-validated."""
+    """a after b, memoized by value: the result of each distinct pair is
+    composed and validated by OrthAut once.  Errors are not cached."""
     if a.group != b.group:
         raise DomainError("cannot compose orthogonal maps over different groups")
     return OrthAut(a.group, ab.hom_compose(a.hom, b.hom))
 
 
+@cache
 def orth_invert(a: OrthAut) -> OrthAut:
+    """The inverse of a, read off its preimage table and validated by
+    OrthAut, once per distinct a.  Errors are not cached."""
     D = dsum_group(a.group)
     if D.order > _POINTWISE_LIMIT:
         raise CapacityError(f"inversion by preimage table needs |G+G^| <= {_POINTWISE_LIMIT}")

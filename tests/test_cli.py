@@ -4,10 +4,12 @@ import time
 
 import pytest
 
+from brpickit import abelian as ab
 from brpickit import brpic as bp
 from brpickit import cli
 from brpickit import hopf
 from brpickit import linalg as la
+from brpickit import orth
 
 
 def _write(tmp_path, name, obj):
@@ -272,6 +274,22 @@ _Z4_RDATUM2 = {"W": {"ambient": 4,
                "beta": {"gram": [["0@4", "0@4"], ["0@4", "0@4"]]},
                "alpha": {"matrix": [[0, 1], [1, 0]]}}
 Z4_RPAIR = Z4 | {"datum": _Z4_RDATUM, "datum2": _Z4_RDATUM2}
+# random_odatum data over two suite alphas of Z2Z2 that are not their own
+# inverses; the product's alpha is a third one, so `mul` and `inv` print a
+# composed and an inverted alpha that are neither identity nor an input.
+_Z2Z2_DATUM = {"T": [["-2@1", "0@1", "0@1", "0@1"],
+                     ["0@1", "1@1", "0@1", "0@1"],
+                     ["-3/2@1", "0@1", "-1/2@1", "0@1"],
+                     ["0@1", "3@1", "0@1", "1@1"]],
+               "alpha": {"matrix": [[0, 0, 0, 1], [0, 0, 1, 0],
+                                    [0, 1, 1, 0], [1, 0, 0, 1]]}}
+_Z2Z2_DATUM2 = {"T": [["3@1", "0@1", "0@1", "0@1"],
+                      ["0@1", "3@1", "0@1", "0@1"],
+                      ["-1@1", "0@1", "1/3@1", "0@1"],
+                      ["0@1", "-1@1", "0@1", "1/3@1"]],
+                "alpha": {"matrix": [[0, 0, 1, 0], [0, 0, 0, 1],
+                                     [1, 0, 0, 1], [0, 1, 1, 0]]}}
+Z2Z2_PAIR = Z2Z2 | {"datum": _Z2Z2_DATUM, "datum2": _Z2Z2_DATUM2}
 GOLDEN = [
     (Z4, ["verify", "all", "--seed", "3"],
      "f63db1a82d25e0fbbcdbfa4c6b18f1a091bca01f4662d6734ae8f773da2de771"),
@@ -304,6 +322,14 @@ GOLDEN = [
     # recorded before K held its product as factor tables
     (Z2Z2, ["verify", "comodule", "--seed", "5", "--count", "12"],
      "b18fb5eb98e642eeb84df450069d86b9315a5b5444700f3a9e3b1f6a4c71529c"),
+    # recorded before alpha composition and inversion were memoized and
+    # character exponents were read from a per-module table
+    (Z2Z2, ["verify", "group-axioms", "--seed", "5", "--count", "20"],
+     "121e23fd3c1c2f5a3afdc40ad9de4d67e4a36bbd3b1e6194363e8fe4687b520c"),
+    (Z2Z2_PAIR, ["brpic", "mul"],
+     "833b0f7facce424f9012d2ac69efff82dce1da20e9f8591597656c7ffba82056"),
+    (Z2Z2_PAIR, ["brpic", "inv"],
+     "1f61d7648e8102220a327c8b1944f4439960b7de2a44f6c90900c8d76b5c5cb0"),
 ]
 
 
@@ -579,3 +605,41 @@ def test_comodule_suite_computes_actions_once_per_datum(tmp_path, capsys,
                                    "--count", "12", "--spec", spec])
     assert code == 0 and err == "" and "result: PASS" in out
     assert len(calls) == 70
+
+
+# Group work that a module or an alpha alone determines is done once: the
+# character exponents of the module by its table, each composed alpha by
+# the orth_compose memo.  Before both, this run made 12,260 ab.pair calls,
+# and 200 ab.hom_compose calls for 75 distinct pairs of alphas.  The bound
+# on ab.pair is the table, dim V * |G|, plus the two checks that each
+# character sends u to -1 (spec parsing and GModuleV).
+def test_axioms_suite_computes_group_work_once(tmp_path, capsys, monkeypatch):
+    module = cli.parse_module(Z2Z2)
+    orth.orth_compose.cache_clear()
+    orth.orth_invert.cache_clear()
+    bp.suite_alphas(module)  # its closure composes through ab.hom_compose
+    pairs, composed, homs = [], set(), []
+    original_pair, original_compose = ab.pair, orth.orth_compose
+    original_hom_compose = ab.hom_compose
+
+    def counted_pair(chi, g):
+        pairs.append((chi, g))
+        return original_pair(chi, g)
+
+    def counted_compose(a, b):
+        composed.add((a, b))
+        return original_compose(a, b)
+
+    def counted_hom_compose(f, g):
+        homs.append((f, g))
+        return original_hom_compose(f, g)
+
+    monkeypatch.setattr(ab, "pair", counted_pair)
+    monkeypatch.setattr(orth, "orth_compose", counted_compose)
+    monkeypatch.setattr(ab, "hom_compose", counted_hom_compose)
+    spec = _write(tmp_path, "z2z2.json", Z2Z2)
+    code, out, err = _run(capsys, ["verify", "group-axioms", "--seed", "5",
+                                   "--count", "20", "--spec", spec])
+    assert code == 0 and err == "" and "result: PASS" in out
+    assert composed and len(homs) <= len(composed)
+    assert len(pairs) <= module.dim * (module.group.order + 2)

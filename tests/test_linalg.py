@@ -8,6 +8,7 @@ import pytest
 
 import hopf_helpers as hh
 import oracles
+from brpickit import abelian as ab
 from brpickit import linalg as la
 from brpickit.abelian import FinAbGroup
 from brpickit.cyclo import CycloScalar
@@ -190,6 +191,41 @@ def test_gmodule_validation():
         la.GModuleV(Z2, u, [Z2.trivial_character()])  # must send u to -1
     with pytest.raises(DomainError):
         la.GModuleV(Z4, Z4.generator(0), [Z4.char_generator(0)])  # order 4, not 2
+
+
+# Every character exponent of a module is read from its own table, filled
+# on first use; all zoo modules fill theirs side by side, so a table keyed
+# by g alone, without the module, hands one module's row to another.
+def test_exponent_table_matches_pairing():
+    zoo = [mod for _, mod in hh.module_zoo()]
+    for mod in zoo:
+        for g in mod.group.elements():
+            for _ in range(2):
+                assert mod.exponents(g) == tuple(ab.pair(chi, g)
+                                                 for chi in mod.chars), (mod, g)
+    with pytest.raises(DomainError):
+        _z4_module().exponents(Z2.generator(0))
+
+
+def test_exponent_table_ignored_by_eq_and_hash():
+    filled, empty = _z4_module(2), _z4_module(2)
+    for g in Z4.elements():
+        filled.exponents(g)
+    assert filled == empty and empty == filled
+    assert hash(filled) == hash(empty)
+    assert {filled: 1}[empty] == 1
+
+
+def test_action_exponents_returns_a_fresh_list():
+    mod = _z4_module(2)
+    g, h = Z4.generator(0), Z4.element([3])
+    for arg in (g, (g, h)):
+        for space in ("V", "Vdual", "VplusV", "VplusVdual"):
+            first = la.action_exponents(mod, arg, space)
+            want = list(first)
+            first[0] = -1
+            first.append(7)
+            assert la.action_exponents(mod, arg, space) == want
 
 
 def _sweedler_module():

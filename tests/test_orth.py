@@ -87,6 +87,31 @@ def test_group_axioms_closure_exhaustive():
             assert orth.orth_compose(a, b) in aset
 
 
+# orth_compose and orth_invert are memos keyed by every operand's value.
+# For a fixed a, orth_compose(a, b) runs over every b, so a memo keyed on
+# a alone returns a stale product.
+def test_alpha_memos_match_the_unmemoized_functions():
+    for G in (Z2, Z4, Z2xZ2):
+        auts = orth.enumerate_orth(G)
+        for a in auts:
+            assert orth.orth_invert(a) == orth.orth_invert.__wrapped__(a)
+            for b in auts:
+                assert (orth.orth_compose(a, b)
+                        == orth.orth_compose.__wrapped__(a, b)), (a, b)
+
+
+def test_alpha_memos_raise_on_every_call():
+    a, b = orth.orth_identity(Z2), orth.orth_identity(Z4)
+    big = orth.orth_identity(FinAbGroup([2] * 7))  # |G+G^| = 2^14
+    for _ in range(3):
+        with pytest.raises(DomainError, match="different groups"):
+            orth.orth_compose(a, b)
+        with pytest.raises(DomainError, match="different groups"):
+            orth.orth_compose(b, a)
+        with pytest.raises(CapacityError):
+            orth.orth_invert(big)
+
+
 def _record_leaves(monkeypatch):
     """Verdicts of every leaf check enumerate_orth makes, in order."""
     verdicts = []
