@@ -41,7 +41,6 @@ trigger the failure path.
 
 from functools import cache
 
-from . import abelian as ab
 from . import linalg as la
 from . import orth
 from .cyclo import CycloScalar
@@ -81,12 +80,18 @@ def _moved_to_itself(mod: la.GModuleV, supp, pairs) -> bool:
     supp is the support of T: the entries are zeta^(e_j(y) - e_i(x)) T_ij,
     so this is e_j(y) = e_i(x) mod N at every (i, j) in supp."""
     N = mod.group.exponent
+    terms = [_dual_index(mod, i) + _dual_index(mod, j) for i, j in supp]
     for x, y in pairs:
-        ex = la.action_exponents(mod, x, "VplusVdual")
-        ey = la.action_exponents(mod, y, "VplusVdual")
-        if any((ey[j] - ex[i]) % N for i, j in supp):
+        ex, ey = mod.exponents(x), mod.exponents(y)
+        if any((t * ey[b] - s * ex[a]) % N for a, s, b, t in terms):
             return False
     return True
+
+
+def _dual_index(mod: la.GModuleV, i) -> tuple:
+    """Coordinate i of V+V* as (k, s): g acts on it by zeta^(s e_k(g)),
+    e = mod.exponents(g)."""
+    return (i, 1) if i < mod.dim else (i - mod.dim, -1)
 
 
 # -- datum containers -------------------------------------------------------
@@ -466,11 +471,13 @@ def _odatum_search(d: ODatum, dt: ODatum):
     shifts = _shifts(d.T, dt.T, N)
     if shifts is None:
         return False, None
+    terms = [_dual_index(mod, i) + _dual_index(mod, j) + (k,)
+             for (i, j), k in shifts]
     for x in mod.group.elements():
-        ex = la.action_exponents(mod, x, "VplusVdual")
+        ex = mod.exponents(x)
         for y in mod.group.elements():
-            ey = la.action_exponents(mod, y, "VplusVdual")
-            if all((ex[i] - ey[j] - k) % N == 0 for (i, j), k in shifts):
+            ey = mod.exponents(y)
+            if all((s * ex[a] - t * ey[b] - k) % N == 0 for a, s, b, t, k in terms):
                 return True, (x, y)
     return False, None
 
@@ -695,7 +702,8 @@ def suite_alphas(module: la.GModuleV, bound: int = 256):
     adds admissible alphas greedily (in enumeration order) whenever the
     subgroup they generate remains inside the admissible set.  Whenever the
     admissible set is itself closed (e.g. cyclic G at small orders) the
-    result is the whole set.
+    result is the whole set.  The closure composes the alphas' position
+    tables (OrthAut.pos) as integer tuples: a after g is a[g[k]] at k.
     """
     return list(_suite(module.group, module.u, bound))
 
@@ -703,35 +711,35 @@ def suite_alphas(module: la.GModuleV, bound: int = 256):
 @cache
 def _suite(group, u, bound):
     admissible = _admissible(group, u, bound)
-    by_matrix = {a.hom.matrix: a for a in admissible}
-    ident = orth.orth_identity(group).hom
+    members = {a.pos for a in admissible}
+    ident = orth.orth_identity(group).pos
 
     def closure(gens):
-        """The hom matrices gens generate, or None at the first product
-        outside the admissible set."""
-        seen = {ident.matrix}
+        """The tables gens generate, or None at the first product outside
+        the admissible set."""
+        seen = {ident}
         frontier = [ident]
         while frontier:
             x = frontier.pop()
             for g in gens:
-                y = ab.hom_compose(x, g.hom).matrix
-                if y not in by_matrix:
+                y = tuple(x[i] for i in g)
+                if y not in members:
                     return None
                 if y not in seen:
                     seen.add(y)
-                    frontier.append(by_matrix[y].hom)
+                    frontier.append(y)
         return seen
 
-    subgroup = {ident.matrix}
+    subgroup = {ident}
     gens = []
     for alpha in admissible:
-        if alpha.hom.matrix in subgroup:
+        if alpha.pos in subgroup:
             continue
-        grown = closure(gens + [alpha])
+        grown = closure(gens + [alpha.pos])
         if grown is not None:
-            gens.append(alpha)
+            gens.append(alpha.pos)
             subgroup = grown
-    return tuple(a for a in admissible if a.hom.matrix in subgroup)
+    return tuple(a for a in admissible if a.pos in subgroup)
 
 
 # -- random suites ----------------------------------------------------------

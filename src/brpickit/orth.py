@@ -9,12 +9,16 @@ quadratic condition, so it is checked pointwise, not just on generators.
 The pointwise work runs on plain integer tuples.  Per group G, _tables
 builds once: the elements of G+G^ as tuples in dsum_group(G).elements()
 order, their q exponents, and for each element x the vector v_x with
-b(x, y) = v_x . y mod N.  Up to _POINTWISE_LIMIT elements, is_orthogonal
-(and with it every OrthAut construction, so the result of orth_compose
-for each distinct pair, once), the leaf of enumerate_orth and the
-preimage table of orth_invert read these tables; above it, is_orthogonal
-checks bijectivity exactly and q through generator values and all
-generator polarizations, which determine it.
+b(x, y) = v_x . y mod N.  Each OrthAut holds its position table pos:
+pos[k] is the position of alpha(elements[k]) in that list.  The leaf of
+enumerate_orth computes it while checking q and hands it over; any other
+alpha computes it on first use.  U_alpha, psi_alpha, S_alpha and the
+inverse (the inverse permutation) are read from it, and brpic closes its
+suite under composition of these tables.  Up to _POINTWISE_LIMIT
+elements, is_orthogonal (and with it every OrthAut construction, so the
+result of orth_compose for each distinct pair, once) checks q on the
+tables; above it, is_orthogonal checks bijectivity exactly and q through
+generator values and all generator polarizations, which determine it.
 """
 
 from __future__ import annotations
@@ -55,11 +59,17 @@ def b_exp(G: FinAbGroup, x: GroupElement, y: GroupElement) -> int:
 
 
 class OrthAut:
-    """An automorphism of G+G^ preserving the pairing value pointwise."""
+    """An automorphism of G+G^ preserving the pairing value pointwise.
 
-    __slots__ = ("group", "hom")
+    pos[k] is the position of the image of the k-th element of G+G^, in
+    _tables order; enumerate_orth passes it in, any other alpha computes
+    it on first use.  Equality, hashing, repr and JSON ignore it.
+    """
 
-    def __init__(self, group: FinAbGroup, hom: GroupHom, _checked: bool = False):
+    __slots__ = ("group", "hom", "_pos")
+
+    def __init__(self, group: FinAbGroup, hom: GroupHom, _checked: bool = False,
+                 _pos: tuple = None):
         D = dsum_group(group)
         if hom.source != D or hom.target != D:
             raise DomainError("hom must act on G+G^ for the given G")
@@ -67,9 +77,16 @@ class OrthAut:
             raise DomainError("hom is not an orthogonal automorphism of G+G^")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "hom", hom)
+        object.__setattr__(self, "_pos", _pos)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrthAut is immutable")
+
+    @property
+    def pos(self) -> tuple:
+        if self._pos is None:
+            object.__setattr__(self, "_pos", _positions(self.group, self.hom.matrix))
+        return self._pos
 
     def alpha1(self, x: GroupElement) -> GroupElement:
         return split(self.group, self.hom(x))[0]
@@ -132,21 +149,26 @@ def _image_columns(factors, rows):
     return cols
 
 
-def _images(factors, rows):
-    cols = _image_columns(factors, rows)
-    return list(zip(*([a % f for a in col] for f, col in zip(factors, cols))))
-
-
-def _preserves_q(G: FinAbGroup, rows) -> bool:
-    """Both exhaustive checks on tuples: the hom with generator images rows
-    is a bijection of G+G^ and keeps q at every point.  An image is read by
-    its position in the element list (mixed radix over the factors)."""
-    elements, q, _ = _tables(G)
-    factors = dsum_group(G).factors
-    pos = [0] * len(elements)
-    for f, col in zip(factors, _image_columns(factors, rows)):
+def _positions(G: FinAbGroup, rows) -> tuple:
+    """The position, in _tables(G) element order, of the image of every
+    element under the hom with generator images rows (mixed radix over
+    the factors of G+G^)."""
+    D = dsum_group(G)
+    pos = [0] * D.order
+    for f, col in zip(D.factors, _image_columns(D.factors, rows)):
         pos = [p * f + c % f for p, c in zip(pos, col)]
-    return len(set(pos)) == len(elements) and [q[p] for p in pos] == q
+    return tuple(pos)
+
+
+def _preserves_q(G: FinAbGroup, rows):
+    """Both exhaustive checks on tuples: the hom with generator images rows
+    is a bijection of G+G^ and keeps q at every point.  Its position table
+    when both hold, None otherwise."""
+    q = _tables(G)[1]
+    pos = _positions(G, rows)
+    if len(set(pos)) == len(pos) and [q[p] for p in pos] == q:
+        return pos
+    return None
 
 
 def is_orthogonal(G: FinAbGroup, hom: GroupHom) -> bool:
@@ -161,7 +183,7 @@ def is_orthogonal(G: FinAbGroup, hom: GroupHom) -> bool:
     if hom.source != D or hom.target != D:
         return False
     if D.order <= _POINTWISE_LIMIT:
-        return _preserves_q(G, hom.matrix)
+        return _preserves_q(G, hom.matrix) is not None
     if not ab.hom_is_automorphism(hom):
         return False
     gens = [D.generator(i) for i in range(D.rank)]
@@ -186,13 +208,13 @@ def orth_compose(a: OrthAut, b: OrthAut) -> OrthAut:
 
 @cache
 def orth_invert(a: OrthAut) -> OrthAut:
-    """The inverse of a, read off its preimage table and validated by
-    OrthAut, once per distinct a.  Errors are not cached."""
+    """The inverse of a, read off the inverse permutation of its table and
+    validated by OrthAut, once per distinct a.  Errors are not cached."""
     D = dsum_group(a.group)
     if D.order > _POINTWISE_LIMIT:
         raise CapacityError(f"inversion by preimage table needs |G+G^| <= {_POINTWISE_LIMIT}")
     elements = _tables(a.group)[0]
-    preimage = dict(zip(_images(D.factors, a.hom.matrix), elements))
+    preimage = {elements[p]: x for x, p in zip(elements, a.pos)}
     return OrthAut(a.group, GroupHom(D, D, [preimage[D.generator(i).coords]
                                             for i in range(D.rank)]))
 
@@ -208,7 +230,7 @@ def enumerate_orth(G: FinAbGroup, bound: int = 256):
     by that polarization test.  The prunings imply q-preservation at every
     point, yet each leaf still gets both exhaustive checks of _preserves_q
     (|D| distinct images, q kept at every point) before it becomes an
-    OrthAut.
+    OrthAut, which keeps the position table the check computed.
 
     The bound caps the work twice: |G|^2 <= bound, checked first, and at
     most bound automorphisms; CapacityError is raised as soon as the
@@ -231,8 +253,9 @@ def enumerate_orth(G: FinAbGroup, bound: int = 256):
 
     def place(live):
         if not live:
-            if _preserves_q(G, images):
-                found.append(tuple(images))
+            pos = _preserves_q(G, images)
+            if pos is not None:
+                found.append((tuple(images), pos))
                 if len(found) > bound:
                     raise CapacityError(
                         f"O(G+G^) has more than {bound} elements, the enumeration bound")
@@ -253,7 +276,9 @@ def enumerate_orth(G: FinAbGroup, bound: int = 256):
                 images.pop()
 
     place(candidates)
-    return [OrthAut(G, GroupHom(D, D, rows), _checked=True) for rows in sorted(found)]
+    # matrices are distinct, so the sort never compares tables
+    return [OrthAut(G, GroupHom(D, D, rows), _checked=True, _pos=pos)
+            for rows, pos in sorted(found)]
 
 
 class TwistedSubgroup:
@@ -304,9 +329,9 @@ class TwistedSubgroup:
 
 def _alpha_table(alpha: OrthAut):
     """(x, alpha(x)) as coordinate tuples for every x in G+G^, in the order
-    of dsum_group(G).elements()."""
-    G = alpha.group
-    return list(zip(_tables(G)[0], _images(dsum_group(G).factors, alpha.hom.matrix)))
+    of dsum_group(G).elements(), read off alpha.pos."""
+    elements = _tables(alpha.group)[0]
+    return [(x, elements[p]) for x, p in zip(elements, alpha.pos)]
 
 
 @cache

@@ -52,25 +52,77 @@ def orth_brute_force(factors):
     return results
 
 
+def apply_matrix(factors, M, x):
+    """The image of x in G+G^ under the matrix M (orth_brute_force encoding)."""
+    dfac = list(factors) + list(factors)
+    out = [0] * len(dfac)
+    for i, c in enumerate(x):
+        if c:
+            for j in range(len(dfac)):
+                out[j] += c * M[i][j]
+    return tuple(o % f for o, f in zip(out, dfac))
+
+
 def compose_matrices(factors, A, B):
     """Matrix of x -> A(B(x)) in the same row encoding as orth_brute_force."""
     n = len(factors)
-    dfac = list(factors) + list(factors)
-
-    def apply(M, x):
-        out = [0] * (2 * n)
-        for i, c in enumerate(x):
-            if c:
-                for j in range(2 * n):
-                    out[j] += c * M[i][j]
-        return tuple(o % f for o, f in zip(out, dfac))
-
     rows = []
     for i in range(2 * n):
         e = [0] * (2 * n)
         e[i] = 1
-        rows.append(apply(A, apply(B, tuple(e))))
+        rows.append(apply_matrix(factors, A, apply_matrix(factors, B, tuple(e))))
     return tuple(rows)
+
+
+def admissible_matrices(factors, u, matrices):
+    """The matrices alpha with (u, u) in U_alpha = {(alpha_1(x), g_x)}, in
+    their given order: some x = (u, chi) has alpha_1(x) = u."""
+    n = len(factors)
+    u = tuple(u)
+    chis = list(itertools.product(*[range(f) for f in factors]))
+    return [M for M in matrices
+            if any(apply_matrix(factors, M, u + chi)[:n] == u for chi in chis)]
+
+
+def greedy_suite(factors, admissible):
+    """The product-closed subgroup of the admissible matrices that seeded
+    suites draw from, by composing matrices.
+
+    Starting from the identity, each admissible matrix (in the given order)
+    not yet in the subgroup joins the generators when the subgroup they
+    generate stays inside the admissible set.  The generated subgroup is
+    grown by right multiplication with the generators, stopping at the
+    first product outside the set.  Returns the members in the given order.
+    """
+    dfac = list(factors) + list(factors)
+    ident = tuple(tuple(1 % f if i == j else 0 for j, f in enumerate(dfac))
+                  for i in range(len(dfac)))
+    members = set(admissible)
+
+    def closure(gens):
+        seen = {ident}
+        frontier = [ident]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = compose_matrices(factors, x, g)
+                if y not in members:
+                    return None
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return seen
+
+    subgroup = {ident}
+    gens = []
+    for a in admissible:
+        if a in subgroup:
+            continue
+        grown = closure(gens + [a])
+        if grown is not None:
+            gens.append(a)
+            subgroup = grown
+    return [a for a in admissible if a in subgroup]
 
 
 def is_abelian(factors, matrices):

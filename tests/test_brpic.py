@@ -7,6 +7,7 @@ import pytest
 
 import hopf_helpers as hh
 import oracles
+from brpickit import abelian as ab
 from brpickit import brpic as bp
 from brpickit import linalg as la
 from brpickit import orth
@@ -760,6 +761,41 @@ def test_diagonal_stabilizer_matches_u_alpha():
         counts[name] = (len(admissible), len(alphas))
     assert counts["Z2Z2_d1"] == counts["Z2Z2_d2"] == (48, 72)
     assert counts["Z2Z4_d1"] == (128, 128)
+
+
+def test_alpha_lists_match_the_matrix_oracles():
+    # admissible: (u, u) in U_alpha read off the matrices; suite: the greedy
+    # closure composing matrices, as the suite did before it composed
+    # position tables.  Both in enumeration order.
+    sizes = {}
+    for name, mod in hh.module_zoo():
+        factors = mod.group.factors
+        matrices = [a.hom.matrix for a in orth.enumerate_orth(mod.group)]
+        admissible = oracles.admissible_matrices(factors, mod.u.coords, matrices)
+        suite = oracles.greedy_suite(factors, admissible)
+        assert [a.hom.matrix for a in bp.admissible_alphas(mod)] == admissible, name
+        assert [a.hom.matrix for a in bp.suite_alphas(mod)] == suite, name
+        sizes[name] = (len(suite), len(admissible))
+    assert sizes["Z2Z2_d1"] == sizes["Z2Z2_d2"] == (12, 48)
+    assert sizes["Z2Z4_d1"] == (128, 128) and sizes["Z8_d1"] == (8, 8)
+
+
+def test_cold_suite_composes_no_homs(monkeypatch):
+    # the closure composes the alphas' position tables; composing GroupHoms
+    # instead made 242 ab.hom_compose and 968 GroupHom.__call__ calls on
+    # Z2 x Z2, and 738 and 2,952 on Z2 x Z4
+    zoo = dict(hh.module_zoo())
+    calls = []
+    compose, call = ab.hom_compose, GroupHom.__call__
+    monkeypatch.setattr(ab, "hom_compose",
+                        lambda f, g: calls.append("compose") or compose(f, g))
+    monkeypatch.setattr(GroupHom, "__call__",
+                        lambda h, x: calls.append("call") or call(h, x))
+    for name, size in (("Z2Z2_d2", 12), ("Z2Z4_d1", 128)):
+        for memo in (bp._suite, bp._admissible, orth.diagonal_stabilizer):
+            memo.cache_clear()
+        assert len(bp.suite_alphas(zoo[name])) == size
+        assert calls == [], name
 
 
 # -- binding checks: cached per datum, still run on every output -----------

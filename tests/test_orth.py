@@ -395,6 +395,33 @@ def test_u_alpha_composition_containment_and_graph_equality():
 
 
 def test_orth_json_round_trip():
-    for a in orth.enumerate_orth(Z2xZ2):
-        b = orth.OrthAut.from_json(Z2xZ2, a.to_json())
-        assert b == a
+    # an alpha read from JSON has no position table until it is used, and
+    # compares and hashes equal to the enumerated one either way
+    for G in (Z2xZ2, FinAbGroup([2, 4])):
+        for a in orth.enumerate_orth(G):
+            b = orth.OrthAut.from_json(G, a.to_json())
+            assert b._pos is None and a._pos is not None
+            assert b == a and hash(b) == hash(a) and {a: 0}[b] == 0
+            assert repr(b) == repr(a) and b.to_json() == a.to_json()
+            assert b.pos == a.pos and b == a and hash(b) == hash(a)
+
+
+# Each alpha's position table: pos[k] is the position of the image of the
+# k-th element of G+G^, in dsum_group(G).elements() order.  The tables of
+# composed and inverted alphas are computed from their own matrices, so
+# they check the tables of the operands.
+TABLE_GROUPS = [Z2, Z4, Z2xZ2, FinAbGroup([2, 4])]
+
+
+@pytest.mark.parametrize("G", TABLE_GROUPS,
+                         ids=["x".join(map(str, G.factors)) for G in TABLE_GROUPS])
+def test_position_tables_agree_with_the_homs(G):
+    elements = list(orth.dsum_group(G).elements())
+    index = {x.coords: k for k, x in enumerate(elements)}
+    auts = orth.enumerate_orth(G)
+    for a in auts:
+        assert a.pos == tuple(index[a.hom(x).coords] for x in elements), a
+        inverse = orth.orth_invert(a).pos
+        assert all(inverse[p] == k for k, p in enumerate(a.pos)), a
+        for b in auts[::len(auts) // 16 + 1]:
+            assert orth.orth_compose(a, b).pos == tuple(a.pos[i] for i in b.pos), (a, b)
