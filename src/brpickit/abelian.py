@@ -66,14 +66,6 @@ class FinAbGroup:
     def character(self, exps) -> "Character":
         return Character(self, self._normalize(exps))
 
-    def trivial_character(self) -> "Character":
-        return Character(self, (0,) * self.rank)
-
-    def char_generator(self, i: int) -> "Character":
-        exps = [0] * self.rank
-        exps[i] = 1 % self.factors[i]
-        return Character(self, tuple(exps))
-
     def _normalize(self, coords) -> tuple:
         coords = tuple(coords)
         for c in coords:
@@ -87,10 +79,6 @@ class FinAbGroup:
     def elements(self):
         for coords in itertools.product(*(range(f) for f in self.factors)):
             yield GroupElement(self, coords)
-
-    def characters(self):
-        for exps in itertools.product(*(range(f) for f in self.factors)):
-            yield Character(self, exps)
 
     def to_json(self) -> dict:
         return {"factors": list(self.factors)}
@@ -276,76 +264,3 @@ def hom_compose(f: GroupHom, g: GroupHom) -> GroupHom:
         raise DomainError("hom composition shape mismatch")
     return GroupHom(g.source, f.target, tuple(f(g.target.element(row)).coords
                                               for row in g.matrix))
-
-
-def hom_is_automorphism(h: GroupHom) -> bool:
-    """Bijectivity test by the Smith form, exact at every size."""
-    if h.source.order != h.target.order:
-        return False
-    # Surjectivity of the induced map: rows of the hom matrix together with
-    # the target relations must generate Z^rank.  For equal finite orders
-    # surjective implies bijective.
-    rows = [list(r) for r in h.matrix]
-    for j, f in enumerate(h.target.factors):
-        rel = [0] * h.target.rank
-        rel[j] = f
-        rows.append(rel)
-    diag = smith_diagonal(rows)
-    return len(diag) >= h.target.rank and all(d == 1 for d in diag[:h.target.rank])
-
-
-def smith_diagonal(rows) -> list:
-    """Nonzero diagonal of the Smith normal form of an integer matrix.
-
-    Trailing zero invariant factors are omitted, so the returned length is
-    the rank of the matrix.
-    """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    diag = []
-    t = 0
-    while t < min(nrows, ncols):
-        # find a nonzero pivot of minimal absolute value
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        m[t], m[bi] = m[bi], m[t]
-        for row in m:
-            row[t], row[bj] = row[bj], row[t]
-        # clear column and row by division with remainder; repeat until clean
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    for j in range(t, ncols):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    for row in m:
-                        row[j] -= q * row[t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-        diag.append(abs(m[t][t]))
-        t += 1
-    # enforce the divisibility chain d1 | d2 | ...
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            a, b = diag[i], diag[j]
-            g = gcd(a, b)
-            diag[i], diag[j] = g, (a * b // g if g else 0)
-    return diag

@@ -243,7 +243,7 @@ def _pairs_of(U: orth.TwistedSubgroup):
 def _stable_invariant(d: RDatum, movers):
     """(W stable, beta invariant) under every mover acting on V+V, in
     exponent form; beta is only tested once W is stable."""
-    if not all(la.pivot_exponents(d.module, g, "VplusV", d.W)[1]
+    if not all(la.pivot_exponents(d.module, g, d.W)[1]
                for g in movers):
         return False, False
     return True, la.form_invariant_under(d.module, d.beta, movers)
@@ -422,7 +422,7 @@ def translation(mod: la.GModuleV, rows, rows_t, gram, gram_t):
     piv = [next(j for j, x in enumerate(r) if not x.is_zero()) for r in rows]
 
     def moves(pair):
-        e = la.action_exponents(mod, pair, "VplusV")
+        e = la.action_exponents(mod, pair)
         return (all((e[j] - e[piv[i]] - k) % N == 0 for (i, j), k in w_shifts)
                 and all((e[piv[i]] + e[piv[j]] + k) % N == 0
                         for (i, j), k in g_shifts))

@@ -358,9 +358,6 @@ class CycloScalar:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
     def __bool__(self):
         return any(self.num)
 

@@ -12,7 +12,7 @@ through this elimination (a sparse rref turned printed 0@4 entries into 0@1).
 Echelon is the incremental sparse engine, used by kernel_sparse_rows and the
 comodule-algebra code, whose scalars are never printed.
 
-Also houses the diagonal G-action on V, V*, V+V and V+V* (V presented in a
+Also houses the diagonal G-action on V+V (V presented in a
 character-diagonal basis), composition of linear relations inside V+V, and
 the bilinear form transported along such a composition.
 
@@ -290,18 +290,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v) -> bool:
-        v = vec(v)
-        if len(v) != self.ambient_dim:
-            raise DomainError("vector length does not match ambient dimension")
-        v = list(v)
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if not x.is_zero())
-            if not v[p].is_zero():
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return all(x.is_zero() for x in v)
-
     def coords_of(self, v):
         """Coefficients of v against the stored basis (DomainError if outside)."""
         v = list(vec(v))
@@ -397,10 +385,6 @@ class GModuleV:
     def dim(self) -> int:
         return len(self.chars)
 
-    @property
-    def conductor(self) -> int:
-        return self.group.exponent
-
     def __eq__(self, other):
         return (isinstance(other, GModuleV) and self.group == other.group
                 and self.u == other.u and self.chars == other.chars)
@@ -412,31 +396,14 @@ class GModuleV:
         return f"GModuleV(dim {self.dim} over {self.group!r})"
 
 
-_SPACES = ("V", "Vdual", "VplusV", "VplusVdual")
+def action_exponents(mod: GModuleV, g):
+    """Per-coordinate exponents e_i with g acting on V+V as diag(zeta_N^{e_i}).
 
-
-def action_exponents(mod: GModuleV, g, space: str):
-    """Per-coordinate exponents e_i with g acting as diag(zeta_N^{e_i}).
-
-    g may be a single group element (acting diagonally on both summands of a
-    direct sum) or a pair (x, y) acting componentwise.
+    g may be a single group element (acting diagonally on both summands) or
+    a pair (x, y) acting componentwise.
     """
-    if space not in _SPACES:
-        raise DomainError(f"unknown space name {space!r}; expected one of {_SPACES}")
-    if isinstance(g, GroupElement):
-        x = y = g
-    else:
-        x, y = g
-    N = mod.group.exponent
-    v_part = mod.exponents(x)
-    if space == "V":
-        return list(v_part)
-    if space == "Vdual":
-        return [(-e) % N for e in v_part]
-    second = mod.exponents(y)
-    if space == "VplusV":
-        return [*v_part, *second]
-    return [*v_part, *((-e) % N for e in second)]
+    x, y = (g, g) if isinstance(g, GroupElement) else g
+    return [*mod.exponents(x), *mod.exponents(y)]
 
 
 # -- bilinear forms --------------------------------------------------------
@@ -456,9 +423,6 @@ class BilinearForm:
 
     def __setattr__(self, name, value):
         raise AttributeError("BilinearForm is immutable")
-
-    def evaluate(self, v, w) -> CycloScalar:
-        return _pair(self.gram, self.space.coords_of(v), self.space.coords_of(w))
 
     def is_symmetric(self) -> bool:
         d = self.space.dim
@@ -498,10 +462,11 @@ def zero_form(space: Subspace) -> BilinearForm:
     return BilinearForm(space, [[_ZERO] * d for _ in range(d)])
 
 
-def pivot_exponents(mod: GModuleV, g, space: str, S: Subspace):
-    """(exps, stable): g sends basis row i of S to zeta^exps[i] times row i
-    of the reduced basis of g.S, and stable says whether g.S = S."""
-    e = action_exponents(mod, g, space)
+def pivot_exponents(mod: GModuleV, g, S: Subspace):
+    """(exps, stable) for a subspace S of V+V: g sends basis row i of S to
+    zeta^exps[i] times row i of the reduced basis of g.S, and stable says
+    whether g.S = S."""
+    e = action_exponents(mod, g)
     N = mod.group.exponent
     exps, stable = [], True
     for row in S.basis:
@@ -511,18 +476,18 @@ def pivot_exponents(mod: GModuleV, g, space: str, S: Subspace):
     return exps, stable
 
 
-def form_invariant_under(mod: GModuleV, beta: BilinearForm, elements,
-                         space: str = "VplusV") -> bool:
-    """Whether the form is preserved by each listed group action.
+def form_invariant_under(mod: GModuleV, beta: BilinearForm, elements) -> bool:
+    """Whether the form on a subspace of V+V is preserved by each listed
+    group action.
 
-    elements: group elements or (x, y) pairs, matching the named space.
+    elements: group elements or (x, y) pairs, as in action_exponents.
     Raises DomainError if the underlying subspace itself is not preserved
     (a different failure kind than the form changing).
     """
     N = mod.group.exponent
     supp = support(beta.gram)
     for g in elements:
-        exps, stable = pivot_exponents(mod, g, space, beta.space)
+        exps, stable = pivot_exponents(mod, g, beta.space)
         if not stable:
             raise DomainError("subspace is not invariant under the given action")
         if any((exps[i] + exps[j]) % N for i, j in supp):

@@ -1,5 +1,5 @@
-"""Module zoo, thin wrappers around the package's seeded generators, and
-the class order of a datum."""
+"""Module zoo, thin wrappers around the package's seeded generators, the
+class order of a datum, and span membership."""
 
 from brpickit import abelian as ab
 from brpickit import brpic as bp
@@ -12,12 +12,17 @@ ONE = CycloScalar.one(1)
 ZERO = CycloScalar.zero(1)
 
 
+def in_span(S, v):
+    """Whether v lies in the subspace S: adding it leaves the dimension."""
+    return la.Subspace(S.ambient_dim, [*S.basis, la.vec(v)]).dim == S.dim
+
+
 def module_zoo():
     """Modules (V, u, G) with dim V <= 3 and |G| <= 8."""
     out = []
     G2 = ab.FinAbGroup([2])
     u2 = G2.generator(0)
-    chi2 = G2.char_generator(0)
+    chi2 = G2.character((1,))
     out.append(("Z2_d1", la.GModuleV(G2, u2, [chi2])))
     out.append(("Z2_d2", la.GModuleV(G2, u2, [chi2, chi2])))
     out.append(("Z2_d3", la.GModuleV(G2, u2, [chi2] * 3)))
@@ -43,7 +48,7 @@ def module_zoo():
 
 def sweedler_module():
     G = ab.FinAbGroup([2])
-    return la.GModuleV(G, G.generator(0), [G.char_generator(0)])
+    return la.GModuleV(G, G.generator(0), [G.character((1,))])
 
 
 def z4_module():

@@ -475,16 +475,30 @@ def compose_by_intersection(W, Wt, kernel, solve, zero, one):
 def bullet_by_intersection(W, beta, Wt, betat, kernel, solve, zero, one):
     """The form beta . betat on the composite, evaluated through each basis
     row's witness from compose_by_intersection; beta and betat are read
-    through evaluate and their type builds a form from (space, gram)."""
+    through form_value and their type builds a form from (space, gram)."""
     composite, middles = compose_by_intersection(W, Wt, kernel, solve, zero,
                                                  one)
     d = W.ambient_dim // 2
     left = [list(c[:d]) + m for c, m in zip(composite.basis, middles)]
     right = [m + list(c[d:]) for c, m in zip(composite.basis, middles)]
-    gram = [[beta.evaluate(left[i], left[j])
-             + betat.evaluate(right[i], right[j])
+    gram = [[form_value(beta, left[i], left[j], zero)
+             + form_value(betat, right[i], right[j], zero)
              for j in range(composite.dim)] for i in range(composite.dim)]
     return type(beta)(composite, gram)
+
+
+def form_value(beta, v, w, zero):
+    """x^T gram y, x and y the coordinates of v and w in the basis of the
+    form's space; beta is read only through beta.space.coords_of and
+    beta.gram.  Zero terms are skipped, so a zero value is zero itself,
+    at zero's conductor."""
+    x, y = beta.space.coords_of(v), beta.space.coords_of(w)
+    total = zero
+    for a, row in zip(x, beta.gram):
+        for g, b in zip(row, y):
+            if not (a.is_zero() or g.is_zero() or b.is_zero()):
+                total = total + a * g * b
+    return total
 
 
 def inverse_by_solves(M, solve, one, zero):
@@ -493,6 +507,21 @@ def inverse_by_solves(M, solve, one, zero):
     cols = [solve(M, [one if i == j else zero for i in range(n)])
             for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def is_bijective(D, hom):
+    """Whether hom permutes the elements of the finite group D, by listing
+    every image; D is read only through D.order and D.elements(), hom as a
+    callable returning elements with .coords."""
+    return len({hom(x).coords for x in D.elements()}) == D.order
+
+
+def vplusvdual_exponents(vplusv, N):
+    """Exponents of an action on V+V* from those on V+V: a pair (x, y)
+    acting on V+V as diag(zeta_N^e) acts on V+V* with the second half
+    negated mod N, since y acts on V* by the inverse characters."""
+    m = len(vplusv) // 2
+    return list(vplusv[:m]) + [(-e) % N for e in vplusv[m:]]
 
 
 def is_orthogonal_pointwise(D, n, hom):

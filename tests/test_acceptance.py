@@ -111,8 +111,8 @@ def test_criterion_04(capsys):
 def _translate(d, x, y):
     mod = d.module
     N = mod.group.exponent
-    ex = la.action_exponents(mod, x, "VplusVdual")
-    ey = la.action_exponents(mod, y, "VplusVdual")
+    ex = oracles.vplusvdual_exponents(la.action_exponents(mod, x), N)
+    ey = oracles.vplusvdual_exponents(la.action_exponents(mod, y), N)
     T = oracles.dense_translate(d.T, ex, [-e for e in ey],
                                 lambda k: CycloScalar.root_of_unity(N, k),
                                 CycloScalar.zero(1))

@@ -535,6 +535,56 @@ def test_bound_option_raises_the_automorphism_cap(tmp_path, capsys):
     assert code == 0 and err == "" and "result: PASS" in out
 
 
+def _identity_spec(rank):
+    zeros = [0] * (rank - 1)
+    return {"group": [2] * rank, "u": [1] + zeros, "V": [[1] + zeros],
+            "datum": "identity", "datum2": "identity"}
+
+
+# |G+G^| = 2^22 is above orth.MAX_DSUM_ORDER: identity `brpic mul` on Z2^11
+# ran 40 s into a MemoryError traceback; every verb now exits 3 at once.
+@pytest.mark.parametrize("verb", ["describe", "mul", "inv", "equiv",
+                                  "convert"])
+def test_identity_data_over_the_dsum_cap_exits_3(tmp_path, capsys, verb):
+    spec = _write(tmp_path, "z2_11.json", _identity_spec(11))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["brpic", verb, "--spec", spec])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert ("enumeration bound" if verb == "describe" else "G+G^") in err
+
+
+def test_inverse_of_identity_above_4096(tmp_path, capsys):
+    # |G+G^| = 2^14 exited 3 under a limit of inversion alone
+    spec = _write(tmp_path, "z2_7.json", _identity_spec(7))
+    code, out, err = _run(capsys, ["brpic", "inv", "--spec", spec, "--json"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["validation"]["valid"] is True
+    assert report["inverse"]["alpha"] == orth.orth_identity(
+        ab.FinAbGroup([2] * 7)).to_json()
+
+
+def test_orth_report_over_the_psi_cap_exits_3(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(orth, "psi_alpha", built.append)
+    spec = _write(tmp_path, "z3z3.json", {"group": [3, 3], "u": [0, 0], "V": []})
+    code, out, err = _run(capsys, ["orth", "--bound", "2048", "--spec", spec])
+    assert code == 3 and out == "" and built == []
+    assert "3265920 psi entries" in err
+
+
+def test_orth_report_cap_is_inclusive(tmp_path, capsys, monkeypatch):
+    # Z2 x Z2: 72 automorphisms, sum of |U_alpha|^2 = 8,640
+    spec = _write(tmp_path, "z2z2.json", {"group": [2, 2], "u": [1, 1], "V": []})
+    monkeypatch.setattr(cli, "MAX_ORTH_PSI_ENTRIES", 8640)
+    code, out, err = _run(capsys, ["orth", "--spec", spec])
+    assert code == 0 and err == "" and "orthogonal automorphisms: 72" in out
+    monkeypatch.setattr(cli, "MAX_ORTH_PSI_ENTRIES", 8639)
+    code, out, err = _run(capsys, ["orth", "--spec", spec])
+    assert code == 3 and out == "" and "8640 psi entries" in err
+
+
 def test_huge_conductor_exits_3(tmp_path, capsys):
     datum = {"T": [["1@1000003", "0@1"], ["0@1", "1@1"]],
              "alpha": {"matrix": [[1, 0], [0, 1]]}}

@@ -50,18 +50,27 @@ def test_z2_is_exactly_id_and_gamma():
     assert matrices == {((1, 0), (0, 1)), ((0, 1), (1, 0))}
 
 
+def _orthogonal(G, hom):
+    """The verdict of the orthogonality test that OrthAut runs."""
+    try:
+        orth.OrthAut(G, hom)
+    except DomainError:
+        return False
+    return True
+
+
 def test_gamma_is_orthogonal_swap():
     for G in [Z2, Z3, Z4]:
         D = orth.dsum_group(G)
         gamma = GroupHom(D, D, _swap_matrix(G.rank))
-        assert orth.is_orthogonal(G, gamma)
+        assert _orthogonal(G, gamma)
 
 
 def test_chi_squared_on_z3_not_orthogonal():
     D = orth.dsum_group(Z3)
     h = GroupHom(D, D, [[1, 0], [0, 2]])  # (g, chi) -> (g, chi^2)
-    assert ab.hom_is_automorphism(h)
-    assert not orth.is_orthogonal(Z3, h)
+    assert oracles.is_bijective(D, h)
+    assert not _orthogonal(Z3, h)
 
 
 def test_non_abelian_for_p_5_and_7():
@@ -102,14 +111,19 @@ def test_alpha_memos_match_the_unmemoized_functions():
 
 def test_alpha_memos_raise_on_every_call():
     a, b = orth.orth_identity(Z2), orth.orth_identity(Z4)
-    big = orth.orth_identity(FinAbGroup([2] * 7))  # |G+G^| = 2^14
+    # |G+G^| = 2^22 is over the cap, so no OrthAut over Z2^11 can be
+    # built; this one has an empty table, which the cap keeps unread
+    G = FinAbGroup([2] * 11)
+    big = orth.OrthAut(G, ab.hom_identity(orth.dsum_group(G)), _pos=())
     for _ in range(3):
         with pytest.raises(DomainError, match="different groups"):
             orth.orth_compose(a, b)
         with pytest.raises(DomainError, match="different groups"):
             orth.orth_compose(b, a)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="G\\+G\\^"):
             orth.orth_invert(big)
+        with pytest.raises(CapacityError, match="G\\+G\\^"):
+            orth.orth_compose(big, big)
 
 
 def _record_leaves(monkeypatch):
@@ -210,10 +224,10 @@ def _is_orthogonal_agrees_with_pointwise_oracle(rng):
         kinds = {"orthogonal": 0, "bijective, not orthogonal": 0, "not bijective": 0}
         for h in homs:
             expected = oracles.is_orthogonal_pointwise(D, G.rank, h)
-            assert orth.is_orthogonal(G, h) == expected, (G, h)
+            assert _orthogonal(G, h) == expected, (G, h)
             if expected:
                 kinds["orthogonal"] += 1
-            elif ab.hom_is_automorphism(h):
+            elif oracles.is_bijective(D, h):
                 kinds["bijective, not orthogonal"] += 1
             else:
                 kinds["not bijective"] += 1
@@ -224,10 +238,37 @@ def test_is_orthogonal_matches_pointwise_oracle():
     _is_orthogonal_agrees_with_pointwise_oracle(random.Random(20260))
 
 
-def test_is_orthogonal_by_generators_matches_pointwise_oracle(monkeypatch):
-    # above the limit, q is read off generator values and polarizations
-    monkeypatch.setattr(orth, "_POINTWISE_LIMIT", 0)
-    _is_orthogonal_agrees_with_pointwise_oracle(random.Random(20261))
+def test_from_json_above_4096_matches_pointwise_oracle(monkeypatch):
+    # |G+G^| = 2^14 is above 4096: every size takes the one pointwise test
+    G = FinAbGroup([2] * 7)
+    D = orth.dsum_group(G)
+    shear = [list(r) for r in ab.hom_identity(D).matrix]
+    shear[0][1] = 1  # g_0 -> g_0 + g_1: bijective, not orthogonal
+    calls = [0]
+    original = orth._positions
+
+    def counted(G, rows):
+        calls[0] += 1
+        return original(G, rows)
+
+    monkeypatch.setattr(orth, "_positions", counted)
+    verdicts = []
+    for matrix in (_swap_matrix(7), shear):
+        hom = GroupHom(D, D, matrix)
+        assert oracles.is_bijective(D, hom)
+        calls[0] = 0
+        try:
+            alpha = orth.OrthAut.from_json(G, {"matrix": matrix})
+        except DomainError:
+            alpha = None
+        verdicts.append(alpha is not None)
+        assert verdicts[-1] is oracles.is_orthogonal_pointwise(D, G.rank, hom)
+        assert calls[0] == 1
+        if alpha is not None:
+            # a reader of the table uses the one the check computed
+            assert len(orth.diagonal_stabilizer(alpha)) == G.order  # (chi, chi)
+            assert calls[0] == 1
+    assert verdicts == [True, False]
 
 
 def test_u_alpha_identity_is_diagonal():
@@ -245,8 +286,13 @@ def test_u_gamma_on_z2_is_everything():
     U = orth.u_alpha(gamma)
     assert len(U) == 4
     u = Z2.generator(0)
-    assert U.contains_uu(u)
-    assert U.contains((u, Z2.zero()))
+    assert (1, 1) in U.law[0] and (1, 0) in U.law[0]
+
+
+def test_u_order_is_the_size_of_u_alpha():
+    for G in [Z2, Z3, Z4, Z2xZ2, FinAbGroup([2, 4]), FinAbGroup([2, 1])]:
+        for a in orth.enumerate_orth(G):
+            assert orth.u_order(a) == len(orth.u_alpha(a)), a
 
 
 def test_u_alpha_divides_g_squared():
@@ -255,10 +301,10 @@ def test_u_alpha_divides_g_squared():
             U = orth.u_alpha(a)
             assert (G.order ** 2) % len(U) == 0
             # the section really sections: (alpha_1(x), g_x) = the element
+            n = G.rank
             for e in U.elements:
                 x = U.section[e.coords]
-                g, _ = orth.split(G, x)
-                assert a.alpha1(x).coords + g.coords == e.coords
+                assert a.hom(x).coords[:n] + x.coords[:n] == e.coords
 
 
 def test_u_alpha_built_once_and_shared_with_psi():
@@ -329,10 +375,11 @@ def test_psi_exponents_match_the_pairing_formula():
     for G, alpha in cases:
         psi = orth.psi_alpha(alpha)
         U = psi.domain
+        n = G.rank
         for a in U.elements:
             r = U.section[a.coords]
-            _, chi = orth.split(G, r)
-            a2 = alpha.alpha2(r)
+            chi = G.character(r.coords[n:])
+            a2 = G.character(alpha.hom(r).coords[n:])
             for b in U.elements:
                 b1, b2 = U.components(b)
                 assert psi.exp(a, b) == \
@@ -344,8 +391,8 @@ def test_psi_ill_defined_for_a_non_orthogonal_automorphism():
     # preimages (g, chi) of one element of U give different pairings
     D = orth.dsum_group(Z3)
     hom = GroupHom(D, D, [[1, 0], [0, 2]])
-    assert ab.hom_is_automorphism(hom) and not orth.is_orthogonal(Z3, hom)
-    alpha = orth.OrthAut(Z3, hom, _checked=True)
+    assert oracles.is_bijective(D, hom) and not _orthogonal(Z3, hom)
+    alpha = orth.OrthAut(Z3, hom, _pos=orth._positions(Z3, hom.matrix))
     with pytest.raises(DomainError, match="psi ill-defined"):
         orth.psi_alpha(alpha)
 
@@ -395,15 +442,15 @@ def test_u_alpha_composition_containment_and_graph_equality():
 
 
 def test_orth_json_round_trip():
-    # an alpha read from JSON has no position table until it is used, and
-    # compares and hashes equal to the enumerated one either way
+    # an alpha read from JSON gets its position table from the check it
+    # passes, the one the enumeration handed over, and compares and hashes
+    # equal to the enumerated one
     for G in (Z2xZ2, FinAbGroup([2, 4])):
         for a in orth.enumerate_orth(G):
             b = orth.OrthAut.from_json(G, a.to_json())
-            assert b._pos is None and a._pos is not None
+            assert b.pos == a.pos
             assert b == a and hash(b) == hash(a) and {a: 0}[b] == 0
             assert repr(b) == repr(a) and b.to_json() == a.to_json()
-            assert b.pos == a.pos and b == a and hash(b) == hash(a)
 
 
 # Each alpha's position table: pos[k] is the position of the image of the

@@ -1,10 +1,12 @@
-"""Every module-level definition in src/brpickit is reachable from what runs.
+"""Every definition in src/brpickit is reachable from what runs.
 
 The roots are cli.main, every module-level statement other than a def or a
 class (it runs at import), and every name that perfbench/*.py mentions.  A
 def or class is reached when reached code names it, directly, through a
 `from .m import name` import, or as `alias.name` after `from . import m as
-alias`; reaching a class reaches every method in it.
+alias`.  A class's methods other than dunders are checked by name: each
+must be named (an attribute, a name or a string constant) somewhere in
+src/brpickit or perfbench.
 """
 
 import ast
@@ -65,3 +67,24 @@ def unreachable(src, perfbench):
 
 def test_every_src_definition_is_reachable():
     assert unreachable(ROOT / "src" / "brpickit", ROOT / "perfbench") == []
+
+
+def unnamed_methods(src, perfbench):
+    """Sorted "module.Class.method" of the non-dunder methods of src's
+    classes whose name no code in src or perfbench mentions."""
+    named = {name for path in [*src.glob("*.py"), *perfbench.glob("*.py")]
+             for name in _mentioned(path)}
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and item.name not in named
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    out.append(f"{path.stem}.{node.name}.{item.name}")
+    return sorted(out)
+
+
+def test_every_src_method_is_named():
+    assert unnamed_methods(ROOT / "src" / "brpickit", ROOT / "perfbench") == []
