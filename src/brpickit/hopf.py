@@ -171,11 +171,34 @@ def _subsets(n):
 # -- host Hopf algebras -----------------------------------------------------
 
 class HopfAlg:
-    """Pointed host algebra on basis (index tuple, group element)."""
+    """Pointed host algebra on basis (index tuple, group element).
+
+    The basis v_S g is sorted by (S, g.coords), so basis index i is
+    rank(S) |G| + rank(g): rank(S) is S's position among the sorted subsets
+    (_subsets) and rank(g) the position of g.coords in lexicographic order.
+    The product has the closed form
+
+        v_S1 g1 . v_S2 g2 = (-1)^p chi_S2(g1) v_(S1 u S2) (g1 + g2)
+
+    (zero when S1 and S2 meet), p the number of pairs a in S1, b in S2,
+    a > b in one block, and chi_S2(g1) = zeta_N^e, e the sum of
+    pair(chi_b, g1) over b in S2, N the exponent of the group.  mono_mul
+    computes each entry from the factor tables in _tables, none above
+    O(dim) entries, and keeps no memo of entries:
+    - masks[rank(S)], the bitmask of S, and srank[mask] = rank(S) |G|;
+    - flip[rank(S2)], the a whose pairs a > b, b in S2, in a's block are
+      odd in number, so p = popcount(mask(S1) & flip[rank(S2)]) mod 2;
+    - gtab[rank(g1) |G| + rank(g2)] = rank(g1 + g2) when |G| <= 64 (else
+      None, and _gsum adds the ranks digit by digit);
+    - chi[rank(S) |G| + rank(g)] = e, the dim character exponents;
+    - roots[p][e] = (-1)^p zeta_N^e, made on first use.
+    An entry with S2 empty is 1 at conductor 1; every other is +-zeta_N^e
+    at conductor N.
+    """
 
     __slots__ = ("group", "chars", "colikes", "blocks", "modules", "kind",
-                 "nv", "basis", "index", "dim", "one_idx",
-                 "_mul", "_com", "_anti")
+                 "nv", "basis", "index", "dim", "one_idx", "_tables", "_com",
+                 "_anti")
 
     def __init__(self, group, chars, colikes, blocks, modules, kind):
         chars = tuple(chars)
@@ -192,23 +215,25 @@ class HopfAlg:
         for i, c in enumerate(colikes):
             if c.parent != group:
                 raise DomainError(f"colabel {i} does not live in the host group")
+        N = group.exponent
         for i in range(nv):
             for j in range(nv):
-                val = ab.pair_value(chars[i], colikes[j])
+                # zeta_N^e is -1 exactly when 2e = N, and 1 when e = 0
+                e = ab.pair(chars[i], colikes[j])
                 if blocks[i] == blocks[j]:
-                    if not (val + _ONE).is_zero():
+                    if 2 * e != N:
                         raise DomainError(
                             f"chi_{i}(c_{j}) must be -1 inside a block")
-                else:
-                    if not (val - _ONE).is_zero():
-                        raise DomainError(
-                            f"chi_{i}(c_{j}) must be 1 across blocks")
-        dim = (1 << nv) * group.order
+                elif e:
+                    raise DomainError(
+                        f"chi_{i}(c_{j}) must be 1 across blocks")
+        nG = group.order
+        dim = (1 << nv) * nG
         if dim > 65536:
             raise CapacityError(f"host dimension {dim} exceeds the supported bound")
+        subsets = _subsets(nv)
         els = list(group.elements())
-        basis = sorted(((S, g) for S in _subsets(nv) for g in els),
-                       key=lambda t: (t[0], t[1].coords))
+        basis = [(S, g) for S in subsets for g in els]
         index = {(S, g.coords): i for i, (S, g) in enumerate(basis)}
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "chars", chars)
@@ -221,9 +246,28 @@ class HopfAlg:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "one_idx", index[((), group.zero().coords)])
-        object.__setattr__(self, "_mul", {})
         object.__setattr__(self, "_com", {})
         object.__setattr__(self, "_anti", {})
+
+        masks = [sum(1 << b for b in S) for S in subsets]
+        # adding b = max S2 flips every a > b in b's block; e of chi_S at
+        # every g by prefix over S, pair(chi_b, g) built factor by factor
+        flip = {(): 0}
+        rows = {(): [0] * nG}
+        for S in subsets[1:]:
+            b = S[-1]
+            flip[S] = flip[S[:-1]] ^ sum(1 << a for a in range(b + 1, nv)
+                                         if blocks[a] == blocks[b])
+            exps = [0]
+            for x, f in zip(chars[b].exps, group.factors):
+                exps = [e + c * x * (N // f) for e in exps for c in range(f)]
+            rows[S] = [(e + x) % N for e, x in zip(rows[S[:-1]], exps)]
+        gtab = None if nG > 64 else [self._gsum(x, y) for x in range(nG)
+                                     for y in range(nG)]
+        object.__setattr__(self, "_tables", (
+            nG, masks, dict(zip(masks, range(0, dim, nG))),
+            [flip[S] for S in subsets], gtab,
+            [e for S in subsets for e in rows[S]], ([None] * N, [None] * N)))
 
     def __setattr__(self, name, value):
         raise AttributeError("HopfAlg is immutable")
@@ -237,34 +281,38 @@ class HopfAlg:
     def v_basis(self, i) -> int:
         return self.index[((i,), self.group.zero().coords)]
 
-    @property
-    def one(self):
-        return {self.one_idx: _ONE}
-
     def deg(self, i) -> int:
         return len(self.basis[i][0])
 
-    def mono_mul(self, i, j):
-        got = self._mul.get((i, j))
-        if got is not None:
-            return got
-        S1, g1 = self.basis[i]
-        S2, g2 = self.basis[j]
-        if set(S1) & set(S2):
-            out = {}
-        else:
-            sign = 1
-            for b in S2:
-                for a in S1:
-                    if a > b and self.blocks[a] == self.blocks[b]:
-                        sign = -sign
-            c = _ONE if sign > 0 else -_ONE
-            for b in S2:
-                c = c * ab.pair_value(self.chars[b], g1)
-            merged = tuple(sorted(S1 + S2))
-            out = {self.index[(merged, ab.add(g1, g2).coords)]: c}
-        self._mul[(i, j)] = out
+    def _gsum(self, r1, r2):
+        """rank(g1 + g2) from the ranks, digit by digit from the last."""
+        out, w = 0, 1
+        for f in reversed(self.group.factors):
+            r1, x = divmod(r1, f)
+            r2, y = divmod(r2, f)
+            out += w * ((x + y) % f)
+            w *= f
         return out
+
+    def mono_mul(self, i, j):
+        """v_S1 g1 . v_S2 g2 for basis i and j, from the factor tables."""
+        nG, masks, srank, flip, gtab, chi, roots = self._tables
+        s1, r1 = divmod(i, nG)
+        s2, r2 = divmod(j, nG)
+        m1, m2 = masks[s1], masks[s2]
+        if m1 & m2:
+            return {}
+        k = srank[m1 | m2] + (gtab[r1 * nG + r2] if gtab
+                              else self._gsum(r1, r2))
+        if not s2:
+            return {k: _ONE}
+        p = (m1 & flip[s2]).bit_count() & 1
+        e = chi[j - r2 + r1]
+        z = roots[p][e]
+        if z is None:
+            z = CycloScalar.root_of_unity(len(roots[0]), e)
+            roots[p][e] = z = -z if p else z
+        return {k: z}
 
     def mul(self, x, y):
         return _mul(self.mono_mul, x, y)
@@ -574,16 +622,18 @@ class CompatibleData:
     beta is a raw gram table over the concatenated canonical sector bases
     (a BilinearForm is accepted when only the third sector is present); F is
     a subset of G x G; psi is a table of scalars over F x F, defaulting to 1
-    (a TwoCocycle is read as its table of roots of unity).  law is F's
-    (index, addition table), or None when F is not closed under addition.
+    (a TwoCocycle is read as its table of roots of unity, and its exponents
+    are kept as psi_exps = (N, E), E[i][j] the exponent at F[i], F[j]).
+    law is F's (index, addition table), or None when F is not closed under
+    addition.
 
-    compatible_violations checks psi the same exact way whatever its source,
-    a TwoCocycle included, from its values alone: each is lifted to
-    M = lcm(2, the table's conductors) and read as an exponent k when it is
-    zeta_M^k, and the cocycle identity is then a congruence mod M on those
-    exponents, read through law.  A table with a value that is not a root
-    of unity is checked by multiplying the values instead.  For psi_alpha at
-    an even N that congruence is the one TwoCocycle already decided.
+    compatible_violations decides the cocycle identity of psi exactly as a
+    congruence on exponents, read through law (_psi_cocycle_ok): those of
+    psi_exps mod N for a TwoCocycle, which for psi_alpha is the verdict
+    TwoCocycle already reached; otherwise each value is lifted to
+    M = lcm(2, the table's conductors) and read as k when it is zeta_M^k.  A
+    table with a value that is not a root of unity is checked by
+    multiplying the values instead.
 
     f in G x G scales each reduced row of an f-stable sector by zeta_N^e, e
     its exponent at the row's pivot (act_exponents), so F-stability, beta's
@@ -593,9 +643,9 @@ class CompatibleData:
 
     # _acts: the cached actions(), _violations: compatible_violations' names;
     # each built once, read by every later caller
-    __slots__ = ("module", "W1", "W2", "W3", "gram", "F", "psi", "alpha",
-                 "rows", "types", "coords_set", "pair_group", "law", "_acts",
-                 "_violations")
+    __slots__ = ("module", "W1", "W2", "W3", "gram", "F", "psi", "psi_exps",
+                 "alpha", "rows", "types", "coords_set", "pair_group", "law",
+                 "_acts", "_violations")
 
     def __init__(self, module, W1, W2, W3, beta, F, psi=None, alpha=None):
         m = module.dim
@@ -644,18 +694,19 @@ class CompatibleData:
         els.sort(key=lambda f: f.coords)
         els = tuple(els)
 
-        if psi is None:
-            table = {}
-        elif isinstance(psi, orth.TwoCocycle):
+        psi_exps = None
+        if isinstance(psi, orth.TwoCocycle):
+            E = tuple(tuple(psi.exps[(a.coords, b.coords)] % psi.N
+                            for b in els) for a in els)
+            psi_exps = (psi.N, E)
             roots = [CycloScalar.root_of_unity(psi.N, e) for e in range(psi.N)]
-            table = {(a.coords, b.coords): roots[psi.exp(a, b) % psi.N]
-                     for a in els for b in els}
+            full = {(a.coords, b.coords): roots[e]
+                    for a, row in zip(els, E) for b, e in zip(els, row)}
         else:
-            table = {k: la.sc(v) for k, v in dict(psi).items()}
-        full = {}
-        for a in els:
-            for b in els:
-                full[(a.coords, b.coords)] = table.get((a.coords, b.coords), _ONE)
+            table = {} if psi is None else {k: la.sc(v)
+                                            for k, v in dict(psi).items()}
+            full = {(a.coords, b.coords): table.get((a.coords, b.coords), _ONE)
+                    for a in els for b in els}
 
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "W1", W1)
@@ -664,6 +715,7 @@ class CompatibleData:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "F", els)
         object.__setattr__(self, "psi", full)
+        object.__setattr__(self, "psi_exps", psi_exps)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "types", types)
@@ -798,7 +850,9 @@ def compatible_violations(data) -> list:
 def _psi_cocycle_ok(data) -> bool:
     """psi(a,b) psi(a+b,c) == psi(b,c) psi(a,b+c) on all of F^3, exactly.
 
-    Each value is lifted once to M = lcm(2, its conductors), where
+    A TwoCocycle's table is zeta_N^E, (N, E) = psi_exps, so the identity
+    is orth.cocycle_failure's congruence on E mod N.  Any other table has
+    each value lifted once to M = lcm(2, its conductors), where
     (num, den) is canonical, and looked up among the M roots zeta_M^k.
     Every root of unity in Q(zeta_M) is +-zeta_M^k, of order dividing M,
     so the lookup finds each value that is one.  When all are found, psi
@@ -807,6 +861,9 @@ def _psi_cocycle_ok(data) -> bool:
     unity) the lifted values are multiplied triple by triple.
     """
     add = data.law[1]
+    if data.psi_exps is not None:
+        N, E = data.psi_exps
+        return orth.cocycle_failure(add, E, N) is None
     M = lcm(2, *(v.N for v in data.psi.values()))
     roots = [CycloScalar.root_of_unity(M, k) for k in range(M)]
     exponent = {(z.num, z.den): k for k, z in enumerate(roots)}
@@ -1013,8 +1070,6 @@ def diag_comodule(H) -> ComodAlg:
     emb2 = [B.index[(tuple(x + m for x in S), zeroG + g.coords)]
             for S, g in H.basis]
 
-    mult = {(i, j): dict(H.mono_mul(i, j))
-            for i in range(H.dim) for j in range(H.dim)}
     coaction = {}
     loewy = []
     for i in range(H.dim):
@@ -1032,8 +1087,8 @@ def diag_comodule(H) -> ComodAlg:
 
     labels = tuple((S, g.coords) for S, g in H.basis)
     unit = {H.one_idx: _ONE}
-    return ComodAlg(B, labels, mult, coaction, unit, None, loewy,
-                    meta={"kind": "diag", "hopf": H})
+    return ComodAlg(B, labels, {}, coaction, unit, None, loewy,
+                    meta={"kind": "diag", "hopf": H}, mulfn=H.mono_mul)
 
 
 def check_diag_iso(H):

@@ -246,13 +246,20 @@ def enumerate_orth(G: FinAbGroup, bound: int = 256):
 
 
 class TwistedSubgroup:
-    """The subgroup U_alpha of G x G, with a chosen section back to G+G^."""
+    """The subgroup U_alpha of G x G, with a chosen section back to G+G^.
+
+    Its closure is checked on the full |U| x |U| addition table, so a U
+    with |U|^2 above MAX_DSUM_ORDER is refused first (CapacityError)."""
 
     __slots__ = ("group", "pair_group", "elements", "section", "law")
 
     def __init__(self, group: FinAbGroup, elements, section):
         pair_group = ab.direct_sum(group, group)
         elements = tuple(sorted(elements, key=lambda e: e.coords))
+        if len(elements) ** 2 > MAX_DSUM_ORDER:
+            raise CapacityError(f"|U_alpha| = {len(elements)}: its addition "
+                                f"table exceeds the supported maximum of "
+                                f"{MAX_DSUM_ORDER} entries")
         law = ab.addition_table(elements)
         if law is None:
             raise DomainError("element list is not closed under the product")

@@ -579,6 +579,33 @@ _SECTOR_SIGN = {(1, 1): 1, (2, 2): 1, (3, 3): 1, (1, 3): 1, (1, 2): -1,
                 (2, 3): -1}
 
 
+def host_mono_mul(H, i, j, scalar):
+    """The basis product v_S1 g1 . v_S2 g2 of a host, by the per-pair
+    formula: the sign of moving S2 past S1 (a double loop over the pairs
+    a > b in one block), the roots chi_b(g1) = zeta_N^pair multiplied in
+    one generator b of S2 at a time onto +-1 at conductor 1, and the
+    coordinatewise sum g1 + g2.  Reads H only through basis, blocks, chars,
+    index and group.factors; scalar is the scalar class."""
+    S1, g1 = H.basis[i]
+    S2, g2 = H.basis[j]
+    if set(S1) & set(S2):
+        return {}
+    sign = 1
+    for b in S2:
+        for a in S1:
+            if a > b and H.blocks[a] == H.blocks[b]:
+                sign = -sign
+    factors = H.group.factors
+    N = lcm(*factors) if factors else 1
+    c = scalar.one(1) if sign > 0 else -scalar.one(1)
+    for b in S2:
+        e = sum(x * y * (N // f)
+                for x, y, f in zip(H.chars[b].exps, g1.coords, factors))
+        c = c * scalar.root_of_unity(N, e % N)
+    g = tuple((x + y) % f for x, y, f in zip(g1.coords, g2.coords, factors))
+    return {H.index[(tuple(sorted(S1 + S2)), g)]: c}
+
+
 def rewrite_K_tables(data, host, scalar):
     """(mult, coaction) of K rewritten word by word, as the package built it
     before its product table was assembled from factors.
@@ -677,7 +704,7 @@ def rewrite_K_tables(data, host, scalar):
         acc = {}
         for (a1, b1), c1 in t1.items():
             for (a2, b2), c2 in t2.items():
-                pa = host.mono_mul(a1, a2)
+                pa = host_mono_mul(host, a1, a2, scalar)
                 if not pa:
                     continue
                 pb = mult.get((b1, b2), {})

@@ -290,6 +290,8 @@ _Z2Z2_DATUM2 = {"T": [["3@1", "0@1", "0@1", "0@1"],
                 "alpha": {"matrix": [[0, 0, 1, 0], [0, 0, 0, 1],
                                      [1, 0, 0, 1], [0, 1, 1, 0]]}}
 Z2Z2_PAIR = Z2Z2 | {"datum": _Z2Z2_DATUM, "datum2": _Z2Z2_DATUM2}
+Z2Z2_NEXT = {"group": [2, 2], "u": [1, 1], "V": [[1, 0], [0, 1], [1, 0]]}
+Z2Z4_NEXT = {"group": [2, 4], "u": [0, 2], "V": [[0, 1], [1, 1]]}
 GOLDEN = [
     (Z4, ["verify", "all", "--seed", "3"],
      "f63db1a82d25e0fbbcdbfa4c6b18f1a091bca01f4662d6734ae8f773da2de771"),
@@ -338,6 +340,12 @@ GOLDEN = [
      "c19298f6509e7b3ade81f7d044118708a447f3e31dd008cdeff6b6f78a30ac27"),
     (Z2Z2, ["brpic", "describe"],
      "4c324f109f2ccdcd126fc83b9507588e4a2622634c121ac137ee7b2d570d2599"),
+    # recorded before the host product was read from factor tables; both
+    # specs have hosts of dim 1,024
+    (Z2Z2_NEXT, ["verify", "all", "--seed", "1", "--count", "4"],
+     "2d9abaf7dc0c7d3202759a074200330467ad84317ef7f35a48716fbbe077987b"),
+    (Z2Z4_NEXT, ["verify", "all", "--seed", "1", "--count", "4"],
+     "984a6ea6c91c4787d9de508ae0d762045582d5459fd14382770589881b1eb8a7"),
 ]
 
 
@@ -563,6 +571,26 @@ def test_inverse_of_identity_above_4096(tmp_path, capsys):
     assert report["validation"]["valid"] is True
     assert report["inverse"]["alpha"] == orth.orth_identity(
         ab.FinAbGroup([2] * 7)).to_json()
+
+
+def _swap_rows(rank):
+    # (g, chi) -> (chi, g) coordinatewise: orthogonal, U_alpha = G x G
+    return [[1 if j == (i + rank) % (2 * rank) else 0
+             for j in range(2 * rank)] for i in range(2 * rank)]
+
+
+# U_alpha of the swap on Z2^7 has 2^14 elements, so its addition table
+# would have 2^28 entries: `brpic convert` ran past 20 s; it now exits 3.
+def test_u_alpha_over_the_table_cap_exits_3(tmp_path, capsys):
+    datum = {"T": [["1@1", "0@1"], ["0@1", "1@1"]],
+             "alpha": {"matrix": _swap_rows(7)}}
+    spec = _write(tmp_path, "swap7.json",
+                  _identity_spec(7) | {"datum": datum})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["brpic", "convert", "--spec", spec])
+    assert time.perf_counter() - start < 5
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert "U_alpha" in err
 
 
 def test_orth_report_over_the_psi_cap_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import time
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache, partial
@@ -91,6 +92,37 @@ def test_psi_alpha_cocycle_verdict_is_reached_once():
     assert (info.misses, info.hits) == (1, 3)
 
 
+def test_two_cocycle_is_checked_on_its_own_exponents(monkeypatch):
+    # a TwoCocycle's exponents go to cocycle_failure at its N and no scalar
+    # is lifted; a copy with one exponent moved, built past TwoCocycle's
+    # own check, is rejected exactly when the scalar oracle rejects it
+    mod = dict(hh.module_zoo())["Z2Z4_d1"]
+    GG = ab.direct_sum(mod.group, mod.group)
+    lifts = []
+    lift = CycloScalar.lift
+    monkeypatch.setattr(CycloScalar, "lift",
+                        lambda self, M: lifts.append(M) or lift(self, M))
+    rejected = 0
+    for alpha in bp.suite_alphas(mod)[:12]:
+        psi = orth.psi_alpha(alpha)
+        F = psi.domain.elements
+        data = hopf.CompatibleData(mod, None, None, None, None, F, psi)
+        assert data.psi_exps[0] == psi.N
+        assert hopf.compatible_violations(data) == []
+        a, b = F[-1].coords, F[len(F) // 2].coords
+        bad = object.__new__(orth.TwoCocycle)
+        for name in ("domain", "N"):
+            object.__setattr__(bad, name, getattr(psi, name))
+        object.__setattr__(bad, "exps", dict(psi.exps) | {
+            (a, b): psi.exps[(a, b)] + 1})
+        data = hopf.CompatibleData(mod, None, None, None, None, F, bad)
+        got = "psi_cocycle" in hopf.compatible_violations(data)
+        elems = [f.coords for f in F]
+        assert got == (not oracles.cocycle_ok(elems, GG.factors, data.psi))
+        rejected += got
+    assert lifts == [] and rejected > 0
+
+
 def test_tensor_host_cross_block_commutes():
     H = hopf.build_tensor_hopf(_sw(), hh.z4_module())
     assert H.dim == (1 << 2) * 2 * 4
@@ -100,6 +132,74 @@ def test_tensor_host_cross_block_commutes():
     assert H.mono_mul(v0, v0) == {}
     rep = hopf.check_hopf_axioms(H, rng=random.Random(0))
     assert rep["ok"], rep["failures"][:3]
+
+
+def _same_products(H, pairs):
+    """mono_mul agrees with the per-pair oracle on pairs, conductor and
+    (num, den) of every coefficient included."""
+    for i, j in pairs:
+        got = H.mono_mul(i, j)
+        want = oracles.host_mono_mul(H, i, j, CycloScalar)
+        assert list(got) == list(want), (H, i, j)
+        for k, c in want.items():
+            assert (got[k].N, got[k].num, got[k].den) == (c.N, c.num, c.den)
+
+
+def _sized_tables(H):
+    """The sizes of H's factor tables and memos."""
+    nG, masks, srank, flip, gtab, chi, roots = H._tables
+    return [len(t) for t in (masks, srank, flip, gtab or (), chi, *roots,
+                             H.index, H._com, H._anti)]
+
+
+def _module(factors, u, V):
+    G = ab.FinAbGroup(factors)
+    return la.GModuleV(G, G.element(u), [G.character(c) for c in V])
+
+
+def test_host_products_match_the_per_pair_oracle():
+    zoo = dict(hh.module_zoo())
+    hosts = [f(mod) for mod in zoo.values()
+             for f in (hopf.build_supergroup, hopf.doubled_host)]
+    hosts += [hopf.build_tensor_hopf(zoo["Z4_d2"], zoo["Z2Z4_d1"]),
+              hopf.build_tensor_hopf(zoo["Z2_d3"], zoo["Z2Z2_d1"])]
+    hosts = [H for H in hosts if H.dim <= 256]
+    assert len(hosts) == 20 and max(H.dim for H in hosts) == 256
+    for H in hosts:
+        before = _sized_tables(H)
+        _same_products(H, [(i, j) for i in range(H.dim)
+                           for j in range(H.dim)])
+        # no entry is kept: every table has the size it was built with
+        assert _sized_tables(H) == before
+        assert len(H._tables[5]) == H.dim
+
+
+@pytest.mark.parametrize("factors,u,V", [
+    ([2], [1], [[1]] * 15),                 # 2^15 subsets
+    ([2] * 15, [1] + [0] * 14, []),         # |G| = 2^15: no sum table
+    ([2] * 16, [1] + [0] * 15, []),         # |G| = 2^16, at the cap
+    ([65536], [32768], []),                 # one cyclic factor
+    ([1000], [500], [[1]]),                 # roots at conductor 1000
+], ids=["Z2_d15", "Z2^15", "Z2^16", "Z65536", "Z1000_d1"])
+def test_hosts_up_to_the_cap_build_fast_with_oracle_products(factors, u, V):
+    start = time.perf_counter()
+    H = hopf.build_supergroup(_module(factors, u, V))
+    assert time.perf_counter() - start < 3
+    assert H.dim <= 65536
+    assert max(_sized_tables(H)) <= max(H.dim, 4096)
+    rng = random.Random(22)
+    _same_products(H, [(rng.randrange(H.dim), rng.randrange(H.dim))
+                       for _ in range(2000)])
+
+
+def test_host_checks_call_no_group_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("host product called group arithmetic")
+    H = hopf.doubled_host(hh.z4_module())
+    monkeypatch.setattr(ab, "add", refuse)
+    monkeypatch.setattr(ab, "pair_value", refuse)
+    assert hopf.check_hopf_axioms(H)["ok"]
+    assert hopf.check_cop_iso(H)["ok"]
 
 
 def test_doubled_host_and_cop_iso():
