@@ -25,6 +25,7 @@ from . import abelian as ab
 from . import brpic as bp
 from . import cyclo
 from . import hopf
+from . import host
 from . import linalg as la
 from . import orth
 from .errors import BrpicError, CapacityError, DomainError, InputValidationError
@@ -334,15 +335,15 @@ def _suite_group_axioms(module, rng, count, bound, checks, lines):
 
 
 def _suite_hopf(module, rng, checks, lines):
-    B = hopf.doubled_host(module)  # an over-capacity host exits before work
-    H = hopf.build_supergroup(module)
-    rep = hopf.check_hopf_axioms(H, rng=rng)
+    B = host.doubled_host(module)  # an over-capacity host exits before work
+    H = host.build_supergroup(module)
+    rep = host.check_hopf_axioms(H, rng=rng)
     _check(checks, lines, "host_hopf_axioms", rep["ok"],
            f"dim {H.dim}" if rep["ok"] else str(rep["failures"][:3]))
-    rep = hopf.check_hopf_axioms(B, rng=rng)
+    rep = host.check_hopf_axioms(B, rng=rng)
     _check(checks, lines, "doubled_host_hopf_axioms", rep["ok"],
            f"dim {B.dim}" if rep["ok"] else str(rep["failures"][:3]))
-    rep = hopf.check_cop_iso(B)
+    rep = host.check_cop_iso(B)
     _check(checks, lines, "co_opposite_iso", rep["ok"],
            "" if rep["ok"] else str(rep["failures"][:3]))
     rep = hopf.check_diag_iso(H)
@@ -351,7 +352,7 @@ def _suite_hopf(module, rng, checks, lines):
 
 
 def _suite_comodule(module, rng, count, checks, lines):
-    hopf.doubled_host(module)  # an over-capacity host exits before drawing data
+    host.doubled_host(module)  # an over-capacity host exits before drawing data
     bad_build, bad_dim, bad_comod, bad_coinv, bad_gr = [], [], [], [], []
     for i in range(count):
         data = hopf.random_compatible_data(module, rng)

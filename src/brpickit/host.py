@@ -1,0 +1,522 @@
+"""Host Hopf algebras with skew group generators, and the sparse helpers
+the comodule-algebra layer (hopf) shares with them.
+
+The hosts are pointed algebras on basis (S, g): S an ascending tuple of
+generator indices, g a group element, ordered lexicographically.  Each
+generator v_i carries a character chi_i (so g v_i = chi_i(g) v_i g) and a
+group-like colabel c_i with Delta(v_i) = v_i x 1 + c_i x v_i.  Generators in
+the same block anticommute and square to zero; generators in different
+blocks commute.  Consistency of the coproduct with those relations forces
+chi_i(c_j) = -1 inside a block and +1 across blocks, which is validated at
+construction.  The doubled host of a module (V, u, G) is the tensor host of
+two copies of its supergroup host, with group G x G and blocks V1, V2.
+check_hopf_axioms and check_cop_iso verify a host and its co-opposite
+identification cop_phi, with located witnesses.
+
+Elements are sparse {key: scalar} dicts; a tensor is keyed by tuples of
+basis indices: H x H by (h1, h2), a coaction by (host index, basis index).
+One law checks every coaction (_coaction_law); a right coaction is flipped
+to that key order and checked over the co-opposite comultiplication.
+"""
+
+import itertools
+import random
+from functools import cache
+
+from . import abelian as ab
+from .cyclo import CycloScalar
+from .errors import CapacityError, DomainError, InputValidationError
+from .linalg import addin
+
+_ZERO = CycloScalar.zero(1)
+_ONE = CycloScalar.one(1)
+
+
+# -- sparse element helpers -------------------------------------------------
+
+def _scaled(d, c):
+    if c.is_zero():
+        return {}
+    return {k: c * v for k, v in d.items()}
+
+
+def _elem_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        addin(out, k, c)
+    return out
+
+
+def _apply(images, x):
+    """Linear extension of the basis map i -> images(i), applied to x."""
+    acc = {}
+    for i, c in x.items():
+        for k, c2 in images(i).items():
+            addin(acc, k, c * c2)
+    return acc
+
+
+def _mul(mono, x, y):
+    """Product of x and y from the basis product table mono(i, j)."""
+    acc = {}
+    for i, cx in x.items():
+        for j, cy in y.items():
+            for k, c in mono(i, j).items():
+                addin(acc, k, cx * cy * c)
+    return acc
+
+
+def _tensor_mul(mono_a, mono_b, t1, t2):
+    """Product in A x B of elements keyed by basis pairs (a, b)."""
+    acc = {}
+    for (a1, b1), c1 in t1.items():
+        for (a2, b2), c2 in t2.items():
+            pa = mono_a(a1, a2)
+            if not pa:
+                continue
+            pb = mono_b(b1, b2)
+            if not pb:
+                continue
+            c12 = c1 * c2
+            for a3, ca in pa.items():
+                c12a = c12 * ca
+                for b3, cb in pb.items():
+                    addin(acc, (a3, b3), c12a * cb)
+    return acc
+
+
+def _coaction_law(coact, comult, counit, i):
+    """(coassociative, counital) at basis i for a left coaction keyed
+    (host index, basis index): (Delta x id) lam == (id x lam) lam, and
+    (eps x id) lam(i) == i.  A right coaction rho is checked as the left
+    coaction lam = flip rho over the co-opposite comultiplication: reversing
+    the three tensor legs turns (rho x id) rho == (id x Delta) rho into
+    (id x lam) lam == (Delta^cop x id) lam."""
+    left, right, cu = {}, {}, {}
+    for (h, k), c in coact(i).items():
+        for (h1, h2), c2 in comult(h).items():
+            addin(left, (h1, h2, k), c * c2)
+        for (h2, k2), c2 in coact(k).items():
+            addin(right, (h, h2, k2), c * c2)
+        e = counit(h)
+        if not e.is_zero():
+            addin(cu, k, e * c)
+    return left == right, cu == {i: _ONE}
+
+
+def _recorder(cap=10):
+    """A failure list and note(kind, where) appending to it up to cap."""
+    failures = []
+
+    def note(kind, where=None):
+        if len(failures) < cap:
+            failures.append((kind, where))
+    return failures, note
+
+
+def _tuples(n, arity, rng, limit):
+    """All n^arity basis tuples when limit is None, else limit drawn by rng."""
+    if limit is None:
+        return list(itertools.product(range(n), repeat=arity))
+    return [tuple(rng.randrange(n) for _ in range(arity)) for _ in range(limit)]
+
+
+def _subsets(n):
+    return sorted(itertools.chain.from_iterable(
+        itertools.combinations(range(n), r) for r in range(n + 1)))
+
+
+# -- host Hopf algebras -----------------------------------------------------
+
+class HopfAlg:
+    """Pointed host algebra on basis (index tuple, group element).
+
+    The basis v_S g is sorted by (S, g.coords), so basis index i is
+    rank(S) |G| + rank(g): rank(S) is S's position among the sorted subsets
+    (_subsets) and rank(g) the position of g.coords in lexicographic order.
+    The product has the closed form
+
+        v_S1 g1 . v_S2 g2 = (-1)^p chi_S2(g1) v_(S1 u S2) (g1 + g2)
+
+    (zero when S1 and S2 meet), p the number of pairs a in S1, b in S2,
+    a > b in one block, and chi_S2(g1) = zeta_N^e, e the sum of
+    pair(chi_b, g1) over b in S2, N the exponent of the group.  mono_mul
+    computes each entry from the factor tables in _tables, none above
+    O(dim) entries, and keeps no memo of entries:
+    - masks[rank(S)], the bitmask of S, and srank[mask] = rank(S) |G|;
+    - flip[rank(S2)], the a whose pairs a > b, b in S2, in a's block are
+      odd in number, so p = popcount(mask(S1) & flip[rank(S2)]) mod 2;
+    - gtab[rank(g1) |G| + rank(g2)] = rank(g1 + g2) when |G| <= 64 (else
+      None, and _gsum adds the ranks digit by digit);
+    - chi[rank(S) |G| + rank(g)] = e, the dim character exponents;
+    - roots[p][e] = (-1)^p zeta_N^e, made on first use.
+    An entry with S2 empty is 1 at conductor 1; every other is +-zeta_N^e
+    at conductor N.  coaction_mul multiplies two tensors over the host from
+    the same tables, one host root per (term, subset) pair.
+    """
+
+    __slots__ = ("group", "chars", "colikes", "blocks", "modules", "kind",
+                 "nv", "basis", "index", "dim", "one_idx", "_tables", "_com",
+                 "_anti")
+
+    def __init__(self, group, chars, colikes, blocks, modules, kind):
+        chars = tuple(chars)
+        colikes = tuple(colikes)
+        nv = len(chars)
+        if len(colikes) != nv:
+            raise InputValidationError("one colabel per generator is required")
+        blocks = tuple(blocks)
+        if len(blocks) != nv:
+            raise InputValidationError("one block label per generator is required")
+        for i, chi in enumerate(chars):
+            if chi.parent != group:
+                raise DomainError(f"character {i} does not live in the host group")
+        for i, c in enumerate(colikes):
+            if c.parent != group:
+                raise DomainError(f"colabel {i} does not live in the host group")
+        N = group.exponent
+        for i in range(nv):
+            for j in range(nv):
+                # zeta_N^e is -1 exactly when 2e = N, and 1 when e = 0
+                e = ab.pair(chars[i], colikes[j])
+                if blocks[i] == blocks[j]:
+                    if 2 * e != N:
+                        raise DomainError(
+                            f"chi_{i}(c_{j}) must be -1 inside a block")
+                elif e:
+                    raise DomainError(
+                        f"chi_{i}(c_{j}) must be 1 across blocks")
+        nG = group.order
+        dim = (1 << nv) * nG
+        if dim > 65536:
+            raise CapacityError(f"host dimension {dim} exceeds the supported bound")
+        subsets = _subsets(nv)
+        els = list(group.elements())
+        basis = [(S, g) for S in subsets for g in els]
+        index = {(S, g.coords): i for i, (S, g) in enumerate(basis)}
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "chars", chars)
+        object.__setattr__(self, "colikes", colikes)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "modules", tuple(modules))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "nv", nv)
+        object.__setattr__(self, "basis", tuple(basis))
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "one_idx", index[((), group.zero().coords)])
+        object.__setattr__(self, "_com", {})
+        object.__setattr__(self, "_anti", {})
+
+        masks = [sum(1 << b for b in S) for S in subsets]
+        # adding b = max S2 flips every a > b in b's block; e of chi_S at
+        # every g by prefix over S, pair(chi_b, g) built factor by factor
+        flip = {(): 0}
+        rows = {(): [0] * nG}
+        for S in subsets[1:]:
+            b = S[-1]
+            flip[S] = flip[S[:-1]] ^ sum(1 << a for a in range(b + 1, nv)
+                                         if blocks[a] == blocks[b])
+            exps = [0]
+            for x, f in zip(chars[b].exps, group.factors):
+                exps = [e + c * x * (N // f) for e in exps for c in range(f)]
+            rows[S] = [(e + x) % N for e, x in zip(rows[S[:-1]], exps)]
+        gtab = None if nG > 64 else [self._gsum(x, y) for x in range(nG)
+                                     for y in range(nG)]
+        object.__setattr__(self, "_tables", (
+            nG, masks, dict(zip(masks, range(0, dim, nG))),
+            [flip[S] for S in subsets], gtab,
+            [e for S in subsets for e in rows[S]], ([None] * N, [None] * N)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HopfAlg is immutable")
+
+    def __repr__(self):
+        return f"HopfAlg(dim {self.dim}, {self.kind})"
+
+    def group_like(self, g) -> int:
+        return self.index[((), g.coords)]
+
+    def v_basis(self, i) -> int:
+        return self.index[((i,), self.group.zero().coords)]
+
+    def deg(self, i) -> int:
+        return len(self.basis[i][0])
+
+    def _gsum(self, r1, r2):
+        """rank(g1 + g2) from the ranks, digit by digit from the last."""
+        out, w = 0, 1
+        for f in reversed(self.group.factors):
+            r1, x = divmod(r1, f)
+            r2, y = divmod(r2, f)
+            out += w * ((x + y) % f)
+            w *= f
+        return out
+
+    def mono_mul(self, i, j):
+        """v_S1 g1 . v_S2 g2 for basis i and j, from the factor tables."""
+        nG, masks, srank, flip, gtab, chi, roots = self._tables
+        s1, r1 = divmod(i, nG)
+        s2, r2 = divmod(j, nG)
+        m1, m2 = masks[s1], masks[s2]
+        if m1 & m2:
+            return {}
+        k = srank[m1 | m2] + (gtab[r1 * nG + r2] if gtab
+                              else self._gsum(r1, r2))
+        if not s2:
+            return {k: _ONE}
+        p = (m1 & flip[s2]).bit_count() & 1
+        e = chi[j - r2 + r1]
+        return {k: roots[p][e] or self._root(p, e)}
+
+    def _root(self, p, e):
+        """(-1)^p zeta_N^e, made on first use and kept in roots[p][e]."""
+        roots = self._tables[6]
+        z = CycloScalar.root_of_unity(len(roots[0]), e)
+        roots[p][e] = z = -z if p else z
+        return z
+
+    def by_subset(self, t):
+        """The terms of t, keyed (host index, k), grouped by host subset:
+        a list of (rank(S), mask(S), [(rank(g), k, c), ...])."""
+        nG, masks = self._tables[:2]
+        groups = {}
+        for (h, k), c in t.items():
+            s, r = divmod(h, nG)
+            groups.setdefault(s, []).append((r, k, c))
+        return [(s, masks[s], terms) for s, terms in groups.items()]
+
+    def coaction_mul(self, t1, groups2, mul):
+        """t1 t2 in H x A, t1 and t2 keyed (host index, k), t2 given as
+        by_subset(t2) and A's basis product as mul(k1, k2): the value and
+        keys of _tensor_mul(mono_mul, mul, t1, t2).  A term of t1 meets a
+        group of t2 when the masks are disjoint, and the host root of
+        v_S1 g1 . v_S2 g2 depends on (S1, g1, S2) alone, so it is folded
+        into t1's coefficient once per group; zero sums are dropped at the
+        end."""
+        nG, masks, srank, flip, gtab, chi, roots = self._tables
+        acc = {}
+        for (h1, k1), c1 in t1.items():
+            s1, r1 = divmod(h1, nG)
+            m1 = masks[s1]
+            for s2, m2, terms in groups2:
+                if m1 & m2:
+                    continue
+                base = srank[m1 | m2]
+                c = c1
+                if s2:
+                    p = (m1 & flip[s2]).bit_count() & 1
+                    e = chi[s2 * nG + r1]
+                    c = c1 * (roots[p][e] or self._root(p, e))
+                for r2, k2, c2 in terms:
+                    prod = mul(k1, k2)
+                    if not prod:
+                        continue
+                    h = base + (gtab[r1 * nG + r2] if gtab
+                                else self._gsum(r1, r2))
+                    c12 = c * c2
+                    for k3, ck in prod.items():
+                        v = acc.get((h, k3))
+                        acc[(h, k3)] = c12 * ck if v is None else v + c12 * ck
+        return {key: v for key, v in acc.items() if not v.is_zero()}
+
+    def mul(self, x, y):
+        return _mul(self.mono_mul, x, y)
+
+    def tensor_mul(self, t1, t2):
+        return _tensor_mul(self.mono_mul, self.mono_mul, t1, t2)
+
+    def comult(self, i):
+        got = self._com.get(i)
+        if got is not None:
+            return got
+        S, g = self.basis[i]
+        gg = self.group_like(g)
+        acc = {(self.one_idx, self.one_idx): _ONE}
+        for s in S:
+            dv = {(self.v_basis(s), self.one_idx): _ONE,
+                  (self.group_like(self.colikes[s]), self.v_basis(s)): _ONE}
+            acc = self.tensor_mul(acc, dv)
+        acc = self.tensor_mul(acc, {(gg, gg): _ONE})
+        self._com[i] = acc
+        return acc
+
+    def comult_elem(self, x):
+        return _apply(self.comult, x)
+
+    def counit(self, i):
+        S, _ = self.basis[i]
+        return _ONE if not S else _ZERO
+
+    def counit_elem(self, x):
+        out = _ZERO
+        for i, c in x.items():
+            if not self.basis[i][0]:
+                out = out + c
+        return out
+
+    def antipode(self, i):
+        got = self._anti.get(i)
+        if got is not None:
+            return got
+        S, g = self.basis[i]
+        acc = {self.group_like(ab.neg(g)): _ONE}
+        for s in reversed(S):
+            ci = self.group_like(ab.neg(self.colikes[s]))
+            sv = _scaled(self.mono_mul(ci, self.v_basis(s)), -_ONE)
+            acc = self.mul(acc, sv)
+        self._anti[i] = acc
+        return acc
+
+    def antipode_elem(self, x):
+        return _apply(self.antipode, x)
+
+
+def check_hopf_axioms(H, rng=None):
+    """Verify the Hopf axioms on H basiswise; returns a report with witnesses.
+
+    Comultiplicativity of Delta runs over all basis pairs when dim H <= 72
+    and over max(400, 4 dim H) random pairs above; associativity over all
+    dim^3 basis triples when dim^3 <= 300 and over 300 random triples above.
+    """
+    rng = rng if rng is not None else random.Random(0)
+    failures, note = _recorder()
+
+    one = H.one_idx
+    for i in range(H.dim):
+        com = H.comult(i)
+        coassoc, counit_left = _coaction_law(H.comult, H.comult, H.counit, i)
+        if not coassoc:
+            note("coassoc", i)
+        cr = {}
+        for (a, b), c in com.items():
+            e = H.counit(b)
+            if not e.is_zero():
+                addin(cr, a, e * c)
+        if not counit_left or cr != {i: _ONE}:
+            note("counit", i)
+        sl = {}
+        sr = {}
+        for (a, b), c in com.items():
+            for k, c2 in H.mul(H.antipode(a), {b: _ONE}).items():
+                addin(sl, k, c * c2)
+            for k, c2 in H.mul({a: _ONE}, H.antipode(b)).items():
+                addin(sr, k, c * c2)
+        eps = H.counit(i)
+        target = {} if eps.is_zero() else {one: eps}
+        if sl != target or sr != target:
+            note("antipode", i)
+        # S^2 is conjugation by the colabels: parity on each generator
+        par = _ONE if len(H.basis[i][0]) % 2 == 0 else -_ONE
+        if H.antipode_elem(H.antipode(i)) != {i: par}:
+            note("antipode_square_parity", i)
+
+    if H.comult(one) != {(one, one): _ONE}:
+        note("comult_unit", one)
+
+    pairs = _tuples(H.dim, 2, rng, None if H.dim <= 72 else max(400, 4 * H.dim))
+    for i, j in pairs:
+        prod = H.mono_mul(i, j)
+        lhs = H.comult_elem(prod)
+        rhs = H.tensor_mul(H.comult(i), H.comult(j))
+        if lhs != rhs:
+            note("comult_mult", (i, j))
+        le = H.counit_elem(prod)
+        if le != H.counit(i) * H.counit(j):
+            note("counit_mult", (i, j))
+
+    triples = _tuples(H.dim, 3, rng, None if H.dim ** 3 <= 300 else 300)
+    for i, j, k in triples:
+        lhs = H.mul(H.mono_mul(i, j), {k: _ONE})
+        rhs = H.mul({i: _ONE}, H.mono_mul(j, k))
+        if lhs != rhs:
+            note("assoc", (i, j, k))
+
+    return {"ok": not failures, "failures": failures,
+            "checked_pairs": len(pairs), "checked_triples": len(triples)}
+
+
+# -- host constructors ------------------------------------------------------
+
+@cache
+def build_supergroup(module) -> HopfAlg:
+    """Host of a module (V, u, G): exterior V smashed with kG, colabels u."""
+    return HopfAlg(module.group, module.chars, (module.u,) * module.dim,
+                   blocks=(0,) * module.dim, modules=(module,),
+                   kind="supergroup")
+
+
+def build_tensor_hopf(m1, m2) -> HopfAlg:
+    """Tensor host of two modules over G1 x G2, blocks 0 and 1."""
+    GG = ab.direct_sum(m1.group, m2.group)
+    r1 = len(m1.group.factors)
+    r2 = len(m2.group.factors)
+    z1 = (0,) * r1
+    z2 = (0,) * r2
+    chars = tuple(GG.character(tuple(chi.exps) + z2) for chi in m1.chars) \
+        + tuple(GG.character(z1 + tuple(chi.exps)) for chi in m2.chars)
+    zero1 = m1.group.zero().coords
+    zero2 = m2.group.zero().coords
+    colikes = tuple(GG.element(tuple(m1.u.coords) + zero2)
+                    for _ in range(m1.dim)) \
+        + tuple(GG.element(zero1 + tuple(m2.u.coords)) for _ in range(m2.dim))
+    blocks = (0,) * m1.dim + (1,) * m2.dim
+    return HopfAlg(GG, chars, colikes, blocks=blocks, modules=(m1, m2),
+                   kind="tensor")
+
+
+@cache
+def doubled_host(module) -> HopfAlg:
+    """Tensor host of two copies of a module."""
+    return build_tensor_hopf(module, module)
+
+
+def cop_phi(H):
+    """The co-opposite identification v_i -> v_i c_i, g -> g, as basis images."""
+    out = []
+    for S, g in H.basis:
+        acc = {H.group_like(g): _ONE}
+        pre = {H.one_idx: _ONE}
+        for s in S:
+            img = H.mono_mul(H.v_basis(s), H.group_like(H.colikes[s]))
+            pre = H.mul(pre, img)
+        out.append(H.mul(pre, acc))
+    return out
+
+
+def check_cop_iso(H):
+    """Check that cop_phi is a bijective algebra map reversing the coproduct
+    (multiplicativity on all pairs up to dim 64, else on 2048 pairs drawn
+    with seed 0)."""
+    phi = cop_phi(H)
+    failures, note = _recorder()
+    pairs = _tuples(H.dim, 2, random.Random(0),
+                    None if H.dim * H.dim <= 4096 else 2048)
+    for i, j in pairs:
+        lhs = _apply(phi.__getitem__, H.mono_mul(i, j))
+        rhs = H.mul(phi[i], phi[j])
+        if lhs != rhs:
+            note("multiplicative", (i, j))
+    for i in range(H.dim):
+        lhs = H.comult_elem(phi[i])
+        rhs = {}
+        for (a, b), c in H.comult(i).items():
+            for a2, ca in phi[a].items():
+                for b2, cb in phi[b].items():
+                    addin(rhs, (b2, a2), c * ca * cb)
+        if lhs != rhs:
+            note("coproduct_reversal", i)
+        if H.counit_elem(phi[i]) != H.counit(i):
+            note("counit", i)
+    seen = {}
+    for i in range(H.dim):
+        if len(phi[i]) != 1:
+            note("not_monomial", i)
+            continue
+        k = next(iter(phi[i]))
+        if k in seen:
+            note("not_injective", (seen[k], i))
+        seen[k] = i
+    bij = len(seen) == H.dim and not any(f[0].startswith("not_") for f in failures)
+    return {"ok": not failures and bij, "bijective": bij,
+            "failures": failures, "checked_pairs": len(pairs)}

@@ -743,3 +743,118 @@ def rewrite_K_tables(data, host, scalar):
             acc = tensor_mul(acc, factor)
         coaction[i] = acc
     return mult, coaction
+
+
+# -- kernels of the comodule equations, every unknown eliminated ------------
+# Rows are sparse {column: scalar} dicts over the caller's scalars (is_zero,
+# inv, +, -, *); nothing is skipped, whatever the coaction tables hold.
+
+class _Reduced:
+    """The reduced row echelon form of the rows inserted so far: pivots
+    maps each pivot column (the least column of its row) to its row, and
+    order lists the pivot columns in insertion order."""
+
+    def __init__(self):
+        self.pivots = {}
+        self.order = []
+
+    def insert(self, row):
+        row = {k: c for k, c in row.items() if not c.is_zero()}
+        for p in [p for p in row if p in self.pivots]:
+            f = row[p]
+            for k, c in self.pivots[p].items():
+                v = row[k] - f * c if k in row else -(f * c)
+                if v.is_zero():
+                    row.pop(k, None)
+                else:
+                    row[k] = v
+        if not row:
+            return
+        q = min(row)
+        f = row[q].inv()
+        row = {k: f * c for k, c in row.items()}
+        for other in self.pivots.values():
+            g = other.get(q)
+            if g is None:
+                continue
+            for k, c in row.items():
+                v = other[k] - g * c if k in other else -(g * c)
+                if v.is_zero():
+                    other.pop(k, None)
+                else:
+                    other[k] = v
+        self.pivots[q] = row
+        self.order.append(q)
+
+
+def null_space(rows, n, zero, one):
+    """Dense basis of the common null space of rows in k^n: for each column
+    c that is not a pivot of their reduced form, 1 at c, 0 at the other
+    non-pivot columns, and minus each pivot row's entry at c at its pivot."""
+    red = _Reduced()
+    for row in rows:
+        red.insert(row)
+    basis = []
+    for c in range(n):
+        if c in red.pivots:
+            continue
+        v = [zero] * n
+        v[c] = one
+        for p, row in red.pivots.items():
+            if c in row:
+                v[p] = -row[c]
+        basis.append(v)
+    return basis
+
+
+def coinvariant_basis(coaction, one_idx, zero, one):
+    """Basis of {x : lam(x) = 1 x x} from null_space over every column:
+    coaction[i] maps (host index, k) to the coefficient in lam(i), and
+    one_idx is the host unit's index."""
+    n = len(coaction)
+    rows = {}
+    for i, lam in enumerate(coaction):
+        for key, c in lam.items():
+            row = rows.setdefault(key, {})
+            row[i] = row.get(i, zero) + c
+    for i in range(n):
+        row = rows.setdefault((one_idx, i), {})
+        row[i] = row.get(i, zero) - one
+    return null_space(rows.values(), n, zero, one)
+
+
+def cotensor_rows(lam_r, lam_l, parts_l, parts_k, uu, factors, zero, one):
+    """The reduced basis rows of the cotensor kernel in insertion order,
+    every block solved in full.  lam_r[i] maps (host index p, k) to the
+    coefficient of k x p in L's right coaction, lam_l[j] maps (p, k) to the
+    coefficient of p x k in K's left coaction, parts_l and parts_k are the
+    group-part coordinates of L's and K's basis, and uu the coordinates of
+    (u, u) in the group with cyclic factors factors.  The unknowns z_ij are
+    grouped by the classes {g, g + uu} of both group parts, blocks taken in
+    sorted class order and columns in basis order; each block's null space
+    goes into one reduced form keyed (i, j).  Returns (rows, number of
+    blocks)."""
+    def klass(g):
+        h = tuple((x + y) % f for x, y, f in zip(g, uu, factors))
+        return min(tuple(g), h), max(tuple(g), h)
+
+    lcl, kcl = {}, {}
+    for i, g in enumerate(parts_l):
+        lcl.setdefault(klass(g), []).append(i)
+    for j, g in enumerate(parts_k):
+        kcl.setdefault(klass(g), []).append(j)
+    red = _Reduced()
+    for ka in sorted(lcl):
+        for kb in sorted(kcl):
+            cols = [(i, j) for i in lcl[ka] for j in kcl[kb]]
+            rows = {}
+            for t, (i, j) in enumerate(cols):
+                for (p, k), c in lam_r[i].items():
+                    row = rows.setdefault((k, p, j), {})
+                    row[t] = row.get(t, zero) + c
+                for (p, k), c in lam_l[j].items():
+                    row = rows.setdefault((i, p, k), {})
+                    row[t] = row.get(t, zero) - c
+            for v in null_space(rows.values(), len(cols), zero, one):
+                red.insert({cols[t]: c for t, c in enumerate(v)})
+    return [red.pivots[q] for q in red.order], len(lcl) * len(kcl)

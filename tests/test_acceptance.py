@@ -9,6 +9,7 @@ import oracles
 from brpickit import abelian as ab
 from brpickit import brpic as bp
 from brpickit import hopf
+from brpickit import host
 from brpickit import linalg as la
 from brpickit import orth
 from brpickit.cyclo import CycloScalar
@@ -187,12 +188,12 @@ def test_criterion_07(capsys):
     zoo = hh.module_zoo()
     rng = random.Random(77)
     for name, module in zoo:
-        H = hopf.build_supergroup(module)
-        rep = hopf.check_hopf_axioms(H, rng=rng)
+        H = host.build_supergroup(module)
+        rep = host.check_hopf_axioms(H, rng=rng)
         ok = ok and rep["ok"]
     for m1, m2 in ((zoo[0][1], zoo[3][1]), (zoo[0][1], zoo[0][1])):
-        T = hopf.build_tensor_hopf(m1, m2)
-        rep = hopf.check_hopf_axioms(T, rng=rng)
+        T = host.build_tensor_hopf(m1, m2)
+        rep = host.check_hopf_axioms(T, rng=rng)
         ok = ok and rep["ok"]
     built = 0
     for seed in range(50):
@@ -259,7 +260,7 @@ def test_criterion_10(capsys):
     t0 = time.monotonic()
     ok = True
     for module in (hh.sweedler_module(), hh.z4_module()):
-        H = hopf.build_supergroup(module)
+        H = host.build_supergroup(module)
         rep = hopf.check_diag_iso(H)
         ok = ok and rep["ok"]
     _report(capsys, 10, ok,

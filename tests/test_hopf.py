@@ -13,6 +13,7 @@ from brpickit import abelian as ab
 from brpickit import brpic as bp
 from brpickit import cyclo
 from brpickit import hopf
+from brpickit import host
 from brpickit import linalg as la
 from brpickit import orth
 from brpickit.cyclo import CycloScalar
@@ -27,7 +28,7 @@ def _sw():
 
 
 def test_supergroup_dims_and_relations():
-    H = hopf.build_supergroup(_sw())
+    H = host.build_supergroup(_sw())
     assert H.dim == 4
     G = _sw().group
     e, u = G.zero(), G.generator(0)
@@ -45,12 +46,12 @@ def test_supergroup_dims_and_relations():
     assert H.counit(iv) == ZERO and H.counit(iu) == ONE
     # larger host dimension: (1 << dimV) * |G|
     m = hh.z4_module()
-    H4 = hopf.build_supergroup(la.GModuleV(m.group, m.u, list(m.chars) * 2))
+    H4 = host.build_supergroup(la.GModuleV(m.group, m.u, list(m.chars) * 2))
     assert H4.dim == (1 << 2) * 4
 
 
 def test_antipode_has_order_four():
-    H = hopf.build_supergroup(_sw())
+    H = host.build_supergroup(_sw())
     u = _sw().group.generator(0)
     iv = H.v_basis(0)
     vu = H.index[((0,), u.coords)]
@@ -66,15 +67,15 @@ def test_antipode_has_order_four():
 
 def test_hopf_axioms_small_hosts():
     for name, mod in hh.module_zoo()[:6]:
-        rep = hopf.check_hopf_axioms(hopf.build_supergroup(mod))
+        rep = host.check_hopf_axioms(host.build_supergroup(mod))
         assert rep["ok"], (name, rep["failures"][:3])
 
 
 def test_equal_modules_share_hosts_and_families():
     m1, m2 = hh.z4_module(), hh.z4_module()
     assert m1 is not m2 and m1 == m2 and hash(m1) == hash(m2)
-    assert hopf.build_supergroup(m1) is hopf.build_supergroup(m2)
-    assert hopf.doubled_host(m1) is hopf.doubled_host(m2)
+    assert host.build_supergroup(m1) is host.build_supergroup(m2)
+    assert host.doubled_host(m1) is host.doubled_host(m2)
     assert hopf.compatible_families(m1) is hopf.compatible_families(m2)
 
 
@@ -124,13 +125,13 @@ def test_two_cocycle_is_checked_on_its_own_exponents(monkeypatch):
 
 
 def test_tensor_host_cross_block_commutes():
-    H = hopf.build_tensor_hopf(_sw(), hh.z4_module())
+    H = host.build_tensor_hopf(_sw(), hh.z4_module())
     assert H.dim == (1 << 2) * 2 * 4
     v0, v1 = H.v_basis(0), H.v_basis(1)
     both = H.mono_mul(v0, v1)
     assert both == H.mono_mul(v1, v0)  # different blocks commute
     assert H.mono_mul(v0, v0) == {}
-    rep = hopf.check_hopf_axioms(H, rng=random.Random(0))
+    rep = host.check_hopf_axioms(H, rng=random.Random(0))
     assert rep["ok"], rep["failures"][:3]
 
 
@@ -160,9 +161,9 @@ def _module(factors, u, V):
 def test_host_products_match_the_per_pair_oracle():
     zoo = dict(hh.module_zoo())
     hosts = [f(mod) for mod in zoo.values()
-             for f in (hopf.build_supergroup, hopf.doubled_host)]
-    hosts += [hopf.build_tensor_hopf(zoo["Z4_d2"], zoo["Z2Z4_d1"]),
-              hopf.build_tensor_hopf(zoo["Z2_d3"], zoo["Z2Z2_d1"])]
+             for f in (host.build_supergroup, host.doubled_host)]
+    hosts += [host.build_tensor_hopf(zoo["Z4_d2"], zoo["Z2Z4_d1"]),
+              host.build_tensor_hopf(zoo["Z2_d3"], zoo["Z2Z2_d1"])]
     hosts = [H for H in hosts if H.dim <= 256]
     assert len(hosts) == 20 and max(H.dim for H in hosts) == 256
     for H in hosts:
@@ -183,7 +184,7 @@ def test_host_products_match_the_per_pair_oracle():
 ], ids=["Z2_d15", "Z2^15", "Z2^16", "Z65536", "Z1000_d1"])
 def test_hosts_up_to_the_cap_build_fast_with_oracle_products(factors, u, V):
     start = time.perf_counter()
-    H = hopf.build_supergroup(_module(factors, u, V))
+    H = host.build_supergroup(_module(factors, u, V))
     assert time.perf_counter() - start < 3
     assert H.dim <= 65536
     assert max(_sized_tables(H)) <= max(H.dim, 4096)
@@ -195,24 +196,24 @@ def test_hosts_up_to_the_cap_build_fast_with_oracle_products(factors, u, V):
 def test_host_checks_call_no_group_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("host product called group arithmetic")
-    H = hopf.doubled_host(hh.z4_module())
+    H = host.doubled_host(hh.z4_module())
     monkeypatch.setattr(ab, "add", refuse)
     monkeypatch.setattr(ab, "pair_value", refuse)
-    assert hopf.check_hopf_axioms(H)["ok"]
-    assert hopf.check_cop_iso(H)["ok"]
+    assert host.check_hopf_axioms(H)["ok"]
+    assert host.check_cop_iso(H)["ok"]
 
 
 def test_doubled_host_and_cop_iso():
-    B = hopf.doubled_host(_sw())
+    B = host.doubled_host(_sw())
     assert B.dim == 16
-    assert hopf.doubled_host(_sw()) is B  # cached
-    rep = hopf.check_cop_iso(B)
+    assert host.doubled_host(_sw()) is B  # cached
+    rep = host.check_cop_iso(B)
     assert rep["ok"], rep["failures"][:3]
-    rep = hopf.check_cop_iso(hopf.build_supergroup(hh.z4_module()))
+    rep = host.check_cop_iso(host.build_supergroup(hh.z4_module()))
     assert rep["ok"], rep["failures"][:3]
     # phi is an involution on basis monomials
-    H = hopf.build_supergroup(_sw())
-    phi = hopf.cop_phi(H)
+    H = host.build_supergroup(_sw())
+    phi = host.cop_phi(H)
     for i in range(H.dim):
         once = phi[i]
         acc = {}
@@ -227,7 +228,7 @@ def test_capacity_guard():
     chi = G.character((1,))
     big = la.GModuleV(G, G.generator(0), [chi] * 9)
     with pytest.raises(CapacityError):
-        hopf.doubled_host(big)
+        host.doubled_host(big)
 
 
 def _axis(m, positions, half):
@@ -518,7 +519,7 @@ def test_graded_algebra_matches_zero_beta_model():
 
 def test_diag_comodule_and_iso():
     for mod in (_sw(), hh.z4_module()):
-        H = hopf.build_supergroup(mod)
+        H = host.build_supergroup(mod)
         D = hopf.diag_comodule(H)
         assert D.dim == H.dim
         rep = hopf.check_comodule_algebra(D)
@@ -526,7 +527,7 @@ def test_diag_comodule_and_iso():
         rep = hopf.check_diag_iso(H)
         assert rep["ok"], rep["failures"][:3]
     # group-likes coact along the doubled diagonal
-    H = hopf.build_supergroup(_sw())
+    H = host.build_supergroup(_sw())
     D = hopf.diag_comodule(H)
     B = D.host
     u = _sw().group.generator(0)
@@ -556,14 +557,14 @@ def test_comodule_check_catches_corruption():
 
 def test_two_block_algebra_is_not_right_simple():
     G = ab.FinAbGroup([2])
-    host = hopf.build_supergroup(la.GModuleV(G, G.generator(0), []))
-    assert host.dim == 2
+    H = host.build_supergroup(la.GModuleV(G, G.generator(0), []))
+    assert H.dim == 2
     basis = [(g.coords, i) for i in range(2) for g in G.elements()]
     index = {lab: k for k, lab in enumerate(basis)}
     mult = {}
     coaction = {}
     for k, (gc, i) in enumerate(basis):
-        coaction[k] = {(host.group_like(G.element(gc)), k): ONE}
+        coaction[k] = {(H.group_like(G.element(gc)), k): ONE}
         for k2, (hc, j) in enumerate(basis):
             prod = {}
             if i == j:
@@ -571,7 +572,7 @@ def test_two_block_algebra_is_not_right_simple():
                 prod = {index[(s.coords, i)]: ONE}
             mult[(k, k2)] = prod
     unit = {index[((0,), 0)]: ONE, index[((0,), 1)]: ONE}
-    A = hopf.ComodAlg(host, basis, mult, coaction, unit)
+    A = hopf.ComodAlg(H, basis, mult, coaction, unit)
     rep = hopf.check_comodule_algebra(A)
     assert rep["ok"]
     assert rep["coinvariants_dim"] == 2  # one coinvariant line per block
@@ -613,7 +614,7 @@ def test_cotensor_dimension_and_iso_fixed():
 def test_cotensor_of_diagonal_models():
     # the diagonal comodule itself lives over the plain host, so the
     # cotensor constructor must reject it ...
-    H = hopf.build_supergroup(_sw())
+    H = host.build_supergroup(_sw())
     D = hopf.diag_comodule(H)
     with pytest.raises(DomainError, match="group-labeled"):
         hopf.cotensor(D, D)
@@ -778,8 +779,8 @@ def test_right_coaction_law_matches_reference():
         m = mod.dim
         L = hopf.build_L(mod, _graph(m, range(m), 1), None,
                          orth.orth_identity(mod.group))
-        H = hopf.build_supergroup(mod)
-        lam = hopf._induced_right(L, hopf.cop_phi(H),
+        H = host.build_supergroup(mod)
+        lam = hopf._induced_right(L, host.cop_phi(H),
                                   hopf._counit_legs(L.host, H, 1))
         cop = [{(b, a): c for (a, b), c in H.comult(h).items()}
                for h in range(H.dim)]
@@ -794,7 +795,7 @@ def test_right_coaction_law_matches_reference():
         dropped = [dict(x) for x in lam]
         del dropped[top][lead]
         for entries, want in ((lam, True), (scaled, False), (dropped, False)):
-            ours = all(hopf._coaction_law(entries.__getitem__, cop.__getitem__,
+            ours = all(host._coaction_law(entries.__getitem__, cop.__getitem__,
                                           H.counit, j) == (True, True)
                        for j in range(L.dim))
             ref = oracles.right_coaction_ok(
@@ -822,12 +823,12 @@ class _CountingRandom(random.Random):
 def test_associativity_triples_below_and_above_300():
     # dim^3 <= 300: all triples, drawing nothing; above: 300 random triples
     rng = _CountingRandom(0)
-    rep = hopf.check_hopf_axioms(hopf.build_supergroup(_sw()), rng=rng)
+    rep = host.check_hopf_axioms(host.build_supergroup(_sw()), rng=rng)
     assert rep["ok"] and rep["checked_triples"] == 64
     assert rng.draws == 0 and rng.getstate() == random.Random(0).getstate()
-    H = hopf.build_supergroup(dict(hh.module_zoo())["Z4_d2"])
+    H = host.build_supergroup(dict(hh.module_zoo())["Z4_d2"])
     rng = _CountingRandom(0)
-    rep = hopf.check_hopf_axioms(H, rng=rng)
+    rep = host.check_hopf_axioms(H, rng=rng)
     assert H.dim == 16 and rep["ok"] and rep["checked_triples"] == 300
     assert rng.draws == 900
 
@@ -835,17 +836,17 @@ def test_associativity_triples_below_and_above_300():
 def test_checked_pairs_below_and_above_each_threshold():
     # every pair up to dim 72 (Hopf axioms), dim^2 4096 (cop iso) and dim 24
     # (comodule algebras); max(400, 4 dim), 2048 and max(200, 4 dim) above
-    small = hopf.doubled_host(hh.z4_module())
-    big = hopf.doubled_host(dict(hh.module_zoo())["Z2Z4_d1"])
+    small = host.doubled_host(hh.z4_module())
+    big = host.doubled_host(dict(hh.module_zoo())["Z2Z4_d1"])
     assert (small.dim, big.dim) == (64, 256)
     for H, axiom_pairs, cop_pairs in ((small, 4096, 4096), (big, 1024, 2048)):
-        rep = hopf.check_hopf_axioms(H, rng=random.Random(0))
+        rep = host.check_hopf_axioms(H, rng=random.Random(0))
         assert rep["ok"] and rep["checked_pairs"] == axiom_pairs
-        rep = hopf.check_cop_iso(H)
+        rep = host.check_cop_iso(H)
         assert rep["ok"] and rep["checked_pairs"] == cop_pairs
     for mod, dim, pairs in ((dict(hh.module_zoo())["Z2Z2_d2"], 16, 256),
                             (_z2z4_d2(), 32, 200)):
-        A = hopf.diag_comodule(hopf.build_supergroup(mod))
+        A = hopf.diag_comodule(host.build_supergroup(mod))
         assert A.dim == dim
         rep = hopf.check_comodule_algebra(A, rng=random.Random(0))
         assert rep["ok"] and rep["checked_pairs"] == pairs
@@ -1169,3 +1170,176 @@ def test_action_exponents_are_computed_once_per_datum(monkeypatch):
     sizes = [len(orth.u_alpha(a).elements)
              for a in (d.alpha, dt.alpha, bp.rdatum_product(d, dt).alpha)]
     assert len(calls) == sum(sizes) and len(set(calls)) == 3
+
+
+# -- the group-like skip: cotensor and coinvariants against every column ---
+
+def _off_index_pair():
+    """(L, K) over Sweedler's doubled host, neither from build_K.  L is one
+    line e with lam(e) = 1 x e.  K is spanned by x and y with
+    a = 2x - y coinvariant and b = y - x of coaction h x b, h = (u, 0):
+    lam(x) = 1 x a + h x b and lam(y) = 1 x a + 2h x b, so lam(x) has
+    group-like terms at y, and L cotensor K is the line e x a."""
+    B = host.doubled_host(_sw())
+    zero = B.group.zero()
+    h = B.group_like(B.group.element((1, 0)))
+    one = B.one_idx
+    two = la.sc(2)
+    L = hopf.ComodAlg(B, ["e"], {}, {0: {(one, 0): ONE}}, {0: ONE}, [zero])
+    K = hopf.ComodAlg(B, ["x", "y"], {}, {
+        0: {(one, 0): two, (one, 1): -ONE, (h, 0): -ONE, (h, 1): ONE},
+        1: {(one, 0): two, (one, 1): -ONE, (h, 0): -two, (h, 1): two},
+    }, {0: two, 1: -ONE}, [zero, zero])
+    return L, K
+
+
+def _cotensor_legs(L, K):
+    """L's right and K's left coaction over the supergroup host, keyed
+    (host index, basis index), as cotensor reads them."""
+    H = host.build_supergroup(L.host.modules[0])
+    lam_r = hopf._induced_right(L, host.cop_phi(H),
+                                hopf._counit_legs(L.host, H, 1))
+    leg1 = hopf._counit_legs(L.host, H, 0)
+    lam_l = []
+    for j in range(K.dim):
+        d = {}
+        for (h, k), c in K.coact_basis(j).items():
+            if leg1[h] is not None:
+                key = (leg1[h][0], k)
+                d[key] = d.get(key, ZERO) + c
+        lam_l.append({key: c for key, c in d.items() if not c.is_zero()})
+    return lam_r, lam_l
+
+
+def _cotensor_cases():
+    """(name, L, K, W_product_dim): every suite alpha of every zoo module
+    over the zero sector against the identity's model; every pair of suite
+    alphas of Sweedler's and the Z2 x Z2 module with dim V 1 over the zero
+    sector, so that K's group parts differ between its two legs; and graph
+    data over every suite alpha of Sweedler's and the Z2 x Z2 modules
+    against graph data over the identity."""
+    zoo = dict(hh.module_zoo())
+    out = []
+    for name, mod in zoo.items():
+        ident = orth.orth_identity(mod.group)
+        K = hopf.build_L(mod, None, None, ident)
+        for k, alpha in enumerate(bp.suite_alphas(mod)):
+            out.append((f"{name}/{k}", hopf.build_L(mod, None, None, alpha),
+                        K, 0))
+    for name in ("Z2_d1", "Z2Z2_d1"):
+        mod = zoo[name]
+        models = [hopf.build_L(mod, None, None, alpha)
+                  for alpha in bp.suite_alphas(mod)]
+        for k1, L in enumerate(models):
+            for k2, K in enumerate(models):
+                out.append((f"{name}/{k1} {k2}", L, K, 0))
+    for name in ("Z2_d1", "Z2Z2_d1", "Z2Z2_d2"):
+        mod = zoo[name]
+        ident = orth.orth_identity(mod.group)
+        for k, alpha in enumerate(bp.suite_alphas(mod)):
+            # the first of six draws whose product has a graph sector
+            for s in range(6):
+                rng = random.Random(6000 + 10 * k + s)
+                d = hopf.random_graph_datum(mod, rng, alpha)
+                dt = hopf.random_graph_datum(mod, rng, ident)
+                wdim = bp.rdatum_product(d, dt).W.dim
+                if wdim:
+                    break
+            out.append((f"{name}/graph {k}",
+                        hopf.build_L(mod, d.W, d.beta, d.alpha),
+                        hopf.build_L(mod, dt.W, dt.beta, dt.alpha), wdim))
+    return out
+
+
+def test_cotensor_rows_match_the_unskipped_oracle(monkeypatch):
+    kernel = la.kernel_sparse_rows
+    solved = []
+    monkeypatch.setattr(la, "kernel_sparse_rows",
+                        lambda rows, n: solved.append(n) or kernel(rows, n))
+    cases = _cotensor_cases() + [("off index", *_off_index_pair(), 0)]
+    blocks = 0
+    for name, L, K, _wdim in cases:
+        C = hopf.cotensor(L, K)
+        lam_r, lam_l = _cotensor_legs(L, K)
+        uu = L.host.modules[0].u.coords * 2
+        want, n = oracles.cotensor_rows(
+            lam_r, lam_l, [g.coords for g in L.group_part],
+            [g.coords for g in K.group_part], uu, L.host.group.factors,
+            ZERO, ONE)
+        assert C.meta["echelon"].rows_by_pos == want, name
+        assert C.dim == len(want), name
+        blocks += n
+    assert C.dim == 1  # the off-index pair: no block may be skipped
+    assert sum(w > 0 for *_, w in cases) == 5  # Sweedler 1, Z2 x Z2 4
+    # most blocks are proved empty and never solved
+    assert len(solved) < blocks // 2, (len(solved), blocks)
+
+
+def test_coinvariants_match_the_full_kernel(monkeypatch):
+    kernel = la.kernel_sparse_rows
+    widths = []
+    monkeypatch.setattr(la, "kernel_sparse_rows",
+                        lambda rows, n: widths.append(n) or kernel(rows, n))
+    algebras = []
+    for name, data in _zoo_data():
+        K = hopf.build_K(data)
+        algebras += [(name, K), (f"{name}/graded", hopf.loewy_graded(K))]
+    for name, mod in hh.module_zoo()[:6]:
+        algebras.append((f"{name}/diag",
+                         hopf.diag_comodule(host.build_supergroup(mod))))
+    for name, L, K, _wdim in _cotensor_cases()[::9]:
+        algebras.append((f"{name}/cotensor", hopf.cotensor(L, K)))
+    L, K = _off_index_pair()
+    algebras += [("off index", K), ("off index/cotensor", hopf.cotensor(L, K))]
+    dims = 0
+    for name, A in algebras:
+        table = [A.coact_basis(i) for i in range(A.dim)]
+        want = oracles.coinvariant_basis(table, A.host.one_idx, ZERO, ONE)
+        widths.clear()
+        got = hopf.coinvariants(A)
+        assert got == want, name
+        dims += A.dim - widths[0]
+    widths.clear()
+    assert hopf.coinvariants(K) == [[la.sc(-2), ONE]]  # the line of a
+    assert widths == [2]  # nothing skipped on the off-index table
+    assert dims > 1000  # columns proved zero and left out
+
+
+def _tensor_mul_reference(H, t1, groups2, mul):
+    """coaction_mul's product by _tensor_mul on the ungrouped t2."""
+    nG = H.group.order
+    t2 = {(s * nG + r, k): c for s, _m, terms in groups2 for r, k, c in terms}
+    return host._tensor_mul(H.mono_mul, mul, t1, t2)
+
+
+def test_multiplicativity_products_match_tensor_mul(monkeypatch):
+    """coaction_mul gives _tensor_mul's value and keys on every pair of
+    every zoo K with dim <= 32, and check_comodule_algebra the same report
+    on it, and on its doubled-entry mutant, as with _tensor_mul."""
+    cases = terms = failed = 0
+    for name, data in _zoo_data():
+        K = hopf.build_K(data)
+        if K.dim > 32:
+            continue
+        H = K.host
+        for j in range(K.dim):
+            groups = H.by_subset(K.coact_basis(j))
+            for i in range(K.dim):
+                got = H.coaction_mul(K.coact_basis(i), groups, K.mul_basis)
+                want = _tensor_mul_reference(H, K.coact_basis(i), groups,
+                                             K.mul_basis)
+                assert set(got) == set(want), (name, i, j)
+                assert got == want, (name, i, j)
+                terms += len(got)
+        for A in [K] + ([_doubled_entry(K)] if data.rows else []):
+            rep = hopf.check_comodule_algebra(A, rng=random.Random(7))
+            with monkeypatch.context() as m:
+                m.setattr(host.HopfAlg, "coaction_mul", _tensor_mul_reference)
+                ref = hopf.check_comodule_algebra(A, rng=random.Random(7))
+            assert rep == ref, name
+            # every pair is checked up to dim 24, so the doubled entry is met
+            if A.dim <= 24:
+                assert rep["ok"] == (A is K), name
+            failed += not rep["ok"]
+            cases += 1
+    assert cases >= 200 and terms > 100000 and failed >= 60
