@@ -26,10 +26,17 @@ conditions that decide 'valid') runs the first time a datum is used and its
 verdict is cached on the immutable datum; operands, inputs and every product,
 inverse and conversion output read that cache.  The report
 (validate_odatum / validate_rdatum) adds the informational flags and is
-computed only on request.  Both kinds are checked in exponent form:
-D_{-x} T D_y has entries zeta^(e_j(y) - e_i(x)) T_ij, so T is moved to
-itself by (x, y) exactly when e_j(y) = e_i(x) mod N on the support of T,
-and W-stability and beta-invariance are linalg.pivot_exponents congruences.
+computed only on request.  Each question about the G x G action is a list
+of congruences t e[b] - s e[a] = k (mod N) on e = exponents(x) +
+exponents(y): _satisfies tests one pair (x, y), _first_pair finds the first
+in G x G.  D_x T D_y^{-1} scales T_ij by zeta^(s e_a(x) - t e_b(y)), a and
+b the indices of i and j mod dim V and s, t = -1 on V*, +1 on V, so each
+entry of T is one congruence (_entry_term).  (x, y) scales reduced row i
+of W (pivot p_i) by zeta^(e[p_i]) into a row with entries
+zeta^(e[j] - e[p_i]) W_ij and carries the form to
+zeta^-(e[p_i] + e[p_j]) gram_ij, so each entry of W and of the form is one
+too; R-datum validity reads them with k = 0 through
+linalg.pivot_exponents and linalg.form_invariant_under.
 Because the diagonal part of a product's U_alpha need not sit inside the
 factors' diagonal parts, every product, inverse and conversion output is
 still checked before it is returned, and a failure is raised loudly instead
@@ -65,7 +72,8 @@ def matrix_is_invertible(M) -> bool:
 
 def matrix_inverse(M):
     """M^-1 from one rref of [M | I].  M is invertible iff its columns are
-    the pivots; column j of the I block gets the ops of solve(M, e_j)."""
+    the pivots; column j of the I block gets the row operations that
+    solve M x = e_j."""
     n = len(M)
     if n == 0:
         return []
@@ -75,23 +83,33 @@ def matrix_inverse(M):
     return [r[n:] for r in R]
 
 
-def _moved_to_itself(mod: la.GModuleV, supp, pairs) -> bool:
-    """Whether D_{-x} T D_y = T on V+V* for every (x, y) in pairs, where
-    supp is the support of T: the entries are zeta^(e_j(y) - e_i(x)) T_ij,
-    so this is e_j(y) = e_i(x) mod N at every (i, j) in supp."""
+# -- the G x G action in exponent form --------------------------------------
+
+def _entry_term(m, i, j, k=0):
+    """The congruence under which D_x T D_y^{-1} scales T_ij by zeta^k,
+    m = dim V: s e_a(x) - t e_b(y) = k, so (a, s, m + b, t, -k)."""
+    return (i % m, 1 if i < m else -1, m + j % m, 1 if j < m else -1, -k)
+
+
+def _satisfies(mod: la.GModuleV, terms, pair) -> bool:
+    """Whether t e[b] - s e[a] = k mod N for every (a, s, b, t, k) in
+    terms, e = mod.exponents(x) + mod.exponents(y) for pair = (x, y)."""
     N = mod.group.exponent
-    terms = [_dual_index(mod, i) + _dual_index(mod, j) for i, j in supp]
-    for x, y in pairs:
-        ex, ey = mod.exponents(x), mod.exponents(y)
-        if any((t * ey[b] - s * ex[a]) % N for a, s, b, t in terms):
-            return False
-    return True
+    e = mod.exponents(pair[0]) + mod.exponents(pair[1])
+    return not any((t * e[b] - s * e[a] - k) % N for a, s, b, t, k in terms)
 
 
-def _dual_index(mod: la.GModuleV, i) -> tuple:
-    """Coordinate i of V+V* as (k, s): g acts on it by zeta^(s e_k(g)),
-    e = mod.exponents(g)."""
-    return (i, 1) if i < mod.dim else (i - mod.dim, -1)
+def _first_pair(mod: la.GModuleV, terms):
+    """The first (x, y) of G x G, x outer, that satisfies terms, or None."""
+    els = list(mod.group.elements())
+    return next(((x, y) for x in els for y in els
+                 if _satisfies(mod, terms, (x, y))), None)
+
+
+def _equivariant(d, pairs) -> bool:
+    """Whether D_{-x} T D_y = T for every (x, y) in pairs."""
+    terms = [_entry_term(d.module.dim, i, j) for i, j in la.support(d.T)]
+    return all(_satisfies(d.module, terms, p) for p in pairs)
 
 
 # -- datum containers -------------------------------------------------------
@@ -274,8 +292,7 @@ def _odatum_conditions(d: ODatum) -> dict:
         # A^t D = I makes both factors nonzero; only otherwise is a rank needed
         "invertible": ((b_zero and duality)
                        or matrix_is_invertible([list(r) for r in d.T])),
-        "equivariant": _moved_to_itself(mod, la.support(d.T),
-                                        [(z, z) for z in stab]),
+        "equivariant": _equivariant(d, [(z, z) for z in stab]),
         "B_zero": b_zero,
         "duality": duality,
     }
@@ -308,13 +325,11 @@ def validate_rdatum(d: RDatum) -> dict:
 
 def validate_odatum(d: ODatum) -> dict:
     """Per-condition report; 'valid' iff every binding condition passes."""
-    mod = d.module
     report = dict(binding_report(d))
-    supp = la.support(d.T)
-    report["equivariant_full_U"] = _moved_to_itself(
-        mod, supp, _pairs_of(orth.u_alpha(d.alpha)))
-    report["equivariant_full_diagonal"] = _moved_to_itself(
-        mod, supp, [(z, z) for z in mod.group.elements()])
+    report["equivariant_full_U"] = _equivariant(
+        d, _pairs_of(orth.u_alpha(d.alpha)))
+    report["equivariant_full_diagonal"] = _equivariant(
+        d, [(z, z) for z in d.module.group.elements()])
     return report
 
 
@@ -406,48 +421,29 @@ def _shifts(A, B, N):
     return out
 
 
-def translation(mod: la.GModuleV, rows, rows_t, gram, gram_t):
-    """A test of whether (x, y), acting on V+V, carries the reduced rows and
-    the form gram on them onto rows_t and gram_t; None when no pair can.
-
-    The image rows have entries zeta^(e_j - e_{p_i}) W_ij (pivots p_i) and
-    the carried form zeta^-(e_{p_i} + e_{p_j}) gram_ij (linalg), so the
-    shifts k of rows_t must be e_j - e_{p_i} and those of gram_t
-    -(e_{p_i} + e_{p_j}) mod N."""
-    N = mod.group.exponent
-    w_shifts = _shifts(rows, rows_t, N)
-    g_shifts = _shifts(gram, gram_t, N)
-    if w_shifts is None or g_shifts is None:
-        return None
-    piv = [next(j for j, x in enumerate(r) if not x.is_zero()) for r in rows]
-
-    def moves(pair):
-        e = la.action_exponents(mod, pair)
-        return (all((e[j] - e[piv[i]] - k) % N == 0 for (i, j), k in w_shifts)
-                and all((e[piv[i]] + e[piv[j]] + k) % N == 0
-                        for (i, j), k in g_shifts))
-    return moves
-
-
 def rdatum_equiv(d: RDatum, dt: RDatum):
-    """Search G x G for (x, y) moving valid d to valid dt, on exponents
-    (translation); (found, witness)."""
+    """Search G x G for (x, y) moving valid d to valid dt; (found,
+    witness)."""
     _valid_operands(d, dt, "first datum", "second datum")
     return _rdatum_search(d, dt)
 
 
 def _rdatum_search(d: RDatum, dt: RDatum):
-    """rdatum_equiv's search, on data valid or not."""
+    """rdatum_equiv's search, on data valid or not: each entry of dt's rows
+    and form is one congruence on the pivots p_i of W's rows."""
     if d.alpha != dt.alpha:
         return False, None
-    moves = translation(d.module, d.W.basis, dt.W.basis, d.beta.gram,
-                        dt.beta.gram)
-    if moves is not None:
-        for x in d.module.group.elements():
-            for y in d.module.group.elements():
-                if moves((x, y)):
-                    return True, (x, y)
-    return False, None
+    N = d.module.group.exponent
+    w_shifts = _shifts(d.W.basis, dt.W.basis, N)
+    g_shifts = _shifts(d.beta.gram, dt.beta.gram, N)
+    if w_shifts is None or g_shifts is None:
+        return False, None
+    piv = [la.support([r])[0][1] for r in d.W.basis]
+    pair = _first_pair(d.module,
+                       [(piv[i], 1, j, 1, k) for (i, j), k in w_shifts]
+                       + [(piv[i], 1, piv[j], -1, k)
+                          for (i, j), k in g_shifts])
+    return pair is not None, pair
 
 
 def odatum_equiv(d: ODatum, dt: ODatum):
@@ -458,28 +454,17 @@ def odatum_equiv(d: ODatum, dt: ODatum):
 
 
 def _odatum_search(d: ODatum, dt: ODatum):
-    """odatum_equiv's search, on data valid or not.
-
-    D_x T D_y^{-1} has entries zeta^(e_i(x) - e_j(y)) T_ij, so the supports
-    must agree, and each T'_ij = zeta^k T_ij (T_ij nonzero) fixes k mod N;
-    the search then compares exponents only.
-    """
+    """odatum_equiv's search, on data valid or not: the supports must
+    agree, and each T'_ij = zeta^k T_ij is one congruence (_entry_term)."""
     if d.alpha != dt.alpha:
         return False, None
-    mod = d.module
-    N = mod.group.exponent
-    shifts = _shifts(d.T, dt.T, N)
+    shifts = _shifts(d.T, dt.T, d.module.group.exponent)
     if shifts is None:
         return False, None
-    terms = [_dual_index(mod, i) + _dual_index(mod, j) + (k,)
-             for (i, j), k in shifts]
-    for x in mod.group.elements():
-        ex = mod.exponents(x)
-        for y in mod.group.elements():
-            ey = mod.exponents(y)
-            if all((s * ex[a] - t * ey[b] - k) % N == 0 for a, s, b, t, k in terms):
-                return True, (x, y)
-    return False, None
+    m = d.module.dim
+    pair = _first_pair(d.module, [_entry_term(m, i, j, k)
+                                  for (i, j), k in shifts])
+    return pair is not None, pair
 
 
 # -- the Lagrangian encoding ------------------------------------------------
@@ -581,17 +566,6 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
            59, 61, 67, 71, 73, 79, 83, 89, 97, 101)
 
 
-def _char_eq_on(module, i, j, elements):
-    """chi_i = chi_j on elements."""
-    return all(e[i] == e[j] for e in map(module.exponents, elements))
-
-
-def _char_product_trivial_on(module, i, j, elements):
-    """chi_i chi_j = 1 on elements."""
-    N = module.group.exponent
-    return all((e[i] + e[j]) % N == 0 for e in map(module.exponents, elements))
-
-
 class BrPicDescription:
     """Finite summary: one block-dimension report per admissible alpha."""
 
@@ -640,11 +614,12 @@ def describe_brpic(module: la.GModuleV, bound: int = 256) -> BrPicDescription:
     dm = module.dim
     components = []
     for alpha in admissible_alphas(module, bound):
-        stab = orth.diagonal_stabilizer(alpha)
-        allowed_a = [(i, j) for i in range(dm) for j in range(dm)
-                     if _char_eq_on(module, i, j, stab)]
-        allowed_c = [(i, j) for i in range(dm) for j in range(dm)
-                     if _char_product_trivial_on(module, i, j, stab)]
+        pairs = [(z, z) for z in orth.diagonal_stabilizer(alpha)]
+        # the positions of the A and C blocks that S_alpha keeps
+        allowed_a, allowed_c = (
+            [(i, j) for i in range(dm) for j in range(dm)
+             if all(_satisfies(module, [_entry_term(dm, off + i, j)], p)
+                    for p in pairs)] for off in (0, dm))
         # generic equivariant A: distinct primes at the allowed positions
         A0 = [[_ZERO] * dm for _ in range(dm)]
         for k, (i, j) in enumerate(allowed_a):
@@ -772,9 +747,8 @@ def random_odatum(module: la.GModuleV, rng, alpha: orth.OrthAut = None,
             break
         except NotInvertibleError:
             pass
-    elements = list(G.elements())
-    triv = [[_char_product_trivial_on(module, i, j, elements)
-             for j in range(dm)] for i in range(dm)]
+    triv = [[all(_satisfies(module, [_entry_term(dm, dm + i, j)], (z, z))
+                 for z in G.elements()) for j in range(dm)] for i in range(dm)]
     M = [[_ZERO] * dm for _ in range(dm)]
     for i in range(dm):
         for j in range(i, dm):

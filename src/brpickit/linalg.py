@@ -5,8 +5,8 @@ row-reduced echelon bases (zero rows dropped, pivots normalized to 1 and
 cleared above), so two equal subspaces have literally equal bases and
 equality is entrywise comparison.
 
-Two elimination engines.  The dense rref is the one behind Subspace, kernel,
-solve and the matrix inverse: the conductor that to_json prints for a scalar
+Two elimination engines.  The dense rref is the one behind Subspace, kernel
+and the matrix inverse: the conductor that to_json prints for a scalar
 comes from its arithmetic history, so printed entries must keep going
 through this elimination (a sparse rref turned printed 0@4 entries into 0@1).
 Echelon is the incremental sparse engine, used by kernel_sparse_rows and the
@@ -57,10 +57,6 @@ def sc(x) -> CycloScalar:
 
 def mat(rows):
     return [[sc(x) for x in row] for row in rows]
-
-
-def vec(entries):
-    return [sc(x) for x in entries]
 
 
 # -- matrix operations -----------------------------------------------------
@@ -154,28 +150,6 @@ def kernel(M) -> "Subspace":
             v[p] = -R[i][f]
         basis.append(v)
     return Subspace(ncols, basis)
-
-
-def solve(A, b):
-    """One exact solution x of Ax = b (free variables set to 0).
-
-    Raises DomainError if the system is inconsistent.
-    """
-    A = mat(A)
-    b = vec(b)
-    if len(A) != len(b):
-        raise DomainError("solve: row count does not match rhs length")
-    if not A:
-        return []
-    ncols = len(A[0])
-    aug = [row + [bb] for row, bb in zip(A, b)]
-    R, pivots = rref(aug)
-    if ncols in pivots:
-        raise DomainError("inconsistent linear system")
-    x = [_ZERO] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = R[i][ncols]
-    return x
 
 
 def addin(acc, key, c):
@@ -289,20 +263,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def coords_of(self, v):
-        """Coefficients of v against the stored basis (DomainError if outside)."""
-        v = list(vec(v))
-        coeffs = []
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if not x.is_zero())
-            f = v[p]
-            coeffs.append(f)
-            if not f.is_zero():
-                v = [x - f * y for x, y in zip(v, row)]
-        if not all(x.is_zero() for x in v):
-            raise DomainError("vector is not in the subspace")
-        return coeffs
 
     def equals(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:

@@ -246,14 +246,14 @@ def enumerate_orth(G: FinAbGroup, bound: int = 256):
 
 
 class TwistedSubgroup:
-    """The subgroup U_alpha of G x G, with a chosen section back to G+G^.
+    """The subgroup U_alpha of G x G.
 
     Its closure is checked on the full |U| x |U| addition table, so a U
     with |U|^2 above MAX_DSUM_ORDER is refused first (CapacityError)."""
 
-    __slots__ = ("group", "pair_group", "elements", "section", "law")
+    __slots__ = ("group", "pair_group", "elements", "law")
 
-    def __init__(self, group: FinAbGroup, elements, section):
+    def __init__(self, group: FinAbGroup, elements):
         pair_group = ab.direct_sum(group, group)
         elements = tuple(sorted(elements, key=lambda e: e.coords))
         if len(elements) ** 2 > MAX_DSUM_ORDER:
@@ -269,7 +269,6 @@ class TwistedSubgroup:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "pair_group", pair_group)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "section", dict(section))
         object.__setattr__(self, "law", law)
 
     def __setattr__(self, name, value):
@@ -296,17 +295,12 @@ def _alpha_table(alpha: OrthAut):
 
 @cache
 def u_alpha(alpha: OrthAut) -> TwistedSubgroup:
-    """U_alpha = {(alpha_1(x), g_x)} with a first-found section per element."""
+    """U_alpha = {(alpha_1(x), g_x)}."""
     G = alpha.group
     n = G.rank
-    D = dsum_group(G)
     GG = ab.direct_sum(G, G)
-    section = {}
-    for x, y in _alpha_table(alpha):
-        p = y[:n] + x[:n]
-        if p not in section:
-            section[p] = GroupElement(D, x)
-    return TwistedSubgroup(G, [GroupElement(GG, p) for p in section], section)
+    pairs = {y[:n] + x[:n] for x, y in _alpha_table(alpha)}
+    return TwistedSubgroup(G, [GroupElement(GG, p) for p in pairs])
 
 
 def u_order(alpha: OrthAut) -> int:

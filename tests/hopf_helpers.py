@@ -14,7 +14,7 @@ ZERO = CycloScalar.zero(1)
 
 def in_span(S, v):
     """Whether v lies in the subspace S: adding it leaves the dimension."""
-    return la.Subspace(S.ambient_dim, [*S.basis, la.vec(v)]).dim == S.dim
+    return la.Subspace(S.ambient_dim, [*S.basis, v]).dim == S.dim
 
 
 def module_zoo():

@@ -84,6 +84,29 @@ def admissible_matrices(factors, u, matrices):
             if any(apply_matrix(factors, M, u + chi)[:n] == u for chi in chis)]
 
 
+def describe_dims(factors, chars, M):
+    """(A_dim, C_dim) of the alpha with matrix M over the module whose
+    characters have exponent tuples chars.  S = {z : (z, z) in U_alpha} is
+    the z with alpha_1(z, chi) = z for some chi.  A_dim counts the (i, j)
+    with chi_i = chi_j on S.  C_dim counts the i <= j with chi_i chi_j = 1
+    on S, the dimension of the symmetric forms supported there: for each
+    invertible S-equivariant A, C -> A^t C maps the C supported there with
+    C^t A symmetric onto those forms."""
+    n = len(factors)
+    N = lcm(*factors)
+    els = list(itertools.product(*[range(f) for f in factors]))
+    S = [z for z in els
+         if any(apply_matrix(factors, M, z + chi)[:n] == z for chi in els)]
+    e = [[sum(c * g * (N // f) for c, g, f in zip(chi, z, factors)) % N
+          for chi in chars] for z in S]
+    m = len(chars)
+    a_dim = sum(all(ez[i] == ez[j] for ez in e)
+                for i in range(m) for j in range(m))
+    c_dim = sum(all((ez[i] + ez[j]) % N == 0 for ez in e)
+                for i in range(m) for j in range(i, m))
+    return a_dim, c_dim
+
+
 def greedy_suite(factors, admissible):
     """The product-closed subgroup of the admissible matrices that seeded
     suites draw from, by composing matrices.
@@ -177,8 +200,8 @@ def dense_equiv(T, Tt, elements, exps, root, zero):
 
 # -- dense reference for the diagonal action on subspaces and forms -------
 # The package's earlier computations, replaced by pivot-exponent congruences.
-# W is the caller's subspace (ambient_dim, basis, dim, equals, coords_of),
-# whose type builds a reduced subspace from rows; exps lists the exponents
+# W is the caller's subspace (ambient_dim, basis, dim, equals), whose type
+# builds a reduced subspace from rows; exps lists the exponents
 # e_i by which one group element acts, root(k) is zeta_N^k, zero the zero.
 
 def dense_act(exps, v, root):
@@ -205,7 +228,7 @@ def dense_act_matrix(sectors, exps, root, zero, onto=None):
     out, off = [], 0
     for S, T in zip(sectors, onto):
         for row in S.basis:
-            local = T.coords_of(dense_act(exps, row, root))
+            local = coords_of(T.basis, dense_act(exps, row, root))
             dense = [zero] * n
             dense[off:off + len(local)] = local
             out.append(dense)
@@ -397,8 +420,57 @@ def _divmod(num, den):
 # The package's earlier computations, kept as references for the ones that
 # replaced them.  They drive the caller's own objects: a subspace has
 # ambient_dim, dim and basis, and its type builds a reduced subspace from
-# rows; kernel(M) is the null space of M as such a subspace, solve(A, b)
-# one exact solution of A x = b, and zero and one the caller's scalars.
+# rows; kernel(M) is the null space of M as such a subspace, and zero and
+# one the caller's scalars, which need is_zero, inv, + and *.
+
+def solve(A, b, zero):
+    """One exact solution x of A x = b, free unknowns 0; ValueError when
+    the system is inconsistent.  Gauss-Jordan on [A | b]: per column, the
+    first row with a nonzero entry is swapped up and scaled by the inverse
+    of its pivot, and every other row r with a nonzero entry f there becomes
+    r - f * pivot row, so each entry has the arithmetic history, and the
+    conductor, that the package's dense elimination gives it."""
+    rows = [list(r) + [c] for r, c in zip(A, b)]
+    if not rows:
+        return []
+    n = len(rows[0]) - 1
+    pivots = []
+    for c in range(n + 1):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()),
+                 None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and not row[c].is_zero():
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    if n in pivots:
+        raise ValueError("inconsistent linear system")
+    x = [zero] * n
+    for row, p in zip(rows, pivots):
+        x[p] = row[n]
+    return x
+
+
+def coords_of(basis, v):
+    """Coefficients of v against a reduced basis: each row's pivot entry of
+    what is left of v, that row times it taken off in turn; ValueError when
+    anything is left at the end."""
+    coeffs = []
+    for row in basis:
+        f = v[next(i for i, x in enumerate(row) if not x.is_zero())]
+        coeffs.append(f)
+        if not f.is_zero():
+            v = [x - f * y for x, y in zip(v, row)]
+    if not all(x.is_zero() for x in v):
+        raise ValueError("vector is not in the subspace")
+    return coeffs
 
 def intersect(A, B, kernel, zero):
     """A & B, spanned by s.A over the coefficient pairs (s, t) with
@@ -436,7 +508,7 @@ def axis_intersection_dims(W, kernel, zero):
             intersect(W, axis2, kernel, zero).dim)
 
 
-def compose_by_intersection(W, Wt, kernel, solve, zero, one):
+def compose_by_intersection(W, Wt, kernel, zero, one):
     """(composite, middles) of the relations W, Wt inside V+V: both are
     embedded in V+V+V, intersected there and projected to the outer blocks,
     and each composite basis row is lifted back by a solve to read off its
@@ -465,19 +537,18 @@ def compose_by_intersection(W, Wt, kernel, solve, zero, one):
     middles = []
     for crow in composite.basis:
         middle = [zero] * d
-        for lam, xrow in zip(solve(Ot, crow), X.basis):
+        for lam, xrow in zip(solve(Ot, crow, zero), X.basis):
             if not lam.is_zero():
                 middle = [m + lam * xrow[d + i] for i, m in enumerate(middle)]
         middles.append(middle)
     return composite, middles
 
 
-def bullet_by_intersection(W, beta, Wt, betat, kernel, solve, zero, one):
+def bullet_by_intersection(W, beta, Wt, betat, kernel, zero, one):
     """The form beta . betat on the composite, evaluated through each basis
     row's witness from compose_by_intersection; beta and betat are read
     through form_value and their type builds a form from (space, gram)."""
-    composite, middles = compose_by_intersection(W, Wt, kernel, solve, zero,
-                                                 one)
+    composite, middles = compose_by_intersection(W, Wt, kernel, zero, one)
     d = W.ambient_dim // 2
     left = [list(c[:d]) + m for c, m in zip(composite.basis, middles)]
     right = [m + list(c[d:]) for c, m in zip(composite.basis, middles)]
@@ -489,10 +560,9 @@ def bullet_by_intersection(W, beta, Wt, betat, kernel, solve, zero, one):
 
 def form_value(beta, v, w, zero):
     """x^T gram y, x and y the coordinates of v and w in the basis of the
-    form's space; beta is read only through beta.space.coords_of and
-    beta.gram.  Zero terms are skipped, so a zero value is zero itself,
+    form's space (coords_of on beta.space.basis) and beta.gram.  Zero terms are skipped, so a zero value is zero itself,
     at zero's conductor."""
-    x, y = beta.space.coords_of(v), beta.space.coords_of(w)
+    x, y = coords_of(beta.space.basis, v), coords_of(beta.space.basis, w)
     total = zero
     for a, row in zip(x, beta.gram):
         for g, b in zip(row, y):
@@ -501,10 +571,10 @@ def form_value(beta, v, w, zero):
     return total
 
 
-def inverse_by_solves(M, solve, one, zero):
+def inverse_by_solves(M, one, zero):
     """M^-1 column by column: column j is solve(M, e_j)."""
     n = len(M)
-    cols = [solve(M, [one if i == j else zero for i in range(n)])
+    cols = [solve(M, [one if i == j else zero for i in range(n)], zero)
             for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 

@@ -153,8 +153,8 @@ def test_addition_table_none_when_not_closed():
 def test_twisted_subgroup_closure_errors(monkeypatch):
     GG = ab.direct_sum(Z4, Z4)
     with pytest.raises(DomainError, match="not closed under the product"):
-        orth.TwistedSubgroup(Z4, [GG.zero(), GG.element([1, 1])], {})
-    U = orth.TwistedSubgroup(Z4, [GG.element([k, k]) for k in range(4)], {})
+        orth.TwistedSubgroup(Z4, [GG.zero(), GG.element([1, 1])])
+    U = orth.TwistedSubgroup(Z4, [GG.element([k, k]) for k in range(4)])
     assert (3, 3) in U.law[0] and (1, 0) not in U.law[0]
     # a finite list closed under + is a subgroup, so the inverse check can
     # only fire on a law that is not a group law: x + y = x
@@ -162,7 +162,7 @@ def test_twisted_subgroup_closure_errors(monkeypatch):
         {e.coords: k for k, e in enumerate(els)},
         [[k] * len(els) for k in range(len(els))]))
     with pytest.raises(DomainError, match="not closed under inverses"):
-        orth.TwistedSubgroup(Z4, [GG.zero(), GG.element([1, 1])], {})
+        orth.TwistedSubgroup(Z4, [GG.zero(), GG.element([1, 1])])
 
 
 def test_non_integer_factors_and_coordinates_refused():

@@ -184,7 +184,7 @@ def test_sweedler_bullet_value_and_sigma_cross_check():
     dt = sweedler_rdatum(at, ct)
     prod = bp.rdatum_product(d, dt)
     # composite graph {(a a' v, v)} carries the value a a'^2 c + a' c'
-    graph_vec = [a * at, 1]
+    graph_vec = [la.sc(a * at), la.sc(1)]
     expected = la.sc(a * at * at * c + at * ct)
     assert hh.in_span(prod.W, graph_vec)
     assert prod.W.dim == 1
@@ -366,7 +366,8 @@ def test_odatum_to_rdatum_examples():
     assert bp.odatum_to_rdatum(bp.identity_odatum(mod)) == bp.identity_rdatum(mod)
     d = sweedler_rdatum(3, 5)
     assert hh.in_span(d.W, [3, 1])
-    assert oracles.form_value(d.beta, [3, 1], [3, 1], ZERO) == la.sc(15)
+    v = [la.sc(3), la.sc(1)]
+    assert oracles.form_value(d.beta, v, v, ZERO) == la.sc(15)
     neg = bp.ODatum(mod, [[-1, 0], [0, -1]], orth.orth_identity(mod.group))
     r = bp.odatum_to_rdatum(neg)
     assert hh.in_span(r.W, [-1, 1])
@@ -459,6 +460,25 @@ def test_describe_z4():
         ((1, 0), (0, 1)): (1, 0),
         ((3, 0), (0, 3)): (1, 1),
     }
+
+
+def test_describe_dims_match_the_oracle():
+    # every zoo module, every admissible alpha, against the count of
+    # positions read off the characters and the matrix alone
+    seen = set()
+    for name, mod in hh.module_zoo():
+        factors = mod.group.factors
+        chars = [chi.exps for chi in mod.chars]
+        desc = bp.describe_brpic(mod)
+        matrices = [a.hom.matrix for a in orth.enumerate_orth(mod.group)]
+        assert [c["alpha"].hom.matrix for c in desc.components] == \
+            oracles.admissible_matrices(factors, mod.u.coords, matrices), name
+        for c in desc.components:
+            dims = (c["A_dim"], c["C_dim"])
+            assert dims == oracles.describe_dims(
+                factors, chars, c["alpha"].hom.matrix), (name, c["alpha"])
+            seen.add(dims)
+    assert {a for a, _ in seen} >= {1, 2, 4} and {c for _, c in seen} >= {0, 1, 3}
 
 
 def test_describe_dim_zero():
@@ -894,8 +914,7 @@ def test_matrix_inverse_matches_solves():
         assert la.product(M, Mi) == bp.identity_matrix(n)
         assert la.product(Mi, M) == bp.identity_matrix(n)
         # entry for entry, conductors included
-        assert _json(Mi) == _json(oracles.inverse_by_solves(
-            M, la.solve, one, ZERO))
+        assert _json(Mi) == _json(oracles.inverse_by_solves(M, one, ZERO))
         seen.update(x.to_string() for r in Mi for x in r)
     assert "0@1" in seen and "0@4" in seen
     assert bp.matrix_inverse([]) == []
@@ -969,13 +988,13 @@ def _cyclic_module(N, exps):
 
 
 def _compose_reference(W, Wt):
-    return oracles.compose_by_intersection(W, Wt, la.kernel, la.solve, ZERO,
+    return oracles.compose_by_intersection(W, Wt, la.kernel, ZERO,
                                            CycloScalar.one(1))[0]
 
 
 def _bullet_reference(W, beta, Wt, betat):
     return oracles.bullet_by_intersection(W, beta, Wt, betat, la.kernel,
-                                          la.solve, ZERO, CycloScalar.one(1))
+                                          ZERO, CycloScalar.one(1))
 
 
 def _composition_outputs(data):

@@ -766,6 +766,55 @@ def test_random_cotensor_sweep():
         assert rep["ok"], (seed, rep["failures"][:3])
 
 
+def test_cotensor_witnesses_are_read_at_each_factors_pivots():
+    # W and W~ spanned by graph lines e_i + t e_(m+i) on different
+    # generators, so their pivots differ, with a composite that is not 0:
+    # a witness read at the wrong pivots, or off the composite row instead
+    # of v2, fails the relation, image or comodule-map checks
+    zoo = dict(hh.module_zoo())
+    rng = random.Random(83)
+    checked = {}
+    for name in ("Z2_d2", "Z2_d3", "Z4_d2", "Z2Z2_d2"):
+        mod = zoo[name]
+        alphas = bp.suite_alphas(mod)
+        ident = orth.orth_identity(mod.group)
+        while checked.get(name, 0) < 4:
+            d = hopf.random_graph_datum(mod, rng,
+                                        alphas[rng.randrange(len(alphas))])
+            dt = hopf.random_graph_datum(mod, rng, ident)
+            pivots = [[la.support([r])[0][1] for r in S.W.basis]
+                      for S in (d, dt)]
+            if (pivots[0] == pivots[1]
+                    or not bp.rdatum_product(d, dt).W.dim):
+                continue
+            rep = hopf.verify_cotensor_iso(d, dt)
+            assert rep["ok"], (name, pivots, rep["failures"][:3])
+            checked[name] = checked.get(name, 0) + 1
+
+
+def test_cotensor_frame_is_built_once_per_module(monkeypatch):
+    # cop_phi, both counit-leg tables and the co-opposite comultiplication
+    # depend on the module alone; the coaction-law checks still run per call
+    legs, laws = [], []
+    original_legs, original_law = hopf._counit_legs, hopf._coaction_law
+    monkeypatch.setattr(hopf, "_counit_legs",
+                        lambda *a: legs.append(a[2]) or original_legs(*a))
+    monkeypatch.setattr(hopf, "_coaction_law",
+                        lambda *a: laws.append(1) or original_law(*a))
+    hopf._cotensor_frame.cache_clear()
+    mods = [hh.module_zoo()[i][1] for i in (1, 3)]
+    for seed in range(4):
+        mod = mods[seed % 2]
+        d, dt = hh.random_rpair(mod, random.Random(4100 + seed))
+        L = hopf.build_L(mod, d.W, d.beta, d.alpha)
+        K = hopf.build_L(mod, dt.W, dt.beta, dt.alpha)
+        laws.clear()
+        hopf.cotensor(L, K)
+        assert len(laws) == L.dim + K.dim
+        assert legs == [0, 1] * min(seed + 1, 2)
+    hopf._cotensor_frame.cache_clear()
+
+
 def test_right_coaction_law_matches_reference():
     """cotensor checks L's induced right coaction as a left coaction over
     the co-opposite comultiplication; that must agree with a direct

@@ -52,20 +52,6 @@ def test_kernel_of_identity_and_zero():
     assert K == _full_space(2)
 
 
-def test_solve_invertible_roundtrip():
-    rng = random.Random(3)
-    for _ in range(5):
-        A = _rand_invertible(rng, 3)
-        b = [_rand_scalar(rng) for _ in range(3)]
-        x = la.solve(A, b)
-        assert la.mat_vec(A, x) == b
-
-
-def test_solve_inconsistent_raises():
-    with pytest.raises(DomainError):
-        la.solve([[1, 1], [1, 1]], [0, 1])
-
-
 def test_rank_and_transpose_product():
     rng = random.Random(5)
     A = _rand_matrix(rng, 3, 2)
@@ -105,15 +91,6 @@ def test_dim_formula_random():
         A = la.Subspace(4, _rand_matrix(rng, rng.randrange(1, 4), 4))
         B = la.Subspace(4, _rand_matrix(rng, rng.randrange(1, 4), 4))
         assert A.sum(B).dim + _intersect(A, B).dim == A.dim + B.dim
-
-
-def test_coords_of():
-    S = la.Subspace(3, [[1, 0, 1], [0, 1, 2]])
-    v = [3, 5, 3 + 10]
-    c = la.vec(la.mat_vec(la.transpose(list(S.basis)), S.coords_of(v)))
-    assert c == la.vec(v)
-    with pytest.raises(DomainError):
-        S.coords_of([1, 0, 0])
 
 
 def test_kernel_sparse_rows_matches_dense():
@@ -244,7 +221,8 @@ def _act(mod, g, v, dual=False):
     e = la.action_exponents(mod, g)
     if dual:
         e = oracles.vplusvdual_exponents(e, N)
-    return oracles.dense_act(e, la.vec(v), partial(CycloScalar.root_of_unity, N))
+    return oracles.dense_act(e, la.mat([v])[0],
+                             partial(CycloScalar.root_of_unity, N))
 
 
 def test_act_u_by_minus_one():

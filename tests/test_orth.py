@@ -300,11 +300,11 @@ def test_u_alpha_divides_g_squared():
         for a in orth.enumerate_orth(G):
             U = orth.u_alpha(a)
             assert (G.order ** 2) % len(U) == 0
-            # the section really sections: (alpha_1(x), g_x) = the element
+            # U_alpha is the image of x -> (alpha_1(x), g_x)
             n = G.rank
-            for e in U.elements:
-                x = U.section[e.coords]
-                assert a.hom(x).coords[:n] + x.coords[:n] == e.coords
+            image = {a.hom(x).coords[:n] + x.coords[:n]
+                     for x in orth.dsum_group(G).elements()}
+            assert {e.coords for e in U.elements} == image
 
 
 def test_u_alpha_built_once_and_shared_with_psi():
@@ -367,8 +367,8 @@ def test_two_cocycle_raises_at_the_first_failing_triple():
 
 
 def test_psi_exponents_match_the_pairing_formula():
-    # psi(a, b) = <alpha_2(r)^-1, b_1> <chi_r, b_2> at the section's
-    # preimage r = (g, chi) of a
+    # psi(a, b) = <alpha_2(r)^-1, b_1> <chi_r, b_2> at the first preimage
+    # r = (g, chi) of a
     G24 = FinAbGroup([2, 4])
     cases = [(G, a) for G in [Z2, Z3, Z4, Z2xZ2] for a in orth.enumerate_orth(G)]
     cases += [(G24, a) for a in orth.enumerate_orth(G24)[::16]]
@@ -376,8 +376,11 @@ def test_psi_exponents_match_the_pairing_formula():
         psi = orth.psi_alpha(alpha)
         U = psi.domain
         n = G.rank
+        preimage = {}
+        for x in orth.dsum_group(G).elements():
+            preimage.setdefault(alpha.hom(x).coords[:n] + x.coords[:n], x)
         for a in U.elements:
-            r = U.section[a.coords]
+            r = preimage[a.coords]
             chi = G.character(r.coords[n:])
             a2 = G.character(alpha.hom(r).coords[n:])
             for b in U.elements:
