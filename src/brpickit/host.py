@@ -126,6 +126,19 @@ def _subsets(n):
         itertools.combinations(range(n), r) for r in range(n + 1)))
 
 
+def _gsum_table(factors):
+    """gtab of a group with these factors: rank(g1 + g2) at rank(g1) |G| +
+    rank(g2), built one factor at a time as the next lowest digit, the
+    order in which HopfAlg._gsum reads the digits."""
+    tab, n = [0], 1
+    for f in factors:
+        add = [[(x + y) % f for y in range(f)] for x in range(f)]
+        tab = [t * f + s for a in range(n) for x in range(f)
+               for t in tab[a * n:(a + 1) * n] for s in add[x]]
+        n *= f
+    return tab
+
+
 # -- host Hopf algebras -----------------------------------------------------
 
 class HopfAlg:
@@ -221,8 +234,7 @@ class HopfAlg:
             for x, f in zip(chars[b].exps, group.factors):
                 exps = [e + c * x * (N // f) for e in exps for c in range(f)]
             rows[S] = [(e + x) % N for e, x in zip(rows[S[:-1]], exps)]
-        gtab = None if nG > 64 else [self._gsum(x, y) for x in range(nG)
-                                     for y in range(nG)]
+        gtab = None if nG > 64 else _gsum_table(group.factors)
         object.__setattr__(self, "_tables", (
             nG, masks, dict(zip(masks, range(0, dim, nG))),
             [flip[S] for S in subsets], gtab,

@@ -175,6 +175,16 @@ def test_host_products_match_the_per_pair_oracle():
         assert len(H._tables[5]) == H.dim
 
 
+def test_sum_table_matches_digit_by_digit_sums():
+    for factors, u in (([2], [1]), ([4], [2]), ([2, 4], [0, 2]),
+                       ([3, 2, 2], [0, 1, 0]), ([8, 8], [4, 0]),
+                       ([2] * 6, [1] + [0] * 5)):
+        H = host.build_supergroup(_module(factors, u, []))
+        nG = H._tables[0]
+        assert H._tables[4] == [H._gsum(x, y) for x in range(nG)
+                                for y in range(nG)], factors
+
+
 @pytest.mark.parametrize("factors,u,V", [
     ([2], [1], [[1]] * 15),                 # 2^15 subsets
     ([2] * 15, [1] + [0] * 14, []),         # |G| = 2^15: no sum table
