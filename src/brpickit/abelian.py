@@ -83,18 +83,11 @@ class FinAbGroup:
     def to_json(self) -> dict:
         return {"factors": list(self.factors)}
 
-    @staticmethod
-    def from_json(obj) -> "FinAbGroup":
-        return FinAbGroup(obj["factors"])
-
 
 @dataclass(frozen=True)
 class GroupElement:
     parent: FinAbGroup
     coords: tuple
-
-    def to_json(self):
-        return {"coords": list(self.coords)}
 
     def __repr__(self):
         return f"GroupElement{self.coords}"
@@ -104,9 +97,6 @@ class GroupElement:
 class Character:
     parent: FinAbGroup
     exps: tuple
-
-    def to_json(self):
-        return {"exps": list(self.exps)}
 
     def __repr__(self):
         return f"Character{self.exps}"
@@ -247,9 +237,6 @@ class GroupHom:
 
     def __repr__(self):
         return f"GroupHom({[list(r) for r in self.matrix]})"
-
-    def to_json(self):
-        return {"matrix": [list(r) for r in self.matrix]}
 
 
 def hom_identity(G: FinAbGroup) -> GroupHom:

@@ -562,97 +562,48 @@ def rdatum_to_odatum(d: RDatum) -> ODatum:
 
 # -- structural description -------------------------------------------------
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-           59, 61, 67, 71, 73, 79, 83, 89, 97, 101)
+def describe_brpic(module: la.GModuleV, bound: int = 256):
+    """One block-dimension report per admissible alpha, as a list of dicts
+    with keys alpha, A_dim, C_dim, D_block and invertibility.
 
+    S_alpha = {z : (z, z) in U_alpha} keeps an entry of T exactly when its
+    congruence (_entry_term) holds at every (z, z), so each dimension is a
+    count of positions.  The A block ranges over the S_alpha-equivariant
+    maps V -> V: A_dim counts the (i, j) with chi_i = chi_j on S_alpha.  The
+    D block is determined as the inverse transpose of A.  The C block ranges
+    over the equivariant maps C : V -> V* (entries at the (i, j) with
+    chi_i chi_j = 1 on S_alpha) with C^t A symmetric, for an invertible
+    equivariant A.  C_dim counts the i <= j with chi_i chi_j = 1 on
+    S_alpha, whatever A is:
 
-class BrPicDescription:
-    """Finite summary: one block-dimension report per admissible alpha."""
+    M = A^t C is equivariant, so supported where chi_i chi_j = 1, and
+    M^t = C^t A, so C^t A is symmetric exactly when M is.  A^-t is
+    equivariant too, so C = A^-t M maps every symmetric M supported there
+    back to an allowed C.  C -> A^t C is thus a linear bijection onto the
+    symmetric forms supported where chi_i chi_j = 1, and that condition is
+    symmetric in i and j, so their dimension is the number of such i <= j.
 
-    __slots__ = ("module", "components")
-
-    def __init__(self, module: la.GModuleV, components):
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "components", tuple(components))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BrPicDescription is immutable")
-
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
-
-    def to_json(self):
-        return {
-            "group": self.module.group.to_json(),
-            "dim_V": self.module.dim,
-            "component_count": self.component_count,
-            "components": [
-                {"alpha": c["alpha"].to_json(),
-                 "A_dim": c["A_dim"],
-                 "C_dim": c["C_dim"],
-                 "D_block": c["D_block"],
-                 "invertibility": c["invertibility"]}
-                for c in self.components],
-        }
-
-    def __repr__(self):
-        return f"BrPicDescription({self.component_count} components)"
-
-
-def describe_brpic(module: la.GModuleV, bound: int = 256) -> BrPicDescription:
-    """Enumerate admissible alphas and report per-alpha block dimensions.
-
-    For each alpha with (u, u) in U_alpha: the A block ranges over the
-    S_alpha-equivariant maps V -> V (dimension = number of positions (i, j)
-    with chi_i = chi_j on S_alpha), the C block over the equivariant maps
-    V -> V* that keep the induced form symmetric against a fixed generic
-    equivariant A, and the D block is determined as the inverse transpose
-    of A.  Invertibility of A is an open condition not captured by the
-    dimension count.
+    Invertibility of A is an open condition not captured by the count.
     """
     dm = module.dim
     components = []
     for alpha in admissible_alphas(module, bound):
         pairs = [(z, z) for z in orth.diagonal_stabilizer(alpha)]
-        # the positions of the A and C blocks that S_alpha keeps
-        allowed_a, allowed_c = (
-            [(i, j) for i in range(dm) for j in range(dm)
-             if all(_satisfies(module, [_entry_term(dm, off + i, j)], p)
-                    for p in pairs)] for off in (0, dm))
-        # generic equivariant A: distinct primes at the allowed positions
-        A0 = [[_ZERO] * dm for _ in range(dm)]
-        for k, (i, j) in enumerate(allowed_a):
-            A0[i][j] = la.sc(_PRIMES[k % len(_PRIMES)] + 100 * (k // len(_PRIMES)))
-        if not matrix_is_invertible(A0):
-            A0 = [[la.sc(_PRIMES[i % len(_PRIMES)]) if i == j else _ZERO
-                   for j in range(dm)] for i in range(dm)]
-        # C entries at allowed positions, subject to C^t A0 = A0^t C
-        c_dim = len(allowed_c)
-        if allowed_c and dm > 1:
-            index = {pos: k for k, pos in enumerate(allowed_c)}
-            eq_rows = []
-            for r in range(dm):
-                for s in range(r + 1, dm):
-                    row = [_ZERO] * len(allowed_c)
-                    for k in range(dm):
-                        if (k, r) in index:
-                            row[index[(k, r)]] = row[index[(k, r)]] + A0[k][s]
-                        if (k, s) in index:
-                            row[index[(k, s)]] = row[index[(k, s)]] - A0[k][r]
-                    eq_rows.append(row)
-            if eq_rows:
-                c_dim = la.kernel(eq_rows).dim
+
+        def kept(i, j):
+            return all(_satisfies(module, [_entry_term(dm, i, j)], p)
+                       for p in pairs)
         components.append({
             "alpha": alpha,
-            "A_dim": len(allowed_a),
-            "C_dim": c_dim,
+            "A_dim": sum(kept(i, j) for i in range(dm) for j in range(dm)),
+            "C_dim": sum(kept(dm + i, j)
+                         for i in range(dm) for j in range(i, dm)),
             "D_block": "determined as the inverse transpose of the A block",
             "invertibility": ("A ranges over the invertible locus of its "
                               "solution space; the dimension ignores that "
                               "open condition"),
         })
-    return BrPicDescription(module, components)
+    return components
 
 
 def admissible_alphas(module: la.GModuleV, bound: int = 256):

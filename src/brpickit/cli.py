@@ -205,10 +205,14 @@ def cmd_brpic(verb, spec, bound):
     lines = [f"command: brpic {verb}", _module_line(module)]
 
     if verb == "describe":
-        desc = bp.describe_brpic(module, bound)
-        report = {"command": "brpic describe"} | desc.to_json()
-        lines.append(f"components: {desc.component_count}")
-        for k, c in enumerate(desc.components):
+        comps = bp.describe_brpic(module, bound)
+        report = {"command": "brpic describe",
+                  "group": module.group.to_json(), "dim_V": module.dim,
+                  "component_count": len(comps),
+                  "components": [c | {"alpha": c["alpha"].to_json()}
+                                 for c in comps]}
+        lines.append(f"components: {len(comps)}")
+        for k, c in enumerate(comps):
             lines.append(
                 f"component {k}: alpha "
                 f"{[list(r) for r in c['alpha'].hom.matrix]}, "

@@ -10,12 +10,11 @@ zero is (0, ...), 1).  At a fixed N this form is canonical, so equality is
 a tuple comparison.  phi(N) and the table of x^k mod Phi_N are cached per
 N; Phi_N is monic over Z, so the table is integral and reduction, products
 and lifts run on ints, with one gcd per result.  The stored N is kept as
-computed (it is part of the JSON form), so equal values may carry
-different conductors.  Fractions appear only at the boundary (the
-constructor, coeffs, from_rational, from_string and from_json); all
-arithmetic, the inverse included, runs on ints.  The inverse of a
-non-rational value is taken through its norm, at phi(N) - 1 products
-whatever the value.
+computed (to_string prints it), so equal values may carry different
+conductors.  Fractions appear only at the boundary (the constructor,
+coeffs, from_rational and from_string); all arithmetic, the inverse
+included, runs on ints.  The inverse of a non-rational value is taken
+through its norm, at phi(N) - 1 products whatever the value.
 
 Products are memoized.  a * b looks up _product, an lru_cache of at most
 2^16 entries keyed on both operands' (N, num, den); that form is
@@ -425,13 +424,6 @@ class CycloScalar:
                                       f"[0, {len(coeffs)}) for conductor {N}")
                 coeffs[k] += _literal(Fraction, c, text)
         return CycloScalar(N, coeffs)
-
-    def to_json(self) -> dict:
-        return {"N": self.N, "coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "CycloScalar":
-        return CycloScalar(int(obj["N"]), [Fraction(c) for c in obj["coeffs"]])
 
     def __repr__(self):
         return f"CycloScalar({self.to_string()!r})"

@@ -347,7 +347,7 @@ def compatible_violations(data) -> list:
         bad.append("W2_axis")
     if any(la.axis_meets(data.W3)):
         bad.append("W3_axis")
-    if data.W1.sum(data.W2).sum(data.W3).dim != len(data.rows):
+    if la.rank(list(data.rows)) != len(data.rows):
         bad.append("independent")
 
     if GG.zero().coords not in data.coords_set or data.law is None:

@@ -6,7 +6,7 @@ cleared above), so two equal subspaces have literally equal bases and
 equality is entrywise comparison.
 
 Two elimination engines.  The dense rref is the one behind Subspace, kernel
-and the matrix inverse: the conductor that to_json prints for a scalar
+and the matrix inverse: the conductor that to_string prints for a scalar
 comes from its arithmetic history, so printed entries must keep going
 through this elimination (a sparse rref turned printed 0@4 entries into 0@1).
 Echelon is the incremental sparse engine, used by kernel_sparse_rows and the
@@ -274,11 +274,6 @@ class Subspace:
 
     __hash__ = None
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DomainError("ambient dimension mismatch")
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
-
     def to_json(self):
         return {"ambient": self.ambient_dim,
                 "basis": [[x.to_string() for x in r] for r in self.basis]}
@@ -387,9 +382,6 @@ class BilinearForm:
     def is_symmetric(self) -> bool:
         d = self.space.dim
         return all(self.gram[i][j] == self.gram[j][i] for i in range(d) for j in range(d))
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for r in self.gram for x in r)
 
     def __eq__(self, other):
         return (isinstance(other, BilinearForm) and self.space == other.space

@@ -84,14 +84,10 @@ def admissible_matrices(factors, u, matrices):
             if any(apply_matrix(factors, M, u + chi)[:n] == u for chi in chis)]
 
 
-def describe_dims(factors, chars, M):
-    """(A_dim, C_dim) of the alpha with matrix M over the module whose
-    characters have exponent tuples chars.  S = {z : (z, z) in U_alpha} is
-    the z with alpha_1(z, chi) = z for some chi.  A_dim counts the (i, j)
-    with chi_i = chi_j on S.  C_dim counts the i <= j with chi_i chi_j = 1
-    on S, the dimension of the symmetric forms supported there: for each
-    invertible S-equivariant A, C -> A^t C maps the C supported there with
-    C^t A symmetric onto those forms."""
+def _stabilizer_exponents(factors, chars, M):
+    """(e, N) for the alpha with matrix M: N is the exponent of G, and e
+    lists, for each z in S = {z : (z, z) in U_alpha} (the z with
+    alpha_1(z, chi) = z for some chi), the exponents of chi_i(z) in zeta_N."""
     n = len(factors)
     N = lcm(*factors)
     els = list(itertools.product(*[range(f) for f in factors]))
@@ -99,12 +95,62 @@ def describe_dims(factors, chars, M):
          if any(apply_matrix(factors, M, z + chi)[:n] == z for chi in els)]
     e = [[sum(c * g * (N // f) for c, g, f in zip(chi, z, factors)) % N
           for chi in chars] for z in S]
+    return e, N
+
+
+def describe_dims(factors, chars, M):
+    """(A_dim, C_dim) of the alpha with matrix M over the module whose
+    characters have exponent tuples chars.  A_dim counts the (i, j) with
+    chi_i = chi_j on S.  C_dim counts the i <= j with chi_i chi_j = 1 on S,
+    the dimension of the symmetric forms supported there: for each
+    invertible S-equivariant A, C -> A^t C maps the C supported there with
+    C^t A symmetric onto those forms."""
+    e, N = _stabilizer_exponents(factors, chars, M)
     m = len(chars)
     a_dim = sum(all(ez[i] == ez[j] for ez in e)
                 for i in range(m) for j in range(m))
     c_dim = sum(all((ez[i] + ez[j]) % N == 0 for ez in e)
                 for i in range(m) for j in range(i, m))
     return a_dim, c_dim
+
+
+def describe_c_kernel_dim(factors, chars, M, scalar):
+    """C_dim of the alpha with matrix M as a kernel dimension: the C : V ->
+    V* supported where chi_i chi_j = 1 on S with C^t A0 = A0^t C, for one
+    generic invertible S-equivariant A0.  A0 holds distinct primes at the
+    positions with chi_i = chi_j on S, each diagonal one raised by m times
+    the largest, so A0 is strictly diagonally dominant and thus invertible.
+    scalar(k) is the field element of the integer k."""
+    e, N = _stabilizer_exponents(factors, chars, M)
+    m = len(chars)
+    primes = []
+    p = 2
+    while len(primes) < m * m:
+        if all(p % q for q in primes):
+            primes.append(p)
+        p += 1
+    big = m * primes[-1] if primes else 0
+    A0 = [[scalar(0)] * m for _ in range(m)]
+    k = 0
+    for i in range(m):
+        for j in range(m):
+            if all(ez[i] == ez[j] for ez in e):
+                A0[i][j] = scalar(primes[k] + (big if i == j else 0))
+                k += 1
+    cols = [(i, j) for i in range(m) for j in range(m)
+            if all((ez[i] + ez[j]) % N == 0 for ez in e)]
+    # (C^t A0)_rs - (C^t A0)_sr = sum_k C_kr A0_ks - C_ks A0_kr, for r < s
+    rows = []
+    for r in range(m):
+        for s in range(r + 1, m):
+            row = {}
+            for c, (k, j) in enumerate(cols):
+                if j == r:
+                    row[c] = row.get(c, scalar(0)) + A0[k][s]
+                if j == s:
+                    row[c] = row.get(c, scalar(0)) - A0[k][r]
+            rows.append(row)
+    return len(null_space(rows, len(cols), scalar(0), scalar(1)))
 
 
 def greedy_suite(factors, admissible):

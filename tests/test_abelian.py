@@ -121,15 +121,6 @@ def test_automorphism_composition_group_spotcheck():
         assert oracles.is_bijective(G, ab.hom_compose(f, g))
 
 
-def test_json_round_trips():
-    G = FinAbGroup.from_json(Z2xZ3.to_json())
-    assert G == Z2xZ3
-    e = Z2xZ3.element([1, 2])
-    assert Z2xZ3.element(e.to_json()["coords"]) == e
-    c = Z2xZ3.character([0, 1])
-    assert Z2xZ3.character(c.to_json()["exps"]) == c
-
-
 def test_addition_table_matches_add():
     Z2xZ4 = FinAbGroup([2, 4])
     for els in (list(Z2xZ3.elements()), list(Z2xZ4.elements()),

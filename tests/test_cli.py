@@ -346,6 +346,15 @@ GOLDEN = [
      "2d9abaf7dc0c7d3202759a074200330467ad84317ef7f35a48716fbbe077987b"),
     (Z2Z4_NEXT, ["verify", "all", "--seed", "1", "--count", "4"],
      "984a6ea6c91c4787d9de508ae0d762045582d5459fd14382770589881b1eb8a7"),
+    # recorded before describe counted C_dim instead of taking a kernel
+    # against a generic A; Z2 x Z4 lists 128 components, Z2 with dim V 4
+    # has C_dim 10
+    ({"group": [2, 4], "u": [0, 2], "V": [[0, 1], [0, 3], [1, 1]]},
+     ["brpic", "describe"],
+     "c818f07fee66e1d0384d88940b2569263b1111e6b7d66d239642390fbe87905d"),
+    ({"group": [2], "u": [1], "V": [[1], [1], [1], [1]]},
+     ["brpic", "describe"],
+     "18bee202f2941010ed933413b4716ebfc28cdd5b23f475833aea3d2317909dd7"),
 ]
 
 

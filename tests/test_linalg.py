@@ -75,6 +75,11 @@ def _intersect(A, B):
     return oracles.intersect(A, B, la.kernel, la.sc(0))
 
 
+def _sum(A, B):
+    """A + B, spanned by both bases."""
+    return la.Subspace(A.ambient_dim, [*A.basis, *B.basis])
+
+
 def test_subspace_intersect_axes():
     # V+0 and 0+V in V+V, dim V = 2
     V0 = la.Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
@@ -82,7 +87,7 @@ def test_subspace_intersect_axes():
     assert _intersect(V0, OV).dim == 0
     diag = la.Subspace(4, [[1, 0, 1, 0], [0, 1, 0, 1]])
     assert _intersect(diag, V0).dim == 0
-    assert diag.sum(V0) == _full_space(4)
+    assert _sum(diag, V0) == _full_space(4)
 
 
 def test_dim_formula_random():
@@ -90,7 +95,7 @@ def test_dim_formula_random():
     for _ in range(10):
         A = la.Subspace(4, _rand_matrix(rng, rng.randrange(1, 4), 4))
         B = la.Subspace(4, _rand_matrix(rng, rng.randrange(1, 4), 4))
-        assert A.sum(B).dim + _intersect(A, B).dim == A.dim + B.dim
+        assert _sum(A, B).dim + _intersect(A, B).dim == A.dim + B.dim
 
 
 def test_kernel_sparse_rows_matches_dense():
@@ -323,7 +328,7 @@ def test_bullet_form_zero_zero():
     W = _graph(_rand_invertible(rng, 2))
     Wt = _graph(_rand_invertible(rng, 2))
     out = la.bullet_form(W, la.zero_form(W), Wt, la.zero_form(Wt))
-    assert out.is_zero()
+    assert all(x.is_zero() for row in out.gram for x in row)
 
 
 def test_bullet_form_one_dim_symbolic():
