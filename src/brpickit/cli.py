@@ -355,8 +355,10 @@ def _suite_hopf(module, rng, checks, lines):
            "" if rep["ok"] else str(rep["failures"][:3]))
 
 
-def _suite_comodule(module, rng, count, checks, lines):
-    host.doubled_host(module)  # an over-capacity host exits before drawing data
+def _suite_comodule(module, rng, count, bound, checks, lines):
+    # an over-capacity host or enumeration exits before drawing data
+    host.doubled_host(module)
+    hopf.family_alphas(module, bound)
     bad_build, bad_dim, bad_comod, bad_coinv, bad_gr = [], [], [], [], []
     for i in range(count):
         data = hopf.random_compatible_data(module, rng)
@@ -429,7 +431,7 @@ def cmd_verify(suite, spec, seed, count, bound):
     if suite in ("hopf", "all"):
         _suite_hopf(module, rng, checks, lines)
     if suite in ("comodule", "all"):
-        _suite_comodule(module, rng, count or 10, checks, lines)
+        _suite_comodule(module, rng, count or 10, bound, checks, lines)
     if suite in ("cotensor", "all"):
         _suite_cotensor(module, rng, count or 8, bound, checks, lines, report)
     ok = all(c["ok"] for c in checks)

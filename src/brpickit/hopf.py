@@ -35,7 +35,8 @@ filtration induced by the host coradical filtration and the diagonal
 comodule model of a host over its own double all live here.  Verification
 routines return reports with located witnesses; check_comodule_algebra
 verifies every K that build_K returns, and nothing is assumed to hold by
-construction.
+construction.  Both isomorphism checks, check_diag_iso and
+verify_cotensor_iso, prove theirs by one presentation check, _model_iso.
 
 In K, lam(w_S e_f) = g_S f x w_S e_f plus terms of higher host degree, so
 its group-like (host degree 0) terms sit at their own basis index; so do
@@ -60,7 +61,7 @@ from . import orth
 from . import brpic as bp
 from .cyclo import CycloScalar
 from .errors import BrpicError, CapacityError, DomainError, InputValidationError
-from .host import (_ONE, _ZERO, _apply, _coaction_law, _elem_add, _mul,
+from .host import (_ONE, _ZERO, _apply, _coaction_law, _elem_add,
                    _recorder, _scaled, _subsets, _tensor_mul, _tuples,
                    build_supergroup, cop_phi, doubled_host)
 from .linalg import addin
@@ -157,9 +158,6 @@ class ComodAlg:
             self.mult[(i, j)] = got
         return got
 
-    def mul(self, x, y):
-        return _mul(self.mul_basis, x, y)
-
     def coact_basis(self, i):
         got = self.coaction.get(i)
         if got is None:
@@ -168,9 +166,6 @@ class ComodAlg:
             got = self._coactfn(i)
             self.coaction[i] = got
         return got
-
-    def coact(self, x):
-        return _apply(self.coact_basis, x)
 
 
 # -- compatible data --------------------------------------------------------
@@ -614,6 +609,78 @@ def build_L(module, W, beta, alpha) -> ComodAlg:
     return build_K(data)
 
 
+def _model_iso(K, gen_w, gen_e, mul, one, target, coords, note):
+    """Whether w_i -> gen_w[i] and e_f -> gen_e[k] (f the k-th element of
+    K's F) extend to an isomorphism of comodule algebras from the
+    third-sector model K onto target; notes each failure and returns the
+    bijectivity verdict.  mul and one are the product and unit of an
+    algebra holding target; coords(x) gives x in target's basis, or None.
+
+    Proof.  K is the algebra its relations present, with basis w_S e_f
+    and unit e_0 (module docstring), so images that satisfy relations_w,
+    relations_psi and relations_action, with e_0 -> one, give an algebra
+    map, and it sends w_S e_f to the product of its letters' images.
+    When those images lie in target, are independent and number dim
+    target, they span target, which holds one; each ends in some gen_e[f]
+    = gen_e[f] gen_e[0] (psi is normalized), so one = one gen_e[0] =
+    gen_e[0], and the map is a bijective algebra map.  A linear map that
+    commutes with the coactions on a basis is a comodule map."""
+    data = K.meta["data"]
+    if data.W1.dim or data.W2.dim:
+        raise DomainError("_model_iso reads the relations of a third-sector "
+                          "model only")
+    gram = data.gram
+    nW = len(data.rows)
+    for i in range(nW):
+        for j in range(i, nW):
+            lhs = _elem_add(mul(gen_w[i], gen_w[j]),
+                            mul(gen_w[j], gen_w[i])) if i != j \
+                else mul(gen_w[i], gen_w[i])
+            rhs = _scaled(one, gram[i][j] if i != j else _HALF * gram[i][i])
+            if lhs != rhs:
+                note("relations_w", (i, j))
+    fpos, fadd = data.law
+    for i, a in enumerate(data.F):
+        for j, b in enumerate(data.F):
+            rhs = _scaled(gen_e[fadd[i][j]], data.psi[(a.coords, b.coords)])
+            if mul(gen_e[i], gen_e[j]) != rhs:
+                note("relations_psi", (a.coords, b.coords))
+    N = data.module.group.exponent
+    for f, e, (exps, _) in zip(data.F, gen_e, data.actions()):
+        for wi in range(nW):
+            rhs = _scaled(mul(gen_w[wi], e),
+                          CycloScalar.root_of_unity(N, exps[wi]))
+            if mul(e, gen_w[wi]) != rhs:
+                note("relations_action", (f.coords, wi))
+
+    ech = la.Echelon()
+    images = []
+    for S, fc in K.basis:
+        acc = dict(one)
+        for s in S:
+            acc = mul(acc, gen_w[s])
+        acc = mul(acc, gen_e[fpos[fc]])
+        ech.insert(acc)
+        co = coords(acc)
+        if co is None:
+            note("image_outside_cotensor", (S, fc))
+        images.append(co)
+    inside = None not in images
+    bij = ech.dim == K.dim and target.dim == K.dim and inside
+    if not bij:
+        note("not_bijective", (ech.dim, target.dim, K.dim))
+
+    if inside:
+        for b in range(K.dim):
+            rhs = {}
+            for (h, b2), c in K.coact_basis(b).items():
+                for pos, c2 in images[b2].items():
+                    addin(rhs, (h, pos), c * c2)
+            if _apply(target.coact_basis, images[b]) != rhs:
+                note("comodule_map", K.basis[b])
+    return bij
+
+
 # -- diagonal model ---------------------------------------------------------
 
 def diag_comodule(H) -> ComodAlg:
@@ -651,52 +718,20 @@ def diag_comodule(H) -> ComodAlg:
 
 
 def check_diag_iso(H):
-    """Compare the diagonal model of H with the K built from the diagonal
-    subspace of V + V and the diagonal subgroup of G x G, via the map
-    sending v to (v, v) e_(u,u) and g to e_(g,g)."""
+    """Prove the diagonal model D of H isomorphic to K = build_L of
+    bp.identity_rdatum (diagonal W, beta = 0, F the diagonal of G x G) by
+    _model_iso on K -> D: w_i -> v_i u, e_(g,g) -> g.  Its inverse is
+    sigma: v -> (v, v) e_(u,u), g -> e_(g,g)."""
     module = H.modules[0]
-    m = module.dim
-    G = module.group
-    D = diag_comodule(H)
-    rows = [[_ONE if (j == i or j == m + i) else _ZERO for j in range(2 * m)]
-            for i in range(m)]
-    F = [tuple(g.coords) + tuple(g.coords) for g in G.elements()]
-    data = CompatibleData(module, None, None, la.Subspace(2 * m, rows), None, F)
-    K = build_K(data)
-    zeroGG = data.pair_group.zero().coords
-    uu = data.uu_coords()
-
-    sig_v = [K.mul({K.index[((i,), zeroGG)]: _ONE},
-                   {K.index[((), uu)]: _ONE}) for i in range(m)]
-    sig = []
-    for S, g in H.basis:
-        acc = dict(K.unit)
-        for s in S:
-            acc = K.mul(acc, sig_v[s])
-        acc = K.mul(acc, {K.index[((), tuple(g.coords) + tuple(g.coords))]: _ONE})
-        sig.append(acc)
-
+    d = bp.identity_rdatum(module)
+    K = build_L(module, d.W, d.beta, d.alpha)
+    u = {H.group_like(module.u): _ONE}
+    gen_w = [H.mul({H.v_basis(i): _ONE}, u) for i in range(module.dim)]
+    gen_e = [{H.group_like(_split_pair(module, f)[0]): _ONE}
+             for f in K.meta["data"].F]
     failures, note = _recorder()
-    if sig[H.one_idx] != K.unit:
-        note("unit", None)
-    for i in range(H.dim):
-        for j in range(H.dim):
-            if K.mul(sig[i], sig[j]) != _apply(sig.__getitem__,
-                                               H.mono_mul(i, j)):
-                note("algebra_map", (i, j))
-    for i in range(H.dim):
-        lhs = {}
-        for (h, k), c in D.coact_basis(i).items():
-            for k2, c2 in sig[k].items():
-                addin(lhs, (h, k2), c * c2)
-        if lhs != K.coact(sig[i]):
-            note("comodule_map", i)
-    ech = la.Echelon()
-    for x in sig:
-        ech.insert(x)
-    bij = ech.dim == H.dim and K.dim == H.dim
-    if not bij:
-        note("not_bijective", (ech.dim, K.dim, H.dim))
+    bij = _model_iso(K, gen_w, gen_e, H.mul, {H.one_idx: _ONE},
+                     diag_comodule(H), lambda x: x, note)
     return {"ok": not failures, "bijective": bij, "dim": H.dim,
             "failures": failures}
 
@@ -988,15 +1023,13 @@ def verify_cotensor_iso(d, dt):
     image or comodule-map check."""
     module = d.module
     G = module.group
-    GG = ab.direct_sum(G, G)
-    ident = orth.orth_identity(G)
-    if dt.alpha.hom.matrix != ident.hom.matrix:
+    if dt.alpha.hom.matrix != orth.orth_identity(G).hom.matrix:
         raise DomainError("second factor must carry the identity twist")
     if dt.module != module:
         raise DomainError("factors live over different modules")
     m = module.dim
     r = len(G.factors)
-    zeroGG = GG.zero().coords
+    zeroGG = G.zero().coords * 2
 
     d3 = bp.rdatum_product(d, dt)
     L1 = build_L(module, d.W, d.beta, d.alpha)
@@ -1005,7 +1038,6 @@ def verify_cotensor_iso(d, dt):
     C = cotensor(L1, L2)
     data1 = L1.meta["data"]
     data3 = L3.meta["data"]
-    ech = C.meta["echelon"]
     failures, note = _recorder(12)
 
     def tmul(x, y):
@@ -1017,99 +1049,33 @@ def verify_cotensor_iso(d, dt):
     if not (C.dim == expected == L3.dim):
         note("dimension_law", (C.dim, expected, L3.dim))
 
-    uu = data1.uu_coords()
-    unit1 = L1.index[((), zeroGG)]
     unit2 = L2.index[((), zeroGG)]
-    one = {(unit1, unit2): _ONE}
+    one = {(L1.index[((), zeroGG)], unit2): _ONE}
 
     R = d.W.basis
     piv = [la.support([r])[0][1] for r in R]
     pivt = [la.support([r])[0][1] for r in dt.W.basis]
-    eu1 = L1.index[((), uu)]
+    eu1 = L1.index[((), data1.uu_coords())]
     phiw = []
     for row in data3.rows:
-        s = [row[p] for p in piv]
         v2 = [_ZERO] * m
-        for k, ck in enumerate(s):
-            if not ck.is_zero():
-                v2 = [a + ck * b for a, b in zip(v2, R[k][m:])]
         vec = {}
-        for k, c in enumerate(s):
-            if not c.is_zero():
-                addin(vec, (L1.index[((k,), zeroGG)], unit2), c)
+        for k, p in enumerate(piv):
+            if not row[p].is_zero():
+                v2 = [a + row[p] * b for a, b in zip(v2, R[k][m:])]
+                vec[(L1.index[((k,), zeroGG)], unit2)] = row[p]
         for k, p in enumerate(pivt):
             if not v2[p].is_zero():
                 addin(vec, (eu1, L2.index[((k,), zeroGG)]), v2[p])
         phiw.append(vec)
 
     phie = []
-    for f in data1.F:
+    for f in data3.F:
         f2 = f.coords[r:]
         phie.append({(L1.index[((), f.coords)], L2.index[((), f2 + f2)]): _ONE})
 
-    g3 = data3.gram
-    nW3 = len(data3.rows)
-    for i in range(nW3):
-        for j in range(i, nW3):
-            lhs = _elem_add(tmul(phiw[i], phiw[j]),
-                            tmul(phiw[j], phiw[i])) if i != j \
-                else tmul(phiw[i], phiw[i])
-            target = _scaled(one, g3[i][j] if i != j else _HALF * g3[i][i])
-            if lhs != target:
-                note("relations_w", (i, j))
-    psi1 = data1.psi
-    fpos, fadd = data1.law
-    for i, a in enumerate(data1.F):
-        for j, b in enumerate(data1.F):
-            lhs = tmul(phie[i], phie[j])
-            rhs = _scaled(phie[fadd[i][j]], psi1[(a.coords, b.coords)])
-            if lhs != rhs:
-                note("relations_psi", (a.coords, b.coords))
-    N = G.exponent
-    acts3 = data3.actions()
-    fpos3 = data3.law[0]
-    for fk, f in enumerate(data1.F):
-        exps = acts3[fpos3[f.coords]][0]
-        for wi in range(nW3):
-            rhs = _scaled(tmul(phiw[wi], phie[fk]),
-                          CycloScalar.root_of_unity(N, exps[wi]))
-            if tmul(phie[fk], phiw[wi]) != rhs:
-                note("relations_action", (f.coords, wi))
-
-    phimat = []
-    for S, fc in L3.basis:
-        acc = dict(one)
-        for s in S:
-            acc = tmul(acc, phiw[s])
-        acc = tmul(acc, phie[fpos[fc]])
-        phimat.append(acc)
-
-    ech2 = la.Echelon()
-    coords3 = []
-    for b, vecb in enumerate(phimat):
-        ech2.insert(vecb)
-        co = ech.coords(vecb)
-        if co is None:
-            note("image_outside_cotensor", L3.basis[b])
-            coords3.append(None)
-        else:
-            coords3.append(co)
-    bij = ech2.dim == L3.dim and C.dim == L3.dim and all(
-        co is not None for co in coords3)
-    if not bij:
-        note("not_bijective", (ech2.dim, C.dim, L3.dim))
-    report["bijective"] = bij
-
-    if all(co is not None for co in coords3):
-        for b in range(L3.dim):
-            lhs = _apply(C.coact_basis, coords3[b])
-            rhs = {}
-            for (h, b2), c in L3.coact_basis(b).items():
-                for pos, c2 in coords3[b2].items():
-                    addin(rhs, (h, pos), c * c2)
-            if lhs != rhs:
-                note("comodule_map", L3.basis[b])
-
+    report["bijective"] = _model_iso(L3, phiw, phie, tmul, one, C,
+                                     C.meta["echelon"].coords, note)
     report["ok"] = not failures
     report["failures"] = failures
     return report
@@ -1278,6 +1244,12 @@ def _graph_row(rng, m, i):
     return row
 
 
+def family_alphas(module, bound=256):
+    """The alphas compatible_families twists by: bp.suite_alphas(module,
+    bound), which holds the identity, when |G| <= 4, and none above."""
+    return bp.suite_alphas(module, bound) if module.group.order <= 4 else []
+
+
 @cache
 def compatible_families(module):
     """Candidate (name, F elements, psi, central_ok) tuples for a module.
@@ -1298,9 +1270,10 @@ def compatible_families(module):
     fams.append(("order2_sign", (zero, uu), (((uu, uu), Fraction(-1)),), True))
     whole = tuple(tuple(a.coords) + tuple(b.coords)
                   for a in G.elements() for b in G.elements())
-    if G.order <= 4:
+    alphas = family_alphas(module)
+    if alphas:
         fams.append(("whole", whole, None, True))
-        for k, alpha in enumerate(bp.suite_alphas(module)):
+        for k, alpha in enumerate(alphas):
             U = orth.u_alpha(alpha)
             fams.append((f"U_alpha_{k}", U.elements, orth.psi_alpha(alpha),
                          alpha_supports_w3(module, alpha)))

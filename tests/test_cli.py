@@ -552,6 +552,18 @@ def test_bound_option_raises_the_automorphism_cap(tmp_path, capsys):
     assert code == 0 and err == "" and "result: PASS" in out
 
 
+def test_comodule_suite_honours_the_bound(tmp_path, capsys):
+    # Z2 x Z2 has 72 orthogonal automorphisms, and its families draw
+    # twists from the suite alphas
+    spec = _write(tmp_path, "z2z2.json",
+                  {"group": [2, 2], "u": [1, 1], "V": [[1, 0], [0, 1]]})
+    argv = ["verify", "comodule", "--count", "1", "--spec", spec]
+    code, out, err = _run(capsys, argv + ["--bound", "50"])
+    assert code == 3 and out == "" and "more than 50" in err
+    code, out, err = _run(capsys, argv + ["--bound", "72"])
+    assert code == 0 and err == "" and "result: PASS" in out
+
+
 def _identity_spec(rank):
     zeros = [0] * (rank - 1)
     return {"group": [2] * rank, "u": [1] + zeros, "V": [[1] + zeros],

@@ -759,9 +759,9 @@ def test_K_associative_on_all_triples():
             for j in range(K.dim):
                 xy = K.mul_basis(i, j)
                 for k in range(K.dim):
-                    assert K.mul(xy, {k: ONE}) == K.mul({i: ONE},
-                                                        K.mul_basis(j, k)), \
-                        (name, i, j, k)
+                    assert (host._mul(K.mul_basis, xy, {k: ONE})
+                            == host._mul(K.mul_basis, {i: ONE},
+                                         K.mul_basis(j, k))), (name, i, j, k)
         checked += 1
     assert checked >= 20
 
@@ -1402,3 +1402,88 @@ def test_multiplicativity_products_match_tensor_mul(monkeypatch):
             failed += not rep["ok"]
             cases += 1
     assert cases >= 200 and terms > 100000 and failed >= 60
+
+
+# -- failing isomorphism checks ---------------------------------------------
+
+def _corrupted_product_report(monkeypatch, corrupt):
+    """verify_cotensor_iso on Sweedler, d = (span(1 | 1), [[2]]) and dt =
+    (span(1 | 1), 0), both with the identity twist, with the product's
+    model (the third build_L call) built from corrupt(W, beta) instead."""
+    mod = _sw()
+    ident = orth.orth_identity(mod.group)
+    W = _graph(1, [0], 1)
+    d = bp.RDatum(mod, W, la.BilinearForm(W, [[la.sc(2)]]), ident)
+    dt = bp.RDatum(mod, W, la.zero_form(W), ident)
+    calls = []
+    original = hopf.build_L
+
+    def build_L(module, W, beta, alpha):
+        calls.append(alpha)
+        if len(calls) == 3:
+            W, beta = corrupt(W, beta)
+        return original(module, W, beta, alpha)
+
+    assert hopf.verify_cotensor_iso(d, dt)["ok"] is True
+    monkeypatch.setattr(hopf, "build_L", build_L)
+    rep = hopf.verify_cotensor_iso(d, dt)
+    assert len(calls) == 3 and rep["ok"] is False
+    return rep
+
+
+def _doubled_beta(W, beta):
+    return W, la.BilinearForm(W, [[c + c for c in row] for row in beta.gram])
+
+
+def _other_graph(W, beta):
+    W3 = _graph(1, [0], 3)
+    return W3, la.BilinearForm(W3, beta.gram)
+
+
+def _zero_W(W, beta):
+    Z = la.zero_space(2)
+    return Z, la.zero_form(Z)
+
+
+@pytest.mark.parametrize("corrupt, kinds", [
+    (_doubled_beta, {"relations_w"}),
+    (_other_graph, {"comodule_map"}),
+    (_zero_W, {"dimension_law", "not_bijective"}),
+], ids=["doubled_beta", "graph_1_3", "zero_W"])
+def test_cotensor_iso_names_a_corrupted_product_model(monkeypatch, corrupt,
+                                                      kinds):
+    rep = _corrupted_product_report(monkeypatch, corrupt)
+    assert {kind for kind, _ in rep["failures"]} == kinds
+    assert rep["bijective"] is ("not_bijective" not in kinds)
+
+
+def test_diag_iso_names_a_broken_diagonal_coaction(monkeypatch):
+    """Negate the degree-1 host term of lam(x), x the first degree-1 basis
+    element of the diagonal model of Z4's host."""
+    original = hopf.diag_comodule
+    broken = []
+
+    def diag_comodule(H):
+        D = original(H)
+        i = D.loewy_degree.index(1)
+        key = next(k for k in D.coact_basis(i) if D.host.deg(k[0]) == 1)
+        D.coaction[i][key] = -D.coaction[i][key]
+        broken.append(i)
+        return D
+
+    H = host.build_supergroup(hh.z4_module())
+    assert hopf.check_diag_iso(H)["ok"]
+    monkeypatch.setattr(hopf, "diag_comodule", diag_comodule)
+    rep = hopf.check_diag_iso(H)
+    assert broken and rep["ok"] is False and rep["bijective"] is True
+    assert {kind for kind, _ in rep["failures"]} == {"comodule_map"}
+
+
+def test_model_iso_refuses_an_axis_sector():
+    # its w-relations are those of the third sector only
+    data = hopf.CompatibleData(_sw(), _axis(1, [0], 1), None, None, None,
+                               [(0, 0)])
+    K = hopf.build_K(data)
+    with pytest.raises(DomainError, match="third-sector"):
+        hopf._model_iso(K, [], [], None, {}, K, lambda x: x,
+                        lambda kind, where: None)
