@@ -1,4 +1,4 @@
-"""Finite abelian groups, their characters, homomorphisms, and the pairing.
+"""Finite abelian groups, their characters, and the pairing.
 
 A group is a list of cyclic factor orders (kept exactly as given, never
 renormalized to a divisor chain).  Elements and characters are coordinate
@@ -188,66 +188,3 @@ def pair(chi: Character, g: GroupElement) -> int:
 def pair_value(chi: Character, g: GroupElement) -> CycloScalar:
     """The pairing as an exact root of unity in Q(zeta_N)."""
     return CycloScalar.root_of_unity(g.parent.exponent, pair(chi, g))
-
-
-# -- homomorphisms ---------------------------------------------------------
-
-class GroupHom:
-    """A homomorphism given by the images of the source's standard generators.
-
-    matrix[i] is the coordinate vector (in the target) of the image of the
-    i-th source generator.
-    """
-
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source: FinAbGroup, target: FinAbGroup, matrix):
-        matrix = tuple(target._normalize(row) for row in matrix)
-        if len(matrix) != source.rank:
-            raise DomainError(
-                f"hom matrix has {len(matrix)} rows for source rank {source.rank}")
-        # order compatibility: n_i * image(e_i) must vanish in the target
-        for n_i, row in zip(source.factors, matrix):
-            if any((n_i * c) % f for c, f in zip(row, target.factors)):
-                raise DomainError(
-                    f"generator of order {n_i} maps to an element whose order does not divide it")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupHom is immutable")
-
-    def __call__(self, g: GroupElement) -> GroupElement:
-        if g.parent != self.source:
-            raise DomainError("element is not in the hom's source group")
-        out = [0] * self.target.rank
-        for c, row in zip(g.coords, self.matrix):
-            if c:
-                for j, m in enumerate(row):
-                    out[j] += c * m
-        return self.target.element(out)
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupHom) and self.source == other.source
-                and self.target == other.target and self.matrix == other.matrix)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
-
-    def __repr__(self):
-        return f"GroupHom({[list(r) for r in self.matrix]})"
-
-
-def hom_identity(G: FinAbGroup) -> GroupHom:
-    n = G.rank
-    return GroupHom(G, G, tuple(tuple(1 if i == j else 0 for j in range(n))
-                                for i in range(n)))
-
-
-def hom_compose(f: GroupHom, g: GroupHom) -> GroupHom:
-    """f after g."""
-    if g.target != f.source:
-        raise DomainError("hom composition shape mismatch")
-    return GroupHom(g.source, f.target, tuple(f(g.target.element(row)).coords
-                                              for row in g.matrix))

@@ -147,7 +147,7 @@ class RDatum:
     __hash__ = None
 
     def __repr__(self):
-        return f"RDatum(dim W = {self.W.dim}, alpha {self.alpha.hom.matrix})"
+        return f"RDatum(dim W = {self.W.dim}, alpha {self.alpha.matrix})"
 
     def to_json(self):
         return {"W": self.W.to_json(), "beta": self.beta.to_json(),
@@ -213,7 +213,7 @@ class ODatum:
     __hash__ = None
 
     def __repr__(self):
-        return f"ODatum({2 * self.module.dim}x{2 * self.module.dim}, alpha {self.alpha.hom.matrix})"
+        return f"ODatum({2 * self.module.dim}x{2 * self.module.dim}, alpha {self.alpha.matrix})"
 
     def to_json(self):
         return {"T": [[x.to_string() for x in row] for row in self.T],
@@ -629,7 +629,7 @@ def suite_alphas(module: la.GModuleV, bound: int = 256):
     subgroup they generate remains inside the admissible set.  Whenever the
     admissible set is itself closed (e.g. cyclic G at small orders) the
     result is the whole set.  The closure composes the alphas' position
-    tables (OrthAut.pos) as integer tuples: a after g is a[g[k]] at k.
+    tables (OrthAut.pos) by orth.compose_tables, as orth_compose does.
     """
     return list(_suite(module.group, module.u, bound))
 
@@ -648,7 +648,7 @@ def _suite(group, u, bound):
         while frontier:
             x = frontier.pop()
             for g in gens:
-                y = tuple(x[i] for i in g)
+                y = orth.compose_tables(x, g)
                 if y not in members:
                     return None
                 if y not in seen:

@@ -150,7 +150,7 @@ MAX_ORTH_PSI_ENTRIES = 1 << 18
 def cmd_orth(spec, bound):
     G, uel, chars = _parse_group_u_V(spec)
     autos = sorted(orth.enumerate_orth(G, bound),
-                   key=lambda a: a.hom.matrix)
+                   key=lambda a: a.matrix)
     psi_entries = sum(orth.u_order(a) ** 2 for a in autos)
     if psi_entries > MAX_ORTH_PSI_ENTRIES:
         raise CapacityError(f"orth report: {psi_entries} psi entries (sum of "
@@ -180,7 +180,7 @@ def cmd_orth(spec, bound):
         psitxt = ("psi trivial" if nontrivial == 0
                   else f"psi nontrivial on {nontrivial} pairs")
         lines.append(f"alpha {k}: matrix "
-                     f"{[list(r) for r in a.hom.matrix]}, "
+                     f"{[list(r) for r in a.matrix]}, "
                      f"|U| {len(els)}, {psitxt}")
     report = {"command": "orth", "group": G.to_json(),
               "u": list(uel.coords), "dim_V": len(chars),
@@ -215,7 +215,7 @@ def cmd_brpic(verb, spec, bound):
         for k, c in enumerate(comps):
             lines.append(
                 f"component {k}: alpha "
-                f"{[list(r) for r in c['alpha'].hom.matrix]}, "
+                f"{[list(r) for r in c['alpha'].matrix]}, "
                 f"A dim {c['A_dim']}, C dim {c['C_dim']}")
         lines.append("D block: determined as the inverse transpose of A")
         return True, report, lines

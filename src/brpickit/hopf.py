@@ -1023,7 +1023,7 @@ def verify_cotensor_iso(d, dt):
     image or comodule-map check."""
     module = d.module
     G = module.group
-    if dt.alpha.hom.matrix != orth.orth_identity(G).hom.matrix:
+    if dt.alpha != orth.orth_identity(G):
         raise DomainError("second factor must carry the identity twist")
     if dt.module != module:
         raise DomainError("factors live over different modules")

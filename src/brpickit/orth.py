@@ -11,24 +11,27 @@ builds once: the elements of G+G^ as tuples in dsum_group(G).elements()
 order, their q exponents, and for each element x the vector v_x with
 b(x, y) = v_x . y mod N.  _tables refuses G+G^ with more than
 MAX_DSUM_ORDER elements (CapacityError), so every alpha, and every table
-read from it, stays within that size.  Each OrthAut holds its position
-table pos: pos[k] is the position of alpha(elements[k]) in that list.
-Constructing an OrthAut runs the one orthogonality test, _preserves_q,
-which computes that table while checking bijectivity and q at every
-point; the leaf of enumerate_orth runs the same test and hands its table
-over, and the identity's table is range(|G+G^|).  U_alpha, psi_alpha,
-S_alpha and the inverse (the inverse permutation) are read from it, and
-brpic closes its suite under composition of these tables.
+read from it, stays within that size.  An OrthAut is its matrix (the
+images of the generators of G+G^) and its position table pos: pos[k] is
+the position of alpha(elements[k]) in that list.  Constructing an
+OrthAut checks the matrix and runs the one orthogonality test,
+_preserves_q, which computes that table while checking bijectivity and q
+at every point; the leaf of enumerate_orth runs the same test and hands
+its table over, and the identity's table is range(|G+G^|).  U_alpha,
+psi_alpha and S_alpha are read from pos, and so are composition (the
+composed tables, compose_tables) and inversion (the inverse
+permutation); brpic closes its suite under compose_tables too.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cache
+from math import prod
 from operator import mul
 
 from . import abelian as ab
-from .abelian import FinAbGroup, GroupElement, GroupHom
+from .abelian import FinAbGroup, GroupElement
 from .cyclo import CycloScalar
 from .errors import CapacityError, DomainError
 
@@ -46,24 +49,23 @@ def dsum_group(G: FinAbGroup) -> FinAbGroup:
 class OrthAut:
     """An automorphism of G+G^ preserving the pairing value pointwise.
 
-    pos[k] is the position of the image of the k-th element of G+G^, in
-    _tables order, computed by the orthogonality test at construction.  A
-    caller that has already run that test passes its table as _pos.
-    Equality, hashing, repr and JSON ignore it.
+    matrix[i] is the coordinate vector of the image of the i-th generator
+    of G+G^.  pos[k] is the position of the image of the k-th element of
+    G+G^, in _tables order, computed by the orthogonality test at
+    construction.  A caller that has already run that test passes its
+    table as _pos.  Equality, hashing, repr and JSON ignore it.
     """
 
-    __slots__ = ("group", "hom", "pos")
+    __slots__ = ("group", "matrix", "pos")
 
-    def __init__(self, group: FinAbGroup, hom: GroupHom, _pos: tuple = None):
-        D = dsum_group(group)
-        if hom.source != D or hom.target != D:
-            raise DomainError("hom must act on G+G^ for the given G")
+    def __init__(self, group: FinAbGroup, matrix, _pos: tuple = None):
+        matrix = _hom_matrix(group, matrix)
         if _pos is None:
-            _pos = _preserves_q(group, hom.matrix)
+            _pos = _preserves_q(group, matrix)
             if _pos is None:
                 raise DomainError("hom is not an orthogonal automorphism of G+G^")
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "hom", hom)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "pos", _pos)
 
     def __setattr__(self, name, value):
@@ -71,25 +73,41 @@ class OrthAut:
 
     def __eq__(self, other):
         return (isinstance(other, OrthAut) and self.group == other.group
-                and self.hom == other.hom)
+                and self.matrix == other.matrix)
 
     def __hash__(self):
-        return hash((self.group, self.hom))
+        return hash((self.group, self.matrix))
 
     def __repr__(self):
-        return f"OrthAut({[list(r) for r in self.hom.matrix]})"
+        return f"OrthAut({[list(r) for r in self.matrix]})"
 
     def to_json(self):
-        return {"matrix": [list(r) for r in self.hom.matrix]}
+        return {"matrix": [list(r) for r in self.matrix]}
 
     @staticmethod
     def from_json(group: FinAbGroup, obj) -> "OrthAut":
-        D = dsum_group(group)
         try:
-            hom = GroupHom(D, D, obj["matrix"])
+            matrix = _hom_matrix(group, obj["matrix"])
         except DomainError as e:
             raise DomainError(f"alpha.matrix: {e}") from None
-        return OrthAut(group, hom)
+        return OrthAut(group, matrix)
+
+
+def _hom_matrix(G: FinAbGroup, rows) -> tuple:
+    """rows, reduced, when they are the generator images of an endomorphism
+    of G+G^: integer coordinate vectors of the right length, one per
+    generator, each of order dividing its generator's."""
+    D = dsum_group(G)
+    matrix = tuple(D._normalize(row) for row in rows)
+    if len(matrix) != D.rank:
+        raise DomainError(
+            f"hom matrix has {len(matrix)} rows for source rank {D.rank}")
+    # order compatibility: n_i * image(e_i) must vanish in G+G^
+    for n_i, row in zip(D.factors, matrix):
+        if any((n_i * c) % f for c, f in zip(row, D.factors)):
+            raise DomainError(
+                f"generator of order {n_i} maps to an element whose order does not divide it")
+    return matrix
 
 
 @cache
@@ -154,33 +172,42 @@ def _preserves_q(G: FinAbGroup, rows):
 def orth_identity(G: FinAbGroup) -> OrthAut:
     """The identity, with table range(|G+G^|); reading _tables first
     applies the size cap."""
-    return OrthAut(G, ab.hom_identity(dsum_group(G)),
+    D = dsum_group(G)
+    return OrthAut(G, [D.generator(i).coords for i in range(D.rank)],
                    _pos=tuple(range(len(_tables(G)[0]))))
+
+
+def compose_tables(a: tuple, b: tuple) -> tuple:
+    """The position table of a after b: a[b[k]] at k."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _from_table(G: FinAbGroup, table) -> OrthAut:
+    """The OrthAut whose position table is table, built from the images
+    of the generators of G+G^ read off it and validated by OrthAut.  The
+    i-th generator sits at position prod(factors[i+1:]), or at 0 when its
+    factor is trivial."""
+    elements = _tables(G)[0]
+    fs = dsum_group(G).factors
+    return OrthAut(G, [elements[table[1 % f * prod(fs[i + 1:])]]
+                       for i, f in enumerate(fs)])
 
 
 @cache
 def orth_compose(a: OrthAut, b: OrthAut) -> OrthAut:
-    """a after b, memoized by value: the result of each distinct pair is
-    composed and validated by OrthAut once.  Errors are not cached."""
+    """a after b, from the composed position tables, memoized by value:
+    the result of each distinct pair is validated by OrthAut once.  Errors
+    are not cached."""
     if a.group != b.group:
         raise DomainError("cannot compose orthogonal maps over different groups")
-    return OrthAut(a.group, ab.hom_compose(a.hom, b.hom))
+    return _from_table(a.group, compose_tables(a.pos, b.pos))
 
 
 @cache
 def orth_invert(a: OrthAut) -> OrthAut:
-    """The inverse of a: each generator's preimage is read off a.pos, and
-    the result is validated by OrthAut, once per distinct a.  Errors are
-    not cached."""
-    D = dsum_group(a.group)
-    elements = _tables(a.group)[0]
-    rows = []
-    for i in range(D.rank):
-        k = 0
-        for c, f in zip(D.generator(i).coords, D.factors):
-            k = k * f + c
-        rows.append(elements[a.pos.index(k)])
-    return OrthAut(a.group, GroupHom(D, D, rows))
+    """The inverse of a, from the inverse permutation of a.pos, validated
+    by OrthAut once per distinct a.  Errors are not cached."""
+    return _from_table(a.group, dict(zip(a.pos, range(len(a.pos)))))
 
 
 def enumerate_orth(G: FinAbGroup, bound: int = 256):
@@ -241,8 +268,7 @@ def enumerate_orth(G: FinAbGroup, bound: int = 256):
 
     place(candidates)
     # matrices are distinct, so the sort never compares tables
-    return [OrthAut(G, GroupHom(D, D, rows), _pos=pos)
-            for rows, pos in sorted(found)]
+    return [OrthAut(G, rows, _pos=pos) for rows, pos in sorted(found)]
 
 
 class TwistedSubgroup:

@@ -625,11 +625,23 @@ def inverse_by_solves(M, one, zero):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def is_bijective(D, hom):
-    """Whether hom permutes the elements of the finite group D, by listing
-    every image; D is read only through D.order and D.elements(), hom as a
-    callable returning elements with .coords."""
-    return len({hom(x).coords for x in D.elements()}) == D.order
+def hom_images(factors, rows):
+    """The image of every element of Z_f1 x ... x Z_fr (itertools.product
+    order) under the hom sending the i-th generator to rows[i], each as
+    its mixed-radix position in that same order."""
+    images = []
+    for x in itertools.product(*(range(f) for f in factors)):
+        k = 0
+        for j, f in enumerate(factors):
+            k = k * f + sum(c * row[j] for c, row in zip(x, rows)) % f
+        images.append(k)
+    return images
+
+
+def is_bijective(factors, rows):
+    """Whether the hom with generator images rows permutes the elements of
+    Z_f1 x ... x Z_fr, by listing every image."""
+    return len(set(hom_images(factors, rows))) == prod(factors)
 
 
 def vplusvdual_exponents(vplusv, N):
@@ -640,23 +652,20 @@ def vplusvdual_exponents(vplusv, N):
     return list(vplusv[:m]) + [(-e) % N for e in vplusv[m:]]
 
 
-def is_orthogonal_pointwise(D, n, hom):
-    """Orthogonality of hom on D = G+G^ (rank 2n), element by element.
-
-    D is the package's group object and hom a callable on its elements, read
-    only through D.factors, D.elements(), hom(x) and x.coords: the map is a
-    bijection and keeps q(g, chi) = <chi, g> at every point.
-    """
-    factors = D.factors
+def is_orthogonal_pointwise(factors, rows):
+    """Orthogonality on G+G^ (factors: those of G, then those of G^; rank
+    2n) of the hom with generator images rows, element by element: the
+    map is a bijection and keeps q(g, chi) = <chi, g> at every point."""
+    n = len(factors) // 2
     N = lcm(*factors[:n])
 
     def q(c):
         return sum(c[i] * c[n + i] * (N // factors[i]) for i in range(n)) % N
 
-    elements = list(D.elements())
-    images = [hom(x).coords for x in elements]
+    elements = list(itertools.product(*(range(f) for f in factors)))
+    images = hom_images(factors, rows)
     return (len(set(images)) == len(elements)
-            and all(q(y) == q(x.coords) for x, y in zip(elements, images)))
+            and all(q(elements[k]) == q(x) for x, k in zip(elements, images)))
 
 
 def right_coaction_ok(entries, H, one):

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from brpickit import abelian as ab
 from brpickit import orth
-from brpickit.abelian import FinAbGroup, GroupHom
+from brpickit.abelian import FinAbGroup
 from brpickit.cyclo import CycloScalar
 from brpickit.errors import DomainError
 
@@ -87,38 +87,38 @@ def test_direct_sum_and_dual():
 
 
 def test_hom_apply_and_compose():
-    # on Z_2 x Z_4: e1 -> e1 + 2*e2, e2 -> e2
+    # an automorphism of G+G^ is applied through its position table; on
+    # Z2 x Z4 (factors 2, 4, 2, 4) the table is the oracle's image list,
+    # the identity is neutral, and alpha after alpha is the matrix product
     G = FinAbGroup([2, 4])
-    h = GroupHom(G, G, [[1, 2], [0, 1]])
-    assert h(G.element([1, 1])) == G.element([1, 3])
-    assert hom_eq(ab.hom_compose(h, ab.hom_identity(G)), h)
-    hh = ab.hom_compose(h, h)
-    assert hh(G.element([1, 0])) == G.element([1, 0])  # 2*2 = 4 = 0 mod 4
+    D = orth.dsum_group(G)
+    ident = orth.orth_identity(G)
+    for a in orth.enumerate_orth(G):
+        assert list(a.pos) == oracles.hom_images(D.factors, a.matrix)
+        assert orth.orth_compose(a, ident) == a == orth.orth_compose(ident, a)
+        assert orth.orth_compose(a, a).matrix == oracles.compose_matrices(
+            G.factors, a.matrix, a.matrix)
 
 
-def hom_eq(f, g):
-    return f == g
-
-
-def test_hom_order_compatibility_enforced():
-    G = FinAbGroup([2, 4])
-    with pytest.raises(DomainError):
-        GroupHom(G, G, [[0, 1], [0, 1]])  # order-2 generator to an order-4 element
+# orth_compose composes position tables; the matrices it gives are those
+# the oracle composes, bijective, and the product associates.
+COMPOSE_GROUPS = [[2], [4], [2, 2], [8], [2, 4], [3], [2, 3], [6]]
 
 
 def test_automorphism_composition_group_spotcheck():
     rng = random.Random(11)
-    G = Z2xZ2
-    autos = []
-    for mat in itertools.product(range(2), repeat=4):
-        h = GroupHom(G, G, [mat[:2], mat[2:]])
-        if oracles.is_bijective(G, h):
-            autos.append(h)
-    assert len(autos) == 6  # GL_2(F_2)
-    for _ in range(30):
-        f, g, h = rng.choice(autos), rng.choice(autos), rng.choice(autos)
-        assert ab.hom_compose(ab.hom_compose(f, g), h) == ab.hom_compose(f, ab.hom_compose(g, h))
-        assert oracles.is_bijective(G, ab.hom_compose(f, g))
+    for factors in COMPOSE_GROUPS:
+        G = FinAbGroup(factors)
+        D = orth.dsum_group(G)
+        auts = orth.enumerate_orth(G)
+        for _ in range(40):
+            f, g, h = rng.choice(auts), rng.choice(auts), rng.choice(auts)
+            fg = orth.orth_compose(f, g)
+            assert fg.matrix == oracles.compose_matrices(factors, f.matrix,
+                                                         g.matrix), (f, g)
+            assert oracles.is_bijective(D.factors, fg.matrix)
+            assert (orth.orth_compose(fg, h)
+                    == orth.orth_compose(f, orth.orth_compose(g, h)))
 
 
 def test_addition_table_matches_add():
@@ -166,7 +166,7 @@ def test_non_integer_factors_and_coordinates_refused():
         with pytest.raises(DomainError, match="coordinates must be integers"):
             G.element((bad,))
         with pytest.raises(DomainError, match="coordinates must be integers"):
-            GroupHom(G, G, [(bad,)])
+            orth.OrthAut(G, [(bad, 0), (0, 1)])
 
 
 def test_generators_of_a_trivial_factor_are_reduced():

@@ -7,11 +7,10 @@ import pytest
 
 import hopf_helpers as hh
 import oracles
-from brpickit import abelian as ab
 from brpickit import brpic as bp
 from brpickit import linalg as la
 from brpickit import orth
-from brpickit.abelian import FinAbGroup, GroupHom
+from brpickit.abelian import FinAbGroup
 from brpickit.cyclo import CycloScalar
 from brpickit.errors import BrpicError, CapacityError, DomainError, NotInvertibleError
 
@@ -64,14 +63,13 @@ def z4_module():
 
 
 def gamma_of(G):
-    D = orth.dsum_group(G)
     n = G.rank
     rows = []
     for i in range(2 * n):
         r = [0] * (2 * n)
         r[(i + n) % (2 * n)] = 1
         rows.append(r)
-    return orth.OrthAut(G, GroupHom(D, D, rows))
+    return orth.OrthAut(G, rows)
 
 
 def sweedler_odatum(a, c, alpha=None):
@@ -441,7 +439,7 @@ def test_is_invertible():
 def test_describe_sweedler():
     comps = bp.describe_brpic(sweedler_module())
     assert len(comps) == 2
-    mats = {c["alpha"].hom.matrix for c in comps}
+    mats = {c["alpha"].matrix for c in comps}
     assert mats == {((1, 0), (0, 1)), ((0, 1), (1, 0))}
     for c in comps:
         assert c["A_dim"] == 1
@@ -452,7 +450,7 @@ def test_describe_sweedler():
 def test_describe_z4():
     comps = bp.describe_brpic(z4_module())
     assert len(comps) == 4
-    dims = {c["alpha"].hom.matrix: (c["A_dim"], c["C_dim"])
+    dims = {c["alpha"].matrix: (c["A_dim"], c["C_dim"])
             for c in comps}
     assert dims == {
         ((0, 1), (1, 0)): (1, 0),
@@ -488,11 +486,11 @@ def test_describe_dims_match_the_oracle():
         factors = mod.group.factors
         chars = [chi.exps for chi in mod.chars]
         comps = bp.describe_brpic(mod)
-        matrices = [a.hom.matrix for a in orth.enumerate_orth(mod.group)]
-        assert [c["alpha"].hom.matrix for c in comps] == \
+        matrices = [a.matrix for a in orth.enumerate_orth(mod.group)]
+        assert [c["alpha"].matrix for c in comps] == \
             oracles.admissible_matrices(factors, mod.u.coords, matrices), name
         for c in comps:
-            M = c["alpha"].hom.matrix
+            M = c["alpha"].matrix
             dims = (c["A_dim"], c["C_dim"])
             assert dims == oracles.describe_dims(factors, chars, M), \
                 (name, c["alpha"])
@@ -807,32 +805,41 @@ def test_alpha_lists_match_the_matrix_oracles():
     sizes = {}
     for name, mod in hh.module_zoo():
         factors = mod.group.factors
-        matrices = [a.hom.matrix for a in orth.enumerate_orth(mod.group)]
+        matrices = [a.matrix for a in orth.enumerate_orth(mod.group)]
         admissible = oracles.admissible_matrices(factors, mod.u.coords, matrices)
         suite = oracles.greedy_suite(factors, admissible)
-        assert [a.hom.matrix for a in bp.admissible_alphas(mod)] == admissible, name
-        assert [a.hom.matrix for a in bp.suite_alphas(mod)] == suite, name
+        assert [a.matrix for a in bp.admissible_alphas(mod)] == admissible, name
+        assert [a.matrix for a in bp.suite_alphas(mod)] == suite, name
         sizes[name] = (len(suite), len(admissible))
     assert sizes["Z2Z2_d1"] == sizes["Z2Z2_d2"] == (12, 48)
     assert sizes["Z2Z4_d1"] == (128, 128) and sizes["Z8_d1"] == (8, 8)
 
 
 def test_cold_suite_composes_no_homs(monkeypatch):
-    # the closure composes the alphas' position tables; composing GroupHoms
-    # instead made 242 ab.hom_compose and 968 GroupHom.__call__ calls on
-    # Z2 x Z2, and 738 and 2,952 on Z2 x Z4
+    # the closure composes the alphas' position tables, so a cold suite
+    # builds the enumerated alphas, each with the table its leaf check
+    # handed over, and the identity, and no other OrthAut.  Before the
+    # closure read tables it composed the alphas' matrices: 242 matrix
+    # products on Z2 x Z2 and 738 on Z2 x Z4.
     zoo = dict(hh.module_zoo())
-    calls = []
-    compose, call = ab.hom_compose, GroupHom.__call__
-    monkeypatch.setattr(ab, "hom_compose",
-                        lambda f, g: calls.append("compose") or compose(f, g))
-    monkeypatch.setattr(GroupHom, "__call__",
-                        lambda h, x: calls.append("call") or call(h, x))
+    built = []
+    init = orth.OrthAut.__init__
+
+    def recorded(self, group, matrix, _pos=None):
+        init(self, group, matrix, _pos)
+        built.append((self.matrix, _pos is None))
+
     for name, size in (("Z2Z2_d2", 12), ("Z2Z4_d1", 128)):
+        enumerated = {a.matrix for a in orth.enumerate_orth(zoo[name].group)}
         for memo in (bp._suite, bp._admissible, orth.diagonal_stabilizer):
             memo.cache_clear()
-        assert len(bp.suite_alphas(zoo[name])) == size
-        assert calls == [], name
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(orth.OrthAut, "__init__", recorded)
+            assert len(bp.suite_alphas(zoo[name])) == size
+        assert len(built) == len(enumerated) + 1, name
+        assert {matrix for matrix, _ in built} == enumerated, name
+        assert not any(checked for _, checked in built), name
 
 
 # -- binding checks: cached per datum, still run on every output -----------

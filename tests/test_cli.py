@@ -290,6 +290,17 @@ _Z2Z2_DATUM2 = {"T": [["3@1", "0@1", "0@1", "0@1"],
                 "alpha": {"matrix": [[0, 0, 1, 0], [0, 0, 0, 1],
                                      [1, 0, 0, 1], [0, 1, 1, 0]]}}
 Z2Z2_PAIR = Z2Z2 | {"datum": _Z2Z2_DATUM, "datum2": _Z2Z2_DATUM2}
+# random_odatum data (seed 7) over two suite alphas of Z2Z4, neither its
+# own inverse, whose product is a third one; their matrices have entries
+# of order 2 and 4, so `mul` and `inv` compose and invert across mixed
+# factor orders.
+_Z2Z4_DATUM = {"T": [["-1@1", "0@1"], ["0@1", "-1@1"]],
+               "alpha": {"matrix": [[0, 0, 1, 2], [0, 0, 0, 3],
+                                    [1, 0, 0, 2], [1, 3, 1, 2]]}}
+_Z2Z4_DATUM2 = {"T": [["-2@1", "0@1"], ["0@1", "-1/2@1"]],
+                "alpha": {"matrix": [[1, 0, 0, 2], [0, 0, 0, 3],
+                                     [0, 0, 1, 2], [1, 3, 1, 2]]}}
+Z2Z4_PAIR = Z2Z4 | {"datum": _Z2Z4_DATUM, "datum2": _Z2Z4_DATUM2}
 Z2Z2_NEXT = {"group": [2, 2], "u": [1, 1], "V": [[1, 0], [0, 1], [1, 0]]}
 Z2Z4_NEXT = {"group": [2, 4], "u": [0, 2], "V": [[0, 1], [1, 1]]}
 GOLDEN = [
@@ -355,6 +366,11 @@ GOLDEN = [
     ({"group": [2], "u": [1], "V": [[1], [1], [1], [1]]},
      ["brpic", "describe"],
      "18bee202f2941010ed933413b4716ebfc28cdd5b23f475833aea3d2317909dd7"),
+    # recorded before alphas were composed by their position tables
+    (Z2Z4_PAIR, ["brpic", "mul"],
+     "68a6b3dc260e0e1409b456845efd131874ffeb24a3e7b29ec590b5985e5a4ee4"),
+    (Z2Z4_PAIR, ["brpic", "inv"],
+     "d673611aaaf27c4e8533ec65df1cf749e6ebca80f4b2919eb9d0d10b27f5fece"),
 ]
 
 
@@ -475,6 +491,28 @@ BAD_FIELDS = [
     _bad({"datum": _w_with("0@1", True)}, ["brpic", "inv"], "datum",
          "W.ambient: must be an integer, got True", "datum-W-ambient-bool"),
 ]
+
+
+# An alpha.matrix that is not a homomorphism of G+G^ (rank 4 for Z2Z4) is
+# refused before the orthogonality test.  Recorded before OrthAut took the
+# matrix's checks over.
+ALPHA_REJECTIONS = [
+    ([[0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+     "generator of order 2 maps to an element whose order does not divide it"),
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+     "hom matrix has 3 rows for source rank 4"),
+    ([[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+     "coordinate vector of length 3 for group of rank 4"),
+]
+
+
+@pytest.mark.parametrize("matrix,message", ALPHA_REJECTIONS,
+                         ids=["order", "rows", "row-length"])
+def test_alpha_matrix_rejections_exit_2(tmp_path, capsys, matrix, message):
+    datum = {"T": [["1@1", "0@1"], ["0@1", "1@1"]], "alpha": {"matrix": matrix}}
+    spec = _write(tmp_path, "bad.json", Z2Z4 | {"datum": datum})
+    code, out, err = _run(capsys, ["brpic", "inv", "--spec", spec])
+    assert (code, out, err) == (2, "", f"datum: alpha.matrix: {message}\n")
 
 
 @pytest.mark.parametrize("fields,argv,name,named", BAD_FIELDS)
@@ -715,19 +753,21 @@ def test_comodule_suite_computes_actions_once_per_datum(tmp_path, capsys,
 
 
 # Group work that a module or an alpha alone determines is done once: the
-# character exponents of the module by its table, each composed alpha by
-# the orth_compose memo.  Before both, this run made 12,260 ab.pair calls,
-# and 200 ab.hom_compose calls for 75 distinct pairs of alphas.  The bound
-# on ab.pair is the table, dim V * |G|, plus the two checks that each
-# character sends u to -1 (spec parsing and GModuleV).
+# character exponents of the module by its table, each composed or
+# inverted alpha by the orth_compose and orth_invert memos, so that each
+# distinct pair is composed and checked by _preserves_q once.  Before both,
+# this run made 12,260 ab.pair calls, and 200 alpha compositions for 75
+# distinct pairs of alphas.  The bound on ab.pair is the table, dim V * |G|,
+# plus the two checks that each character sends u to -1 (spec parsing and
+# GModuleV).
 def test_axioms_suite_computes_group_work_once(tmp_path, capsys, monkeypatch):
     module = cli.parse_module(Z2Z2)
     orth.orth_compose.cache_clear()
     orth.orth_invert.cache_clear()
     bp.suite_alphas(module)  # the suite memo is filled before counting
-    pairs, composed, homs = [], set(), []
+    pairs, composed, inverted, checks = [], set(), set(), []
     original_pair, original_compose = ab.pair, orth.orth_compose
-    original_hom_compose = ab.hom_compose
+    original_invert, original_check = orth.orth_invert, orth._preserves_q
 
     def counted_pair(chi, g):
         pairs.append((chi, g))
@@ -737,16 +777,21 @@ def test_axioms_suite_computes_group_work_once(tmp_path, capsys, monkeypatch):
         composed.add((a, b))
         return original_compose(a, b)
 
-    def counted_hom_compose(f, g):
-        homs.append((f, g))
-        return original_hom_compose(f, g)
+    def counted_invert(a):
+        inverted.add(a)
+        return original_invert(a)
+
+    def counted_check(G, rows):
+        checks.append(rows)
+        return original_check(G, rows)
 
     monkeypatch.setattr(ab, "pair", counted_pair)
     monkeypatch.setattr(orth, "orth_compose", counted_compose)
-    monkeypatch.setattr(ab, "hom_compose", counted_hom_compose)
+    monkeypatch.setattr(orth, "orth_invert", counted_invert)
+    monkeypatch.setattr(orth, "_preserves_q", counted_check)
     spec = _write(tmp_path, "z2z2.json", Z2Z2)
     code, out, err = _run(capsys, ["verify", "group-axioms", "--seed", "5",
                                    "--count", "20", "--spec", spec])
     assert code == 0 and err == "" and "result: PASS" in out
-    assert composed and len(homs) <= len(composed)
+    assert composed and len(checks) <= len(composed) + len(inverted)
     assert len(pairs) <= module.dim * (module.group.order + 2)

@@ -295,7 +295,7 @@ def test_rejections_each_clause():
     assert viol(F=[uu]) == ["F_subgroup"]
     # graph not stable under non-diagonal F
     gamma = [f for f in bp.suite_alphas(mod)
-             if f.hom.matrix != orth.orth_identity(G).hom.matrix][0]
+             if f.matrix != orth.orth_identity(G).matrix][0]
     U = orth.u_alpha(gamma)
     d = hopf.CompatibleData(mod, None, None, _graph(1, [0], 1), None,
                             U.elements, orth.psi_alpha(gamma))
@@ -593,7 +593,7 @@ def test_cotensor_dimension_and_iso_fixed():
     G = mod.group
     ident = orth.orth_identity(G)
     gamma = [f for f in bp.suite_alphas(mod)
-             if f.hom.matrix != ident.hom.matrix][0]
+             if f.matrix != ident.matrix][0]
     W = _graph(1, [0], 1)
     bform = la.BilinearForm(W, [[la.sc(2)]])
     cases = [

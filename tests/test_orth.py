@@ -10,7 +10,7 @@ import pytest
 import oracles
 from brpickit import abelian as ab
 from brpickit import orth
-from brpickit.abelian import FinAbGroup, GroupHom
+from brpickit.abelian import FinAbGroup
 from brpickit.cyclo import CycloScalar
 from brpickit.errors import CapacityError, DomainError
 
@@ -33,6 +33,10 @@ def _swap_matrix(n):
     return rows
 
 
+def _identity_matrix(D):
+    return [list(D.generator(i).coords) for i in range(D.rank)]
+
+
 def test_enumerate_matches_brute_force_oracle():
     for factors, expected in FROZEN_COUNTS.items():
         G = FinAbGroup(factors)
@@ -40,20 +44,20 @@ def test_enumerate_matches_brute_force_oracle():
         assert len(enumerated) == expected, f"size mismatch for {factors}"
         oracle = {tuple(tuple(r) for r in M)
                   for M in oracles.orth_brute_force(list(factors))}
-        ours = {a.hom.matrix for a in enumerated}
+        ours = {a.matrix for a in enumerated}
         assert ours == oracle, f"matrix set mismatch for {factors}"
 
 
 def test_z2_is_exactly_id_and_gamma():
     auts = orth.enumerate_orth(Z2)
-    matrices = {a.hom.matrix for a in auts}
+    matrices = {a.matrix for a in auts}
     assert matrices == {((1, 0), (0, 1)), ((0, 1), (1, 0))}
 
 
-def _orthogonal(G, hom):
+def _orthogonal(G, rows):
     """The verdict of the orthogonality test that OrthAut runs."""
     try:
-        orth.OrthAut(G, hom)
+        orth.OrthAut(G, rows)
     except DomainError:
         return False
     return True
@@ -61,15 +65,12 @@ def _orthogonal(G, hom):
 
 def test_gamma_is_orthogonal_swap():
     for G in [Z2, Z3, Z4]:
-        D = orth.dsum_group(G)
-        gamma = GroupHom(D, D, _swap_matrix(G.rank))
-        assert _orthogonal(G, gamma)
+        assert _orthogonal(G, _swap_matrix(G.rank))
 
 
 def test_chi_squared_on_z3_not_orthogonal():
-    D = orth.dsum_group(Z3)
-    h = GroupHom(D, D, [[1, 0], [0, 2]])  # (g, chi) -> (g, chi^2)
-    assert oracles.is_bijective(D, h)
+    h = [[1, 0], [0, 2]]  # (g, chi) -> (g, chi^2)
+    assert oracles.is_bijective(orth.dsum_group(Z3).factors, h)
     assert not _orthogonal(Z3, h)
 
 
@@ -96,6 +97,16 @@ def test_group_axioms_closure_exhaustive():
             assert orth.orth_compose(a, b) in aset
 
 
+def test_matrix_order_compatibility_enforced():
+    # G+G^ of Z2 x Z4 has factors (2, 4, 2, 4): the first generator has
+    # order 2 and may not go to the second, of order 4
+    G = FinAbGroup([2, 4])
+    ident = _identity_matrix(orth.dsum_group(G))
+    with pytest.raises(DomainError, match="^generator of order 2 maps to an "
+                       "element whose order does not divide it$"):
+        orth.OrthAut(G, [ident[1]] + ident[1:])
+
+
 # orth_compose and orth_invert are memos keyed by every operand's value.
 # For a fixed a, orth_compose(a, b) runs over every b, so a memo keyed on
 # a alone returns a stale product.
@@ -114,7 +125,7 @@ def test_alpha_memos_raise_on_every_call():
     # |G+G^| = 2^22 is over the cap, so no OrthAut over Z2^11 can be
     # built; this one has an empty table, which the cap keeps unread
     G = FinAbGroup([2] * 11)
-    big = orth.OrthAut(G, ab.hom_identity(orth.dsum_group(G)), _pos=())
+    big = orth.OrthAut(G, _identity_matrix(orth.dsum_group(G)), _pos=())
     for _ in range(3):
         with pytest.raises(DomainError, match="different groups"):
             orth.orth_compose(a, b)
@@ -159,7 +170,7 @@ def test_enumeration_capacity_bound(monkeypatch):
     assert len(verdicts) == 257
 
 
-# sha256 of repr([a.hom.matrix for a in enumerate_orth(G, bound)]), recorded
+# sha256 of repr([a.matrix for a in enumerate_orth(G, bound)]), recorded
 # before the search moved onto coordinate tuples: pins the set and the order
 ENUMERATION_DIGESTS = [
     ([8], 256, 8, "0089de51fdee801272aff8c505faca4077bac3bebc49536c865067d647a6f721"),
@@ -173,7 +184,7 @@ ENUMERATION_DIGESTS = [
 @pytest.mark.parametrize("factors,bound,count,digest", ENUMERATION_DIGESTS,
                          ids=["x".join(map(str, e[0])) for e in ENUMERATION_DIGESTS])
 def test_enumeration_set_and_order_pinned(factors, bound, count, digest):
-    matrices = [a.hom.matrix for a in orth.enumerate_orth(FinAbGroup(factors), bound)]
+    matrices = [a.matrix for a in orth.enumerate_orth(FinAbGroup(factors), bound)]
     assert len(matrices) == count
     assert hashlib.sha256(repr(matrices).encode()).hexdigest() == digest
 
@@ -210,9 +221,8 @@ def test_leaf_check_tests_bijectivity_on_its_own(monkeypatch):
 
 def _random_hom(D, rng):
     # each generator image has order dividing the generator's order
-    rows = [[rng.randrange(gcd(m, f)) * (f // gcd(m, f)) for f in D.factors]
+    return [[rng.randrange(gcd(m, f)) * (f // gcd(m, f)) for f in D.factors]
             for m in D.factors]
-    return GroupHom(D, D, rows)
 
 
 def _is_orthogonal_agrees_with_pointwise_oracle(rng):
@@ -220,14 +230,14 @@ def _is_orthogonal_agrees_with_pointwise_oracle(rng):
               FinAbGroup([2, 1]), FinAbGroup([6])]:
         D = orth.dsum_group(G)
         homs = [_random_hom(D, rng) for _ in range(300)]
-        homs += [a.hom for a in orth.enumerate_orth(G, bound=2048)[::4]]
+        homs += [a.matrix for a in orth.enumerate_orth(G, bound=2048)[::4]]
         kinds = {"orthogonal": 0, "bijective, not orthogonal": 0, "not bijective": 0}
         for h in homs:
-            expected = oracles.is_orthogonal_pointwise(D, G.rank, h)
+            expected = oracles.is_orthogonal_pointwise(D.factors, h)
             assert _orthogonal(G, h) == expected, (G, h)
             if expected:
                 kinds["orthogonal"] += 1
-            elif oracles.is_bijective(D, h):
+            elif oracles.is_bijective(D.factors, h):
                 kinds["bijective, not orthogonal"] += 1
             else:
                 kinds["not bijective"] += 1
@@ -242,7 +252,7 @@ def test_from_json_above_4096_matches_pointwise_oracle(monkeypatch):
     # |G+G^| = 2^14 is above 4096: every size takes the one pointwise test
     G = FinAbGroup([2] * 7)
     D = orth.dsum_group(G)
-    shear = [list(r) for r in ab.hom_identity(D).matrix]
+    shear = _identity_matrix(D)
     shear[0][1] = 1  # g_0 -> g_0 + g_1: bijective, not orthogonal
     calls = [0]
     original = orth._positions
@@ -254,15 +264,14 @@ def test_from_json_above_4096_matches_pointwise_oracle(monkeypatch):
     monkeypatch.setattr(orth, "_positions", counted)
     verdicts = []
     for matrix in (_swap_matrix(7), shear):
-        hom = GroupHom(D, D, matrix)
-        assert oracles.is_bijective(D, hom)
+        assert oracles.is_bijective(D.factors, matrix)
         calls[0] = 0
         try:
             alpha = orth.OrthAut.from_json(G, {"matrix": matrix})
         except DomainError:
             alpha = None
         verdicts.append(alpha is not None)
-        assert verdicts[-1] is oracles.is_orthogonal_pointwise(D, G.rank, hom)
+        assert verdicts[-1] is oracles.is_orthogonal_pointwise(D.factors, matrix)
         assert calls[0] == 1
         if alpha is not None:
             # a reader of the table uses the one the check computed
@@ -281,8 +290,7 @@ def test_u_alpha_identity_is_diagonal():
 
 
 def test_u_gamma_on_z2_is_everything():
-    D = orth.dsum_group(Z2)
-    gamma = orth.OrthAut(Z2, GroupHom(D, D, _swap_matrix(1)))
+    gamma = orth.OrthAut(Z2, _swap_matrix(1))
     U = orth.u_alpha(gamma)
     assert len(U) == 4
     u = Z2.generator(0)
@@ -302,7 +310,8 @@ def test_u_alpha_divides_g_squared():
             assert (G.order ** 2) % len(U) == 0
             # U_alpha is the image of x -> (alpha_1(x), g_x)
             n = G.rank
-            image = {a.hom(x).coords[:n] + x.coords[:n]
+            image = {oracles.apply_matrix(G.factors, a.matrix, x.coords)[:n]
+                     + x.coords[:n]
                      for x in orth.dsum_group(G).elements()}
             assert {e.coords for e in U.elements} == image
 
@@ -311,7 +320,7 @@ def test_u_alpha_built_once_and_shared_with_psi():
     # an equal but distinct alpha reaches the same memo entries
     for G in [Z2, Z4, Z2xZ2]:
         for a in orth.enumerate_orth(G):
-            b = orth.OrthAut(G, a.hom)
+            b = orth.OrthAut(G, a.matrix)
             assert orth.u_alpha(a) is orth.u_alpha(a) is orth.u_alpha(b)
             assert orth.psi_alpha(b).domain is orth.u_alpha(a)
 
@@ -323,8 +332,7 @@ def test_psi_identity_trivial():
 
 
 def test_psi_gamma_z2_value():
-    D = orth.dsum_group(Z2)
-    gamma = orth.OrthAut(Z2, GroupHom(D, D, _swap_matrix(1)))
+    gamma = orth.OrthAut(Z2, _swap_matrix(1))
     psi = orth.psi_alpha(gamma)
     a = psi.domain.pair_group.element([1, 0])  # (u, 1)
     b = psi.domain.pair_group.element([0, 1])  # (1, u)
@@ -378,11 +386,13 @@ def test_psi_exponents_match_the_pairing_formula():
         n = G.rank
         preimage = {}
         for x in orth.dsum_group(G).elements():
-            preimage.setdefault(alpha.hom(x).coords[:n] + x.coords[:n], x)
+            image = oracles.apply_matrix(G.factors, alpha.matrix, x.coords)
+            preimage.setdefault(image[:n] + x.coords[:n], x)
         for a in U.elements:
             r = preimage[a.coords]
             chi = G.character(r.coords[n:])
-            a2 = G.character(alpha.hom(r).coords[n:])
+            a2 = G.character(
+                oracles.apply_matrix(G.factors, alpha.matrix, r.coords)[n:])
             for b in U.elements:
                 b1, b2 = U.components(b)
                 assert psi.exp(a, b) == \
@@ -392,10 +402,10 @@ def test_psi_exponents_match_the_pairing_formula():
 def test_psi_ill_defined_for_a_non_orthogonal_automorphism():
     # chi -> chi^-1 on Z3 + Z3^ is bijective but not orthogonal, and the
     # preimages (g, chi) of one element of U give different pairings
-    D = orth.dsum_group(Z3)
-    hom = GroupHom(D, D, [[1, 0], [0, 2]])
-    assert oracles.is_bijective(D, hom) and not _orthogonal(Z3, hom)
-    alpha = orth.OrthAut(Z3, hom, _pos=orth._positions(Z3, hom.matrix))
+    hom = [[1, 0], [0, 2]]
+    assert (oracles.is_bijective(orth.dsum_group(Z3).factors, hom)
+            and not _orthogonal(Z3, hom))
+    alpha = orth.OrthAut(Z3, hom, _pos=orth._positions(Z3, hom))
     with pytest.raises(DomainError, match="psi ill-defined"):
         orth.psi_alpha(alpha)
 
@@ -470,7 +480,9 @@ def test_position_tables_agree_with_the_homs(G):
     index = {x.coords: k for k, x in enumerate(elements)}
     auts = orth.enumerate_orth(G)
     for a in auts:
-        assert a.pos == tuple(index[a.hom(x).coords] for x in elements), a
+        assert a.pos == tuple(
+            index[oracles.apply_matrix(G.factors, a.matrix, x.coords)]
+            for x in elements), a
         inverse = orth.orth_invert(a).pos
         assert all(inverse[p] == k for k, p in enumerate(a.pos)), a
         for b in auts[::len(auts) // 16 + 1]:
