@@ -165,6 +165,27 @@ def _addition_table(elements):
     return index, tuple(add)
 
 
+def generators(add) -> tuple:
+    """A generating set of the group whose addition table on positions is
+    add (as addition_table gives it): greedily, in position order, each
+    element the ones kept so far do not generate.  Every element is then a
+    sum of kept elements, which is what an induction on word length needs.
+
+    The kept elements generate a subgroup H; adding g extends it to the
+    union of the cosets H + kg, each found by adding g to the last one.
+    """
+    reached = {i for i, row in enumerate(add) if row[i] == i}  # the zero
+    gens = []
+    for g in range(len(add)):
+        if g not in reached:
+            gens.append(g)
+            coset = list(reached)
+            while coset:
+                coset = [add[g][x] for x in coset if add[g][x] not in reached]
+                reached.update(coset)
+    return tuple(gens)
+
+
 def direct_sum(G: FinAbGroup, H: FinAbGroup) -> FinAbGroup:
     return FinAbGroup(G.factors + H.factors)
 

@@ -183,11 +183,12 @@ class CompatibleData:
 
     compatible_violations decides the cocycle identity of psi exactly as a
     congruence on exponents, read through law (_psi_cocycle_ok): those of
-    psi_exps mod N for a TwoCocycle, which for psi_alpha is the verdict
-    TwoCocycle already reached; otherwise each value is lifted to
-    M = lcm(2, the table's conductors) and read as k when it is zeta_M^k.  A
-    table with a value that is not a root of unity is checked by
-    multiplying the values instead.
+    psi_exps mod N for a TwoCocycle, whose (law, E, N) is the one
+    TwoCocycle handed orth.cocycle_failure, so for psi_alpha the memoized
+    verdict is reused; otherwise each value is lifted to M = lcm(2, the
+    table's conductors) and read as k when it is zeta_M^k.  A table with a
+    value that is not a root of unity is checked by multiplying the values
+    instead.
 
     f in G x G scales each reduced row of an f-stable sector by zeta_N^e, e
     its exponent at the row's pivot (act_exponents), so F-stability, beta's
@@ -405,9 +406,12 @@ def _psi_cocycle_ok(data) -> bool:
     """psi(a,b) psi(a+b,c) == psi(b,c) psi(a,b+c) on all of F^3, exactly.
 
     A TwoCocycle's table is zeta_N^E, (N, E) = psi_exps, so the identity
-    is orth.cocycle_failure's congruence on E mod N.  Any other table has
-    each value lifted once to M = lcm(2, its conductors), where
-    (num, den) is canonical, and looked up among the M roots zeta_M^k.
+    is orth.cocycle_failure's congruence on E mod N, decided on generators
+    of F when E is a bicharacter and over F^3 otherwise; cocycle_failure
+    is memoized, so psi_alpha's verdict is the one TwoCocycle reached.
+    Any other table has each value lifted once to M = lcm(2, its
+    conductors), where (num, den) is canonical, and looked up among the M
+    roots zeta_M^k.
     Every root of unity in Q(zeta_M) is +-zeta_M^k, of order dividing M,
     so the lookup finds each value that is one.  When all are found, psi
     is zeta_M^E and the identity is orth.cocycle_failure's congruence on E
@@ -624,11 +628,23 @@ def _model_iso(K, gen_w, gen_e, mul, one, target, coords, note):
     target, they span target, which holds one; each ends in some gen_e[f]
     = gen_e[f] gen_e[0] (psi is normalized), so one = one gen_e[0] =
     gen_e[0], and the map is a bijective algebra map.  A linear map that
-    commutes with the coactions on a basis is a comodule map."""
+    commutes with the coactions on a basis is a comodule map.
+
+    relations_psi is checked for a in {0} and the generators of F
+    (abelian.generators) and every b: e_a e_b = psi(a, b) e_(a+b) then
+    holds for every a, by induction on the length of a as a sum of
+    generators.  For a = g + a', g a generator, the checked relation at
+    (g, a') gives e_a = psi(g, a')^-1 e_g e_a', as psi's values are roots
+    of unity; the product of the algebra holding target is associative,
+    so e_a e_b = psi(g, a')^-1 psi(a', b) psi(g, a' + b) e_(a+b), and the
+    cocycle identity of psi (checked when K was built) makes that scalar
+    psi(a, b).  So K's psi must be a TwoCocycle, as build_L's is."""
     data = K.meta["data"]
     if data.W1.dim or data.W2.dim:
         raise DomainError("_model_iso reads the relations of a third-sector "
                           "model only")
+    if data.psi_exps is None:
+        raise DomainError("_model_iso reads psi as a TwoCocycle only")
     gram = data.gram
     nW = len(data.rows)
     for i in range(nW):
@@ -640,7 +656,8 @@ def _model_iso(K, gen_w, gen_e, mul, one, target, coords, note):
             if lhs != rhs:
                 note("relations_w", (i, j))
     fpos, fadd = data.law
-    for i, a in enumerate(data.F):
+    for i in (fpos[data.pair_group.zero().coords], *ab.generators(fadd)):
+        a = data.F[i]
         for j, b in enumerate(data.F):
             rhs = _scaled(gen_e[fadd[i][j]], data.psi[(a.coords, b.coords)])
             if mul(gen_e[i], gen_e[j]) != rhs:

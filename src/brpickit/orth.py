@@ -63,7 +63,7 @@ class OrthAut:
         if _pos is None:
             _pos = _preserves_q(group, matrix)
             if _pos is None:
-                raise DomainError("hom is not an orthogonal automorphism of G+G^")
+                raise DomainError("not an orthogonal automorphism of G+G^")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "pos", _pos)
@@ -87,10 +87,9 @@ class OrthAut:
     @staticmethod
     def from_json(group: FinAbGroup, obj) -> "OrthAut":
         try:
-            matrix = _hom_matrix(group, obj["matrix"])
+            return OrthAut(group, obj["matrix"])
         except DomainError as e:
             raise DomainError(f"alpha.matrix: {e}") from None
-        return OrthAut(group, matrix)
 
 
 def _hom_matrix(G: FinAbGroup, rows) -> tuple:
@@ -399,9 +398,17 @@ def cocycle_failure(add, E, N: int):
     E is a table of exponents of zeta_N over the elements of a group whose
     addition table on indices is add; the congruence is the 2-cocycle
     identity psi(a,b) psi(a+b,c) = psi(b,c) psi(a,b+c) for psi = zeta_N^E.
-    add and E are tuples of tuples; for psi_alpha at an even N, TwoCocycle
-    and hopf's psi check reach one memoized verdict.
+    add and E are tuples of tuples; TwoCocycle and hopf's psi check hand
+    it the same (add, E, N) for psi_alpha, so they share one verdict.
+
+    Fast path: when E is a bicharacter mod N (_bicharacter), psi is one,
+    and a bicharacter is a 2-cocycle: both sides of the identity are
+    psi(a,b) psi(a,c) psi(b,c).  Any other table, such as a coboundary
+    that is not a bicharacter, goes through the triple loop, which names
+    the first failing triple.
     """
+    if _bicharacter(add, E, N):
+        return None
     n = len(E)
     for i in range(n):
         Ei, addi = E[i], add[i]
@@ -413,14 +420,44 @@ def cocycle_failure(add, E, N: int):
     return None
 
 
+def _bicharacter(add, E, N: int) -> bool:
+    """Whether E is additive mod N in each argument, decided on the
+    generators g, h of the group (abelian.generators) in gens * |E|^2 steps.
+
+    Each row is checked along every g: E[i][g+j] = E[i][g] + E[i][j] for
+    all j.  That makes the row additive, by induction on word length: j = 0
+    gives E[i][0] = 0, and if x is additive so is g + x, as E[i][g+x+j] =
+    E[i][g] + E[i][x] + E[i][j] = E[i][g+x] + E[i][j].  Then for each g and
+    i, j -> E[g+i][j] - E[g][j] - E[i][j] is additive, so it vanishes
+    everywhere once it vanishes at every generator h; and additivity along
+    every g in the first argument spreads by the same induction.
+    """
+    gens = ab.generators(add)
+    R = [[e % N for e in row] for row in E]
+    for Ri in R:
+        for g in gens:
+            Rig = Ri[g]
+            if list(map(Ri.__getitem__, add[g])) != [(c + Rig) % N for c in Ri]:
+                return False
+    return not any((R[add[g][i]][h] - R[g][h] - Ri[h]) % N
+                   for g in gens for i, Ri in enumerate(R) for h in gens)
+
+
 @cache
 def psi_alpha(alpha: OrthAut) -> TwoCocycle:
     """The 2-cocycle on U_alpha, with well-definedness verified.
 
     The defining formula reads off a chosen preimage of a; before trusting
-    it, every other preimage is tried, and a disagreement raises (rather
-    than silently depending on the section).  Built, and its cocycle
-    identity verified, once per alpha.
+    it, every other preimage is checked against it, and a disagreement
+    raises (rather than silently depending on the section).  Built, and
+    its cocycle identity verified, once per alpha.
+
+    Two preimages agree on every b in U_alpha once they agree on the
+    generators of U_alpha (abelian.generators): psi(a, b) is v . b mod N,
+    and each coordinate of v is a multiple of w_i = N / f_i, so v . b mod
+    N does not depend on the representatives of b's coordinates mod f_i
+    and is additive in b.  Two additive maps that agree on generators
+    agree everywhere.
     """
     # psi(a, b) = <alpha_2(r)^-1, b_1> <chi_r, b_2> for a preimage r = (g,
     # chi) of a, whose exponent mod N is the dot product of b's coordinates
@@ -429,20 +466,17 @@ def psi_alpha(alpha: OrthAut) -> TwoCocycle:
     n = G.rank
     N = G.exponent
     w = [N // f for f in G.factors]
-    table = _alpha_table(alpha)
     U = u_alpha(alpha)
-    # the distinct v_r mod N over all preimages r of each subgroup element
-    vecs: dict = {e.coords: set() for e in U.elements}
-    for x, y in table:
+    gens = [U.elements[g].coords for g in ab.generators(U.law[1])]
+    first: dict = {}  # the v_r of the first preimage r of each element
+    for x, y in _alpha_table(alpha):
         v = tuple(-a * wi % N for a, wi in zip(y[n:], w)) \
             + tuple(c * wi for c, wi in zip(x[n:], w))
-        vecs[y[:n] + x[:n]].add(v)
-    exps = {}
-    for a in U.elements:
-        vs = vecs[a.coords]
-        for b in U.elements:
-            vals = {sum(s * t for s, t in zip(v, b.coords)) % N for v in vs}
-            if len(vals) != 1:
-                raise DomainError("psi ill-defined for this alpha")
-            exps[(a.coords, b.coords)] = vals.pop()
+        v0 = first.setdefault(y[:n] + x[:n], v)
+        if v != v0 and any((sum(map(mul, v, b)) - sum(map(mul, v0, b))) % N
+                           for b in gens):
+            raise DomainError("psi ill-defined for this alpha")
+    coords = [e.coords for e in U.elements]
+    exps = {(a, b): sum(map(mul, first[a], b)) % N
+            for a in coords for b in coords}
     return TwoCocycle(U, N, exps)

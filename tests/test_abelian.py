@@ -133,6 +133,33 @@ def test_addition_table_matches_add():
     assert ab.addition_table([]) == ({}, ())
 
 
+def _span(els, kept):
+    """Every sum of multiples of the kept elements, by closure under add."""
+    zero = els[0].parent.zero()
+    reached = {zero}
+    frontier = [zero]
+    while frontier:
+        frontier = [s for s in {ab.add(x, els[g]) for x in frontier for g in kept}
+                    if s not in reached]
+        reached.update(frontier)
+    return reached
+
+
+@pytest.mark.parametrize("factors", [[1], [2], [4], [2, 2], [2, 4], [2, 3],
+                                     [3, 3], [2, 2, 2], [4, 4], [8]])
+def test_generators_generate_and_none_is_redundant(factors):
+    # the greedy set generates the group, and no kept element lies in the
+    # span of the ones kept before it; U_alpha's elements are in a
+    # different order, so take each group both sorted and shuffled
+    els = list(FinAbGroup(factors).elements())
+    for order in (els, random.Random(len(els)).sample(els, len(els))):
+        gens = ab.generators(ab.addition_table(order)[1])
+        assert _span(order, gens) == set(order)
+        assert all(order[g] not in _span(order, gens[:k])
+                   for k, g in enumerate(gens))
+    assert ab.generators(()) == ()
+
+
 def test_addition_table_none_when_not_closed():
     # {0, 1} in Z4: 1 + 1 = 2 is missing; so is the inverse 3 of 1
     assert ab.addition_table([Z4.zero(), Z4.element([1])]) is None

@@ -494,8 +494,9 @@ BAD_FIELDS = [
 
 
 # An alpha.matrix that is not a homomorphism of G+G^ (rank 4 for Z2Z4) is
-# refused before the orthogonality test.  Recorded before OrthAut took the
-# matrix's checks over.
+# refused before the orthogonality test.  The first three were recorded
+# before OrthAut took the matrix's checks over; the last is a homomorphism
+# that moves q, and names the field like the others.
 ALPHA_REJECTIONS = [
     ([[0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
      "generator of order 2 maps to an element whose order does not divide it"),
@@ -503,11 +504,13 @@ ALPHA_REJECTIONS = [
      "hom matrix has 3 rows for source rank 4"),
     ([[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
      "coordinate vector of length 3 for group of rank 4"),
+    ([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+     "not an orthogonal automorphism of G+G^"),
 ]
 
 
 @pytest.mark.parametrize("matrix,message", ALPHA_REJECTIONS,
-                         ids=["order", "rows", "row-length"])
+                         ids=["order", "rows", "row-length", "orthogonal"])
 def test_alpha_matrix_rejections_exit_2(tmp_path, capsys, matrix, message):
     datum = {"T": [["1@1", "0@1"], ["0@1", "1@1"]], "alpha": {"matrix": matrix}}
     spec = _write(tmp_path, "bad.json", Z2Z4 | {"datum": datum})

@@ -81,7 +81,7 @@ def test_equal_modules_share_hosts_and_families():
 
 def test_psi_alpha_cocycle_verdict_is_reached_once():
     # TwoCocycle and compatible_violations hand cocycle_failure the same
-    # (add, E, N) for psi_alpha at an even exponent N
+    # (add, E, N) for psi_alpha
     mod = dict(hh.module_zoo())["Z2Z4_d1"]
     alpha = bp.suite_alphas(mod)[-1]
     orth.psi_alpha.cache_clear()
@@ -1485,5 +1485,94 @@ def test_model_iso_refuses_an_axis_sector():
                                [(0, 0)])
     K = hopf.build_K(data)
     with pytest.raises(DomainError, match="third-sector"):
+        hopf._model_iso(K, [], [], None, {}, K, lambda x: x,
+                        lambda kind, where: None)
+
+
+def _self_images(K):
+    """w_i -> w_i and e_f -> e_f on a build_L model K, with K's product
+    and unit: the identity of K, as _model_iso's generator images."""
+    data = K.meta["data"]
+    zero = data.pair_group.zero().coords
+    gen_w = [{K.index[((i,), zero)]: ONE} for i in range(len(data.rows))]
+    gen_e = [{K.index[((), f.coords)]: ONE} for f in data.F]
+    return gen_w, gen_e, partial(host._mul, K.mul_basis), {K.index[((), zero)]: ONE}
+
+
+def _model_iso_kinds(K, gen_w, gen_e, mul, one, target, coords):
+    kinds = set()
+    hopf._model_iso(K, gen_w, gen_e, mul, one, target, coords,
+                    lambda kind, where: kinds.add(kind))
+    return kinds
+
+
+def _psi_relations_hold(K, gen_e, mul):
+    """e_a e_b = psi(a, b) e_(a+b) for every a, b in F: the full loop."""
+    data = K.meta["data"]
+    add = data.law[1]
+    return all(mul(gen_e[i], gen_e[j])
+               == host._scaled(gen_e[add[i][j]], data.psi[(a.coords, b.coords)])
+               for i, a in enumerate(data.F) for j, b in enumerate(data.F))
+
+
+def test_model_iso_notes_a_negated_e_image():
+    """k_psi F (a build_L model with W = 0) onto itself with e_f -> -e_f at
+    one f != 0 fails relations_psi and nothing else.  F = Z8 (Z8, identity
+    alpha) has 3g, and F of order 16 (Z4, suite alpha) has elements that
+    are a sum of no two elements of any generating set."""
+    z4 = dict(hh.module_zoo())["Z4_d1"]
+    z8 = dict(hh.module_zoo())["Z8_d1"]
+    cases = [(z8, orth.orth_identity(z8.group))]
+    cases += [(z4, a) for a in bp.suite_alphas(z4)]
+    assert max(len(orth.u_alpha(a)) for _, a in cases) == 16
+    for mod, alpha in cases:
+        K = hopf.build_L(mod, None, None, alpha)
+        gen_w, gen_e, mul, one = _self_images(K)
+        assert _model_iso_kinds(K, gen_w, gen_e, mul, one, K, lambda x: x) == set()
+        for k in range(1, len(gen_e)):
+            images = list(gen_e)
+            images[k] = host._scaled(gen_e[k], -ONE)
+            kinds = _model_iso_kinds(K, gen_w, images, mul, one, K, lambda x: x)
+            assert kinds == {"relations_psi"}, (mod, alpha, k)
+
+
+def test_generator_psi_relations_match_the_full_loop(monkeypatch):
+    """On every zoo module, for seeded verify_cotensor_iso instances and for
+    check_diag_iso, _model_iso notes relations_psi exactly when the full
+    |F|^2 loop finds a failing pair: on the images each check builds, with
+    one e image negated, and with two e images swapped."""
+    calls = []
+    original = hopf._model_iso
+    monkeypatch.setattr(hopf, "_model_iso",
+                        lambda *args: calls.append(args[:7]) or original(*args))
+    for name, mod in hh.module_zoo():
+        rng = random.Random(2800 + len(name))
+        for _ in range(2):
+            assert hopf.verify_cotensor_iso(*hh.random_rpair(mod, rng))["ok"]
+        assert hopf.check_diag_iso(host.build_supergroup(mod))["ok"]
+    monkeypatch.setattr(hopf, "_model_iso", original)
+    assert len(calls) == 3 * len(hh.module_zoo())
+    rng = random.Random(28)
+    failing = 0
+    for K, gen_w, gen_e, mul, one, target, coords in calls:
+        k, l = rng.sample(range(1, len(gen_e)), 2) if len(gen_e) > 2 else (1, 0)
+        negated = list(gen_e)
+        negated[k] = host._scaled(gen_e[k], -ONE)
+        swapped = list(gen_e)
+        swapped[k], swapped[l] = gen_e[l], gen_e[k]
+        for images in (gen_e, negated, swapped):
+            kinds = _model_iso_kinds(K, gen_w, images, mul, one, target, coords)
+            full = _psi_relations_hold(K, images, mul)
+            assert ("relations_psi" not in kinds) is full
+            failing += not full
+    assert failing >= len(calls)
+
+
+def test_model_iso_refuses_a_psi_that_is_not_a_two_cocycle():
+    # its psi relations are decided on generators by psi's cocycle identity
+    data = hopf.CompatibleData(_sw(), None, None, None, None, [(0, 0), (1, 1)])
+    K = hopf.build_K(data)
+    assert data.psi_exps is None
+    with pytest.raises(DomainError, match="TwoCocycle"):
         hopf._model_iso(K, [], [], None, {}, K, lambda x: x,
                         lambda kind, where: None)

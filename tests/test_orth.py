@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 from math import gcd, prod
+from operator import mul
 
 import pytest
 
@@ -487,3 +488,133 @@ def test_position_tables_agree_with_the_homs(G):
         assert all(inverse[p] == k for k, p in enumerate(a.pos)), a
         for b in auts[::len(auts) // 16 + 1]:
             assert orth.orth_compose(a, b).pos == tuple(a.pos[i] for i in b.pos), (a, b)
+
+
+def _full_psi_table(G, alpha):
+    """psi_alpha's exponents from every preimage: for each r = (g, chi) in
+    G+G^ and each b in U_alpha, the pairing formula at r, as a dict of
+    sets keyed by (a, b), a the image of r in U_alpha."""
+    n, N = G.rank, G.exponent
+    D = orth.dsum_group(G)
+    images = [(x.coords, oracles.apply_matrix(G.factors, alpha.matrix, x.coords))
+              for x in D.elements()]
+    U = {y[:n] + x[:n] for x, y in images}
+    w = [N // f for f in G.factors]
+    table = {}
+    for x, y in images:
+        a = y[:n] + x[:n]
+        v = [-s * wi for s, wi in zip(y[n:], w)] + [t * wi for t, wi in zip(x[n:], w)]
+        for b in U:
+            table.setdefault((a, b), set()).add(sum(map(mul, v, b)) % N)
+    return table
+
+
+@pytest.mark.parametrize("factors", [[2], [4], [2, 2], [2, 4]],
+                         ids=["Z2", "Z4", "Z2xZ2", "Z2xZ4"])
+def test_psi_exponents_agree_with_every_preimage(factors):
+    # every alpha: every preimage of a gives one exponent at every b, and it
+    # is psi_alpha's
+    G = FinAbGroup(factors)
+    for alpha in orth.enumerate_orth(G):
+        table = _full_psi_table(G, alpha)
+        assert all(len(v) == 1 for v in table.values())
+        assert orth.psi_alpha(alpha).exps == {k: min(v) for k, v in table.items()}
+
+
+def _group_table(factors):
+    elems = [e.coords for e in FinAbGroup(factors).elements()]
+    index = {x: k for k, x in enumerate(elems)}
+    add = tuple(tuple(index[tuple((s + t) % f for s, t, f in zip(x, y, factors))]
+                      for y in elems) for x in elems)
+    return elems, add
+
+
+def _bi_additive(add, E, N):
+    n = len(E)
+    return not any((E[i][add[j][k]] - E[i][j] - E[i][k]) % N
+                   or (E[add[i][j]][k] - E[i][k] - E[j][k]) % N
+                   for i, j, k in itertools.product(range(n), repeat=3))
+
+
+@pytest.mark.parametrize("factors", [[4], [2, 2, 2], [2, 4], [3, 3], [8]])
+def test_cocycle_failure_accepts_a_coboundary(factors):
+    # zeta^(c(a) + c(b) - c(a+b)) is a 2-cocycle; for the c drawn here it
+    # is not a bicharacter, so no additivity along a generating set decides it
+    elems, add = _group_table(factors)
+    n = len(elems)
+    N = FinAbGroup(factors).exponent
+    rng = random.Random(sum(factors))
+    kept = 0
+    for _ in range(40):
+        c = [0] + [rng.randrange(N) for _ in elems[1:]]
+        E = tuple(tuple((c[i] + c[j] - c[add[i][j]]) % N for j in range(n))
+                  for i in range(n))
+        if not _bi_additive(add, E, N):
+            kept += 1
+            assert orth.cocycle_failure(add, E, N) is None
+    assert kept >= 10
+
+
+@pytest.mark.parametrize("factors", [[4], [2, 2], [2, 4], [3, 3], [8]])
+def test_cocycle_failure_names_the_oracles_triple(factors):
+    # broken tables: a bicharacter times a coboundary with one entry moved
+    # (at the end of the table and at random), a table whose rows are
+    # characters chosen at random, and a random table; cocycle_failure's
+    # first triple is the oracle's
+    elems, add = _group_table(factors)
+    n = len(elems)
+    N = FinAbGroup(factors).exponent
+    rng = random.Random(7 * n)
+    for _ in range(4):
+        c = [0] + [rng.randrange(N) for _ in elems[1:]]
+        B = [[rng.randrange(N) for _ in factors] for _ in factors]
+
+        def bichar(x, y):
+            return sum(x[i] * B[i][j] * y[j] * (N // gcd(f, g))
+                       for i, f in enumerate(factors)
+                       for j, g in enumerate(factors))
+
+        good = [[(bichar(elems[i], elems[j]) + c[i] + c[j] - c[add[i][j]]) % N
+                 for j in range(n)] for i in range(n)]
+        assert oracles.first_cocycle_failure(
+            elems, factors, {(elems[i], elems[j]): good[i][j]
+                             for i in range(n) for j in range(n)}, N) is None
+        sigma = [0] + [rng.randrange(n) for _ in elems[1:]]
+        rows = [[bichar(elems[sigma[i]], elems[j]) % N for j in range(n)]
+                for i in range(n)]
+        random_table = [[rng.randrange(N) for _ in range(n)] for _ in range(n)]
+        for key in ((n - 1, n // 2), (rng.randrange(n), rng.randrange(n)),
+                    rows, random_table):
+            if isinstance(key, tuple):
+                E = [row[:] for row in good]
+                E[key[0]][key[1]] += 1
+            else:
+                E = key
+            exps = {(elems[i], elems[j]): E[i][j]
+                    for i in range(n) for j in range(n)}
+            first = oracles.first_cocycle_failure(elems, factors, exps, N)
+            got = orth.cocycle_failure(add, tuple(map(tuple, E)), N)
+            assert (None if got is None
+                    else tuple(elems[k] for k in got)) == first
+            if isinstance(key, tuple):
+                assert first is not None
+
+
+def test_bicharacter_test_matches_the_full_check():
+    # psi_alpha is always a bicharacter, so cocycle_failure decides it on
+    # generators; a coboundary that is not one is refused by both
+    G24 = FinAbGroup([2, 4])
+    cases = [a for G in [Z2, Z3, Z4, Z2xZ2] for a in orth.enumerate_orth(G)]
+    cases += orth.enumerate_orth(G24)[::16]
+    for alpha in cases:
+        psi = orth.psi_alpha(alpha)
+        U = psi.domain
+        E = tuple(tuple(psi.exp(a, b) for b in U.elements) for a in U.elements)
+        assert _bi_additive(U.law[1], E, psi.N)
+        assert orth._bicharacter(U.law[1], E, psi.N)
+    elems, add = _group_table([2, 4])
+    rng = random.Random(5)
+    for _ in range(20):
+        c = [0] + [rng.randrange(4) for _ in elems[1:]]
+        E = [[(c[i] + c[j] - c[add[i][j]]) % 4 for j in range(8)] for i in range(8)]
+        assert orth._bicharacter(add, E, 4) is _bi_additive(add, E, 4)
