@@ -162,20 +162,15 @@ def cmd_orth(spec, bound):
              f"dim V {len(chars)}",
              f"orthogonal automorphisms: {len(autos)}"]
     for k, a in enumerate(autos):
-        U = orth.u_alpha(a)
-        els = sorted(U.elements, key=lambda f: f.coords)
+        # U_alpha's elements are sorted by coordinates, psi.E follows them
         psi = orth.psi_alpha(a)
-        table = []
-        nontrivial = 0
-        for x in els:
-            for y in els:
-                v = psi.value(x, y)
-                if v != la.sc(1):
-                    nontrivial += 1
-                table.append([list(x.coords), list(y.coords), v.to_string()])
-        entries.append({"alpha": a.to_json(),
-                        "U": [list(f.coords) for f in els],
-                        "U_size": len(els),
+        els = [list(f.coords) for f in psi.domain.elements]
+        roots = [cyclo.CycloScalar.root_of_unity(psi.N, e).to_string()
+                 for e in range(psi.N)]
+        table = [[x, y, roots[e]]
+                 for x, row in zip(els, psi.E) for y, e in zip(els, row)]
+        nontrivial = sum(e != 0 for row in psi.E for e in row)
+        entries.append({"alpha": a.to_json(), "U": els, "U_size": len(els),
                         "psi": table})
         psitxt = ("psi trivial" if nontrivial == 0
                   else f"psi nontrivial on {nontrivial} pairs")

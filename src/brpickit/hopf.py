@@ -15,18 +15,21 @@ neither axis), subject to
     w w' + w' w = beta(w, w') 1          on sectors 11, 22, 33, 13,
     w w' - w' w = beta(w, w') e_u        on sectors 12, 23,
 
-with f acting componentwise on V + V.  The validator enforces the axis and
-independence conditions, F-stability of each sector, invariance of beta,
-the cocycle law for psi, and the centrality of e_u in k_psi F whenever the
-presentation mentions e_u; incompatible data raises a DomainError listing
-every violated clause.  Read as a rewriting system towards the words
-w_S e_f, these clauses are its overlap conditions, so by Bergman's diamond
-lemma (Adv. Math. 29, 1978) every order of reduction gives the same normal
-form.  build_K checks them before it builds any table, and then assembles
-the product of w_S1 e_f1 and w_S2 e_f2 from three small tables instead of
-rewriting the whole word: the products w_S1 w_S2, the roots e_f picks up
-passing w_S, and the twisted law of F.  K keeps its product as those
-tables (KFactors) and computes an entry when it is first read.
+with f acting componentwise on V + V.  psi is an orth.TwoCocycle on F,
+whose construction proves it a normalized 2-cocycle.  The validator
+enforces the axis and independence conditions, F being a subgroup,
+F-stability of each sector, invariance of beta, and the centrality of e_u
+in k_psi F whenever the presentation mentions e_u; incompatible data
+raises a DomainError listing every violated clause.  Read as a rewriting
+system towards the words w_S e_f, these clauses and the cocycle identity
+of psi are its overlap conditions, so by Bergman's diamond lemma (Adv.
+Math. 29, 1978) every order of reduction gives the same normal form.
+build_K checks the clauses before it builds any table (psi's identity was
+proved when psi was built), and then assembles the product of w_S1 e_f1
+and w_S2 e_f2 from three small tables instead of rewriting the whole
+word: the products w_S1 w_S2, the roots e_f picks up passing w_S, and the
+twisted law of F.  K keeps its product as those tables (KFactors) and
+computes an entry when it is first read.
 loewy_graded grades the tables, and same_tables proves two models equal
 on them, without reading the dim^2 entries; any difference is left to
 their per-entry loops, which find and name it.  Coactions, cotensor products
@@ -52,7 +55,6 @@ coaction by (host index, basis index).
 import random
 from fractions import Fraction
 from functools import cache
-from math import lcm
 from typing import NamedTuple
 
 from . import abelian as ab
@@ -175,20 +177,13 @@ class CompatibleData:
 
     beta is a raw gram table over the concatenated canonical sector bases
     (a BilinearForm is accepted when only the third sector is present); F is
-    a subset of G x G; psi is a table of scalars over F x F, defaulting to 1
-    (a TwoCocycle is read as its table of roots of unity, and its exponents
-    are kept as psi_exps = (N, E), E[i][j] the exponent at F[i], F[j]).
-    law is F's (index, addition table), or None when F is not closed under
-    addition.
-
-    compatible_violations decides the cocycle identity of psi exactly as a
-    congruence on exponents, read through law (_psi_cocycle_ok): those of
-    psi_exps mod N for a TwoCocycle, whose (law, E, N) is the one
-    TwoCocycle handed orth.cocycle_failure, so for psi_alpha the memoized
-    verdict is reused; otherwise each value is lifted to M = lcm(2, the
-    table's conductors) and read as k when it is zeta_M^k.  A table with a
-    value that is not a root of unity is checked by multiplying the values
-    instead.
+    a subset of G x G, held sorted by coordinates.  psi is None or an
+    orth.TwoCocycle whose domain holds the sorted F, so psi(F[i], F[j]) is
+    zeta_N^E[i][j] for (N, E) = (psi.N, psi.E); anything else raises an
+    InputValidationError.  None means psi = 1: it is held as
+    TwoCocycle.trivial when F is a subgroup, and as None otherwise, where
+    compatible_violations rejects the datum (F_subgroup).  law is F's
+    (index, addition table), read from psi.domain, or None when psi is.
 
     f in G x G scales each reduced row of an f-stable sector by zeta_N^e, e
     its exponent at the row's pivot (act_exponents), so F-stability, beta's
@@ -198,9 +193,9 @@ class CompatibleData:
 
     # _acts: the cached actions(), _violations: compatible_violations' names;
     # each built once, read by every later caller
-    __slots__ = ("module", "W1", "W2", "W3", "gram", "F", "psi", "psi_exps",
-                 "alpha", "rows", "types", "coords_set", "pair_group", "law",
-                 "_acts", "_violations")
+    __slots__ = ("module", "W1", "W2", "W3", "gram", "F", "psi", "alpha",
+                 "rows", "types", "coords_set", "pair_group", "law", "_acts",
+                 "_violations")
 
     def __init__(self, module, W1, W2, W3, beta, F, psi=None, alpha=None):
         m = module.dim
@@ -249,19 +244,15 @@ class CompatibleData:
         els.sort(key=lambda f: f.coords)
         els = tuple(els)
 
-        psi_exps = None
-        if isinstance(psi, orth.TwoCocycle):
-            E = tuple(tuple(psi.exps[(a.coords, b.coords)] % psi.N
-                            for b in els) for a in els)
-            psi_exps = (psi.N, E)
-            roots = [CycloScalar.root_of_unity(psi.N, e) for e in range(psi.N)]
-            full = {(a.coords, b.coords): roots[e]
-                    for a, row in zip(els, E) for b, e in zip(els, row)}
-        else:
-            table = {} if psi is None else {k: la.sc(v)
-                                            for k, v in dict(psi).items()}
-            full = {(a.coords, b.coords): table.get((a.coords, b.coords), _ONE)
-                    for a in els for b in els}
+        if psi is None:
+            try:
+                psi = orth.TwoCocycle.trivial(
+                    orth.TwistedSubgroup(module.group, els))
+            except DomainError:
+                psi = None
+        elif (not isinstance(psi, orth.TwoCocycle)
+              or psi.domain.elements != els):
+            raise InputValidationError("psi must be a TwoCocycle on F")
 
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "W1", W1)
@@ -269,14 +260,14 @@ class CompatibleData:
         object.__setattr__(self, "W3", W3)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "F", els)
-        object.__setattr__(self, "psi", full)
-        object.__setattr__(self, "psi_exps", psi_exps)
+        object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "coords_set", frozenset(seen))
         object.__setattr__(self, "pair_group", GG)
-        object.__setattr__(self, "law", ab.addition_table(els))
+        object.__setattr__(self, "law",
+                           None if psi is None else psi.domain.law)
         object.__setattr__(self, "_acts", None)
         object.__setattr__(self, "_violations", None)
 
@@ -335,7 +326,6 @@ def compatible_violations(data) -> list:
         return list(data._violations)
     module = data.module
     m = module.dim
-    GG = data.pair_group
     bad = []
     if any(any(not c.is_zero() for c in row[m:]) for row in data.W1.basis):
         bad.append("W1_axis")
@@ -346,7 +336,7 @@ def compatible_violations(data) -> list:
     if la.rank(list(data.rows)) != len(data.rows):
         bad.append("independent")
 
-    if GG.zero().coords not in data.coords_set or data.law is None:
+    if data.psi is None:
         bad.append("F_subgroup")
 
     acts = data.actions()
@@ -383,67 +373,32 @@ def compatible_violations(data) -> list:
             (e[i] + e[j]) % N for e, _ in acts for i, j in supp):
         bad.append("beta_F_invariant")
 
-    zero_c = GG.zero().coords
-    if zero_c in data.coords_set and any(
-            data.psi[(zero_c, f.coords)] != _ONE or data.psi[(f.coords, zero_c)] != _ONE
-            for f in data.F):
-        bad.append("psi_normalized")
-    if any(v.is_zero() for v in data.psi.values()):
-        bad.append("psi_cocycle")
-    elif "F_subgroup" not in bad and not _psi_cocycle_ok(data):
-        bad.append("psi_cocycle")
-
-    if needs_u and has_u:
-        uu = data.uu_coords()
-        if any(data.psi[(f.coords, uu)] != data.psi[(uu, f.coords)]
-               for f in data.F):
-            bad.append("psi_u_central")
+    if needs_u and has_u and data.psi is not None and not _u_central(
+            data.psi, data.uu_coords()):
+        bad.append("psi_u_central")
     object.__setattr__(data, "_violations", tuple(bad))
     return bad
 
 
-def _psi_cocycle_ok(data) -> bool:
-    """psi(a,b) psi(a+b,c) == psi(b,c) psi(a,b+c) on all of F^3, exactly.
-
-    A TwoCocycle's table is zeta_N^E, (N, E) = psi_exps, so the identity
-    is orth.cocycle_failure's congruence on E mod N, decided on generators
-    of F when E is a bicharacter and over F^3 otherwise; cocycle_failure
-    is memoized, so psi_alpha's verdict is the one TwoCocycle reached.
-    Any other table has each value lifted once to M = lcm(2, its
-    conductors), where (num, den) is canonical, and looked up among the M
-    roots zeta_M^k.
-    Every root of unity in Q(zeta_M) is +-zeta_M^k, of order dividing M,
-    so the lookup finds each value that is one.  When all are found, psi
-    is zeta_M^E and the identity is orth.cocycle_failure's congruence on E
-    mod M.  Otherwise (only a table with a value that is not a root of
-    unity) the lifted values are multiplied triple by triple.
-    """
-    add = data.law[1]
-    if data.psi_exps is not None:
-        N, E = data.psi_exps
-        return orth.cocycle_failure(add, E, N) is None
-    M = lcm(2, *(v.N for v in data.psi.values()))
-    roots = [CycloScalar.root_of_unity(M, k) for k in range(M)]
-    exponent = {(z.num, z.den): k for k, z in enumerate(roots)}
-    P = [[data.psi[(a.coords, b.coords)].lift(M) for b in data.F] for a in data.F]
-    E = tuple(tuple(exponent.get((v.num, v.den)) for v in row) for row in P)
-    if all(None not in row for row in E):
-        return orth.cocycle_failure(add, E, M) is None
-    n = len(P)
-    return all(P[i][j] * P[add[i][j]][k] == P[j][k] * P[i][add[j][k]]
-               for i in range(n) for j in range(n) for k in range(n))
+def _u_central(psi, uu) -> bool:
+    """True when uu lies in psi's domain and psi(f, uu) = psi(uu, f) for
+    every f there: E[f][uu] = E[uu][f], as E is reduced mod N."""
+    u = psi.domain.law[0].get(uu)
+    return u is not None and all(row[u] == e
+                                 for row, e in zip(psi.E, psi.E[u]))
 
 
 def alpha_supports_w3(module, alpha) -> bool:
     """True when (u, u) lies in U_alpha and psi_alpha commutes with it, so
     data with a nonzero graph sector can be built over alpha."""
-    psi = orth.psi_alpha(alpha)
-    U = psi.domain.elements
-    uu = tuple(module.u.coords) + tuple(module.u.coords)
-    e = next((f for f in U if f.coords == uu), None)
-    if e is None:
-        return False
-    return all((psi.exp(f, e) - psi.exp(e, f)) % psi.N == 0 for f in U)
+    return _u_central(orth.psi_alpha(alpha),
+                      tuple(module.u.coords) + tuple(module.u.coords))
+
+
+def _psi_values(psi):
+    """psi's values over F x F, zeta_N^E, with one root made per exponent."""
+    roots = [CycloScalar.root_of_unity(psi.N, e) for e in range(psi.N)]
+    return [[roots[e] for e in row] for row in psi.E]
 
 
 def build_K(data) -> ComodAlg:
@@ -483,7 +438,7 @@ def build_K(data) -> ComodAlg:
     f_index, f_mul = data.law
     id_f = f_index[GG.zero().coords]
     u_f = f_index.get(data.uu_coords())
-    psiv = [[data.psi[(a.coords, b.coords)] for b in Fels] for a in Fels]
+    psiv = _psi_values(data.psi)
     N = module.group.exponent
     act_roots = [[CycloScalar.root_of_unity(N, e) for e in exps]
                  for exps, _ in data.actions()]
@@ -637,14 +592,12 @@ def _model_iso(K, gen_w, gen_e, mul, one, target, coords, note):
     (g, a') gives e_a = psi(g, a')^-1 e_g e_a', as psi's values are roots
     of unity; the product of the algebra holding target is associative,
     so e_a e_b = psi(g, a')^-1 psi(a', b) psi(g, a' + b) e_(a+b), and the
-    cocycle identity of psi (checked when K was built) makes that scalar
-    psi(a, b).  So K's psi must be a TwoCocycle, as build_L's is."""
+    cocycle identity of psi, proved when its TwoCocycle was built, makes
+    that scalar psi(a, b)."""
     data = K.meta["data"]
     if data.W1.dim or data.W2.dim:
         raise DomainError("_model_iso reads the relations of a third-sector "
                           "model only")
-    if data.psi_exps is None:
-        raise DomainError("_model_iso reads psi as a TwoCocycle only")
     gram = data.gram
     nW = len(data.rows)
     for i in range(nW):
@@ -656,12 +609,12 @@ def _model_iso(K, gen_w, gen_e, mul, one, target, coords, note):
             if lhs != rhs:
                 note("relations_w", (i, j))
     fpos, fadd = data.law
+    psiv = _psi_values(data.psi)
     for i in (fpos[data.pair_group.zero().coords], *ab.generators(fadd)):
-        a = data.F[i]
         for j, b in enumerate(data.F):
-            rhs = _scaled(gen_e[fadd[i][j]], data.psi[(a.coords, b.coords)])
+            rhs = _scaled(gen_e[fadd[i][j]], psiv[i][j])
             if mul(gen_e[i], gen_e[j]) != rhs:
-                note("relations_psi", (a.coords, b.coords))
+                note("relations_psi", (data.F[i].coords, b.coords))
     N = data.module.group.exponent
     for f, e, (exps, _) in zip(data.F, gen_e, data.actions()):
         for wi in range(nW):
@@ -1271,9 +1224,10 @@ def family_alphas(module, bound=256):
 def compatible_families(module):
     """Candidate (name, F elements, psi, central_ok) tuples for a module.
 
-    psi is None, a TwoCocycle or a tuple of ((a, b), value) pairs.
-    central_ok marks whether the family's twist commutes with (u, u), i.e.
-    whether data over it may carry a nonzero third sector.
+    psi is None (psi = 1) or a TwoCocycle on F: psi_alpha, or an N = 2
+    sign twist (_sign_twist).  central_ok marks whether the family's twist
+    commutes with (u, u), i.e. whether data over it may carry a nonzero
+    third sector.
     """
     G = module.group
     GG = ab.direct_sum(G, G)
@@ -1284,7 +1238,9 @@ def compatible_families(module):
     fams.append(("diag", diag, None, True))
     fams.append(("trivial", (zero,), None, True))
     fams.append(("order2", (zero, uu), None, True))
-    fams.append(("order2_sign", (zero, uu), (((uu, uu), Fraction(-1)),), True))
+    fams.append(("order2_sign", (zero, uu),
+                 _sign_twist(module, (zero, uu), lambda a, b: a == b == uu),
+                 True))
     whole = tuple(tuple(a.coords) + tuple(b.coords)
                   for a in G.elements() for b in G.elements())
     alphas = family_alphas(module)
@@ -1296,10 +1252,21 @@ def compatible_families(module):
                          alpha_supports_w3(module, alpha)))
     if G.order == 2:
         # bicharacter twist on G x G that is not central at (u, u)
-        psi = tuple(((a, b), Fraction(-1)) for a in whole for b in whole
-                    if a[0] * b[1] % 2)
-        fams.append(("bichar", whole, psi, False))
+        fams.append(("bichar", whole,
+                     _sign_twist(module, whole, lambda a, b: a[0] * b[1] % 2),
+                     False))
     return tuple(fams)
+
+
+def _sign_twist(module, F, minus):
+    """The N = 2 TwoCocycle on the subgroup F (coordinate tuples) of G x G
+    that is -1 at the pairs (a, b) of coordinates where minus(a, b) holds
+    and 1 elsewhere."""
+    GG = ab.direct_sum(module.group, module.group)
+    U = orth.TwistedSubgroup(module.group, [GG.element(f) for f in F])
+    coords = [f.coords for f in U.elements]
+    return orth.TwoCocycle(U, 2, [[minus(a, b) for b in coords]
+                                  for a in coords])
 
 
 def _random_subset(rng, n, cap):

@@ -32,7 +32,6 @@ from operator import mul
 
 from . import abelian as ab
 from .abelian import FinAbGroup, GroupElement
-from .cyclo import CycloScalar
 from .errors import CapacityError, DomainError
 
 # Largest |G+G^| whose tables are built.  On a 2-vCPU machine (Python 3.11),
@@ -350,47 +349,46 @@ def diagonal_stabilizer(alpha: OrthAut) -> tuple:
 
 
 class TwoCocycle:
-    """psi_alpha on U_alpha, stored as a table of exponents of zeta_N."""
+    """A twist psi = zeta_N^E on a subgroup of G x G, the one form of psi.
 
-    __slots__ = ("domain", "N", "exps")
+    domain is a TwistedSubgroup and E[i][j] the exponent of zeta_N at
+    (domain.elements[i], domain.elements[j]), reduced mod N on
+    construction.  Construction is the one place that proves psi a
+    normalized 2-cocycle: E vanishes on the row and column of the
+    identity, and cocycle_failure finds no failing triple.  It raises a
+    DomainError otherwise, naming the first failing triple.
+    """
 
-    def __init__(self, domain: TwistedSubgroup, N: int, exps):
+    __slots__ = ("domain", "N", "E")
+
+    def __init__(self, domain: TwistedSubgroup, N: int, E):
+        E = tuple(tuple(e % N for e in row) for row in E)
+        index, add = domain.law
+        z = index.get(domain.pair_group.zero().coords)
+        if z is None or any(E[z]) or any(row[z] for row in E):
+            raise DomainError("cocycle is not normalized at the identity")
+        bad = cocycle_failure(add, E, N)
+        if bad is not None:
+            elems = domain.elements
+            raise DomainError("2-cocycle identity fails at " + ",".join(
+                str(elems[k].coords) for k in bad))
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "exps", dict(exps))
-        self._verify_cocycle_identity()
+        object.__setattr__(self, "E", E)
+
+    @staticmethod
+    def trivial(domain: TwistedSubgroup) -> "TwoCocycle":
+        """psi = 1 on domain: N = 1 and every exponent 0."""
+        n = len(domain)
+        return TwoCocycle(domain, 1, ((0,) * n,) * n)
 
     def __setattr__(self, name, value):
         raise AttributeError("TwoCocycle is immutable")
-
-    def exp(self, a, b) -> int:
-        ca = a.coords if isinstance(a, GroupElement) else tuple(a)
-        cb = b.coords if isinstance(b, GroupElement) else tuple(b)
-        return self.exps[(ca, cb)]
-
-    def value(self, a, b) -> CycloScalar:
-        return CycloScalar.root_of_unity(self.N, self.exp(a, b))
-
-    def _verify_cocycle_identity(self):
-        GG = self.domain.pair_group
-        elems = self.domain.elements
-        zero = (0,) * GG.rank
-        for a in elems:
-            if self.exps[(zero, a.coords)] % self.N or self.exps[(a.coords, zero)] % self.N:
-                raise DomainError("cocycle is not normalized at the identity")
-        E = tuple(tuple(self.exps[(a.coords, b.coords)] for b in elems)
-                  for a in elems)
-        bad = cocycle_failure(self.domain.law[1], E, self.N)
-        if bad is not None:
-            i, j, k = bad
-            raise DomainError("2-cocycle identity fails at "
-                              f"{elems[i].coords},{elems[j].coords},{elems[k].coords}")
 
     def __repr__(self):
         return f"TwoCocycle(on order-{len(self.domain)} subgroup, N={self.N})"
 
 
-@cache
 def cocycle_failure(add, E, N: int):
     """The first (i, j, k), in lexicographic order, with
     E[i][j] + E[i+j][k] != E[j][k] + E[i][j+k] (mod N), or None.
@@ -398,8 +396,7 @@ def cocycle_failure(add, E, N: int):
     E is a table of exponents of zeta_N over the elements of a group whose
     addition table on indices is add; the congruence is the 2-cocycle
     identity psi(a,b) psi(a+b,c) = psi(b,c) psi(a,b+c) for psi = zeta_N^E.
-    add and E are tuples of tuples; TwoCocycle and hopf's psi check hand
-    it the same (add, E, N) for psi_alpha, so they share one verdict.
+    add and E are tuples of tuples, or lists of lists.
 
     Fast path: when E is a bicharacter mod N (_bicharacter), psi is one,
     and a bicharacter is a 2-cocycle: both sides of the identity are
@@ -450,7 +447,7 @@ def psi_alpha(alpha: OrthAut) -> TwoCocycle:
     The defining formula reads off a chosen preimage of a; before trusting
     it, every other preimage is checked against it, and a disagreement
     raises (rather than silently depending on the section).  Built, and
-    its cocycle identity verified, once per alpha.
+    proved a 2-cocycle by TwoCocycle, once per alpha.
 
     Two preimages agree on every b in U_alpha once they agree on the
     generators of U_alpha (abelian.generators): psi(a, b) is v . b mod N,
@@ -477,6 +474,5 @@ def psi_alpha(alpha: OrthAut) -> TwoCocycle:
                            for b in gens):
             raise DomainError("psi ill-defined for this alpha")
     coords = [e.coords for e in U.elements]
-    exps = {(a, b): sum(map(mul, first[a], b)) % N
-            for a in coords for b in coords}
-    return TwoCocycle(U, N, exps)
+    return TwoCocycle(U, N, [[sum(map(mul, first[a], b)) for b in coords]
+                             for a in coords])

@@ -767,7 +767,8 @@ def rewrite_K_tables(data, host, scalar):
     id_f = f_index[zero_gg]
     uu = data.uu_coords()
     u_f = f_index.get(uu)
-    psiv = [[data.psi[(a.coords, b.coords)] for b in Fels] for a in Fels]
+    psiv = [[scalar.root_of_unity(data.psi.N, e) for e in row]
+            for row in data.psi.E]
     N = module.group.exponent
     act_roots = [[scalar.root_of_unity(N, e)
                   for e in data.act_exponents(f)[0]] for f in Fels]

@@ -67,13 +67,14 @@ def test_criterion_03(capsys):
         diag = sorted(tuple(g.coords) + tuple(g.coords) for g in G.elements())
         ok = ok and sorted(f.coords for f in U.elements) == diag
         psi = orth.psi_alpha(ident)
-        ok = ok and all(psi.value(a, b) == one
-                        for a in U.elements for b in U.elements)
+        ok = ok and all(CycloScalar.root_of_unity(psi.N, e) == one
+                        for row in psi.E for e in row)
         for alpha in orth.enumerate_orth(G):
             Ua = orth.u_alpha(alpha)
             pa = orth.psi_alpha(alpha)
-            val = {(a.coords, b.coords): pa.value(a, b)
-                   for a in Ua.elements for b in Ua.elements}
+            val = {(a.coords, b.coords): CycloScalar.root_of_unity(pa.N, e)
+                   for a, row in zip(Ua.elements, pa.E)
+                   for b, e in zip(Ua.elements, row)}
             for a in Ua.elements:
                 for b in Ua.elements:
                     mid = ab.add(a, b).coords

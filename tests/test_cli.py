@@ -371,6 +371,10 @@ GOLDEN = [
      "68a6b3dc260e0e1409b456845efd131874ffeb24a3e7b29ec590b5985e5a4ee4"),
     (Z2Z4_PAIR, ["brpic", "inv"],
      "d673611aaaf27c4e8533ec65df1cf749e6ebca80f4b2919eb9d0d10b27f5fece"),
+    # recorded before psi was held only as a TwoCocycle's exponent table;
+    # the seed draws the bichar family once and order2_sign twice
+    (SWEEDLER, ["verify", "comodule", "--seed", "5", "--count", "12"],
+     "420b05cb02d0810a2918e6ef2b790855963377673ef28cbeeb8d92e2b578ff9e"),
 ]
 
 

@@ -3,6 +3,7 @@ import time
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache, partial
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -17,7 +18,8 @@ from brpickit import host
 from brpickit import linalg as la
 from brpickit import orth
 from brpickit.cyclo import CycloScalar
-from brpickit.errors import BrpicError, CapacityError, DomainError
+from brpickit.errors import (BrpicError, CapacityError, DomainError,
+                             InputValidationError)
 
 ONE = CycloScalar.one(1)
 ZERO = CycloScalar.zero(1)
@@ -79,24 +81,42 @@ def test_equal_modules_share_hosts_and_families():
     assert hopf.compatible_families(m1) is hopf.compatible_families(m2)
 
 
-def test_psi_alpha_cocycle_verdict_is_reached_once():
-    # TwoCocycle and compatible_violations hand cocycle_failure the same
-    # (add, E, N) for psi_alpha
+def test_psi_alpha_cocycle_verdict_is_reached_once(monkeypatch):
+    # psi_alpha's TwoCocycle proves its identity once; the data build_L
+    # makes of it keep that TwoCocycle and decide nothing again
     mod = dict(hh.module_zoo())["Z2Z4_d1"]
     alpha = bp.suite_alphas(mod)[-1]
+    calls = []
+    original = orth.cocycle_failure
+    monkeypatch.setattr(orth, "cocycle_failure",
+                        lambda *args: calls.append(args[2]) or original(*args))
     orth.psi_alpha.cache_clear()
-    orth.cocycle_failure.cache_clear()
-    orth.psi_alpha(alpha)
+    psi = orth.psi_alpha(alpha)
     for _ in range(3):
-        hopf.build_L(mod, None, None, alpha)
-    info = orth.cocycle_failure.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+        assert hopf.build_L(mod, None, None, alpha).meta["data"].psi is psi
+    assert calls == [psi.N]
+
+
+def _psi_table(U, N, E):
+    """{(a, b): zeta_N^E[i][j]} over the coordinates of U's elements."""
+    elems = [f.coords for f in U.elements]
+    return {(a, b): CycloScalar.root_of_unity(N, e)
+            for a, row in zip(elems, E) for b, e in zip(elems, row)}
+
+
+def _refusal(U, N, E):
+    """TwoCocycle's message for (U, N, E), or None when it builds."""
+    try:
+        orth.TwoCocycle(U, N, E)
+    except DomainError as e:
+        return str(e)
+    return None
 
 
 def test_two_cocycle_is_checked_on_its_own_exponents(monkeypatch):
-    # a TwoCocycle's exponents go to cocycle_failure at its N and no scalar
-    # is lifted; a copy with one exponent moved, built past TwoCocycle's
-    # own check, is rejected exactly when the scalar oracle rejects it
+    # TwoCocycle decides its identity on exponents at its N and lifts no
+    # scalar; psi_alpha's table with one exponent moved is refused exactly
+    # when the scalar oracle, on its values zeta_N^E, refuses it
     mod = dict(hh.module_zoo())["Z2Z4_d1"]
     GG = ab.direct_sum(mod.group, mod.group)
     lifts = []
@@ -106,20 +126,16 @@ def test_two_cocycle_is_checked_on_its_own_exponents(monkeypatch):
     rejected = 0
     for alpha in bp.suite_alphas(mod)[:12]:
         psi = orth.psi_alpha(alpha)
-        F = psi.domain.elements
-        data = hopf.CompatibleData(mod, None, None, None, None, F, psi)
-        assert data.psi_exps[0] == psi.N
-        assert hopf.compatible_violations(data) == []
-        a, b = F[-1].coords, F[len(F) // 2].coords
-        bad = object.__new__(orth.TwoCocycle)
-        for name in ("domain", "N"):
-            object.__setattr__(bad, name, getattr(psi, name))
-        object.__setattr__(bad, "exps", dict(psi.exps) | {
-            (a, b): psi.exps[(a, b)] + 1})
-        data = hopf.CompatibleData(mod, None, None, None, None, F, bad)
-        got = "psi_cocycle" in hopf.compatible_violations(data)
-        elems = [f.coords for f in F]
-        assert got == (not oracles.cocycle_ok(elems, GG.factors, data.psi))
+        U = psi.domain
+        data = hopf.CompatibleData(mod, None, None, None, None, U.elements,
+                                   psi)
+        assert data.psi is psi and hopf.compatible_violations(data) == []
+        E = [list(row) for row in psi.E]
+        E[-1][len(E) // 2] += 1
+        got = _refusal(U, psi.N, E) is not None
+        elems = [f.coords for f in U.elements]
+        assert got == (not oracles.cocycle_ok(elems, GG.factors,
+                                              _psi_table(U, psi.N, E)))
         rejected += got
     assert lifts == [] and rejected > 0
 
@@ -317,11 +333,30 @@ def test_rejections_each_clause():
     d = hopf.CompatibleData(mod4, _axis(1, [0], 1), None, None,
                             [[la.sc(1)]], _diag_F(G4), None)
     assert "beta_F_invariant" in hopf.compatible_violations(d)
-    # cocycle normalization and nonvanishing
-    assert "psi_normalized" in viol(F=[z, uu],
-                                    psi={(z.coords, uu.coords): Fraction(2)})
-    assert "psi_cocycle" in viol(F=[z, uu],
-                                 psi={(uu.coords, uu.coords): Fraction(0)})
+    # psi's normalization is proved when its TwoCocycle is built
+    U = orth.TwistedSubgroup(G, [z, uu])
+    assert _refusal(U, 2, [[0, 1], [0, 0]]) == \
+        "cocycle is not normalized at the identity"
+
+
+def test_compatible_data_takes_psi_as_a_two_cocycle_on_F():
+    mod = _sw()
+    G = mod.group
+    GG = ab.direct_sum(G, G)
+    z, uu = GG.zero(), GG.element((1, 1))
+    whole = orth.TwistedSubgroup(G, _whole_F(G))
+    for psi in ({(uu.coords, uu.coords): Fraction(-1)},
+                orth.TwoCocycle.trivial(whole)):
+        with pytest.raises(InputValidationError,
+                           match="^psi must be a TwoCocycle on F$"):
+            hopf.CompatibleData(mod, None, None, None, None, [z, uu], psi)
+    # None is psi = 1 on a subgroup, and stays None off one
+    d = hopf.CompatibleData(mod, None, None, None, None, [uu, z, uu])
+    assert d.psi.N == 1 and d.psi.domain.elements == d.F
+    assert d.psi.E == ((0, 0), (0, 0)) and d.law == d.psi.domain.law
+    d = hopf.CompatibleData(mod, None, None, None, None, [uu])
+    assert d.psi is None and d.law is None
+    assert hopf.compatible_violations(d) == ["F_subgroup"]
 
 
 def _whole_F(G):
@@ -330,119 +365,133 @@ def _whole_F(G):
             for b in G.elements()]
 
 
-def _psi_violations(mod, F, psi):
-    return hopf.compatible_violations(
-        hopf.CompatibleData(mod, None, None, None, None, F, psi))
+def _first_failure_message(U, N, E):
+    """TwoCocycle's message for a table oracles.first_cocycle_failure
+    finds a failing triple in, or None when it finds none."""
+    elems = [f.coords for f in U.elements]
+    first = oracles.first_cocycle_failure(
+        elems, U.pair_group.factors,
+        {(a, b): e for a, row in zip(elems, E) for b, e in zip(elems, row)}, N)
+    if first is None:
+        return None
+    return "2-cocycle identity fails at " + ",".join(map(str, first))
 
 
 def test_normalized_non_cocycle_table_rejected():
     mod = _sw()
-    F = _whole_F(mod.group)
-    # normalized and nowhere zero; the triple (x, x, (0, 1)) breaks it
+    U = orth.TwistedSubgroup(mod.group, _whole_F(mod.group))
+    elems = [f.coords for f in U.elements]
+    # -1 at (x, x) only: normalized, and broken by (x, x, (0, 1)) among
+    # others; refused at the oracle's first failing triple
     x = (1, 0)
-    assert _psi_violations(mod, F, {(x, x): Fraction(2)}) == ["psi_cocycle"]
+    E = [[int(a == b == x) for b in elems] for a in elems]
+    assert _refusal(U, 2, E) == _first_failure_message(U, 2, E) is not None
     # the bicharacter (-1)^(a_1 b_1) is a cocycle
-    bichar = {(a.coords, b.coords): Fraction(-1) for a in F for b in F
-              if a.coords[0] * b.coords[0] % 2}
-    assert _psi_violations(mod, F, bichar) == []
+    bichar = orth.TwoCocycle(U, 2, [[a[0] * b[0] for b in elems]
+                                    for a in elems])
+    data = hopf.CompatibleData(mod, None, None, None, None, U.elements, bichar)
+    assert hopf.compatible_violations(data) == []
 
 
-def _mixed_coboundary(F):
-    """psi(a,b) = mu(a) mu(b) / mu(a+b) with mu in {1, i}; rational values
-    are stored in turn as a Fraction or at conductor 2 or 1 (the rest at 4),
-    so equal values arrive in different representations."""
-    I4 = CycloScalar.root_of_unity(4, 1)
-    mu = {f.coords: (I4 if sum(f.coords) % 2 else ONE) for f in F}
-    psi = {}
-    for k, (a, b) in enumerate((a, b) for a in F for b in F):
-        v = mu[a.coords] * mu[b.coords] / mu[ab.add(a, b).coords]
-        rational = not any(v.coeffs[1:])
-        if rational and k % 3 == 0:
-            v = v.coeffs[0]
-        elif rational and k % 3 == 1:
-            v = CycloScalar.from_rational(v.coeffs[0], 2)
-        psi[(a.coords, b.coords)] = v
-    return psi
-
-
-def test_mixed_conductor_coboundary():
+def test_coboundary_twist_is_a_two_cocycle():
+    # psi(a,b) = mu(a) mu(b) / mu(a+b), mu = i off 0: the exponents c(a) +
+    # c(b) - c(a+b) at N = 4, c = 1 off 0, a coboundary that is not a
+    # bicharacter; one entry times i is refused at the oracle's triple
     for mod in (_sw(), hh.z22_module()):
-        F = _whole_F(mod.group)
-        psi = _mixed_coboundary(F)
-        assert {la.sc(v).N for v in psi.values()} == {1, 2, 4}
-        assert _psi_violations(mod, F, psi) == []
-        key = (F[1].coords, F[2].coords)
-        bad = dict(psi)
-        bad[key] = la.sc(psi[key]) * CycloScalar.root_of_unity(4, 1)
-        assert _psi_violations(mod, F, bad) == ["psi_cocycle"]
+        U = orth.TwistedSubgroup(mod.group, _whole_F(mod.group))
+        n, add = len(U), U.law[1]
+        c = [0] + [1] * (n - 1)
+        E = [[c[i] + c[j] - c[add[i][j]] for j in range(n)] for i in range(n)]
+        assert not orth._bicharacter(add, E, 4)
+        psi = orth.TwoCocycle(U, 4, E)
+        assert {e for row in psi.E for e in row} == {0, 1, 2}
+        data = hopf.CompatibleData(mod, None, None, None, None, U.elements,
+                                   psi)
+        assert hopf.compatible_violations(data) == []
+        E[1][2] += 1
+        assert _refusal(U, 4, E) == _first_failure_message(U, 4, E) \
+            is not None
 
 
 def test_cocycle_check_agrees_with_scalar_oracle():
+    # every zoo family twist, and a copy times zeta_2N at one pair (every
+    # exponent doubled at 2N, one moved by 1): TwoCocycle refuses exactly
+    # the tables the scalar oracle refuses, at the oracle's first triple
     seen = set()
     rejected = 0
-    I8 = CycloScalar.root_of_unity(8, 1)
     for _, mod in hh.module_zoo():
         if mod.group.order > 4:
             continue
         GG = ab.direct_sum(mod.group, mod.group)
         for _, F, psi, _ in hh.f_families(mod):
             data = hopf.CompatibleData(mod, None, None, None, None, F, psi)
-            key = (GG.factors, tuple(sorted((k, v.to_string())
-                                            for k, v in data.psi.items())))
-            if key in seen:
-                continue
-            seen.add(key)
             assert "F_subgroup" not in hopf.compatible_violations(data)
-            elems = [f.coords for f in data.F]
-            a, b = elems[-1], elems[len(elems) // 2]
-            perturbed = dict(data.psi)
-            perturbed[(a, b)] = perturbed[(a, b)] * I8
-            for table in (data.psi, perturbed):
-                got = "psi_cocycle" in _psi_violations(mod, data.F, table)
-                assert got == (not oracles.cocycle_ok(elems, GG.factors, table))
-                rejected += got
+            U, N, E = data.psi.domain, data.psi.N, data.psi.E
+            elems = tuple(f.coords for f in U.elements)
+            if (elems, N, E) in seen or len(elems) < 2:
+                continue
+            seen.add((elems, N, E))
+            moved = [[2 * e for e in row] for row in E]
+            moved[-1][len(elems) // 2] += 1
+            for M, table in ((N, E), (2 * N, moved)):
+                got = _refusal(U, M, table)
+                ok = oracles.cocycle_ok(elems, GG.factors,
+                                        _psi_table(U, M, table))
+                assert (got is None) is ok
+                assert got == _first_failure_message(U, M, table)
+                rejected += got is not None
     assert len(seen) > 10 and rejected > 5
 
 
-def test_cocycle_check_on_values_that_are_not_roots_of_unity():
-    # psi(a,b) = mu(a) mu(b) / mu(a+b), mu(0) = 1 and mu in {2, 3}
-    # elsewhere, on F = Z2 x Z2: a cocycle with psi(a, a) in {4, 9}
-    mod = _sw()
-    GG = ab.direct_sum(mod.group, mod.group)
-    F = _whole_F(mod.group)
-    mu = {f.coords: Fraction(2 + k % 2) if k else Fraction(1)
-          for k, f in enumerate(F)}
-    psi = {(a.coords, b.coords): mu[a.coords] * mu[b.coords]
-           / mu[ab.add(a, b).coords] for a in F for b in F}
-    key = (F[1].coords, F[2].coords)
-    bad = dict(psi)
-    bad[key] = psi[key] * 2
-    elems = [f.coords for f in F]
-    for table, ok in ((psi, True), (bad, False)):
-        assert oracles.cocycle_ok(elems, GG.factors, table) is ok
-        assert ("psi_cocycle" not in _psi_violations(mod, F, table)) is ok
-
-
 def test_cocycle_check_paths(monkeypatch):
-    # zoo-family tables hold roots of unity only, so each is decided by the
-    # exponent congruence; a table with a 2 in it multiplies values
+    # cocycle_failure has one caller, TwoCocycle: a datum given a zoo
+    # family's TwoCocycle decides nothing again, one given None builds its
+    # trivial twist (N = 1) once, and compatible_violations decides none
     tables = [(mod, F, psi) for _, mod in hh.module_zoo()
               for _, F, psi, _ in hh.f_families(mod)]
     calls = []
     original = orth.cocycle_failure
     monkeypatch.setattr(orth, "cocycle_failure",
-                        lambda *args: calls.append(1) or original(*args))
+                        lambda *args: calls.append(args[2]) or original(*args))
     for mod, F, psi in tables:
-        assert _psi_violations(mod, F, psi) == []
-    assert len(calls) == len(tables) > 50
-    # one sign flipped: -1 = zeta_2, rejected by the congruence mod 2
+        data = hopf.CompatibleData(mod, None, None, None, None, F, psi)
+        assert hopf.compatible_violations(data) == []
+        assert calls == ([] if psi is not None else [1])
+        calls.clear()
+    assert len(tables) > 50
+    # one sign flipped: -1 = zeta_2, refused by the congruence mod 2
     mod = _sw()
-    F = _whole_F(mod.group)
-    x = (1, 0)
-    assert _psi_violations(mod, F, {(x, x): Fraction(-1)}) == ["psi_cocycle"]
-    assert len(calls) == len(tables) + 1
-    assert _psi_violations(mod, F, {(x, x): Fraction(2)}) == ["psi_cocycle"]
-    assert len(calls) == len(tables) + 1
+    U = orth.TwistedSubgroup(mod.group, _whole_F(mod.group))
+    x = U.law[0][(1, 0)]
+    E = [[int(i == j == x) for j in range(len(U))] for i in range(len(U))]
+    assert _refusal(U, 2, E).startswith("2-cocycle identity fails")
+    assert calls == [2]
+
+
+def test_sign_twists_are_the_parents_sign_rules():
+    # order2_sign and bichar were tables of -1 entries, 1 elsewhere: -1 at
+    # ((u, u), (u, u)), and (|G| = 2) at the pairs of G x G with a_1 b_2 odd
+    checked = 0
+    for name, mod in hh.module_zoo():
+        if mod.group.order > 4:
+            continue
+        uu = tuple(mod.u.coords) * 2
+        whole = [f.coords for f in _whole_F(mod.group)]
+        rules = {"order2_sign": {(uu, uu): Fraction(-1)}}
+        if mod.group.order == 2:
+            rules["bichar"] = {(a, b): Fraction(-1) for a in whole
+                               for b in whole if a[0] * b[1] % 2}
+        fams = {n: (F, psi) for n, F, psi, _ in hopf.compatible_families(mod)}
+        assert ("bichar" in fams) == (mod.group.order == 2)
+        for fam, minus in rules.items():
+            F, psi = fams[fam]
+            elems = [f.coords for f in psi.domain.elements]
+            assert psi.N == 2 and elems == sorted(F)
+            want = {(a, b): la.sc(minus.get((a, b), 1))
+                    for a in elems for b in elems}
+            assert _psi_table(psi.domain, 2, psi.E) == want, (name, fam)
+            checked += 1
+    assert checked == 10
 
 
 def test_noncentral_twist_blocks_sector3_only():
@@ -746,7 +795,7 @@ def test_build_K_matches_word_rewriting():
                       and hopf._SYM_SIGN[tuple(sorted((data.types[i],
                                                        data.types[j])))] < 0
                       for i in range(nW) for j in range(nW))
-        hit_psi |= any(v != ONE for v in data.psi.values())
+        hit_psi |= any(map(any, data.psi.E))
     assert hit_eu and hit_psi
 
 
@@ -1023,16 +1072,20 @@ def _beta_on(data, kind):
 
 def _psi_coboundary(data):
     """data with psi times the coboundary of c = -1 at F's second element
-    and 1 elsewhere: a compatible, different psi when |F| >= 3."""
+    and 1 elsewhere: a compatible, different psi when |F| >= 3.  The sign
+    c_i c_j c_(i+j) is (-1)^(d_i + d_j + d_(i+j)), d = 1 at F's second
+    element, so the product is zeta_M^E' at M = lcm(2, N)."""
     if len(data.F) < 3:
         return None
-    f_mul = data.law[1]
-    c = [-1 if k == 1 else 1 for k in range(len(data.F))]
-    psi = {(a.coords, b.coords): data.psi[(a.coords, b.coords)]
-           * la.sc(c[i] * c[j] * c[f_mul[i][j]])
-           for i, a in enumerate(data.F) for j, b in enumerate(data.F)}
+    psi, f_mul = data.psi, data.law[1]
+    M = lcm(2, psi.N)
+    d = [int(k == 1) for k in range(len(data.F))]
+    E = [[e * (M // psi.N) + M // 2 * (d[i] + d[j] + d[f_mul[i][j]])
+          for j, e in enumerate(row)] for i, row in enumerate(psi.E)]
     return hopf.CompatibleData(data.module, data.W1, data.W2, data.W3,
-                               data.gram, data.F, psi, alpha=data.alpha)
+                               data.gram, data.F,
+                               orth.TwoCocycle(psi.domain, M, E),
+                               alpha=data.alpha)
 
 
 def _chi_flipped(K):
@@ -1166,10 +1219,11 @@ def test_filtration_steps_by_rank_name_the_first_failing_degree(monkeypatch):
 
 
 def test_compatible_violations_found_once_per_datum(monkeypatch):
+    # each clause is decided once per datum: the W3 axis test runs once
     calls = []
-    original = hopf._psi_cocycle_ok
-    monkeypatch.setattr(hopf, "_psi_cocycle_ok",
-                        lambda data: calls.append(data) or original(data))
+    original = la.axis_meets
+    monkeypatch.setattr(la, "axis_meets",
+                        lambda W: calls.append(W) or original(W))
     mod = _sw()
     good = hh.random_data(mod, random.Random(11))
     bad = hopf.CompatibleData(mod, None, None, _graph(1, [0], 1), None,
@@ -1181,7 +1235,7 @@ def test_compatible_violations_found_once_per_datum(monkeypatch):
     assert hopf.compatible_violations(bad) == ["u_in_F"]
     with pytest.raises(DomainError, match="u_in_F"):
         hopf.build_K(bad)
-    assert calls == [good, bad]
+    assert len(calls) == 2 and calls[0] is good.W3 and calls[1] is bad.W3
 
 
 def test_cotensor_same_tables_and_reports_without_memo():
@@ -1509,10 +1563,11 @@ def _model_iso_kinds(K, gen_w, gen_e, mul, one, target, coords):
 def _psi_relations_hold(K, gen_e, mul):
     """e_a e_b = psi(a, b) e_(a+b) for every a, b in F: the full loop."""
     data = K.meta["data"]
-    add = data.law[1]
+    add, psi = data.law[1], data.psi
     return all(mul(gen_e[i], gen_e[j])
-               == host._scaled(gen_e[add[i][j]], data.psi[(a.coords, b.coords)])
-               for i, a in enumerate(data.F) for j, b in enumerate(data.F))
+               == host._scaled(gen_e[add[i][j]],
+                               CycloScalar.root_of_unity(psi.N, e))
+               for i, row in enumerate(psi.E) for j, e in enumerate(row))
 
 
 def test_model_iso_notes_a_negated_e_image():
@@ -1566,13 +1621,3 @@ def test_generator_psi_relations_match_the_full_loop(monkeypatch):
             assert ("relations_psi" not in kinds) is full
             failing += not full
     assert failing >= len(calls)
-
-
-def test_model_iso_refuses_a_psi_that_is_not_a_two_cocycle():
-    # its psi relations are decided on generators by psi's cocycle identity
-    data = hopf.CompatibleData(_sw(), None, None, None, None, [(0, 0), (1, 1)])
-    K = hopf.build_K(data)
-    assert data.psi_exps is None
-    with pytest.raises(DomainError, match="TwoCocycle"):
-        hopf._model_iso(K, [], [], None, {}, K, lambda x: x,
-                        lambda kind, where: None)

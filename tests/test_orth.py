@@ -326,22 +326,31 @@ def test_u_alpha_built_once_and_shared_with_psi():
             assert orth.psi_alpha(b).domain is orth.u_alpha(a)
 
 
+def _exps(psi):
+    """psi's exponent table E as {(a, b): E[i][j]} over the coordinates of
+    its domain's elements."""
+    elems = [f.coords for f in psi.domain.elements]
+    return {(a, b): e
+            for a, row in zip(elems, psi.E) for b, e in zip(elems, row)}
+
+
 def test_psi_identity_trivial():
     for G in [Z2, Z3, Z4, Z2xZ2]:
         psi = orth.psi_alpha(orth.orth_identity(G))
-        assert all(e % G.exponent == 0 for e in psi.exps.values())
+        assert psi.N == G.exponent and not any(map(any, psi.E))
 
 
 def test_psi_gamma_z2_value():
     gamma = orth.OrthAut(Z2, _swap_matrix(1))
     psi = orth.psi_alpha(gamma)
-    a = psi.domain.pair_group.element([1, 0])  # (u, 1)
-    b = psi.domain.pair_group.element([0, 1])  # (1, u)
-    assert psi.value(a, b) == CycloScalar.from_rational(-1)
+    exps = _exps(psi)
+    # at (u, 1), (1, u)
+    assert CycloScalar.root_of_unity(psi.N, exps[((1, 0), (0, 1))]) \
+        == CycloScalar.from_rational(-1)
     # normalization at the identity
-    e = psi.domain.pair_group.zero()
+    e = psi.domain.pair_group.zero().coords
     for x in psi.domain.elements:
-        assert psi.exp(e, x) == 0 and psi.exp(x, e) == 0
+        assert exps[(e, x.coords)] == 0 and exps[(x.coords, e)] == 0
 
 
 def test_psi_cocycle_identity_all_alphas():
@@ -361,16 +370,17 @@ def test_two_cocycle_raises_at_the_first_failing_triple():
         psi = orth.psi_alpha(alpha)
         U = psi.domain
         elems = [e.coords for e in U.elements]
-        key = (elems[-1], elems[len(elems) // 2])
-        exps = dict(psi.exps)
-        exps[key] += 1
+        E = [list(row) for row in psi.E]
+        E[-1][len(elems) // 2] += 1
+        exps = _exps(psi)
+        assert oracles.first_cocycle_failure(elems, U.pair_group.factors,
+                                             exps, psi.N) is None
+        exps[(elems[-1], elems[len(elems) // 2])] += 1
         first = oracles.first_cocycle_failure(elems, U.pair_group.factors,
                                               exps, psi.N)
         assert first is not None
-        assert oracles.first_cocycle_failure(elems, U.pair_group.factors,
-                                             psi.exps, psi.N) is None
         with pytest.raises(DomainError) as err:
-            orth.TwoCocycle(U, psi.N, exps)
+            orth.TwoCocycle(U, psi.N, E)
         assert str(err.value) == ("2-cocycle identity fails at "
                                   + ",".join(map(str, first)))
 
@@ -383,6 +393,7 @@ def test_psi_exponents_match_the_pairing_formula():
     cases += [(G24, a) for a in orth.enumerate_orth(G24)[::16]]
     for G, alpha in cases:
         psi = orth.psi_alpha(alpha)
+        exps = _exps(psi)
         U = psi.domain
         n = G.rank
         preimage = {}
@@ -396,7 +407,7 @@ def test_psi_exponents_match_the_pairing_formula():
                 oracles.apply_matrix(G.factors, alpha.matrix, r.coords)[n:])
             for b in U.elements:
                 b1, b2 = U.components(b)
-                assert psi.exp(a, b) == \
+                assert exps[(a.coords, b.coords)] == \
                     (-ab.pair(a2, b1) + ab.pair(chi, b2)) % G.exponent
 
 
@@ -518,7 +529,8 @@ def test_psi_exponents_agree_with_every_preimage(factors):
     for alpha in orth.enumerate_orth(G):
         table = _full_psi_table(G, alpha)
         assert all(len(v) == 1 for v in table.values())
-        assert orth.psi_alpha(alpha).exps == {k: min(v) for k, v in table.items()}
+        assert _exps(orth.psi_alpha(alpha)) == {k: min(v)
+                                                for k, v in table.items()}
 
 
 def _group_table(factors):
@@ -608,10 +620,9 @@ def test_bicharacter_test_matches_the_full_check():
     cases += orth.enumerate_orth(G24)[::16]
     for alpha in cases:
         psi = orth.psi_alpha(alpha)
-        U = psi.domain
-        E = tuple(tuple(psi.exp(a, b) for b in U.elements) for a in U.elements)
-        assert _bi_additive(U.law[1], E, psi.N)
-        assert orth._bicharacter(U.law[1], E, psi.N)
+        add = psi.domain.law[1]
+        assert _bi_additive(add, psi.E, psi.N)
+        assert orth._bicharacter(add, psi.E, psi.N)
     elems, add = _group_table([2, 4])
     rng = random.Random(5)
     for _ in range(20):
