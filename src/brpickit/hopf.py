@@ -65,17 +65,11 @@ from .cyclo import CycloScalar
 from .errors import BrpicError, CapacityError, DomainError, InputValidationError
 from .host import (_ONE, _ZERO, _apply, _coaction_law, _elem_add,
                    _recorder, _scaled, _subsets, _tensor_mul, _tuples,
-                   build_supergroup, cop_phi, doubled_host)
+                   build_supergroup, cop_phi, doubled_host,
+                   multiplicative_failures)
 from .linalg import addin
 
 _HALF = la.sc(Fraction(1, 2))
-
-
-def _split_pair(module, f):
-    """The two G-components of an element f of G x G."""
-    r = len(module.group.factors)
-    return (module.group.element(f.coords[:r]),
-            module.group.element(f.coords[r:]))
 
 
 # -- comodule algebras ------------------------------------------------------
@@ -87,8 +81,10 @@ class KFactors(NamedTuple):
     subsets.  wtab[s1][s2] lists w_S1 w_S2 = sum c w_T e_g as terms
     (index of w_T e_0, index of g, c), with distinct (index, g); chi[f][s]
     is the root e_f picks up passing w_S; twist[g][f1][f2] is (h, psi')
-    with e_g e_f1 e_f2 = psi' e_h.  entry(i, j) computes one entry as
-    build_K defines it (see there).
+    with e_g e_f1 e_f2 = psi' e_h.  terms(i, j) lists one entry's factors
+    as build_K defines it (see there), and entry(i, j) multiplies them out;
+    ids(vid) gives the same tables over value ids, which
+    host.multiplicative_failures reads through terms.
     """
 
     nF: int
@@ -96,16 +92,26 @@ class KFactors(NamedTuple):
     chi: list
     twist: dict
 
-    def entry(self, i, j):
+    def terms(self, i, j):
+        """Entry (i, j) as its terms (k, c, x, p): the entry is c (x p) at k."""
         nF, wtab, chi, twist = self
         s1, f1 = divmod(i, nF)
         s2, f2 = divmod(j, nF)
         x = chi[f1][s2]
-        out = {}
-        for k, g, c in wtab[s1][s2]:
-            h, p = twist[g][f1][f2]
-            out[k + h] = c * (x * p)
-        return out
+        return [(k + h, c, x, p) for k, g, c in wtab[s1][s2]
+                for h, p in (twist[g][f1][f2],)]
+
+    def entry(self, i, j):
+        return {k: c * (x * p) for k, c, x, p in self.terms(i, j)}
+
+    def ids(self, vid):
+        """These factors with every scalar c replaced by vid(c)."""
+        nF, wtab, chi, twist = self
+        return KFactors(
+            nF, [[[(k, g, vid(c)) for k, g, c in t] for t in row] for row in wtab],
+            [[vid(x) for x in row] for row in chi],
+            {g: [[(h, vid(p)) for h, p in r] for r in rows]
+             for g, rows in twist.items()})
 
 
 class ComodAlg:
@@ -279,17 +285,18 @@ class CompatibleData:
         return f"CompatibleData(sectors {dims}, |F|={len(self.F)})"
 
     def uu_coords(self):
-        return tuple(self.module.u.coords) + tuple(self.module.u.coords)
+        return self.module.u.coords * 2
 
     def act_exponents(self, f):
         """(exps, stable) over the global sector basis: stable[t - 1] says
         whether f keeps sector t, and then f.w_i = zeta_N^exps[i] w_i on its
-        rows (linalg.pivot_exponents)."""
-        f12 = _split_pair(self.module, f)
+        rows (linalg.pivot_exponents), read off the module's table by f's
+        coordinates."""
+        e = la.pair_exponents(self.module, f.coords)
         exps, stable = [], []
         for S in (self.W1, self.W2, self.W3):
-            e, ok = la.pivot_exponents(self.module, f12, S)
-            exps += e
+            x, ok = la.exponents_at_pivots(e, self.module.group.exponent, S)
+            exps += x
             stable.append(ok)
         return exps, stable
 
@@ -391,8 +398,7 @@ def _u_central(psi, uu) -> bool:
 def alpha_supports_w3(module, alpha) -> bool:
     """True when (u, u) lies in U_alpha and psi_alpha commutes with it, so
     data with a nonzero graph sector can be built over alpha."""
-    return _u_central(orth.psi_alpha(alpha),
-                      tuple(module.u.coords) + tuple(module.u.coords))
+    return _u_central(orth.psi_alpha(alpha), module.u.coords * 2)
 
 
 def _psi_values(psi):
@@ -416,9 +422,16 @@ def build_K(data) -> ComodAlg:
     whole word gives it.  K holds its product as those three tables
     (K.factors, a KFactors), and computes entry (i, j) by this formula on
     its first read, as c (chi(f1, S2) psi').
-    The coaction is multiplicative and is built by prefix:
-    lam(w_S e_f) = lam(w_S) lam(e_f), lam(w_S) = lam(w_S') lam(w_s) with
-    s = max S and S' = S minus s; it reads the entries it needs.
+    The coaction is multiplicative.  lam(w_S) = lam(w_S') lam(w_s), with
+    s = max S and S' = S minus s, is built by prefix and reads the entries
+    it needs.  lam(w_S e_f) = lam(w_S) (f x e_f) is a translation: f is
+    group-like, and w_T' e_f1 . e_f = psi(f1, f) w_T' e_(f1 + f) (chi is 1
+    past no w and e_0 e_f1 e_f has no further twist), so each term
+    c v_T g x w_T' e_f1 goes to c psi(f1, f) v_T (g + f) x w_T' e_(f1 + f).
+    That is _tensor_mul's value in stored form too, since _tensor_mul
+    multiplies c only by factors 1 at conductor 1 and by psi(f1, f); the
+    host index is the one key of mono_mul(v_T g, f), the F index is read
+    from data.law.
     """
     bad = compatible_violations(data)
     if bad:
@@ -519,8 +532,8 @@ def build_K(data) -> ComodAlg:
 
     zeroG = module.group.zero().coords
     zeroGG = GG.zero().coords
-    ue = tuple(module.u.coords) + zeroG
-    eu = zeroG + tuple(module.u.coords)
+    ue = module.u.coords + zeroG
+    eu = zeroG + module.u.coords
     uu = data.uu_coords()
     unit_k = kidx[((), id_f)]
 
@@ -541,8 +554,6 @@ def build_K(data) -> ComodAlg:
         addin(d, (host.index[((), eu if t == 2 else ue)], kidx[((wi,), id_f)]),
               _ONE)
         lamw.append(d)
-    lame = [{(host.index[((), f.coords)], kidx[((), fk)]): _ONE}
-            for fk, f in enumerate(Fels)]
 
     group_part = tuple(Fels[fk] for S, fk in keys)
     loewy = tuple(len(S) for S, fk in keys)
@@ -550,13 +561,16 @@ def build_K(data) -> ComodAlg:
                  meta={"kind": "K", "data": data},
                  factors=KFactors(nF, wtab, chi, twist))
     # the coaction is multiplicative: lam(w_S) by prefix, then lam(w_S e_f)
+    # by translation
     lam_S = {(): {(host.one_idx, unit_k): _ONE}}
     for S in subsets[1:]:
         lam_S[S] = _tensor_mul(host.mono_mul, K.mul_basis, lam_S[S[:-1]],
                                lamw[S[-1]])
     for i, (S, fk) in enumerate(keys):
-        K.coaction[i] = _tensor_mul(host.mono_mul, K.mul_basis, lam_S[S],
-                                    lame[fk])
+        r = host.group_like(Fels[fk])
+        K.coaction[i] = {(h2, k - k % nF + f_mul[k % nF][fk]):
+                         c * psiv[k % nF][fk] for (h, k), c in lam_S[S].items()
+                         for h2 in host.mono_mul(h, r)}
     return K
 
 
@@ -697,8 +711,8 @@ def check_diag_iso(H):
     K = build_L(module, d.W, d.beta, d.alpha)
     u = {H.group_like(module.u): _ONE}
     gen_w = [H.mul({H.v_basis(i): _ONE}, u) for i in range(module.dim)]
-    gen_e = [{H.group_like(_split_pair(module, f)[0]): _ONE}
-             for f in K.meta["data"].F]
+    r = len(module.group.factors)
+    gen_e = [{H.index[((), f.coords[:r])]: _ONE} for f in K.meta["data"].F]
     failures, note = _recorder()
     bij = _model_iso(K, gen_w, gen_e, H.mul, {H.one_idx: _ONE},
                      diag_comodule(H), lambda x: x, note)
@@ -758,9 +772,14 @@ def check_comodule_algebra(A, rng=None):
     """Verify coassociativity, counitality and multiplicativity of the
     coaction; returns a report with located witnesses and the dimension of
     the coinvariant subalgebra.  Multiplicativity runs over all basis pairs
-    when dim A <= 24 and over max(200, 4 dim A) random pairs above; each
-    lam(i) lam(j) is read off the host's factor tables (HopfAlg.coaction_mul),
-    with lam(j) grouped by host subset once per j."""
+    when dim A <= 24 and over max(200, 4 dim A) random pairs above, each
+    failing occurrence noted in pair order; host.multiplicative_failures
+    decides each distinct pair once.  It runs on value ids, interned by
+    stored form with x and + memoized per pair of ids, reads lam(i) once,
+    the host product from the host's factor tables and A's from A.factors
+    (else A.mul_basis).  Equal values can be stored at different
+    conductors, so sides whose ids differ are compared as values, and the
+    verdict is the one CycloScalar == gives on the two sides."""
     rng = rng if rng is not None else random.Random(0)
     host = A.host
     failures, note = _recorder()
@@ -772,20 +791,14 @@ def check_comodule_algebra(A, rng=None):
         if not counit:
             note("counit", A.basis[i])
 
-    lam1 = _apply(A.coact_basis, A.unit)
-    unit_target = {}
-    for k, c in A.unit.items():
-        addin(unit_target, (host.one_idx, k), c)
-    if lam1 != unit_target:
+    if _apply(A.coact_basis, A.unit) != {(host.one_idx, k): c for k, c
+                                         in A.unit.items() if c}:
         note("unit", None)
 
     pairs = _tuples(A.dim, 2, rng, None if A.dim <= 24 else max(200, 4 * A.dim))
-    grouped = {}
+    bad = multiplicative_failures(A, pairs)
     for i, j in pairs:
-        if j not in grouped:
-            grouped[j] = host.by_subset(A.coact_basis(j))
-        lhs = host.coaction_mul(A.coact_basis(i), grouped[j], A.mul_basis)
-        if lhs != _apply(A.coact_basis, A.mul_basis(i, j)):
+        if (i, j) in bad:
             note("multiplicative", (A.basis[i], A.basis[j]))
 
     coin = coinvariants(A)
@@ -891,7 +904,7 @@ def cotensor(L, K) -> ComodAlg:
                          "is not a comodule structure")
 
     GG = host.group
-    uu = GG.element(tuple(module.u.coords) + tuple(module.u.coords))
+    uu = GG.element(module.u.coords * 2)
 
     def klass(g):
         a = g.coords
@@ -1201,9 +1214,9 @@ _B_CHOICES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
 
 def _graph_positions(module, F):
     """Generators whose character agrees on both components of all of F."""
-    halves = [tuple(map(module.exponents, _split_pair(module, f))) for f in F]
-    return [i for i in range(module.dim)
-            if all(ea[i] == eb[i] for ea, eb in halves)]
+    m = module.dim
+    exps = [la.pair_exponents(module, f.coords) for f in F]
+    return [i for i in range(m) if all(e[i] == e[m + i] for e in exps)]
 
 
 def _graph_row(rng, m, i):
@@ -1232,16 +1245,16 @@ def compatible_families(module):
     G = module.group
     GG = ab.direct_sum(G, G)
     zero = GG.zero().coords
-    uu = tuple(module.u.coords) + tuple(module.u.coords)
+    uu = module.u.coords * 2
     fams = []
-    diag = tuple(tuple(g.coords) + tuple(g.coords) for g in G.elements())
+    diag = tuple(g.coords * 2 for g in G.elements())
     fams.append(("diag", diag, None, True))
     fams.append(("trivial", (zero,), None, True))
     fams.append(("order2", (zero, uu), None, True))
     fams.append(("order2_sign", (zero, uu),
                  _sign_twist(module, (zero, uu), lambda a, b: a == b == uu),
                  True))
-    whole = tuple(tuple(a.coords) + tuple(b.coords)
+    whole = tuple(a.coords + b.coords
                   for a in G.elements() for b in G.elements())
     alphas = family_alphas(module)
     if alphas:
@@ -1291,7 +1304,7 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
     name, F, psi, central_ok = fams[rng.randrange(len(fams))]
     GG = ab.direct_sum(module.group, module.group)
     Fels = [c if isinstance(c, ab.GroupElement) else GG.element(c) for c in F]
-    uu = tuple(module.u.coords) + tuple(module.u.coords)
+    uu = module.u.coords * 2
     has_uu = any(f.coords == uu for f in Fels) and central_ok
 
     graph_ok = _graph_positions(module, Fels)
@@ -1316,8 +1329,7 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
     nW = len(types)
 
     def eigen(k, f):
-        f1, f2 = _split_pair(module, f)
-        return module.exponents(f2 if types[k] == 2 else f1)[pos[k]]
+        return la.pair_exponents(module, f.coords)[pos[k] + m * (types[k] == 2)]
 
     gram = [[_ZERO] * nW for _ in range(nW)]
     for i in range(nW):
@@ -1354,7 +1366,7 @@ def random_graph_datum(module, rng, alpha, dim_cap=64):
     rows = [_graph_row(rng, m, i) for i in S3]
     W = la.Subspace(2 * m, rows) if rows else la.zero_space(2 * m)
     nW = W.dim
-    firsts = [module.exponents(_split_pair(module, f)[0]) for f in U.elements]
+    firsts = [la.pair_exponents(module, f.coords) for f in U.elements]
     gram = [[_ZERO] * nW for _ in range(nW)]
     for a in range(nW):
         for b in range(a, nW):

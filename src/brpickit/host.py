@@ -17,6 +17,9 @@ Elements are sparse {key: scalar} dicts; a tensor is keyed by tuples of
 basis indices: H x H by (h1, h2), a coaction by (host index, basis index).
 One law checks every coaction (_coaction_law); a right coaction is flipped
 to that key order and checked over the co-opposite comultiplication.
+Multiplicativity of a comodule algebra's coaction, lam(i) lam(j) = lam(ij),
+is decided by multiplicative_failures on small-int value ids rather than
+scalars: each distinct scalar product and sum is computed once per call.
 """
 
 import itertools
@@ -164,8 +167,8 @@ class HopfAlg:
     - chi[rank(S) |G| + rank(g)] = e, the dim character exponents;
     - roots[p][e] = (-1)^p zeta_N^e, made on first use.
     An entry with S2 empty is 1 at conductor 1; every other is +-zeta_N^e
-    at conductor N.  coaction_mul multiplies two tensors over the host from
-    the same tables, one host root per (term, subset) pair.
+    at conductor N.  multiplicative_failures multiplies coactions over the
+    host from the same tables, one host root per (term, subset) pair.
     """
 
     __slots__ = ("group", "chars", "colikes", "blocks", "modules", "kind",
@@ -288,50 +291,6 @@ class HopfAlg:
         roots[p][e] = z = -z if p else z
         return z
 
-    def by_subset(self, t):
-        """The terms of t, keyed (host index, k), grouped by host subset:
-        a list of (rank(S), mask(S), [(rank(g), k, c), ...])."""
-        nG, masks = self._tables[:2]
-        groups = {}
-        for (h, k), c in t.items():
-            s, r = divmod(h, nG)
-            groups.setdefault(s, []).append((r, k, c))
-        return [(s, masks[s], terms) for s, terms in groups.items()]
-
-    def coaction_mul(self, t1, groups2, mul):
-        """t1 t2 in H x A, t1 and t2 keyed (host index, k), t2 given as
-        by_subset(t2) and A's basis product as mul(k1, k2): the value and
-        keys of _tensor_mul(mono_mul, mul, t1, t2).  A term of t1 meets a
-        group of t2 when the masks are disjoint, and the host root of
-        v_S1 g1 . v_S2 g2 depends on (S1, g1, S2) alone, so it is folded
-        into t1's coefficient once per group; zero sums are dropped at the
-        end."""
-        nG, masks, srank, flip, gtab, chi, roots = self._tables
-        acc = {}
-        for (h1, k1), c1 in t1.items():
-            s1, r1 = divmod(h1, nG)
-            m1 = masks[s1]
-            for s2, m2, terms in groups2:
-                if m1 & m2:
-                    continue
-                base = srank[m1 | m2]
-                c = c1
-                if s2:
-                    p = (m1 & flip[s2]).bit_count() & 1
-                    e = chi[s2 * nG + r1]
-                    c = c1 * (roots[p][e] or self._root(p, e))
-                for r2, k2, c2 in terms:
-                    prod = mul(k1, k2)
-                    if not prod:
-                        continue
-                    h = base + (gtab[r1 * nG + r2] if gtab
-                                else self._gsum(r1, r2))
-                    c12 = c * c2
-                    for k3, ck in prod.items():
-                        v = acc.get((h, k3))
-                        acc[(h, k3)] = c12 * ck if v is None else v + c12 * ck
-        return {key: v for key, v in acc.items() if not v.is_zero()}
-
     def mul(self, x, y):
         return _mul(self.mono_mul, x, y)
 
@@ -382,6 +341,128 @@ class HopfAlg:
 
     def antipode_elem(self, x):
         return _apply(self.antipode, x)
+
+
+def multiplicative_failures(A, pairs):
+    """The distinct (i, j) of pairs at which lam(i) lam(j) != lam(ij), for a
+    comodule algebra A over its host H; each distinct pair is decided once.
+
+    Both sides run on small-int value ids.  One table per call interns each
+    scalar by its stored form (N, num, den); x and + are memoized on pairs
+    of ids, each result the CycloScalar one, computed once per distinct
+    pair.  lam(i) is read into ids once, grouped by host subset.  The host
+    product comes from H._tables (see HopfAlg), one root per (term, subset)
+    pair; A's entry (k1, k2) from A.factors.ids(vid).terms when A has
+    factors, else from A.mul_basis, on its first read in the call.  The
+    left side is summed as its terms come and drops zero sums at the end;
+    the right side, sum c_k lam(k) over A's entry (i, j), drops them at
+    each step, as addin does.  Equal id dicts are equal values.  Sides
+    whose id dicts differ are compared as values, by CycloScalar ==, since
+    equal values can be stored at different conductors (a lam held at a
+    larger one, or a sum that fell to zero on one side only)."""
+    nG, masks, srank, flip, gtab, chi, roots = A.host._tables
+    ids, vals, zero, prods, sums, rids, lam, kprods = ({}, [], [], {}, {},
+                                                       {}, {}, {})
+
+    def vid(c):
+        key = (c.N, c.num, c.den)
+        got = ids.get(key)
+        if got is None:
+            got = ids[key] = len(vals)
+            vals.append(c)
+            zero.append(c.is_zero())
+        return got
+
+    def mul(a, b):
+        got = prods.get((a, b))
+        if got is None:
+            got = prods[a, b] = vid(vals[a] * vals[b])
+        return got
+
+    def add(a, b):
+        got = sums.get((a, b))
+        if got is None:
+            got = sums[a, b] = vid(vals[a] + vals[b])
+        return got
+
+    def coact(i):
+        got = lam.get(i)
+        if got is None:
+            groups = {}
+            for (h, k), c in A.coact_basis(i).items():
+                s, r = divmod(h, nG)
+                groups.setdefault(s, []).append((r, k, vid(c)))
+            got = lam[i] = [(s, masks[s], t) for s, t in groups.items()]
+        return got
+
+    kterms = A.factors and A.factors.ids(vid).terms
+
+    def kprod(i, j):
+        got = kprods.get((i, j))
+        if got is None:
+            got = kprods[i, j] = (
+                [(k, mul(c, mul(x, p))) for k, c, x, p in kterms(i, j)]
+                if kterms else
+                [(k, vid(c)) for k, c in A.mul_basis(i, j).items()])
+        return got
+
+    bad = set()
+    for i, j in dict.fromkeys(pairs):
+        lhs = {}
+        groups2 = coact(j)
+        for s1, m1, terms1 in coact(i):
+            for s2, m2, terms2 in groups2:
+                if m1 & m2:
+                    continue
+                base = srank[m1 | m2]
+                p = (m1 & flip[s2]).bit_count() & 1
+                for r1, k1, c1 in terms1:
+                    c = c1
+                    if s2:
+                        e = chi[s2 * nG + r1]
+                        root = rids.get((p, e))
+                        if root is None:
+                            root = rids[p, e] = vid(roots[p][e]
+                                                    or A.host._root(p, e))
+                        c = mul(c1, root)
+                    # memo hits read inline: this loop is most of the time
+                    for r2, k2, c2 in terms2:
+                        prod = kprods.get((k1, k2))
+                        if prod is None:
+                            prod = kprod(k1, k2)
+                        if not prod:
+                            continue
+                        h = base + (gtab[r1 * nG + r2] if gtab
+                                    else A.host._gsum(r1, r2))
+                        c12 = prods.get((c, c2))
+                        if c12 is None:
+                            c12 = mul(c, c2)
+                        for k3, ck in prod:
+                            v = prods.get((c12, ck))
+                            if v is None:
+                                v = mul(c12, ck)
+                            old = lhs.get((h, k3))
+                            if old is not None:
+                                v = add(old, v)
+                            lhs[h, k3] = v
+        lhs = {key: v for key, v in lhs.items() if not zero[v]}
+        rhs = {}
+        for k, c in kprod(i, j):
+            for s, _m, terms in coact(k):
+                for r, k2, c2 in terms:
+                    key = (s * nG + r, k2)
+                    v = mul(c, c2)
+                    old = rhs.get(key)
+                    if old is not None:
+                        v = add(old, v)
+                    if zero[v]:
+                        rhs.pop(key, None)
+                    else:
+                        rhs[key] = v
+        if lhs != rhs and ({key: vals[v] for key, v in lhs.items()}
+                           != {key: vals[v] for key, v in rhs.items()}):
+            bad.add((i, j))
+    return bad
 
 
 def check_hopf_axioms(H, rng=None):

@@ -331,9 +331,15 @@ class GModuleV:
         if not isinstance(g, GroupElement) or (g.parent is not self.group
                                                and g.parent != self.group):
             raise DomainError("g is not an element of the module's group")
-        row = self._exps.get(g.coords)
+        return self.exponents_at(g.coords)
+
+    def exponents_at(self, coords) -> tuple:
+        """exponents(g) for the g with these coordinates, read by them; g is
+        built only to fill the table."""
+        row = self._exps.get(coords)
         if row is None:
-            row = self._exps[g.coords] = tuple(ab.pair(chi, g) for chi in self.chars)
+            g = self.group.element(coords)
+            row = self._exps[coords] = tuple(ab.pair(chi, g) for chi in self.chars)
         return row
 
     @property
@@ -414,12 +420,22 @@ def zero_form(space: Subspace) -> BilinearForm:
     return BilinearForm(space, [[_ZERO] * d for _ in range(d)])
 
 
+def pair_exponents(mod: GModuleV, coords) -> tuple:
+    """action_exponents of the pair (x, y) of G x G whose coordinates are
+    coords = x.coords + y.coords, read off mod's table by coordinates."""
+    r = len(mod.group.factors)
+    return mod.exponents_at(coords[:r]) + mod.exponents_at(coords[r:])
+
+
 def pivot_exponents(mod: GModuleV, g, S: Subspace):
     """(exps, stable) for a subspace S of V+V: g sends basis row i of S to
     zeta^exps[i] times row i of the reduced basis of g.S, and stable says
     whether g.S = S."""
-    e = action_exponents(mod, g)
-    N = mod.group.exponent
+    return exponents_at_pivots(action_exponents(mod, g), mod.group.exponent, S)
+
+
+def exponents_at_pivots(e, N, S: Subspace):
+    """pivot_exponents for the g acting on V+V as diag(zeta_N^e)."""
     exps, stable = [], True
     for row in S.basis:
         supp = [j for j, x in enumerate(row) if not x.is_zero()]

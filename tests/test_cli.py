@@ -388,6 +388,32 @@ def test_json_output_golden(tmp_path, capsys, spec_obj, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of repr((reports, state)): the 30 reports check_comodule_algebra
+# returns along `verify comodule --seed 1 --count 30` on Z4, and the state
+# of the run's generator after the last.  The run samples pairs at dims 32
+# and 64, so a changed draw or verdict changes the digest, while --json
+# only counts instances.  Recorded before multiplicativity was decided on
+# value ids.
+def test_comodule_reports_golden(tmp_path, capsys, monkeypatch):
+    reports, rngs = [], []
+    original = hopf.check_comodule_algebra
+
+    def recorded(A, rng=None):
+        reports.append(original(A, rng=rng))
+        rngs.append(rng)
+        return reports[-1]
+
+    monkeypatch.setattr(hopf, "check_comodule_algebra", recorded)
+    spec = _write(tmp_path, "z4.json", Z4)
+    code, out, err = _run(capsys, ["verify", "comodule", "--seed", "1",
+                                   "--count", "30", "--spec", spec, "--json"])
+    assert code == 0 and err == "" and len(reports) == 30
+    assert max(r["checked_pairs"] for r in reports) == 256
+    digest = repr((reports, rngs[-1].getstate())).encode()
+    assert hashlib.sha256(digest).hexdigest() == \
+        "3890aa5977111cbd200154eaff6f64efac06fd27e39d4bd0c9edd84aa67ad6f7"
+
+
 # `verify` with an invalid datum in the spec exits 1 and names the failing
 # binding conditions; recorded before the check read brpic's binding report.
 _Z4_BAD_ODATUM = {"T": [["2@1", "0@1", "1@1", "0@1"],

@@ -719,7 +719,9 @@ def test_sector_clauses_match_dense_reference():
         root = partial(CycloScalar.root_of_unity, mod.group.exponent)
         for data in _reference_sector_data(rng, mod):
             bad = hopf.compatible_violations(data)
-            exps = [la.action_exponents(mod, hopf._split_pair(mod, f))
+            r = len(mod.group.factors)
+            exps = [la.action_exponents(mod, (mod.group.element(f.coords[:r]),
+                                              mod.group.element(f.coords[r:])))
                     for f in data.F]
             sectors = [data.W1, data.W2, data.W3]
             stable = [oracles.dense_stable(S, exps, root) for S in sectors]
@@ -1418,44 +1420,139 @@ def test_coinvariants_match_the_full_kernel(monkeypatch):
     assert dims > 1000  # columns proved zero and left out
 
 
-def _tensor_mul_reference(H, t1, groups2, mul):
-    """coaction_mul's product by _tensor_mul on the ungrouped t2."""
-    nG = H.group.order
-    t2 = {(s * nG + r, k): c for s, _m, terms in groups2 for r, k, c in terms}
-    return host._tensor_mul(H.mono_mul, mul, t1, t2)
+def _reference_failures(A, pairs):
+    """The distinct pairs of pairs at which lam(i) lam(j), by _tensor_mul
+    on the host and A's products, differs from lam(ij), by _apply."""
+    return {(i, j) for i, j in pairs
+            if host._tensor_mul(A.host.mono_mul, A.mul_basis,
+                                A.coact_basis(i), A.coact_basis(j))
+            != host._apply(A.coact_basis, A.mul_basis(i, j))}
 
 
-def test_multiplicativity_products_match_tensor_mul(monkeypatch):
-    """coaction_mul gives _tensor_mul's value and keys on every pair of
-    every zoo K with dim <= 32, and check_comodule_algebra the same report
-    on it, and on its doubled-entry mutant, as with _tensor_mul."""
-    cases = terms = failed = 0
+def _drawn_pairs(A, seed):
+    """The pairs check_comodule_algebra checks on A with Random(seed), drawn
+    here as it is specified (every pair up to dim 24, else max(200, 4 dim)
+    pairs (randrange(dim), randrange(dim))), and the generator after."""
+    rng = random.Random(seed)
+    if A.dim <= 24:
+        return [(i, j) for i in range(A.dim) for j in range(A.dim)], rng
+    return [(rng.randrange(A.dim), rng.randrange(A.dim))
+            for _ in range(max(200, 4 * A.dim))], rng
+
+
+def _negated_term(K):
+    """K, factors kept, with the first term of lam at its last basis
+    element negated."""
+    coaction = {i: dict(K.coact_basis(i)) for i in range(K.dim)}
+    lam = coaction[K.dim - 1]
+    key = next(iter(lam))
+    lam[key] = -lam[key]
+    return hopf.ComodAlg(K.host, K.basis, {}, coaction, K.unit, K.group_part,
+                         K.loewy_degree, K.meta, factors=K.factors)
+
+
+def _assert_reference_report(A, monkeypatch):
+    """check_comodule_algebra(A, rng=Random(7)) draws the specified pairs,
+    leaves the generator where drawing them does, and reports what the
+    _tensor_mul reference decides on them; returns the report."""
+    rng = random.Random(7)
+    rep = hopf.check_comodule_algebra(A, rng=rng)
+    pairs, drawn = _drawn_pairs(A, 7)
+    assert rng.getstate() == drawn.getstate()
+    assert rep["checked_pairs"] == len(pairs)
+    with monkeypatch.context() as m:
+        m.setattr(hopf, "multiplicative_failures", _reference_failures)
+        assert hopf.check_comodule_algebra(A, rng=random.Random(7)) == rep
+    bad = _reference_failures(A, pairs)
+    want = [("multiplicative", (A.basis[i], A.basis[j]))
+            for i, j in pairs if (i, j) in bad]
+    got = [f for f in rep["failures"] if f[0] == "multiplicative"]
+    assert got == want[:len(got)] and (len(got) == len(want)
+                                       or len(rep["failures"]) == 10)
+    return rep
+
+
+def test_multiplicativity_matches_a_tensor_mul_reference(monkeypatch):
+    """On every zoo K with dim <= 32, its factor-free copy, its
+    doubled-entry mutant and a copy with one lam term negated,
+    check_comodule_algebra reports what the _tensor_mul reference decides
+    on the same pairs, drawn as before."""
+    cases = failed = 0
     for name, data in _zoo_data():
         K = hopf.build_K(data)
         if K.dim > 32:
             continue
-        H = K.host
-        for j in range(K.dim):
-            groups = H.by_subset(K.coact_basis(j))
-            for i in range(K.dim):
-                got = H.coaction_mul(K.coact_basis(i), groups, K.mul_basis)
-                want = _tensor_mul_reference(H, K.coact_basis(i), groups,
-                                             K.mul_basis)
-                assert set(got) == set(want), (name, i, j)
-                assert got == want, (name, i, j)
-                terms += len(got)
-        for A in [K] + ([_doubled_entry(K)] if data.rows else []):
-            rep = hopf.check_comodule_algebra(A, rng=random.Random(7))
-            with monkeypatch.context() as m:
-                m.setattr(host.HopfAlg, "coaction_mul", _tensor_mul_reference)
-                ref = hopf.check_comodule_algebra(A, rng=random.Random(7))
-            assert rep == ref, name
-            # every pair is checked up to dim 24, so the doubled entry is met
+        mutants = [_negated_term(K)]
+        if data.rows:
+            mutants.append(_doubled_entry(K))
+        for A in [K, _factor_free(K)] + mutants:
+            rep = _assert_reference_report(A, monkeypatch)
+            # every pair is checked up to dim 24, so a mutant is caught
             if A.dim <= 24:
-                assert rep["ok"] == (A is K), name
+                assert rep["ok"] == (A not in mutants), name
             failed += not rep["ok"]
             cases += 1
-    assert cases >= 200 and terms > 100000 and failed >= 60
+    assert cases >= 200 and failed >= 60
+
+
+def _lifted(K, M, step=1, change=None):
+    """K, factors kept, with every value c of lam(i) at c.lift(M) for i a
+    multiple of step, and the value at change = (i, key), if given, plus 1."""
+    coaction = {i: {key: c.lift(M) if i % step == 0 else c
+                    for key, c in K.coact_basis(i).items()}
+                for i in range(K.dim)}
+    if change is not None:
+        i, key = change
+        coaction[i][key] = coaction[i][key] + 1
+    return hopf.ComodAlg(K.host, K.basis, {}, coaction, K.unit, K.group_part,
+                         K.loewy_degree, K.meta, factors=K.factors)
+
+
+def test_values_at_a_larger_conductor_keep_the_verdict(monkeypatch):
+    """Equal values stored at different conductors are equal: a Z4 K with
+    its coaction lifted to Q(zeta_8), or only that of every other basis
+    element (so the two sides of a pair sit at conductors 8 and 4), still
+    passes, and one changed value fails exactly where the _tensor_mul
+    reference fails."""
+    mods = dict(hh.module_zoo())
+    checked = 0
+    for name, data in _zoo_data():
+        if data.module != mods["Z4_d2"] or not data.rows:
+            continue
+        K = hopf.build_K(data)
+        if K.dim > 24:
+            continue
+        lifted = _lifted(K, 8)
+        assert lifted.coact_basis(1) != {} and all(
+            c.N == 8 for i in range(K.dim) for c in lifted.coact_basis(i).values())
+        assert _assert_reference_report(lifted, monkeypatch)["ok"], name
+        half = _lifted(K, 8, step=2)
+        assert _assert_reference_report(half, monkeypatch)["ok"], name
+        key = next(iter(K.coact_basis(1)))
+        rep = _assert_reference_report(_lifted(K, 8, change=(1, key)),
+                                       monkeypatch)
+        assert not rep["ok"], name
+        checked += 1
+    assert checked >= 3
+
+
+def test_build_K_coaction_is_the_translated_product():
+    """lam(w_S e_f) = lam(w_S) (f x e_f), by _tensor_mul, in stored form,
+    on every zoo datum and on a Z10 model, whose doubled host (|G x G| =
+    100) adds group ranks digit by digit."""
+    G10 = ab.FinAbGroup([10])
+    z10 = la.GModuleV(G10, G10.element((5,)), [G10.character((1,))])
+    d = bp.identity_rdatum(z10)
+    z10_K = hopf.build_L(z10, d.W, d.beta, d.alpha)
+    assert z10_K.host._tables[4] is None
+    algebras = [(name, hopf.build_K(data)) for name, data in _zoo_data()]
+    for name, K in algebras + [("Z10 identity", z10_K)]:
+        H, F = K.host, K.meta["data"].F
+        for i, (S, fc) in enumerate(K.basis):
+            lam_S = K.coact_basis(K.index[(S, F[0].coords)])
+            f = {(H.index[((), fc)], K.index[((), fc)]): ONE}
+            want = host._tensor_mul(H.mono_mul, K.mul_basis, lam_S, f)
+            assert _exact({i: K.coact_basis(i)}) == _exact({i: want}), name
 
 
 # -- failing isomorphism checks ---------------------------------------------
