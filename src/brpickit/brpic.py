@@ -26,17 +26,10 @@ conditions that decide 'valid') runs the first time a datum is used and its
 verdict is cached on the immutable datum; operands, inputs and every product,
 inverse and conversion output read that cache.  The report
 (validate_odatum / validate_rdatum) adds the informational flags and is
-computed only on request.  Each question about the G x G action is a list
-of congruences t e[b] - s e[a] = k (mod N) on e = exponents(x) +
-exponents(y): _satisfies tests one pair (x, y), _first_pair finds the first
-in G x G.  D_x T D_y^{-1} scales T_ij by zeta^(s e_a(x) - t e_b(y)), a and
-b the indices of i and j mod dim V and s, t = -1 on V*, +1 on V, so each
-entry of T is one congruence (_entry_term).  (x, y) scales reduced row i
-of W (pivot p_i) by zeta^(e[p_i]) into a row with entries
-zeta^(e[j] - e[p_i]) W_ij and carries the form to
-zeta^-(e[p_i] + e[p_j]) gram_ij, so each entry of W and of the form is one
-too; R-datum validity reads them with k = 0 through
-linalg.pivot_exponents and linalg.form_invariant_under.
+computed only on request.  Every question about the G x G action is asked
+of linalg's congruence engine, with one term per entry of T (_entry_term)
+or of W and its form; S_alpha, U_alpha and the diagonal of G are asked on
+their generators, and the equivalence searches on all of G x G.
 Because the diagonal part of a product's U_alpha need not sit inside the
 factors' diagonal parts, every product, inverse and conversion output is
 still checked before it is returned, and a failure is raised loudly instead
@@ -48,6 +41,7 @@ trigger the failure path.
 
 from functools import cache
 
+from . import abelian as ab
 from . import linalg as la
 from . import orth
 from .cyclo import CycloScalar
@@ -87,29 +81,37 @@ def matrix_inverse(M):
 
 def _entry_term(m, i, j, k=0):
     """The congruence under which D_x T D_y^{-1} scales T_ij by zeta^k,
-    m = dim V: s e_a(x) - t e_b(y) = k, so (a, s, m + b, t, -k)."""
+    m = dim V: s e_a(x) - t e_b(y) = k, a and b the indices of i and j mod
+    m and s, t = +1 on V, -1 on V*, so (a, s, m + b, t, -k)."""
     return (i % m, 1 if i < m else -1, m + j % m, 1 if j < m else -1, -k)
-
-
-def _satisfies(mod: la.GModuleV, terms, pair) -> bool:
-    """Whether t e[b] - s e[a] = k mod N for every (a, s, b, t, k) in
-    terms, e = mod.exponents(x) + mod.exponents(y) for pair = (x, y)."""
-    N = mod.group.exponent
-    e = mod.exponents(pair[0]) + mod.exponents(pair[1])
-    return not any((t * e[b] - s * e[a] - k) % N for a, s, b, t, k in terms)
 
 
 def _first_pair(mod: la.GModuleV, terms):
     """The first (x, y) of G x G, x outer, that satisfies terms, or None."""
     els = list(mod.group.elements())
     return next(((x, y) for x in els for y in els
-                 if _satisfies(mod, terms, (x, y))), None)
+                 if la.pairs_satisfy(mod, terms, (x.coords + y.coords,))),
+                None)
 
 
 def _equivariant(d, pairs) -> bool:
-    """Whether D_{-x} T D_y = T for every (x, y) in pairs."""
+    """Whether D_{-x} T D_y = T for every (x, y), listed by coordinates."""
     terms = [_entry_term(d.module.dim, i, j) for i, j in la.support(d.T)]
-    return all(_satisfies(d.module, terms, p) for p in pairs)
+    return la.pairs_satisfy(d.module, terms, pairs)
+
+
+@cache
+def _stabilizer_generators(alpha: orth.OrthAut) -> tuple:
+    """Generators of S_alpha (abelian.generators on its table, no larger
+    than U_alpha's) as the coordinates of the pairs (z, z)."""
+    stab = orth.diagonal_stabilizer(alpha)
+    return tuple(stab[g].coords * 2
+                 for g in ab.generators(ab.addition_table(stab)[1]))
+
+
+def _diagonal_generators(G) -> list:
+    """G's own generators as the coordinates of the pairs (g, g)."""
+    return [G.generator(i).coords * 2 for i in range(G.rank)]
 
 
 # -- datum containers -------------------------------------------------------
@@ -254,26 +256,20 @@ class LagDatum:
 
 # -- validation -------------------------------------------------------------
 
-def _pairs_of(U: orth.TwistedSubgroup):
-    return [U.components(e) for e in U.elements]
-
-
-def _stable_invariant(d: RDatum, movers):
-    """(W stable, beta invariant) under every mover acting on V+V, in
-    exponent form; beta is only tested once W is stable."""
-    if not all(la.pivot_exponents(d.module, g, d.W)[1]
-               for g in movers):
+def _stable_invariant(d: RDatum, pairs):
+    """(W stable, beta invariant) under every pair listed by coordinates;
+    beta is only tested once W is stable."""
+    if not la.pairs_satisfy(d.module, la.row_terms(d.W), pairs):
         return False, False
-    return True, la.form_invariant_under(d.module, d.beta, movers)
+    return True, la.form_invariant_under(d.module, d.beta, pairs)
 
 
 def _rdatum_conditions(d: RDatum) -> dict:
-    mod = d.module
-    stab = orth.diagonal_stabilizer(d.alpha)
-    stable, invariant = _stable_invariant(d, stab)
+    stable, invariant = _stable_invariant(d, _stabilizer_generators(d.alpha))
     return {
         "axis_clear": not any(la.axis_meets(d.W)),
-        "uu_in_U": mod.u in stab,  # (u, u) in U_alpha iff u in S_alpha
+        # (u, u) in U_alpha iff u in S_alpha
+        "uu_in_U": d.module.u in orth.diagonal_stabilizer(d.alpha),
         "W_stable": stable,
         "beta_symmetric": d.beta.is_symmetric(),
         "beta_invariant": invariant,
@@ -282,17 +278,16 @@ def _rdatum_conditions(d: RDatum) -> dict:
 
 def _odatum_conditions(d: ODatum) -> dict:
     mod = d.module
-    stab = orth.diagonal_stabilizer(d.alpha)
     b_zero = all(x.is_zero() for row in d.block_B() for x in row)
     AtD = la.product(la.transpose(d.block_A()), d.block_D())
     duality = AtD == identity_matrix(mod.dim)
     return {
-        "uu_in_U": mod.u in stab,
+        "uu_in_U": mod.u in orth.diagonal_stabilizer(d.alpha),
         # B = 0 makes T block triangular with det T = det A det D, and
         # A^t D = I makes both factors nonzero; only otherwise is a rank needed
         "invertible": ((b_zero and duality)
                        or matrix_is_invertible([list(r) for r in d.T])),
-        "equivariant": _equivariant(d, [(z, z) for z in stab]),
+        "equivariant": _equivariant(d, _stabilizer_generators(d.alpha)),
         "B_zero": b_zero,
         "duality": duality,
     }
@@ -317,19 +312,18 @@ def validate_rdatum(d: RDatum) -> dict:
     report = dict(binding_report(d))
     # informational flags: stability beyond the diagonal part
     report["W_stable_full_U"], report["beta_invariant_full_U"] = \
-        _stable_invariant(d, _pairs_of(orth.u_alpha(d.alpha)))
-    report["W_stable_full_diagonal"] = _stable_invariant(
-        d, list(d.module.group.elements()))[0]
+        _stable_invariant(d, orth.u_generators(d.alpha))
+    report["W_stable_full_diagonal"] = la.pairs_satisfy(
+        d.module, la.row_terms(d.W), _diagonal_generators(d.module.group))
     return report
 
 
 def validate_odatum(d: ODatum) -> dict:
     """Per-condition report; 'valid' iff every binding condition passes."""
     report = dict(binding_report(d))
-    report["equivariant_full_U"] = _equivariant(
-        d, _pairs_of(orth.u_alpha(d.alpha)))
+    report["equivariant_full_U"] = _equivariant(d, orth.u_generators(d.alpha))
     report["equivariant_full_diagonal"] = _equivariant(
-        d, [(z, z) for z in d.module.group.elements()])
+        d, _diagonal_generators(d.module.group))
     return report
 
 
@@ -438,7 +432,7 @@ def _rdatum_search(d: RDatum, dt: RDatum):
     g_shifts = _shifts(d.beta.gram, dt.beta.gram, N)
     if w_shifts is None or g_shifts is None:
         return False, None
-    piv = [la.support([r])[0][1] for r in d.W.basis]
+    piv = d.W.pivots
     pair = _first_pair(d.module,
                        [(piv[i], 1, j, 1, k) for (i, j), k in w_shifts]
                        + [(piv[i], 1, piv[j], -1, k)
@@ -567,14 +561,14 @@ def describe_brpic(module: la.GModuleV, bound: int = 256):
     with keys alpha, A_dim, C_dim, D_block and invertibility.
 
     S_alpha = {z : (z, z) in U_alpha} keeps an entry of T exactly when its
-    congruence (_entry_term) holds at every (z, z), so each dimension is a
-    count of positions.  The A block ranges over the S_alpha-equivariant
-    maps V -> V: A_dim counts the (i, j) with chi_i = chi_j on S_alpha.  The
-    D block is determined as the inverse transpose of A.  The C block ranges
-    over the equivariant maps C : V -> V* (entries at the (i, j) with
-    chi_i chi_j = 1 on S_alpha) with C^t A symmetric, for an invertible
-    equivariant A.  C_dim counts the i <= j with chi_i chi_j = 1 on
-    S_alpha, whatever A is:
+    congruence (_entry_term) holds at every (z, z), or equivalently at the
+    generators of S_alpha, so each dimension is a count of positions.  The
+    A block ranges over the S_alpha-equivariant maps V -> V: A_dim counts
+    the (i, j) with chi_i = chi_j on S_alpha.  The D block is determined as
+    the inverse transpose of A.  The C block ranges over the equivariant
+    maps C : V -> V* (entries at the (i, j) with chi_i chi_j = 1 on
+    S_alpha) with C^t A symmetric, for an invertible equivariant A.  C_dim
+    counts the i <= j with chi_i chi_j = 1 on S_alpha, whatever A is:
 
     M = A^t C is equivariant, so supported where chi_i chi_j = 1, and
     M^t = C^t A, so C^t A is symmetric exactly when M is.  A^-t is
@@ -588,11 +582,10 @@ def describe_brpic(module: la.GModuleV, bound: int = 256):
     dm = module.dim
     components = []
     for alpha in admissible_alphas(module, bound):
-        pairs = [(z, z) for z in orth.diagonal_stabilizer(alpha)]
+        pairs = _stabilizer_generators(alpha)
 
         def kept(i, j):
-            return all(_satisfies(module, [_entry_term(dm, i, j)], p)
-                       for p in pairs)
+            return la.pairs_satisfy(module, [_entry_term(dm, i, j)], pairs)
         components.append({
             "alpha": alpha,
             "A_dim": sum(kept(i, j) for i in range(dm) for j in range(dm)),
@@ -698,8 +691,9 @@ def random_odatum(module: la.GModuleV, rng, alpha: orth.OrthAut = None,
             break
         except NotInvertibleError:
             pass
-    triv = [[all(_satisfies(module, [_entry_term(dm, dm + i, j)], (z, z))
-                 for z in G.elements()) for j in range(dm)] for i in range(dm)]
+    diag = _diagonal_generators(G)
+    triv = [[la.pairs_satisfy(module, [_entry_term(dm, dm + i, j)], diag)
+             for j in range(dm)] for i in range(dm)]
     M = [[_ZERO] * dm for _ in range(dm)]
     for i in range(dm):
         for j in range(i, dm):

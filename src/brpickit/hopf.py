@@ -191,17 +191,17 @@ class CompatibleData:
     compatible_violations rejects the datum (F_subgroup).  law is F's
     (index, addition table), read from psi.domain, or None when psi is.
 
-    f in G x G scales each reduced row of an f-stable sector by zeta_N^e, e
-    its exponent at the row's pivot (act_exponents), so F-stability, beta's
-    F-invariance and the e_f w = (f.w) e_f rule are congruences on them.
-    actions() holds them for every f in F, computed on first use.
+    f in G x G keeps a sector when its row terms (linalg.row_terms, built
+    once per datum) hold at f, and then scales each of its reduced rows by
+    zeta_N^e, e f's exponent at the row's pivot.  act_exponents(f) gives
+    both; actions() holds them for every f in F, computed on first use.
     """
 
     # _acts: the cached actions(), _violations: compatible_violations' names;
     # each built once, read by every later caller
     __slots__ = ("module", "W1", "W2", "W3", "gram", "F", "psi", "alpha",
-                 "rows", "types", "coords_set", "pair_group", "law", "_acts",
-                 "_violations")
+                 "rows", "types", "pivots", "terms", "coords_set",
+                 "pair_group", "law", "_acts", "_violations")
 
     def __init__(self, module, W1, W2, W3, beta, F, psi=None, alpha=None):
         m = module.dim
@@ -270,6 +270,9 @@ class CompatibleData:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "types", types)
+        object.__setattr__(self, "pivots", W1.pivots + W2.pivots + W3.pivots)
+        object.__setattr__(self, "terms",
+                           tuple(la.row_terms(S) for S in (W1, W2, W3)))
         object.__setattr__(self, "coords_set", frozenset(seen))
         object.__setattr__(self, "pair_group", GG)
         object.__setattr__(self, "law",
@@ -289,16 +292,13 @@ class CompatibleData:
 
     def act_exponents(self, f):
         """(exps, stable) over the global sector basis: stable[t - 1] says
-        whether f keeps sector t, and then f.w_i = zeta_N^exps[i] w_i on its
-        rows (linalg.pivot_exponents), read off the module's table by f's
-        coordinates."""
+        whether f keeps sector t (always, when it has no row terms), and
+        then f.w_i = zeta_N^exps[i] w_i on its rows.  f's exponent row is
+        read once, off the module's table by f's coordinates."""
         e = la.pair_exponents(self.module, f.coords)
-        exps, stable = [], []
-        for S in (self.W1, self.W2, self.W3):
-            x, ok = la.exponents_at_pivots(e, self.module.group.exponent, S)
-            exps += x
-            stable.append(ok)
-        return exps, stable
+        N = self.module.group.exponent
+        return ([e[p] for p in self.pivots],
+                [not t or la.rows_satisfy(t, (e,), N) for t in self.terms])
 
     def actions(self):
         """act_exponents(f) for every f in F, in F's order."""
@@ -373,11 +373,11 @@ def compatible_violations(data) -> list:
     if not sym_ok:
         bad.append("beta_symmetry")
 
-    # f.beta = beta: zeta^(e_i + e_j) gram_ij = gram_ij on the support
-    N = module.group.exponent
-    supp = la.support(data.gram)
-    if stable and "F_subgroup" not in bad and any(
-            (e[i] + e[j]) % N for e, _ in acts for i, j in supp):
+    # f.beta = beta: zeta^(e_i + e_j) gram_ij = gram_ij on the support, e
+    # f's exponents at the rows' pivots, as actions() read them
+    if stable and "F_subgroup" not in bad and not la.rows_satisfy(
+            la.form_terms(la.support(data.gram), range(nW)),
+            [e for e, _ in acts], module.group.exponent):
         bad.append("beta_F_invariant")
 
     if needs_u and has_u and data.psi is not None and not _u_central(
@@ -1036,18 +1036,16 @@ def verify_cotensor_iso(d, dt):
     one = {(L1.index[((), zeroGG)], unit2): _ONE}
 
     R = d.W.basis
-    piv = [la.support([r])[0][1] for r in R]
-    pivt = [la.support([r])[0][1] for r in dt.W.basis]
     eu1 = L1.index[((), data1.uu_coords())]
     phiw = []
     for row in data3.rows:
         v2 = [_ZERO] * m
         vec = {}
-        for k, p in enumerate(piv):
+        for k, p in enumerate(d.W.pivots):
             if not row[p].is_zero():
                 v2 = [a + row[p] * b for a, b in zip(v2, R[k][m:])]
                 vec[(L1.index[((k,), zeroGG)], unit2)] = row[p]
-        for k, p in enumerate(pivt):
+        for k, p in enumerate(dt.W.pivots):
             if not v2[p].is_zero():
                 addin(vec, (eu1, L2.index[((k,), zeroGG)]), v2[p])
         phiw.append(vec)
@@ -1212,11 +1210,12 @@ _B_CHOICES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
               Fraction(-3))
 
 
-def _graph_positions(module, F):
-    """Generators whose character agrees on both components of all of F."""
+def _graph_positions(module, pairs):
+    """Generators whose character agrees on both components of every pair
+    of G x G listed by its coordinates."""
     m = module.dim
-    exps = [la.pair_exponents(module, f.coords) for f in F]
-    return [i for i in range(m) if all(e[i] == e[m + i] for e in exps)]
+    return [i for i in range(m)
+            if la.pairs_satisfy(module, [(i, 1, m + i, 1, 0)], pairs)]
 
 
 def _graph_row(rng, m, i):
@@ -1299,7 +1298,6 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
     the twist commutes with it.
     """
     m = module.dim
-    N = module.group.exponent
     fams = compatible_families(module)
     name, F, psi, central_ok = fams[rng.randrange(len(fams))]
     GG = ab.direct_sum(module.group, module.group)
@@ -1307,7 +1305,8 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
     uu = module.u.coords * 2
     has_uu = any(f.coords == uu for f in Fels) and central_ok
 
-    graph_ok = _graph_positions(module, Fels)
+    coords = [f.coords for f in Fels]
+    graph_ok = _graph_positions(module, coords)
 
     S1 = _random_subset(rng, m, 2)
     S2 = _random_subset(rng, m, 2)
@@ -1325,11 +1324,8 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
     rows3 = [_graph_row(rng, m, i) for i in S3]
 
     types = [1] * len(S1) + [2] * len(S2) + [3] * len(S3)
-    pos = S1 + S2 + S3
+    pivots = S1 + [m + i for i in S2] + S3
     nW = len(types)
-
-    def eigen(k, f):
-        return la.pair_exponents(module, f.coords)[pos[k] + m * (types[k] == 2)]
 
     gram = [[_ZERO] * nW for _ in range(nW)]
     for i in range(nW):
@@ -1337,7 +1333,8 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
             sector = tuple(sorted((types[i], types[j])))
             if _SYM_SIGN[sector] < 0 and not has_uu:
                 continue
-            if any((eigen(i, f) + eigen(j, f)) % N for f in Fels):
+            if not la.pairs_satisfy(
+                    module, la.form_terms([(i, j)], pivots), coords):
                 continue
             if rng.random() < 0.5:
                 c = la.sc(_B_CHOICES[rng.randrange(len(_B_CHOICES))])
@@ -1355,22 +1352,21 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
 def random_graph_datum(module, rng, alpha, dim_cap=64):
     """A relation datum (W, beta, alpha) with W a U_alpha-stable graph span."""
     m = module.dim
-    N = module.group.exponent
-    U = orth.u_alpha(alpha)
+    gens = orth.u_generators(alpha)
 
-    graph_ok = (_graph_positions(module, U.elements)
+    graph_ok = (_graph_positions(module, gens)
                 if alpha_supports_w3(module, alpha) else [])
     S3 = [i for i in graph_ok if rng.random() < 0.6]
-    while (1 << len(S3)) * len(U.elements) > dim_cap and S3:
+    while (1 << len(S3)) * orth.u_order(alpha) > dim_cap and S3:
         S3.pop()
     rows = [_graph_row(rng, m, i) for i in S3]
     W = la.Subspace(2 * m, rows) if rows else la.zero_space(2 * m)
     nW = W.dim
-    firsts = [la.pair_exponents(module, f.coords) for f in U.elements]
     gram = [[_ZERO] * nW for _ in range(nW)]
     for a in range(nW):
         for b in range(a, nW):
-            if any((e[S3[a]] + e[S3[b]]) % N for e in firsts):
+            if not la.pairs_satisfy(
+                    module, la.form_terms([(a, b)], S3), gens):
                 continue
             if rng.random() < 0.5:
                 c = la.sc(_B_CHOICES[rng.randrange(len(_B_CHOICES))])

@@ -25,13 +25,15 @@ s^T beta s' + t^T betat t' off those coordinates.  Neither factor may meet
 a coordinate axis, and that makes the witness unique: s.a = 0 would put
 (0 | s.b) in W & (0+V), and t.e = 0 would put (t.c | 0) in Wt & (V+0).
 
-Subspaces are moved by the action in exponent form (pivot_exponents): if g
-acts as diag(zeta_N^e), it sends reduced row i of S (pivot p_i) to
-zeta^(e_{p_i}) times row i of the reduced basis of g.S, which has entries
-zeta^(e_j - e_{p_i}) S_ij.  So g.S = S iff e_j = e_{p_i} mod N on each row's
-support, and then a form is g-invariant iff e_{p_i} + e_{p_j} = 0 mod N
-wherever gram_ij != 0.  RDatum validity and equivalence (brpic) and the
-comodule-algebra sector clauses (hopf) rest on this congruence.
+The action of G x G has one congruence engine.  A pair (x, y) acts on V+V
+as diag(zeta_N^e), e = pair_exponents(mod, x.coords + y.coords), and each
+question about it is a list of terms (a, s, b, t, k) asking
+t e[b] - s e[a] = k (mod N).  rows_satisfy is the one place that decides
+them; pairs_satisfy asks on pairs, and proves that a subgroup may be asked
+on its generators when every k is 0.  g keeps a subspace iff e[j] = e[p_i]
+on the support of each reduced row i, p_i its pivot (row_terms), and then
+keeps a form on it iff e[p_i] + e[p_j] = 0 wherever gram_ij != 0
+(form_terms).  brpic and hopf ask every G x G question here.
 """
 
 from __future__ import annotations
@@ -245,17 +247,18 @@ def kernel_sparse_rows(rows, n) -> list:
 # -- subspaces -------------------------------------------------------------
 
 class Subspace:
-    """A subspace of k^n held as a canonical RREF basis."""
+    """A subspace of k^n held as a canonical RREF basis and its pivots."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, rows):
         rows = mat(rows)
         if any(len(r) != ambient_dim for r in rows):
             raise DomainError("basis row length does not match ambient dimension")
-        R, _ = rref(rows) if rows else ([], [])
+        R, pivots = rref(rows) if rows else ([], [])
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(tuple(r) for r in R))
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -298,9 +301,9 @@ class GModuleV:
 
     u must have order 2 and every character must send u to -1.  Immutable
     and hashed by value, as the memo key of what a module alone determines.
-    exponents(g) reads a table, filled on first use and kept in the _exps
-    slot, from g.coords to (pair(chi_1, g), ..., pair(chi_m, g)); every
-    character exponent of the module is computed once, there.  Like a
+    exponents_at(coords) reads a table, filled on first use and kept in the
+    _exps slot, from g.coords to (pair(chi_1, g), ..., pair(chi_m, g));
+    every character exponent of the module is computed once, there.  Like a
     datum's _binding, == and hash ignore the table.
     """
 
@@ -326,15 +329,9 @@ class GModuleV:
     def __setattr__(self, name, value):
         raise AttributeError("GModuleV is immutable")
 
-    def exponents(self, g: GroupElement) -> tuple:
-        """(e_1, ..., e_m) with chi_i(g) = zeta_N^{e_i}, N the group exponent."""
-        if not isinstance(g, GroupElement) or (g.parent is not self.group
-                                               and g.parent != self.group):
-            raise DomainError("g is not an element of the module's group")
-        return self.exponents_at(g.coords)
-
     def exponents_at(self, coords) -> tuple:
-        """exponents(g) for the g with these coordinates, read by them; g is
+        """(e_1, ..., e_m) with chi_i(g) = zeta_N^{e_i}, N the group
+        exponent, for the g with these coordinates, read by them; g is
         built only to fill the table."""
         row = self._exps.get(coords)
         if row is None:
@@ -355,16 +352,6 @@ class GModuleV:
 
     def __repr__(self):
         return f"GModuleV(dim {self.dim} over {self.group!r})"
-
-
-def action_exponents(mod: GModuleV, g):
-    """Per-coordinate exponents e_i with g acting on V+V as diag(zeta_N^{e_i}).
-
-    g may be a single group element (acting diagonally on both summands) or
-    a pair (x, y) acting componentwise.
-    """
-    x, y = (g, g) if isinstance(g, GroupElement) else g
-    return [*mod.exponents(x), *mod.exponents(y)]
 
 
 # -- bilinear forms --------------------------------------------------------
@@ -420,47 +407,60 @@ def zero_form(space: Subspace) -> BilinearForm:
     return BilinearForm(space, [[_ZERO] * d for _ in range(d)])
 
 
+# -- the G x G action: one congruence engine --------------------------------
+
 def pair_exponents(mod: GModuleV, coords) -> tuple:
-    """action_exponents of the pair (x, y) of G x G whose coordinates are
+    """e with the pair (x, y) of G x G acting on V+V as diag(zeta_N^e), for
     coords = x.coords + y.coords, read off mod's table by coordinates."""
     r = len(mod.group.factors)
     return mod.exponents_at(coords[:r]) + mod.exponents_at(coords[r:])
 
 
-def pivot_exponents(mod: GModuleV, g, S: Subspace):
-    """(exps, stable) for a subspace S of V+V: g sends basis row i of S to
-    zeta^exps[i] times row i of the reduced basis of g.S, and stable says
-    whether g.S = S."""
-    return exponents_at_pivots(action_exponents(mod, g), mod.group.exponent, S)
+def rows_satisfy(terms, rows, N) -> bool:
+    """Whether t e[b] - s e[a] = k (mod N) for every term (a, s, b, t, k)
+    and every exponent row e in rows, the rows read in order once."""
+    return not any((t * e[b] - s * e[a] - k) % N
+                   for e in rows for a, s, b, t, k in terms)
 
 
-def exponents_at_pivots(e, N, S: Subspace):
-    """pivot_exponents for the g acting on V+V as diag(zeta_N^e)."""
-    exps, stable = [], True
-    for row in S.basis:
-        supp = [j for j, x in enumerate(row) if not x.is_zero()]
-        exps.append(e[supp[0]])
-        stable = stable and all((e[j] - e[supp[0]]) % N == 0 for j in supp)
-    return exps, stable
+def pairs_satisfy(mod: GModuleV, terms, pairs) -> bool:
+    """rows_satisfy on the exponent row of every pair of G x G listed by
+    its coordinates in pairs, each row read once.
 
-
-def form_invariant_under(mod: GModuleV, beta: BilinearForm, elements) -> bool:
-    """Whether the form on a subspace of V+V is preserved by each listed
-    group action.
-
-    elements: group elements or (x, y) pairs, as in action_exponents.
-    Raises DomainError if the underlying subspace itself is not preserved
-    (a different failure kind than the form changing).
+    When every k is 0, asking on generators of a subgroup answers for the
+    whole subgroup.  Each e_i(x, y) is a pairing exponent of x or of y,
+    additive mod N, so (x, y) -> (t e[b] - s e[a] mod N) over the terms is
+    a homomorphism G x G -> (Z/N)^terms.  The pairs that satisfy the list
+    form its kernel, a subgroup, and a subgroup lies inside the kernel
+    exactly when its generators do: every element is a sum of generators.
+    With some k != 0 the solutions form a coset of that kernel or nothing,
+    so a search for one goes over all of G x G.
     """
-    N = mod.group.exponent
-    supp = support(beta.gram)
-    for g in elements:
-        exps, stable = pivot_exponents(mod, g, beta.space)
-        if not stable:
-            raise DomainError("subspace is not invariant under the given action")
-        if any((exps[i] + exps[j]) % N for i, j in supp):
-            return False
-    return True
+    return rows_satisfy(terms, (pair_exponents(mod, c) for c in pairs),
+                        mod.group.exponent)
+
+
+def row_terms(S: Subspace) -> list:
+    """The k = 0 terms under which a pair keeps S: e[j] = e[p_i] wherever
+    reduced row i, with pivot p_i, has a nonzero entry at j."""
+    return [(p, 1, j, 1, 0) for p, row in zip(S.pivots, S.basis)
+            for j, x in enumerate(row) if j > p and not x.is_zero()]
+
+
+def form_terms(positions, pivots) -> list:
+    """The k = 0 terms under which a pair keeping a subspace with these row
+    pivots keeps a form nonzero at positions: e[p_i] + e[p_j] = 0."""
+    return [(pivots[i], 1, pivots[j], -1, 0) for i, j in positions]
+
+
+def form_invariant_under(mod: GModuleV, beta: BilinearForm, pairs) -> bool:
+    """Whether every pair of G x G listed by coordinates in pairs (a
+    sequence) keeps the form on a subspace of V+V; DomainError when the
+    subspace itself is not kept (a different failure kind)."""
+    S = beta.space
+    if not pairs_satisfy(mod, row_terms(S), pairs):
+        raise DomainError("subspace is not invariant under the given action")
+    return pairs_satisfy(mod, form_terms(support(beta.gram), S.pivots), pairs)
 
 
 # -- relation composition and the transported form -------------------------

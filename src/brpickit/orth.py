@@ -301,11 +301,6 @@ class TwistedSubgroup:
     def __len__(self):
         return len(self.elements)
 
-    def components(self, e: GroupElement):
-        """The (first, second) G-components of a pair element."""
-        n = self.group.rank
-        return self.group.element(e.coords[:n]), self.group.element(e.coords[n:])
-
     def __repr__(self):
         return f"TwistedSubgroup(order {len(self.elements)})"
 
@@ -325,6 +320,14 @@ def u_alpha(alpha: OrthAut) -> TwistedSubgroup:
     GG = ab.direct_sum(G, G)
     pairs = {y[:n] + x[:n] for x, y in _alpha_table(alpha)}
     return TwistedSubgroup(G, [GroupElement(GG, p) for p in pairs])
+
+
+@cache
+def u_generators(alpha: OrthAut) -> tuple:
+    """The coordinates of generators of U_alpha, abelian.generators on its
+    addition table, found once per alpha."""
+    U = u_alpha(alpha)
+    return tuple(U.elements[g].coords for g in ab.generators(U.law[1]))
 
 
 def u_order(alpha: OrthAut) -> int:
@@ -450,7 +453,7 @@ def psi_alpha(alpha: OrthAut) -> TwoCocycle:
     proved a 2-cocycle by TwoCocycle, once per alpha.
 
     Two preimages agree on every b in U_alpha once they agree on the
-    generators of U_alpha (abelian.generators): psi(a, b) is v . b mod N,
+    generators of U_alpha (u_generators): psi(a, b) is v . b mod N,
     and each coordinate of v is a multiple of w_i = N / f_i, so v . b mod
     N does not depend on the representatives of b's coordinates mod f_i
     and is additive in b.  Two additive maps that agree on generators
@@ -464,7 +467,7 @@ def psi_alpha(alpha: OrthAut) -> TwoCocycle:
     N = G.exponent
     w = [N // f for f in G.factors]
     U = u_alpha(alpha)
-    gens = [U.elements[g].coords for g in ab.generators(U.law[1])]
+    gens = u_generators(alpha)
     first: dict = {}  # the v_r of the first preimage r of each element
     for x, y in _alpha_table(alpha):
         v = tuple(-a * wi % N for a, wi in zip(y[n:], w)) \

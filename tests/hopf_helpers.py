@@ -12,6 +12,19 @@ ONE = CycloScalar.one(1)
 ZERO = CycloScalar.zero(1)
 
 
+def pair_coords(g):
+    """x.coords + y.coords for a pair (x, y) of G x G, or for (g, g) when g
+    is one element: the form in which the package takes a pair."""
+    x, y = (g, g) if isinstance(g, ab.GroupElement) else g
+    return x.coords + y.coords
+
+
+def pair_of(U, e):
+    """The (first, second) G-components of an element e of U_alpha."""
+    n = U.group.rank
+    return U.group.element(e.coords[:n]), U.group.element(e.coords[n:])
+
+
 def in_span(S, v):
     """Whether v lies in the subspace S: adding it leaves the dimension."""
     return la.Subspace(S.ambient_dim, [*S.basis, v]).dim == S.dim

@@ -112,8 +112,10 @@ def test_criterion_04(capsys):
 def _translate(d, x, y):
     mod = d.module
     N = mod.group.exponent
-    ex = oracles.vplusvdual_exponents(la.action_exponents(mod, x), N)
-    ey = oracles.vplusvdual_exponents(la.action_exponents(mod, y), N)
+    ex = oracles.vplusvdual_exponents(
+        la.pair_exponents(mod, hh.pair_coords(x)), N)
+    ey = oracles.vplusvdual_exponents(
+        la.pair_exponents(mod, hh.pair_coords(y)), N)
     T = oracles.dense_translate(d.T, ex, [-e for e in ey],
                                 lambda k: CycloScalar.root_of_unity(N, k),
                                 CycloScalar.zero(1))

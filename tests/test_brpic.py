@@ -1,5 +1,8 @@
 """Tests for the Brauer-Picard element algebra (both presentations)."""
 
+import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +11,7 @@ import pytest
 import hopf_helpers as hh
 import oracles
 from brpickit import brpic as bp
+from brpickit import hopf
 from brpickit import linalg as la
 from brpickit import orth
 from brpickit.abelian import FinAbGroup
@@ -24,7 +28,7 @@ def dense_args(mod, dual=True):
     N = mod.group.exponent
 
     def exps(g):
-        e = la.action_exponents(mod, g)
+        e = la.pair_exponents(mod, hh.pair_coords(g))
         return oracles.vplusvdual_exponents(e, N) if dual else e
     return exps, lambda k: CycloScalar.root_of_unity(N, k), ZERO
 
@@ -623,7 +627,7 @@ def test_equivariance_flags_match_dense_reference():
             movers = {
                 "equivariant": [(z, z)
                                 for z in orth.diagonal_stabilizer(d.alpha)],
-                "equivariant_full_U": [U.components(e) for e in U.elements],
+                "equivariant_full_U": [hh.pair_of(U, e) for e in U.elements],
                 "equivariant_full_diagonal": [(z, z) for z in els],
             }
             for flag, pairs in movers.items():
@@ -717,7 +721,7 @@ def test_rdatum_flags_match_dense_reference():
             U = orth.u_alpha(d.alpha)
             movers = {
                 "": [(z, z) for z in orth.diagonal_stabilizer(d.alpha)],
-                "_full_U": [U.components(e) for e in U.elements],
+                "_full_U": [hh.pair_of(U, e) for e in U.elements],
             }
             for suffix, pairs in movers.items():
                 ref = oracles.dense_invariant(d.W, d.beta.gram,
@@ -777,6 +781,221 @@ def test_rdatum_equiv_matches_dense_reference():
                 assert expected is None or got[0] is expected, (mod, d, dt)
                 outcomes.append(got[0])
     assert True in outcomes and False in outcomes
+
+
+# -- the generator rule against the full pair lists ---------------------------
+# A k = 0 question holds on a subgroup of G x G exactly when it holds on the
+# subgroup's generators (linalg.pairs_satisfy).  The flags, describe and
+# random_odatum ask S_alpha, U_alpha and the diagonal of G on generators;
+# here each question is asked again on every element.
+
+def _full_lists(mod, alpha):
+    return {"": [z.coords * 2 for z in orth.diagonal_stabilizer(alpha)],
+            "_full_U": [e.coords for e in orth.u_alpha(alpha).elements],
+            "_full_diagonal": [g.coords * 2 for g in mod.group.elements()]}
+
+
+def _generator_lists(mod, alpha):
+    return {"": bp._stabilizer_generators(alpha),
+            "_full_U": orth.u_generators(alpha),
+            "_full_diagonal": bp._diagonal_generators(mod.group)}
+
+
+def _flags_on(d, lists):
+    """The G x G flags of a report on d, each asked on lists[suffix]."""
+    mod = d.module
+    if isinstance(d, bp.ODatum):
+        terms = [bp._entry_term(mod.dim, i, j) for i, j in la.support(d.T)]
+        return {"equivariant" + sfx: la.pairs_satisfy(mod, terms, pairs)
+                for sfx, pairs in lists.items()}
+    rows = la.row_terms(d.W)
+    form = la.form_terms(la.support(d.beta.gram), d.W.pivots)
+    out = {}
+    for sfx, pairs in lists.items():
+        stable = out["W_stable" + sfx] = la.pairs_satisfy(mod, rows, pairs)
+        if sfx != "_full_diagonal":
+            out["beta_invariant" + sfx] = (
+                stable and la.pairs_satisfy(mod, form, pairs))
+    return out
+
+
+def _single_entry_mutants(d):
+    """(key, mutant) for d with one entry added: a zero entry (i, j) of T
+    set to 1; or a zero entry ("W", i, j) of a reduced row of W off the
+    pivots set to 1, which moves the row off its eigenspace wherever the
+    exponents there differ; or a gram entry ("gram", i, j) and its mirror
+    raised by 1."""
+    one = la.sc(1)
+    if isinstance(d, bp.ODatum):
+        out = []
+        for i, j in itertools.product(range(len(d.T)), repeat=2):
+            if d.T[i][j].is_zero():
+                T = [list(r) for r in d.T]
+                T[i][j] = one
+                out.append(((i, j), bp.ODatum(d.module, T, d.alpha)))
+        return out
+    out = []
+    for i, row in enumerate(d.W.basis):
+        for j, x in enumerate(row):
+            if j not in d.W.pivots and x.is_zero():
+                rows = [list(r) for r in d.W.basis]
+                rows[i][j] = one
+                W = la.Subspace(d.W.ambient_dim, rows)
+                out.append((("W", i, j), bp.RDatum(
+                    d.module, W, la.BilinearForm(W, d.beta.gram), d.alpha)))
+    for i, j in itertools.combinations_with_replacement(range(d.W.dim), 2):
+        gram = [list(r) for r in d.beta.gram]
+        gram[i][j] = gram[j][i] = gram[i][j] + one
+        out.append((("gram", i, j), bp.RDatum(
+            d.module, d.W, la.BilinearForm(d.W, gram), d.alpha)))
+    return out
+
+
+def test_generator_rule_matches_full_pair_lists():
+    rng = random.Random(67)
+    seen = {}
+    dropped_disagrees = {"": False, "_full_U": False, "_full_diagonal": False}
+    for name, mod in hh.module_zoo():
+        dm = mod.dim
+        G = mod.group
+        diag = bp._diagonal_generators(G)
+        full_diag = [g.coords * 2 for g in G.elements()]
+        # random_odatum's triv question, and the support of its M = A^t C
+        for i, j in itertools.product(range(dm), repeat=2):
+            term = [bp._entry_term(dm, dm + i, j)]
+            assert la.pairs_satisfy(mod, term, diag) is \
+                la.pairs_satisfy(mod, term, full_diag)
+        for comp in bp.describe_brpic(mod):
+            S = _full_lists(mod, comp["alpha"])[""]
+
+            def kept(i, j):
+                return la.pairs_satisfy(mod, [bp._entry_term(dm, i, j)], S)
+            assert comp["A_dim"] == sum(
+                kept(i, j) for i, j in itertools.product(range(dm), repeat=2))
+            assert comp["C_dim"] == sum(
+                kept(dm + i, j) for i, j in
+                itertools.combinations_with_replacement(range(dm), 2))
+        for alpha in bp.suite_alphas(mod):
+            full = _full_lists(mod, alpha)
+            gens = _generator_lists(mod, alpha)
+            d = bp.random_odatum(mod, rng, alpha)
+            M = la.product(la.transpose(d.block_A()), d.block_C())
+            assert all(la.pairs_satisfy(
+                mod, [bp._entry_term(dm, dm + i, j)], full_diag)
+                for i, j in la.support(M)), (name, d)
+            data = [d, bp.odatum_to_rdatum(d),
+                    hopf.random_graph_datum(mod, rng, alpha)]
+            for case in data + [m for x in data
+                                for _, m in _single_entry_mutants(x)]:
+                rep = (bp.validate_odatum(case) if isinstance(case, bp.ODatum)
+                       else bp.validate_rdatum(case))
+                want = _flags_on(case, full)
+                assert {k: rep[k] for k in want} == want, (name, case)
+                for flag, v in want.items():
+                    seen.setdefault(flag, set()).add(v)
+                for sfx in dropped_disagrees:
+                    fewer = dict(gens, **{sfx: gens[sfx][:-1]})
+                    if _flags_on(case, fewer) != want:
+                        dropped_disagrees[sfx] = True
+    assert len(seen) == 8, seen
+    assert all(v == {True, False} for v in seen.values()), seen
+    assert all(dropped_disagrees.values()), dropped_disagrees
+
+
+def _golden_records():
+    """Every G x G answer the package reports, as JSON lines: over every zoo
+    module, describe's dimensions, and per suite alpha a seeded datum, its
+    conversion, a graph datum and their single-entry mutants with their
+    reports and equivalence searches, a translate of the datum with both
+    searches, then 20 compatible data with mutated grams and with all of
+    G x G as F, their violations and actions(); then the rng state."""
+    rng = random.Random(20261019)
+    out = []
+
+    def rec(*items):
+        out.append(json.dumps(items, default=repr, sort_keys=True))
+
+    def report(tag, d):
+        try:
+            r = (bp.validate_odatum(d) if isinstance(d, bp.ODatum)
+                 else bp.validate_rdatum(d))
+            rec(tag, sorted(r.items()))
+        except BrpicError as e:
+            rec(tag, "error", type(e).__name__, str(e))
+
+    def convert(tag, d):
+        try:
+            r = bp.odatum_to_rdatum(d)
+        except BrpicError as e:
+            rec(tag, "error", type(e).__name__, str(e))
+            return None
+        rec(tag, r.to_json())
+        return r
+
+    for name, mod in hh.module_zoo():
+        els = list(mod.group.elements())
+        for c in bp.describe_brpic(mod):
+            rec(name, "describe", c["alpha"].matrix, c["A_dim"], c["C_dim"])
+        prev = None
+        for ai, alpha in enumerate(bp.suite_alphas(mod)):
+            d = bp.random_odatum(mod, rng, alpha)
+            tag = (name, ai)
+            rec(tag, "T", [[x.to_string() for x in r] for r in d.T])
+            report((tag, "o"), d)
+            r = convert((tag, "conv"), d)
+            if r is not None:
+                report((tag, "r"), r)
+                for key, mt in _single_entry_mutants(r):
+                    report((tag, "rmut", key), mt)
+                    rec(tag, "rsearch-mut", key, bp._rdatum_search(r, mt))
+            for key, mt in _single_entry_mutants(d):
+                report((tag, "omut", key), mt)
+                rec(tag, "osearch-mut", key, bp._odatum_search(d, mt))
+                convert((tag, "omut-conv", key), mt)
+            x, y = rng.choice(els), rng.choice(els)
+            dt = bp.ODatum(mod, dense_translate(d, x, y), alpha)
+            rec(tag, "osearch", x.coords, y.coords, bp._odatum_search(d, dt))
+            rec(tag, "oequiv", bp.odatum_equiv(d, dt))
+            rt = convert((tag, "conv-t"), dt)
+            if r is not None and rt is not None:
+                rec(tag, "rsearch", bp._rdatum_search(r, rt))
+                rec(tag, "requiv", bp.rdatum_equiv(r, rt))
+            if prev is not None and prev.alpha == d.alpha:
+                rec(tag, "osearch-prev", bp._odatum_search(prev, d))
+            prev = d
+            g = hopf.random_graph_datum(mod, rng, alpha)
+            rec(tag, "graph", g.to_json())
+            report((tag, "g"), g)
+            for key, mt in _single_entry_mutants(g):
+                report((tag, "gmut", key), mt)
+        whole = [a.coords + b.coords for a in els for b in els]
+        for k in range(20):
+            data = hopf.random_compatible_data(mod, rng)
+            tag = (name, "cd", k)
+            rec(tag, repr(data), hopf.compatible_violations(data),
+                [(list(e), list(st)) for e, st in data.actions()])
+            for i in range(len(data.rows)):
+                gram = [list(rw) for rw in data.gram]
+                gram[i][i] = gram[i][i] + la.sc(1)
+                md = hopf.CompatibleData(mod, data.W1, data.W2, data.W3, gram,
+                                         data.F, data.psi)
+                rec(tag, "gmut", i, hopf.compatible_violations(md))
+            md = hopf.CompatibleData(mod, data.W1, data.W2, data.W3,
+                                     data.gram, whole)
+            rec(tag, "whole", hopf.compatible_violations(md),
+                [(list(e), list(st)) for e, st in md.actions()])
+    rec("rng", hashlib.sha256(repr(rng.getstate()).encode()).hexdigest())
+    return out
+
+
+def test_gxg_reports_golden():
+    # recorded before the G x G questions moved onto linalg's engine and
+    # the generator rule; seeded data alone never fail W_stable or
+    # equivariant, so the mutants carry the False answers
+    records = _golden_records()
+    assert len(records) == 4875
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == \
+        "15a0a2885d2773df6ec4e04d4cf5f5397d9b90d9bae0796c4f6990d7df2cd58d"
 
 
 def test_diagonal_stabilizer_matches_u_alpha():

@@ -719,10 +719,7 @@ def test_sector_clauses_match_dense_reference():
         root = partial(CycloScalar.root_of_unity, mod.group.exponent)
         for data in _reference_sector_data(rng, mod):
             bad = hopf.compatible_violations(data)
-            r = len(mod.group.factors)
-            exps = [la.action_exponents(mod, (mod.group.element(f.coords[:r]),
-                                              mod.group.element(f.coords[r:])))
-                    for f in data.F]
+            exps = [la.pair_exponents(mod, f.coords) for f in data.F]
             sectors = [data.W1, data.W2, data.W3]
             stable = [oracles.dense_stable(S, exps, root) for S in sectors]
             for t, ok in enumerate(stable, 1):

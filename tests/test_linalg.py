@@ -184,30 +184,19 @@ def test_exponent_table_matches_pairing():
     for mod in zoo:
         for g in mod.group.elements():
             for _ in range(2):
-                assert mod.exponents(g) == tuple(ab.pair(chi, g)
-                                                 for chi in mod.chars), (mod, g)
-    with pytest.raises(DomainError):
-        _z4_module().exponents(Z2.generator(0))
+                assert mod.exponents_at(g.coords) == tuple(
+                    ab.pair(chi, g) for chi in mod.chars), (mod, g)
+    with pytest.raises(DomainError):  # coordinates of the wrong rank
+        _z4_module().exponents_at((1, 0))
 
 
 def test_exponent_table_ignored_by_eq_and_hash():
     filled, empty = _z4_module(2), _z4_module(2)
     for g in Z4.elements():
-        filled.exponents(g)
+        filled.exponents_at(g.coords)
     assert filled == empty and empty == filled
     assert hash(filled) == hash(empty)
     assert {filled: 1}[empty] == 1
-
-
-def test_action_exponents_returns_a_fresh_list():
-    mod = _z4_module(2)
-    g, h = Z4.generator(0), Z4.element([3])
-    for arg in (g, (g, h)):
-        first = la.action_exponents(mod, arg)
-        want = list(first)
-        first[0] = -1
-        first.append(7)
-        assert la.action_exponents(mod, arg) == want
 
 
 def _sweedler_module():
@@ -223,7 +212,7 @@ def _act(mod, g, v, dual=False):
     """The diagonal action of g on V+V (on V+V* when dual), by the dense
     oracle."""
     N = mod.group.exponent
-    e = la.action_exponents(mod, g)
+    e = la.pair_exponents(mod, hh.pair_coords(g))
     if dual:
         e = oracles.vplusvdual_exponents(e, N)
     return oracles.dense_act(e, la.mat([v])[0],
@@ -354,7 +343,8 @@ def test_form_invariant_zero_form():
     S = la.Subspace(4, [[1, 0, 1, 0], [0, 1, 0, 1]])
     g = Z4.generator(0)
     u = Z4.element([2])
-    assert la.form_invariant_under(mod, la.zero_form(S), [(g, g), (u, u)])
+    assert la.form_invariant_under(mod, la.zero_form(S),
+                                   [hh.pair_coords(g), hh.pair_coords(u)])
 
 
 def test_form_invariant_zeta4_scaling():
@@ -364,10 +354,11 @@ def test_form_invariant_zeta4_scaling():
     S = la.Subspace(2, [[1, 0]])
     good = la.BilinearForm(S, [[0]])
     bad = la.BilinearForm(S, [[1]])
+    g = hh.pair_coords(g)
     assert la.form_invariant_under(mod, good, [g])
     assert not la.form_invariant_under(mod, bad, [g])
     # u acts by -1, and (-1)^2 = 1 preserves any form
-    assert la.form_invariant_under(mod, bad, [Z4.element([2])])
+    assert la.form_invariant_under(mod, bad, [hh.pair_coords(Z4.element([2]))])
 
 
 def test_form_invariant_space_not_invariant_is_distinct_error():
@@ -376,7 +367,7 @@ def test_form_invariant_space_not_invariant_is_distinct_error():
     S = la.Subspace(2, [[1, 1]])
     f = la.BilinearForm(S, [[1]])
     with pytest.raises(DomainError, match="not invariant"):
-        la.form_invariant_under(mod, f, [(u, Z2.zero())])
+        la.form_invariant_under(mod, f, [hh.pair_coords((u, Z2.zero()))])
 
 
 def _sparse_subspace(rng, n):
@@ -396,7 +387,7 @@ def _movers(mod):
     return els + [(x, y) for x in els for y in els]
 
 
-def test_pivot_exponents_matches_dense_action():
+def test_row_terms_match_dense_action():
     rng = random.Random(61)
     seen = set()
     for _, mod in hh.module_zoo():
@@ -404,14 +395,15 @@ def test_pivot_exponents_matches_dense_action():
         for _ in range(6):
             S = _sparse_subspace(rng, 2 * mod.dim)
             for g in _movers(mod):
-                exps, stable = la.pivot_exponents(mod, g, S)
-                moved = oracles.dense_moved(
-                    S, la.action_exponents(mod, g), root)
+                e = la.pair_exponents(mod, hh.pair_coords(g))
+                stable = la.pairs_satisfy(mod, la.row_terms(S),
+                                          [hh.pair_coords(g)])
+                moved = oracles.dense_moved(S, e, root)
                 assert stable is moved.equals(S), (S, g)
-                # g sends row k to zeta^exps[k] times row k of g.S
+                # g sends row k to zeta^(e at its pivot) times row k of g.S
                 for k, row in enumerate(S.basis):
                     assert _act(mod, g, row) == [
-                        root(exps[k]) * x for x in moved.basis[k]]
+                        root(e[S.pivots[k]]) * x for x in moved.basis[k]]
                 seen.add(stable)
     assert seen == {True, False}
 
@@ -431,13 +423,14 @@ def test_form_invariant_under_matches_dense_reference():
             beta = la.BilinearForm(S, gram)
             for g in _movers(mod):
                 stable, invariant = oracles.dense_invariant(
-                    S, beta.gram, [la.action_exponents(mod, g)],
+                    S, beta.gram, [la.pair_exponents(mod, hh.pair_coords(g))],
                     root, CycloScalar.zero())
                 if not stable:
                     with pytest.raises(DomainError, match="not invariant"):
-                        la.form_invariant_under(mod, beta, [g])
+                        la.form_invariant_under(mod, beta, [hh.pair_coords(g)])
                     continue
-                assert la.form_invariant_under(mod, beta, [g]) is invariant
+                assert la.form_invariant_under(
+                    mod, beta, [hh.pair_coords(g)]) is invariant
                 seen.add(invariant)
     assert seen == {True, False}
 

@@ -286,8 +286,7 @@ def test_u_alpha_identity_is_diagonal():
         U = orth.u_alpha(orth.orth_identity(G))
         assert len(U) == G.order
         for e in U.elements:
-            a, b = U.components(e)
-            assert a == b
+            assert e.coords[:G.rank] == e.coords[G.rank:]
 
 
 def test_u_gamma_on_z2_is_everything():
@@ -406,7 +405,7 @@ def test_psi_exponents_match_the_pairing_formula():
             a2 = G.character(
                 oracles.apply_matrix(G.factors, alpha.matrix, r.coords)[n:])
             for b in U.elements:
-                b1, b2 = U.components(b)
+                b1, b2 = G.element(b.coords[:n]), G.element(b.coords[n:])
                 assert exps[(a.coords, b.coords)] == \
                     (-ab.pair(a2, b1) + ab.pair(chi, b2)) % G.exponent
 
