@@ -257,11 +257,15 @@ class LagDatum:
 # -- validation -------------------------------------------------------------
 
 def _stable_invariant(d: RDatum, pairs):
-    """(W stable, beta invariant) under every pair listed by coordinates;
-    beta is only tested once W is stable."""
-    if not la.pairs_satisfy(d.module, la.row_terms(d.W), pairs):
+    """(W stable, beta invariant) under every pair listed by coordinates,
+    asked once of la.form_invariant_under: W is beta's space, and the
+    DomainError it raises when W is not stable reads (False, False)."""
+    try:
+        return True, la.form_invariant_under(d.module, d.beta, pairs)
+    except DomainError as exc:
+        if not str(exc).startswith("subspace is not invariant"):
+            raise
         return False, False
-    return True, la.form_invariant_under(d.module, d.beta, pairs)
 
 
 def _rdatum_conditions(d: RDatum) -> dict:

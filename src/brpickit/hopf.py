@@ -52,6 +52,7 @@ Every tensor is keyed by tuples of basis indices: L x K by (a, b), a
 coaction by (host index, basis index).
 """
 
+import operator
 import random
 from fractions import Fraction
 from functools import cache
@@ -81,10 +82,10 @@ class KFactors(NamedTuple):
     subsets.  wtab[s1][s2] lists w_S1 w_S2 = sum c w_T e_g as terms
     (index of w_T e_0, index of g, c), with distinct (index, g); chi[f][s]
     is the root e_f picks up passing w_S; twist[g][f1][f2] is (h, psi')
-    with e_g e_f1 e_f2 = psi' e_h.  terms(i, j) lists one entry's factors
-    as build_K defines it (see there), and entry(i, j) multiplies them out;
-    ids(vid) gives the same tables over value ids, which
-    host.multiplicative_failures reads through terms.
+    with e_g e_f1 e_f2 = psi' e_h.  entry(i, j, mul) is the one formula for
+    an entry (see build_K), on any multiply: ComodAlg reads it with *, and
+    host.multiplicative_failures with its id multiply over ids(vid), the
+    same tables over value ids.
     """
 
     nF: int
@@ -92,17 +93,16 @@ class KFactors(NamedTuple):
     chi: list
     twist: dict
 
-    def terms(self, i, j):
-        """Entry (i, j) as its terms (k, c, x, p): the entry is c (x p) at k."""
+    def entry(self, i, j, mul=operator.mul):
+        """Entry (i, j) as {k + h: mul(c, mul(x, p))}, over the terms
+        (k, g, c) of wtab[s1][s2] with x = chi[f1][s2] and (h, p) =
+        twist[g][f1][f2]; distinct (k, g) give distinct k + h."""
         nF, wtab, chi, twist = self
         s1, f1 = divmod(i, nF)
         s2, f2 = divmod(j, nF)
         x = chi[f1][s2]
-        return [(k + h, c, x, p) for k, g, c in wtab[s1][s2]
-                for h, p in (twist[g][f1][f2],)]
-
-    def entry(self, i, j):
-        return {k: c * (x * p) for k, c, x, p in self.terms(i, j)}
+        return {k + h: mul(c, mul(x, p)) for k, g, c in wtab[s1][s2]
+                for h, p in (twist[g][f1][f2],)}
 
     def ids(self, vid):
         """These factors with every scalar c replaced by vid(c)."""
@@ -775,11 +775,13 @@ def check_comodule_algebra(A, rng=None):
     when dim A <= 24 and over max(200, 4 dim A) random pairs above, each
     failing occurrence noted in pair order; host.multiplicative_failures
     decides each distinct pair once.  It runs on value ids, interned by
-    stored form with x and + memoized per pair of ids, reads lam(i) once,
-    the host product from the host's factor tables and A's from A.factors
-    (else A.mul_basis).  Equal values can be stored at different
-    conductors, so sides whose ids differ are compared as values, and the
-    verdict is the one CycloScalar == gives on the two sides."""
+    stored form with x and + memoized per pair of ids, and reads lam(i)
+    once, as a flat list of terms.  For each pair of terms it reads A's
+    entry first, by KFactors.entry over ids (else A.mul_basis), and takes
+    the host product from the host's factor tables only when that entry is
+    nonzero.  Equal values can be stored at different conductors, so sides
+    whose ids differ are compared as values, and the verdict is the one
+    CycloScalar == gives on the two sides."""
     rng = rng if rng is not None else random.Random(0)
     host = A.host
     failures, note = _recorder()
@@ -1069,10 +1071,20 @@ def loewy_graded(A) -> ComodAlg:
     coradical filtration.  Requires (and verifies) that each filtration step
     is spanned by basis vectors of the recorded degree.
 
-    Step n is the kernel of the coaction rows (h, k) with deg h > n, so its
-    dimension is dim A minus their rank.  Those rows only grow as n falls:
-    one echelon takes them from the top host degree down and gives every
-    step's rank, and the steps are then checked from n = 0 up.
+    Step n is the kernel of the coaction rows (h, k) with deg h > n.  Let
+    R_d be the rows with deg h = d, and C_d the columns i with deg i = d.
+    Lemma: once the top host degree of every lam(i) is deg i (checked
+    first), every step n is spanned by {i : deg i <= n} exactly when each
+    block (R_d, C_d), d >= 1, has full column rank.  Proof: column i has no
+    entry in R_e for e > deg i, so step n, the kernel of the rows R_e with
+    e > n, contains every C_d with d <= n; it equals their span iff the
+    columns with d > n are independent on those rows.  Given full blocks,
+    take x != 0 on those columns and D the largest d with x_D != 0: then
+    R_D sees only x_D, which the block maps to a nonzero vector.
+    Conversely, at n = d - 1 a vector on C_d alone meets only R_d.
+    So one echelon per d >= 1, stopped once its rank reaches |C_d|, decides
+    every step.  Only when a block falls short does _filtration_steps run,
+    and it names the first failing step.
 
     When A has factors with degrees constant on each w_S e_F block, the
     product is graded on them: each term of an entry is a term (T, g) of
@@ -1084,29 +1096,27 @@ def loewy_graded(A) -> ComodAlg:
     if A.loewy_degree is None:
         raise DomainError("algebra carries no degree labels to grade against")
     deg = A.loewy_degree
-    top = [max((host.deg(h) for (h, _k) in A.coact_basis(i)), default=0)
-           for i in range(A.dim)]
-    for i in range(A.dim):
-        if top[i] != deg[i]:
+    blocks = {}
+    for i, d in enumerate(deg):
+        lam = A.coact_basis(i)
+        hdeg = [host.deg(h) for h, _k in lam]
+        if max(hdeg, default=0) != d:
             raise BrpicError("recorded degree disagrees with the coaction "
                              f"at basis {A.basis[i]}")
-    maxd = max(top, default=0)
-    by_deg = [{} for _ in range(maxd + 1)]
-    for i in range(A.dim):
-        for (h, k), c in A.coact_basis(i).items():
-            addin(by_deg[host.deg(h)].setdefault((h, k), {}), i, c)
-    ech = la.Echelon()
-    kernel_dim = [0] * (maxd + 1)
-    for n in range(maxd, -1, -1):
-        kernel_dim[n] = A.dim - ech.dim
-        for row in by_deg[n].values():
-            if row:
-                ech.insert(row)
-    for n in range(maxd + 1):
-        count = sum(1 for i in range(A.dim) if deg[i] <= n)
-        if kernel_dim[n] != count:
-            raise BrpicError("Loewy filtration step is not spanned by the "
-                             f"monomial basis at degree {n}")
+        if d:
+            rows = blocks.setdefault(d, {})
+            for e, (key, c) in zip(hdeg, lam.items()):
+                if e == d:
+                    addin(rows.setdefault(key, {}), i, c)
+    for d, rows in blocks.items():
+        need = deg.count(d)
+        ech = la.Echelon()
+        for row in rows.values():
+            ech.insert(row)
+            if ech.dim == need:
+                break
+        else:
+            _filtration_steps(A)
 
     factors = _graded_factors(A.factors, deg)
     mult = {}
@@ -1134,6 +1144,30 @@ def loewy_graded(A) -> ComodAlg:
         coaction[i] = entry
     return ComodAlg(host, A.basis, mult, coaction, A.unit, A.group_part,
                     deg, meta={"kind": "graded"}, factors=factors)
+
+
+def _filtration_steps(A):
+    """Raise at the least degree n whose filtration step (see loewy_graded)
+    is not spanned by the basis vectors of degree <= n.  Step n is the
+    kernel of the coaction rows (h, k) with deg h > n, so its dimension is
+    dim A minus their rank.  Those rows only grow as n falls: one echelon
+    takes them from the top host degree down and gives every step's rank."""
+    deg = A.loewy_degree
+    by_deg = {}
+    for i in range(A.dim):
+        for (h, k), c in A.coact_basis(i).items():
+            addin(by_deg.setdefault(A.host.deg(h), {}).setdefault((h, k), {}),
+                  i, c)
+    ech = la.Echelon()
+    failing = None
+    for n in range(max(deg), -1, -1):
+        if A.dim - ech.dim != sum(d <= n for d in deg):
+            failing = n
+        for row in by_deg.get(n, {}).values():
+            ech.insert(row)
+    if failing is not None:
+        raise BrpicError("Loewy filtration step is not spanned by the "
+                         f"monomial basis at degree {failing}")
 
 
 def _graded_factors(factors, deg):
@@ -1295,7 +1329,9 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
     compatible_violations: graph lines only where the character agrees on
     both components over F, beta entries only where the paired eigenvalues
     cancel on all of F, e_u-sector entries only when (u, u) lies in F and
-    the twist commutes with it.
+    the twist commutes with it.  The first two are k = 0 questions
+    (la.pairs_satisfy), asked on generators of F when F is closed under
+    addition, as every family is, and on all of F otherwise.
     """
     m = module.dim
     fams = compatible_families(module)
@@ -1305,8 +1341,11 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
     uu = module.u.coords * 2
     has_uu = any(f.coords == uu for f in Fels) and central_ok
 
-    coords = [f.coords for f in Fels]
-    graph_ok = _graph_positions(module, coords)
+    gens = [f.coords for f in Fels]
+    table = ab.addition_table(Fels)
+    if table is not None:
+        gens = [gens[g] for g in ab.generators(table[1])]
+    graph_ok = _graph_positions(module, gens)
 
     S1 = _random_subset(rng, m, 2)
     S2 = _random_subset(rng, m, 2)
@@ -1334,7 +1373,7 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
             if _SYM_SIGN[sector] < 0 and not has_uu:
                 continue
             if not la.pairs_satisfy(
-                    module, la.form_terms([(i, j)], pivots), coords):
+                    module, la.form_terms([(i, j)], pivots), gens):
                 continue
             if rng.random() < 0.5:
                 c = la.sc(_B_CHOICES[rng.randrange(len(_B_CHOICES))])

@@ -350,16 +350,19 @@ def multiplicative_failures(A, pairs):
     Both sides run on small-int value ids.  One table per call interns each
     scalar by its stored form (N, num, den); x and + are memoized on pairs
     of ids, each result the CycloScalar one, computed once per distinct
-    pair.  lam(i) is read into ids once, grouped by host subset.  The host
-    product comes from H._tables (see HopfAlg), one root per (term, subset)
-    pair; A's entry (k1, k2) from A.factors.ids(vid).terms when A has
-    factors, else from A.mul_basis, on its first read in the call.  The
-    left side is summed as its terms come and drops zero sums at the end;
-    the right side, sum c_k lam(k) over A's entry (i, j), drops them at
-    each step, as addin does.  Equal id dicts are equal values.  Sides
-    whose id dicts differ are compared as values, by CycloScalar ==, since
-    equal values can be stored at different conductors (a lam held at a
-    larger one, or a sum that fell to zero on one side only)."""
+    pair.  lam(i) is read into ids once, as one flat list of terms (host
+    subset s, its mask, group rank r, k, id) for h = s nG + r.  For each
+    pair of terms, A's entry (k1, k2) is read first: from
+    A.factors.ids(vid).entry with the id multiply when A has factors, else
+    from A.mul_basis, on its first read in the call.  Only when that entry
+    is nonzero is the host product taken from H._tables (see HopfAlg), with
+    its root.  The left side is summed as its terms come and drops zero
+    sums at the end; the right side, sum c_k lam(k) over A's entry (i, j),
+    drops them at each step, as addin does.  Equal id dicts are equal
+    values.  Sides whose id dicts differ are compared as values, by
+    CycloScalar ==, since equal values can be stored at different
+    conductors (a lam held at a larger one, or a sum that fell to zero on
+    one side only)."""
     nG, masks, srank, flip, gtab, chi, roots = A.host._tables
     ids, vals, zero, prods, sums, rids, lam, kprods = ({}, [], [], {}, {},
                                                        {}, {}, {})
@@ -388,77 +391,72 @@ def multiplicative_failures(A, pairs):
     def coact(i):
         got = lam.get(i)
         if got is None:
-            groups = {}
-            for (h, k), c in A.coact_basis(i).items():
-                s, r = divmod(h, nG)
-                groups.setdefault(s, []).append((r, k, vid(c)))
-            got = lam[i] = [(s, masks[s], t) for s, t in groups.items()]
+            got = lam[i] = [(s, masks[s], r, k, vid(c))
+                            for (h, k), c in A.coact_basis(i).items()
+                            for s, r in (divmod(h, nG),)]
         return got
 
-    kterms = A.factors and A.factors.ids(vid).terms
+    kentry = A.factors and A.factors.ids(vid).entry
 
     def kprod(i, j):
         got = kprods.get((i, j))
         if got is None:
             got = kprods[i, j] = (
-                [(k, mul(c, mul(x, p))) for k, c, x, p in kterms(i, j)]
-                if kterms else
-                [(k, vid(c)) for k, c in A.mul_basis(i, j).items()])
+                kentry(i, j, mul) if kentry else
+                {k: vid(c) for k, c in A.mul_basis(i, j).items()}).items()
         return got
 
     bad = set()
     for i, j in dict.fromkeys(pairs):
         lhs = {}
-        groups2 = coact(j)
-        for s1, m1, terms1 in coact(i):
-            for s2, m2, terms2 in groups2:
+        terms2 = coact(j)
+        # memo hits read inline: this loop is most of the time
+        for s1, m1, r1, k1, c1 in coact(i):
+            for s2, m2, r2, k2, c2 in terms2:
                 if m1 & m2:
                     continue
-                base = srank[m1 | m2]
-                p = (m1 & flip[s2]).bit_count() & 1
-                for r1, k1, c1 in terms1:
-                    c = c1
-                    if s2:
-                        e = chi[s2 * nG + r1]
-                        root = rids.get((p, e))
-                        if root is None:
-                            root = rids[p, e] = vid(roots[p][e]
-                                                    or A.host._root(p, e))
+                prod = kprods.get((k1, k2))
+                if prod is None:
+                    prod = kprod(k1, k2)
+                if not prod:
+                    continue
+                c = c1
+                if s2:
+                    p = (m1 & flip[s2]).bit_count() & 1
+                    e = chi[s2 * nG + r1]
+                    root = rids.get((p, e))
+                    if root is None:
+                        root = rids[p, e] = vid(roots[p][e]
+                                                or A.host._root(p, e))
+                    c = prods.get((c1, root))
+                    if c is None:
                         c = mul(c1, root)
-                    # memo hits read inline: this loop is most of the time
-                    for r2, k2, c2 in terms2:
-                        prod = kprods.get((k1, k2))
-                        if prod is None:
-                            prod = kprod(k1, k2)
-                        if not prod:
-                            continue
-                        h = base + (gtab[r1 * nG + r2] if gtab
-                                    else A.host._gsum(r1, r2))
-                        c12 = prods.get((c, c2))
-                        if c12 is None:
-                            c12 = mul(c, c2)
-                        for k3, ck in prod:
-                            v = prods.get((c12, ck))
-                            if v is None:
-                                v = mul(c12, ck)
-                            old = lhs.get((h, k3))
-                            if old is not None:
-                                v = add(old, v)
-                            lhs[h, k3] = v
+                h = srank[m1 | m2] + (gtab[r1 * nG + r2] if gtab
+                                      else A.host._gsum(r1, r2))
+                c12 = prods.get((c, c2))
+                if c12 is None:
+                    c12 = mul(c, c2)
+                for k3, ck in prod:
+                    v = prods.get((c12, ck))
+                    if v is None:
+                        v = mul(c12, ck)
+                    old = lhs.get((h, k3))
+                    if old is not None:
+                        v = add(old, v)
+                    lhs[h, k3] = v
         lhs = {key: v for key, v in lhs.items() if not zero[v]}
         rhs = {}
         for k, c in kprod(i, j):
-            for s, _m, terms in coact(k):
-                for r, k2, c2 in terms:
-                    key = (s * nG + r, k2)
-                    v = mul(c, c2)
-                    old = rhs.get(key)
-                    if old is not None:
-                        v = add(old, v)
-                    if zero[v]:
-                        rhs.pop(key, None)
-                    else:
-                        rhs[key] = v
+            for s, _m, r, k2, c2 in coact(k):
+                key = (s * nG + r, k2)
+                v = mul(c, c2)
+                old = rhs.get(key)
+                if old is not None:
+                    v = add(old, v)
+                if zero[v]:
+                    rhs.pop(key, None)
+                else:
+                    rhs[key] = v
         if lhs != rhs and ({key: vals[v] for key, v in lhs.items()}
                            != {key: vals[v] for key, v in rhs.items()}):
             bad.add((i, j))

@@ -949,6 +949,27 @@ def coinvariant_basis(coaction, one_idx, zero, one):
     return null_space(rows.values(), n, zero, one)
 
 
+def failing_filtration_steps(coaction, host_deg, deg, zero, one):
+    """The degrees n whose filtration step, the common null space of the
+    coaction rows (h, k) with host_deg[h] > n, has another dimension than
+    the number of basis elements of degree <= n, by one null_space per
+    step: coaction[i] maps (host index h, k) to the coefficient in lam(i),
+    and deg[i] is the recorded degree of basis element i."""
+    n = len(coaction)
+    out = []
+    for step in range(max(deg) + 1):
+        rows = {}
+        for i, lam in enumerate(coaction):
+            for (h, k), c in lam.items():
+                if host_deg[h] > step:
+                    row = rows.setdefault((h, k), {})
+                    row[i] = row.get(i, zero) + c
+        kern = null_space(rows.values(), n, zero, one)
+        if len(kern) != sum(1 for d in deg if d <= step):
+            out.append(step)
+    return out
+
+
 def cotensor_rows(lam_r, lam_l, parts_l, parts_k, uu, factors, zero, one):
     """The reduced basis rows of the cotensor kernel in insertion order,
     every block solved in full.  lam_r[i] maps (host index p, k) to the

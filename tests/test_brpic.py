@@ -128,6 +128,42 @@ def test_validate_rdatum_diag_gamma_sweedler():
     assert rep["W_stable_full_diagonal"] is True
 
 
+def test_stability_is_asked_once_per_stable_invariant(monkeypatch):
+    """_stable_invariant asks form_invariant_under alone: W's row terms
+    are built once, and W's stability decided once, before the form's
+    question when W is stable.  An unstable W reads (False, False), as the
+    two questions asked in turn read it, and any other DomainError of
+    form_invariant_under is raised."""
+    mod = sweedler_module()
+    idd = bp.identity_rdatum(mod)
+    d = bp.RDatum(mod, idd.W, idd.beta, gamma_of(mod.group))
+    built, asked = [], []
+    row_terms, pairs_satisfy = la.row_terms, la.pairs_satisfy
+    monkeypatch.setattr(la, "row_terms",
+                        lambda S: built.append(S) or row_terms(S))
+    monkeypatch.setattr(la, "pairs_satisfy",
+                        lambda *a: asked.append(a) or pairs_satisfy(*a))
+    seen = set()
+    for pairs in (bp._stabilizer_generators(d.alpha),
+                  orth.u_generators(d.alpha)):
+        stable = pairs_satisfy(mod, row_terms(d.W), pairs)
+        want = (stable, stable and la.form_invariant_under(mod, d.beta,
+                                                           pairs))
+        built.clear()
+        asked.clear()
+        assert bp._stable_invariant(d, pairs) == want and len(built) == 1
+        assert len(asked) == (2 if stable else 1)
+        seen.add(stable)
+    assert seen == {True, False}
+
+    def other(*args):
+        raise DomainError("operands live in different groups")
+
+    monkeypatch.setattr(la, "form_invariant_under", other)
+    with pytest.raises(DomainError, match="different groups"):
+        bp._stable_invariant(d, orth.u_generators(d.alpha))
+
+
 def test_validate_rdatum_axis_violation():
     mod = sweedler_module()
     W = la.Subspace(2, [[1, 0]])  # = V + 0

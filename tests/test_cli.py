@@ -414,6 +414,47 @@ def test_comodule_reports_golden(tmp_path, capsys, monkeypatch):
         "3890aa5977111cbd200154eaff6f64efac06fd27e39d4bd0c9edd84aa67ad6f7"
 
 
+def _comodule_trail(tmp_path, capsys, monkeypatch, spec_obj):
+    """The check_comodule_algebra reports, the graded-model verdicts and the
+    final rng state along `verify comodule --seed 1 --count 30`."""
+    reports, verdicts, rngs = [], [], []
+    check, same = hopf.check_comodule_algebra, hopf.same_tables
+
+    def recorded(A, rng=None):
+        reports.append(check(A, rng=rng))
+        rngs.append(rng)
+        return reports[-1]
+
+    def compared(A, B):
+        verdicts.append(same(A, B))
+        return verdicts[-1]
+
+    monkeypatch.setattr(hopf, "check_comodule_algebra", recorded)
+    monkeypatch.setattr(hopf, "same_tables", compared)
+    spec = _write(tmp_path, "spec.json", spec_obj)
+    code, out, err = _run(capsys, ["verify", "comodule", "--seed", "1",
+                                   "--count", "30", "--spec", spec, "--json"])
+    assert code == 0 and err == ""
+    assert len(reports) == len(verdicts) == 30
+    return reports, verdicts, rngs[-1].getstate()
+
+
+# recorded before K's entries came from one factor formula and the Loewy
+# filtration was decided on per-degree blocks
+@pytest.mark.parametrize("spec_obj,digest", [
+    (SWEEDLER,
+     "5d9e062ab49572c28602b8ed61489a3b541031b3060add477f5b486ffc5528db"),
+    (Z2Z2,
+     "95a6b1a67b31955d3c9089c66945f104422df4d817c8724728ee8dd2a4aa0182"),
+], ids=["sweedler", "z2z2"])
+def test_comodule_reports_and_graded_verdicts_golden(tmp_path, capsys,
+                                                     monkeypatch, spec_obj,
+                                                     digest):
+    trail = _comodule_trail(tmp_path, capsys, monkeypatch, spec_obj)
+    assert all(same == (True, None) for same in trail[1])
+    assert hashlib.sha256(repr(trail).encode()).hexdigest() == digest
+
+
 # `verify` with an invalid datum in the spec exits 1 and names the failing
 # binding conditions; recorded before the check read brpic's binding report.
 _Z4_BAD_ODATUM = {"T": [["2@1", "0@1", "1@1", "0@1"],

@@ -755,6 +755,35 @@ def test_random_data_property_sweep():
         assert rep["coinvariants_dim"] == 1
 
 
+def test_sector_filters_on_generators_match_all_of_F():
+    """Every family of every zoo module is closed under addition, and
+    random_compatible_data's questions, a graph line at each generator and
+    a beta entry at each pair of positions, read the same on ab.generators
+    of F as on all of F; each answer is seen both ways."""
+    seen = set()
+    for name, mod in hh.module_zoo():
+        GG = ab.direct_sum(mod.group, mod.group)
+        m = mod.dim
+        for fam, F, _psi, _central in hopf.compatible_families(mod):
+            els = [c if isinstance(c, ab.GroupElement) else GG.element(c)
+                   for c in F]
+            table = ab.addition_table(els)
+            assert table is not None, (name, fam)
+            every = [f.coords for f in els]
+            gens = [every[g] for g in ab.generators(table[1])]
+            graph = hopf._graph_positions(mod, every)
+            assert hopf._graph_positions(mod, gens) == graph, (name, fam)
+            seen.add(len(graph) == m)
+            for p in range(2 * m):
+                for q in range(p, 2 * m):
+                    terms = la.form_terms([(0, 1)], [p, q])
+                    got = la.pairs_satisfy(mod, terms, every)
+                    assert la.pairs_satisfy(mod, terms, gens) == got, \
+                        (name, fam, p, q)
+                    seen.add(("gram", got))
+    assert seen == {True, False, ("gram", True), ("gram", False)}
+
+
 @cache
 def _K_sample():
     """(name, data, K) over every compatible_families table of the zoo
@@ -1160,20 +1189,11 @@ def test_term_above_the_filtration_raises_on_both_paths():
 
 
 def _failing_steps(A):
-    """The degrees n whose filtration step has another dimension than the
-    basis vectors of degree <= n, by one kernel per step."""
-    deg = A.loewy_degree
-    out = []
-    for n in range(max(deg) + 1):
-        rows = {}
-        for i in range(A.dim):
-            for (h, k), c in A.coact_basis(i).items():
-                if A.host.deg(h) > n:
-                    la.addin(rows.setdefault((h, k), {}), i, c)
-        kern = la.kernel_sparse_rows([r for r in rows.values() if r], A.dim)
-        if len(kern) != sum(1 for d in deg if d <= n):
-            out.append(n)
-    return out
+    """oracles.failing_filtration_steps on A's coaction and degrees."""
+    return oracles.failing_filtration_steps(
+        [A.coact_basis(i) for i in range(A.dim)],
+        [A.host.deg(h) for h in range(A.host.dim)], A.loewy_degree, ZERO,
+        ONE)
 
 
 def test_filtration_steps_by_rank_name_the_first_failing_degree(monkeypatch):
@@ -1215,6 +1235,63 @@ def test_filtration_steps_by_rank_name_the_first_failing_degree(monkeypatch):
                 several += len(failing) > 1
     assert kernels == [] and degrees >= {0, 1} and several >= 5, \
         (degrees, several)
+
+
+def _count_full_echelon(monkeypatch):
+    """A list that gains an entry at each call of hopf._filtration_steps,
+    which still runs."""
+    calls = []
+    steps = hopf._filtration_steps
+    monkeypatch.setattr(hopf, "_filtration_steps",
+                        lambda *a: calls.append(a) or steps(*a))
+    return calls
+
+
+def test_loewy_blocks_decide_every_zoo_model(monkeypatch):
+    """On every zoo K, its factor-free copy and its graded algebra, the
+    per-degree blocks have full rank, so loewy_graded never runs the full
+    echelon, and the oracle finds no failing step."""
+    calls = _count_full_echelon(monkeypatch)
+    for name, data in _zoo_data():
+        K = hopf.build_K(data)
+        for A in (K, _factor_free(K), hopf.loewy_graded(K)):
+            hopf.loewy_graded(A)
+            assert not _failing_steps(A), name
+    assert calls == []
+
+
+def _block_emptied(K, d):
+    """K with the host-degree-d terms of lam at its first basis element of
+    degree d stored as zeros: top degrees are kept, block d loses rank."""
+    i = K.loewy_degree.index(d)
+    lam = {key: ZERO if K.host.deg(key[0]) == d else c
+           for key, c in K.coact_basis(i).items()}
+    coaction = {t: K.coact_basis(t) for t in range(K.dim)}
+    return hopf.ComodAlg(K.host, K.basis, {}, coaction | {i: lam}, K.unit,
+                         K.group_part, K.loewy_degree, factors=K.factors)
+
+
+def test_a_short_block_raises_the_full_echelon_message(monkeypatch):
+    """For each degree d >= 1 of every zoo K, a copy whose block d loses
+    rank runs the full echelon once, and raises at the first step the
+    oracle finds failing, which lies below d."""
+    calls = _count_full_echelon(monkeypatch)
+    degrees = set()
+    for name, data in _zoo_data():
+        K = hopf.build_K(data)
+        for d in range(1, max(K.loewy_degree) + 1):
+            A = _block_emptied(K, d)
+            failing = _failing_steps(A)
+            assert failing and failing[-1] < d, (name, d)
+            del calls[:]
+            with pytest.raises(BrpicError) as exc:
+                hopf.loewy_graded(A)
+            assert str(exc.value) == (
+                "Loewy filtration step is not spanned by the monomial "
+                f"basis at degree {failing[0]}"), (name, d)
+            assert len(calls) == 1, (name, d)
+            degrees.add(d)
+    assert degrees >= {1, 2, 3, 4}, degrees
 
 
 def test_compatible_violations_found_once_per_datum(monkeypatch):
@@ -1490,6 +1567,48 @@ def test_multiplicativity_matches_a_tensor_mul_reference(monkeypatch):
             failed += not rep["ok"]
             cases += 1
     assert cases >= 200 and failed >= 60
+
+
+def _twist_flipped(K):
+    """A hand-made factored copy of K whose e_f e_f picks up the other sign
+    under its first twist table, f the second element of F; None without
+    one."""
+    fac = K.factors
+    if fac.nF < 2:
+        return None
+    g, rows = next(iter(fac.twist.items()))
+    rows = [list(r) for r in rows]
+    h, p = rows[1][1]
+    rows[1][1] = (h, -p)
+    return hopf.ComodAlg(K.host, K.basis, {}, dict(K.coaction), K.unit,
+                         K.group_part, K.loewy_degree,
+                         factors=fac._replace(twist=fac.twist | {g: rows}))
+
+
+def test_multiplicative_failures_same_on_factors_and_entries():
+    """multiplicative_failures finds the same pairs on a factored algebra
+    as on its factor-free copy, which it reads through mul_basis: on every
+    zoo K and on its mutants with one chi or one twist entry flipped.  A
+    flipped root breaks multiplicativity; a flipped twist only where some
+    lam term carries e_f (a graph row's e_u), since lam(e_f) = f x e_f is
+    multiplicative under any twist."""
+    counts = {"chi": [0, 0], "twist": [0, 0]}
+    for name, data in _zoo_data():
+        K = hopf.build_K(data)
+        pairs = _drawn_pairs(K, 7)[0]
+        assert not host.multiplicative_failures(K, pairs), name
+        for kind, A in (("chi", _chi_flipped(K)),
+                        ("twist", _twist_flipped(K))):
+            if A is None:
+                continue
+            bad = host.multiplicative_failures(A, pairs)
+            assert bad == host.multiplicative_failures(_factor_free(A),
+                                                       pairs), (name, kind)
+            counts[kind][0] += 1
+            counts[kind][1] += bool(bad)
+    (chi, chi_bad), (twist, twist_bad) = counts.values()
+    assert chi >= 80 and chi_bad == chi and twist >= 80 and twist_bad >= 10, \
+        counts
 
 
 def _lifted(K, M, step=1, change=None):
