@@ -20,6 +20,7 @@ import argparse
 import json
 import random
 import sys
+from math import gcd
 
 from . import abelian as ab
 from . import brpic as bp
@@ -141,42 +142,34 @@ def _module_line(module):
 
 # -- orth -------------------------------------------------------------------
 
-# Most psi entries, sum of |U_alpha|^2, that an orth report lists.  Z2 x Z4
-# at the default bound has 189,440: a 39 MB --json report in 6 s at 335 MB
-# peak on a 2-vCPU machine.  Z2 x Z6 at bound 512 has 1,555,200.
-MAX_ORTH_PSI_ENTRIES = 1 << 18
-
-
 def cmd_orth(spec, bound):
     G, uel, chars = _parse_group_u_V(spec)
-    autos = sorted(orth.enumerate_orth(G, bound),
-                   key=lambda a: a.matrix)
-    psi_entries = sum(orth.u_order(a) ** 2 for a in autos)
-    if psi_entries > MAX_ORTH_PSI_ENTRIES:
-        raise CapacityError(f"orth report: {psi_entries} psi entries (sum of "
-                            f"|U_alpha|^2) exceed the supported maximum "
-                            f"{MAX_ORTH_PSI_ENTRIES}")
+    autos = orth.enumerate_orth(G, bound)
+    N = G.exponent
+    roots = [cyclo.CycloScalar.root_of_unity(N, e).to_string()
+             for e in range(N)]
     entries = []
     lines = ["command: orth",
              f"module: group {list(G.factors)}, u {list(uel.coords)}, "
              f"dim V {len(chars)}",
              f"orthogonal automorphisms: {len(autos)}"]
     for k, a in enumerate(autos):
-        # U_alpha's elements are sorted by coordinates, psi.E follows them
-        psi = orth.psi_alpha(a)
-        els = [list(f.coords) for f in psi.domain.elements]
-        roots = [cyclo.CycloScalar.root_of_unity(psi.N, e).to_string()
-                 for e in range(psi.N)]
-        table = [[x, y, roots[e]]
-                 for x, row in zip(els, psi.E) for y, e in zip(els, row)]
-        nontrivial = sum(e != 0 for row in psi.E for e in row)
-        entries.append({"alpha": a.to_json(), "U": els, "U_size": len(els),
-                        "psi": table})
+        # psi(x, .) is a character of U_alpha, exps[x] on its generators, of
+        # order N / gcd(N, *exps[x]), so 1 on |U| / that order elements
+        gens = orth.u_generators(a)
+        exps = {x: [sum(c * d for c, d in zip(v, h)) % N for h in gens]
+                for x, v in orth.psi_vectors(a).items()}
+        size = len(exps)
+        nontrivial = sum(size - size * gcd(N, *e) // N for e in exps.values())
+        entries.append({"alpha": a.to_json(), "U_size": size,
+                        "U_generators": [list(g) for g in gens],
+                        "psi": [[list(g), list(h), roots[e]] for g in gens
+                                for h, e in zip(gens, exps[g])]})
         psitxt = ("psi trivial" if nontrivial == 0
                   else f"psi nontrivial on {nontrivial} pairs")
         lines.append(f"alpha {k}: matrix "
                      f"{[list(r) for r in a.matrix]}, "
-                     f"|U| {len(els)}, {psitxt}")
+                     f"|U| {size}, {psitxt}")
     report = {"command": "orth", "group": G.to_json(),
               "u": list(uel.coords), "dim_V": len(chars),
               "count": len(autos), "automorphisms": entries}
@@ -393,16 +386,16 @@ def _suite_cotensor(module, rng, count, bound, checks, lines, report_extra):
         dt = hopf.random_graph_datum(module, rng,
                                      orth.orth_identity(module.group))
         rep = hopf.verify_cotensor_iso(d, dt)
-        U = orth.u_alpha(d.alpha)
+        usize = orth.u_order(d.alpha)
         wdim = rep["W_product_dim"]
         instances.append({"dim_cot": rep["dim_cot"],
                           "dim_expected": rep["dim_expected"],
                           "W_product_dim": wdim,
-                          "U_size": len(U.elements),
+                          "U_size": usize,
                           "ok": rep["ok"]})
         lines.append(f"instance {i}: dim {rep['dim_cot']} == expected "
                      f"{rep['dim_expected']} (2^{wdim} x |U| "
-                     f"{len(U.elements)}): {'ok' if rep['ok'] else 'FAIL'}")
+                     f"{usize}): {'ok' if rep['ok'] else 'FAIL'}")
         if not rep["ok"]:
             failed.append(i)
     report_extra["instances"] = instances

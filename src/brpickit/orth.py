@@ -18,9 +18,9 @@ OrthAut checks the matrix and runs the one orthogonality test,
 _preserves_q, which computes that table while checking bijectivity and q
 at every point; the leaf of enumerate_orth runs the same test and hands
 its table over, and the identity's table is range(|G+G^|).  U_alpha,
-psi_alpha and S_alpha are read from pos, and so are composition (the
-composed tables, compose_tables) and inversion (the inverse
-permutation); brpic closes its suite under compose_tables too.
+psi_alpha and S_alpha are read from pos (U_alpha's generators from the
+matrix), and so are composition (compose_tables) and inversion (the
+inverse permutation); brpic closes its suite under compose_tables too.
 """
 
 from __future__ import annotations
@@ -167,11 +167,16 @@ def _preserves_q(G: FinAbGroup, rows):
     return None
 
 
+def dsum_generators(G: FinAbGroup) -> tuple:
+    """The coordinate tuples of the generators of G+G^, in order."""
+    D = dsum_group(G)
+    return tuple(D.generator(i).coords for i in range(D.rank))
+
+
 def orth_identity(G: FinAbGroup) -> OrthAut:
     """The identity, with table range(|G+G^|); reading _tables first
     applies the size cap."""
-    D = dsum_group(G)
-    return OrthAut(G, [D.generator(i).coords for i in range(D.rank)],
+    return OrthAut(G, dsum_generators(G),
                    _pos=tuple(range(len(_tables(G)[0]))))
 
 
@@ -231,7 +236,7 @@ def enumerate_orth(G: FinAbGroup, bound: int = 256):
     D = dsum_group(G)
     N = G.exponent
     elements, q, v = _tables(G)
-    gens = [D.generator(i).coords for i in range(D.rank)]
+    gens = dsum_generators(G)
     gen_b = [[sum(map(mul, v[e], f)) % N for f in gens] for e in gens]
     gen_q = [q[elements.index(e)] for e in gens]
     candidates = [[x for x, qx in zip(elements, q)
@@ -272,7 +277,8 @@ def enumerate_orth(G: FinAbGroup, bound: int = 256):
 class TwistedSubgroup:
     """The subgroup U_alpha of G x G.
 
-    Its closure is checked on the full |U| x |U| addition table, so a U
+    Its closure under + is checked on the full |U| x |U| addition table
+    (that makes a non-empty list a subgroup: -x = (ord x - 1) x), so a U
     with |U|^2 above MAX_DSUM_ORDER is refused first (CapacityError)."""
 
     __slots__ = ("group", "pair_group", "elements", "law")
@@ -287,9 +293,6 @@ class TwistedSubgroup:
         law = ab.addition_table(elements)
         if law is None:
             raise DomainError("element list is not closed under the product")
-        zero = law[0].get(pair_group.zero().coords)
-        if any(zero not in row for row in law[1]):
-            raise DomainError("element list is not closed under inverses")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "pair_group", pair_group)
         object.__setattr__(self, "elements", elements)
@@ -324,10 +327,13 @@ def u_alpha(alpha: OrthAut) -> TwistedSubgroup:
 
 @cache
 def u_generators(alpha: OrthAut) -> tuple:
-    """The coordinates of generators of U_alpha, abelian.generators on its
-    addition table, found once per alpha."""
-    U = u_alpha(alpha)
-    return tuple(U.elements[g].coords for g in ab.generators(U.law[1]))
+    """Generators of U_alpha, the image of x -> (alpha_1(x), g_x): the
+    distinct nonzero images of the generators of G+G^, in order, as
+    coordinate tuples read off alpha.matrix."""
+    n = alpha.group.rank
+    pairs = [y[:n] + e[:n]
+             for e, y in zip(dsum_generators(alpha.group), alpha.matrix)]
+    return tuple(dict.fromkeys(a for a in pairs if any(a)))
 
 
 def u_order(alpha: OrthAut) -> int:
@@ -444,20 +450,22 @@ def _bicharacter(add, E, N: int) -> bool:
 
 
 @cache
-def psi_alpha(alpha: OrthAut) -> TwoCocycle:
-    """The 2-cocycle on U_alpha, with well-definedness verified.
+def psi_vectors(alpha: OrthAut) -> dict:
+    """{a: v_a} over the coordinates a of U_alpha, with psi_alpha(a, b) =
+    v_a . b mod N, N the exponent of G; the one place that proves psi_alpha
+    well defined.  Callers must not mutate the dict.
 
     The defining formula reads off a chosen preimage of a; before trusting
     it, every other preimage is checked against it, and a disagreement
-    raises (rather than silently depending on the section).  Built, and
-    proved a 2-cocycle by TwoCocycle, once per alpha.
+    raises (rather than silently depending on the section).
 
     Two preimages agree on every b in U_alpha once they agree on the
     generators of U_alpha (u_generators): psi(a, b) is v . b mod N,
     and each coordinate of v is a multiple of w_i = N / f_i, so v . b mod
     N does not depend on the representatives of b's coordinates mod f_i
     and is additive in b.  Two additive maps that agree on generators
-    agree everywhere.
+    agree everywhere.  And v_r is additive in r, so psi_alpha is a
+    bicharacter, fixed by its values on pairs of generators.
     """
     # psi(a, b) = <alpha_2(r)^-1, b_1> <chi_r, b_2> for a preimage r = (g,
     # chi) of a, whose exponent mod N is the dot product of b's coordinates
@@ -466,7 +474,6 @@ def psi_alpha(alpha: OrthAut) -> TwoCocycle:
     n = G.rank
     N = G.exponent
     w = [N // f for f in G.factors]
-    U = u_alpha(alpha)
     gens = u_generators(alpha)
     first: dict = {}  # the v_r of the first preimage r of each element
     for x, y in _alpha_table(alpha):
@@ -476,6 +483,15 @@ def psi_alpha(alpha: OrthAut) -> TwoCocycle:
         if v != v0 and any((sum(map(mul, v, b)) - sum(map(mul, v0, b))) % N
                            for b in gens):
             raise DomainError("psi ill-defined for this alpha")
+    return first
+
+
+@cache
+def psi_alpha(alpha: OrthAut) -> TwoCocycle:
+    """The TwoCocycle zeta_N^(v_a . b) on U_alpha, v from psi_vectors,
+    built and proved a 2-cocycle once per alpha."""
+    first = psi_vectors(alpha)
+    U = u_alpha(alpha)
     coords = [e.coords for e in U.elements]
-    return TwoCocycle(U, N, [[sum(map(mul, first[a], b)) for b in coords]
-                             for a in coords])
+    return TwoCocycle(U, alpha.group.exponent, [
+        [sum(map(mul, first[a], b)) for b in coords] for a in coords])

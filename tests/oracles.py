@@ -8,6 +8,7 @@ serve as oracles for it.
 import itertools
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 
 
 def orth_brute_force(factors):
@@ -350,6 +351,43 @@ def first_cocycle_failure(elements, factors, exps, N):
                 - exps[(b, c)] - exps[(a, add(b, c))]) % N:
             return a, b, c
     return None
+
+
+# -- a bicharacter from its values on pairs of generators ------------------
+
+def span(gens, factors):
+    """{x: c} over the subgroup of Z/f1 x ... (f in factors) generated by
+    the coordinate tuples gens: each element x with one coefficient vector
+    c, x = sum c_i gens[i], found by breadth-first search from 0."""
+    zero = (0,) * len(factors)
+    found = {zero: (0,) * len(gens)}
+    frontier = [zero]
+    while frontier:
+        step = []
+        for x in frontier:
+            for i, g in enumerate(gens):
+                y = tuple((s + t) % f for s, t, f in zip(x, g, factors))
+                if y not in found:
+                    c = found[x]
+                    found[y] = c[:i] + (c[i] + 1,) + c[i + 1:]
+                    step.append(y)
+        frontier = step
+    return found
+
+
+def expand_bicharacter(gens, values, factors, N):
+    """{(a, b): e} over the subgroup generated by gens: the exponents
+    values[(g, h)] mod N given on pairs of generators, extended
+    bilinearly, e = sum_ij c_i d_j values[(gens[i], gens[j])] with c and d
+    coefficient vectors of a and b (span)."""
+    words = span(gens, factors)
+    out = {}
+    for a, c in words.items():
+        row = [sum(ci * values[(g, h)] for ci, g in zip(c, gens))
+               for h in gens]
+        for b, d in words.items():
+            out[(a, b)] = sum(map(mul, d, row)) % N
+    return out
 
 
 # -- cyclotomic arithmetic on Fraction coefficients -----------------------

@@ -168,19 +168,17 @@ def test_addition_table_none_when_not_closed():
         ab.addition_table([Z2.zero(), Z4.zero()])
 
 
-def test_twisted_subgroup_closure_errors(monkeypatch):
+def test_twisted_subgroup_closure_errors():
     GG = ab.direct_sum(Z4, Z4)
     with pytest.raises(DomainError, match="not closed under the product"):
         orth.TwistedSubgroup(Z4, [GG.zero(), GG.element([1, 1])])
     U = orth.TwistedSubgroup(Z4, [GG.element([k, k]) for k in range(4)])
     assert (3, 3) in U.law[0] and (1, 0) not in U.law[0]
-    # a finite list closed under + is a subgroup, so the inverse check can
-    # only fire on a law that is not a group law: x + y = x
-    monkeypatch.setattr(ab, "addition_table", lambda els: (
-        {e.coords: k for k, e in enumerate(els)},
-        [[k] * len(els) for k in range(len(els))]))
-    with pytest.raises(DomainError, match="not closed under inverses"):
-        orth.TwistedSubgroup(Z4, [GG.zero(), GG.element([1, 1])])
+    # a non-empty list closed under + is a subgroup; the empty list has no
+    # identity, and a twist on it is refused as not normalized
+    empty = orth.TwistedSubgroup(Z4, [])
+    with pytest.raises(DomainError, match="not normalized"):
+        orth.TwoCocycle.trivial(empty)
 
 
 def test_non_integer_factors_and_coordinates_refused():

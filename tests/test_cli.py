@@ -4,12 +4,15 @@ import time
 
 import pytest
 
+import oracles
 from brpickit import abelian as ab
 from brpickit import brpic as bp
 from brpickit import cli
+from brpickit import cyclo
 from brpickit import hopf
 from brpickit import linalg as la
 from brpickit import orth
+from brpickit.errors import CapacityError
 
 
 def _write(tmp_path, name, obj):
@@ -343,12 +346,14 @@ GOLDEN = [
      "833b0f7facce424f9012d2ac69efff82dce1da20e9f8591597656c7ffba82056"),
     (Z2Z2_PAIR, ["brpic", "inv"],
      "1f61d7648e8102220a327c8b1944f4439960b7de2a44f6c90900c8d76b5c5cb0"),
+    # re-recorded when orth began to state psi_alpha on pairs of U_alpha's
+    # generators (1,520 entries on Z2 x Z4, 189,440 in the full tables)
+    (Z2Z4, ["orth"],
+     "2455b541df35083f4da65004ad32d66ebeab27a64d19d50b8487e141dc8a0616"),
+    (Z2Z2, ["orth"],
+     "f175a5d6daf816cbeb14ea62e37d683c5e25bb17d29f89ddaf79a55b8fba3b60"),
     # recorded before each alpha kept a table of where it sends every
     # element; describe on Z2 x Z2 lists 48 components
-    (Z2Z4, ["orth"],
-     "e5ff0d127bbda9b48dd9fb9f05623658d8c92f2d5a8e3c65ac85a9a6ce383281"),
-    (Z2Z2, ["orth"],
-     "c19298f6509e7b3ade81f7d044118708a447f3e31dd008cdeff6b6f78a30ac27"),
     (Z2Z2, ["brpic", "describe"],
      "4c324f109f2ccdcd126fc83b9507588e4a2622634c121ac137ee7b2d570d2599"),
     # recorded before the host product was read from factor tables; both
@@ -713,37 +718,116 @@ def _swap_rows(rank):
 
 
 # U_alpha of the swap on Z2^7 has 2^14 elements, so its addition table
-# would have 2^28 entries: `brpic convert` ran past 20 s; it now exits 3.
-def test_u_alpha_over_the_table_cap_exits_3(tmp_path, capsys):
+# would have 2^28 entries.  brpic reads U_alpha's generators off alpha's
+# matrix and builds no table; u_alpha, which models read, still refuses it.
+def test_swap_on_z2_7_builds_no_twisted_subgroup(tmp_path, capsys,
+                                                monkeypatch):
     datum = {"T": [["1@1", "0@1"], ["0@1", "1@1"]],
              "alpha": {"matrix": _swap_rows(7)}}
     spec = _write(tmp_path, "swap7.json",
                   _identity_spec(7) | {"datum": datum})
+    swap = orth.OrthAut(ab.FinAbGroup([2] * 7), _swap_rows(7))
+    with pytest.raises(CapacityError, match="U_alpha"):
+        orth.u_alpha(swap)
+
+    def refuse(*args):
+        raise AssertionError("a TwistedSubgroup was built")
+
+    monkeypatch.setattr(orth, "TwistedSubgroup", refuse)
+    for verb in ("convert", "inv"):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, ["brpic", verb, "--spec", spec,
+                                       "--json"])
+        assert time.perf_counter() - start < 5
+        assert code == 0 and err == ""
+        assert json.loads(out)["validation"]["valid"] is True
+
+
+def _refuse_psi_tables(monkeypatch):
+    def refuse(alpha):
+        raise AssertionError("orth built a U_alpha or psi_alpha table")
+
+    monkeypatch.setattr(orth, "u_alpha", refuse)
+    monkeypatch.setattr(orth, "psi_alpha", refuse)
+
+
+# sha256 of the text report, recorded before orth stated psi_alpha on
+# generator pairs (Z3 x Z3 at bound 2048 exited 3 then, on a cap of 2^18
+# psi entries, and was recorded after)
+@pytest.mark.parametrize("spec_obj,argv,digest", [
+    (Z2Z4, ["orth"],
+     "8d01eb8760e68e759bd4e2a9c8e9b33c4c8dbb5dcf65679c7c53351fdf931e3e"),
+    (Z2Z2, ["orth"],
+     "f78db4a068d8981deb1da6fe10157ee3008f9b898888cd795dfed113c440ed0b"),
+    ({"group": [3, 3], "u": [0, 0], "V": []}, ["orth", "--bound", "2048"],
+     "4d4e3aded1a651773cb12e3b2d4bef04a6a61eaecea5e1d0769cd70094a97bfa"),
+], ids=["Z2xZ4", "Z2xZ2", "Z3xZ3-bound-2048"])
+def test_orth_text_golden(tmp_path, capsys, monkeypatch, spec_obj, argv,
+                          digest):
+    _refuse_psi_tables(monkeypatch)
+    spec = _write(tmp_path, "spec.json", spec_obj)
+    code, out, err = _run(capsys, argv + ["--spec", spec])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Inputs that exited 3 on the 2^18 cap on psi report entries, which the full
+# tables needed: Z2 x Z6 at bound 512 listed 1,555,200 entries, Z34 at
+# bound 1200 26,819,200; on generator pairs they list 3,480 and 208.
+@pytest.mark.parametrize("spec_obj,bound,count,entries,largest_U", [
+    ({"group": [2, 6], "u": [1, 0], "V": [[1, 0]]}, 512, 288, 3480, 144),
+    ({"group": [34], "u": [17], "V": [[1]]}, 1200, 64, 208, 1156),
+], ids=["Z2xZ6", "Z34"])
+def test_orth_json_past_the_psi_table_sizes(tmp_path, capsys, monkeypatch,
+                                            spec_obj, bound, count, entries,
+                                            largest_U):
+    _refuse_psi_tables(monkeypatch)
+    spec = _write(tmp_path, "spec.json", spec_obj)
     start = time.perf_counter()
-    code, out, err = _run(capsys, ["brpic", "convert", "--spec", spec])
+    code, out, err = _run(capsys, ["orth", "--json", "--bound", str(bound),
+                                   "--spec", spec])
     assert time.perf_counter() - start < 5
-    assert code == 3 and out == "" and "Traceback" not in err
-    assert "U_alpha" in err
+    assert code == 0 and err == ""
+    autos = json.loads(out)["automorphisms"]
+    assert len(autos) == count
+    assert sum(len(a["psi"]) for a in autos) == entries
+    assert max(a["U_size"] for a in autos) == largest_U
 
 
-def test_orth_report_over_the_psi_cap_exits_3(tmp_path, capsys, monkeypatch):
-    built = []
-    monkeypatch.setattr(orth, "psi_alpha", built.append)
-    spec = _write(tmp_path, "z3z3.json", {"group": [3, 3], "u": [0, 0], "V": []})
-    code, out, err = _run(capsys, ["orth", "--bound", "2048", "--spec", spec])
-    assert code == 3 and out == "" and built == []
-    assert "3265920 psi entries" in err
-
-
-def test_orth_report_cap_is_inclusive(tmp_path, capsys, monkeypatch):
-    # Z2 x Z2: 72 automorphisms, sum of |U_alpha|^2 = 8,640
-    spec = _write(tmp_path, "z2z2.json", {"group": [2, 2], "u": [1, 1], "V": []})
-    monkeypatch.setattr(cli, "MAX_ORTH_PSI_ENTRIES", 8640)
-    code, out, err = _run(capsys, ["orth", "--spec", spec])
-    assert code == 0 and err == "" and "orthogonal automorphisms: 72" in out
-    monkeypatch.setattr(cli, "MAX_ORTH_PSI_ENTRIES", 8639)
-    code, out, err = _run(capsys, ["orth", "--spec", spec])
-    assert code == 3 and out == "" and "8640 psi entries" in err
+@pytest.mark.parametrize("factors", [[2], [4], [2, 2], [8], [2, 4]],
+                         ids=["Z2", "Z4", "Z2xZ2", "Z8", "Z2xZ4"])
+def test_orth_generator_pairs_expand_to_psi_alpha(tmp_path, capsys,
+                                                  factors):
+    # the --json values on pairs of U_generators, extended bilinearly, are
+    # psi_alpha's table E, and the text line counts E's nonzero entries
+    G = ab.FinAbGroup(factors)
+    N = G.exponent
+    exponent = {cyclo.CycloScalar.root_of_unity(N, e).to_string(): e
+                for e in range(N)}
+    spec = _write(tmp_path, "spec.json",
+                  {"group": factors, "u": [0] * len(factors), "V": []})
+    code, out, err = _run(capsys, ["orth", "--json", "--spec", spec])
+    assert code == 0 and err == ""
+    autos = json.loads(out)["automorphisms"]
+    code, text, err = _run(capsys, ["orth", "--spec", spec])
+    assert code == 0 and err == ""
+    lines = text.splitlines()[3:]
+    assert len(lines) == len(autos) == len(orth.enumerate_orth(G))
+    for entry, line in zip(autos, lines):
+        alpha = orth.OrthAut.from_json(G, entry["alpha"])
+        gens = [tuple(g) for g in entry["U_generators"]]
+        values = {(tuple(g), tuple(h)): exponent[r]
+                  for g, h, r in entry["psi"]}
+        assert len(values) == len(entry["psi"]) == len(gens) ** 2
+        psi = orth.psi_alpha(alpha)
+        elems = [e.coords for e in psi.domain.elements]
+        table = oracles.expand_bicharacter(gens, values, G.factors * 2, N)
+        assert table == {(a, b): e for a, row in zip(elems, psi.E)
+                         for b, e in zip(elems, row)}, alpha
+        assert entry["U_size"] == len(elems)
+        nonzero = sum(e != 0 for row in psi.E for e in row)
+        assert line.endswith("psi trivial" if nonzero == 0 else
+                             f"psi nontrivial on {nonzero} pairs")
 
 
 def test_huge_conductor_exits_3(tmp_path, capsys):

@@ -316,6 +316,23 @@ def test_u_alpha_divides_g_squared():
             assert {e.coords for e in U.elements} == image
 
 
+@pytest.mark.parametrize("factors", [[2], [4], [2, 2], [8], [2, 4]],
+                         ids=["Z2", "Z4", "Z2xZ2", "Z8", "Z2xZ4"])
+def test_u_generators_generate_u_alpha(factors):
+    # the distinct nonzero images of G+G^'s generators under
+    # x -> (alpha_1(x), g_x), read off the matrix, span U_alpha's table
+    G = FinAbGroup(factors)
+    n = G.rank
+    for a in orth.enumerate_orth(G):
+        gens = orth.u_generators(a)
+        images = [oracles.apply_matrix(factors, a.matrix, e)[:n] + tuple(e[:n])
+                  for e in _identity_matrix(orth.dsum_group(G))]
+        assert list(gens) == list(dict.fromkeys(
+            x for x in images if any(x))), a
+        assert set(oracles.span(gens, G.factors * 2)) \
+            == {e.coords for e in orth.u_alpha(a).elements}, a
+
+
 def test_u_alpha_built_once_and_shared_with_psi():
     # an equal but distinct alpha reaches the same memo entries
     for G in [Z2, Z4, Z2xZ2]:
@@ -417,8 +434,9 @@ def test_psi_ill_defined_for_a_non_orthogonal_automorphism():
     assert (oracles.is_bijective(orth.dsum_group(Z3).factors, hom)
             and not _orthogonal(Z3, hom))
     alpha = orth.OrthAut(Z3, hom, _pos=orth._positions(Z3, hom))
-    with pytest.raises(DomainError, match="psi ill-defined"):
-        orth.psi_alpha(alpha)
+    for build in (orth.psi_vectors, orth.psi_alpha):
+        with pytest.raises(DomainError, match="psi ill-defined"):
+            build(alpha)
 
 
 def test_u_alpha_inverse_is_transpose():
