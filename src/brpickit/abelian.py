@@ -209,3 +209,60 @@ def pair(chi: Character, g: GroupElement) -> int:
 def pair_value(chi: Character, g: GroupElement) -> CycloScalar:
     """The pairing as an exact root of unity in Q(zeta_N)."""
     return CycloScalar.root_of_unity(g.parent.exponent, pair(chi, g))
+
+
+# -- congruence systems -----------------------------------------------------
+
+def solve(factors, rows):
+    """Solve a_1 x_1 + ... + a_s x_s = c (mod m), one row (a, c, m) each,
+    over x in Z/f_1 + ... + Z/f_s, f = factors; m must divide every a_j f_j.
+    Returns (first, kernel, order): the least solution in lexicographic
+    order of reduced coordinates, or None; and nonzero generators of the
+    solutions with every c = 0, a subgroup of that order.
+
+    With a slack column per row, the (a.x - c t + m k, t, x) over integers
+    form a lattice whose zero-slack part is the lattice L of the (t, x) with
+    a.x = c t (mod m) on every row.  L holds M e_t, M = lcm(m), and each
+    f_j e_j, so entries stay reduced by those (and by m in slack columns).
+    Its Hermite form, slack columns first, ends in L's own: rows h_t, h_1,
+    ..., h_s, pivots d_t, d_1, ..., d_s.  The x-parts of h_1..h_s span the
+    kernel's lattice K, which holds each f_j e_j, so the kernel has order
+    prod f_j / prod d_j.  A solution exists iff d_t = 1, and the solutions
+    are then x_0 + K, x_0 the x-part of h_t.
+
+    Lemma: reducing x_0's j-th entry into [0, d_j) by h_j, for j = 1, ...,
+    s in turn, gives the least solution.  The solutions agreeing with it
+    before coordinate j are x_0 + k, k in K with j - 1 leading entries 0
+    mod f, so (less multiples of the f_i e_i) in the span of h_j, ..., h_s,
+    whose j-th entries are the multiples of d_j; d_j divides f_j, and later
+    rows leave entries before j alone.
+    """
+    fs, r, s = tuple(factors), len(rows), len(factors)
+    mods = [m for _, _, m in rows] + [lcm(*(m for _, _, m in rows))] + list(fs)
+    pending = [[(-c if i < 0 else a[i]) % m for a, c, m in rows]
+               + [int(i == j) % f for j, f in enumerate(mods[r:], -1)]
+               for i in range(-1, s)]
+    pending += [[m * (i == j) for i in range(r + s + 1)] for j, m in enumerate(mods)]
+    H = []
+    for col in range(r + s + 1):
+        live = [v for v in pending if v[col]]
+        pending = [v for v in pending if not v[col]]
+        while len(live) > 1:
+            p = min(live, key=lambda v: v[col])
+            kept = [p]
+            for v in live:
+                if v is not p:
+                    q = v[col] // p[col]
+                    v = [x - q * y if j <= col else (x - q * y) % mods[j]
+                         for j, (x, y) in enumerate(zip(v, p))]
+                    (kept if v[col] else pending).append(v)
+            live = kept
+        H.append(live[0][r:])
+    H = H[r:]
+    for j in range(1, s + 1):
+        for i in range(j):
+            q = H[i][j] // H[j][j]
+            H[i] = [x - q * y for x, y in zip(H[i], H[j])]
+    kernel = [k for k in (tuple(x % f for x, f in zip(h[1:], fs)) for h in H[1:]) if any(k)]
+    return (tuple(H[0][1:]) if H[0][0] == 1 else None, kernel,
+            prod(fs) // prod(h[j] for j, h in enumerate(H) if j))

@@ -29,7 +29,8 @@ inverse and conversion output read that cache.  The report
 computed only on request.  Every question about the G x G action is asked
 of linalg's congruence engine, with one term per entry of T (_entry_term)
 or of W and its form; S_alpha, U_alpha and the diagonal of G are asked on
-their generators, and the equivalence searches on all of G x G.
+their generators, which orth reads off alpha's matrix, and an equivalence
+witness is the first solution of its terms' congruences (abelian.solve).
 Because the diagonal part of a product's U_alpha need not sit inside the
 factors' diagonal parts, every product, inverse and conversion output is
 still checked before it is returned, and a failure is raised loudly instead
@@ -39,7 +40,7 @@ products, inverses and G x G-translations, so generated suites never
 trigger the failure path.
 """
 
-from functools import cache
+from functools import cache, partial
 
 from . import abelian as ab
 from . import linalg as la
@@ -87,26 +88,19 @@ def _entry_term(m, i, j, k=0):
 
 
 def _first_pair(mod: la.GModuleV, terms):
-    """The first (x, y) of G x G, x outer, that satisfies terms, or None."""
-    els = list(mod.group.elements())
-    return next(((x, y) for x in els for y in els
-                 if la.pairs_satisfy(mod, terms, (x.coords + y.coords,))),
-                None)
+    """(found, witness): the first (x, y) of G x G, x outer, that satisfies
+    terms, the lexicographically first solution of their congruences on
+    x.coords + y.coords (abelian.solve), or (False, None)."""
+    G = mod.group
+    x = ab.solve(G.factors * 2, [la.term_row(mod, t) for t in terms])[0]
+    return (False, None) if x is None else (
+        True, (G.element(x[:G.rank]), G.element(x[G.rank:])))
 
 
 def _equivariant(d, pairs) -> bool:
     """Whether D_{-x} T D_y = T for every (x, y), listed by coordinates."""
     terms = [_entry_term(d.module.dim, i, j) for i, j in la.support(d.T)]
     return la.pairs_satisfy(d.module, terms, pairs)
-
-
-@cache
-def _stabilizer_generators(alpha: orth.OrthAut) -> tuple:
-    """Generators of S_alpha (abelian.generators on its table, no larger
-    than U_alpha's) as the coordinates of the pairs (z, z)."""
-    stab = orth.diagonal_stabilizer(alpha)
-    return tuple(stab[g].coords * 2
-                 for g in ab.generators(ab.addition_table(stab)[1]))
 
 
 def _diagonal_generators(G) -> list:
@@ -269,11 +263,11 @@ def _stable_invariant(d: RDatum, pairs):
 
 
 def _rdatum_conditions(d: RDatum) -> dict:
-    stable, invariant = _stable_invariant(d, _stabilizer_generators(d.alpha))
+    stable, invariant = _stable_invariant(d, orth.stabilizer_generators(d.alpha))
     return {
         "axis_clear": not any(la.axis_meets(d.W)),
         # (u, u) in U_alpha iff u in S_alpha
-        "uu_in_U": d.module.u in orth.diagonal_stabilizer(d.alpha),
+        "uu_in_U": orth.in_stabilizer(d.alpha, d.module.u.coords),
         "W_stable": stable,
         "beta_symmetric": d.beta.is_symmetric(),
         "beta_invariant": invariant,
@@ -286,12 +280,12 @@ def _odatum_conditions(d: ODatum) -> dict:
     AtD = la.product(la.transpose(d.block_A()), d.block_D())
     duality = AtD == identity_matrix(mod.dim)
     return {
-        "uu_in_U": mod.u in orth.diagonal_stabilizer(d.alpha),
+        "uu_in_U": orth.in_stabilizer(d.alpha, mod.u.coords),
         # B = 0 makes T block triangular with det T = det A det D, and
         # A^t D = I makes both factors nonzero; only otherwise is a rank needed
         "invertible": ((b_zero and duality)
                        or matrix_is_invertible([list(r) for r in d.T])),
-        "equivariant": _equivariant(d, _stabilizer_generators(d.alpha)),
+        "equivariant": _equivariant(d, orth.stabilizer_generators(d.alpha)),
         "B_zero": b_zero,
         "duality": duality,
     }
@@ -420,14 +414,14 @@ def _shifts(A, B, N):
 
 
 def rdatum_equiv(d: RDatum, dt: RDatum):
-    """Search G x G for (x, y) moving valid d to valid dt; (found,
+    """The first (x, y) of G x G moving valid d to valid dt; (found,
     witness)."""
     _valid_operands(d, dt, "first datum", "second datum")
     return _rdatum_search(d, dt)
 
 
 def _rdatum_search(d: RDatum, dt: RDatum):
-    """rdatum_equiv's search, on data valid or not: each entry of dt's rows
+    """rdatum_equiv's answer, on data valid or not: each entry of dt's rows
     and form is one congruence on the pivots p_i of W's rows."""
     if d.alpha != dt.alpha:
         return False, None
@@ -437,22 +431,20 @@ def _rdatum_search(d: RDatum, dt: RDatum):
     if w_shifts is None or g_shifts is None:
         return False, None
     piv = d.W.pivots
-    pair = _first_pair(d.module,
+    return _first_pair(d.module,
                        [(piv[i], 1, j, 1, k) for (i, j), k in w_shifts]
-                       + [(piv[i], 1, piv[j], -1, k)
-                          for (i, j), k in g_shifts])
-    return pair is not None, pair
+                       + [(piv[i], 1, piv[j], -1, k) for (i, j), k in g_shifts])
 
 
 def odatum_equiv(d: ODatum, dt: ODatum):
-    """Search G x G for (x, y) with T' = D_x T D_y^{-1}, d and dt valid;
+    """The first (x, y) of G x G with T' = D_x T D_y^{-1}, d and dt valid;
     (found, witness)."""
     _valid_operands(d, dt, "first datum", "second datum")
     return _odatum_search(d, dt)
 
 
 def _odatum_search(d: ODatum, dt: ODatum):
-    """odatum_equiv's search, on data valid or not: the supports must
+    """odatum_equiv's answer, on data valid or not: the supports must
     agree, and each T'_ij = zeta^k T_ij is one congruence (_entry_term)."""
     if d.alpha != dt.alpha:
         return False, None
@@ -460,9 +452,8 @@ def _odatum_search(d: ODatum, dt: ODatum):
     if shifts is None:
         return False, None
     m = d.module.dim
-    pair = _first_pair(d.module, [_entry_term(m, i, j, k)
+    return _first_pair(d.module, [_entry_term(m, i, j, k)
                                   for (i, j), k in shifts])
-    return pair is not None, pair
 
 
 # -- the Lagrangian encoding ------------------------------------------------
@@ -529,7 +520,7 @@ def odatum_to_rdatum(d: ODatum) -> RDatum:
     basis = W.basis
     gram = []
     for bi in basis:
-        ci = la.mat_vec(C, list(bi[dm:]))
+        ci = [r[0] for r in la.product(C, [[x] for x in bi[dm:]])]
         gram.append([sum((x * y for x, y in zip(ci, bj[:dm])), _ZERO)
                      for bj in basis])
     if any(gram[i][j] != gram[j][i] for i in range(dm) for j in range(dm)):
@@ -586,7 +577,7 @@ def describe_brpic(module: la.GModuleV, bound: int = 256):
     dm = module.dim
     components = []
     for alpha in admissible_alphas(module, bound):
-        pairs = _stabilizer_generators(alpha)
+        pairs = orth.stabilizer_generators(alpha)
 
         def kept(i, j):
             return la.pairs_satisfy(module, [_entry_term(dm, i, j)], pairs)
@@ -611,7 +602,7 @@ def admissible_alphas(module: la.GModuleV, bound: int = 256):
 @cache
 def _admissible(group, u, bound):
     return tuple(a for a in orth.enumerate_orth(group, bound)
-                 if u in orth.diagonal_stabilizer(a))
+                 if orth.in_stabilizer(a, u.coords))
 
 
 def suite_alphas(module: la.GModuleV, bound: int = 256):
@@ -625,8 +616,8 @@ def suite_alphas(module: la.GModuleV, bound: int = 256):
     adds admissible alphas greedily (in enumeration order) whenever the
     subgroup they generate remains inside the admissible set.  Whenever the
     admissible set is itself closed (e.g. cyclic G at small orders) the
-    result is the whole set.  The closure composes the alphas' position
-    tables (OrthAut.pos) by orth.compose_tables, as orth_compose does.
+    result is the whole set.  The closure composes the alphas' matrices
+    by orth.compose_matrices, as orth_compose does.
     """
     return list(_suite(module.group, module.u, bound))
 
@@ -634,18 +625,19 @@ def suite_alphas(module: la.GModuleV, bound: int = 256):
 @cache
 def _suite(group, u, bound):
     admissible = _admissible(group, u, bound)
-    members = {a.pos for a in admissible}
-    ident = orth.orth_identity(group).pos
+    members = {a.matrix for a in admissible}
+    ident = orth.orth_identity(group).matrix
+    compose = cache(partial(orth.compose_matrices, group))
 
     def closure(gens):
-        """The tables gens generate, or None at the first product outside
-        the admissible set."""
+        """The matrices gens generate, or None at the first product
+        outside the admissible set."""
         seen = {ident}
         frontier = [ident]
         while frontier:
             x = frontier.pop()
             for g in gens:
-                y = orth.compose_tables(x, g)
+                y = compose(x, g)
                 if y not in members:
                     return None
                 if y not in seen:
@@ -656,13 +648,13 @@ def _suite(group, u, bound):
     subgroup = {ident}
     gens = []
     for alpha in admissible:
-        if alpha.pos in subgroup:
+        if alpha.matrix in subgroup:
             continue
-        grown = closure(gens + [alpha.pos])
+        grown = closure(gens + [alpha.matrix])
         if grown is not None:
-            gens.append(alpha.pos)
+            gens.append(alpha.matrix)
             subgroup = grown
-    return tuple(a for a in admissible if a.pos in subgroup)
+    return tuple(a for a in admissible if a.matrix in subgroup)
 
 
 # -- random suites ----------------------------------------------------------
@@ -706,10 +698,6 @@ def random_odatum(module: la.GModuleV, rng, alpha: orth.OrthAut = None,
                 M[i][j] = v
                 M[j][i] = v
     C = la.product(Ait, M)
-    T = [[_ZERO] * (2 * dm) for _ in range(2 * dm)]
-    for i in range(dm):
-        for j in range(dm):
-            T[i][j] = A[i][j]
-            T[dm + i][j] = C[i][j]
-            T[dm + i][dm + j] = Ait[i][j]
+    T = [A[i] + [_ZERO] * dm for i in range(dm)] + [
+        C[i] + Ait[i] for i in range(dm)]
     return ODatum(module, T, alpha)

@@ -18,6 +18,7 @@ reproducible.
 
 import argparse
 import json
+import os
 import random
 import sys
 from math import gcd
@@ -178,12 +179,6 @@ def cmd_orth(spec, bound):
 
 # -- brpic ------------------------------------------------------------------
 
-def _validation_for(kind, d):
-    if kind == "rdatum":
-        return bp.validate_rdatum(d)
-    return bp.validate_odatum(d)
-
-
 def _jsonable_validation(rep):
     return {k: v for k, v in sorted(rep.items()) if isinstance(v, bool)}
 
@@ -221,36 +216,10 @@ def cmd_brpic(verb, spec, bound):
                             f"payloads must be the same kind, got {kind} "
                             f"and {kind2}")
 
-    if verb == "mul":
-        prod = (bp.rdatum_product(d, d2) if kind == "rdatum"
-                else bp.odatum_product(d, d2))
-        rep = _validation_for(kind, prod)
-        report = {"command": "brpic mul", "kind": kind,
-                  "product": prod.to_json(),
-                  "validation": _jsonable_validation(rep)}
-        lines.append(f"product kind: {kind}")
-        lines.append(f"product: {json.dumps(prod.to_json(), sort_keys=True)}")
-        lines.append(f"valid: {rep['valid']}")
-        return True, report, lines
-
-    if verb == "inv":
-        if kind == "odatum":
-            inv = bp.odatum_invert(d)
-        else:
-            inv = bp.odatum_to_rdatum(bp.odatum_invert(bp.rdatum_to_odatum(d)))
-        rep = _validation_for(kind, inv)
-        report = {"command": "brpic inv", "kind": kind,
-                  "inverse": inv.to_json(),
-                  "validation": _jsonable_validation(rep)}
-        lines.append(f"inverse: {json.dumps(inv.to_json(), sort_keys=True)}")
-        lines.append(f"valid: {rep['valid']}")
-        return True, report, lines
-
     if verb == "equiv":
         found, wit = (bp.rdatum_equiv(d, d2) if kind == "rdatum"
                       else bp.odatum_equiv(d, d2))
-        witness = None if wit is None else [list(wit[0].coords),
-                                            list(wit[1].coords)]
+        witness = None if wit is None else [list(g.coords) for g in wit]
         report = {"command": "brpic equiv", "kind": kind,
                   "equivalent": found, "witness": witness}
         lines.append(f"equivalent: {found}")
@@ -258,21 +227,26 @@ def cmd_brpic(verb, spec, bound):
             lines.append(f"witness: {witness}")
         return True, report, lines
 
-    if verb == "convert":
-        if kind == "rdatum":
-            out, okind = bp.rdatum_to_odatum(d), "odatum"
-        else:
-            out, okind = bp.odatum_to_rdatum(d), "rdatum"
-        rep = _validation_for(okind, out)
-        report = {"command": "brpic convert", "kind": okind,
-                  "converted": out.to_json(),
-                  "validation": _jsonable_validation(rep)}
-        lines.append(f"converted kind: {okind}")
-        lines.append(f"converted: {json.dumps(out.to_json(), sort_keys=True)}")
-        lines.append(f"valid: {rep['valid']}")
-        return True, report, lines
-
-    raise SpecError("command", f"unknown brpic verb {verb}")
+    if verb == "mul":
+        out = (bp.rdatum_product(d, d2) if kind == "rdatum"
+               else bp.odatum_product(d, d2))
+        name, okind = "product", kind
+    elif verb == "inv":
+        out = (bp.odatum_invert(d) if kind == "odatum" else
+               bp.odatum_to_rdatum(bp.odatum_invert(bp.rdatum_to_odatum(d))))
+        name, okind = "inverse", kind
+    else:
+        out, okind = ((bp.rdatum_to_odatum(d), "odatum") if kind == "rdatum"
+                      else (bp.odatum_to_rdatum(d), "rdatum"))
+        name = "converted"
+    rep = (bp.validate_rdatum if okind == "rdatum" else bp.validate_odatum)(out)
+    report = {"command": f"brpic {verb}", "kind": okind, name: out.to_json(),
+              "validation": _jsonable_validation(rep)}
+    if verb != "inv":
+        lines.append(f"{name} kind: {okind}")
+    lines.append(f"{name}: {json.dumps(out.to_json(), sort_keys=True)}")
+    lines.append(f"valid: {rep['valid']}")
+    return True, report, lines
 
 
 # -- verify -----------------------------------------------------------------
@@ -484,23 +458,24 @@ def main(argv=None) -> int:
             seed = _int_field(spec, "seed", 0, args.seed)
             count = _int_field(spec, "count", None, args.count, positive=True)
             ok, report, lines = cmd_verify(suite, spec, seed, count, bound)
-    except SpecError as e:
+    except (SpecError, BrpicError) as e:
         print(str(e), file=sys.stderr)
-        return 2
-    except (InputValidationError, DomainError) as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    except CapacityError as e:
-        print(str(e), file=sys.stderr)
-        return 3
-    except BrpicError as e:
-        print(str(e), file=sys.stderr)
-        return 1
-    if args.as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print("\n".join(lines))
-    return 0 if ok else 1
+        return (2 if isinstance(e, (SpecError, InputValidationError, DomainError))
+                else 3 if isinstance(e, CapacityError) else 1)
+    return _write(json.dumps(report, sort_keys=True, indent=2) if args.as_json
+                  else "\n".join(lines), 0 if ok else 1)
+
+
+def _write(text, code) -> int:
+    """Print the report and return code.  A reader that closed the pipe
+    gets stdout pointed at os.devnull, as the Python docs advise, so that
+    the final flush at exit writes nowhere instead of raising."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

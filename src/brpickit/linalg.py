@@ -132,10 +132,6 @@ def support(M):
             if not x.is_zero()]
 
 
-def mat_vec(A, x):
-    return [r[0] for r in product(A, [[e] for e in x])]
-
-
 def kernel(M) -> "Subspace":
     """Right null space {x : Mx = 0} as a Subspace of the column ambient."""
     M = mat(M)
@@ -434,10 +430,23 @@ def pairs_satisfy(mod: GModuleV, terms, pairs) -> bool:
     form its kernel, a subgroup, and a subgroup lies inside the kernel
     exactly when its generators do: every element is a sum of generators.
     With some k != 0 the solutions form a coset of that kernel or nothing,
-    so a search for one goes over all of G x G.
+    and abelian.solve finds the first one from the terms' rows (term_row).
     """
     return rows_satisfy(terms, (pair_exponents(mod, c) for c in pairs),
                         mod.group.exponent)
+
+
+def term_row(mod: GModuleV, term) -> tuple:
+    """The term (a, s, b, t, k) as the congruence (coefficients, k, N) on a
+    pair's x.coords + y.coords, for abelian.solve: e[i] is linear in x's
+    coordinates for i < dim V, in y's for the rest."""
+    G = mod.group
+    r, m, N = G.rank, mod.dim, G.exponent
+    row = [0] * (2 * r)
+    for i, sign in ((term[0], -term[1]), (term[2], term[3])):
+        for l, (c, f) in enumerate(zip(mod.chars[i % m].exps, G.factors)):
+            row[l + r * (i >= m)] += sign * c * (N // f)
+    return row, term[4], N
 
 
 def row_terms(S: Subspace) -> list:

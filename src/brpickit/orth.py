@@ -2,41 +2,28 @@
 
 Elements of G+G^ are coordinate vectors (G coordinates first, dual exps
 second).  The quadratic value q(g,chi) = <chi,g> is carried as an integer
-exponent mod N, and b(x, y) = q(x+y) - q(x) - q(y) is its polarization.
-Orthogonality of an automorphism means q is preserved at every point — a
-quadratic condition, so it is checked pointwise, not just on generators.
+exponent mod N, and b(x, y) = q(x+y) - q(x) - q(y) = v_x . y is its
+polarization, v_x = (chi * w, g * w) for x = (g, chi), w_i = N / f_i.
 
-The pointwise work runs on plain integer tuples.  Per group G, _tables
-builds once: the elements of G+G^ as tuples in dsum_group(G).elements()
-order, their q exponents, and for each element x the vector v_x with
-b(x, y) = v_x . y mod N.  _tables refuses G+G^ with more than
-MAX_DSUM_ORDER elements (CapacityError), so every alpha, and every table
-read from it, stays within that size.  An OrthAut is its matrix (the
-images of the generators of G+G^) and its position table pos: pos[k] is
-the position of alpha(elements[k]) in that list.  Constructing an
-OrthAut checks the matrix and runs the one orthogonality test,
-_preserves_q, which computes that table while checking bijectivity and q
-at every point; the leaf of enumerate_orth runs the same test and hands
-its table over, and the identity's table is range(|G+G^|).  U_alpha,
-psi_alpha and S_alpha are read from pos (U_alpha's generators from the
-matrix), and so are composition (compose_tables) and inversion (the
-inverse permutation); brpic closes its suite under compose_tables too.
+An OrthAut is its matrix alone, proved orthogonal on generators.  Every
+other question about alpha concerns homomorphisms between groups of rank
+at most 2r, answered from the matrix by abelian.solve: inversion, |U_alpha|,
+S_alpha and psi_alpha's well-definedness.  Only enumerate_orth lists G+G^
+(at most MAX_DSUM_ORDER elements), and only u_alpha and psi_alpha, which
+the comodule-algebra models read, list U_alpha.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache
-from math import prod
+from functools import cache, lru_cache
 from operator import mul
 
 from . import abelian as ab
 from .abelian import FinAbGroup, GroupElement
 from .errors import CapacityError, DomainError
 
-# Largest |G+G^| whose tables are built.  On a 2-vCPU machine (Python 3.11),
-# identity `brpic mul` on Z2^10 (2^20 elements) runs in 15 s at 825 MB peak,
-# and on Z1000 (10^6 elements) in 9 s at 480 MB.
+# Largest |G+G^| enumerate_orth lists, and largest |U|^2 TwistedSubgroup tabulates.
 MAX_DSUM_ORDER = 1 << 20
 
 
@@ -48,24 +35,34 @@ def dsum_group(G: FinAbGroup) -> FinAbGroup:
 class OrthAut:
     """An automorphism of G+G^ preserving the pairing value pointwise.
 
-    matrix[i] is the coordinate vector of the image of the i-th generator
-    of G+G^.  pos[k] is the position of the image of the k-th element of
-    G+G^, in _tables order, computed by the orthogonality test at
-    construction.  A caller that has already run that test passes its
-    table as _pos.  Equality, hashing, repr and JSON ignore it.
+    matrix[i] is the reduced image of the i-th generator e_i of G+G^.
+    Construction checks a homomorphism that keeps q on each e_i and b on
+    each pair of them (_orthogonal), or raises a DomainError.
+
+    That is orthogonality.  b is bilinear, b(y, y) = 2 q(y) and q(y + z) =
+    q(y) + q(z) + b(y, z), so by induction q(sum c_i y_i) = sum c_i^2 q(y_i)
+    + sum_{i<j} c_i c_j b(y_i, y_j).  With y_i = alpha(e_i) that gives
+    q(alpha(x)) = q(x) at every x, and then alpha keeps b, which is
+    nondegenerate (v_x = 0 forces x = 0): alpha(x) = 0 makes b(x, y) = 0
+    for every y, so alpha is injective, hence bijective.
     """
 
-    __slots__ = ("group", "matrix", "pos")
+    __slots__ = ("group", "matrix")
 
-    def __init__(self, group: FinAbGroup, matrix, _pos: tuple = None):
-        matrix = _hom_matrix(group, matrix)
-        if _pos is None:
-            _pos = _preserves_q(group, matrix)
-            if _pos is None:
-                raise DomainError("not an orthogonal automorphism of G+G^")
+    def __init__(self, group: FinAbGroup, matrix):
+        D = dsum_group(group)
+        matrix = tuple(D._normalize(row) for row in matrix)
+        if len(matrix) != D.rank:
+            raise DomainError(f"hom matrix has {len(matrix)} rows for source rank {D.rank}")
+        # a hom: n_i times the image of e_i vanishes in G+G^
+        for n_i, row in zip(D.factors, matrix):
+            if any((n_i * c) % f for c, f in zip(row, D.factors)):
+                raise DomainError(
+                    f"generator of order {n_i} maps to an element whose order does not divide it")
+        if not _orthogonal(group, matrix):
+            raise DomainError("not an orthogonal automorphism of G+G^")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "pos", _pos)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrthAut is immutable")
@@ -91,80 +88,25 @@ class OrthAut:
             raise DomainError(f"alpha.matrix: {e}") from None
 
 
-def _hom_matrix(G: FinAbGroup, rows) -> tuple:
-    """rows, reduced, when they are the generator images of an endomorphism
-    of G+G^: integer coordinate vectors of the right length, one per
-    generator, each of order dividing its generator's."""
-    D = dsum_group(G)
-    matrix = tuple(D._normalize(row) for row in rows)
-    if len(matrix) != D.rank:
-        raise DomainError(
-            f"hom matrix has {len(matrix)} rows for source rank {D.rank}")
-    # order compatibility: n_i * image(e_i) must vanish in G+G^
-    for n_i, row in zip(D.factors, matrix):
-        if any((n_i * c) % f for c, f in zip(row, D.factors)):
-            raise DomainError(
-                f"generator of order {n_i} maps to an element whose order does not divide it")
-    return matrix
+def _qv(G: FinAbGroup, x) -> tuple:
+    """(q, v_x) at the element x of G+G^: q(x) mod N, and b(x, y) = v_x . y."""
+    n, N = G.rank, G.exponent
+    v = tuple(c * (N // f) for c, f in zip(x[n:] + x[:n], G.factors * 2))
+    return sum(map(mul, x[:n], v[:n])) % N, v
 
 
-@cache
-def _tables(G: FinAbGroup):
-    """(elements, q, v) for G+G^ on coordinate tuples, built once per G.
-
-    elements lists G+G^ in dsum_group(G).elements() order, q[k] is the q
-    exponent of elements[k], and v maps x to the vector with
-    b(x, y) = v[x] . y mod N, N the exponent of G.  CapacityError when
-    |G+G^| exceeds MAX_DSUM_ORDER.
-    """
-    D = dsum_group(G)
-    if D.order > MAX_DSUM_ORDER:
-        raise CapacityError(f"|G+G^| = {D.order} exceeds the supported "
-                            f"maximum {MAX_DSUM_ORDER}")
-    n = G.rank
-    N = G.exponent
-    w = [N // f for f in G.factors]
-    elements = list(itertools.product(*(range(f) for f in D.factors)))
-    q = [sum(x[i] * x[n + i] * w[i] for i in range(n)) % N for x in elements]
-    v = {x: tuple(c * wi for c, wi in zip(x[n:], w)) + tuple(c * wi for c, wi in zip(x[:n], w))
-         for x in elements}
-    return elements, q, v
+def _orthogonal(G: FinAbGroup, rows) -> bool:
+    """Whether the hom with generator images rows keeps q on every
+    generator of G+G^ and b on every pair of generators."""
+    return _form(G, tuple(rows)) == _form(G, dsum_generators(G))
 
 
-def _image_columns(factors, rows):
-    """Column j holds coordinate j, not yet reduced mod factors[j], of the
-    image of every element, in itertools.product order over factors, under
-    the hom sending the i-th generator to the tuple rows[i]."""
-    cols = []
-    for j in range(len(factors)):
-        col = [0]
-        for f, row in zip(factors, rows):
-            steps = [c * row[j] for c in range(f)]
-            col = [a + s for a in col for s in steps]
-        cols.append(col)
-    return cols
-
-
-def _positions(G: FinAbGroup, rows) -> tuple:
-    """The position, in _tables(G) element order, of the image of every
-    element under the hom with generator images rows (mixed radix over
-    the factors of G+G^)."""
-    D = dsum_group(G)
-    pos = [0] * D.order
-    for f, col in zip(D.factors, _image_columns(D.factors, rows)):
-        pos = [p * f + c % f for p, c in zip(pos, col)]
-    return tuple(pos)
-
-
-def _preserves_q(G: FinAbGroup, rows):
-    """Both exhaustive checks on tuples: the hom with generator images rows
-    is a bijection of G+G^ and keeps q at every point.  Its position table
-    when both hold, None otherwise."""
-    q = _tables(G)[1]
-    pos = _positions(G, rows)
-    if len(set(pos)) == len(pos) and [q[p] for p in pos] == q:
-        return pos
-    return None
+@lru_cache(maxsize=256)  # bounded; the generators' form, asked on every call, stays
+def _form(G: FinAbGroup, ys) -> tuple:
+    """q at each of the elements ys of G+G^, then b at each pair of them."""
+    qv = [_qv(G, y) for y in ys]
+    return tuple(q for q, _ in qv) + tuple(sum(map(mul, qv[i][1], ys[j])) % G.exponent
+                                           for i, j in itertools.combinations(range(len(ys)), 2))
 
 
 def dsum_generators(G: FinAbGroup) -> tuple:
@@ -173,90 +115,91 @@ def dsum_generators(G: FinAbGroup) -> tuple:
     return tuple(D.generator(i).coords for i in range(D.rank))
 
 
+@cache
 def orth_identity(G: FinAbGroup) -> OrthAut:
-    """The identity, with table range(|G+G^|); reading _tables first
-    applies the size cap."""
-    return OrthAut(G, dsum_generators(G),
-                   _pos=tuple(range(len(_tables(G)[0]))))
+    return OrthAut(G, dsum_generators(G))
 
 
-def compose_tables(a: tuple, b: tuple) -> tuple:
-    """The position table of a after b: a[b[k]] at k."""
-    return tuple(map(a.__getitem__, b))
+def _apply(factors, rows, x) -> tuple:
+    """The image of x, reduced mod factors, under the hom with generator images rows."""
+    return tuple(sum(c * row[j] for c, row in zip(x, rows)) % f
+                 for j, f in enumerate(factors))
 
 
-def _from_table(G: FinAbGroup, table) -> OrthAut:
-    """The OrthAut whose position table is table, built from the images
-    of the generators of G+G^ read off it and validated by OrthAut.  The
-    i-th generator sits at position prod(factors[i+1:]), or at 0 when its
-    factor is trivial."""
-    elements = _tables(G)[0]
-    fs = dsum_group(G).factors
-    return OrthAut(G, [elements[table[1 % f * prod(fs[i + 1:])]]
-                       for i, f in enumerate(fs)])
+def compose_matrices(G: FinAbGroup, a, b) -> tuple:
+    """The matrix of a after b, homs of G+G^: row i is a applied to b's row i."""
+    cols = list(zip(*a))
+    return tuple(tuple(sum(map(mul, row, col)) % f
+                       for col, f in zip(cols, dsum_group(G).factors)) for row in b)
 
 
 @cache
 def orth_compose(a: OrthAut, b: OrthAut) -> OrthAut:
-    """a after b, from the composed position tables, memoized by value:
-    the result of each distinct pair is validated by OrthAut once.  Errors
-    are not cached."""
+    """a after b, the matrix product, memoized by value: each distinct
+    pair's result is validated by OrthAut once.  Errors are not cached."""
     if a.group != b.group:
         raise DomainError("cannot compose orthogonal maps over different groups")
-    return _from_table(a.group, compose_tables(a.pos, b.pos))
+    return OrthAut(a.group, compose_matrices(a.group, a.matrix, b.matrix))
+
+
+def _rows(factors, matrix, target) -> list:
+    """sum_i x_i matrix[i] = target on the leading coordinates, mod factors."""
+    return [([row[j] for row in matrix], t, f)
+            for j, (t, f) in enumerate(zip(target, factors))]
 
 
 @cache
 def orth_invert(a: OrthAut) -> OrthAut:
-    """The inverse of a, from the inverse permutation of a.pos, validated
-    by OrthAut once per distinct a.  Errors are not cached."""
-    return _from_table(a.group, dict(zip(a.pos, range(len(a.pos)))))
+    """The inverse of a: row i solves a(x) = e_i (abelian.solve), and OrthAut
+    proves the result again, once per distinct a.  Errors are not cached."""
+    fs = dsum_group(a.group).factors
+    return OrthAut(a.group, [ab.solve(fs, _rows(fs, a.matrix, e))[0]
+                             for e in dsum_generators(a.group)])
 
 
 def enumerate_orth(G: FinAbGroup, bound: int = 256):
     """All of O(G+G^), sorted by matrix, by depth-first search over the
     images of the generators of D = G+G^, on coordinate tuples.
 
-    Three prunings, read from the _tables of G: the image of the i-th
-    generator e_i has order dividing that of e_i and the same q exponent,
-    and b(image, image_j) = b(e_i, e_j) for every image already placed.
-    Placing an image narrows the candidate lists of all later generators
-    by that polarization test.  The prunings imply q-preservation at every
-    point, yet each leaf still gets both exhaustive checks of _preserves_q
-    (|D| distinct images, q kept at every point) before it becomes an
-    OrthAut, which keeps the position table the check computed.
+    The search lists D with its q exponents and v vectors, and prunes
+    three ways: the image of the i-th generator e_i has order dividing
+    that of e_i and the same q exponent, and b(image, image_j) =
+    b(e_i, e_j) for every image already placed.  Placing an image narrows
+    the candidate lists of all later generators by that polarization test.
+    These are OrthAut's generator test, so each leaf is an OrthAut.
 
     The bound caps the work twice: |G|^2 <= bound, checked first, and at
-    most bound automorphisms; CapacityError is raised as soon as the
-    search has found bound + 1.
+    most bound automorphisms (CapacityError at the (bound + 1)-th).  As
+    the bound is the caller's, D above MAX_DSUM_ORDER is refused too.
     """
     if G.order ** 2 > bound:
         raise CapacityError(
             f"|G|^2 = {G.order ** 2} exceeds the enumeration bound {bound}")
     D = dsum_group(G)
+    if D.order > MAX_DSUM_ORDER:
+        raise CapacityError(f"|G+G^| = {D.order} exceeds the supported "
+                            f"maximum {MAX_DSUM_ORDER}")
     N = G.exponent
-    elements, q, v = _tables(G)
+    elements = list(itertools.product(*(range(f) for f in D.factors)))
+    qv = {x: _qv(G, x) for x in elements}
     gens = dsum_generators(G)
-    gen_b = [[sum(map(mul, v[e], f)) % N for f in gens] for e in gens]
-    gen_q = [q[elements.index(e)] for e in gens]
-    candidates = [[x for x, qx in zip(elements, q)
-                   if qx == qe and all(m * c % f == 0 for c, f in zip(x, D.factors))]
-                  for m, qe in zip(D.factors, gen_q)]
+    gen_b = [[sum(map(mul, qv[e][1], f)) % N for f in gens] for e in gens]
+    candidates = [[x for x in elements if qv[x][0] == qv[e][0]
+                   and all(m * c % f == 0 for c, f in zip(x, D.factors))]
+                  for m, e in zip(D.factors, gens)]
     found = []
     images: list = []
 
     def place(live):
         if not live:
-            pos = _preserves_q(G, images)
-            if pos is not None:
-                found.append((tuple(images), pos))
-                if len(found) > bound:
-                    raise CapacityError(
-                        f"O(G+G^) has more than {bound} elements, the enumeration bound")
+            found.append(OrthAut(G, images))
+            if len(found) > bound:
+                raise CapacityError(
+                    f"O(G+G^) has more than {bound} elements, the enumeration bound")
             return
         i = len(images)
         for x in live[0]:
-            vx = v[x]
+            vx = qv[x][1]
             narrowed = []
             for k, cand in enumerate(live[1:], i + 1):
                 t = gen_b[k][i]
@@ -270,8 +213,7 @@ def enumerate_orth(G: FinAbGroup, bound: int = 256):
                 images.pop()
 
     place(candidates)
-    # matrices are distinct, so the sort never compares tables
-    return [OrthAut(G, rows, _pos=pos) for rows, pos in sorted(found)]
+    return sorted(found, key=lambda a: a.matrix)
 
 
 class TwistedSubgroup:
@@ -286,10 +228,7 @@ class TwistedSubgroup:
     def __init__(self, group: FinAbGroup, elements):
         pair_group = ab.direct_sum(group, group)
         elements = tuple(sorted(elements, key=lambda e: e.coords))
-        if len(elements) ** 2 > MAX_DSUM_ORDER:
-            raise CapacityError(f"|U_alpha| = {len(elements)}: its addition "
-                                f"table exceeds the supported maximum of "
-                                f"{MAX_DSUM_ORDER} entries")
+        _check_table_size(len(elements))
         law = ab.addition_table(elements)
         if law is None:
             raise DomainError("element list is not closed under the product")
@@ -308,21 +247,56 @@ class TwistedSubgroup:
         return f"TwistedSubgroup(order {len(self.elements)})"
 
 
-def _alpha_table(alpha: OrthAut):
-    """(x, alpha(x)) as coordinate tuples for every x in G+G^, in the order
-    of dsum_group(G).elements(), read off alpha.pos."""
-    elements = _tables(alpha.group)[0]
-    return [(x, elements[p]) for x, p in zip(elements, alpha.pos)]
+def _check_table_size(order: int):
+    if order ** 2 > MAX_DSUM_ORDER:
+        raise CapacityError(f"|U_alpha| = {order}: its addition table exceeds "
+                            f"the supported maximum of {MAX_DSUM_ORDER} entries")
+
+
+def _pair_and_vector(alpha: OrthAut, x) -> tuple:
+    """(a, v_x) for x = (g, chi) in G+G^: its image a = (alpha_1(x), g) in
+    U_alpha, and v_x = (-alpha_2(x) * w, chi * w), w_i = N / f_i, additive
+    in x, with psi_alpha(a, b) = <alpha_2(x)^-1, b_1> <chi, b_2> =
+    zeta_N^(v_x . b)."""
+    G = alpha.group
+    n, N = G.rank, G.exponent
+    w = [N // f for f in G.factors]
+    y = _apply(dsum_group(G).factors, alpha.matrix, x)
+    return (y[:n] + tuple(x[:n]), tuple(-c * wi % N for c, wi in zip(y[n:], w))
+            + tuple(c * wi for c, wi in zip(x[n:], w)))
+
+
+def _generator_images(alpha: OrthAut) -> list:
+    """_pair_and_vector at each generator of G+G^, in order."""
+    return [_pair_and_vector(alpha, e) for e in dsum_generators(alpha.group)]
+
+
+@cache
+def _u_vectors(alpha: OrthAut) -> dict:
+    """{a: v} over the coordinates a of U_alpha, closed from the generator
+    images: 0 has v = 0, and a + a_i gets v + v_i, the v of a preimage of
+    a + a_i when v is that of a preimage of a."""
+    fs, N = alpha.group.factors * 2, alpha.group.exponent
+    images = [(a, v) for a, v in _generator_images(alpha) if any(a)]
+    out = {(0,) * len(fs): (0,) * len(fs)}
+    frontier = list(out)
+    while frontier:
+        a = frontier.pop()
+        for ai, vi in images:
+            b = tuple((x + y) % f for x, y, f in zip(a, ai, fs))
+            if b not in out:
+                out[b] = tuple((x + y) % N for x, y in zip(out[a], vi))
+                frontier.append(b)
+    return out
 
 
 @cache
 def u_alpha(alpha: OrthAut) -> TwistedSubgroup:
-    """U_alpha = {(alpha_1(x), g_x)}."""
-    G = alpha.group
-    n = G.rank
-    GG = ab.direct_sum(G, G)
-    pairs = {y[:n] + x[:n] for x, y in _alpha_table(alpha)}
-    return TwistedSubgroup(G, [GroupElement(GG, p) for p in pairs])
+    """U_alpha = {(alpha_1(x), g_x)}, closed from its generators once
+    u_order has passed TwistedSubgroup's cap."""
+    _check_table_size(u_order(alpha))
+    GG = ab.direct_sum(alpha.group, alpha.group)
+    return TwistedSubgroup(alpha.group, [GroupElement(GG, a) for a in _u_vectors(alpha)])
 
 
 @cache
@@ -330,31 +304,42 @@ def u_generators(alpha: OrthAut) -> tuple:
     """Generators of U_alpha, the image of x -> (alpha_1(x), g_x): the
     distinct nonzero images of the generators of G+G^, in order, as
     coordinate tuples read off alpha.matrix."""
-    n = alpha.group.rank
-    pairs = [y[:n] + e[:n]
-             for e, y in zip(dsum_generators(alpha.group), alpha.matrix)]
-    return tuple(dict.fromkeys(a for a in pairs if any(a)))
-
-
-def u_order(alpha: OrthAut) -> int:
-    """|U_alpha|, read off alpha.pos without building U_alpha.
-
-    U_alpha is the image of x = (g, chi) -> (alpha_1(x), g), whose kernel
-    is {(0, chi) : alpha_1(0, chi) = 0}: the first |G| positions of the
-    _tables order hold the elements (0, chi), and the kernel is those k
-    among them with pos[k] among them too.
-    """
-    m = alpha.group.order
-    return m * m // sum(p < m for p in alpha.pos[:m])
+    return tuple(dict.fromkeys(a for a, _ in _generator_images(alpha)
+                               if any(a)))
 
 
 @cache
-def diagonal_stabilizer(alpha: OrthAut) -> tuple:
-    """S_alpha = {z in G : (z, z) in U_alpha} = {g_x : alpha_1(x) = g_x},
-    in G.elements() order (computed once per alpha)."""
-    n = alpha.group.rank
-    diagonal = {x[:n] for x, y in _alpha_table(alpha) if y[:n] == x[:n]}
-    return tuple(z for z in alpha.group.elements() if z.coords in diagonal)
+def _u_kernel(alpha: OrthAut) -> tuple:
+    """abelian.solve of alpha_1(0, chi) = 0 on chi: the kernel of x ->
+    (alpha_1(x), g_x) is the (0, chi) with chi in its solutions."""
+    G = alpha.group
+    return ab.solve(G.factors, _rows(G.factors, alpha.matrix[G.rank:], (0,) * G.rank))
+
+
+def u_order(alpha: OrthAut) -> int:
+    """|U_alpha| = |G+G^| / |ker(x -> (alpha_1(x), g_x))|."""
+    return alpha.group.order ** 2 // _u_kernel(alpha)[2]
+
+
+@cache
+def stabilizer_generators(alpha: OrthAut) -> tuple:
+    """Generators of S_alpha = {z : (z, z) in U_alpha} = {g_x : alpha_1(x)
+    = g_x}, as the coordinates of the pairs (z, z): the distinct nonzero
+    G-parts of the generators of ker(alpha_1 - pi_G), which maps onto it."""
+    G = alpha.group
+    moved = [[c - (i == j) for j, c in enumerate(row)] for i, row in enumerate(alpha.matrix)]
+    kernel = ab.solve(dsum_group(G).factors, _rows(G.factors, moved, (0,) * G.rank))[1]
+    return tuple(dict.fromkeys(x[:G.rank] * 2 for x in kernel if any(x[:G.rank])))
+
+
+@cache
+def in_stabilizer(alpha: OrthAut, z) -> bool:
+    """Whether the z in G with these coordinates lies in S_alpha: some chi
+    has alpha_1(z, chi) = z, i.e. alpha_1(0, chi) = z - alpha_1(z, 0)."""
+    G = alpha.group
+    image = _apply(G.factors, alpha.matrix, z)  # alpha_1(z, 0)
+    return ab.solve(G.factors, _rows(G.factors, alpha.matrix[G.rank:], [
+        c - a for c, a in zip(z, image)]))[0] is not None
 
 
 class TwoCocycle:
@@ -455,43 +440,29 @@ def psi_vectors(alpha: OrthAut) -> dict:
     v_a . b mod N, N the exponent of G; the one place that proves psi_alpha
     well defined.  Callers must not mutate the dict.
 
-    The defining formula reads off a chosen preimage of a; before trusting
-    it, every other preimage is checked against it, and a disagreement
-    raises (rather than silently depending on the section).
-
-    Two preimages agree on every b in U_alpha once they agree on the
-    generators of U_alpha (u_generators): psi(a, b) is v . b mod N,
-    and each coordinate of v is a multiple of w_i = N / f_i, so v . b mod
-    N does not depend on the representatives of b's coordinates mod f_i
-    and is additive in b.  Two additive maps that agree on generators
-    agree everywhere.  And v_r is additive in r, so psi_alpha is a
-    bicharacter, fixed by its values on pairs of generators.
+    v_a is read off a chosen preimage x of a (_pair_and_vector).  Two
+    preimages differ by some k in the kernel of x -> (alpha_1(x), g_x), and
+    v is additive, so psi_alpha is well defined exactly when v_k . b = 0
+    mod N for every such k and b in U_alpha.  That is bilinear in (k, b),
+    so it is checked on the kernel's generators (abelian.solve) against
+    u_generators; a failure raises rather than silently depending on the
+    section.  Then v is filled in by closure over the generator images
+    (_u_vectors): psi_alpha is a bicharacter, fixed on pairs of generators.
     """
-    # psi(a, b) = <alpha_2(r)^-1, b_1> <chi_r, b_2> for a preimage r = (g,
-    # chi) of a, whose exponent mod N is the dot product of b's coordinates
-    # with v_r = (-alpha_2(r) * w, chi * w), w_i = N / f_i.
-    G = alpha.group
-    n = G.rank
-    N = G.exponent
-    w = [N // f for f in G.factors]
-    gens = u_generators(alpha)
-    first: dict = {}  # the v_r of the first preimage r of each element
-    for x, y in _alpha_table(alpha):
-        v = tuple(-a * wi % N for a, wi in zip(y[n:], w)) \
-            + tuple(c * wi for c, wi in zip(x[n:], w))
-        v0 = first.setdefault(y[:n] + x[:n], v)
-        if v != v0 and any((sum(map(mul, v, b)) - sum(map(mul, v0, b))) % N
-                           for b in gens):
+    N = alpha.group.exponent
+    for chi in _u_kernel(alpha)[1]:
+        v = _pair_and_vector(alpha, (0,) * alpha.group.rank + chi)[1]
+        if any(sum(map(mul, v, b)) % N for b in u_generators(alpha)):
             raise DomainError("psi ill-defined for this alpha")
-    return first
+    return _u_vectors(alpha)
 
 
 @cache
 def psi_alpha(alpha: OrthAut) -> TwoCocycle:
     """The TwoCocycle zeta_N^(v_a . b) on U_alpha, v from psi_vectors,
     built and proved a 2-cocycle once per alpha."""
-    first = psi_vectors(alpha)
+    vectors = psi_vectors(alpha)
     U = u_alpha(alpha)
     coords = [e.coords for e in U.elements]
     return TwoCocycle(U, alpha.group.exponent, [
-        [sum(map(mul, first[a], b)) for b in coords] for a in coords])
+        [sum(map(mul, vectors[a], b)) for b in coords] for a in coords])

@@ -85,15 +85,21 @@ def admissible_matrices(factors, u, matrices):
             if any(apply_matrix(factors, M, u + chi)[:n] == u for chi in chis)]
 
 
+def stabilizer_elements(factors, M):
+    """S = {z : (z, z) in U_alpha} for the alpha with matrix M, the z with
+    alpha_1(z, chi) = z for some chi, as coordinate tuples in order."""
+    n = len(factors)
+    els = list(itertools.product(*[range(f) for f in factors]))
+    return [z for z in els
+            if any(apply_matrix(factors, M, z + chi)[:n] == z for chi in els)]
+
+
 def _stabilizer_exponents(factors, chars, M):
     """(e, N) for the alpha with matrix M: N is the exponent of G, and e
-    lists, for each z in S = {z : (z, z) in U_alpha} (the z with
-    alpha_1(z, chi) = z for some chi), the exponents of chi_i(z) in zeta_N."""
-    n = len(factors)
+    lists, for each z in S (stabilizer_elements), the exponents of
+    chi_i(z) in zeta_N."""
     N = lcm(*factors)
-    els = list(itertools.product(*[range(f) for f in factors]))
-    S = [z for z in els
-         if any(apply_matrix(factors, M, z + chi)[:n] == z for chi in els)]
+    S = stabilizer_elements(factors, M)
     e = [[sum(c * g * (N // f) for c, g, f in zip(chi, z, factors)) % N
           for chi in chars] for z in S]
     return e, N

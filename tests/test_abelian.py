@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -87,21 +88,24 @@ def test_direct_sum_and_dual():
 
 
 def test_hom_apply_and_compose():
-    # an automorphism of G+G^ is applied through its position table; on
-    # Z2 x Z4 (factors 2, 4, 2, 4) the table is the oracle's image list,
-    # the identity is neutral, and alpha after alpha is the matrix product
+    # an automorphism of G+G^ is applied through its matrix; on Z2 x Z4
+    # (factors 2, 4, 2, 4) the images of the elements, in order, are the
+    # oracle's image list, the identity is neutral, and alpha after alpha
+    # is the matrix product
     G = FinAbGroup([2, 4])
     D = orth.dsum_group(G)
     ident = orth.orth_identity(G)
+    index = {x.coords: k for k, x in enumerate(D.elements())}
     for a in orth.enumerate_orth(G):
-        assert list(a.pos) == oracles.hom_images(D.factors, a.matrix)
+        assert [index[orth._apply(D.factors, a.matrix, x.coords)]
+                for x in D.elements()] == oracles.hom_images(D.factors, a.matrix)
         assert orth.orth_compose(a, ident) == a == orth.orth_compose(ident, a)
         assert orth.orth_compose(a, a).matrix == oracles.compose_matrices(
             G.factors, a.matrix, a.matrix)
 
 
-# orth_compose composes position tables; the matrices it gives are those
-# the oracle composes, bijective, and the product associates.
+# orth_compose multiplies matrices; the matrices it gives are those the
+# oracle composes, bijective, and the product associates.
 COMPOSE_GROUPS = [[2], [4], [2, 2], [8], [2, 4], [3], [2, 3], [6]]
 
 
@@ -198,3 +202,57 @@ def test_generators_of_a_trivial_factor_are_reduced():
     G = FinAbGroup([2, 1])
     assert G.generator(1) == G.zero()
     assert G.generator(0).coords == (1, 0)
+
+
+# -- congruence systems -------------------------------------------------------
+
+def _brute_solve(factors, rows):
+    """(first solution or None, the kernel as a set) by listing the group."""
+    def holds(x, zero):
+        return all((sum(map(int.__mul__, a, x)) - (0 if zero else c)) % m == 0
+                   for a, c, m in rows)
+    elements = list(itertools.product(*(range(f) for f in factors)))
+    return (next((x for x in elements if holds(x, False)), None),
+            {x for x in elements if holds(x, True)})
+
+
+def _random_system(rng):
+    """Up to four well-defined congruences over up to four cyclic factors;
+    half of them have a solution planted."""
+    factors = [rng.choice((1, 2, 3, 4, 6, 8, 12)) for _ in range(rng.randint(1, 4))]
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        m = rng.choice((1, 2, 3, 4, 6, 12))
+        # m divides a_j f_j: a_j is a multiple of m / gcd(m, f_j)
+        rows.append(([rng.randrange(12) * (m // gcd(m, f)) for f in factors],
+                     rng.randrange(m), m))
+    if rows and rng.random() < 0.5:
+        x = [rng.randrange(f) for f in factors]
+        rows = [(a, sum(map(int.__mul__, a, x)) % m, m) for a, _, m in rows]
+    return factors, rows
+
+
+def test_solve_matches_brute_force():
+    # the lexicographically first solution, or None, and the kernel's
+    # generators and order, against listing every element
+    rng = random.Random(36)
+    solvable = 0
+    for _ in range(1500):
+        factors, rows = _random_system(rng)
+        first, kernel, order = ab.solve(factors, rows)
+        want_first, want_kernel = _brute_solve(factors, rows)
+        assert first == want_first, (factors, rows)
+        assert order == len(want_kernel), (factors, rows)
+        assert all(any(k) for k in kernel)
+        assert set(oracles.span(kernel, factors)) == want_kernel, (factors, rows)
+        solvable += first is not None
+    assert 500 < solvable < 1400
+
+
+def test_solve_first_solution_is_reduced_by_every_later_pivot():
+    # x1 + x2 = 1 over Z2 x Z2: the Hermite row of t has x-part (1, 0), and
+    # reducing it by x1's pivot gives the first solution (0, 1), the one an
+    # x-outer search meets first
+    assert ab.solve([2, 2], [([1, 1], 1, 2)]) == ((0, 1), [(1, 1)], 2)
+    # x1 + 3 x2 cannot be both 1 and 2 mod 4
+    assert ab.solve([4, 4], [([1, 3], 1, 4), ([1, 3], 2, 4)])[0] is None

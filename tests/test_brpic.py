@@ -144,7 +144,7 @@ def test_stability_is_asked_once_per_stable_invariant(monkeypatch):
     monkeypatch.setattr(la, "pairs_satisfy",
                         lambda *a: asked.append(a) or pairs_satisfy(*a))
     seen = set()
-    for pairs in (bp._stabilizer_generators(d.alpha),
+    for pairs in (orth.stabilizer_generators(d.alpha),
                   orth.u_generators(d.alpha)):
         stable = pairs_satisfy(mod, row_terms(d.W), pairs)
         want = (stable, stable and la.form_invariant_under(mod, d.beta,
@@ -648,6 +648,14 @@ def _reference_data(rng, mod):
     return out
 
 
+def _stabilizer(alpha):
+    """S_alpha = {z : alpha_1(z, chi) = z for some chi}, by the oracle, in
+    G.elements() order."""
+    G = alpha.group
+    return [G.element(z)
+            for z in oracles.stabilizer_elements(G.factors, alpha.matrix)]
+
+
 def test_equivariance_flags_match_dense_reference():
     rng = random.Random(43)
     zoo = dict(hh.module_zoo())
@@ -661,8 +669,7 @@ def test_equivariance_flags_match_dense_reference():
             rep = bp.validate_odatum(d)
             U = orth.u_alpha(d.alpha)
             movers = {
-                "equivariant": [(z, z)
-                                for z in orth.diagonal_stabilizer(d.alpha)],
+                "equivariant": [(z, z) for z in _stabilizer(d.alpha)],
                 "equivariant_full_U": [hh.pair_of(U, e) for e in U.elements],
                 "equivariant_full_diagonal": [(z, z) for z in els],
             }
@@ -756,7 +763,7 @@ def test_rdatum_flags_match_dense_reference():
             rep = bp.validate_rdatum(d)
             U = orth.u_alpha(d.alpha)
             movers = {
-                "": [(z, z) for z in orth.diagonal_stabilizer(d.alpha)],
+                "": [(z, z) for z in _stabilizer(d.alpha)],
                 "_full_U": [hh.pair_of(U, e) for e in U.elements],
             }
             for suffix, pairs in movers.items():
@@ -819,6 +826,55 @@ def test_rdatum_equiv_matches_dense_reference():
     assert True in outcomes and False in outcomes
 
 
+def _scaled_entries(rng, T, root, N):
+    """T with one support entry at a time scaled by a random root of
+    unity other than 1."""
+    out = []
+    for i, j in la.support(T):
+        T2 = [list(r) for r in T]
+        T2[i][j] = T2[i][j] * root(rng.randrange(1, N))
+        out.append(T2)
+    return out
+
+
+def test_equivalence_witness_matches_the_dense_search():
+    # the first solution of the terms' congruences (abelian.solve) against
+    # the x-outer dense search on every zoo module: per suite alpha (at
+    # most 8, spread out), a datum and its relation datum against a
+    # translate, the translate with one support entry scaled by a root of
+    # unity, and single-entry mutants; found and failing searches both
+    rng = random.Random(61)
+    outcomes = set()
+    for name, mod in hh.module_zoo():
+        els = list(mod.group.elements())
+        pairs = [(x, y) for x in els for y in els]
+        N = mod.group.exponent
+        exps, root, zero = dense_args(mod)
+        rexps = dense_args(mod, dual=False)[0]
+        suite = bp.suite_alphas(mod)
+        for alpha in suite[::len(suite) // 8 + 1]:
+            d = bp.random_odatum(mod, rng, alpha)
+            Tt = dense_translate(d, rng.choice(els), rng.choice(els))
+            for T2 in ([Tt] + _scaled_entries(rng, Tt, root, N)
+                       + [m.T for _, m in _single_entry_mutants(d)]):
+                got = bp._odatum_search(d, bp.ODatum(mod, T2, alpha))
+                assert got == oracles.dense_equiv(d.T, T2, els, exps, root,
+                                                  zero), (name, d, T2)
+                outcomes.add(("T", got[0]))
+            r = bp.odatum_to_rdatum(d)
+            rt = bp.odatum_to_rdatum(bp.ODatum(mod, Tt, alpha))
+            targets = [rt] + [m for _, m in _single_entry_mutants(rt)]
+            targets += [bp.RDatum(mod, rt.W, la.BilinearForm(rt.W, g), alpha)
+                        for g in _scaled_entries(rng, rt.beta.gram, root, N)]
+            for r2 in targets:
+                got = bp._rdatum_search(r, r2)
+                assert got == oracles.dense_translation(
+                    r.W, r.beta.gram, r2.W, r2.beta.gram, pairs, rexps, root,
+                    zero), (name, r, r2)
+                outcomes.add(("W", got[0]))
+    assert outcomes == {("T", True), ("T", False), ("W", True), ("W", False)}
+
+
 # -- the generator rule against the full pair lists ---------------------------
 # A k = 0 question holds on a subgroup of G x G exactly when it holds on the
 # subgroup's generators (linalg.pairs_satisfy).  The flags, describe and
@@ -826,13 +882,13 @@ def test_rdatum_equiv_matches_dense_reference():
 # here each question is asked again on every element.
 
 def _full_lists(mod, alpha):
-    return {"": [z.coords * 2 for z in orth.diagonal_stabilizer(alpha)],
+    return {"": [z.coords * 2 for z in _stabilizer(alpha)],
             "_full_U": [e.coords for e in orth.u_alpha(alpha).elements],
             "_full_diagonal": [g.coords * 2 for g in mod.group.elements()]}
 
 
 def _generator_lists(mod, alpha):
-    return {"": bp._stabilizer_generators(alpha),
+    return {"": orth.stabilizer_generators(alpha),
             "_full_U": orth.u_generators(alpha),
             "_full_diagonal": bp._diagonal_generators(mod.group)}
 
@@ -1035,22 +1091,41 @@ def test_gxg_reports_golden():
 
 
 def test_diagonal_stabilizer_matches_u_alpha():
-    # S_alpha against (z, z) in U_alpha for every alpha of each zoo group;
-    # module.u in S_alpha decides admissibility
+    # S_alpha's generators, z in S_alpha and |U_alpha|, all read from
+    # kernels of alpha's matrix, against the oracle's S_alpha, its
+    # character exponents and the image of x -> (alpha_1(x), g_x), for
+    # every alpha of each zoo group; module.u in S_alpha decides
+    # admissibility
     counts = {}
     for name, mod in hh.module_zoo():
-        els = list(mod.group.elements())
-        alphas = orth.enumerate_orth(mod.group)
+        G = mod.group
+        fs, n = G.factors, G.rank
+        els = [z.coords for z in G.elements()]
+        chars = [chi.exps for chi in mod.chars]
+        alphas = orth.enumerate_orth(G)
         for a in alphas:
-            U = orth.u_alpha(a)
-            assert orth.diagonal_stabilizer(a) == tuple(
-                z for z in els if z.coords * 2 in U.law[0]), (name, a)
+            gens = orth.stabilizer_generators(a)
+            assert all(g[:n] == g[n:] for g in gens), (name, a)
+            S = sorted({g[:n] for g in oracles.span(gens, fs * 2)})
+            assert S == oracles.stabilizer_elements(fs, a.matrix), (name, a)
+            e, N = oracles._stabilizer_exponents(fs, chars, a.matrix)
+            assert e == [[_exponent(chi, z, fs, N) for chi in chars]
+                         for z in S], (name, a)
+            assert [z for z in els if orth.in_stabilizer(a, z)] == S, (name, a)
+            image = {oracles.apply_matrix(fs, a.matrix, x)[:n] + x[:n]
+                     for x in itertools.product(*(range(f) for f in fs * 2))}
+            assert orth.u_order(a) == len(image), (name, a)
         admissible = bp.admissible_alphas(mod)
-        assert admissible == [a for a in alphas
-                              if mod.u.coords * 2 in orth.u_alpha(a).law[0]]
+        assert [a.matrix for a in admissible] == oracles.admissible_matrices(
+            fs, mod.u.coords, [a.matrix for a in alphas])
         counts[name] = (len(admissible), len(alphas))
     assert counts["Z2Z2_d1"] == counts["Z2Z2_d2"] == (48, 72)
     assert counts["Z2Z4_d1"] == (128, 128)
+
+
+def _exponent(chi, z, factors, N):
+    """The exponent of chi(z) in zeta_N, for coordinate tuples."""
+    return sum(c * g * (N // f) for c, g, f in zip(chi, z, factors)) % N
 
 
 def test_alpha_lists_match_the_matrix_oracles():
@@ -1071,30 +1146,38 @@ def test_alpha_lists_match_the_matrix_oracles():
 
 
 def test_cold_suite_composes_no_homs(monkeypatch):
-    # the closure composes the alphas' position tables, so a cold suite
-    # builds the enumerated alphas, each with the table its leaf check
-    # handed over, and the identity, and no other OrthAut.  Before the
-    # closure read tables it composed the alphas' matrices: 242 matrix
-    # products on Z2 x Z2 and 738 on Z2 x Z4.
+    # the closure composes the alphas' matrices without building an
+    # OrthAut, so a cold suite builds the enumerated alphas and the
+    # identity, and no other; each product it forms is the oracle's
+    # composed matrix
     zoo = dict(hh.module_zoo())
-    built = []
-    init = orth.OrthAut.__init__
+    built, products = [], []
+    init, compose = orth.OrthAut.__init__, orth.compose_matrices
 
-    def recorded(self, group, matrix, _pos=None):
-        init(self, group, matrix, _pos)
-        built.append((self.matrix, _pos is None))
+    def recorded(self, group, matrix):
+        init(self, group, matrix)
+        built.append(self.matrix)
+
+    def recorded_compose(G, a, b):
+        products.append((G, a, b, compose(G, a, b)))
+        return products[-1][-1]
 
     for name, size in (("Z2Z2_d2", 12), ("Z2Z4_d1", 128)):
-        enumerated = {a.matrix for a in orth.enumerate_orth(zoo[name].group)}
-        for memo in (bp._suite, bp._admissible, orth.diagonal_stabilizer):
+        group = zoo[name].group
+        enumerated = {a.matrix for a in orth.enumerate_orth(group)}
+        for memo in (bp._suite, bp._admissible, orth.orth_identity):
             memo.cache_clear()
         built.clear()
+        products.clear()
         with monkeypatch.context() as m:
             m.setattr(orth.OrthAut, "__init__", recorded)
+            m.setattr(orth, "compose_matrices", recorded_compose)
             assert len(bp.suite_alphas(zoo[name])) == size
         assert len(built) == len(enumerated) + 1, name
-        assert {matrix for matrix, _ in built} == enumerated, name
-        assert not any(checked for _, checked in built), name
+        assert set(built) == enumerated, name
+        assert products, name
+        for G, a, b, product in products[::7]:
+            assert product == oracles.compose_matrices(G.factors, a, b)
 
 
 # -- binding checks: cached per datum, still run on every output -----------

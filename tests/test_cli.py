@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -687,17 +691,55 @@ def _identity_spec(rank):
             "datum": "identity", "datum2": "identity"}
 
 
-# |G+G^| = 2^22 is above orth.MAX_DSUM_ORDER: identity `brpic mul` on Z2^11
-# ran 40 s into a MemoryError traceback; every verb now exits 3 at once.
-@pytest.mark.parametrize("verb", ["describe", "mul", "inv", "equiv",
-                                  "convert"])
+# |G+G^| = 2^22 is above orth.MAX_DSUM_ORDER.  Identity `brpic mul` on
+# Z2^11 once ran 40 s into a MemoryError traceback, and later every verb
+# exited 3 on the cap.  describe enumerates O(G+G^) and still exits 3, on
+# the enumeration bound.
+@pytest.mark.parametrize("verb", ["describe"])
 def test_identity_data_over_the_dsum_cap_exits_3(tmp_path, capsys, verb):
     spec = _write(tmp_path, "z2_11.json", _identity_spec(11))
     start = time.perf_counter()
     code, out, err = _run(capsys, ["brpic", verb, "--spec", spec])
     assert time.perf_counter() - start < 1
     assert code == 3 and out == "" and "Traceback" not in err
-    assert ("enumeration bound" if verb == "describe" else "G+G^") in err
+    assert "enumeration bound" in err
+
+
+# The other verbs read alpha from its matrix alone and answer within a
+# second, valid, with the identity's alpha and the witness (0, 0).
+@pytest.mark.parametrize("verb", ["mul", "inv", "equiv", "convert"])
+def test_identity_data_over_the_dsum_cap_answers(tmp_path, capsys, verb):
+    spec = _write(tmp_path, "z2_11.json", _identity_spec(11))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["brpic", verb, "--spec", spec, "--json"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    if verb == "equiv":
+        assert report["equivalent"] is True
+        assert report["witness"] == [[0] * 11, [0] * 11]
+    else:
+        assert report["validation"]["valid"] is True
+        datum = report[{"mul": "product", "inv": "inverse",
+                        "convert": "converted"}[verb]]
+        assert datum["alpha"] == orth.orth_identity(
+            ab.FinAbGroup([2] * 11)).to_json()
+
+
+def test_closed_pipe_ends_quietly(tmp_path):
+    # a reader that stops after 10 bytes of a 0.4 MB report: the run keeps
+    # its own exit code and writes nothing to stderr
+    spec = _write(tmp_path, "z2z4.json", Z2Z4)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "brpickit", "orth", "--json", "--spec", spec],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head == b'{\n  "autom' and err == b""
 
 
 def test_inverse_of_identity_above_4096(tmp_path, capsys):
@@ -913,7 +955,8 @@ def test_comodule_suite_computes_actions_once_per_datum(tmp_path, capsys,
 # Group work that a module or an alpha alone determines is done once: the
 # character exponents of the module by its table, each composed or
 # inverted alpha by the orth_compose and orth_invert memos, so that each
-# distinct pair is composed and checked by _preserves_q once.  Before both,
+# distinct pair is composed and its result built as an OrthAut, which
+# checks it, once.  Each product is the oracle's composed matrix.  Before both,
 # this run made 12,260 ab.pair calls, and 200 alpha compositions for 75
 # distinct pairs of alphas.  The bound on ab.pair is the table, dim V * |G|,
 # plus the two checks that each character sends u to -1 (spec parsing and
@@ -925,7 +968,7 @@ def test_axioms_suite_computes_group_work_once(tmp_path, capsys, monkeypatch):
     bp.suite_alphas(module)  # the suite memo is filled before counting
     pairs, composed, inverted, checks = [], set(), set(), []
     original_pair, original_compose = ab.pair, orth.orth_compose
-    original_invert, original_check = orth.orth_invert, orth._preserves_q
+    original_invert, original_init = orth.orth_invert, orth.OrthAut.__init__
 
     def counted_pair(chi, g):
         pairs.append((chi, g))
@@ -939,17 +982,20 @@ def test_axioms_suite_computes_group_work_once(tmp_path, capsys, monkeypatch):
         inverted.add(a)
         return original_invert(a)
 
-    def counted_check(G, rows):
-        checks.append(rows)
-        return original_check(G, rows)
+    def counted_init(self, group, matrix):
+        original_init(self, group, matrix)
+        checks.append(self.matrix)
 
     monkeypatch.setattr(ab, "pair", counted_pair)
     monkeypatch.setattr(orth, "orth_compose", counted_compose)
     monkeypatch.setattr(orth, "orth_invert", counted_invert)
-    monkeypatch.setattr(orth, "_preserves_q", counted_check)
+    monkeypatch.setattr(orth.OrthAut, "__init__", counted_init)
     spec = _write(tmp_path, "z2z2.json", Z2Z2)
     code, out, err = _run(capsys, ["verify", "group-axioms", "--seed", "5",
                                    "--count", "20", "--spec", spec])
     assert code == 0 and err == "" and "result: PASS" in out
     assert composed and len(checks) <= len(composed) + len(inverted)
     assert len(pairs) <= module.dim * (module.group.order + 2)
+    factors = module.group.factors
+    assert all(original_compose(a, b).matrix == oracles.compose_matrices(
+        factors, a.matrix, b.matrix) for a, b in composed)

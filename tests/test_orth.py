@@ -123,32 +123,33 @@ def test_alpha_memos_match_the_unmemoized_functions():
 
 def test_alpha_memos_raise_on_every_call():
     a, b = orth.orth_identity(Z2), orth.orth_identity(Z4)
-    # |G+G^| = 2^22 is over the cap, so no OrthAut over Z2^11 can be
-    # built; this one has an empty table, which the cap keeps unread
+    # |G+G^| = 2^22 is far over the enumeration's cap, and the matrix alone
+    # composes and inverts the Z2^11 swap: it is its own inverse
     G = FinAbGroup([2] * 11)
-    big = orth.OrthAut(G, _identity_matrix(orth.dsum_group(G)), _pos=())
+    swap = orth.OrthAut(G, _swap_matrix(11))
     for _ in range(3):
         with pytest.raises(DomainError, match="different groups"):
             orth.orth_compose(a, b)
         with pytest.raises(DomainError, match="different groups"):
             orth.orth_compose(b, a)
-        with pytest.raises(CapacityError, match="G\\+G\\^"):
-            orth.orth_invert(big)
-        with pytest.raises(CapacityError, match="G\\+G\\^"):
-            orth.orth_compose(big, big)
+        with pytest.raises(DomainError, match="different groups"):
+            orth.orth_compose(swap, a)
+        assert orth.orth_invert(swap) == swap
+        assert orth.orth_compose(swap, swap) == orth.orth_identity(G)
 
 
 def _record_leaves(monkeypatch):
-    """Verdicts of every leaf check enumerate_orth makes, in order."""
-    verdicts = []
-    original = orth._preserves_q
+    """The matrix of every OrthAut built, in order: enumerate_orth builds
+    one per leaf of its search."""
+    leaves = []
+    init = orth.OrthAut.__init__
 
-    def recorded(G, rows):
-        verdicts.append(original(G, rows))
-        return verdicts[-1]
+    def recorded(self, group, matrix):
+        init(self, group, matrix)
+        leaves.append(self.matrix)
 
-    monkeypatch.setattr(orth, "_preserves_q", recorded)
-    return verdicts
+    monkeypatch.setattr(orth.OrthAut, "__init__", recorded)
+    return leaves
 
 
 def test_enumeration_capacity_bound(monkeypatch):
@@ -165,10 +166,10 @@ def test_enumeration_capacity_bound(monkeypatch):
         orth.enumerate_orth(G, bound=127)
     # Z2^3 passes the |G|^2 gate at 256 but has 40,320 automorphisms; the
     # search stops at the 257th
-    verdicts = _record_leaves(monkeypatch)
+    leaves = _record_leaves(monkeypatch)
     with pytest.raises(CapacityError, match="more than 256"):
         orth.enumerate_orth(FinAbGroup([2, 2, 2]))
-    assert len(verdicts) == 257
+    assert len(leaves) == 257
 
 
 # sha256 of repr([a.matrix for a in enumerate_orth(G, bound)]), recorded
@@ -204,20 +205,50 @@ def test_elementary_abelian_count_matches_closed_form():
 @pytest.mark.parametrize("factors", [[2], [3], [4], [8], [2, 2], [2, 4]])
 def test_prunings_leave_only_orthogonal_leaves(monkeypatch, factors):
     # order, q and polarization prunings together imply q-preservation at
-    # every point, so every leaf that reaches the exhaustive checks passes
-    verdicts = _record_leaves(monkeypatch)
-    found = orth.enumerate_orth(FinAbGroup(factors))
-    assert verdicts and all(verdicts) and len(verdicts) == len(found)
+    # every point: each leaf is one automorphism found, and the pointwise
+    # oracle accepts it
+    G = FinAbGroup(factors)
+    leaves = _record_leaves(monkeypatch)
+    found = orth.enumerate_orth(G)
+    assert sorted(leaves) == [a.matrix for a in found]
+    D = orth.dsum_group(G)
+    assert all(oracles.is_orthogonal_pointwise(D.factors, m) for m in leaves)
 
 
-def test_leaf_check_tests_bijectivity_on_its_own(monkeypatch):
-    # with q flattened to 0 only the bijectivity check can reject a map
-    elements, q, v = orth._tables(Z2xZ2)
-    monkeypatch.setattr(orth, "_tables", lambda G: (elements, [0] * len(q), v))
+def test_leaf_check_tests_bijectivity_on_its_own():
+    # the generator test has no separate bijectivity check: b's
+    # nondegeneracy makes it reject maps that are not bijective
+    D = orth.dsum_group(Z2xZ2)
     ident = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    assert orth._preserves_q(Z2xZ2, ident)
-    assert not orth._preserves_q(Z2xZ2, [(0, 0, 0, 0)] + ident[1:])
-    assert not orth._preserves_q(Z2xZ2, [ident[1]] + ident[1:])
+    assert _orthogonal(Z2xZ2, ident)
+    for rows in ([(0, 0, 0, 0)] + ident[1:], [ident[1]] + ident[1:],
+                 [ident[2], ident[3], ident[2], ident[3]]):
+        assert not oracles.is_bijective(D.factors, rows)
+        assert not _orthogonal(Z2xZ2, rows)
+
+
+def _order_compatible_tuples(G):
+    D = orth.dsum_group(G)
+    images = [[x for x in itertools.product(*(range(f) for f in D.factors))
+               if all(m * c % f == 0 for c, f in zip(x, D.factors))]
+              for m in D.factors]
+    return itertools.product(*images)
+
+
+def test_generator_test_matches_pointwise_oracle_exhaustively():
+    # every order-compatible tuple of generator images: q on generators and
+    # b on pairs of generators decide q-preservation at every point
+    seen = {True: 0, False: 0}
+    orthogonal = 0
+    for factors in ([2], [3], [4], [6], [8], [2, 2]):
+        G = FinAbGroup(factors)
+        D = orth.dsum_group(G)
+        for rows in _order_compatible_tuples(G):
+            expected = oracles.is_orthogonal_pointwise(D.factors, rows)
+            assert _orthogonal(G, rows) is expected, (factors, rows)
+            seen[expected] += 1
+        orthogonal += len(orth.enumerate_orth(G))
+    assert seen == {True: orthogonal, False: 71281 - orthogonal}
 
 
 def _random_hom(D, rng):
@@ -249,35 +280,25 @@ def test_is_orthogonal_matches_pointwise_oracle():
     _is_orthogonal_agrees_with_pointwise_oracle(random.Random(20260))
 
 
-def test_from_json_above_4096_matches_pointwise_oracle(monkeypatch):
-    # |G+G^| = 2^14 is above 4096: every size takes the one pointwise test
+def test_from_json_above_4096_matches_pointwise_oracle():
+    # |G+G^| = 2^14 is above 4096: every size takes the one generator test
     G = FinAbGroup([2] * 7)
     D = orth.dsum_group(G)
     shear = _identity_matrix(D)
     shear[0][1] = 1  # g_0 -> g_0 + g_1: bijective, not orthogonal
-    calls = [0]
-    original = orth._positions
-
-    def counted(G, rows):
-        calls[0] += 1
-        return original(G, rows)
-
-    monkeypatch.setattr(orth, "_positions", counted)
     verdicts = []
     for matrix in (_swap_matrix(7), shear):
         assert oracles.is_bijective(D.factors, matrix)
-        calls[0] = 0
         try:
             alpha = orth.OrthAut.from_json(G, {"matrix": matrix})
         except DomainError:
             alpha = None
         verdicts.append(alpha is not None)
         assert verdicts[-1] is oracles.is_orthogonal_pointwise(D.factors, matrix)
-        assert calls[0] == 1
         if alpha is not None:
-            # a reader of the table uses the one the check computed
-            assert len(orth.diagonal_stabilizer(alpha)) == G.order  # (chi, chi)
-            assert calls[0] == 1
+            # the swap sends (g, chi) to (chi, g), so S_alpha is all of G
+            gens = orth.stabilizer_generators(alpha)
+            assert len(oracles.span(gens, G.factors * 2)) == G.order
     assert verdicts == [True, False]
 
 
@@ -429,11 +450,15 @@ def test_psi_exponents_match_the_pairing_formula():
 
 def test_psi_ill_defined_for_a_non_orthogonal_automorphism():
     # chi -> chi^-1 on Z3 + Z3^ is bijective but not orthogonal, and the
-    # preimages (g, chi) of one element of U give different pairings
-    hom = [[1, 0], [0, 2]]
+    # preimages (g, chi) of one element of U give different pairings.
+    # OrthAut refuses it, so the map is placed in one unchecked.
+    hom = ((1, 0), (0, 2))
     assert (oracles.is_bijective(orth.dsum_group(Z3).factors, hom)
             and not _orthogonal(Z3, hom))
-    alpha = orth.OrthAut(Z3, hom, _pos=orth._positions(Z3, hom))
+    alpha = object.__new__(orth.OrthAut)
+    object.__setattr__(alpha, "group", Z3)
+    object.__setattr__(alpha, "matrix", hom)
+    assert any(len(v) > 1 for v in _full_psi_table(Z3, alpha).values())
     for build in (orth.psi_vectors, orth.psi_alpha):
         with pytest.raises(DomainError, match="psi ill-defined"):
             build(alpha)
@@ -484,38 +509,36 @@ def test_u_alpha_composition_containment_and_graph_equality():
 
 
 def test_orth_json_round_trip():
-    # an alpha read from JSON gets its position table from the check it
-    # passes, the one the enumeration handed over, and compares and hashes
-    # equal to the enumerated one
+    # an alpha read from JSON compares and hashes equal to the enumerated one
     for G in (Z2xZ2, FinAbGroup([2, 4])):
         for a in orth.enumerate_orth(G):
             b = orth.OrthAut.from_json(G, a.to_json())
-            assert b.pos == a.pos
             assert b == a and hash(b) == hash(a) and {a: 0}[b] == 0
             assert repr(b) == repr(a) and b.to_json() == a.to_json()
 
 
-# Each alpha's position table: pos[k] is the position of the image of the
-# k-th element of G+G^, in dsum_group(G).elements() order.  The tables of
-# composed and inverted alphas are computed from their own matrices, so
-# they check the tables of the operands.
+# The oracle's position table of each alpha: the position of the image of
+# every element of G+G^, in dsum_group(G).elements() order.  Inverses and
+# products, computed from matrices alone, have the inverse and the
+# composed tables, and the oracle's composed matrices.
 TABLE_GROUPS = [Z2, Z4, Z2xZ2, FinAbGroup([2, 4])]
 
 
 @pytest.mark.parametrize("G", TABLE_GROUPS,
                          ids=["x".join(map(str, G.factors)) for G in TABLE_GROUPS])
 def test_position_tables_agree_with_the_homs(G):
-    elements = list(orth.dsum_group(G).elements())
-    index = {x.coords: k for k, x in enumerate(elements)}
+    D = orth.dsum_group(G)
     auts = orth.enumerate_orth(G)
     for a in auts:
-        assert a.pos == tuple(
-            index[oracles.apply_matrix(G.factors, a.matrix, x.coords)]
-            for x in elements), a
-        inverse = orth.orth_invert(a).pos
-        assert all(inverse[p] == k for k, p in enumerate(a.pos)), a
+        table = oracles.hom_images(D.factors, a.matrix)
+        inverse = oracles.hom_images(D.factors, orth.orth_invert(a).matrix)
+        assert all(inverse[p] == k for k, p in enumerate(table)), a
         for b in auts[::len(auts) // 16 + 1]:
-            assert orth.orth_compose(a, b).pos == tuple(a.pos[i] for i in b.pos), (a, b)
+            composed = orth.orth_compose(a, b)
+            assert composed.matrix == oracles.compose_matrices(
+                G.factors, a.matrix, b.matrix), (a, b)
+            assert oracles.hom_images(D.factors, composed.matrix) == [
+                table[i] for i in oracles.hom_images(D.factors, b.matrix)], (a, b)
 
 
 def _full_psi_table(G, alpha):
