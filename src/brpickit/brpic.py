@@ -48,8 +48,8 @@ from . import orth
 from .cyclo import CycloScalar
 from .errors import BrpicError, DomainError, NotInvertibleError
 
-_ZERO = CycloScalar.zero(1)
-_ONE = CycloScalar.one(1)
+_ZERO = CycloScalar.zero()
+_ONE = CycloScalar.one()
 
 
 # -- small matrix utilities -------------------------------------------------
@@ -59,10 +59,7 @@ def identity_matrix(n):
 
 
 def matrix_is_invertible(M) -> bool:
-    n = len(M)
-    if n == 0:
-        return True
-    return la.rank(M) == n
+    return la.rank(M) == len(M)
 
 
 def matrix_inverse(M):
@@ -90,9 +87,20 @@ def _entry_term(m, i, j, k=0):
 def _first_pair(mod: la.GModuleV, terms):
     """(found, witness): the first (x, y) of G x G, x outer, that satisfies
     terms, the lexicographically first solution of their congruences on
-    x.coords + y.coords (abelian.solve), or (False, None)."""
+    x.coords + y.coords (abelian.solve), or (False, None).  Each distinct
+    congruence is solved once: a row is reduced mod N and taken up to
+    sign, and one that reads 0 = 0 is dropped, which leaves the solutions
+    as they are."""
     G = mod.group
-    x = ab.solve(G.factors * 2, [la.term_row(mod, t) for t in terms])[0]
+    N = G.exponent
+    rows = set()
+    for t in terms:
+        a, k, _ = la.term_row(mod, t)
+        row = min((tuple(x % N for x in a), k % N),
+                  (tuple(-x % N for x in a), -k % N))
+        if any(row[0]) or row[1]:
+            rows.add(row)
+    x = ab.solve(G.factors * 2, [(a, k, N) for a, k in sorted(rows)])[0]
     return (False, None) if x is None else (
         True, (G.element(x[:G.rank]), G.element(x[G.rank:])))
 
@@ -250,20 +258,9 @@ class LagDatum:
 
 # -- validation -------------------------------------------------------------
 
-def _stable_invariant(d: RDatum, pairs):
-    """(W stable, beta invariant) under every pair listed by coordinates,
-    asked once of la.form_invariant_under: W is beta's space, and the
-    DomainError it raises when W is not stable reads (False, False)."""
-    try:
-        return True, la.form_invariant_under(d.module, d.beta, pairs)
-    except DomainError as exc:
-        if not str(exc).startswith("subspace is not invariant"):
-            raise
-        return False, False
-
-
 def _rdatum_conditions(d: RDatum) -> dict:
-    stable, invariant = _stable_invariant(d, orth.stabilizer_generators(d.alpha))
+    stable, invariant = la.form_invariant_under(
+        d.module, d.beta, orth.stabilizer_generators(d.alpha))
     return {
         "axis_clear": not any(la.axis_meets(d.W)),
         # (u, u) in U_alpha iff u in S_alpha
@@ -310,7 +307,7 @@ def validate_rdatum(d: RDatum) -> dict:
     report = dict(binding_report(d))
     # informational flags: stability beyond the diagonal part
     report["W_stable_full_U"], report["beta_invariant_full_U"] = \
-        _stable_invariant(d, orth.u_generators(d.alpha))
+        la.form_invariant_under(d.module, d.beta, orth.u_generators(d.alpha))
     report["W_stable_full_diagonal"] = la.pairs_satisfy(
         d.module, la.row_terms(d.W), _diagonal_generators(d.module.group))
     return report

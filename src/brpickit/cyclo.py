@@ -1,35 +1,35 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A scalar is a residue mod Phi_N (the N-th cyclotomic polynomial) with
-rational coefficients, i.e. an element of Q(zeta_N) written in the power
-basis 1, z, ..., z^(phi(N)-1) where z = zeta_N = exp(2*pi*i/N).
+A scalar is an element of Q(zeta_N) written in the power basis 1, z, ...,
+z^(phi(N)-1), z = zeta_N = exp(2*pi*i/N), as a residue mod Phi_N (the N-th
+cyclotomic polynomial).
 
-Representation: a conductor N, a tuple num of phi(N) integer numerators
-and one common denominator den > 0, in lowest terms (gcd(den, *num) == 1;
-zero is (0, ...), 1).  At a fixed N this form is canonical, so equality is
-a tuple comparison.  phi(N) and the table of x^k mod Phi_N are cached per
-N; Phi_N is monic over Z, so the table is integral and reduction, products
-and lifts run on ints, with one gcd per result.  The stored N is kept as
-computed (to_string prints it), so equal values may carry different
-conductors.  Fractions appear only at the boundary (the constructor,
-coeffs, from_rational and from_string); all arithmetic, the inverse
-included, runs on ints.  The inverse of a non-rational value is taken
-through its norm, at phi(N) - 1 products whatever the value.
+One form per value.  Q(zeta_m) & Q(zeta_n) = Q(zeta_gcd(m, n)), so every
+value lies in one least field Q(zeta_N), N its least conductor.  A scalar
+is stored there: N, a tuple num of phi(N) integer numerators and one common
+denominator den > 0, in lowest terms (gcd(den, *num) == 1).  _make and the
+constructor bring every result to this form (_descend has the lemma), so
+== is a tuple comparison, scalars hash, and equal values print the same
+text whatever arithmetic made them.  A rational is exactly a value at
+N = 1; zero is (1, (0,), 1).  from_string reads a value written at any
+conductor up to MAX_CONDUCTOR and stores it at its least one.
+
+phi(N) and the table of x^k mod Phi_N are cached per N; Phi_N is monic over
+Z, so the table is integral and reduction, products, lifts and descents run
+on ints, with one gcd per result.  Fractions appear only at the boundary
+(the constructor, coeffs, from_rational and from_string).
+
+Operands at different conductors are lifted to Q(zeta_lcm) exactly and the
+result descends.  A rational operand lifts to (q, 0, ...) at any N, so *
+scales the other operand's numerators and + shifts its constant term.
 
 Products are memoized.  a * b looks up _product, an lru_cache of at most
-2^16 entries keyed on both operands' (N, num, den); that form is
-canonical at a fixed N and all a product reads, so a hit is the scalar the
-arithmetic gives, conductor included (2@1 x 3@1 is 6@1, 2@4 x 3@1 is 6@4).
-The tables built over these scalars hold mostly +-zeta^k, so most products
-repeat.  inv bypasses the memo: the conjugates of its norm never repeat,
-and at a large conductor each would pin a phi(N)-sized entry.
-
-Values at different conductors interoperate by lifting both to
-Q(zeta_lcm) exactly.  Fast path: when one operand is rational (no
-coefficient beyond the constant term) and its conductor divides the
-other's, its lift is (q, 0, ...), so * scales the other operand's
-numerators and + shifts its constant term without lifting; the result
-conductor is still lcm(N_a, N_b).
+2^16 entries keyed on both operands' (N, num, den).  The tables built over
+these scalars hold mostly +-zeta^k, so most products repeat.  inv bypasses
+the memo: the conjugates of its norm never repeat, and at a large conductor
+each would pin a phi(N)-sized entry.  They stay raw numerators at N
+(_times, the multiply _product shares), and only the inverse is made
+canonical; it takes phi(N) - 1 products whatever the value.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .errors import CapacityError, DomainError
-
-_F0 = Fraction(0)
 
 # Largest conductor from_string accepts.  A scalar at conductor N carries
 # phi(N) coefficients and its products cost about phi(N)^2, so a large N in
@@ -59,21 +57,6 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def _poly_exact_div(num: list[int], den: list[int]) -> list[int]:
@@ -107,6 +90,11 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
         if d < n:
             poly = _poly_exact_div(poly, list(cyclotomic_poly(d)))
     return tuple(poly)
+
+
+def euler_phi(n: int) -> int:
+    """phi(n), the degree of Phi_n."""
+    return len(cyclotomic_poly(n)) - 1
 
 
 _phi = cache(euler_phi)
@@ -154,28 +142,96 @@ def _reduce(n: int, raw: list[int]) -> list[int]:
     return raw
 
 
+@cache
+def _steps(N: int) -> tuple:
+    """(p, off, split) for each prime p | N, ascending, that a value can
+    descend by (_descend).  When p^2 | N, off slices out the exponents not
+    divisible by p and split is None; else off is None and split lists the
+    (r, j) with zeta_N^k = zeta_p^r zeta_m^j, N = p m, for each power-basis
+    exponent k.  At N = p only the rationals descend, so a prime N has no
+    step."""
+    steps = []
+    for p in divisors(N)[1:-1]:
+        if _phi(p) != p - 1:  # p is not prime
+            continue
+        m = N // p
+        if m % p == 0:
+            steps.append((p, tuple(slice(r, None, p) for r in range(1, p)), None))
+        else:
+            a, b = pow(m, -1, p), pow(p, -1, m)
+            steps.append((p, None, tuple((a * k % p, b * k % m)
+                                         for k in range(_phi(N)))))
+    return tuple(steps)
+
+
+def _descend(N: int, num) -> tuple:
+    """(M, numerators at M) for the value num at N, M its least conductor.
+
+    Lemma.  Let v in Q(zeta_N) and p a prime dividing N.
+    - p^2 | N.  Phi_N(x) = Phi_{N/p}(x^p), so the power basis of Q(zeta_N)
+      is the zeta_N^(r + p j), r < p, j < phi(N/p), and v lies in
+      Q(zeta_{N/p}) exactly when every coefficient at an exponent not
+      divisible by p is 0.  Its numerators there are num[::p].
+    - p || N, N = p m.  zeta_N = zeta_p^a zeta_m^b with a = m^-1 mod p and
+      b = p^-1 mod m, since a m + b p = 1 mod N.  Grouping by the power of
+      zeta_p writes v = sum_{r<p} c_r zeta_p^r, c_r in Q(zeta_m) reduced
+      mod Phi_m.  Over Q(zeta_m) the zeta_p^r, 1 <= r < p, are a basis of
+      Q(zeta_N), and zeta_p^0 = -(their sum), so v = sum_{r>=1} (c_r - c_0)
+      zeta_p^r lies in Q(zeta_m) exactly when c_1 = ... = c_{p-1}, and then
+      v = c_0 - c_1.  For p = 2 there is one c_r: v always descends.
+    Each test is exact.  The conductors of v are closed under gcd, so they
+    have a least one, M; while N != M some prime p divides N / M, and then
+    v lies in Q(zeta_{N/p}) and p's test passes.  So descending while some
+    test passes ends at M.  A rational value (N = 1 and phi(N) = 1
+    included) goes to N = 1 at once.
+    """
+    while any(num[1:]):
+        for p, off, split in _steps(N):
+            if off:
+                if not any(map(any, map(num.__getitem__, off))):
+                    N, num = N // p, num[::p]
+                    break
+            else:
+                m = N // p
+                cs = [[0] * m for _ in range(p)]
+                for (r, j), x in zip(split, num):
+                    cs[r][j] += x
+                c1 = _reduce(m, cs[1])
+                if all(_reduce(m, c) == c1 for c in cs[2:]):
+                    N, num = m, [x - y for x, y in zip(_reduce(m, cs[0]), c1)]
+                    break
+        else:
+            return N, num
+    return 1, num[:1]
+
+
 _new = object.__new__
 
 
-def _make(N: int, num, den: int) -> "CycloScalar":
-    """The scalar num/den at N, brought to lowest terms (den > 0)."""
+def _fill(s, N: int, num, den: int) -> "CycloScalar":
+    """s set to num/den at N, brought to the one form (den > 0)."""
+    N, num = _descend(N, num)
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
             num = [x // g for x in num]
             den //= g
-    s = _new(CycloScalar)
     _set_N(s, N)
     _set_num(s, tuple(num))
     _set_den(s, den)
     return s
 
 
+def _make(N: int, num, den: int) -> "CycloScalar":
+    """The scalar num/den at N, in the one form (module docstring)."""
+    return _fill(_new(CycloScalar), N, num, den)
+
+
 class CycloScalar:
-    """An element of Q(zeta_N), stored canonically mod Phi_N.
+    """An element of Q(zeta_N), stored at its least conductor N.
 
     num holds phi(N) integer numerators over the common denominator
-    den > 0, with gcd(den, *num) == 1 (zero is (0, ...), 1).
+    den > 0, with gcd(den, *num) == 1 (zero is (0,), 1 at N = 1).
     """
 
     __slots__ = ("N", "num", "den")
@@ -186,10 +242,7 @@ class CycloScalar:
         num = [c.numerator * (den // c.denominator) for c in coeffs]
         if len(num) != _phi(N):
             num = _reduce(N, num)
-        g = gcd(den, *num)
-        _set_N(self, N)
-        _set_num(self, tuple(x // g for x in num))
-        _set_den(self, den // g)
+        _fill(self, N, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloScalar is immutable")
@@ -204,20 +257,22 @@ class CycloScalar:
 
     @staticmethod
     def from_rational(q, N: int = 1) -> "CycloScalar":
+        """q, at conductor 1 in every Q(zeta_N): N names the field and does
+        not change the stored form."""
         if type(q) is int:
             num, den = q, 1
         else:
             q = Fraction(q)
             num, den = q.numerator, q.denominator
-        return _make(N, (num,) + (0,) * (_phi(N) - 1), den)
+        return _make(1, (num,), den)
 
     @staticmethod
-    def zero(N: int = 1) -> "CycloScalar":
-        return CycloScalar.from_rational(0, N)
+    def zero() -> "CycloScalar":
+        return CycloScalar.from_rational(0)
 
     @staticmethod
-    def one(N: int = 1) -> "CycloScalar":
-        return CycloScalar.from_rational(1, N)
+    def one() -> "CycloScalar":
+        return CycloScalar.from_rational(1)
 
     @staticmethod
     def root_of_unity(N: int, e: int = 1) -> "CycloScalar":
@@ -229,47 +284,36 @@ class CycloScalar:
 
     # -- conductor handling ------------------------------------------------
 
-    def lift(self, M: int) -> "CycloScalar":
-        """Rewrite in Q(zeta_M) for N | M (zeta_N = zeta_M^(M/N))."""
-        if M == self.N:
-            return self
+    def lift(self, M: int) -> list[int]:
+        """The numerators over den of self rewritten at M, N | M
+        (zeta_N = zeta_M^(M/N))."""
         if M % self.N != 0:
             raise DomainError(f"cannot lift conductor {self.N} into {M}")
-        return _make(M, _lifted(self.N, self.num, M), self.den)
+        return _lifted(self.N, self.num, M)
 
-    def _pair(self, other: "CycloScalar") -> tuple["CycloScalar", "CycloScalar"]:
-        if self.N == other.N:
-            return self, other
-        M = lcm(self.N, other.N)
-        return self.lift(M), other.lift(M)
+    def _pair(self, other: "CycloScalar") -> tuple:
+        """(N, self's numerators, other's) at N = lcm of the conductors; a
+        rational is (q, 0, ...) there without a lift."""
+        N = lcm(self.N, other.N)
+        a, b = self.num, other.num
+        if self.N != N:
+            a = a + (0,) * (len(b) - 1) if self.N == 1 else self.lift(N)
+        if other.N != N:
+            b = b + (0,) * (len(a) - 1) if other.N == 1 else other.lift(N)
+        return N, a, b
 
     # -- arithmetic --------------------------------------------------------
-    # A rational operand (nothing beyond the constant term) whose conductor
-    # divides the other's lifts to (q, 0, ...), so it scales or shifts the
-    # other operand directly; the result keeps conductor lcm(N_a, N_b).
 
     def __add__(self, other):
         if type(other) is not CycloScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b = self, other
-        if b.N % a.N == 0 and not any(a.num[1:]):
-            a, b = b, a
-        elif not (a.N % b.N == 0 and not any(b.num[1:])):
-            if a.N != b.N:
-                a, b = self._pair(other)
-            da, db = a.den, b.den
-            if da == db:
-                return _make(a.N, [x + y for x, y in zip(a.num, b.num)], da)
-            return _make(a.N, [x * db + y * da for x, y in zip(a.num, b.num)],
-                         da * db)
-        # b is a rational q = b.num[0] / b.den: add it to a's constant term
-        da, db = a.den, b.den
-        if db == 1:
-            return _make(a.N, (a.num[0] + b.num[0] * da,) + a.num[1:], da)
-        return _make(a.N, [a.num[0] * db + b.num[0] * da]
-                     + [x * db for x in a.num[1:]], da * db)
+        N, x, y = self._pair(other)
+        da, db = self.den, other.den
+        if da == db:
+            return _make(N, [s + t for s, t in zip(x, y)], da)
+        return _make(N, [s * db + t * da for s, t in zip(x, y)], da * db)
 
     __radd__ = __add__
 
@@ -277,16 +321,10 @@ class CycloScalar:
         return _make(self.N, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         """self * other through _product's memo (module docstring)."""
@@ -305,28 +343,30 @@ class CycloScalar:
         product of its phi(N) - 1 conjugates sigma_k(num), k != 1, is the
         norm of num, a nonzero integer; so the inverse is den times that
         product over the norm (the adjugate column of multiplication by num
-        over its determinant).  For N > 2 the field is CM, its conjugates
-        pair off into |sigma(num)|^2 and the norm is positive.
+        over its determinant).  An irrational value has N > 2, where the
+        field is CM: its conjugates pair off into |sigma(num)|^2 and the
+        norm is positive.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
         N, num, den = self.N, self.num, self.den
-        if not any(num[1:]):
+        if N == 1:
             q = num[0]
             if q < 0:
                 q, den = -q, -den
-            return _make(N, (den,) + num[1:], q)
-        adj = CycloScalar.one(N)
+            return _make(1, (den,), q)
+        adj = None
         for k in range(2, N):
             if gcd(k, N) == 1:
                 raw = [0] * N
                 for j, c in enumerate(num):
                     raw[j * k % N] += c
-                adj = _fresh_product(N, adj.num, adj.den, N, _reduce(N, raw), 1)
-        norm = _fresh_product(N, num, 1, N, adj.num, adj.den)
-        if any(norm.num[1:]):
+                conj = _reduce(N, raw)
+                adj = conj if adj is None else _times(N, adj, conj)
+        norm = _times(N, num, adj)
+        if any(norm[1:]):
             raise ArithmeticError("norm of a nonzero value is not rational")
-        return _make(N, [den * x for x in adj.num], norm.num[0])
+        return _make(N, [den * x for x in adj], norm[0])
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -343,7 +383,7 @@ class CycloScalar:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        result = CycloScalar.one(self.N)
+        result = CycloScalar.one()
         base = self
         while e:
             if e & 1:
@@ -365,17 +405,15 @@ class CycloScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b = self, other
-        if a.N != b.N:
-            a_flat, b_flat = not any(a.num[1:]), not any(b.num[1:])
-            if a_flat or b_flat:
-                # a rational has only a constant term at every conductor
-                return (a_flat and b_flat and a.den == b.den
-                        and a.num[0] == b.num[0])
-            a, b = self._pair(other)
-        return a.den == b.den and a.num == b.num
+        return (self.N == other.N and self.den == other.den
+                and self.num == other.num)
 
-    __hash__ = None  # semantic equality crosses conductors; do not hash
+    def __hash__(self):
+        # a rational hashes as the int or Fraction it equals
+        if self.N == 1:
+            q = self.num[0]
+            return hash(q if self.den == 1 else Fraction(q, self.den))
+        return hash((self.N, self.num, self.den))
 
     # -- serialization -----------------------------------------------------
 
@@ -407,7 +445,7 @@ class CycloScalar:
         if N > MAX_CONDUCTOR:
             raise CapacityError(f"conductor {N} in {text!r} exceeds the supported "
                                 f"maximum {MAX_CONDUCTOR}")
-        coeffs = [_F0] * _phi(N)
+        coeffs = [Fraction(0)] * _phi(N)
         body = body.strip()
         if body != "0":
             for term in body.split(" + "):
@@ -442,30 +480,28 @@ def _lifted(N: int, num, M: int) -> list[int]:
     return _reduce(M, raw)
 
 
+def _times(N: int, x, y) -> list[int]:
+    """The numerators x * y at N, reduced mod Phi_N but not descended."""
+    raw = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y, i):
+                if b:
+                    raw[j] += a * b
+    return _reduce(N, raw)
+
+
 @lru_cache(maxsize=1 << 16)
 def _product(aN, anum, aden, bN, bnum, bden) -> CycloScalar:
     """The product of anum/aden at aN and bnum/bden at bN (module docstring)."""
-    if bN % aN == 0 and not any(anum[1:]):
-        # a is a rational q = anum[0] / aden: scale b's numerators by it
-        q = anum[0]
-        return _make(bN, [q * y for y in bnum], aden * bden)
-    if aN % bN == 0 and not any(bnum[1:]):
-        q = bnum[0]
-        return _make(aN, [q * x for x in anum], aden * bden)
+    if aN == 1:
+        return _make(bN, [anum[0] * y for y in bnum], aden * bden)
+    if bN == 1:
+        return _make(aN, [bnum[0] * x for x in anum], aden * bden)
     if aN != bN:
         M = lcm(aN, bN)
         aN, anum, bnum = M, _lifted(aN, anum, M), _lifted(bN, bnum, M)
-    raw = [0] * (2 * len(anum) - 1)
-    for i, x in enumerate(anum):
-        if x:
-            for j, y in enumerate(bnum, i):
-                if y:
-                    raw[j] += x * y
-    return _make(aN, _reduce(aN, raw), aden * bden)
-
-
-# the arithmetic without the memo, for inv (module docstring)
-_fresh_product = _product.__wrapped__
+    return _make(aN, _times(aN, anum, bnum), aden * bden)
 
 
 def _literal(kind, part, text):

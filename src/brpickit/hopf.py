@@ -418,20 +418,17 @@ def build_K(data) -> ComodAlg:
     over w_S1 w_S2 = sum c w_T e_g (nf on words of w's, so g is 0 or
     (u, u)), with chi(f1, S2) the product of the roots e_f1 picks up passing
     each row of S2 and e_g e_f1 e_f2 = psi'(g, f1, f2) e_h, h = g + f1 + f2.
-    Each coefficient keeps the conductors of its factors, as rewriting the
-    whole word gives it.  K holds its product as those three tables
-    (K.factors, a KFactors), and computes entry (i, j) by this formula on
-    its first read, as c (chi(f1, S2) psi').
+    K holds its product as those three tables (K.factors, a KFactors), and
+    computes entry (i, j) by this formula on its first read, as
+    c (chi(f1, S2) psi').
     The coaction is multiplicative.  lam(w_S) = lam(w_S') lam(w_s), with
     s = max S and S' = S minus s, is built by prefix and reads the entries
     it needs.  lam(w_S e_f) = lam(w_S) (f x e_f) is a translation: f is
     group-like, and w_T' e_f1 . e_f = psi(f1, f) w_T' e_(f1 + f) (chi is 1
     past no w and e_0 e_f1 e_f has no further twist), so each term
-    c v_T g x w_T' e_f1 goes to c psi(f1, f) v_T (g + f) x w_T' e_(f1 + f).
-    That is _tensor_mul's value in stored form too, since _tensor_mul
-    multiplies c only by factors 1 at conductor 1 and by psi(f1, f); the
-    host index is the one key of mono_mul(v_T g, f), the F index is read
-    from data.law.
+    c v_T g x w_T' e_f1 goes to c psi(f1, f) v_T (g + f) x w_T' e_(f1 + f):
+    the host index is the one key of mono_mul(v_T g, f), the F index is
+    read from data.law.
     """
     bad = compatible_violations(data)
     if bad:
@@ -774,14 +771,12 @@ def check_comodule_algebra(A, rng=None):
     the coinvariant subalgebra.  Multiplicativity runs over all basis pairs
     when dim A <= 24 and over max(200, 4 dim A) random pairs above, each
     failing occurrence noted in pair order; host.multiplicative_failures
-    decides each distinct pair once.  It runs on value ids, interned by
-    stored form with x and + memoized per pair of ids, and reads lam(i)
+    decides each distinct pair once.  It runs on value ids, one per
+    distinct scalar with x and + memoized per pair of ids, and reads lam(i)
     once, as a flat list of terms.  For each pair of terms it reads A's
     entry first, by KFactors.entry over ids (else A.mul_basis), and takes
     the host product from the host's factor tables only when that entry is
-    nonzero.  Equal values can be stored at different conductors, so sides
-    whose ids differ are compared as values, and the verdict is the one
-    CycloScalar == gives on the two sides."""
+    nonzero."""
     rng = rng if rng is not None else random.Random(0)
     host = A.host
     failures, note = _recorder()

@@ -31,8 +31,8 @@ from .cyclo import CycloScalar
 from .errors import CapacityError, DomainError, InputValidationError
 from .linalg import addin
 
-_ZERO = CycloScalar.zero(1)
-_ONE = CycloScalar.one(1)
+_ZERO = CycloScalar.zero()
+_ONE = CycloScalar.one()
 
 
 # -- sparse element helpers -------------------------------------------------
@@ -166,9 +166,9 @@ class HopfAlg:
       None, and _gsum adds the ranks digit by digit);
     - chi[rank(S) |G| + rank(g)] = e, the dim character exponents;
     - roots[p][e] = (-1)^p zeta_N^e, made on first use.
-    An entry with S2 empty is 1 at conductor 1; every other is +-zeta_N^e
-    at conductor N.  multiplicative_failures multiplies coactions over the
-    host from the same tables, one host root per (term, subset) pair.
+    An entry with S2 empty is 1; every other is +-zeta_N^e.
+    multiplicative_failures multiplies coactions over the host from the
+    same tables, one host root per (term, subset) pair.
     """
 
     __slots__ = ("group", "chars", "colikes", "blocks", "modules", "kind",
@@ -348,30 +348,26 @@ def multiplicative_failures(A, pairs):
     comodule algebra A over its host H; each distinct pair is decided once.
 
     Both sides run on small-int value ids.  One table per call interns each
-    scalar by its stored form (N, num, den); x and + are memoized on pairs
-    of ids, each result the CycloScalar one, computed once per distinct
-    pair.  lam(i) is read into ids once, as one flat list of terms (host
-    subset s, its mask, group rank r, k, id) for h = s nG + r.  For each
-    pair of terms, A's entry (k1, k2) is read first: from
-    A.factors.ids(vid).entry with the id multiply when A has factors, else
-    from A.mul_basis, on its first read in the call.  Only when that entry
-    is nonzero is the host product taken from H._tables (see HopfAlg), with
-    its root.  The left side is summed as its terms come and drops zero
+    scalar (a value has one stored form, so equal values share an id); x
+    and + are memoized on pairs of ids, each result the CycloScalar one,
+    computed once per distinct pair.  lam(i) is read into ids once, as one
+    flat list of terms (host subset s, its mask, group rank r, k, id) for
+    h = s nG + r.  For each pair of terms, A's entry (k1, k2) is read
+    first: from A.factors.ids(vid).entry with the id multiply when A has
+    factors, else from A.mul_basis, on its first read in the call.  Only
+    when that entry is nonzero is the host product taken from H._tables
+    (see HopfAlg), with its root.  The left side is summed as its terms come and drops zero
     sums at the end; the right side, sum c_k lam(k) over A's entry (i, j),
-    drops them at each step, as addin does.  Equal id dicts are equal
-    values.  Sides whose id dicts differ are compared as values, by
-    CycloScalar ==, since equal values can be stored at different
-    conductors (a lam held at a larger one, or a sum that fell to zero on
-    one side only)."""
+    drops them at each step, as addin does.  The two sides are equal
+    exactly when their id dicts are."""
     nG, masks, srank, flip, gtab, chi, roots = A.host._tables
     ids, vals, zero, prods, sums, rids, lam, kprods = ({}, [], [], {}, {},
                                                        {}, {}, {})
 
     def vid(c):
-        key = (c.N, c.num, c.den)
-        got = ids.get(key)
+        got = ids.get(c)
         if got is None:
-            got = ids[key] = len(vals)
+            got = ids[c] = len(vals)
             vals.append(c)
             zero.append(c.is_zero())
         return got
@@ -457,8 +453,7 @@ def multiplicative_failures(A, pairs):
                     rhs.pop(key, None)
                 else:
                     rhs[key] = v
-        if lhs != rhs and ({key: vals[v] for key, v in lhs.items()}
-                           != {key: vals[v] for key, v in rhs.items()}):
+        if lhs != rhs:
             bad.add((i, j))
     return bad
 

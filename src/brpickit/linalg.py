@@ -3,14 +3,13 @@
 Matrices are plain lists of rows of CycloScalar.  Subspaces are stored as
 row-reduced echelon bases (zero rows dropped, pivots normalized to 1 and
 cleared above), so two equal subspaces have literally equal bases and
-equality is entrywise comparison.
+equality is a tuple comparison.
 
-Two elimination engines.  The dense rref is the one behind Subspace, kernel
-and the matrix inverse: the conductor that to_string prints for a scalar
-comes from its arithmetic history, so printed entries must keep going
-through this elimination (a sparse rref turned printed 0@4 entries into 0@1).
-Echelon is the incremental sparse engine, used by kernel_sparse_rows and the
-comodule-algebra code, whose scalars are never printed.
+One elimination engine.  Echelon is an incremental, exact reduced echelon
+form over sparse {key: scalar} rows.  rref, rank, kernel, Subspace, the
+matrix inverse, kernel_sparse_rows and the comodule-algebra code all run
+on it.  A scalar has one stored form (cyclo), so the order of elimination
+cannot show in a printed entry.
 
 Also houses the diagonal G-action on V+V (V presented in a
 character-diagonal basis), composition of linear relations inside V+V, and
@@ -64,35 +63,20 @@ def mat(rows):
 # -- matrix operations -----------------------------------------------------
 
 def rref(M):
-    """Reduced row echelon form.  Returns (rows_without_zero_rows, pivot_cols)."""
-    rows = [list(r) for r in mat(M)]
+    """Reduced row echelon form, by Echelon.  Returns
+    (rows_without_zero_rows, pivot_cols), rows in pivot order."""
+    rows = mat(M)
     if not rows:
         return [], []
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise DomainError("ragged matrix")
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv_p = rows[r][c].inv()
-        rows[r] = [x * inv_p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    ech = Echelon()
+    for r in rows:
+        ech.insert(dict(enumerate(r)))
+    pivots = sorted(ech.pivots)
+    return [[ech.pivots[p][1].get(c, _ZERO) for c in range(ncols)]
+            for p in pivots], pivots
 
 
 def rank(M) -> int:
@@ -137,17 +121,10 @@ def kernel(M) -> "Subspace":
     M = mat(M)
     if not M:
         raise DomainError("kernel of an empty matrix has no ambient dimension")
-    ncols = len(M[0])
-    R, pivots = rref(M)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -R[i][f]
-        basis.append(v)
-    return Subspace(ncols, basis)
+    n = len(M[0])
+    if any(len(r) != n for r in M):
+        raise DomainError("ragged matrix")
+    return Subspace(n, kernel_sparse_rows([dict(enumerate(r)) for r in M], n))
 
 
 def addin(acc, key, c):
@@ -251,7 +228,7 @@ class Subspace:
         rows = mat(rows)
         if any(len(r) != ambient_dim for r in rows):
             raise DomainError("basis row length does not match ambient dimension")
-        R, pivots = rref(rows) if rows else ([], [])
+        R, pivots = rref(rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(tuple(r) for r in R))
         object.__setattr__(self, "pivots", tuple(pivots))
@@ -264,10 +241,7 @@ class Subspace:
         return len(self.basis)
 
     def equals(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
-            return False
-        return all(x == y for r, s in zip(self.basis, other.basis)
-                   for x, y in zip(r, s))
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
 
     __eq__ = equals
 
@@ -374,8 +348,7 @@ class BilinearForm:
 
     def __eq__(self, other):
         return (isinstance(other, BilinearForm) and self.space == other.space
-                and all(x == y for r, s in zip(self.gram, other.gram)
-                        for x, y in zip(r, s)))
+                and self.gram == other.gram)
 
     __hash__ = None
 
@@ -462,14 +435,15 @@ def form_terms(positions, pivots) -> list:
     return [(pivots[i], 1, pivots[j], -1, 0) for i, j in positions]
 
 
-def form_invariant_under(mod: GModuleV, beta: BilinearForm, pairs) -> bool:
-    """Whether every pair of G x G listed by coordinates in pairs (a
-    sequence) keeps the form on a subspace of V+V; DomainError when the
-    subspace itself is not kept (a different failure kind)."""
+def form_invariant_under(mod: GModuleV, beta: BilinearForm, pairs) -> tuple:
+    """(stable, invariant): whether every pair of G x G listed by
+    coordinates in pairs (a sequence) keeps beta's space, a subspace of
+    V+V, and whether it keeps the form too (False when the space moves)."""
     S = beta.space
     if not pairs_satisfy(mod, row_terms(S), pairs):
-        raise DomainError("subspace is not invariant under the given action")
-    return pairs_satisfy(mod, form_terms(support(beta.gram), S.pivots), pairs)
+        return False, False
+    return True, pairs_satisfy(mod, form_terms(support(beta.gram), S.pivots),
+                               pairs)
 
 
 # -- relation composition and the transported form -------------------------

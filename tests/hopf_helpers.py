@@ -8,8 +8,8 @@ from brpickit import linalg as la
 from brpickit import orth
 from brpickit.cyclo import CycloScalar
 
-ONE = CycloScalar.one(1)
-ZERO = CycloScalar.zero(1)
+ONE = CycloScalar.one()
+ZERO = CycloScalar.zero()
 
 
 def pair_coords(g):

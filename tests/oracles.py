@@ -7,7 +7,7 @@ serve as oracles for it.
 
 import itertools
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 
@@ -473,6 +473,49 @@ def cyclo_inv(value):
     return cyclo_reduce(N, [x / r0[0] for x in s0])
 
 
+def least_conductor(N, coeffs):
+    """The least M | N with the value sum_k coeffs[k] zeta_N^k in Q(zeta_M).
+
+    By Galois theory Q(zeta_M) is the field fixed by H_M, the sigma_k:
+    zeta_N -> zeta_N^k with k prime to N and k = 1 mod M.  So M is the
+    first divisor of N whose H_M fixes the value, and a subgroup fixes it
+    when its generators do.  Scaling by a common denominator keeps the
+    test on ints."""
+    poly = cyclotomic_poly(N)
+    d = len(poly) - 1
+    coeffs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    v = [int(c * den) for c in coeffs] + [0] * (d - len(coeffs))
+    powers, row = [], [1] + [0] * (d - 1)  # x^e mod Phi_N, e < N
+    for _ in range(N):
+        powers.append(row)
+        top = row[-1]
+        row = [a - top * b for a, b in zip([0] + row[:-1], poly)]
+
+    def fixed(k):
+        image = [0] * d
+        for j, c in enumerate(v):
+            if c:
+                for i, t in enumerate(powers[j * k % N]):
+                    image[i] += c * t
+        return image == v
+
+    units = [k for k in range(1, N + 1) if gcd(k, N) == 1]
+    for M in (m for m in range(1, N + 1) if N % m == 0):
+        group, gens = {1 % N}, []
+        for k in units:
+            if k % M == 1 % M and k % N not in group:
+                gens.append(k)
+                todo = list(group)
+                while todo:
+                    x = todo.pop() * k % N
+                    if x not in group:
+                        group.add(x)
+                        todo.append(x)
+        if all(fixed(k) for k in gens):
+            return M
+
+
 def _trim(p):
     while len(p) > 1 and p[-1] == 0:
         p = p[:-1]
@@ -512,6 +555,39 @@ def _divmod(num, den):
 # ambient_dim, dim and basis, and its type builds a reduced subspace from
 # rows; kernel(M) is the null space of M as such a subspace, and zero and
 # one the caller's scalars, which need is_zero, inv, + and *.
+
+def dense_rref(M):
+    """(rows without zero rows, pivot columns) of M by dense Gauss-Jordan,
+    the package's own elimination before every rref ran on its sparse
+    engine: per column, the first row at or below the pivot row with a
+    nonzero entry is swapped up and scaled by its inverse, and every other
+    row with a nonzero entry there is cleared.  ValueError on a ragged M."""
+    rows = [list(r) for r in M]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows))
+                          if not rows[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv_p = rows[r][c].inv()
+        rows[r] = [x * inv_p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
 
 def solve(A, b, zero):
     """One exact solution x of A x = b, free unknowns 0; ValueError when
@@ -766,7 +842,7 @@ def host_mono_mul(H, i, j, scalar):
                 sign = -sign
     factors = H.group.factors
     N = lcm(*factors) if factors else 1
-    c = scalar.one(1) if sign > 0 else -scalar.one(1)
+    c = scalar.one() if sign > 0 else -scalar.one()
     for b in S2:
         e = sum(x * y * (N // f)
                 for x, y, f in zip(H.chars[b].exps, g1.coords, factors))
@@ -785,9 +861,9 @@ def rewrite_K_tables(data, host, scalar):
     coaction of w_S e_f is the product of its generators' coactions, left to
     right.  data (a compatible datum) and host (its doubled host) are read
     only through their attributes and methods; scalar is the scalar class,
-    used for one(N), root_of_unity(N, e) and from_rational(q).
+    used for one(), root_of_unity(N, e) and from_rational(q).
     """
-    one = scalar.one(1)
+    one = scalar.one()
     half = scalar.from_rational(Fraction(1, 2))
 
     def addin(acc, key, c):

@@ -118,7 +118,7 @@ def _translate(d, x, y):
         la.pair_exponents(mod, hh.pair_coords(y)), N)
     T = oracles.dense_translate(d.T, ex, [-e for e in ey],
                                 lambda k: CycloScalar.root_of_unity(N, k),
-                                CycloScalar.zero(1))
+                                CycloScalar.zero())
     return bp.ODatum(mod, T, d.alpha)
 
 

@@ -257,8 +257,10 @@ def test_seed_from_spec_file(tmp_path, capsys):
 
 # sha256 of the `--json` stdout of fixed commands, recorded before the
 # scalar kernel moved to integer numerators.  Z4 and Z2xZ4 compute over
-# Q(i); the brpic payload carries conductor-4 entries (and "0@4"/"1@4"
-# entries whose conductor comes from mixed-conductor arithmetic).
+# Q(i).  The six brpic entries on the two Z4 pairs and the two orth entries
+# were re-recorded when scalars began to print at their least conductor;
+# each new output is the old one with every scalar string read back and
+# printed again ("0@4" and "1@4" became "0@1" and "1@1").
 Z4 = {"group": [4], "u": [2], "V": [[1], [3]]}
 Z2Z4 = {"group": [2, 4], "u": [0, 2], "V": [[0, 1]]}
 Z2Z2 = {"group": [2, 2], "u": [1, 1], "V": [[1, 0], [0, 1]]}
@@ -269,7 +271,9 @@ _Z4_DATUM = {"T": [["-1 + -1*z@4", "0@1", "0@1", "0@1"],
              "alpha": {"matrix": [[0, 1], [1, 0]]}}
 Z4_PAIR = Z4 | {"datum": _Z4_DATUM, "datum2": _Z4_DATUM}
 # Relation data: `brpic convert` of a Z4 matrix datum with a nonzero C
-# block (first) and of _Z4_DATUM (second); W and beta mix "@1" and "@4".
+# block (first) and of _Z4_DATUM (second), as printed before scalars were
+# stored at their least conductor; W and beta mix "@1" and "@4", and the
+# "0@4" and "1@4" entries are read at conductor 1.
 _Z4_RDATUM = {"W": {"ambient": 4,
                     "basis": [["1@1", "0@1", "1/2@1", "0@1"],
                               ["0@4", "1@4", "0@4", "-1*z@4"]]},
@@ -320,17 +324,17 @@ GOLDEN = [
     (Z2Z4, ["verify", "cotensor", "--seed", "2", "--count", "3"],
      "a346ed0750ce29de6e57cd75685b4b706e946c646101ab57e56de6a351d7f798"),
     (Z4_PAIR, ["brpic", "mul"],
-     "6e15806fd52139c6bf0b3de03df760ef0117d7b86ebe98346b67bd0722070e08"),
+     "942e5c9e4c5eee869f0926b15df79d94129a2745afb742cec7de5a455f7d14e6"),
     (Z4_PAIR, ["brpic", "inv"],
-     "f63d9cfe85968caa82bf756ab2d6db117fca6b7b0c54fd4678fae6a3592906ad"),
+     "10fe1e9e598be5bfdf60721e8066a44760a8c83668757530a84ac7367f1f958c"),
     (Z4_PAIR, ["brpic", "convert"],
-     "76e0bc97e9c1166d4f3369ea61bc7f7baf1289475c63ac9b26b699dbcd15d397"),
+     "e676cdfa273fd8b6a426ad5610d85411b3730aed38e7e71aef140a5a95940c06"),
     (Z4_RPAIR, ["brpic", "mul"],
-     "bff601774d453396f84f236e38265e3d6a8889d8ca3d52b6817b46dc07ce7b0c"),
+     "98eb305520565e714e55fb7aba041d6130e1ca84102acfa21802813553405912"),
     (Z4_RPAIR, ["brpic", "inv"],
-     "88f18c86b1389d37e411269db85d33baa22d8c01ae9ff8bffb872cd62616b0ca"),
+     "c79ac82aa1d12a4e6d4d110223c295541f04fd13b7d7d53d2b0d314ccc28d909"),
     (Z4_RPAIR, ["brpic", "convert"],
-     "bf9bcbc58c6041470efa853117d5ce3f666560731d8c5c8fda38f5d7ce738910"),
+     "646f5dc2504eaf4d33c8400d48804ffd1ba1feb9616122fd246f1b066d0dc76e"),
     # recorded before elements of L x K were keyed by pairs (a, b)
     (Z2Z2, ["verify", "cotensor", "--seed", "5", "--count", "4"],
      "5e1470df18ee1daef51d943844d480c6bc27acd350d7e7c492a07af4a9344e28"),
@@ -351,11 +355,12 @@ GOLDEN = [
     (Z2Z2_PAIR, ["brpic", "inv"],
      "1f61d7648e8102220a327c8b1944f4439960b7de2a44f6c90900c8d76b5c5cb0"),
     # re-recorded when orth began to state psi_alpha on pairs of U_alpha's
-    # generators (1,520 entries on Z2 x Z4, 189,440 in the full tables)
+    # generators (1,520 entries on Z2 x Z4, 189,440 in the full tables),
+    # and again when scalars began to print at their least conductor
     (Z2Z4, ["orth"],
-     "2455b541df35083f4da65004ad32d66ebeab27a64d19d50b8487e141dc8a0616"),
+     "b725f8f2bdfe88e1c8859fea1039610975d98e78c09294039d5f36a058fdd3be"),
     (Z2Z2, ["orth"],
-     "f175a5d6daf816cbeb14ea62e37d683c5e25bb17d29f89ddaf79a55b8fba3b60"),
+     "a4d6ccd3a71e0765a6044125cfe3fc157b0467b8321e7d9e49915f3f1b1de935"),
     # recorded before each alpha kept a table of where it sends every
     # element; describe on Z2 x Z2 lists 48 components
     (Z2Z2, ["brpic", "describe"],

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from brpickit import cyclo
@@ -80,8 +80,8 @@ def test_ring_axioms(triple):
     assert a + b == b + a
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
-    one = CycloScalar.one(a.N)
-    zero = CycloScalar.zero(a.N)
+    one = CycloScalar.one()
+    zero = CycloScalar.zero()
     assert a * one == a
     assert a + zero == a
     assert a + (-a) == zero
@@ -94,13 +94,13 @@ def test_inverse(a):
         with pytest.raises(ZeroDivisionError):
             a.inv()
     else:
-        assert a * a.inv() == CycloScalar.one(a.N)
+        assert a * a.inv() == CycloScalar.one()
 
 
 def test_root_of_unity_has_exact_order():
     for N in CONDUCTORS:
         z = CycloScalar.root_of_unity(N)
-        one = CycloScalar.one(N)
+        one = CycloScalar.one()
         p = z
         for k in range(1, N):
             assert p != one, f"zeta_{N} had order {k} < {N}"
@@ -131,15 +131,26 @@ def test_cross_conductor_identities():
     assert s == CycloScalar.root_of_unity(12, 5)
 
 
+def _written(a, M):
+    """a written at conductor M through lift and read back."""
+    return CycloScalar(M, [Fraction(x, a.den) for x in a.lift(M)])
+
+
 @given(scalars())
 @settings(max_examples=60)
 def test_lift_preserves_value_and_arithmetic(a):
+    """lift gives a's numerators at a multiple M of its conductor, those of
+    the Fraction reference; read back they are a again, stored form
+    included, and the lifts of a + a and a * a read back as the sum and
+    product of the read-back values."""
     M = a.N * 3
-    b = a.lift(M)
-    assert b.N == M
-    assert a == b
-    assert (a + a).lift(M) == b + b
-    assert (a * a).lift(M) == b * b
+    num = a.lift(M)
+    assert oracles.cyclo_lift(_ref(a), M) == (
+        M, tuple(Fraction(x, a.den) for x in num))
+    b = _written(a, M)
+    assert (b.N, b.num, b.den) == (a.N, a.num, a.den)
+    assert _written(a + a, M) == b + b
+    assert _written(a * a, M) == b * b
 
 
 def test_lift_is_injective_on_distinct_values():
@@ -159,20 +170,29 @@ def test_string_round_trip(a):
 def test_string_format_examples():
     z = CycloScalar.root_of_unity(4)
     assert z.to_string() == "1*z@4"
-    assert CycloScalar.zero(3).to_string() == "0@3"
-    half = CycloScalar.from_rational(Fraction(1, 2), 4)
+    assert CycloScalar.zero().to_string() == "0@1"
+    half = CycloScalar.from_rational(Fraction(1, 2))
     assert (half + z).to_string() == "1/2 + 1*z@4"
     assert CycloScalar.from_string("-1/2 + -2*z^3@8") == CycloScalar(
         8, [Fraction(-1, 2), 0, 0, -2])
+    # each value prints at its least conductor, whatever it was written at
+    assert CycloScalar.from_string("1@4").to_string() == "1@1"
+    assert CycloScalar.from_string("0@3").to_string() == "0@1"
+    assert CycloScalar.from_string("1*z^2@8").to_string() == "1*z@4"
+    assert CycloScalar.root_of_unity(6).to_string() == "1 + 1*z@3"
+    assert (z * z).to_string() == "-1@1"
 
 
 def test_from_string_caps_the_conductor():
     assert CycloScalar.from_string("1@4") == CycloScalar.from_rational(1)
-    assert CycloScalar.from_string("1@4").N == 4
-    assert CycloScalar.from_string("0@1") == CycloScalar.zero(1)
+    assert CycloScalar.from_string("1@4").N == 1
+    assert CycloScalar.from_string("0@1") == CycloScalar.zero()
     assert CycloScalar.from_string("0@1").N == 1
     assert 105 < MAX_CONDUCTOR
     assert CycloScalar.from_string(f"1*z@{MAX_CONDUCTOR}").N == MAX_CONDUCTOR
+    # accepted at the cap and stored lower: zeta_1000^10 = zeta_100
+    assert CycloScalar.from_string(f"1*z^10@{MAX_CONDUCTOR}") == \
+        CycloScalar.root_of_unity(100)
     for text in (f"1@{MAX_CONDUCTOR + 1}", "1@1000003"):
         with pytest.raises(CapacityError, match="exceeds"):
             CycloScalar.from_string(text)
@@ -200,7 +220,7 @@ def test_int_interop():
     z = CycloScalar.root_of_unity(8)
     assert 1 + z == z + 1
     assert 2 * z == z + z
-    assert (1 - z) + (z - 1) == CycloScalar.zero(8)
+    assert (1 - z) + (z - 1) == CycloScalar.zero()
     assert 1 / CycloScalar.from_rational(Fraction(3, 5)) == CycloScalar.from_rational(Fraction(5, 3))
 
 
@@ -228,6 +248,8 @@ def _ref(a):
 
 
 def _assert_lowest_terms(a):
+    """a is in the one form: lowest terms at its least conductor."""
+    assert a.N == oracles.least_conductor(a.N, a.coeffs)
     assert len(a.num) == euler_phi(a.N)
     assert all(type(x) is int for x in a.num)
     assert type(a.den) is int and a.den > 0
@@ -237,9 +259,11 @@ def _assert_lowest_terms(a):
 
 
 def _assert_matches(got, ref):
+    """got is the reference value (N, coeffs) in the one form: at the
+    value's least conductor, and lifting back to coeffs at N."""
     N, coeffs = ref
-    assert got.N == N
-    assert got.coeffs == coeffs
+    assert got.N == oracles.least_conductor(N, coeffs)
+    assert oracles.cyclo_lift(_ref(got), N) == ref
     assert got == CycloScalar(N, coeffs)
     _assert_lowest_terms(got)
 
@@ -252,9 +276,10 @@ def test_kernel_matches_fraction_reference(a, b):
     _assert_matches(a + b, oracles.cyclo_add(_ref(a), _ref(b)))
     _assert_matches(b + a, oracles.cyclo_add(_ref(b), _ref(a)))
     M = a.N * b.N
-    _assert_matches(a.lift(M), oracles.cyclo_lift(_ref(a), M))
+    _assert_matches(_written(a, M), oracles.cyclo_lift(_ref(a), M))
     same = oracles.cyclo_lift(_ref(a), M) == oracles.cyclo_lift(_ref(b), M)
     assert (a == b) == same and (b == a) == same
+    assert not same or hash(a) == hash(b)
 
 
 @given(mixed_scalars())
@@ -263,7 +288,7 @@ def test_lowest_terms_after_each_op(a):
     _assert_lowest_terms(a)
     b = CycloScalar(a.N, [Fraction(1, 2)] * euler_phi(a.N))
     for r in (a + a, a - a, -a, a * b, b * a, a + b, b + a, a * a,
-              a + Fraction(1, 2), Fraction(2, 3) * a, a.lift(3 * a.N),
+              a + Fraction(1, 2), Fraction(2, 3) * a, _written(a, 3 * a.N),
               a * 0, 2 * a - a):
         _assert_lowest_terms(r)
     if not a.is_zero():
@@ -286,17 +311,29 @@ def _count_lifts(monkeypatch):
     return calls
 
 
-def test_flat_n2_times_n3_lands_at_n6_by_lift(monkeypatch):
+def test_n4_times_n3_lands_at_n12_by_lift(monkeypatch):
+    """A value written at N = 2 is rational, stored at N = 1, and scales
+    or shifts a value at N = 3 without a lift; a value at N = 4 and one at
+    N = 3 are both lifted to 12."""
     flat = CycloScalar(2, [Fraction(-3, 2)])
     z3 = CycloScalar(3, [1, 2])
+    z4 = CycloScalar(4, [1, 1])
+    assert flat.N == 1
     lifts = _count_lifts(monkeypatch)
     for p in (flat * z3, z3 * flat):
-        assert p.N == 6
+        assert p.N == 3
         _assert_matches(p, oracles.cyclo_mul(_ref(flat), _ref(z3)))
-    assert (2, 6) in lifts and (3, 6) in lifts
     s = flat + z3
-    assert s.N == 6
+    assert s.N == 3
     _assert_matches(s, oracles.cyclo_add(_ref(flat), _ref(z3)))
+    assert lifts == []
+    for p in (z4 * z3, z3 * z4):
+        assert p.N == 12
+        _assert_matches(p, oracles.cyclo_mul(_ref(z4), _ref(z3)))
+    assert (4, 12) in lifts and (3, 12) in lifts
+    s = z4 + z3
+    assert s.N == 12
+    _assert_matches(s, oracles.cyclo_add(_ref(z4), _ref(z3)))
 
 
 def test_flat_n4_times_n8_scales_without_lift(monkeypatch):
@@ -323,14 +360,15 @@ def test_minus_one_across_conductors():
 
 
 def test_inv_of_negative_rational():
-    q = CycloScalar.from_rational(Fraction(-3, 5), 4)
+    """A rational, written at any conductor, is stored and inverted at
+    N = 1, the sign carried by the numerator."""
+    q = CycloScalar(4, [Fraction(-3, 5)])
     r = q.inv()
-    assert r.N == 4 and r.coeffs == (Fraction(-5, 3), 0)
-    assert (r.num, r.den) == ((-5, 0), 3)
+    assert r.N == 1 and r.coeffs == (Fraction(-5, 3),)
+    assert (r.num, r.den) == ((-5,), 3)
     assert q * r == 1
     assert CycloScalar.from_rational(-7).inv().coeffs == (Fraction(-1, 7),)
-    assert CycloScalar.from_rational(Fraction(2, 9), 8).inv().coeffs == (
-        Fraction(9, 2), 0, 0, 0)
+    assert CycloScalar(8, [Fraction(2, 9)]).inv().coeffs == (Fraction(9, 2),)
 
 
 # -- the inverse by the norm against the extended-gcd reference ------------
@@ -375,12 +413,12 @@ MEMO_CONDUCTORS = [1, 2, 3, 4, 8, 12]
 
 @st.composite
 def memo_operands(draw):
-    """A value at a conductor in MEMO_CONDUCTORS; half are rationals, small
-    enough that equal numerators recur at different conductors."""
+    """A value written at a conductor in MEMO_CONDUCTORS; half are
+    rationals, small enough that equal numerators recur."""
     N = draw(st.sampled_from(MEMO_CONDUCTORS))
     if draw(st.booleans()):
-        return CycloScalar.from_rational(
-            Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2))), N)
+        return CycloScalar(
+            N, [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))])
     return _rand_scalar(draw, N)
 
 
@@ -404,16 +442,18 @@ def test_memo_mul_is_exact_at_every_conductor(pool, picks):
 
 
 def test_memo_mul_keys_on_the_conductor():
-    """Equal (num, den) at different conductors: phi(1) = phi(2) and
-    phi(3) = phi(4), so only N tells these operands apart."""
-    two = {N: CycloScalar.from_rational(2, N) for N in (1, 2, 4)}
-    three1 = CycloScalar.from_rational(3, 1)
-    z3, z4 = CycloScalar.root_of_unity(3), CycloScalar.root_of_unity(4)
-    assert z3.num == z4.num
-    cases = [(two[1], three1, (1, (6,), 1)), (two[4], three1, (4, (6, 0), 1)),
-             (two[2], three1, (2, (6,), 1)), (two[1], three1, (1, (6,), 1)),
-             (three1, two[1], (1, (6,), 1)), (three1, two[2], (2, (6,), 1)),
-             (z3, z3, (3, (-1, -1), 1)), (z4, z4, (4, (-1, 0), 1))]
+    """Equal (num, den) at different conductors: phi(3) = phi(4) and
+    phi(5) = phi(8), so only N tells these operands apart.  A rational is
+    stored at N = 1 whatever N it is written at, and zeta_8^2 descends."""
+    two = {N: CycloScalar(N, [2]) for N in (1, 2, 4)}
+    assert {_key(t) for t in two.values()} == {(1, (2,), 1)}
+    three = CycloScalar.from_rational(3)
+    z3, z4, z5, z8 = (CycloScalar.root_of_unity(N) for N in (3, 4, 5, 8))
+    assert z3.num == z4.num and z5.num == z8.num
+    cases = [(two[4], three, (1, (6,), 1)), (three, two[2], (1, (6,), 1)),
+             (z3, three, (3, (0, 3), 1)), (z4, three, (4, (0, 3), 1)),
+             (z3, z3, (3, (-1, -1), 1)), (z4, z4, (1, (-1,), 1)),
+             (z5, z5, (5, (0, 0, 1, 0), 1)), (z8, z8, (4, (0, 1), 1))]
     plain = cyclo._product.__wrapped__
     for a, b, want in cases:
         assert _key(plain(*_key(a), *_key(b))) == want
@@ -432,3 +472,61 @@ def test_inv_bypasses_the_product_memo(N):
     r = a.inv()
     assert cyclo._product.cache_info().currsize == before
     _assert_matches(r, oracles.cyclo_inv(_ref(a)))
+
+
+# -- one form per value, against the Galois-fixer reference ----------------
+
+WRITTEN_CONDUCTORS = sorted({d for n in (8, 12, 24, 30, 60, 600)
+                             for d in divisors(n)})
+
+
+def _text(N, coeffs):
+    """coeffs at conductor N in to_string's format."""
+    terms = [str(c) if k == 0 else f"{c}*z" if k == 1 else f"{c}*z^{k}"
+             for k, c in enumerate(coeffs) if c]
+    return (" + ".join(terms) or "0") + f"@{N}"
+
+
+@st.composite
+def written_values(draw):
+    """(N, coeffs at N, value): a value of Q(zeta_M) drawn at M and written
+    at a multiple N of M, N among the divisors of 8, 12, 24, 30, 60 and
+    600.  Half the draws keep at most three coefficients, so values that
+    lie in a smaller field than Q(zeta_M) come up too."""
+    N = draw(st.sampled_from(WRITTEN_CONDUCTORS))
+    M = draw(st.sampled_from(divisors(N)))
+    phi = euler_phi(M)
+    keep = (draw(st.sets(st.integers(0, phi - 1), max_size=3))
+            if draw(st.booleans()) else range(phi))
+    coeffs = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+              if k in keep else Fraction(0) for k in range(phi)]
+    return (N, oracles.cyclo_lift((M, tuple(coeffs)), N)[1],
+            CycloScalar(M, coeffs))
+
+
+@given(written_values())
+@example((6, (0, 1), CycloScalar.root_of_unity(3) + 1))  # p || N descends
+@example((8, (0, 0, 1, 0), CycloScalar.root_of_unity(4)))  # p^2 | N descends
+@settings(max_examples=150, deadline=None)
+def test_written_value_reads_back_at_its_least_conductor(case):
+    """A value written at any multiple of its field's conductor reads back
+    as one scalar: the same (N, num, den), hash and text as the value made
+    at M, at the least conductor the Galois-fixer reference finds."""
+    N, coeffs, value = case
+    got = CycloScalar.from_string(_text(N, coeffs))
+    assert (got.N, got.num, got.den) == (value.N, value.num, value.den)
+    assert hash(got) == hash(value)
+    assert got.to_string() == value.to_string()
+    assert got.N == oracles.least_conductor(N, coeffs)
+    assert oracles.cyclo_lift(_ref(got), N) == (N, coeffs)
+
+
+@given(written_values(), written_values())
+@settings(max_examples=100, deadline=None)
+def test_output_is_invariant_under_operand_order(x, y):
+    """a * b and b * a print the same text, and so do a + b and b + a;
+    (a + b) - b prints as a, whatever conductors the history passed."""
+    a, b = x[2], y[2]
+    assert (a * b).to_string() == (b * a).to_string()
+    assert (a + b).to_string() == (b + a).to_string()
+    assert ((a + b) - b).to_string() == a.to_string()

@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hopf_helpers as hh
 import oracles
@@ -344,7 +345,8 @@ def test_form_invariant_zero_form():
     g = Z4.generator(0)
     u = Z4.element([2])
     assert la.form_invariant_under(mod, la.zero_form(S),
-                                   [hh.pair_coords(g), hh.pair_coords(u)])
+                                   [hh.pair_coords(g), hh.pair_coords(u)]) \
+        == (True, True)
 
 
 def test_form_invariant_zeta4_scaling():
@@ -355,19 +357,24 @@ def test_form_invariant_zeta4_scaling():
     good = la.BilinearForm(S, [[0]])
     bad = la.BilinearForm(S, [[1]])
     g = hh.pair_coords(g)
-    assert la.form_invariant_under(mod, good, [g])
-    assert not la.form_invariant_under(mod, bad, [g])
+    assert la.form_invariant_under(mod, good, [g]) == (True, True)
+    assert la.form_invariant_under(mod, bad, [g]) == (True, False)
     # u acts by -1, and (-1)^2 = 1 preserves any form
-    assert la.form_invariant_under(mod, bad, [hh.pair_coords(Z4.element([2]))])
+    assert la.form_invariant_under(
+        mod, bad, [hh.pair_coords(Z4.element([2]))]) == (True, True)
 
 
-def test_form_invariant_space_not_invariant_is_distinct_error():
+def test_form_invariant_space_not_invariant_is_distinct_verdict():
+    # a moved space reads (False, False), apart from a kept space whose
+    # form moves, (True, False)
     mod = _sweedler_module()
     u = Z2.generator(0)
     S = la.Subspace(2, [[1, 1]])
     f = la.BilinearForm(S, [[1]])
-    with pytest.raises(DomainError, match="not invariant"):
-        la.form_invariant_under(mod, f, [hh.pair_coords((u, Z2.zero()))])
+    assert la.form_invariant_under(
+        mod, f, [hh.pair_coords((u, Z2.zero()))]) == (False, False)
+    assert la.form_invariant_under(
+        mod, f, [hh.pair_coords((u, u))]) == (True, True)
 
 
 def _sparse_subspace(rng, n):
@@ -425,16 +432,54 @@ def test_form_invariant_under_matches_dense_reference():
                 stable, invariant = oracles.dense_invariant(
                     S, beta.gram, [la.pair_exponents(mod, hh.pair_coords(g))],
                     root, CycloScalar.zero())
-                if not stable:
-                    with pytest.raises(DomainError, match="not invariant"):
-                        la.form_invariant_under(mod, beta, [hh.pair_coords(g)])
-                    continue
                 assert la.form_invariant_under(
-                    mod, beta, [hh.pair_coords(g)]) is invariant
-                seen.add(invariant)
+                    mod, beta, [hh.pair_coords(g)]) == (stable,
+                                                        stable and invariant)
+                if stable:
+                    seen.add(invariant)
     assert seen == {True, False}
 
 
 def test_subspace_json_round_trip():
     S = la.Subspace(3, [[1, I4, 0], [0, 0, 1]])
     assert la.Subspace.from_json(S.to_json()) == S
+
+
+# -- the one elimination engine against the dense reference ----------------
+
+@st.composite
+def rref_inputs(draw):
+    """A matrix over Q, Q(i), Q(zeta_8) or Q(zeta_3) with n <= 4 rows of
+    m <= 5 entries, a third of them zero; with a row that is the sum of
+    two others, an empty matrix, or one ragged row among them."""
+    N = draw(st.sampled_from([1, 4, 8, 3]))
+    n, m = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+
+    def entry():
+        if draw(st.integers(0, 2)) == 0:
+            return ZERO
+        q = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        return q + draw(st.integers(-2, 2)) * CycloScalar.root_of_unity(
+            N, draw(st.integers(0, N - 1)))
+
+    rows = [[entry() for _ in range(m)] for _ in range(n)]
+    shape = draw(st.sampled_from(["plain", "sum", "ragged"]))
+    if shape == "sum" and n >= 2:
+        rows.append([x + y for x, y in zip(rows[0], rows[1])])
+    elif shape == "ragged" and n >= 2:
+        rows[-1] = rows[-1] + [entry()]
+    return rows
+
+
+@given(rref_inputs())
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_dense_reference(M):
+    """rref on Echelon gives the dense Gauss-Jordan's rows and pivots,
+    and refuses a ragged matrix as it does."""
+    try:
+        want = oracles.dense_rref(M)
+    except ValueError:
+        with pytest.raises(DomainError, match="ragged"):
+            la.rref(M)
+        return
+    assert la.rref(M) == want
