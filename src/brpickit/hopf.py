@@ -52,7 +52,6 @@ Every tensor is keyed by tuples of basis indices: L x K by (a, b), a
 coaction by (host index, basis index).
 """
 
-import operator
 import random
 from fractions import Fraction
 from functools import cache
@@ -82,10 +81,10 @@ class KFactors(NamedTuple):
     subsets.  wtab[s1][s2] lists w_S1 w_S2 = sum c w_T e_g as terms
     (index of w_T e_0, index of g, c), with distinct (index, g); chi[f][s]
     is the root e_f picks up passing w_S; twist[g][f1][f2] is (h, psi')
-    with e_g e_f1 e_f2 = psi' e_h.  entry(i, j, mul) is the one formula for
-    an entry (see build_K), on any multiply: ComodAlg reads it with *, and
-    host.multiplicative_failures with its id multiply over ids(vid), the
-    same tables over value ids.
+    with e_g e_f1 e_f2 = psi' e_h.  entry(i, j) evaluates build_K's formula
+    for an entry on scalars, for ComodAlg; host.multiplicative_failures
+    evaluates it on ids(vid), these tables with every scalar replaced by its
+    value id, under its own memoized id multiply.
     """
 
     nF: int
@@ -93,15 +92,15 @@ class KFactors(NamedTuple):
     chi: list
     twist: dict
 
-    def entry(self, i, j, mul=operator.mul):
-        """Entry (i, j) as {k + h: mul(c, mul(x, p))}, over the terms
-        (k, g, c) of wtab[s1][s2] with x = chi[f1][s2] and (h, p) =
-        twist[g][f1][f2]; distinct (k, g) give distinct k + h."""
+    def entry(self, i, j):
+        """Entry (i, j) as {k + h: c (x p)}, over the terms (k, g, c) of
+        wtab[s1][s2] with x = chi[f1][s2] and (h, p) = twist[g][f1][f2];
+        distinct (k, g) give distinct k + h."""
         nF, wtab, chi, twist = self
         s1, f1 = divmod(i, nF)
         s2, f2 = divmod(j, nF)
         x = chi[f1][s2]
-        return {k + h: mul(c, mul(x, p)) for k, g, c in wtab[s1][s2]
+        return {k + h: c * (x * p) for k, g, c in wtab[s1][s2]
                 for h, p in (twist[g][f1][f2],)}
 
     def ids(self, vid):
@@ -771,12 +770,13 @@ def check_comodule_algebra(A, rng=None):
     the coinvariant subalgebra.  Multiplicativity runs over all basis pairs
     when dim A <= 24 and over max(200, 4 dim A) random pairs above, each
     failing occurrence noted in pair order; host.multiplicative_failures
-    decides each distinct pair once.  It runs on value ids, one per
-    distinct scalar with x and + memoized per pair of ids, and reads lam(i)
-    once, as a flat list of terms.  For each pair of terms it reads A's
-    entry first, by KFactors.entry over ids (else A.mul_basis), and takes
-    the host product from the host's factor tables only when that entry is
-    nonzero."""
+    decides each distinct pair once, on value ids (see there).
+
+    A's own product is not checked: its associativity is taken from the
+    construction (ROADMAP item 15).  On a K without sector rows, a product
+    with one e_f e_f entry doubled is not associative, keeps the coaction
+    multiplicative and passes as ok.
+    """
     rng = rng if rng is not None else random.Random(0)
     host = A.host
     failures, note = _recorder()

@@ -19,7 +19,8 @@ One law checks every coaction (_coaction_law); a right coaction is flipped
 to that key order and checked over the co-opposite comultiplication.
 Multiplicativity of a comodule algebra's coaction, lam(i) lam(j) = lam(ij),
 is decided by multiplicative_failures on small-int value ids rather than
-scalars: each distinct scalar product and sum is computed once per call.
+scalars, in tables keyed by ints: each distinct scalar product and sum is
+computed once per call.
 """
 
 import itertools
@@ -168,7 +169,7 @@ class HopfAlg:
     - roots[p][e] = (-1)^p zeta_N^e, made on first use.
     An entry with S2 empty is 1; every other is +-zeta_N^e.
     multiplicative_failures multiplies coactions over the host from the
-    same tables, one host root per (term, subset) pair.
+    same tables, with each root it reads held as a value id.
     """
 
     __slots__ = ("group", "chars", "colikes", "blocks", "modules", "kind",
@@ -347,22 +348,25 @@ def multiplicative_failures(A, pairs):
     """The distinct (i, j) of pairs at which lam(i) lam(j) != lam(ij), for a
     comodule algebra A over its host H; each distinct pair is decided once.
 
-    Both sides run on small-int value ids.  One table per call interns each
-    scalar (a value has one stored form, so equal values share an id); x
-    and + are memoized on pairs of ids, each result the CycloScalar one,
-    computed once per distinct pair.  lam(i) is read into ids once, as one
-    flat list of terms (host subset s, its mask, group rank r, k, id) for
-    h = s nG + r.  For each pair of terms, A's entry (k1, k2) is read
-    first: from A.factors.ids(vid).entry with the id multiply when A has
-    factors, else from A.mul_basis, on its first read in the call.  Only
-    when that entry is nonzero is the host product taken from H._tables
-    (see HopfAlg), with its root.  The left side is summed as its terms come and drops zero
-    sums at the end; the right side, sum c_k lam(k) over A's entry (i, j),
-    drops them at each step, as addin does.  The two sides are equal
-    exactly when their id dicts are."""
-    nG, masks, srank, flip, gtab, chi, roots = A.host._tables
-    ids, vals, zero, prods, sums, rids, lam, kprods = ({}, [], [], {}, {},
-                                                       {}, {}, {})
+    Both sides run on small-int value ids, in tables that live for one call,
+    are keyed by ints and grow only with the terms and entries read.  ids
+    interns each scalar (a value has one stored form); prods[a] and sums[a]
+    are the x and + memo rows of id a, read inline.  lam[i] holds lam(i) as
+    terms (s, mask of s, group rank r, k, id, s nG) for h = s nG + r.  ents
+    holds A's entry (k1, k2) under k1 dim + k2, a tuple of (k, id): by the
+    KFactors.entry formula on A.factors.ids(vid), or from A.mul_basis.  For
+    each pair of terms the entry is read first, and only a nonzero one takes
+    the host product from H._tables (see HopfAlg), its root (-1)^p zeta_N^e
+    at rids[p N + e].  Both sides are keyed h dim + k: the left one drops
+    zero sums at the end, the right one, sum c_k lam(k) over A's entry
+    (i, j), at each step, as addin does.  They are equal exactly when their
+    id dicts are.
+    """
+    H, dim = A.host, A.dim
+    nG, masks, srank, flip, gtab, chi, roots = H._tables
+    N = len(roots[0])
+    ids, vals, zero, prods, sums = {}, [], [], [], []
+    rids, lam, ents = [None] * (2 * N), [None] * dim, {}
 
     def vid(c):
         got = ids.get(c)
@@ -370,82 +374,92 @@ def multiplicative_failures(A, pairs):
             got = ids[c] = len(vals)
             vals.append(c)
             zero.append(c.is_zero())
-        return got
-
-    def mul(a, b):
-        got = prods.get((a, b))
-        if got is None:
-            got = prods[a, b] = vid(vals[a] * vals[b])
-        return got
-
-    def add(a, b):
-        got = sums.get((a, b))
-        if got is None:
-            got = sums[a, b] = vid(vals[a] + vals[b])
+            prods.append({})
+            sums.append({})
         return got
 
     def coact(i):
-        got = lam.get(i)
-        if got is None:
-            got = lam[i] = [(s, masks[s], r, k, vid(c))
-                            for (h, k), c in A.coact_basis(i).items()
-                            for s, r in (divmod(h, nG),)]
+        got = lam[i] = [(s, masks[s], r, k, vid(c), s * nG)
+                        for (h, k), c in A.coact_basis(i).items()
+                        for s, r in (divmod(h, nG),)]
         return got
 
-    kentry = A.factors and A.factors.ids(vid).entry
+    fac = A.factors and A.factors.ids(vid)
 
-    def kprod(i, j):
-        got = kprods.get((i, j))
+    def entry(i, j):
+        if not fac:
+            got = ents[i * dim + j] = tuple(
+                (k, vid(c)) for k, c in A.mul_basis(i, j).items())
+            return got
+        nF, wtab, xs, twist = fac
+        s1, f1 = divmod(i, nF)
+        s2, f2 = divmod(j, nF)
+        x, got = xs[f1][s2], ()
+        for k, g, c in wtab[s1][s2]:
+            h, p = twist[g][f1][f2]
+            xp = prods[x].get(p)
+            if xp is None:
+                xp = prods[x][p] = vid(vals[x] * vals[p])
+            v = prods[c].get(xp)
+            if v is None:
+                v = prods[c][xp] = vid(vals[c] * vals[xp])
+            got += ((k + h, v),)
+        ents[i * dim + j] = got
+        return got
+
+    def add(a, b):
+        got = sums[a].get(b)
         if got is None:
-            got = kprods[i, j] = (
-                kentry(i, j, mul) if kentry else
-                {k: vid(c) for k, c in A.mul_basis(i, j).items()}).items()
+            got = sums[a][b] = vid(vals[a] + vals[b])
         return got
 
     bad = set()
     for i, j in dict.fromkeys(pairs):
+        terms2 = lam[j] or coact(j)
         lhs = {}
-        terms2 = coact(j)
-        # memo hits read inline: this loop is most of the time
-        for s1, m1, r1, k1, c1 in coact(i):
-            for s2, m2, r2, k2, c2 in terms2:
+        for _, m1, r1, k1, c1, _ in lam[i] or coact(i):
+            kd, rn, row1 = k1 * dim, r1 * nG, prods[c1]
+            for s2, m2, r2, k2, c2, sn2 in terms2:
                 if m1 & m2:
                     continue
-                prod = kprods.get((k1, k2))
+                prod = ents.get(kd + k2)
                 if prod is None:
-                    prod = kprod(k1, k2)
+                    prod = entry(k1, k2)
                 if not prod:
                     continue
                 c = c1
                 if s2:
                     p = (m1 & flip[s2]).bit_count() & 1
-                    e = chi[s2 * nG + r1]
-                    root = rids.get((p, e))
+                    e = chi[sn2 + r1]
+                    root = rids[p * N + e]
                     if root is None:
-                        root = rids[p, e] = vid(roots[p][e]
-                                                or A.host._root(p, e))
-                    c = prods.get((c1, root))
+                        root = rids[p * N + e] = vid(roots[p][e]
+                                                     or H._root(p, e))
+                    c = row1.get(root)
                     if c is None:
-                        c = mul(c1, root)
-                h = srank[m1 | m2] + (gtab[r1 * nG + r2] if gtab
-                                      else A.host._gsum(r1, r2))
-                c12 = prods.get((c, c2))
+                        c = row1[root] = vid(vals[c1] * vals[root])
+                c12 = prods[c].get(c2)
                 if c12 is None:
-                    c12 = mul(c, c2)
+                    c12 = prods[c][c2] = vid(vals[c] * vals[c2])
+                hd = dim * (srank[m1 | m2] + (gtab[rn + r2] if gtab
+                                              else H._gsum(r1, r2)))
+                row = prods[c12]
                 for k3, ck in prod:
-                    v = prods.get((c12, ck))
+                    v = row.get(ck)
                     if v is None:
-                        v = mul(c12, ck)
-                    old = lhs.get((h, k3))
-                    if old is not None:
-                        v = add(old, v)
-                    lhs[h, k3] = v
+                        v = row[ck] = vid(vals[c12] * vals[ck])
+                    old = lhs.get(hd + k3)
+                    lhs[hd + k3] = v if old is None else add(old, v)
         lhs = {key: v for key, v in lhs.items() if not zero[v]}
         rhs = {}
-        for k, c in kprod(i, j):
-            for s, _m, r, k2, c2 in coact(k):
-                key = (s * nG + r, k2)
-                v = mul(c, c2)
+        prod = ents.get(i * dim + j)
+        for k, c in entry(i, j) if prod is None else prod:
+            row = prods[c]
+            for _, _, r, k2, c2, sn in lam[k] or coact(k):
+                v = row.get(c2)
+                if v is None:
+                    v = row[c2] = vid(vals[c] * vals[c2])
+                key = (sn + r) * dim + k2
                 old = rhs.get(key)
                 if old is not None:
                     v = add(old, v)

@@ -1611,6 +1611,41 @@ def test_multiplicative_failures_same_on_factors_and_entries():
         counts
 
 
+def test_multiplicative_failures_match_the_reference_at_the_benchmark_sizes():
+    """On K from the Z4 spec of the comodule-z4 benchmark in the classes
+    (|F|, rows) = (16, 2), (16, 3) and (4, 4), of dims 64, 128 and 64, where
+    the comodule check spends its time, on its factor-free copy and on its
+    four mutants, multiplicative_failures finds exactly the pairs the
+    _tensor_mul reference finds, on the pairs check_comodule_algebra draws.
+    Each class is met with a nonzero beta, whose K has entries of more than
+    one term, and before that with beta = 0 where the draws give one."""
+    module = dict(hh.module_zoo())["Z4_d2"]
+    want = {(16, 2), (16, 3), (4, 4)}
+    found, seed = {}, 0
+    while not all((cls, True) in found for cls in want):
+        data = hopf.random_compatible_data(module, random.Random(seed))
+        cls = (len(data.F), len(data.rows))
+        if cls in want:
+            beta = any(not c.is_zero() for row in data.gram for c in row)
+            found.setdefault((cls, beta), data)
+        seed += 1
+    failing = 0
+    for (cls, beta), data in sorted(found.items()):
+        K = hopf.build_K(data)
+        pairs = _drawn_pairs(K, 7)[0]
+        assert K.dim == (1 << cls[1]) * cls[0] and len(pairs) == 4 * K.dim
+        assert beta == any(len(terms) > 1 for row in K.factors.wtab
+                           for terms in row), cls
+        cases = [K, _factor_free(K), _negated_term(K), _chi_flipped(K),
+                 _twist_flipped(K), _doubled_entry(K)]
+        for n, A in enumerate(cases):
+            bad = host.multiplicative_failures(A, pairs)
+            assert bad == _reference_failures(A, pairs), (cls, beta, n)
+            assert n >= 2 or not bad, (cls, beta, n)
+            failing += bool(bad)
+    assert len(found) >= 5 and failing >= 12, (len(found), failing)
+
+
 def _lifted(K, M, step=1, change=None):
     """K, factors kept, with every value c of lam(i) for i a multiple of
     step written at conductor M and read back through the constructor, and
