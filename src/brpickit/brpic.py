@@ -470,8 +470,8 @@ def tau(d: RDatum) -> LagDatum:
     rows = []
     for j in range(m):
         row = [gram[i][j] for i in range(m)]
-        row += [-la.sc(wbasis[j][k]) for k in range(dm)]
-        row += [la.sc(wbasis[j][dm + k]) for k in range(dm)]
+        row += [-wbasis[j][k] for k in range(dm)]
+        row += [wbasis[j][dm + k] for k in range(dm)]
         rows.append(row)
     ncols = m + 2 * dm
     if rows:
@@ -484,12 +484,9 @@ def tau(d: RDatum) -> LagDatum:
     for k in kbasis:
         w = [_ZERO] * (2 * dm)
         for i in range(m):
-            if not la.sc(k[i]).is_zero():
-                w = [wi + la.sc(k[i]) * la.sc(bi)
-                     for wi, bi in zip(w, wbasis[i])]
-        f1 = [la.sc(k[m + t]) for t in range(dm)]
-        f2 = [la.sc(k[m + dm + t]) for t in range(dm)]
-        ambient.append(list(w[:dm]) + f1 + list(w[dm:]) + f2)
+            if not k[i].is_zero():
+                w = [wi + k[i] * bi for wi, bi in zip(w, wbasis[i])]
+        ambient.append(w[:dm] + list(k[m:m + dm]) + w[dm:] + list(k[m + dm:]))
     L = la.Subspace(4 * dm, ambient)
     return LagDatum(mod, L, d.alpha)
 

@@ -21,7 +21,10 @@ on ints, with one gcd per result.  Fractions appear only at the boundary
 
 Operands at different conductors are lifted to Q(zeta_lcm) exactly and the
 result descends.  A rational operand lifts to (q, 0, ...) at any N, so *
-scales the other operand's numerators and + shifts its constant term.
+scales the other operand's numerators and + shifts its constant term.  Two
+rationals add and multiply on their numerators alone, and a result at N = 1
+is already at its least conductor, so it skips the descent; negation keeps
+the one form and makes -v without a gcd.
 
 Products are memoized.  a * b looks up _product, an lru_cache of at most
 2^16 entries keyed on both operands' (N, num, den).  The tables built over
@@ -209,8 +212,10 @@ _new = object.__new__
 
 
 def _fill(s, N: int, num, den: int) -> "CycloScalar":
-    """s set to num/den at N, brought to the one form (den > 0)."""
-    N, num = _descend(N, num)
+    """s set to num/den at N, brought to the one form (den > 0).  A value
+    at N = 1 is already at its least conductor, so only N > 1 descends."""
+    if N != 1:
+        N, num = _descend(N, num)
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
@@ -309,8 +314,13 @@ class CycloScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        N, x, y = self._pair(other)
         da, db = self.den, other.den
+        if self.N == 1 == other.N:
+            (x,), (y,) = self.num, other.num
+            if da == db:
+                return _make(1, (x + y,), da)
+            return _make(1, (x * db + y * da,), da * db)
+        N, x, y = self._pair(other)
         if da == db:
             return _make(N, [s + t for s, t in zip(x, y)], da)
         return _make(N, [s * db + t * da for s, t in zip(x, y)], da * db)
@@ -318,7 +328,11 @@ class CycloScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.N, [-x for x in self.num], self.den)
+        s = _new(CycloScalar)
+        _set_N(s, self.N)
+        _set_num(s, tuple(-x for x in self.num))
+        _set_den(s, self.den)
+        return s
 
     def __sub__(self, other):
         return self + -other

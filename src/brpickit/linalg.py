@@ -11,6 +11,14 @@ matrix inverse, kernel_sparse_rows and the comodule-algebra code all run
 on it.  A scalar has one stored form (cyclo), so the order of elimination
 cannot show in a printed entry.
 
+A basis already in reduced echelon form is adopted, not reduced again, in
+one place: the composite of two relations (_compose_with_lift), whose
+rows are cut from a reduced matrix whose pivots all lie before the cut.
+Such rows are the one reduced basis of their span, so adopting them gives
+the Subspace a second rref would give; the docstring there has the proof.
+Every other Subspace and rank runs Echelon, and nothing scans a matrix to
+ask whether it is already reduced.
+
 Also houses the diagonal G-action on V+V (V presented in a
 character-diagonal basis), composition of linear relations inside V+V, and
 the bilinear form transported along such a composition.
@@ -57,7 +65,8 @@ def sc(x) -> CycloScalar:
 
 
 def mat(rows):
-    return [[sc(x) for x in row] for row in rows]
+    return [[x if type(x) is CycloScalar else sc(x) for x in row]
+            for row in rows]
 
 
 # -- matrix operations -----------------------------------------------------
@@ -65,12 +74,10 @@ def mat(rows):
 def rref(M):
     """Reduced row echelon form, by Echelon.  Returns
     (rows_without_zero_rows, pivot_cols), rows in pivot order."""
-    rows = mat(M)
+    rows = _rectangular(mat(M))
     if not rows:
         return [], []
     ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise DomainError("ragged matrix")
     ech = Echelon()
     for r in rows:
         ech.insert(dict(enumerate(r)))
@@ -83,29 +90,41 @@ def rank(M) -> int:
     return len(rref(M)[1])
 
 
+def _rectangular(M):
+    """M, after checking that its rows have one length."""
+    if any(len(r) != len(M[0]) for r in M):
+        raise DomainError("ragged matrix")
+    return M
+
+
 def transpose(M):
-    M = mat(M)
+    M = _rectangular(mat(M))
     if not M:
         return []
     return [list(col) for col in zip(*M)]
 
 
 def product(A, B):
-    A, B = mat(A), mat(B)
+    """A B.  Entry (i, j) sums A[i][k] B[k][j] over the k where both are
+    nonzero, starting from the first such product (zero when there is none)."""
+    A, B = _rectangular(mat(A)), _rectangular(mat(B))
     if not A or not B:
         return []
-    n, m, p = len(A), len(B), len(B[0])
-    if A and len(A[0]) != m:
+    m = len(B)
+    if len(A[0]) != m:
         raise DomainError(f"matrix product shape mismatch: {len(A[0])} vs {m}")
+    cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*B)]
     out = []
-    for i in range(n):
+    for a in A:
+        a = {k: x for k, x in enumerate(a) if x}
         row = []
-        for j in range(p):
-            s = _ZERO
-            for k in range(m):
-                if not A[i][k].is_zero() and not B[k][j].is_zero():
-                    s = s + A[i][k] * B[k][j]
-            row.append(s)
+        for col in cols:
+            s = None
+            for k, b in col:
+                x = a.get(k)
+                if x is not None:
+                    s = x * b if s is None else s + x * b
+            row.append(_ZERO if s is None else s)
         out.append(row)
     return out
 
@@ -118,12 +137,10 @@ def support(M):
 
 def kernel(M) -> "Subspace":
     """Right null space {x : Mx = 0} as a Subspace of the column ambient."""
-    M = mat(M)
+    M = _rectangular(mat(M))
     if not M:
         raise DomainError("kernel of an empty matrix has no ambient dimension")
     n = len(M[0])
-    if any(len(r) != n for r in M):
-        raise DomainError("ragged matrix")
     return Subspace(n, kernel_sparse_rows([dict(enumerate(r)) for r in M], n))
 
 
@@ -228,10 +245,20 @@ class Subspace:
         rows = mat(rows)
         if any(len(r) != ambient_dim for r in rows):
             raise DomainError("basis row length does not match ambient dimension")
-        R, pivots = rref(rows)
+        self._set(ambient_dim, *rref(rows))
+
+    def _set(self, ambient_dim, R, pivots):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(tuple(r) for r in R))
         object.__setattr__(self, "pivots", tuple(pivots))
+
+    @classmethod
+    def _adopt(cls, ambient_dim, R, pivots) -> "Subspace":
+        """The subspace whose canonical basis is already R, with these
+        pivots; the caller proves R reduced (module docstring)."""
+        S = object.__new__(cls)
+        S._set(ambient_dim, R, pivots)
+        return S
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -452,12 +479,15 @@ def axis_meets(W: Subspace):
     """(dim W & (V+0), dim W & (0+V)) for a subspace W of V+V.
 
     W meets the first axis in the kernel of its projection onto the second
-    block, so that dimension is dim W minus the rank of the second block,
-    and the other way round.
+    block, so that dimension is dim W minus the rank of the second block.
+    W & (0+V) is spanned by the basis rows with pivot >= d: a combination
+    sum c_i r_i has entry c_i at the pivot p_i of each row, since W's basis
+    is reduced, so its first block vanishes only when c_i = 0 for every
+    p_i < d, and the rows with p_i >= d are zero there.
     """
     d = W.ambient_dim // 2
     return (W.dim - rank([r[d:] for r in W.basis]),
-            W.dim - rank([r[:d] for r in W.basis]))
+            sum(p >= d for p in W.pivots))
 
 
 def _compose_with_lift(W: Subspace, Wt: Subspace):
@@ -473,6 +503,14 @@ def _compose_with_lift(W: Subspace, Wt: Subspace):
     factor meets an axis: s.a = 0 puts (0 | s.b) in W & (0+V), so s = 0,
     and t.e = 0 puts (t.c | 0) in Wt & (V+0), so t = 0.  A pivot in the
     (s, t) block would be a nonzero pair with no outer part.
+
+    The composite is adopted as [r[:2d] for r in R] with R's pivots, not
+    reduced again.  Every pivot p_i of R lies below 2d, so cutting a row
+    at 2d keeps its leading 1 at p_i with zeros before it, keeps the zeros
+    at the other rows' pivots, and leaves no row zero.  The cut rows span
+    the composite, as the cut of R's span, and are in reduced echelon
+    form, which a span has only one of: Subspace(2d, cut rows) would
+    return them unchanged.
     """
     if W.ambient_dim != Wt.ambient_dim or W.ambient_dim % 2:
         raise DomainError("relation composition wants two subspaces of V+V")
@@ -490,7 +528,7 @@ def _compose_with_lift(W: Subspace, Wt: Subspace):
     R, pivots = rref(rows)
     if pivots and pivots[-1] >= 2 * d:
         raise DomainError("witness not unique: middle coordinate is not determined")
-    composite = Subspace(2 * d, [r[:2 * d] for r in R])
+    composite = Subspace._adopt(2 * d, [r[:2 * d] for r in R], pivots)
     return composite, [(r[2 * d:2 * d + p], r[2 * d + p:]) for r in R]
 
 

@@ -389,6 +389,12 @@ GOLDEN = [
     # the seed draws the bichar family once and order2_sign twice
     (SWEEDLER, ["verify", "comodule", "--seed", "5", "--count", "12"],
      "420b05cb02d0810a2918e6ef2b790855963377673ef28cbeeb8d92e2b578ff9e"),
+    # recorded before two rationals added on their numerators, products
+    # ran over nonzero supports and composites kept their reduced rows;
+    # the group law over Q(i)
+    ({"group": [2, 4], "u": [0, 2], "V": [[0, 1], [0, 3], [1, 1]]},
+     ["verify", "group-axioms", "--seed", "1", "--count", "30"],
+     "dea384569c8b4fe10be520e56ce0adbbba9b09432a7a32747bc4a771f74721a9"),
 ]
 
 

@@ -371,6 +371,41 @@ def test_inv_of_negative_rational():
     assert CycloScalar(8, [Fraction(2, 9)]).inv().coeffs == (Fraction(9, 2),)
 
 
+# -- rationals add and multiply on their numerators --------------------------
+
+def _assert_rational(got, q):
+    """got is the Fraction q in the one form at N = 1: its stored triple,
+    hash, text and value."""
+    assert (got.N, got.num, got.den) == (1, (q.numerator,), q.denominator)
+    assert hash(got) == hash(q)
+    assert got.to_string() == f"{q}@1"
+    assert got.coeffs == (q,) and got == q
+
+
+_fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+@given(_fractions, _fractions, st.integers(-4, 4), st.integers(-4, 4)
+       .filter(bool))
+@settings(max_examples=200)
+def test_rational_path_matches_fractions(p, q, c0, c1):
+    """+, -, unary -, * and inv on two rationals give the Fraction result
+    at N = 1; a rational plus an irrational value at N = 4 still lifts to
+    N = 4 and shifts its constant term."""
+    a, b = CycloScalar.from_rational(p), CycloScalar.from_rational(q)
+    for got, want in ((a + b, p + q), (b + a, q + p), (a - b, p - q),
+                      (-a, -p), (a * b, p * q), (a + 0, p), (1 + a, 1 + p)):
+        _assert_rational(got, want)
+    if q:
+        _assert_rational(b.inv(), 1 / q)
+    z = CycloScalar(4, [c0, Fraction(c1, 3)])
+    for got, ref in ((a + z, oracles.cyclo_add(_ref(a), _ref(z))),
+                     (z + a, oracles.cyclo_add(_ref(z), _ref(a))),
+                     (z - a, oracles.cyclo_add(_ref(z), _ref(-a)))):
+        assert got.N == 4
+        _assert_matches(got, ref)
+
+
 # -- the inverse by the norm against the extended-gcd reference ------------
 
 @st.composite

@@ -447,6 +447,15 @@ def test_subspace_json_round_trip():
 
 # -- the one elimination engine against the dense reference ----------------
 
+def _drawn_entry(draw, N):
+    """A third of the time zero, else q + c zeta_N^k."""
+    if draw(st.integers(0, 2)) == 0:
+        return ZERO
+    q = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return q + draw(st.integers(-2, 2)) * CycloScalar.root_of_unity(
+        N, draw(st.integers(0, N - 1)))
+
+
 @st.composite
 def rref_inputs(draw):
     """A matrix over Q, Q(i), Q(zeta_8) or Q(zeta_3) with n <= 4 rows of
@@ -454,20 +463,12 @@ def rref_inputs(draw):
     two others, an empty matrix, or one ragged row among them."""
     N = draw(st.sampled_from([1, 4, 8, 3]))
     n, m = draw(st.integers(0, 4)), draw(st.integers(1, 5))
-
-    def entry():
-        if draw(st.integers(0, 2)) == 0:
-            return ZERO
-        q = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
-        return q + draw(st.integers(-2, 2)) * CycloScalar.root_of_unity(
-            N, draw(st.integers(0, N - 1)))
-
-    rows = [[entry() for _ in range(m)] for _ in range(n)]
+    rows = [[_drawn_entry(draw, N) for _ in range(m)] for _ in range(n)]
     shape = draw(st.sampled_from(["plain", "sum", "ragged"]))
     if shape == "sum" and n >= 2:
         rows.append([x + y for x, y in zip(rows[0], rows[1])])
     elif shape == "ragged" and n >= 2:
-        rows[-1] = rows[-1] + [entry()]
+        rows[-1] = rows[-1] + [_drawn_entry(draw, N)]
     return rows
 
 
@@ -483,3 +484,76 @@ def test_rref_matches_dense_reference(M):
             la.rref(M)
         return
     assert la.rref(M) == want
+
+
+@st.composite
+def product_inputs(draw):
+    """(A, B), n x m and m x p with n, m, p <= 4, over Q, Q(i) or
+    Q(zeta_8), a third of the entries zero; at times a row of A or a
+    column of B is zero throughout."""
+    N = draw(st.sampled_from([1, 4, 8]))
+    n, m, p = (draw(st.integers(1, 4)) for _ in range(3))
+    A = [[_drawn_entry(draw, N) for _ in range(m)] for _ in range(n)]
+    B = [[_drawn_entry(draw, N) for _ in range(p)] for _ in range(m)]
+    if draw(st.booleans()):
+        A[draw(st.integers(0, n - 1))] = [ZERO] * m
+    if draw(st.booleans()):
+        j = draw(st.integers(0, p - 1))
+        for r in B:
+            r[j] = ZERO
+    return A, B
+
+
+@given(product_inputs())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_dense_reference(AB):
+    """product sums over the nonzero supports and gives the dense sum's
+    entries; a B with one row too many is a shape mismatch."""
+    A, B = AB
+    assert la.product(A, B) == oracles.dense_product(A, B, ZERO)
+    with pytest.raises(DomainError, match="shape mismatch"):
+        la.product(A, B + [B[0]])
+
+
+@pytest.mark.parametrize("A,B", [
+    ([[1, 2]], [[1, 2], [3, 4, 5]]),  # a long row of B: the 5 was dropped
+    ([[1, 2]], [[1, 2, 3], [4, 5]]),  # a short row of B: an IndexError
+    ([[1, 2], [3]], [[1], [2]]),      # a short row of A: an IndexError
+], ids=["long-B-row", "short-B-row", "short-A-row"])
+def test_product_refuses_a_ragged_matrix(A, B):
+    with pytest.raises(DomainError, match="ragged matrix"):
+        la.product(A, B)
+
+
+def test_transpose_refuses_a_ragged_matrix():
+    # zip used to cut every row to the shortest
+    with pytest.raises(DomainError, match="ragged matrix"):
+        la.transpose([[1, 2], [3]])
+    assert la.transpose([[1, 2], [3, 4]]) == la.mat([[1, 3], [2, 4]])
+
+
+def _axis_free(rng, d):
+    """A random relation in V+V, dim V = d, of dimension 1 to d, that meets
+    neither axis by the intersection reference."""
+    while True:
+        W = la.Subspace(2 * d, _rand_matrix(rng, rng.randrange(1, d + 1), 2 * d))
+        if oracles.axis_intersection_dims(W, la.kernel, ZERO) == (0, 0):
+            return W
+
+
+def test_compose_adopts_the_reduced_composite():
+    """The composite _compose_with_lift adopts without a second reduction
+    is the Subspace of the same rows, pivots included, and the relation
+    the intersection reference composes."""
+    rng = random.Random(37)
+    dims = set()
+    for d in (1, 2, 3, 4):
+        for _ in range(10):
+            W, Wt = _axis_free(rng, d), _axis_free(rng, d)
+            composite, _ = la._compose_with_lift(W, Wt)
+            again = la.Subspace(2 * d, composite.basis)
+            assert composite == again and composite.pivots == again.pivots
+            assert composite == oracles.compose_by_intersection(
+                W, Wt, la.kernel, ZERO, CycloScalar.one())[0]
+            dims.add(composite.dim)
+    assert {1, 2, 3} <= dims
