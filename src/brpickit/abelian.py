@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
 from math import gcd, lcm, prod
 
 from .cyclo import CycloScalar
@@ -130,60 +129,6 @@ def neg(a):
 def order_of(a) -> int:
     fs = a.parent.factors
     return lcm(*(f // gcd(f, c) for c, f in zip(_vec(a), fs))) if fs else 1
-
-
-def addition_table(elements):
-    """The group law restricted to a list of distinct elements of one group.
-
-    Returns (index, add): index maps coordinates to list positions and
-    add[i][j] is the position of elements[i] + elements[j].  Returns None
-    when some sum falls outside the list.  Computed once per tuple of
-    elements and shared; callers must not mutate index.
-    """
-    return _addition_table(tuple(elements))
-
-
-@cache
-def _addition_table(elements):
-    if not elements:
-        return {}, ()
-    parent = elements[0].parent
-    if any(x.parent != parent or type(x) is not type(elements[0]) for x in elements):
-        raise DomainError("operands live in different groups")
-    vecs = [_vec(x) for x in elements]
-    index = {v: k for k, v in enumerate(vecs)}
-    fs = parent.factors
-    add = []
-    for va in vecs:
-        row = []
-        for vb in vecs:
-            k = index.get(tuple((x + y) % f for x, y, f in zip(va, vb, fs)))
-            if k is None:
-                return None
-            row.append(k)
-        add.append(tuple(row))
-    return index, tuple(add)
-
-
-def generators(add) -> tuple:
-    """A generating set of the group whose addition table on positions is
-    add (as addition_table gives it): greedily, in position order, each
-    element the ones kept so far do not generate.  Every element is then a
-    sum of kept elements, which is what an induction on word length needs.
-
-    The kept elements generate a subgroup H; adding g extends it to the
-    union of the cosets H + kg, each found by adding g to the last one.
-    """
-    reached = {i for i, row in enumerate(add) if row[i] == i}  # the zero
-    gens = []
-    for g in range(len(add)):
-        if g not in reached:
-            gens.append(g)
-            coset = list(reached)
-            while coset:
-                coset = [add[g][x] for x in coset if add[g][x] not in reached]
-                reached.update(coset)
-    return tuple(gens)
 
 
 def direct_sum(G: FinAbGroup, H: FinAbGroup) -> FinAbGroup:

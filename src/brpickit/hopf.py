@@ -15,21 +15,21 @@ neither axis), subject to
     w w' + w' w = beta(w, w') 1          on sectors 11, 22, 33, 13,
     w w' - w' w = beta(w, w') e_u        on sectors 12, 23,
 
-with f acting componentwise on V + V.  psi is an orth.TwoCocycle on F,
-whose construction proves it a normalized 2-cocycle.  The validator
-enforces the axis and independence conditions, F being a subgroup,
-F-stability of each sector, invariance of beta, and the centrality of e_u
-in k_psi F whenever the presentation mentions e_u; incompatible data
-raises a DomainError listing every violated clause.  Read as a rewriting
-system towards the words w_S e_f, these clauses and the cocycle identity
-of psi are its overlap conditions, so by Bergman's diamond lemma (Adv.
-Math. 29, 1978) every order of reduction gives the same normal form.
-build_K checks the clauses before it builds any table (psi's identity was
-proved when psi was built), and then assembles the product of w_S1 e_f1
-and w_S2 e_f2 from three small tables instead of rewriting the whole
-word: the products w_S1 w_S2, the roots e_f picks up passing w_S, and the
-twisted law of F.  K keeps its product as those tables (KFactors) and
-computes an entry when it is first read.
+with f acting componentwise on V + V.  F and psi are one orth.Twist, whose
+construction proves F a subgroup and psi a well-defined bicharacter, hence
+a normalized 2-cocycle.  The validator enforces the axis and independence
+conditions, F being a subgroup (it has a Twist), F-stability of each
+sector, invariance of beta, and the centrality of e_u in k_psi F whenever
+the presentation mentions e_u; incompatible data raises a DomainError
+listing every violated clause.  Read as a rewriting system towards the
+words w_S e_f, these clauses and the cocycle identity of psi are its
+overlap conditions, so by Bergman's diamond lemma (Adv. Math. 29, 1978)
+every order of reduction gives the same normal form.  build_K checks the
+clauses before it builds any table (every bicharacter is a 2-cocycle),
+and then assembles the product of w_S1 e_f1 and w_S2 e_f2 from three
+small tables instead of rewriting the whole word: the products w_S1 w_S2,
+the roots e_f picks up passing w_S, and the twisted law of F.  K keeps its
+product as those tables (KFactors) and computes an entry when first read.
 loewy_graded grades the tables, and same_tables proves two models equal
 on them, without reading the dim^2 entries; any difference is left to
 their per-entry loops, which find and name it.  Coactions, cotensor products
@@ -183,12 +183,11 @@ class CompatibleData:
     beta is a raw gram table over the concatenated canonical sector bases
     (a BilinearForm is accepted when only the third sector is present); F is
     a subset of G x G, held sorted by coordinates.  psi is None or an
-    orth.TwoCocycle whose domain holds the sorted F, so psi(F[i], F[j]) is
-    zeta_N^E[i][j] for (N, E) = (psi.N, psi.E); anything else raises an
+    orth.Twist whose elements are the sorted F, which gives F's law and
+    psi's values (Twist.table); anything else raises an
     InputValidationError.  None means psi = 1: it is held as
-    TwoCocycle.trivial when F is a subgroup, and as None otherwise, where
-    compatible_violations rejects the datum (F_subgroup).  law is F's
-    (index, addition table), read from psi.domain, or None when psi is.
+    orth.trivial_twist when F is a subgroup, and as None otherwise, where
+    compatible_violations rejects the datum (F_subgroup).
 
     f in G x G keeps a sector when its row terms (linalg.row_terms, built
     once per datum) hold at f, and then scales each of its reduced rows by
@@ -200,7 +199,7 @@ class CompatibleData:
     # each built once, read by every later caller
     __slots__ = ("module", "W1", "W2", "W3", "gram", "F", "psi", "alpha",
                  "rows", "types", "pivots", "terms", "coords_set",
-                 "pair_group", "law", "_acts", "_violations")
+                 "pair_group", "_acts", "_violations")
 
     def __init__(self, module, W1, W2, W3, beta, F, psi=None, alpha=None):
         m = module.dim
@@ -251,13 +250,11 @@ class CompatibleData:
 
         if psi is None:
             try:
-                psi = orth.TwoCocycle.trivial(
-                    orth.TwistedSubgroup(module.group, els))
+                psi = orth.trivial_twist(module.group, els)
             except DomainError:
                 psi = None
-        elif (not isinstance(psi, orth.TwoCocycle)
-              or psi.domain.elements != els):
-            raise InputValidationError("psi must be a TwoCocycle on F")
+        elif not isinstance(psi, orth.Twist) or psi.elements != els:
+            raise InputValidationError("psi must be a Twist on F")
 
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "W1", W1)
@@ -274,8 +271,6 @@ class CompatibleData:
                            tuple(la.row_terms(S) for S in (W1, W2, W3)))
         object.__setattr__(self, "coords_set", frozenset(seen))
         object.__setattr__(self, "pair_group", GG)
-        object.__setattr__(self, "law",
-                           None if psi is None else psi.domain.law)
         object.__setattr__(self, "_acts", None)
         object.__setattr__(self, "_violations", None)
 
@@ -387,11 +382,12 @@ def compatible_violations(data) -> list:
 
 
 def _u_central(psi, uu) -> bool:
-    """True when uu lies in psi's domain and psi(f, uu) = psi(uu, f) for
-    every f there: E[f][uu] = E[uu][f], as E is reduced mod N."""
-    u = psi.domain.law[0].get(uu)
-    return u is not None and all(row[u] == e
-                                 for row, e in zip(psi.E, psi.E[u]))
+    """True when uu lies in psi's F and psi(g, uu) = psi(uu, g) at each
+    generator g, hence at every f: row and column g of E agree on uu's word."""
+    u = psi.index.get(uu)
+    return u is not None and all(
+        sum((x - y) * c for x, y, c in zip(row, col, psi.words[u])) % psi.N == 0
+        for row, col in zip(psi.E, zip(*psi.E)))
 
 
 def alpha_supports_w3(module, alpha) -> bool:
@@ -400,10 +396,11 @@ def alpha_supports_w3(module, alpha) -> bool:
     return _u_central(orth.psi_alpha(alpha), module.u.coords * 2)
 
 
-def _psi_values(psi):
-    """psi's values over F x F, zeta_N^E, with one root made per exponent."""
+def _twisted_law(psi):
+    """psi.table() with each exponent e read as its root zeta_N^e: rows of
+    (position of a + b, psi(a, b)), one root made per exponent."""
     roots = [CycloScalar.root_of_unity(psi.N, e) for e in range(psi.N)]
-    return [[roots[e] for e in row] for row in psi.E]
+    return [[(h, roots[e]) for h, e in row] for row in psi.table()]
 
 
 def build_K(data) -> ComodAlg:
@@ -426,8 +423,8 @@ def build_K(data) -> ComodAlg:
     group-like, and w_T' e_f1 . e_f = psi(f1, f) w_T' e_(f1 + f) (chi is 1
     past no w and e_0 e_f1 e_f has no further twist), so each term
     c v_T g x w_T' e_f1 goes to c psi(f1, f) v_T (g + f) x w_T' e_(f1 + f):
-    the host index is the one key of mono_mul(v_T g, f), the F index is
-    read from data.law.
+    the host index is the one key of mono_mul(v_T g, f), the F index and
+    psi(f1, f) are read from psi's table.
     """
     bad = compatible_violations(data)
     if bad:
@@ -444,10 +441,10 @@ def build_K(data) -> ComodAlg:
     if (1 << nW) * nF > 8192:
         raise CapacityError("comodule algebra dimension exceeds the supported bound")
     GG = data.pair_group
-    f_index, f_mul = data.law
+    f_index = data.psi.index
     id_f = f_index[GG.zero().coords]
     u_f = f_index.get(data.uu_coords())
-    psiv = _psi_values(data.psi)
+    law = _twisted_law(data.psi)
     N = module.group.exponent
     act_roots = [[CycloScalar.root_of_unity(N, e) for e in exps]
                  for exps, _ in data.actions()]
@@ -464,8 +461,8 @@ def build_K(data) -> ComodAlg:
         for p in range(len(word) - 1):
             (ka, a), (kb, b) = word[p], word[p + 1]
             if ka == "e" and kb == "e":
-                out = _scaled(nf(word[:p] + (("e", f_mul[a][b]),) + word[p + 2:]),
-                              psiv[a][b])
+                h, c = law[a][b]
+                out = _scaled(nf(word[:p] + (("e", h),) + word[p + 2:]), c)
                 break
             if ka == "e" and kb == "w":
                 out = _scaled(nf(word[:p] + (("w", b), ("e", a)) + word[p + 2:]),
@@ -519,12 +516,9 @@ def build_K(data) -> ComodAlg:
             row[S] = row[S[:-1]] * roots[S[-1]]
         chi.append([row[S] for S in subsets])
     # e_g e_f1 e_f2 = psi' e_h; no word holds an e_0, so g = 0 adds no psi
-    twist = {id_f: [[(f_mul[a][b], psiv[a][b]) for b in range(nF)]
-                    for a in range(nF)]}
+    twist = {id_f: law}
     if any(g != id_f for row in wtab for terms in row for _, g, _ in terms):
-        twist[u_f] = [[(f_mul[f_mul[u_f][a]][b],
-                        psiv[u_f][a] * psiv[f_mul[u_f][a]][b])
-                       for b in range(nF)] for a in range(nF)]
+        twist[u_f] = [[(h, p * q) for h, q in law[ua]] for ua, p in law[u_f]]
 
     zeroG = module.group.zero().coords
     zeroGG = GG.zero().coords
@@ -564,17 +558,18 @@ def build_K(data) -> ComodAlg:
                                lamw[S[-1]])
     for i, (S, fk) in enumerate(keys):
         r = host.group_like(Fels[fk])
-        K.coaction[i] = {(h2, k - k % nF + f_mul[k % nF][fk]):
-                         c * psiv[k % nF][fk] for (h, k), c in lam_S[S].items()
+        K.coaction[i] = {(h2, k - k % nF + law[k % nF][fk][0]):
+                         c * law[k % nF][fk][1]
+                         for (h, k), c in lam_S[S].items()
                          for h2 in host.mono_mul(h, r)}
     return K
 
 
 def build_L(module, W, beta, alpha) -> ComodAlg:
-    """K built from the twisted subgroup and cocycle attached to alpha."""
+    """K built from the twist psi_alpha on U_alpha."""
     psi = orth.psi_alpha(alpha)
-    data = CompatibleData(module, None, None, W, beta, psi.domain.elements,
-                          psi, alpha=alpha)
+    data = CompatibleData(module, None, None, W, beta, psi.elements, psi,
+                          alpha=alpha)
     return build_K(data)
 
 
@@ -596,14 +591,13 @@ def _model_iso(K, gen_w, gen_e, mul, one, target, coords, note):
     commutes with the coactions on a basis is a comodule map.
 
     relations_psi is checked for a in {0} and the generators of F
-    (abelian.generators) and every b: e_a e_b = psi(a, b) e_(a+b) then
-    holds for every a, by induction on the length of a as a sum of
-    generators.  For a = g + a', g a generator, the checked relation at
-    (g, a') gives e_a = psi(g, a')^-1 e_g e_a', as psi's values are roots
-    of unity; the product of the algebra holding target is associative,
-    so e_a e_b = psi(g, a')^-1 psi(a', b) psi(g, a' + b) e_(a+b), and the
-    cocycle identity of psi, proved when its TwoCocycle was built, makes
-    that scalar psi(a, b)."""
+    (psi.gens) and every b: e_a e_b = psi(a, b) e_(a+b) then holds for
+    every a, by induction on the length of a as a sum of generators.  For
+    a = g + a', g a generator, the checked relation at (g, a') gives e_a =
+    psi(g, a')^-1 e_g e_a', as psi's values are roots of unity; the product
+    of the algebra holding target is associative, so e_a e_b = psi(g,
+    a')^-1 psi(a', b) psi(g, a' + b) e_(a+b), and psi is a bicharacter
+    (its Twist proved it well defined), so that scalar is psi(a, b)."""
     data = K.meta["data"]
     if data.W1.dim or data.W2.dim:
         raise DomainError("_model_iso reads the relations of a third-sector "
@@ -618,12 +612,12 @@ def _model_iso(K, gen_w, gen_e, mul, one, target, coords, note):
             rhs = _scaled(one, gram[i][j] if i != j else _HALF * gram[i][i])
             if lhs != rhs:
                 note("relations_w", (i, j))
-    fpos, fadd = data.law
-    psiv = _psi_values(data.psi)
-    for i in (fpos[data.pair_group.zero().coords], *ab.generators(fadd)):
+    fpos = data.psi.index
+    law = _twisted_law(data.psi)
+    for i in (0, *map(fpos.__getitem__, data.psi.gens)):  # 0: F's identity
         for j, b in enumerate(data.F):
-            rhs = _scaled(gen_e[fadd[i][j]], psiv[i][j])
-            if mul(gen_e[i], gen_e[j]) != rhs:
+            h, c = law[i][j]
+            if mul(gen_e[i], gen_e[j]) != _scaled(gen_e[h], c):
                 note("relations_psi", (data.F[i].coords, b.coords))
     N = data.module.group.exponent
     for f, e, (exps, _) in zip(data.F, gen_e, data.actions()):
@@ -1265,10 +1259,10 @@ def family_alphas(module, bound=256):
 def compatible_families(module):
     """Candidate (name, F elements, psi, central_ok) tuples for a module.
 
-    psi is None (psi = 1) or a TwoCocycle on F: psi_alpha, or an N = 2
-    sign twist (_sign_twist).  central_ok marks whether the family's twist
-    commutes with (u, u), i.e. whether data over it may carry a nonzero
-    third sector.
+    psi is None (psi = 1) or an orth.Twist on F: psi_alpha, or an N = 2
+    sign twist, -1 where a rule bilinear mod 2 holds on F's generators.
+    central_ok marks whether the family's twist commutes with (u, u), i.e.
+    whether data over it may carry a nonzero third sector.
     """
     G = module.group
     GG = ab.direct_sum(G, G)
@@ -1280,34 +1274,23 @@ def compatible_families(module):
     fams.append(("trivial", (zero,), None, True))
     fams.append(("order2", (zero, uu), None, True))
     fams.append(("order2_sign", (zero, uu),
-                 _sign_twist(module, (zero, uu), lambda a, b: a == b == uu),
-                 True))
+                 orth.Twist(G, [GG.zero(), GG.element(uu)], 2,
+                            lambda a, b: a == b == uu), True))
     whole = tuple(a.coords + b.coords
                   for a in G.elements() for b in G.elements())
     alphas = family_alphas(module)
     if alphas:
         fams.append(("whole", whole, None, True))
         for k, alpha in enumerate(alphas):
-            U = orth.u_alpha(alpha)
-            fams.append((f"U_alpha_{k}", U.elements, orth.psi_alpha(alpha),
+            psi = orth.psi_alpha(alpha)
+            fams.append((f"U_alpha_{k}", psi.elements, psi,
                          alpha_supports_w3(module, alpha)))
     if G.order == 2:
         # bicharacter twist on G x G that is not central at (u, u)
         fams.append(("bichar", whole,
-                     _sign_twist(module, whole, lambda a, b: a[0] * b[1] % 2),
-                     False))
+                     orth.Twist(G, map(GG.element, whole), 2,
+                                lambda a, b: a[0] * b[1] % 2), False))
     return tuple(fams)
-
-
-def _sign_twist(module, F, minus):
-    """The N = 2 TwoCocycle on the subgroup F (coordinate tuples) of G x G
-    that is -1 at the pairs (a, b) of coordinates where minus(a, b) holds
-    and 1 elsewhere."""
-    GG = ab.direct_sum(module.group, module.group)
-    U = orth.TwistedSubgroup(module.group, [GG.element(f) for f in F])
-    coords = [f.coords for f in U.elements]
-    return orth.TwoCocycle(U, 2, [[minus(a, b) for b in coords]
-                                  for a in coords])
 
 
 def _random_subset(rng, n, cap):
@@ -1325,8 +1308,8 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
     both components over F, beta entries only where the paired eigenvalues
     cancel on all of F, e_u-sector entries only when (u, u) lies in F and
     the twist commutes with it.  The first two are k = 0 questions
-    (la.pairs_satisfy), asked on generators of F when F is closed under
-    addition, as every family is, and on all of F otherwise.
+    (la.pairs_satisfy), asked on the generators of F: every family is a
+    subgroup, with a Twist.
     """
     m = module.dim
     fams = compatible_families(module)
@@ -1336,10 +1319,7 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
     uu = module.u.coords * 2
     has_uu = any(f.coords == uu for f in Fels) and central_ok
 
-    gens = [f.coords for f in Fels]
-    table = ab.addition_table(Fels)
-    if table is not None:
-        gens = [gens[g] for g in ab.generators(table[1])]
+    gens = (psi or orth.trivial_twist(module.group, tuple(Fels))).gens
     graph_ok = _graph_positions(module, gens)
 
     S1 = _random_subset(rng, m, 2)

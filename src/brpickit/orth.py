@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import itertools
 from functools import cache, lru_cache
+from math import gcd, lcm
 from operator import mul
 
 from . import abelian as ab
 from .abelian import FinAbGroup, GroupElement
 from .errors import CapacityError, DomainError
 
-# Largest |G+G^| enumerate_orth lists, and largest |U|^2 TwistedSubgroup tabulates.
+# Largest |G+G^| enumerate_orth lists, and largest |F|^2 Twist.table tabulates.
 MAX_DSUM_ORDER = 1 << 20
 
 
@@ -216,41 +217,110 @@ def enumerate_orth(G: FinAbGroup, bound: int = 256):
     return sorted(found, key=lambda a: a.matrix)
 
 
-class TwistedSubgroup:
-    """The subgroup U_alpha of G x G.
+class Twist:
+    """k_psi F, the one form of a twist: F a subgroup of G x G, held by its
+    elements sorted by coordinates (index: their positions) and its
+    generators gens, and psi a bicharacter on F, zeta_N^(x E y) at (a, b),
+    x and y the words of a and b (their coefficients on gens), E[i][j] =
+    exponent(gens[i], gens[j]) mod N, or 0 without an exponent.
 
-    Its closure under + is checked on the full |U| x |U| addition table
-    (that makes a non-empty list a subgroup: -x = (ord x - 1) x), so a U
-    with |U|^2 above MAX_DSUM_ORDER is refused first (CapacityError)."""
+    Construction is the one place that proves F a subgroup and psi well
+    defined, or raises a DomainError.  gens are picked greedily in position
+    order, each element the earlier ones do not generate; adding such a g
+    to the span H of the earlier ones walks the cosets H + k g, every sum
+    must lie in F, and as every element is reached, F = <gens>.  Two words
+    of one element differ by a relation among the gens, so psi is well
+    defined when each relation (abelian.solve, over the gens' orders) pairs
+    to 0 mod N with every generator on either side.  A bicharacter is
+    normalized and a 2-cocycle: both sides of the identity are psi(a,b)
+    psi(a,c) psi(b,c).
+    """
 
-    __slots__ = ("group", "pair_group", "elements", "law")
+    # _table: table(), built on first use
+    __slots__ = ("pair_group", "elements", "index", "gens", "words", "N", "E",
+                 "_table")
 
-    def __init__(self, group: FinAbGroup, elements):
-        pair_group = ab.direct_sum(group, group)
+    def __init__(self, group: FinAbGroup, elements, N: int = 1, exponent=None):
+        GG = ab.direct_sum(group, group)
+        fs = GG.factors
         elements = tuple(sorted(elements, key=lambda e: e.coords))
-        _check_table_size(len(elements))
-        law = ab.addition_table(elements)
-        if law is None:
-            raise DomainError("element list is not closed under the product")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "pair_group", pair_group)
+        index = {e.coords: k for k, e in enumerate(elements)}
+        zero = (0,) * len(fs)
+        if (any(e.parent != GG for e in elements) or len(index) != len(elements)
+                or zero not in index):
+            raise DomainError("F must list distinct elements of G x G, "
+                              "the identity among them")
+        words, gens = {zero: ()}, []
+        for g in index:
+            if g in words:
+                continue
+            layer = [(a, w + (0,) * (len(gens) - len(w))) for a, w in words.items()]
+            gens.append(g)
+            k = 0
+            while layer:
+                k, step = k + 1, []
+                for a, w in layer:
+                    b = tuple((x + y) % f for x, y, f in zip(a, g, fs))
+                    if b not in words:
+                        if b not in index:
+                            raise DomainError("F is not closed under addition")
+                        words[b] = w + (k,)
+                        step.append((b, w))
+                layer = step
+        r = len(gens)
+        E = tuple(tuple(exponent(g, h) % N if exponent else 0 for h in gens)
+                  for g in gens)
+        if any(map(any, E)):
+            orders = [lcm(*(f // gcd(f, c) for c, f in zip(g, fs))) for g in gens]
+            relations = ab.solve(orders, [([g[t] for g in gens], 0, f)
+                                          for t, f in enumerate(fs)])[1]
+            relations += [[o * (i == j) for j in range(r)]
+                          for i, o in enumerate(orders)]
+            if any(sum(map(mul, k, line)) % N
+                   for k in relations for line in E + tuple(zip(*E))):
+                raise DomainError("psi ill-defined: a relation among F's "
+                                  "generators pairs to a nontrivial root")
+        object.__setattr__(self, "pair_group", GG)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "gens", tuple(gens))
+        object.__setattr__(self, "words", tuple(
+            w + (0,) * (r - len(w)) for w in map(words.__getitem__, index)))
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("TwistedSubgroup is immutable")
+        raise AttributeError("Twist is immutable")
 
-    def __len__(self):
-        return len(self.elements)
+    def table(self) -> tuple:
+        """F x F as rows of (position of a + b, exponent of psi(a, b)), built
+        once: the one |F|^2 object, refused above MAX_DSUM_ORDER entries.
+        Row a + g is row a moved by g plus psi(g, .): filled by word length."""
+        if self._table is None:
+            n, fs, N = len(self.elements), self.pair_group.factors, self.N
+            if n * n > MAX_DSUM_ORDER:
+                raise CapacityError(f"|F| = {n}: its twisted law table exceeds "
+                                    f"the supported maximum of {MAX_DSUM_ORDER} entries")
+            words, index = self.words, self.index
+            shift = [[index[tuple((x + y) % f for x, y, f in zip(b, g, fs))]
+                      for b in index] for g in self.gens]
+            gain = [[sum(map(mul, row, y)) % N for y in words] for row in self.E]
+            at = {w: k for k, w in enumerate(words)}
+            rows = {0: (range(n), [0] * n)}  # 0: the identity sorts first
+            for w in sorted(words, key=sum)[1:]:
+                j = max(i for i, c in enumerate(w) if c)
+                pos, exps = rows[at[w[:j] + (w[j] - 1,) + w[j + 1:]]]
+                rows[at[w]] = ([shift[j][p] for p in pos],
+                               [(e + d) % N for e, d in zip(exps, gain[j])])
+            object.__setattr__(self, "_table", tuple(tuple(zip(*rows[k])) for k in range(n)))
+        return self._table
 
-    def __repr__(self):
-        return f"TwistedSubgroup(order {len(self.elements)})"
 
-
-def _check_table_size(order: int):
-    if order ** 2 > MAX_DSUM_ORDER:
-        raise CapacityError(f"|U_alpha| = {order}: its addition table exceeds "
-                            f"the supported maximum of {MAX_DSUM_ORDER} entries")
+@cache
+def trivial_twist(group: FinAbGroup, elements: tuple) -> Twist:
+    """psi = 1 on the subgroup with these elements, built once per tuple."""
+    return Twist(group, elements)
 
 
 def _pair_and_vector(alpha: OrthAut, x) -> tuple:
@@ -291,12 +361,11 @@ def _u_vectors(alpha: OrthAut) -> dict:
 
 
 @cache
-def u_alpha(alpha: OrthAut) -> TwistedSubgroup:
-    """U_alpha = {(alpha_1(x), g_x)}, closed from its generators once
-    u_order has passed TwistedSubgroup's cap."""
-    _check_table_size(u_order(alpha))
+def u_alpha(alpha: OrthAut) -> Twist:
+    """U_alpha = {(alpha_1(x), g_x)}, closed from its generators, with the
+    trivial twist."""
     GG = ab.direct_sum(alpha.group, alpha.group)
-    return TwistedSubgroup(alpha.group, [GroupElement(GG, a) for a in _u_vectors(alpha)])
+    return Twist(alpha.group, [GroupElement(GG, a) for a in _u_vectors(alpha)])
 
 
 @cache
@@ -342,98 +411,6 @@ def in_stabilizer(alpha: OrthAut, z) -> bool:
         c - a for c, a in zip(z, image)]))[0] is not None
 
 
-class TwoCocycle:
-    """A twist psi = zeta_N^E on a subgroup of G x G, the one form of psi.
-
-    domain is a TwistedSubgroup and E[i][j] the exponent of zeta_N at
-    (domain.elements[i], domain.elements[j]), reduced mod N on
-    construction.  Construction is the one place that proves psi a
-    normalized 2-cocycle: E vanishes on the row and column of the
-    identity, and cocycle_failure finds no failing triple.  It raises a
-    DomainError otherwise, naming the first failing triple.
-    """
-
-    __slots__ = ("domain", "N", "E")
-
-    def __init__(self, domain: TwistedSubgroup, N: int, E):
-        E = tuple(tuple(e % N for e in row) for row in E)
-        index, add = domain.law
-        z = index.get(domain.pair_group.zero().coords)
-        if z is None or any(E[z]) or any(row[z] for row in E):
-            raise DomainError("cocycle is not normalized at the identity")
-        bad = cocycle_failure(add, E, N)
-        if bad is not None:
-            elems = domain.elements
-            raise DomainError("2-cocycle identity fails at " + ",".join(
-                str(elems[k].coords) for k in bad))
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "E", E)
-
-    @staticmethod
-    def trivial(domain: TwistedSubgroup) -> "TwoCocycle":
-        """psi = 1 on domain: N = 1 and every exponent 0."""
-        n = len(domain)
-        return TwoCocycle(domain, 1, ((0,) * n,) * n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoCocycle is immutable")
-
-    def __repr__(self):
-        return f"TwoCocycle(on order-{len(self.domain)} subgroup, N={self.N})"
-
-
-def cocycle_failure(add, E, N: int):
-    """The first (i, j, k), in lexicographic order, with
-    E[i][j] + E[i+j][k] != E[j][k] + E[i][j+k] (mod N), or None.
-
-    E is a table of exponents of zeta_N over the elements of a group whose
-    addition table on indices is add; the congruence is the 2-cocycle
-    identity psi(a,b) psi(a+b,c) = psi(b,c) psi(a,b+c) for psi = zeta_N^E.
-    add and E are tuples of tuples, or lists of lists.
-
-    Fast path: when E is a bicharacter mod N (_bicharacter), psi is one,
-    and a bicharacter is a 2-cocycle: both sides of the identity are
-    psi(a,b) psi(a,c) psi(b,c).  Any other table, such as a coboundary
-    that is not a bicharacter, goes through the triple loop, which names
-    the first failing triple.
-    """
-    if _bicharacter(add, E, N):
-        return None
-    n = len(E)
-    for i in range(n):
-        Ei, addi = E[i], add[i]
-        for j in range(n):
-            Eij, Eab, Ej, addj = Ei[j], E[addi[j]], E[j], add[j]
-            for k in range(n):
-                if (Eij + Eab[k] - Ej[k] - Ei[addj[k]]) % N:
-                    return i, j, k
-    return None
-
-
-def _bicharacter(add, E, N: int) -> bool:
-    """Whether E is additive mod N in each argument, decided on the
-    generators g, h of the group (abelian.generators) in gens * |E|^2 steps.
-
-    Each row is checked along every g: E[i][g+j] = E[i][g] + E[i][j] for
-    all j.  That makes the row additive, by induction on word length: j = 0
-    gives E[i][0] = 0, and if x is additive so is g + x, as E[i][g+x+j] =
-    E[i][g] + E[i][x] + E[i][j] = E[i][g+x] + E[i][j].  Then for each g and
-    i, j -> E[g+i][j] - E[g][j] - E[i][j] is additive, so it vanishes
-    everywhere once it vanishes at every generator h; and additivity along
-    every g in the first argument spreads by the same induction.
-    """
-    gens = ab.generators(add)
-    R = [[e % N for e in row] for row in E]
-    for Ri in R:
-        for g in gens:
-            Rig = Ri[g]
-            if list(map(Ri.__getitem__, add[g])) != [(c + Rig) % N for c in Ri]:
-                return False
-    return not any((R[add[g][i]][h] - R[g][h] - Ri[h]) % N
-                   for g in gens for i, Ri in enumerate(R) for h in gens)
-
-
 @cache
 def psi_vectors(alpha: OrthAut) -> dict:
     """{a: v_a} over the coordinates a of U_alpha, with psi_alpha(a, b) =
@@ -458,11 +435,9 @@ def psi_vectors(alpha: OrthAut) -> dict:
 
 
 @cache
-def psi_alpha(alpha: OrthAut) -> TwoCocycle:
-    """The TwoCocycle zeta_N^(v_a . b) on U_alpha, v from psi_vectors,
-    built and proved a 2-cocycle once per alpha."""
+def psi_alpha(alpha: OrthAut) -> Twist:
+    """The Twist zeta_N^(v_a . b) on U_alpha, v from psi_vectors, built once
+    per alpha."""
     vectors = psi_vectors(alpha)
-    U = u_alpha(alpha)
-    coords = [e.coords for e in U.elements]
-    return TwoCocycle(U, alpha.group.exponent, [
-        [sum(map(mul, vectors[a], b)) for b in coords] for a in coords])
+    return Twist(alpha.group, u_alpha(alpha).elements, alpha.group.exponent,
+                 lambda a, b: sum(map(mul, vectors[a], b)))

@@ -19,10 +19,10 @@ def pair_coords(g):
     return x.coords + y.coords
 
 
-def pair_of(U, e):
-    """The (first, second) G-components of an element e of U_alpha."""
-    n = U.group.rank
-    return U.group.element(e.coords[:n]), U.group.element(e.coords[n:])
+def pair_of(G, e):
+    """The (first, second) G-components of an element e of G x G."""
+    n = G.rank
+    return G.element(e.coords[:n]), G.element(e.coords[n:])
 
 
 def in_span(S, v):

@@ -396,6 +396,28 @@ def expand_bicharacter(gens, values, factors, N):
     return out
 
 
+def expand_twist(psi):
+    """expand_bicharacter on a twist's exponents at its pairs of generators
+    (psi.gens, psi.E), over its pair group, mod psi.N."""
+    values = {(g, h): e for g, row in zip(psi.gens, psi.E)
+              for h, e in zip(psi.gens, row)}
+    return expand_bicharacter(psi.gens, values, psi.pair_group.factors, psi.N)
+
+
+def bi_additive(elements, factors, exps, N, steps):
+    """Whether {(a, b): e} over the subgroup with these elements (coordinate
+    tuples mod factors) is additive mod N in each argument along every step:
+    e(a + g, b) = e(a, b) + e(g, b) and e(b, a + g) = e(b, a) + e(b, g) for
+    all a, b and g in steps.  Along generators that is additivity, by
+    induction on word length (g = 0 gives e(0, b) = 0)."""
+    def add(x, y):
+        return tuple((s + t) % f for s, t, f in zip(x, y, factors))
+
+    return not any((exps[(add(a, g), b)] - exps[(a, b)] - exps[(g, b)]) % N
+                   or (exps[(b, add(a, g))] - exps[(b, a)] - exps[(b, g)]) % N
+                   for a in elements for b in elements for g in steps)
+
+
 # -- cyclotomic arithmetic on Fraction coefficients -----------------------
 # A value is (N, coeffs) with coeffs the Fraction coefficients of an element
 # of Q(zeta_N) in the power basis 1, z, ..., z^(phi(N)-1), reduced mod
@@ -882,13 +904,18 @@ def rewrite_K_tables(data, host, scalar):
     rows, types, gram = data.rows, data.types, data.gram
     nW, Fels = len(rows), data.F
     nF = len(Fels)
-    f_index, f_mul = data.law
+    factors = module.group.factors * 2
+    coords = [f.coords for f in Fels]
+    f_index = {c: k for k, c in enumerate(coords)}
+    f_mul = [[f_index[tuple((x + y) % f for x, y, f in zip(a, b, factors))]
+              for b in coords] for a in coords]
     zero_gg = tuple(module.group.zero().coords) * 2
     id_f = f_index[zero_gg]
     uu = data.uu_coords()
     u_f = f_index.get(uu)
-    psiv = [[scalar.root_of_unity(data.psi.N, e) for e in row]
-            for row in data.psi.E]
+    exps = expand_twist(data.psi)
+    psiv = [[scalar.root_of_unity(data.psi.N, exps[(a, b)]) for b in coords]
+            for a in coords]
     N = module.group.exponent
     act_roots = [[scalar.root_of_unity(N, e)
                   for e in data.act_exponents(f)[0]] for f in Fels]

@@ -126,15 +126,23 @@ def test_automorphism_composition_group_spotcheck():
 
 
 def test_addition_table_matches_add():
-    Z2xZ4 = FinAbGroup([2, 4])
-    for els in (list(Z2xZ3.elements()), list(Z2xZ4.elements()),
-                [Z2xZ4.element(c) for c in [(0, 0), (1, 2), (0, 2), (1, 0)]]):
-        index, add = ab.addition_table(els)
-        assert index == {x.coords: k for k, x in enumerate(els)}
-        for i, x in enumerate(els):
-            for j, y in enumerate(els):
-                assert els[add[i][j]] == ab.add(x, y)
-    assert ab.addition_table([]) == ({}, ())
+    # a Twist's table holds the position of elements[i] + elements[j] at
+    # (i, j), on G x G, on G x 0 and on a subgroup of order 4
+    for G in (Z2xZ3, FinAbGroup([2, 4])):
+        GG = ab.direct_sum(G, G)
+        zero = G.zero().coords
+        sets = [list(GG.elements()),
+                [GG.element(g.coords + zero) for g in G.elements()]]
+        if G.factors == (2, 4):
+            sets.append([GG.element(c + zero)
+                         for c in [(0, 0), (1, 2), (0, 2), (1, 0)]])
+        for els in sets:
+            U = orth.Twist(G, els)
+            assert U.elements == tuple(sorted(els, key=lambda x: x.coords))
+            assert U.index == {x.coords: k for k, x in enumerate(U.elements)}
+            for x, row in zip(U.elements, U.table()):
+                for y, (k, e) in zip(U.elements, row):
+                    assert U.elements[k] == ab.add(x, y) and e == 0
 
 
 def _span(els, kept):
@@ -152,37 +160,75 @@ def _span(els, kept):
 @pytest.mark.parametrize("factors", [[1], [2], [4], [2, 2], [2, 4], [2, 3],
                                      [3, 3], [2, 2, 2], [4, 4], [8]])
 def test_generators_generate_and_none_is_redundant(factors):
-    # the greedy set generates the group, and no kept element lies in the
-    # span of the ones kept before it; U_alpha's elements are in a
-    # different order, so take each group both sorted and shuffled
-    els = list(FinAbGroup(factors).elements())
-    for order in (els, random.Random(len(els)).sample(els, len(els))):
-        gens = ab.generators(ab.addition_table(order)[1])
-        assert _span(order, gens) == set(order)
-        assert all(order[g] not in _span(order, gens[:k])
-                   for k, g in enumerate(gens))
-    assert ab.generators(()) == ()
+    # a Twist's generators, on G x G, its diagonal and G x 0, generate F;
+    # each is the first element, in sorted order, outside the span of the
+    # ones kept before it; and each element is the sum its word names
+    G = FinAbGroup(factors)
+    GG = ab.direct_sum(G, G)
+    zero = G.zero().coords
+    for els in (list(GG.elements()),
+                [GG.element(g.coords * 2) for g in G.elements()],
+                [GG.element(g.coords + zero) for g in G.elements()]):
+        U = orth.Twist(G, els)
+        order = U.elements
+        gens = [U.index[g] for g in U.gens]
+        spans = [_span(order, gens[:k]) for k in range(len(gens) + 1)]
+        assert spans[-1] == set(order)
+        for k, g in enumerate(gens):
+            assert order[g] not in spans[k]
+            assert all(x in spans[k] for x in order[:g])
+        for x, word in zip(order, U.words):
+            assert tuple(sum(c * g[i] for c, g in zip(word, U.gens)) % f
+                         for i, f in enumerate(GG.factors)) == x.coords
+    assert orth.Twist(FinAbGroup([1]), [ab.direct_sum(
+        FinAbGroup([1]), FinAbGroup([1])).zero()]).gens == ()
 
 
 def test_addition_table_none_when_not_closed():
-    # {0, 1} in Z4: 1 + 1 = 2 is missing; so is the inverse 3 of 1
-    assert ab.addition_table([Z4.zero(), Z4.element([1])]) is None
-    assert ab.addition_table([Z2xZ2.element([1, 0]), Z2xZ2.element([0, 1])]) is None
-    with pytest.raises(DomainError):
-        ab.addition_table([Z2.zero(), Z4.zero()])
+    # Twist's closure walk against a brute-force check: distinct elements of
+    # G x G, the identity among them, build exactly when closed under
+    # addition; on subgroups spanned by random elements, with one element
+    # dropped or not, and on random subsets
+    rng = random.Random(5)
+    for G in (Z2, Z4, Z2xZ2):
+        GG = ab.direct_sum(G, G)
+        fs = GG.factors
+        pool = [e.coords for e in GG.elements() if any(e.coords)]
+        seen = set()
+        for _ in range(40):
+            span = set(oracles.span(rng.sample(pool, rng.randrange(1, 3)), fs))
+            if rng.randrange(2):
+                span.discard(rng.choice(pool))
+            for els in (span, {GG.zero().coords, *rng.sample(pool, 3)}):
+                closed = all(tuple((x + y) % f for x, y, f in zip(a, b, fs)) in els
+                             for a in els for b in els)
+                seen.add(closed)
+                try:
+                    U = orth.Twist(G, [GG.element(a) for a in els])
+                except DomainError as e:
+                    assert not closed and "not closed under addition" in str(e), els
+                else:
+                    assert closed and set(U.index) == els, els
+        assert seen == {True, False}, G
 
 
 def test_twisted_subgroup_closure_errors():
     GG = ab.direct_sum(Z4, Z4)
-    with pytest.raises(DomainError, match="not closed under the product"):
-        orth.TwistedSubgroup(Z4, [GG.zero(), GG.element([1, 1])])
-    U = orth.TwistedSubgroup(Z4, [GG.element([k, k]) for k in range(4)])
-    assert (3, 3) in U.law[0] and (1, 0) not in U.law[0]
-    # a non-empty list closed under + is a subgroup; the empty list has no
-    # identity, and a twist on it is refused as not normalized
-    empty = orth.TwistedSubgroup(Z4, [])
-    with pytest.raises(DomainError, match="not normalized"):
-        orth.TwoCocycle.trivial(empty)
+    # {0, (1, 1)}: (1, 1) + (1, 1) = (2, 2) is missing
+    with pytest.raises(DomainError, match="not closed under addition"):
+        orth.Twist(Z4, [GG.zero(), GG.element([1, 1])])
+    # no identity: the empty list, and {(1, 0), (0, 1)} in Z2 x Z2 (whose
+    # sum and doubles are missing too)
+    Z2Z2 = ab.direct_sum(Z2, Z2)
+    for G, els in ((Z4, []), (Z2, [Z2Z2.element([1, 0]), Z2Z2.element([0, 1])])):
+        with pytest.raises(DomainError, match="the identity among them"):
+            orth.Twist(G, els)
+    # elements of another group, or one listed twice
+    for els in ([GG.zero(), Z2Z2.zero()], [GG.zero(), GG.zero()]):
+        with pytest.raises(DomainError, match="distinct elements of G x G"):
+            orth.Twist(Z4, els)
+    U = orth.Twist(Z4, [GG.element([k, k]) for k in range(4)])
+    assert (3, 3) in U.index and (1, 0) not in U.index
 
 
 def test_non_integer_factors_and_coordinates_refused():

@@ -68,13 +68,13 @@ def test_criterion_03(capsys):
         ok = ok and sorted(f.coords for f in U.elements) == diag
         psi = orth.psi_alpha(ident)
         ok = ok and all(CycloScalar.root_of_unity(psi.N, e) == one
-                        for row in psi.E for e in row)
+                        for row in psi.table() for _, e in row)
         for alpha in orth.enumerate_orth(G):
             Ua = orth.u_alpha(alpha)
             pa = orth.psi_alpha(alpha)
             val = {(a.coords, b.coords): CycloScalar.root_of_unity(pa.N, e)
-                   for a, row in zip(Ua.elements, pa.E)
-                   for b, e in zip(Ua.elements, row)}
+                   for a, row in zip(pa.elements, pa.table())
+                   for b, (_, e) in zip(pa.elements, row)}
             for a in Ua.elements:
                 for b in Ua.elements:
                     mid = ab.add(a, b).coords

@@ -666,7 +666,7 @@ def test_equivariance_flags_match_dense_reference():
             U = orth.u_alpha(d.alpha)
             movers = {
                 "equivariant": [(z, z) for z in _stabilizer(d.alpha)],
-                "equivariant_full_U": [hh.pair_of(U, e) for e in U.elements],
+                "equivariant_full_U": [hh.pair_of(mod.group, e) for e in U.elements],
                 "equivariant_full_diagonal": [(z, z) for z in els],
             }
             for flag, pairs in movers.items():
@@ -674,7 +674,7 @@ def test_equivariance_flags_match_dense_reference():
                                                     zero)
                 assert rep[flag] is ref, (name, flag, d)
                 seen[flag].add(ref)
-            assert rep["uu_in_U"] is (mod.u.coords * 2 in U.law[0])
+            assert rep["uu_in_U"] is (mod.u.coords * 2 in U.index)
             assert rep["invertible"] is bp.matrix_is_invertible(
                 [list(r) for r in d.T])
     assert all(v == {True, False} for v in seen.values()), seen
@@ -760,7 +760,7 @@ def test_rdatum_flags_match_dense_reference():
             U = orth.u_alpha(d.alpha)
             movers = {
                 "": [(z, z) for z in _stabilizer(d.alpha)],
-                "_full_U": [hh.pair_of(U, e) for e in U.elements],
+                "_full_U": [hh.pair_of(mod.group, e) for e in U.elements],
             }
             for suffix, pairs in movers.items():
                 ref = oracles.dense_invariant(d.W, d.beta.gram,

@@ -770,9 +770,9 @@ def _swap_rows(rank):
              for j in range(2 * rank)] for i in range(2 * rank)]
 
 
-# U_alpha of the swap on Z2^7 has 2^14 elements, so its addition table
-# would have 2^28 entries.  brpic reads U_alpha's generators off alpha's
-# matrix and builds no table; u_alpha, which models read, still refuses it.
+# U_alpha of the swap on Z2^7 has 2^14 elements, so the table of its
+# twisted law would have 2^28 entries, which Twist.table refuses.  brpic
+# reads U_alpha's generators off alpha's matrix and builds no Twist at all.
 def test_swap_on_z2_7_builds_no_twisted_subgroup(tmp_path, capsys,
                                                 monkeypatch):
     datum = {"T": [["1@1", "0@1"], ["0@1", "1@1"]],
@@ -780,13 +780,13 @@ def test_swap_on_z2_7_builds_no_twisted_subgroup(tmp_path, capsys,
     spec = _write(tmp_path, "swap7.json",
                   _identity_spec(7) | {"datum": datum})
     swap = orth.OrthAut(ab.FinAbGroup([2] * 7), _swap_rows(7))
-    with pytest.raises(CapacityError, match="U_alpha"):
-        orth.u_alpha(swap)
+    with pytest.raises(CapacityError, match="twisted law table"):
+        orth.u_alpha(swap).table()
 
     def refuse(*args):
-        raise AssertionError("a TwistedSubgroup was built")
+        raise AssertionError("a Twist was built")
 
-    monkeypatch.setattr(orth, "TwistedSubgroup", refuse)
+    monkeypatch.setattr(orth, "Twist", refuse)
     for verb in ("convert", "inv"):
         start = time.perf_counter()
         code, out, err = _run(capsys, ["brpic", verb, "--spec", spec,
@@ -794,6 +794,28 @@ def test_swap_on_z2_7_builds_no_twisted_subgroup(tmp_path, capsys,
         assert time.perf_counter() - start < 5
         assert code == 0 and err == ""
         assert json.loads(out)["validation"]["valid"] is True
+
+
+# Z34 has alphas with |U_alpha| = 1,156: U_alpha and psi_alpha are built,
+# and the one cap on |F|^2, where the twisted law table is built, refuses
+# the model; verify cotensor ends there in exit 3.
+def test_z34_model_refused_at_the_twisted_law_table(tmp_path, capsys):
+    G = ab.FinAbGroup([34])
+    module = la.GModuleV(G, G.element((17,)), [G.character((1,))])
+    alpha = next(a for a in orth.enumerate_orth(G, 1200)
+                 if orth.u_order(a) == 1156)
+    assert len(orth.psi_alpha(alpha).elements) == 1156
+    with pytest.raises(CapacityError, match="^[|]F[|] = 1156: its twisted law"):
+        hopf.build_L(module, None, None, alpha)
+    spec = _write(tmp_path, "z34.json",
+                  {"group": [34], "u": [17], "V": [[1]]})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["verify", "cotensor", "--seed", "1",
+                                   "--count", "3", "--bound", "1200",
+                                   "--spec", spec])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert "twisted law table" in err and "Traceback" not in err
 
 
 def _refuse_psi_tables(monkeypatch):
@@ -852,7 +874,8 @@ def test_orth_json_past_the_psi_table_sizes(tmp_path, capsys, monkeypatch,
 def test_orth_generator_pairs_expand_to_psi_alpha(tmp_path, capsys,
                                                   factors):
     # the --json values on pairs of U_generators, extended bilinearly, are
-    # psi_alpha's table E, and the text line counts E's nonzero entries
+    # psi_alpha's exponents over U_alpha x U_alpha, and the text line
+    # counts the nonzero ones
     G = ab.FinAbGroup(factors)
     N = G.exponent
     exponent = {cyclo.CycloScalar.root_of_unity(N, e).to_string(): e
@@ -873,12 +896,13 @@ def test_orth_generator_pairs_expand_to_psi_alpha(tmp_path, capsys,
                   for g, h, r in entry["psi"]}
         assert len(values) == len(entry["psi"]) == len(gens) ** 2
         psi = orth.psi_alpha(alpha)
-        elems = [e.coords for e in psi.domain.elements]
+        elems = [e.coords for e in psi.elements]
+        exps = {(a, b): e for a, row in zip(elems, psi.table())
+                for b, (_, e) in zip(elems, row)}
         table = oracles.expand_bicharacter(gens, values, G.factors * 2, N)
-        assert table == {(a, b): e for a, row in zip(elems, psi.E)
-                         for b, e in zip(elems, row)}, alpha
+        assert table == exps, alpha
         assert entry["U_size"] == len(elems)
-        nonzero = sum(e != 0 for row in psi.E for e in row)
+        nonzero = sum(e != 0 for e in exps.values())
         assert line.endswith("psi trivial" if nonzero == 0 else
                              f"psi nontrivial on {nonzero} pairs")
 

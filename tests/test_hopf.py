@@ -82,62 +82,74 @@ def test_equal_modules_share_hosts_and_families():
 
 
 def test_psi_alpha_cocycle_verdict_is_reached_once(monkeypatch):
-    # psi_alpha's TwoCocycle proves its identity once; the data build_L
-    # makes of it keep that TwoCocycle and decide nothing again
+    # psi_alpha's Twist proves psi a well-defined bicharacter once, and
+    # builds its table once; the data build_L makes of it keep that Twist
+    # and decide nothing again
     mod = dict(hh.module_zoo())["Z2Z4_d1"]
     alpha = bp.suite_alphas(mod)[-1]
-    calls = []
-    original = orth.cocycle_failure
-    monkeypatch.setattr(orth, "cocycle_failure",
-                        lambda *args: calls.append(args[2]) or original(*args))
+    orth.u_alpha(alpha)
+    built = []
+    init = orth.Twist.__init__
+    monkeypatch.setattr(orth.Twist, "__init__",
+                        lambda self, *args: built.append(args[2])
+                        or init(self, *args))
     orth.psi_alpha.cache_clear()
     psi = orth.psi_alpha(alpha)
     for _ in range(3):
-        assert hopf.build_L(mod, None, None, alpha).meta["data"].psi is psi
-    assert calls == [psi.N]
+        K = hopf.build_L(mod, None, None, alpha)
+        assert K.meta["data"].psi is psi
+        assert K.factors.twist[0] == hopf._twisted_law(psi)
+    assert built == [psi.N] and psi.table() is psi.table()
 
 
-def _psi_table(U, N, E):
-    """{(a, b): zeta_N^E[i][j]} over the coordinates of U's elements."""
-    elems = [f.coords for f in U.elements]
-    return {(a, b): CycloScalar.root_of_unity(N, e)
-            for a, row in zip(elems, E) for b, e in zip(elems, row)}
+def _exps(psi):
+    """psi's exponents as {(a, b): e} over the coordinates of its elements,
+    read off its table."""
+    elems = [f.coords for f in psi.elements]
+    return {(a, b): e for a, row in zip(elems, psi.table())
+            for b, (_, e) in zip(elems, row)}
 
 
-def _refusal(U, N, E):
-    """TwoCocycle's message for (U, N, E), or None when it builds."""
-    try:
-        orth.TwoCocycle(U, N, E)
-    except DomainError as e:
-        return str(e)
-    return None
+def _values(psi):
+    """psi's exponents at its pairs of generators, {(g, h): E[i][j]}."""
+    return {(g, h): e for g, row in zip(psi.gens, psi.E)
+            for h, e in zip(psi.gens, row)}
 
 
 def test_two_cocycle_is_checked_on_its_own_exponents(monkeypatch):
-    # TwoCocycle decides its identity on exponents at its N and lifts no
-    # scalar; psi_alpha's table with one exponent moved is refused exactly
-    # when the scalar oracle, on its values zeta_N^E, refuses it
+    # a Twist decides well-definedness on exponents at its N and lifts no
+    # scalar; psi_alpha's exponents with one generator pair moved by 1 are
+    # refused exactly when their expansion along the oracle's words is not
+    # additive in each argument, and otherwise give that expansion; every
+    # pair of generators is tried
     mod = dict(hh.module_zoo())["Z2Z4_d1"]
-    GG = ab.direct_sum(mod.group, mod.group)
     lifts = []
     lift = CycloScalar.lift
     monkeypatch.setattr(CycloScalar, "lift",
                         lambda self, M: lifts.append(M) or lift(self, M))
-    rejected = 0
+    seen = set()
     for alpha in bp.suite_alphas(mod)[:12]:
         psi = orth.psi_alpha(alpha)
-        U = psi.domain
-        data = hopf.CompatibleData(mod, None, None, None, None, U.elements,
+        data = hopf.CompatibleData(mod, None, None, None, None, psi.elements,
                                    psi)
         assert data.psi is psi and hopf.compatible_violations(data) == []
-        E = [list(row) for row in psi.E]
-        E[-1][len(E) // 2] += 1
-        got = _refusal(U, psi.N, E) is not None
-        elems = [f.coords for f in U.elements]
-        assert got == (not oracles.cocycle_ok(elems, GG.factors,
-                                              _psi_table(U, psi.N, E)))
-        rejected += got
-    assert lifts == [] and rejected > 0
+        elems = [f.coords for f in psi.elements]
+        for pair in _values(psi):
+            values = _values(psi)
+            values[pair] += 1
+            want = oracles.expand_bicharacter(psi.gens, values,
+                                              psi.pair_group.factors, psi.N)
+            ok = oracles.bi_additive(elems, psi.pair_group.factors, want,
+                                     psi.N, psi.gens)
+            try:
+                moved = orth.Twist(mod.group, psi.elements, psi.N,
+                                   lambda g, h: values[(g, h)])
+            except DomainError:
+                moved = None
+            assert (moved is not None) is ok, (alpha, pair)
+            assert moved is None or _exps(moved) == want
+            seen.add(ok)
+    assert lifts == [] and seen == {True, False}
 
 
 def test_tensor_host_cross_block_commutes():
@@ -333,10 +345,6 @@ def test_rejections_each_clause():
     d = hopf.CompatibleData(mod4, _axis(1, [0], 1), None, None,
                             [[la.sc(1)]], _diag_F(G4), None)
     assert "beta_F_invariant" in hopf.compatible_violations(d)
-    # psi's normalization is proved when its TwoCocycle is built
-    U = orth.TwistedSubgroup(G, [z, uu])
-    assert _refusal(U, 2, [[0, 1], [0, 0]]) == \
-        "cocycle is not normalized at the identity"
 
 
 def test_compatible_data_takes_psi_as_a_two_cocycle_on_F():
@@ -344,18 +352,18 @@ def test_compatible_data_takes_psi_as_a_two_cocycle_on_F():
     G = mod.group
     GG = ab.direct_sum(G, G)
     z, uu = GG.zero(), GG.element((1, 1))
-    whole = orth.TwistedSubgroup(G, _whole_F(G))
-    for psi in ({(uu.coords, uu.coords): Fraction(-1)},
-                orth.TwoCocycle.trivial(whole)):
+    whole = orth.Twist(G, _whole_F(G))
+    for psi in ({(uu.coords, uu.coords): Fraction(-1)}, whole):
         with pytest.raises(InputValidationError,
-                           match="^psi must be a TwoCocycle on F$"):
+                           match="^psi must be a Twist on F$"):
             hopf.CompatibleData(mod, None, None, None, None, [z, uu], psi)
-    # None is psi = 1 on a subgroup, and stays None off one
+    # None is psi = 1 on a subgroup, one Twist per F, and stays None off one
     d = hopf.CompatibleData(mod, None, None, None, None, [uu, z, uu])
-    assert d.psi.N == 1 and d.psi.domain.elements == d.F
-    assert d.psi.E == ((0, 0), (0, 0)) and d.law == d.psi.domain.law
+    assert d.psi.N == 1 and d.psi.elements == d.F and d.psi.E == ((0,),)
+    assert d.psi is hopf.CompatibleData(mod, None, None, None, None,
+                                        [z, uu]).psi
     d = hopf.CompatibleData(mod, None, None, None, None, [uu])
-    assert d.psi is None and d.law is None
+    assert d.psi is None
     assert hopf.compatible_violations(d) == ["F_subgroup"]
 
 
@@ -365,107 +373,115 @@ def _whole_F(G):
             for b in G.elements()]
 
 
-def _first_failure_message(U, N, E):
-    """TwoCocycle's message for a table oracles.first_cocycle_failure
-    finds a failing triple in, or None when it finds none."""
-    elems = [f.coords for f in U.elements]
-    first = oracles.first_cocycle_failure(
-        elems, U.pair_group.factors,
-        {(a, b): e for a, row in zip(elems, E) for b, e in zip(elems, row)}, N)
-    if first is None:
-        return None
-    return "2-cocycle identity fails at " + ",".join(map(str, first))
-
-
-def test_normalized_non_cocycle_table_rejected():
-    mod = _sw()
-    U = orth.TwistedSubgroup(mod.group, _whole_F(mod.group))
-    elems = [f.coords for f in U.elements]
-    # -1 at (x, x) only: normalized, and broken by (x, x, (0, 1)) among
-    # others; refused at the oracle's first failing triple
-    x = (1, 0)
-    E = [[int(a == b == x) for b in elems] for a in elems]
-    assert _refusal(U, 2, E) == _first_failure_message(U, 2, E) is not None
-    # the bicharacter (-1)^(a_1 b_1) is a cocycle
-    bichar = orth.TwoCocycle(U, 2, [[a[0] * b[0] for b in elems]
-                                    for a in elems])
-    data = hopf.CompatibleData(mod, None, None, None, None, U.elements, bichar)
-    assert hopf.compatible_violations(data) == []
-
-
-def test_coboundary_twist_is_a_two_cocycle():
-    # psi(a,b) = mu(a) mu(b) / mu(a+b), mu = i off 0: the exponents c(a) +
-    # c(b) - c(a+b) at N = 4, c = 1 off 0, a coboundary that is not a
-    # bicharacter; one entry times i is refused at the oracle's triple
-    for mod in (_sw(), hh.z22_module()):
-        U = orth.TwistedSubgroup(mod.group, _whole_F(mod.group))
-        n, add = len(U), U.law[1]
-        c = [0] + [1] * (n - 1)
-        E = [[c[i] + c[j] - c[add[i][j]] for j in range(n)] for i in range(n)]
-        assert not orth._bicharacter(add, E, 4)
-        psi = orth.TwoCocycle(U, 4, E)
-        assert {e for row in psi.E for e in row} == {0, 1, 2}
-        data = hopf.CompatibleData(mod, None, None, None, None, U.elements,
-                                   psi)
-        assert hopf.compatible_violations(data) == []
-        E[1][2] += 1
-        assert _refusal(U, 4, E) == _first_failure_message(U, 4, E) \
-            is not None
+@cache
+def _zoo_twists():
+    """(name, module, psi) over the distinct twists of the zoo: every
+    compatible_families entry's (the trivial twist of its F where it has
+    none), so both sign twists, and psi_alpha of every suite alpha of every
+    zoo module."""
+    out = {}
+    for name, mod in hh.module_zoo():
+        twists = [(f"{name}/{fam}", psi or hopf.CompatibleData(
+                      mod, None, None, None, None, F).psi)
+                  for fam, F, psi, _ in hopf.compatible_families(mod)]
+        twists += [(f"{name}/alpha {k}", orth.psi_alpha(a))
+                   for k, a in enumerate(bp.suite_alphas(mod))]
+        for label, psi in twists:
+            key = (tuple(f.coords for f in psi.elements), psi.N, psi.E)
+            out.setdefault(key, (label, mod, psi))
+    return list(out.values())
 
 
 def test_cocycle_check_agrees_with_scalar_oracle():
-    # every zoo family twist, and a copy times zeta_2N at one pair (every
-    # exponent doubled at 2N, one moved by 1): TwoCocycle refuses exactly
-    # the tables the scalar oracle refuses, at the oracle's first triple
-    seen = set()
-    rejected = 0
-    for _, mod in hh.module_zoo():
-        if mod.group.order > 4:
-            continue
-        GG = ab.direct_sum(mod.group, mod.group)
-        for _, F, psi, _ in hh.f_families(mod):
-            data = hopf.CompatibleData(mod, None, None, None, None, F, psi)
-            assert "F_subgroup" not in hopf.compatible_violations(data)
-            U, N, E = data.psi.domain, data.psi.N, data.psi.E
-            elems = tuple(f.coords for f in U.elements)
-            if (elems, N, E) in seen or len(elems) < 2:
-                continue
-            seen.add((elems, N, E))
-            moved = [[2 * e for e in row] for row in E]
-            moved[-1][len(elems) // 2] += 1
-            for M, table in ((N, E), (2 * N, moved)):
-                got = _refusal(U, M, table)
-                ok = oracles.cocycle_ok(elems, GG.factors,
-                                        _psi_table(U, M, table))
-                assert (got is None) is ok
-                assert got == _first_failure_message(U, M, table)
-                rejected += got is not None
-    assert len(seen) > 10 and rejected > 5
+    # every twist a Twist accepts is a 2-cocycle: at every (a, b) in F x F
+    # its table holds the position of a + b and the bilinear expansion of
+    # psi's exponents on pairs of generators; the values zeta_N^e pass the
+    # scalar oracle's 2-cocycle identity on every triple where |F| <= 16,
+    # and are additive along every generator in each argument (which
+    # implies it) everywhere
+    names = {label.split("/")[1] for label, _, _ in _zoo_twists()}
+    assert {"order2_sign", "bichar"} <= names and len(_zoo_twists()) > 150
+    scalar_checked = 0
+    for label, mod, psi in _zoo_twists():
+        fs, N = psi.pair_group.factors, psi.N
+        elems = [f.coords for f in psi.elements]
+        exps = _exps(psi)
+        assert exps == oracles.expand_twist(psi), label
+        for a, row in zip(psi.elements, psi.table()):
+            assert [psi.elements[h] for h, _ in row] == [
+                ab.add(a, b) for b in psi.elements], label
+
+        assert oracles.bi_additive(elems, fs, exps, N, psi.gens), label
+        if len(elems) <= 16:
+            assert oracles.cocycle_ok(elems, fs, {
+                k: CycloScalar.root_of_unity(N, e) for k, e in exps.items()}), label
+            scalar_checked += 1
+    assert scalar_checked > 50
 
 
 def test_cocycle_check_paths(monkeypatch):
-    # cocycle_failure has one caller, TwoCocycle: a datum given a zoo
-    # family's TwoCocycle decides nothing again, one given None builds its
-    # trivial twist (N = 1) once, and compatible_violations decides none
+    # a Twist is proved where it is built, once: a datum given a zoo
+    # family's Twist builds none, data given None over one F share the
+    # trivial twist the first of them built, and an F that is not a
+    # subgroup is refused by the one attempt and reported as F_subgroup
     tables = [(mod, F, psi) for _, mod in hh.module_zoo()
               for _, F, psi, _ in hh.f_families(mod)]
-    calls = []
-    original = orth.cocycle_failure
-    monkeypatch.setattr(orth, "cocycle_failure",
-                        lambda *args: calls.append(args[2]) or original(*args))
+    orth.trivial_twist.cache_clear()
+    built = []
+    init = orth.Twist.__init__
+    monkeypatch.setattr(orth.Twist, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    trivial = {}
     for mod, F, psi in tables:
         data = hopf.CompatibleData(mod, None, None, None, None, F, psi)
         assert hopf.compatible_violations(data) == []
-        assert calls == ([] if psi is not None else [1])
-        calls.clear()
-    assert len(tables) > 50
-    # one sign flipped: -1 = zeta_2, refused by the congruence mod 2
+        if psi is not None:
+            assert data.psi is psi and built == []
+        else:
+            key = (mod.group, data.F)
+            assert built == ([] if key in trivial else [1])
+            assert trivial.setdefault(key, data.psi) is data.psi
+        built.clear()
+    assert len(tables) > 50 and len(trivial) > 10
     mod = _sw()
-    U = orth.TwistedSubgroup(mod.group, _whole_F(mod.group))
-    x = U.law[0][(1, 0)]
-    E = [[int(i == j == x) for j in range(len(U))] for i in range(len(U))]
-    assert _refusal(U, 2, E).startswith("2-cocycle identity fails")
-    assert calls == [2]
+    GG = ab.direct_sum(mod.group, mod.group)
+    data = hopf.CompatibleData(mod, None, None, None, None,
+                               [GG.zero(), GG.element((1, 0)), GG.element((0, 1))])
+    assert data.psi is None and built == [1]
+    assert hopf.compatible_violations(data) == ["F_subgroup"]
+
+
+def test_twist_mutants_fail():
+    # one generator-pair exponent moved by 1 (at N, or at 2 for psi = 1),
+    # the first pair where that leaves psi well defined, which every twist
+    # with generators has: K over the mutant differs from K over psi in its
+    # products.  An exponent a generator's order does not
+    # kill (1 at (g, g) at M = 2 N ord(g), the rest scaled to M) is refused.
+    moved = 0
+    twists = [t for t in _zoo_twists() if t[2].gens]
+    for label, mod, psi in twists:
+        values = _values(psi)
+        M = psi.N if psi.N > 1 else 2
+        K = hopf.build_K(hopf.CompatibleData(mod, None, None, None, None,
+                                             psi.elements, psi))
+        for pair in sorted(values):
+            try:
+                mutant = orth.Twist(mod.group, psi.elements, M,
+                                    lambda g, h: values[(g, h)] + ((g, h) == pair))
+            except DomainError:
+                continue
+            data = hopf.CompatibleData(mod, None, None, None, None,
+                                       psi.elements, mutant)
+            same, why = hopf.same_tables(K, hopf.build_K(data))
+            assert not same and why.startswith("products differ"), label
+            moved += 1
+            break
+        g = psi.gens[0]
+        M = 2 * psi.N * ab.order_of(psi.pair_group.element(g))
+        with pytest.raises(DomainError, match="psi ill-defined"):
+            orth.Twist(mod.group, psi.elements, M, lambda a, b: M // psi.N
+                       * values[(a, b)] + ((a, b) == (g, g)))
+    assert moved == len(twists) > 150
 
 
 def test_sign_twists_are_the_parents_sign_rules():
@@ -477,19 +493,18 @@ def test_sign_twists_are_the_parents_sign_rules():
             continue
         uu = tuple(mod.u.coords) * 2
         whole = [f.coords for f in _whole_F(mod.group)]
-        rules = {"order2_sign": {(uu, uu): Fraction(-1)}}
+        rules = {"order2_sign": {(uu, uu): 1}}
         if mod.group.order == 2:
-            rules["bichar"] = {(a, b): Fraction(-1) for a in whole
+            rules["bichar"] = {(a, b): 1 for a in whole
                                for b in whole if a[0] * b[1] % 2}
         fams = {n: (F, psi) for n, F, psi, _ in hopf.compatible_families(mod)}
         assert ("bichar" in fams) == (mod.group.order == 2)
         for fam, minus in rules.items():
             F, psi = fams[fam]
-            elems = [f.coords for f in psi.domain.elements]
+            elems = [f.coords for f in psi.elements]
             assert psi.N == 2 and elems == sorted(F)
-            want = {(a, b): la.sc(minus.get((a, b), 1))
-                    for a in elems for b in elems}
-            assert _psi_table(psi.domain, 2, psi.E) == want, (name, fam)
+            want = {(a, b): minus.get((a, b), 0) for a in elems for b in elems}
+            assert _exps(psi) == want, (name, fam)
             checked += 1
     assert checked == 10
 
@@ -756,10 +771,10 @@ def test_random_data_property_sweep():
 
 
 def test_sector_filters_on_generators_match_all_of_F():
-    """Every family of every zoo module is closed under addition, and
+    """Every family of every zoo module is a subgroup (it has a Twist), and
     random_compatible_data's questions, a graph line at each generator and
-    a beta entry at each pair of positions, read the same on ab.generators
-    of F as on all of F; each answer is seen both ways."""
+    a beta entry at each pair of positions, read the same on the Twist's
+    generators of F as on all of F; each answer is seen both ways."""
     seen = set()
     for name, mod in hh.module_zoo():
         GG = ab.direct_sum(mod.group, mod.group)
@@ -767,10 +782,8 @@ def test_sector_filters_on_generators_match_all_of_F():
         for fam, F, _psi, _central in hopf.compatible_families(mod):
             els = [c if isinstance(c, ab.GroupElement) else GG.element(c)
                    for c in F]
-            table = ab.addition_table(els)
-            assert table is not None, (name, fam)
             every = [f.coords for f in els]
-            gens = [every[g] for g in ab.generators(table[1])]
+            gens = orth.Twist(mod.group, els).gens
             graph = hopf._graph_positions(mod, every)
             assert hopf._graph_positions(mod, gens) == graph, (name, fam)
             seen.add(len(graph) == m)
@@ -1098,22 +1111,25 @@ def _beta_on(data, kind):
                                data.F, data.psi, alpha=data.alpha)
 
 
-def _psi_coboundary(data):
-    """data with psi times the coboundary of c = -1 at F's second element
-    and 1 elsewhere: a compatible, different psi when |F| >= 3.  The sign
-    c_i c_j c_(i+j) is (-1)^(d_i + d_j + d_(i+j)), d = 1 at F's second
-    element, so the product is zeta_M^E' at M = lcm(2, N)."""
-    if len(data.F) < 3:
+def _psi_times_sign(data):
+    """data with psi times the bicharacter (-1)^(a_s b_s), s the first
+    coordinate of G x G with an even factor that is odd at some element of
+    F, or None without one: a different psi, and as the sign is symmetric,
+    central at (u, u) where psi is, so the datum stays compatible.  The
+    product is zeta_M^e at M = lcm(2, N)."""
+    psi = data.psi
+    fs = psi.pair_group.factors
+    s = next((s for s, f in enumerate(fs) if f % 2 == 0
+              and any(a.coords[s] % 2 for a in data.F)), None)
+    if s is None:
         return None
-    psi, f_mul = data.psi, data.law[1]
     M = lcm(2, psi.N)
-    d = [int(k == 1) for k in range(len(data.F))]
-    E = [[e * (M // psi.N) + M // 2 * (d[i] + d[j] + d[f_mul[i][j]])
-          for j, e in enumerate(row)] for i, row in enumerate(psi.E)]
+    values = _values(psi)
+    twist = orth.Twist(data.module.group, data.F, M,
+                       lambda g, h: values[(g, h)] * (M // psi.N)
+                       + M // 2 * g[s] * h[s])
     return hopf.CompatibleData(data.module, data.W1, data.W2, data.W3,
-                               data.gram, data.F,
-                               orth.TwoCocycle(psi.domain, M, E),
-                               alpha=data.alpha)
+                               data.gram, data.F, twist, alpha=data.alpha)
 
 
 def _chi_flipped(K):
@@ -1143,7 +1159,7 @@ def test_every_difference_reaches_the_entry_loop():
             if kind == "chi":
                 B = _chi_flipped(K)
             else:
-                mutant = (_psi_coboundary(data) if kind == "psi"
+                mutant = (_psi_times_sign(data) if kind == "psi"
                           else _beta_on(data, kind))
                 assert mutant is None or not hopf.compatible_violations(
                     mutant), (name, kind)
@@ -1816,12 +1832,10 @@ def _model_iso_kinds(K, gen_w, gen_e, mul, one, target, coords):
 
 def _psi_relations_hold(K, gen_e, mul):
     """e_a e_b = psi(a, b) e_(a+b) for every a, b in F: the full loop."""
-    data = K.meta["data"]
-    add, psi = data.law[1], data.psi
+    psi = K.meta["data"].psi
     return all(mul(gen_e[i], gen_e[j])
-               == host._scaled(gen_e[add[i][j]],
-                               CycloScalar.root_of_unity(psi.N, e))
-               for i, row in enumerate(psi.E) for j, e in enumerate(row))
+               == host._scaled(gen_e[h], CycloScalar.root_of_unity(psi.N, e))
+               for i, row in enumerate(psi.table()) for j, (h, e) in enumerate(row))
 
 
 def test_model_iso_notes_a_negated_e_image():
@@ -1833,7 +1847,7 @@ def test_model_iso_notes_a_negated_e_image():
     z8 = dict(hh.module_zoo())["Z8_d1"]
     cases = [(z8, orth.orth_identity(z8.group))]
     cases += [(z4, a) for a in bp.suite_alphas(z4)]
-    assert max(len(orth.u_alpha(a)) for _, a in cases) == 16
+    assert max(len(orth.u_alpha(a).elements) for _, a in cases) == 16
     for mod, alpha in cases:
         K = hopf.build_L(mod, None, None, alpha)
         gen_w, gen_e, mul, one = _self_images(K)

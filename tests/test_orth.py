@@ -305,7 +305,7 @@ def test_from_json_above_4096_matches_pointwise_oracle():
 def test_u_alpha_identity_is_diagonal():
     for G in [Z2, Z3, Z4, Z2xZ2]:
         U = orth.u_alpha(orth.orth_identity(G))
-        assert len(U) == G.order
+        assert len(U.elements) == G.order
         for e in U.elements:
             assert e.coords[:G.rank] == e.coords[G.rank:]
 
@@ -313,22 +313,21 @@ def test_u_alpha_identity_is_diagonal():
 def test_u_gamma_on_z2_is_everything():
     gamma = orth.OrthAut(Z2, _swap_matrix(1))
     U = orth.u_alpha(gamma)
-    assert len(U) == 4
-    u = Z2.generator(0)
-    assert (1, 1) in U.law[0] and (1, 0) in U.law[0]
+    assert len(U.elements) == 4
+    assert (1, 1) in U.index and (1, 0) in U.index
 
 
 def test_u_order_is_the_size_of_u_alpha():
     for G in [Z2, Z3, Z4, Z2xZ2, FinAbGroup([2, 4]), FinAbGroup([2, 1])]:
         for a in orth.enumerate_orth(G):
-            assert orth.u_order(a) == len(orth.u_alpha(a)), a
+            assert orth.u_order(a) == len(orth.u_alpha(a).elements), a
 
 
 def test_u_alpha_divides_g_squared():
     for G in [Z2, Z3, Z4, Z2xZ2]:
         for a in orth.enumerate_orth(G):
             U = orth.u_alpha(a)
-            assert (G.order ** 2) % len(U) == 0
+            assert (G.order ** 2) % len(U.elements) == 0
             # U_alpha is the image of x -> (alpha_1(x), g_x)
             n = G.rank
             image = {oracles.apply_matrix(G.factors, a.matrix, x.coords)[:n]
@@ -360,21 +359,25 @@ def test_u_alpha_built_once_and_shared_with_psi():
         for a in orth.enumerate_orth(G):
             b = orth.OrthAut(G, a.matrix)
             assert orth.u_alpha(a) is orth.u_alpha(a) is orth.u_alpha(b)
-            assert orth.psi_alpha(b).domain is orth.u_alpha(a)
+            psi = orth.psi_alpha(b)
+            assert psi is orth.psi_alpha(a)
+            assert psi.elements == orth.u_alpha(a).elements
+            assert psi.table() is psi.table()
 
 
 def _exps(psi):
-    """psi's exponent table E as {(a, b): E[i][j]} over the coordinates of
-    its domain's elements."""
-    elems = [f.coords for f in psi.domain.elements]
-    return {(a, b): e
-            for a, row in zip(elems, psi.E) for b, e in zip(elems, row)}
+    """psi's exponents as {(a, b): e} over the coordinates of its elements,
+    read off its table."""
+    elems = [f.coords for f in psi.elements]
+    return {(a, b): e for a, row in zip(elems, psi.table())
+            for b, (_, e) in zip(elems, row)}
 
 
 def test_psi_identity_trivial():
     for G in [Z2, Z3, Z4, Z2xZ2]:
         psi = orth.psi_alpha(orth.orth_identity(G))
         assert psi.N == G.exponent and not any(map(any, psi.E))
+        assert set(_exps(psi).values()) == {0}
 
 
 def test_psi_gamma_z2_value():
@@ -385,41 +388,20 @@ def test_psi_gamma_z2_value():
     assert CycloScalar.root_of_unity(psi.N, exps[((1, 0), (0, 1))]) \
         == CycloScalar.from_rational(-1)
     # normalization at the identity
-    e = psi.domain.pair_group.zero().coords
-    for x in psi.domain.elements:
+    e = psi.pair_group.zero().coords
+    for x in psi.elements:
         assert exps[(e, x.coords)] == 0 and exps[(x.coords, e)] == 0
 
 
 def test_psi_cocycle_identity_all_alphas():
-    # construction verifies the identity and raises on failure
+    # construction proves psi_alpha a well-defined bicharacter, and its
+    # table passes the oracle's 2-cocycle identity on every triple
     for G in [Z2, Z3, Z4, Z2xZ2]:
         for a in orth.enumerate_orth(G):
-            orth.psi_alpha(a)
-
-
-def test_two_cocycle_raises_at_the_first_failing_triple():
-    # one entry of a valid psi_alpha table moved by +1 breaks the identity;
-    # the error names the first failing triple in element order
-    G24 = FinAbGroup([2, 4])
-    cases = [(G, a) for G in [Z2, Z3, Z4, Z2xZ2] for a in orth.enumerate_orth(G)[::3]]
-    cases += [(G24, a) for a in orth.enumerate_orth(G24)[::48]]
-    for G, alpha in cases:
-        psi = orth.psi_alpha(alpha)
-        U = psi.domain
-        elems = [e.coords for e in U.elements]
-        E = [list(row) for row in psi.E]
-        E[-1][len(elems) // 2] += 1
-        exps = _exps(psi)
-        assert oracles.first_cocycle_failure(elems, U.pair_group.factors,
-                                             exps, psi.N) is None
-        exps[(elems[-1], elems[len(elems) // 2])] += 1
-        first = oracles.first_cocycle_failure(elems, U.pair_group.factors,
-                                              exps, psi.N)
-        assert first is not None
-        with pytest.raises(DomainError) as err:
-            orth.TwoCocycle(U, psi.N, E)
-        assert str(err.value) == ("2-cocycle identity fails at "
-                                  + ",".join(map(str, first)))
+            psi = orth.psi_alpha(a)
+            elems = [f.coords for f in psi.elements]
+            assert oracles.first_cocycle_failure(
+                elems, psi.pair_group.factors, _exps(psi), psi.N) is None, a
 
 
 def test_psi_exponents_match_the_pairing_formula():
@@ -431,7 +413,7 @@ def test_psi_exponents_match_the_pairing_formula():
     for G, alpha in cases:
         psi = orth.psi_alpha(alpha)
         exps = _exps(psi)
-        U = psi.domain
+        U = psi
         n = G.rank
         preimage = {}
         for x in orth.dsum_group(G).elements():
@@ -573,99 +555,69 @@ def test_psi_exponents_agree_with_every_preimage(factors):
                                                 for k, v in table.items()}
 
 
-def _group_table(factors):
-    elems = [e.coords for e in FinAbGroup(factors).elements()]
-    index = {x: k for k, x in enumerate(elems)}
-    add = tuple(tuple(index[tuple((s + t) % f for s, t, f in zip(x, y, factors))]
-                      for y in elems) for x in elems)
-    return elems, add
-
-
-def _bi_additive(add, E, N):
-    n = len(E)
-    return not any((E[i][add[j][k]] - E[i][j] - E[i][k]) % N
-                   or (E[add[i][j]][k] - E[i][k] - E[j][k]) % N
-                   for i, j, k in itertools.product(range(n), repeat=3))
-
-
-@pytest.mark.parametrize("factors", [[4], [2, 2, 2], [2, 4], [3, 3], [8]])
-def test_cocycle_failure_accepts_a_coboundary(factors):
-    # zeta^(c(a) + c(b) - c(a+b)) is a 2-cocycle; for the c drawn here it
-    # is not a bicharacter, so no additivity along a generating set decides it
-    elems, add = _group_table(factors)
-    n = len(elems)
-    N = FinAbGroup(factors).exponent
-    rng = random.Random(sum(factors))
-    kept = 0
-    for _ in range(40):
-        c = [0] + [rng.randrange(N) for _ in elems[1:]]
-        E = tuple(tuple((c[i] + c[j] - c[add[i][j]]) % N for j in range(n))
-                  for i in range(n))
-        if not _bi_additive(add, E, N):
-            kept += 1
-            assert orth.cocycle_failure(add, E, N) is None
-    assert kept >= 10
-
-
 @pytest.mark.parametrize("factors", [[4], [2, 2], [2, 4], [3, 3], [8]])
 def test_cocycle_failure_names_the_oracles_triple(factors):
-    # broken tables: a bicharacter times a coboundary with one entry moved
-    # (at the end of the table and at random), a table whose rows are
-    # characters chosen at random, and a random table; cocycle_failure's
-    # first triple is the oracle's
-    elems, add = _group_table(factors)
-    n = len(elems)
-    N = FinAbGroup(factors).exponent
-    rng = random.Random(7 * n)
-    for _ in range(4):
-        c = [0] + [rng.randrange(N) for _ in elems[1:]]
-        B = [[rng.randrange(N) for _ in factors] for _ in factors]
-
-        def bichar(x, y):
-            return sum(x[i] * B[i][j] * y[j] * (N // gcd(f, g))
-                       for i, f in enumerate(factors)
-                       for j, g in enumerate(factors))
-
-        good = [[(bichar(elems[i], elems[j]) + c[i] + c[j] - c[add[i][j]]) % N
-                 for j in range(n)] for i in range(n)]
-        assert oracles.first_cocycle_failure(
-            elems, factors, {(elems[i], elems[j]): good[i][j]
-                             for i in range(n) for j in range(n)}, N) is None
-        sigma = [0] + [rng.randrange(n) for _ in elems[1:]]
-        rows = [[bichar(elems[sigma[i]], elems[j]) % N for j in range(n)]
-                for i in range(n)]
-        random_table = [[rng.randrange(N) for _ in range(n)] for _ in range(n)]
-        for key in ((n - 1, n // 2), (rng.randrange(n), rng.randrange(n)),
-                    rows, random_table):
-            if isinstance(key, tuple):
-                E = [row[:] for row in good]
-                E[key[0]][key[1]] += 1
+    # the oracle's 2-cocycle identity on every triple against a Twist's test
+    # of its generator exponents, on F = G x 0 at N and 2N: a Twist that
+    # builds passes it on its whole table, and exponents whose expansion
+    # along the oracle's words has a failing triple are refused.  The
+    # converse does not hold (on Z2, psi(1, 1) = i is a 2-cocycle but not a
+    # bicharacter), so a refusal need not come with a triple
+    G = FinAbGroup(factors)
+    GG = ab.direct_sum(G, G)
+    zero = G.zero().coords
+    U = orth.Twist(G, [GG.element(g.coords + zero) for g in G.elements()])
+    elems = [e.coords for e in U.elements]
+    rng = random.Random(7 * len(elems))
+    seen = set()
+    for N in (G.exponent, 2 * G.exponent):
+        for _ in range(20):
+            values = {(g, h): rng.randrange(N) for g in U.gens for h in U.gens}
+            want = oracles.expand_bicharacter(U.gens, values, GG.factors, N)
+            first = oracles.first_cocycle_failure(elems, GG.factors, want, N)
+            try:
+                psi = orth.Twist(G, U.elements, N, lambda g, h: values[(g, h)])
+            except DomainError as e:
+                assert str(e).startswith("psi ill-defined"), values
+                seen.add("refused" if first is None else "triple")
             else:
-                E = key
-            exps = {(elems[i], elems[j]): E[i][j]
-                    for i in range(n) for j in range(n)}
-            first = oracles.first_cocycle_failure(elems, factors, exps, N)
-            got = orth.cocycle_failure(add, tuple(map(tuple, E)), N)
-            assert (None if got is None
-                    else tuple(elems[k] for k in got)) == first
-            if isinstance(key, tuple):
-                assert first is not None
+                assert _exps(psi) == want and first is None, values
+                seen.add("built")
+    assert {"built", "triple"} <= seen, factors
 
 
 def test_bicharacter_test_matches_the_full_check():
-    # psi_alpha is always a bicharacter, so cocycle_failure decides it on
-    # generators; a coboundary that is not one is refused by both
+    # a Twist's test of its exponents (every relation among F's generators
+    # pairs to 0 mod N) against the oracle's full check of additivity on
+    # all triples: psi_alpha always passes both; random exponents on pairs
+    # of generators of F = G x 0, at N and 2N, build exactly when their
+    # expansion along the oracle's words passes, and then give it
     G24 = FinAbGroup([2, 4])
     cases = [a for G in [Z2, Z3, Z4, Z2xZ2] for a in orth.enumerate_orth(G)]
     cases += orth.enumerate_orth(G24)[::16]
     for alpha in cases:
         psi = orth.psi_alpha(alpha)
-        add = psi.domain.law[1]
-        assert _bi_additive(add, psi.E, psi.N)
-        assert orth._bicharacter(add, psi.E, psi.N)
-    elems, add = _group_table([2, 4])
-    rng = random.Random(5)
-    for _ in range(20):
-        c = [0] + [rng.randrange(4) for _ in elems[1:]]
-        E = [[(c[i] + c[j] - c[add[i][j]]) % 4 for j in range(8)] for i in range(8)]
-        assert orth._bicharacter(add, E, 4) is _bi_additive(add, E, 4)
+        elems = [f.coords for f in psi.elements]
+        assert oracles.bi_additive(elems, psi.pair_group.factors, _exps(psi),
+                                   psi.N, elems), alpha
+    for factors in ([4], [2, 2], [2, 4], [3, 3], [8]):
+        G = FinAbGroup(factors)
+        GG = ab.direct_sum(G, G)
+        zero = G.zero().coords
+        U = orth.Twist(G, [GG.element(g.coords + zero) for g in G.elements()])
+        elems = [e.coords for e in U.elements]
+        rng = random.Random(len(elems))
+        seen = set()
+        for N in (G.exponent, 2 * G.exponent):
+            for _ in range(20):
+                values = {(g, h): rng.randrange(N) for g in U.gens for h in U.gens}
+                want = oracles.expand_bicharacter(U.gens, values, GG.factors, N)
+                ok = oracles.bi_additive(elems, GG.factors, want, N, elems)
+                try:
+                    psi = orth.Twist(G, U.elements, N, lambda g, h: values[(g, h)])
+                except DomainError as e:
+                    assert not ok and str(e).startswith("psi ill-defined"), values
+                else:
+                    assert ok and _exps(psi) == want, values
+                seen.add(ok)
+        assert seen == {True, False}, factors
