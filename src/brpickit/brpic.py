@@ -23,8 +23,10 @@ the full diagonal of G x G.
 
 Validity is established once per datum object.  The binding check (the
 conditions that decide 'valid') runs the first time a datum is used and its
-verdict is cached on the immutable datum; operands, inputs and every product,
-inverse and conversion output read that cache.  The report
+verdict is kept in the immutable datum's store of derived values (_derived);
+operands, inputs and every product, inverse and conversion output read it
+there.  The same store keeps a datum's inverse, relation form and tau, each
+computed on first use.  The report
 (validate_odatum / validate_rdatum) adds the informational flags and is
 computed only on request.  Every question about the G x G action is asked
 of linalg's congruence engine, with one term per entry of T (_entry_term)
@@ -121,8 +123,9 @@ def _diagonal_generators(G) -> list:
 class RDatum:
     """Relation datum (W, beta, alpha) over a module (V, u, G)."""
 
-    # _binding: the cached binding_report; equality and JSON ignore it
-    __slots__ = ("module", "W", "beta", "alpha", "_binding")
+    # _store: values derived from this datum alone, each on first use and
+    # never seeded from another datum (_derived); equality and JSON ignore it
+    __slots__ = ("module", "W", "beta", "alpha", "_store")
 
     def __init__(self, module: la.GModuleV, W: la.Subspace,
                  beta: la.BilinearForm, alpha: orth.OrthAut):
@@ -138,7 +141,7 @@ class RDatum:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "_binding", None)
+        object.__setattr__(self, "_store", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("RDatum is immutable")
@@ -173,8 +176,9 @@ class RDatum:
 class ODatum:
     """Matrix datum (T, alpha): T on V+V* in blocks [[A, B], [C, D]]."""
 
-    # _binding: the cached binding_report; equality and JSON ignore it
-    __slots__ = ("module", "T", "alpha", "_binding")
+    # _store: values derived from this datum alone, each on first use and
+    # never seeded from another datum (_derived); equality and JSON ignore it
+    __slots__ = ("module", "T", "alpha", "_store")
 
     def __init__(self, module: la.GModuleV, T, alpha: orth.OrthAut):
         T = la.mat(T)
@@ -186,7 +190,7 @@ class ODatum:
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "T", tuple(tuple(r) for r in T))
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "_binding", None)
+        object.__setattr__(self, "_store", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ODatum is immutable")
@@ -288,18 +292,35 @@ def _odatum_conditions(d: ODatum) -> dict:
     }
 
 
+def _derived(d, key, compute):
+    """compute(d), computed once per datum object and kept in its store.
+
+    A call that raises stores nothing, so it raises again next time.  A
+    store holds only values computed from its own datum and is never
+    seeded from another's: an inverse's inverse and a round trip's result
+    are computed, not assumed, so every identity a suite checks is
+    computed on both sides.
+    """
+    store = d._store
+    if key not in store:
+        store[key] = compute(d)
+    return store[key]
+
+
+def _binding(d) -> dict:
+    rep = (_rdatum_conditions(d) if isinstance(d, RDatum)
+           else _odatum_conditions(d))
+    rep["valid"] = all(rep.values())
+    return rep
+
+
 def binding_report(d) -> dict:
     """The binding conditions of a datum and 'valid', their conjunction.
 
-    Computed once per datum object and cached on it; callers must not
-    mutate the returned dict.
+    Computed once per datum object and kept in its store (_derived);
+    callers must not mutate the returned dict.
     """
-    if d._binding is None:
-        rep = (_rdatum_conditions(d) if isinstance(d, RDatum)
-               else _odatum_conditions(d))
-        rep["valid"] = all(rep.values())
-        object.__setattr__(d, "_binding", rep)
-    return d._binding
+    return _derived(d, "binding", _binding)
 
 
 def validate_rdatum(d: RDatum) -> dict:
@@ -388,6 +409,11 @@ def odatum_product(d: ODatum, dt: ODatum) -> ODatum:
 
 
 def odatum_invert(d: ODatum) -> ODatum:
+    """d's inverse, computed once per datum object (_derived)."""
+    return _derived(d, "inverse", _invert)
+
+
+def _invert(d: ODatum) -> ODatum:
     _require_valid(d, "datum")
     T = matrix_inverse([list(r) for r in d.T])
     return _checked(ODatum(d.module, T, orth.orth_invert(d.alpha)), "inverse")
@@ -458,7 +484,11 @@ def _odatum_search(d: ODatum, dt: ODatum):
 def tau(d: RDatum) -> LagDatum:
     """Encode (W, beta) as the subspace of all (w1, f1, w2, f2) with
     (w1, w2) in W and f1(w1') - f2(w2') = beta((w1,w2), (w1',w2')) for all
-    (w1', w2') in W."""
+    (w1', w2') in W; computed once per datum object (_derived)."""
+    return _derived(d, "tau", _tau)
+
+
+def _tau(d: RDatum) -> LagDatum:
     _require_valid(d, "datum")
     mod = d.module
     dm = mod.dim
@@ -501,7 +531,12 @@ def lag_product(L1: LagDatum, L2: LagDatum) -> LagDatum:
 # -- the two conversions ----------------------------------------------------
 
 def odatum_to_rdatum(d: ODatum) -> RDatum:
-    """W_T = {(Av, v)} with the form (C v1)(A v2), checked symmetric."""
+    """W_T = {(Av, v)} with the form (C v1)(A v2), checked symmetric;
+    computed once per datum object (_derived)."""
+    return _derived(d, "relation", _to_relation)
+
+
+def _to_relation(d: ODatum) -> RDatum:
     _require_valid(d, "datum")
     mod = d.module
     dm = mod.dim

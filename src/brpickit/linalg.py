@@ -301,7 +301,8 @@ class GModuleV:
     exponents_at(coords) reads a table, filled on first use and kept in the
     _exps slot, from g.coords to (pair(chi_1, g), ..., pair(chi_m, g));
     every character exponent of the module is computed once, there.  Like a
-    datum's _binding, == and hash ignore the table.
+    datum's _store of derived values (brpic._derived), == and hash ignore
+    the table.
     """
 
     __slots__ = ("group", "u", "chars", "_exps")

@@ -1258,6 +1258,42 @@ def test_binding_check_runs_once_per_datum(monkeypatch):
         for x in (*data, p, q, r):
             assert sum(c is x for c in checked) == 1, (kind, x)
         assert len(checked) == 5
+    monkeypatch.undo()
+
+    # a datum's inverse, relation form and tau, kept beside its verdict:
+    # computed once per datum object, equal to the value an equal copy
+    # computes for itself, and never kept when the computation raises
+    def copy(x):
+        return type(x).from_json(x.module, x.to_json())
+
+    def as_json(v):
+        return (v.to_json() if not isinstance(v, bp.LagDatum)
+                else {"L": v.L.to_json(), "alpha": v.alpha.to_json()})
+
+    d = random_datum(rng, mod)
+    r = bp.odatum_to_rdatum(copy(d))
+    bad_alpha = _inadmissible_alpha(mod)
+    bad_o = bp.ODatum(mod, bp.identity_matrix(2 * mod.dim), bad_alpha)
+    ident = bp.identity_rdatum(mod)
+    bad_r = bp.RDatum(mod, ident.W, ident.beta, bad_alpha)
+    for fn, name, x, bad in ((bp.odatum_invert, "_invert", d, bad_o),
+                             (bp.odatum_to_rdatum, "_to_relation", d, bad_o),
+                             (bp.tau, "_tau", r, bad_r)):
+        computed = []
+        original = getattr(bp, name)
+        monkeypatch.setattr(bp, name, lambda y, f=original, log=computed:
+                            log.append(y) or f(y))
+        first = fn(x)
+        assert fn(x) is first, name
+        y = copy(x)
+        again = fn(y)
+        assert again is not first and fn(y) is again, name
+        assert again == first and as_json(again) == as_json(first), name
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"failing: \['uu_in_U'\]"):
+                fn(bad)
+        assert [sum(c is z for c in computed) for z in (x, y, bad)] == \
+            [1, 1, 2], name
 
 
 # -- the inverse: one elimination of [M | I] ---------------------------------

@@ -1034,3 +1034,35 @@ def test_axioms_suite_computes_group_work_once(tmp_path, capsys, monkeypatch):
     factors = module.group.factors
     assert all(original_compose(a, b).matrix == oracles.compose_matrices(
         factors, a.matrix, b.matrix) for a, b in composed)
+
+
+def _axioms_verdicts(tmp_path, capsys):
+    spec = _write(tmp_path, "z2z2.json", Z2Z2)
+    code, out, err = _run(capsys, ["verify", "group-axioms", "--seed", "5",
+                                   "--count", "6", "--json", "--spec", spec])
+    assert err == ""
+    verdicts = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
+    assert code == (0 if all(verdicts.values()) else 1)
+    return verdicts
+
+
+# a datum keeps its inverse and relation form once computed, and a check
+# still computes both of the sides it compares: a wrong inverse or a wrong
+# relation form fails the checks that read it.  At seed 5 some d1 has
+# d1 d1 != e, so d1 is no inverse of it.
+def test_axioms_checks_fail_on_a_wrong_derived_value(tmp_path, capsys,
+                                                     monkeypatch):
+    assert all(_axioms_verdicts(tmp_path, capsys).values())
+    to_relation = bp._to_relation
+    # the relation form of d d, valid, and not that of d
+    monkeypatch.setattr(bp, "_to_relation",
+                        lambda d: to_relation(bp.odatum_product(d, d)))
+    verdicts = _axioms_verdicts(tmp_path, capsys)
+    assert not (verdicts["convert_round_trip"]
+                and verdicts["tau_multiplicative"]), verdicts
+    assert verdicts["inverses"] and verdicts["associativity"]
+    monkeypatch.undo()
+    monkeypatch.setattr(bp, "_invert", lambda d: d)
+    verdicts = _axioms_verdicts(tmp_path, capsys)
+    assert not verdicts["inverses"], verdicts
+    assert verdicts["convert_round_trip"] and verdicts["tau_multiplicative"]
