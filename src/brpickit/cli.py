@@ -378,6 +378,9 @@ def _suite_cotensor(module, rng, count, bound, checks, lines, report_extra):
            else f"failed instances {failed[:5]}")
 
 
+SUITES = ("hopf", "comodule", "cotensor", "group-axioms", "all")
+
+
 def cmd_verify(suite, spec, seed, count, bound):
     module = parse_module(spec)
     rng = random.Random(seed)
@@ -428,12 +431,9 @@ def _build_parser():
     common(sp)
 
     sp = sub.add_parser("verify", help="run a seeded verification suite")
-    sp.add_argument("suite_pos", nargs="?", default=None,
-                    choices=["hopf", "comodule", "cotensor", "group-axioms",
-                             "all"], metavar="suite")
-    sp.add_argument("--suite", default=None,
-                    choices=["hopf", "comodule", "cotensor", "group-axioms",
-                             "all"])
+    sp.add_argument("suite_pos", nargs="?", default=None, choices=SUITES,
+                    metavar="suite")
+    sp.add_argument("--suite", default=None, choices=SUITES)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--count", type=int, default=None,
                     help="seeded instances per suite")
@@ -452,8 +452,7 @@ def main(argv=None) -> int:
             ok, report, lines = cmd_brpic(args.verb, spec, bound)
         else:
             suite = args.suite_pos or args.suite or spec.get("suite") or "all"
-            if suite not in ("hopf", "comodule", "cotensor", "group-axioms",
-                             "all"):
+            if suite not in SUITES:
                 raise SpecError("suite", f"unknown suite {suite!r}")
             seed = _int_field(spec, "seed", 0, args.seed)
             count = _int_field(spec, "count", None, args.count, positive=True)

@@ -17,25 +17,27 @@ neither axis), subject to
 
 with f acting componentwise on V + V.  F and psi are one orth.Twist, whose
 construction proves F a subgroup and psi a well-defined bicharacter, hence
-a normalized 2-cocycle.  The validator enforces the axis and independence
-conditions, F being a subgroup (it has a Twist), F-stability of each
-sector, invariance of beta, and the centrality of e_u in k_psi F whenever
-the presentation mentions e_u; incompatible data raises a DomainError
-listing every violated clause.  Read as a rewriting system towards the
-words w_S e_f, these clauses and the cocycle identity of psi are its
-overlap conditions, so by Bergman's diamond lemma (Adv. Math. 29, 1978)
-every order of reduction gives the same normal form.  build_K checks the
-clauses before it builds any table (every bicharacter is a 2-cocycle),
-and then assembles the product of w_S1 e_f1 and w_S2 e_f2 from three
-small tables instead of rewriting the whole word: the products w_S1 w_S2,
-the roots e_f picks up passing w_S, and the twisted law of F.  K keeps its
-product as those tables (KFactors) and computes an entry when first read.
+a normalized 2-cocycle; a datum over any other F is refused when it is
+made.  The validator enforces the axis and independence conditions,
+F-stability of each sector, invariance of beta, and the centrality of e_u
+in k_psi F whenever the presentation mentions e_u; incompatible data
+raises a DomainError listing every violated clause.  Read as a rewriting
+system towards the words w_S e_f, these clauses and the cocycle identity
+of psi are its overlap conditions, so by Bergman's diamond lemma (Adv.
+Math. 29, 1978) every order of reduction gives the same normal form.
+build_K checks the clauses before it builds any table (every bicharacter
+is a 2-cocycle), and then assembles the product of w_S1 e_f1 and w_S2
+e_f2 from three small tables instead of rewriting the whole word: the
+products w_S1 w_S2, the roots e_f picks up passing w_S, and the twisted
+law of F.  K keeps its product as those tables (KFactors) and computes an
+entry when first read.
 loewy_graded grades the tables, and same_tables proves two models equal
-on them, without reading the dim^2 entries; any difference is left to
-their per-entry loops, which find and name it.  Coactions, cotensor products
-(computed as exact kernels, blockwise over group-part classes), the Loewy
-filtration induced by the host coradical filtration and the diagonal
-comodule model of a host over its own double all live here.  Verification
+when their tables are equal, without reading the dim^2 entries; any
+difference is left to their per-entry loops, which find and name it.
+Coactions, cotensor products (computed as exact kernels, blockwise over
+group-part classes), the Loewy filtration induced by the host coradical
+filtration and the diagonal comodule model of a host over its own double
+all live here.  Verification
 routines return reports with located witnesses; check_comodule_algebra
 verifies every K that build_K returns, and nothing is assumed to hold by
 construction.  Both isomorphism checks, check_diag_iso and
@@ -81,10 +83,12 @@ class KFactors(NamedTuple):
     subsets.  wtab[s1][s2] lists w_S1 w_S2 = sum c w_T e_g as terms
     (index of w_T e_0, index of g, c), with distinct (index, g); chi[f][s]
     is the root e_f picks up passing w_S; twist[g][f1][f2] is (h, psi')
-    with e_g e_f1 e_f2 = psi' e_h.  entry(i, j) evaluates build_K's formula
-    for an entry on scalars, for ComodAlg; host.multiplicative_failures
-    evaluates it on ids(vid), these tables with every scalar replaced by its
-    value id, under its own memoized id multiply.
+    with e_g e_f1 e_f2 = psi' e_h, held for exactly the g that wtab's terms
+    use: no row the entries do not read.  entry(i, j) evaluates build_K's
+    formula for an entry on scalars, for ComodAlg;
+    host.multiplicative_failures evaluates it on ids(vid), these tables with
+    every scalar replaced by its value id, under its own memoized id
+    multiply.
     """
 
     nF: int
@@ -182,12 +186,12 @@ class CompatibleData:
 
     beta is a raw gram table over the concatenated canonical sector bases
     (a BilinearForm is accepted when only the third sector is present); F is
-    a subset of G x G, held sorted by coordinates.  psi is None or an
-    orth.Twist whose elements are the sorted F, which gives F's law and
-    psi's values (Twist.table); anything else raises an
-    InputValidationError.  None means psi = 1: it is held as
-    orth.trivial_twist when F is a subgroup, and as None otherwise, where
-    compatible_violations rejects the datum (F_subgroup).
+    a subgroup of G x G, held sorted by coordinates.  psi is an orth.Twist
+    whose elements are the sorted F, which gives F's coordinates (index),
+    G x G (pair_group), F's law and psi's values (Twist.table); any other
+    psi raises an InputValidationError.  None means psi = 1, held as the
+    shared orth.trivial_twist on F, whose constructor raises a DomainError
+    when F is not a subgroup.
 
     f in G x G keeps a sector when its row terms (linalg.row_terms, built
     once per datum) hold at f, and then scales each of its reduced rows by
@@ -198,8 +202,7 @@ class CompatibleData:
     # _acts: the cached actions(), _violations: compatible_violations' names;
     # each built once, read by every later caller
     __slots__ = ("module", "W1", "W2", "W3", "gram", "F", "psi", "alpha",
-                 "rows", "types", "pivots", "terms", "coords_set",
-                 "pair_group", "_acts", "_violations")
+                 "rows", "types", "pivots", "terms", "_acts", "_violations")
 
     def __init__(self, module, W1, W2, W3, beta, F, psi=None, alpha=None):
         m = module.dim
@@ -235,24 +238,17 @@ class CompatibleData:
                 raise InputValidationError(
                     f"gram table must be {nW} x {nW} over the sector basis")
 
-        els = []
-        seen = set()
+        els = {}
         for f in F:
             if not isinstance(f, ab.GroupElement):
                 f = GG.element(tuple(f))
             if f.parent != GG:
                 raise InputValidationError("F element does not live in G x G")
-            if f.coords not in seen:
-                seen.add(f.coords)
-                els.append(f)
-        els.sort(key=lambda f: f.coords)
-        els = tuple(els)
+            els.setdefault(f.coords, f)
+        els = tuple(els[c] for c in sorted(els))
 
         if psi is None:
-            try:
-                psi = orth.trivial_twist(module.group, els)
-            except DomainError:
-                psi = None
+            psi = orth.trivial_twist(module.group, els)
         elif not isinstance(psi, orth.Twist) or psi.elements != els:
             raise InputValidationError("psi must be a Twist on F")
 
@@ -269,8 +265,6 @@ class CompatibleData:
         object.__setattr__(self, "pivots", W1.pivots + W2.pivots + W3.pivots)
         object.__setattr__(self, "terms",
                            tuple(la.row_terms(S) for S in (W1, W2, W3)))
-        object.__setattr__(self, "coords_set", frozenset(seen))
-        object.__setattr__(self, "pair_group", GG)
         object.__setattr__(self, "_acts", None)
         object.__setattr__(self, "_violations", None)
 
@@ -337,9 +331,6 @@ def compatible_violations(data) -> list:
     if la.rank(list(data.rows)) != len(data.rows):
         bad.append("independent")
 
-    if data.psi is None:
-        bad.append("F_subgroup")
-
     acts = data.actions()
     stable = True
     for t, name in ((1, "F_stable_W1"), (2, "F_stable_W2"), (3, "F_stable_W3")):
@@ -352,7 +343,7 @@ def compatible_violations(data) -> list:
                   for i in range(nW) for j in range(nW)
                   if _SYM_SIGN.get(tuple(sorted((data.types[i], data.types[j])))) == -1)
     needs_u = data.W3.dim > 0 or eu_beta
-    has_u = data.uu_coords() in data.coords_set
+    has_u = data.uu_coords() in data.psi.index
     if needs_u and not has_u:
         bad.append("u_in_F")
 
@@ -369,13 +360,12 @@ def compatible_violations(data) -> list:
 
     # f.beta = beta: zeta^(e_i + e_j) gram_ij = gram_ij on the support, e
     # f's exponents at the rows' pivots, as actions() read them
-    if stable and "F_subgroup" not in bad and not la.rows_satisfy(
+    if stable and not la.rows_satisfy(
             la.form_terms(la.support(data.gram), range(nW)),
             [e for e, _ in acts], module.group.exponent):
         bad.append("beta_F_invariant")
 
-    if needs_u and has_u and data.psi is not None and not _u_central(
-            data.psi, data.uu_coords()):
+    if needs_u and has_u and not _u_central(data.psi, data.uu_coords()):
         bad.append("psi_u_central")
     object.__setattr__(data, "_violations", tuple(bad))
     return bad
@@ -440,7 +430,7 @@ def build_K(data) -> ComodAlg:
     nF = len(Fels)
     if (1 << nW) * nF > 8192:
         raise CapacityError("comodule algebra dimension exceeds the supported bound")
-    GG = data.pair_group
+    GG = data.psi.pair_group
     f_index = data.psi.index
     id_f = f_index[GG.zero().coords]
     u_f = f_index.get(data.uu_coords())
@@ -997,10 +987,10 @@ def verify_cotensor_iso(d, dt):
     image or comodule-map check."""
     module = d.module
     G = module.group
-    if dt.alpha != orth.orth_identity(G):
-        raise DomainError("second factor must carry the identity twist")
     if dt.module != module:
         raise DomainError("factors live over different modules")
+    if dt.alpha != orth.orth_identity(G):
+        raise DomainError("second factor must carry the identity twist")
     m = module.dim
     r = len(G.factors)
     zeroGG = G.zero().coords * 2
@@ -1078,9 +1068,10 @@ def loewy_graded(A) -> ComodAlg:
     When A has factors with degrees constant on each w_S e_F block, the
     product is graded on them: each term of an entry is a term (T, g) of
     wtab, so an entry has a term above |S1| + |S2| exactly when wtab has,
-    and the graded algebra keeps the top-degree terms of wtab and the same
-    chi and twist.  Any term above, or no factors, runs the per-entry loop,
-    which raises at the first entry in row-major order."""
+    and the graded algebra keeps the top-degree terms of wtab, the same chi
+    and the twist rows of the g those terms use.  Any term above, or no
+    factors, runs the per-entry loop, which raises at the first entry in
+    row-major order."""
     host = A.host
     if A.loewy_degree is None:
         raise DomainError("algebra carries no degree labels to grade against")
@@ -1161,7 +1152,8 @@ def _filtration_steps(A):
 
 def _graded_factors(factors, deg):
     """The factors of the graded algebra (loewy_graded), or None when there
-    are none, the degrees are not constant on blocks or a term lies above."""
+    are none, the degrees are not constant on blocks or a term lies above.
+    They keep the twist rows of exactly the g their top-degree terms use."""
     if factors is None:
         return None
     nF = factors.nF
@@ -1177,43 +1169,26 @@ def _graded_factors(factors, deg):
                 return None
             graded.append([t for t in terms if deg[t[0]] == d])
         wtab.append(graded)
-    return factors._replace(wtab=wtab)
-
-
-def _same_factors(fa, fb):
-    """True when the factors fa and fb give equal product entries: the same
-    nF and chi, at every (s1, s2) the same wtab terms read as a dict
-    {(index, g): c}, so their order does not matter, and the same twist
-    rows for every g those terms use.  False proves nothing."""
-    if (fa is None or fb is None or fa.nF != fb.nF or fa.chi != fb.chi
-            or len(fa.wtab) != len(fb.wtab)):
-        return False
-    used = set()
-    for ra, rb in zip(fa.wtab, fb.wtab):
-        if len(ra) != len(rb):
-            return False
-        for ta, tb in zip(ra, rb):
-            terms = {(k, g): c for k, g, c in ta}
-            if terms != {(k, g): c for k, g, c in tb}:
-                return False
-            used.update(g for _, g in terms)
-    return all(g in fa.twist and g in fb.twist and fa.twist[g] == fb.twist[g]
-               for g in used)
+    used = {g for row in wtab for terms in row for _, g, _ in terms}
+    return factors._replace(wtab=wtab, twist={
+        g: rows for g, rows in factors.twist.items() if g in used})
 
 
 def same_tables(A, B):
     """Exact structural equality of two table-backed comodule algebras.
 
-    When A and B both have factors and _same_factors proves them equal, no
-    product entry is read; otherwise every entry is compared, in row-major
-    order.  So a difference is always found, and named, by that loop."""
+    When A and B have equal factors, which give equal entries, no product
+    entry is read; otherwise every entry is compared, in row-major order.
+    So a difference is always found, and named, by that loop.  As factors
+    hold no twist row their entries do not read, loewy_graded(K) and the
+    beta = 0 model of K's datum have equal factors."""
     if A.basis != B.basis:
         return False, "basis labels differ"
     if A.unit != B.unit:
         return False, "units differ"
     if A.loewy_degree != B.loewy_degree:
         return False, "degree labels differ"
-    if not _same_factors(A.factors, B.factors):
+    if A.factors is None or A.factors != B.factors:
         for i in range(A.dim):
             for j in range(A.dim):
                 if A.mul_basis(i, j) != B.mul_basis(i, j):

@@ -318,9 +318,12 @@ def test_rejections_each_clause():
     d = hopf.CompatibleData(mod2, _axis(2, [0], 1), _axis(2, [0], 2),
                             _graph(2, [0], 1), None, diag2, None)
     assert "independent" in hopf.compatible_violations(d)
-    # F not closed under addition, or without the identity
-    assert "F_subgroup" in viol(F=[z, GG.element((1, 0)), GG.element((0, 1))])
-    assert viol(F=[uu]) == ["F_subgroup"]
+    # F not closed under addition, or without the identity, has no Twist:
+    # the datum is refused when it is made
+    with pytest.raises(DomainError, match="^F is not closed under addition$"):
+        viol(F=[z, GG.element((1, 0)), GG.element((0, 1))])
+    with pytest.raises(DomainError, match="the identity among them$"):
+        viol(F=[uu])
     # graph not stable under non-diagonal F
     gamma = [f for f in bp.suite_alphas(mod)
              if f.matrix != orth.orth_identity(G).matrix][0]
@@ -357,14 +360,17 @@ def test_compatible_data_takes_psi_as_a_two_cocycle_on_F():
         with pytest.raises(InputValidationError,
                            match="^psi must be a Twist on F$"):
             hopf.CompatibleData(mod, None, None, None, None, [z, uu], psi)
-    # None is psi = 1 on a subgroup, one Twist per F, and stays None off one
+    # None is psi = 1 on a subgroup, one Twist per F, and refused off one
     d = hopf.CompatibleData(mod, None, None, None, None, [uu, z, uu])
     assert d.psi.N == 1 and d.psi.elements == d.F and d.psi.E == ((0,),)
     assert d.psi is hopf.CompatibleData(mod, None, None, None, None,
                                         [z, uu]).psi
-    d = hopf.CompatibleData(mod, None, None, None, None, [uu])
-    assert d.psi is None
-    assert hopf.compatible_violations(d) == ["F_subgroup"]
+    assert hopf.compatible_violations(d) == []
+    with pytest.raises(DomainError, match="the identity among them$"):
+        hopf.CompatibleData(mod, None, None, None, None, [uu])
+    with pytest.raises(DomainError, match="^F is not closed under addition$"):
+        hopf.CompatibleData(mod, None, None, None, None,
+                            [z, uu, GG.element((1, 0))])
 
 
 def _whole_F(G):
@@ -423,7 +429,7 @@ def test_cocycle_check_paths(monkeypatch):
     # a Twist is proved where it is built, once: a datum given a zoo
     # family's Twist builds none, data given None over one F share the
     # trivial twist the first of them built, and an F that is not a
-    # subgroup is refused by the one attempt and reported as F_subgroup
+    # subgroup is refused by the one attempt, when the datum is made
     tables = [(mod, F, psi) for _, mod in hh.module_zoo()
               for _, F, psi, _ in hh.f_families(mod)]
     orth.trivial_twist.cache_clear()
@@ -445,10 +451,10 @@ def test_cocycle_check_paths(monkeypatch):
     assert len(tables) > 50 and len(trivial) > 10
     mod = _sw()
     GG = ab.direct_sum(mod.group, mod.group)
-    data = hopf.CompatibleData(mod, None, None, None, None,
-                               [GG.zero(), GG.element((1, 0)), GG.element((0, 1))])
-    assert data.psi is None and built == [1]
-    assert hopf.compatible_violations(data) == ["F_subgroup"]
+    with pytest.raises(DomainError, match="^F is not closed under addition$"):
+        hopf.CompatibleData(mod, None, None, None, None,
+                            [GG.zero(), GG.element((1, 0)), GG.element((0, 1))])
+    assert built == [1]
 
 
 def test_twist_mutants_fail():
@@ -685,6 +691,15 @@ def test_cotensor_dimension_and_iso_fixed():
         hopf.verify_cotensor_iso(dt, cases[2])
 
 
+def test_cotensor_iso_names_different_modules_first():
+    # each factor carries its own module's identity alpha, so the modules,
+    # not the twist, are what differ
+    zoo = dict(hh.module_zoo())
+    d, dt = (bp.identity_rdatum(zoo[name]) for name in ("Z2_d1", "Z4_d1"))
+    with pytest.raises(DomainError, match="^factors live over different modules$"):
+        hopf.verify_cotensor_iso(d, dt)
+
+
 def test_cotensor_of_diagonal_models():
     # the diagonal comodule itself lives over the plain host, so the
     # cotensor constructor must reject it ...
@@ -740,7 +755,7 @@ def test_sector_clauses_match_dense_reference():
             for t, ok in enumerate(stable, 1):
                 assert (f"F_stable_W{t}" in bad) is (not ok), (mod, data)
                 seen.setdefault(f"F_stable_W{t}", set()).add(ok)
-            if all(stable) and "F_subgroup" not in bad:
+            if all(stable):
                 gram = [list(r) for r in data.gram]
                 ok = all(oracles.congruence(
                     oracles.dense_act_matrix(sectors, e, root, ZERO), gram,
@@ -1082,16 +1097,27 @@ def _outcome(fn, *args):
 
 
 def test_graded_model_on_factors_matches_the_entry_loop():
+    """On every zoo datum, and on its variant with beta on the e_u sectors
+    only, whose K reads the (u, u) twist row: loewy_graded(K) holds a twist
+    row for exactly the g its graded word table uses, so its factors equal
+    those of the beta = 0 model, and same_tables decides on them what the
+    entry loop decides on factor-free copies."""
+    dropped = 0
     for name, data in _zoo_data():
-        K = hopf.build_K(data)
-        K0 = hopf.build_K(data.zero_beta())
-        gr = hopf.loewy_graded(K)
-        assert gr.factors is not None, name
-        got = hopf.same_tables(gr, K0)
-        # decided on the factors: no product entry of gr was computed
-        assert got == (True, None) and not gr.mult, name
-        assert hopf.same_tables(hopf.loewy_graded(_factor_free(K)),
-                                _factor_free(K0)) == got, name
+        for d in filter(None, (data, _beta_on(data, "eu"))):
+            K = hopf.build_K(d)
+            K0 = hopf.build_K(d.zero_beta())
+            gr = hopf.loewy_graded(K)
+            used = {g for row in gr.factors.wtab for terms in row
+                    for _, g, _ in terms}
+            assert set(gr.factors.twist) == used, name
+            dropped += set(K.factors.twist) != used
+            got = hopf.same_tables(gr, K0)
+            # decided on the factors: no product entry of gr was computed
+            assert got == (True, None) and not gr.mult, name
+            assert hopf.same_tables(hopf.loewy_graded(_factor_free(K)),
+                                    _factor_free(K0)) == got, name
+    assert dropped >= 40, dropped
 
 
 def _beta_on(data, kind):
@@ -1817,7 +1843,7 @@ def _self_images(K):
     """w_i -> w_i and e_f -> e_f on a build_L model K, with K's product
     and unit: the identity of K, as _model_iso's generator images."""
     data = K.meta["data"]
-    zero = data.pair_group.zero().coords
+    zero = data.psi.pair_group.zero().coords
     gen_w = [{K.index[((i,), zero)]: ONE} for i in range(len(data.rows))]
     gen_e = [{K.index[((), f.coords)]: ONE} for f in data.F]
     return gen_w, gen_e, partial(host._mul, K.mul_basis), {K.index[((), zero)]: ONE}
