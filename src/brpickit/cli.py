@@ -257,6 +257,12 @@ def _check(checks, lines, name, ok, detail=""):
     lines.append(f"check {name}: {'pass' if ok else 'FAIL'}{tail}")
 
 
+def _tally(checks, lines, name, count, failed):
+    """_check over count instances, failing at the instances in failed."""
+    _check(checks, lines, name, not failed,
+           f"failed instances {failed[:5]}" if failed else f"{count} instances")
+
+
 def _suite_datum(module, spec, checks, lines):
     for field in ("datum", "datum2"):
         if field not in spec:
@@ -294,10 +300,7 @@ def _suite_group_axioms(module, rng, count, bound, checks, lines):
                                                                bp.tau(r2)):
             tallies["tau_multiplicative"].append(i)
     for name in sorted(tallies):
-        failed = tallies[name]
-        _check(checks, lines, name, not failed,
-               f"{count} instances" if not failed
-               else f"failed instances {failed[:5]}")
+        _tally(checks, lines, name, count, tallies[name])
 
 
 def _suite_hopf(module, rng, checks, lines):
@@ -345,9 +348,7 @@ def _suite_comodule(module, rng, count, bound, checks, lines):
                          ("comodule_algebra_axioms", bad_comod),
                          ("trivial_coinvariants", bad_coinv),
                          ("graded_model_match", bad_gr)):
-        _check(checks, lines, name, not failed,
-               f"{count} instances" if not failed
-               else f"failed instances {failed[:5]}")
+        _tally(checks, lines, name, count, failed)
 
 
 def _suite_cotensor(module, rng, count, bound, checks, lines, report_extra):
@@ -373,9 +374,7 @@ def _suite_cotensor(module, rng, count, bound, checks, lines, report_extra):
         if not rep["ok"]:
             failed.append(i)
     report_extra["instances"] = instances
-    _check(checks, lines, "cotensor_iso", not failed,
-           f"{count} instances" if not failed
-           else f"failed instances {failed[:5]}")
+    _tally(checks, lines, "cotensor_iso", count, failed)
 
 
 SUITES = ("hopf", "comodule", "cotensor", "group-axioms", "all")

@@ -29,8 +29,11 @@ build_K checks the clauses before it builds any table (every bicharacter
 is a 2-cocycle), and then assembles the product of w_S1 e_f1 and w_S2
 e_f2 from three small tables instead of rewriting the whole word: the
 products w_S1 w_S2, the roots e_f picks up passing w_S, and the twisted
-law of F.  K keeps its product as those tables (KFactors) and computes an
-entry when first read.
+law of F.  It reduces w_S1 w_S2 in one order, inserting the generators of
+S2 one at a time: each passes the rows above it by its sector's rule, the
+e_g on the right lets it pass as g.w, and an e_u its relation leaves joins
+e_g by F's twisted law.  K keeps its product as those tables (KFactors)
+and computes an entry when first read.
 loewy_graded grades the tables, and same_tables proves two models equal
 when their tables are equal, without reading the dim^2 entries; any
 difference is left to their per-entry loops, which find and name it.
@@ -401,9 +404,9 @@ def build_K(data) -> ComodAlg:
 
         w_S1 e_f1 . w_S2 e_f2 = chi(f1, S2) sum c psi'(g, f1, f2) w_T e_h
 
-    over w_S1 w_S2 = sum c w_T e_g (nf on words of w's, so g is 0 or
-    (u, u)), with chi(f1, S2) the product of the roots e_f1 picks up passing
-    each row of S2 and e_g e_f1 e_f2 = psi'(g, f1, f2) e_h, h = g + f1 + f2.
+    over w_S1 w_S2 = sum c w_T e_g (times_ws, so g is 0 or (u, u)), with
+    chi(f1, S2) the product of the roots e_f1 picks up passing each row of
+    S2 and e_g e_f1 e_f2 = psi'(g, f1, f2) e_h, h = g + f1 + f2.
     K holds its product as those three tables (K.factors, a KFactors), and
     computes entry (i, j) by this formula on its first read, as
     c (chi(f1, S2) psi').
@@ -441,52 +444,47 @@ def build_K(data) -> ComodAlg:
     gram = data.gram
     types = data.types
 
-    memo = {}
+    @cache
+    def times_w(T, b):
+        """w_T w_b = sum c w_U e_g as {(U, g): c}, T sorted: w_b passes the
+        rows of T above it, from the top, by its sector's rule: w_a w_b =
+        -w_b w_a + beta_ba, or w_b w_a - beta_ba e_u on sectors 12 and 23,
+        after which e_g passes w_a as (g.w_a) w_a e_g."""
+        if not T or b > T[-1]:
+            return {(T + (b,), id_f): _ONE}
+        if b == T[-1]:
+            c = _HALF * gram[b][b]
+            return {} if c.is_zero() else {(T[:-1], id_f): c}
+        a, T1, c = T[-1], T[:-1], gram[b][T[-1]]
+        odd = _SYM_SIGN[tuple(sorted((types[a], types[b])))] < 0
+        out = {}
+        for (U, g), x in times_w(T1, b).items():
+            x = x if g == id_f else x * act_roots[g][a]
+            out[(U + (a,), g)] = x if odd else -x
+        if not c.is_zero():
+            out[(T1, u_f if odd else id_f)] = -c if odd else c
+        return out
 
-    def nf(word):
-        got = memo.get(word)
-        if got is not None:
-            return got
-        out = None
-        for p in range(len(word) - 1):
-            (ka, a), (kb, b) = word[p], word[p + 1]
-            if ka == "e" and kb == "e":
-                h, c = law[a][b]
-                out = _scaled(nf(word[:p] + (("e", h),) + word[p + 2:]), c)
-                break
-            if ka == "e" and kb == "w":
-                out = _scaled(nf(word[:p] + (("w", b), ("e", a)) + word[p + 2:]),
-                              act_roots[a][b])
-                break
-            if ka == "w" and kb == "w":
-                if a == b:
-                    out = _scaled(nf(word[:p] + word[p + 2:]),
-                                  _HALF * gram[a][a])
-                    break
-                if a > b:
-                    sector = tuple(sorted((types[a], types[b])))
-                    c = gram[b][a]
-                    if _SYM_SIGN[sector] == -1:
-                        acc = dict(nf(word[:p] + (("w", b), ("w", a)) + word[p + 2:]))
-                        if not c.is_zero():
-                            sub = nf(word[:p] + (("e", u_f),) + word[p + 2:])
-                            for k, v in sub.items():
-                                addin(acc, k, -(c * v))
-                        out = acc
-                    else:
-                        acc = _scaled(nf(word[:p] + (("w", b), ("w", a)) + word[p + 2:]),
-                                      -_ONE)
-                        if not c.is_zero():
-                            sub = nf(word[:p] + word[p + 2:])
-                            for k, v in sub.items():
-                                addin(acc, k, c * v)
-                        out = acc
-                    break
-        if out is None:
-            S = tuple(i for k, i in word if k == "w")
-            f = next((i for k, i in word if k == "e"), id_f)
-            out = {(S, f): _ONE}
-        memo[word] = out
+    @cache
+    def times_ws(T, g, R):
+        """(w_T e_g) w_R = sum c w_U e_h as {(U, h): c}, T and R sorted:
+        w_b, b = R[0], is inserted first, as (w_T e_g) w_b = (g.w_b) (w_T
+        w_b) e_g with e_h e_g read from law, and each term then takes the
+        rest of R, the order in which leftmost-first rewriting of the word
+        lists an entry's terms.  g = 0 acts trivially and psi is normalized,
+        so only g = (u, u) multiplies by a root and only g = h = (u, u) by
+        psi; the empty rest of R gives coefficient 1, which is not applied."""
+        if not R:
+            return {(T, g): _ONE}
+        out = {}
+        for (U, h), x in times_w(T, R[0]).items():
+            if g != id_f:
+                x = x * act_roots[g][R[0]]
+                if h != id_f:
+                    x = x * law[h][g][1]
+                h = law[h][g][0]
+            for k, v in times_ws(U, h, R[1:]).items():
+                addin(out, k, x * v if len(R) > 1 else x)
         return out
 
     subsets = _subsets(nW)
@@ -495,9 +493,9 @@ def build_K(data) -> ComodAlg:
     labels = tuple((S, Fels[fk].coords) for S, fk in keys)
 
     # w_S1 w_S2 = sum c w_T e_g, g in {0, (u, u)}, as (kidx[(T, 0)], g, c)
-    words = [tuple(("w", s) for s in S) for S in subsets]
-    wtab = [[[(kidx[(T, 0)], g, c) for (T, g), c in nf(a + b).items()]
-             for b in words] for a in words]
+    wtab = [[[(kidx[(T, 0)], g, c)
+              for (T, g), c in times_ws(S1, id_f, S2).items()]
+             for S2 in subsets] for S1 in subsets]
     # chi(f, S): the root e_f picks up passing w_S, built by prefix
     chi = []
     for roots in act_roots:

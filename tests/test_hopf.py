@@ -815,8 +815,17 @@ def test_sector_filters_on_generators_match_all_of_F():
 @cache
 def _K_sample():
     """(name, data, K) over every compatible_families table of the zoo
-    modules with |G| <= 4, and five seeded random data per zoo module."""
-    out = []
+    modules with |G| <= 4, five seeded random data per zoo module, and one
+    datum whose products meet e_u e_u = psi(uu, uu) with psi(uu, uu) = -1."""
+    mod = dict(hh.module_zoo())["Z2_d2"]
+    _, F, psi, _ = next(f for f in hopf.compatible_families(mod)
+                        if f[0] == "order2_sign")
+    # W1 and W2 the two lines of each axis, every 12-sector beta entry
+    # nonzero, so two contractions of a product each leave an e_u
+    data = hopf.CompatibleData(
+        mod, [[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]], None,
+        [[0, 0, 1, 3], [0, 0, -1, 2], [-1, 1, 0, 0], [-3, -2, 0, 0]], F, psi)
+    out = [("Z2_d2/order2_sign, e_u e_u", data, hopf.build_K(data))]
     for name, mod in hh.module_zoo():
         if mod.group.order <= 4:
             for k, fam in enumerate(hopf.compatible_families(mod)):
