@@ -481,6 +481,12 @@ class CycloScalar:
         return f"CycloScalar({self.to_string()!r})"
 
 
+@cache
+def roots_of_unity(N: int) -> tuple:
+    """(zeta_N^0, ..., zeta_N^(N - 1)), built once per N."""
+    return tuple(CycloScalar.root_of_unity(N, e) for e in range(N))
+
+
 _set_N = CycloScalar.N.__set__
 _set_num = CycloScalar.num.__set__
 _set_den = CycloScalar.den.__set__

@@ -27,13 +27,14 @@ of psi are its overlap conditions, so by Bergman's diamond lemma (Adv.
 Math. 29, 1978) every order of reduction gives the same normal form.
 build_K checks the clauses before it builds any table (every bicharacter
 is a 2-cocycle), and then assembles the product of w_S1 e_f1 and w_S2
-e_f2 from three small tables instead of rewriting the whole word: the
-products w_S1 w_S2, the roots e_f picks up passing w_S, and the twisted
-law of F.  It reduces w_S1 w_S2 in one order, inserting the generators of
-S2 one at a time: each passes the rows above it by its sector's rule, the
-e_g on the right lets it pass as g.w, and an e_u its relation leaves joins
-e_g by F's twisted law.  K keeps its product as those tables (KFactors)
-and computes an entry when first read.
+e_f2 from two small tables and psi instead of rewriting the whole word:
+the products w_S1 w_S2, the roots e_f picks up passing w_S, and the
+twisted law of F, read from psi a pair at a time.  It reduces w_S1 w_S2
+in one order, inserting the generators of S2 one at a time: each passes
+the rows above it by its sector's rule, the e_g on the right lets it pass
+as g.w, and an e_u its relation leaves joins e_g by F's twisted law.  K
+keeps its product as those factors (KFactors) and computes an entry when
+first read.
 loewy_graded grades the tables, and same_tables proves two models equal
 when their tables are equal, without reading the dim^2 entries; any
 difference is left to their per-entry loops, which find and name it.
@@ -66,7 +67,7 @@ from . import abelian as ab
 from . import linalg as la
 from . import orth
 from . import brpic as bp
-from .cyclo import CycloScalar
+from .cyclo import CycloScalar, roots_of_unity
 from .errors import BrpicError, CapacityError, DomainError, InputValidationError
 from .host import (_ONE, _ZERO, _apply, _coaction_law, _elem_add,
                    _recorder, _scaled, _subsets, _tensor_mul, _tuples,
@@ -85,9 +86,8 @@ class KFactors(NamedTuple):
     The basis index of w_S e_f is s nF + f, s the index of S among the
     subsets.  wtab[s1][s2] lists w_S1 w_S2 = sum c w_T e_g as terms
     (index of w_T e_0, index of g, c), with distinct (index, g); chi[f][s]
-    is the root e_f picks up passing w_S; twist[g][f1][f2] is (h, psi')
-    with e_g e_f1 e_f2 = psi' e_h, held for exactly the g that wtab's terms
-    use: no row the entries do not read.  entry(i, j) evaluates build_K's
+    is the root e_f picks up passing w_S; psi is the datum's Twist, which
+    gives e_g e_f1 e_f2 (twist) on demand.  entry(i, j) evaluates build_K's
     formula for an entry on scalars, for ComodAlg;
     host.multiplicative_failures evaluates it on ids(vid), these tables with
     every scalar replaced by its value id, under its own memoized id
@@ -97,27 +97,35 @@ class KFactors(NamedTuple):
     nF: int
     wtab: list
     chi: list
-    twist: dict
+    psi: orth.Twist
+
+    def twist(self, g, f1, f2):
+        """(h, e) with e_g e_f1 e_f2 = zeta_N^e e_h, N = psi.N: psi(f1, f2)
+        at g = 0, else psi(g, f1) psi(g + f1, f2), read from psi.law."""
+        law = self.psi.law
+        if not g:  # 0: F's identity sorts first
+            return law(f1, f2)
+        a, d = law(g, f1)
+        h, e = law(a, f2)
+        return h, (d + e) % self.psi.N
 
     def entry(self, i, j):
-        """Entry (i, j) as {k + h: c (x p)}, over the terms (k, g, c) of
-        wtab[s1][s2] with x = chi[f1][s2] and (h, p) = twist[g][f1][f2];
+        """Entry (i, j) as {k + h: c (x zeta_N^e)}, over the terms (k, g, c)
+        of wtab[s1][s2] with x = chi[f1][s2] and (h, e) = twist(g, f1, f2);
         distinct (k, g) give distinct k + h."""
-        nF, wtab, chi, twist = self
+        nF, wtab, chi, psi = self
         s1, f1 = divmod(i, nF)
         s2, f2 = divmod(j, nF)
-        x = chi[f1][s2]
-        return {k + h: c * (x * p) for k, g, c in wtab[s1][s2]
-                for h, p in (twist[g][f1][f2],)}
+        x, roots = chi[f1][s2], roots_of_unity(psi.N)
+        return {k + h: c * (x * roots[e]) for k, g, c in wtab[s1][s2]
+                for h, e in (self.twist(g, f1, f2),)}
 
     def ids(self, vid):
         """These factors with every scalar c replaced by vid(c)."""
-        nF, wtab, chi, twist = self
+        nF, wtab, chi, psi = self
         return KFactors(
             nF, [[[(k, g, vid(c)) for k, g, c in t] for t in row] for row in wtab],
-            [[vid(x) for x in row] for row in chi],
-            {g: [[(h, vid(p)) for h, p in r] for r in rows]
-             for g, rows in twist.items()})
+            [[vid(x) for x in row] for row in chi], psi)
 
 
 class ComodAlg:
@@ -191,7 +199,7 @@ class CompatibleData:
     (a BilinearForm is accepted when only the third sector is present); F is
     a subgroup of G x G, held sorted by coordinates.  psi is an orth.Twist
     whose elements are the sorted F, which gives F's coordinates (index),
-    G x G (pair_group), F's law and psi's values (Twist.table); any other
+    G x G (pair_group), and F's law with psi's values (Twist.law); any other
     psi raises an InputValidationError.  None means psi = 1, held as the
     shared orth.trivial_twist on F, whose constructor raises a DomainError
     when F is not a subgroup.
@@ -389,13 +397,6 @@ def alpha_supports_w3(module, alpha) -> bool:
     return _u_central(orth.psi_alpha(alpha), module.u.coords * 2)
 
 
-def _twisted_law(psi):
-    """psi.table() with each exponent e read as its root zeta_N^e: rows of
-    (position of a + b, psi(a, b)), one root made per exponent."""
-    roots = [CycloScalar.root_of_unity(psi.N, e) for e in range(psi.N)]
-    return [[(h, roots[e]) for h, e in row] for row in psi.table()]
-
-
 def build_K(data) -> ComodAlg:
     """The comodule algebra K of a compatible datum over the doubled host.
 
@@ -407,7 +408,7 @@ def build_K(data) -> ComodAlg:
     over w_S1 w_S2 = sum c w_T e_g (times_ws, so g is 0 or (u, u)), with
     chi(f1, S2) the product of the roots e_f1 picks up passing each row of
     S2 and e_g e_f1 e_f2 = psi'(g, f1, f2) e_h, h = g + f1 + f2.
-    K holds its product as those three tables (K.factors, a KFactors), and
+    K holds its product as those factors (K.factors, a KFactors), and
     computes entry (i, j) by this formula on its first read, as
     c (chi(f1, S2) psi').
     The coaction is multiplicative.  lam(w_S) = lam(w_S') lam(w_s), with
@@ -417,7 +418,7 @@ def build_K(data) -> ComodAlg:
     past no w and e_0 e_f1 e_f has no further twist), so each term
     c v_T g x w_T' e_f1 goes to c psi(f1, f) v_T (g + f) x w_T' e_(f1 + f):
     the host index is the one key of mono_mul(v_T g, f), the F index and
-    psi(f1, f) are read from psi's table.
+    psi(f1, f) are read from psi.law.
     """
     bad = compatible_violations(data)
     if bad:
@@ -433,11 +434,10 @@ def build_K(data) -> ComodAlg:
     nF = len(Fels)
     if (1 << nW) * nF > 8192:
         raise CapacityError("comodule algebra dimension exceeds the supported bound")
-    GG = data.psi.pair_group
-    f_index = data.psi.index
-    id_f = f_index[GG.zero().coords]
-    u_f = f_index.get(data.uu_coords())
-    law = _twisted_law(data.psi)
+    psi = data.psi
+    id_f = 0  # F's identity sorts first
+    u_f = psi.index.get(data.uu_coords())
+    psi_roots = roots_of_unity(psi.N)
     N = module.group.exponent
     act_roots = [[CycloScalar.root_of_unity(N, e) for e in exps]
                  for exps, _ in data.actions()]
@@ -469,20 +469,20 @@ def build_K(data) -> ComodAlg:
     def times_ws(T, g, R):
         """(w_T e_g) w_R = sum c w_U e_h as {(U, h): c}, T and R sorted:
         w_b, b = R[0], is inserted first, as (w_T e_g) w_b = (g.w_b) (w_T
-        w_b) e_g with e_h e_g read from law, and each term then takes the
+        w_b) e_g with e_h e_g read from psi.law, and each term then takes the
         rest of R, the order in which leftmost-first rewriting of the word
-        lists an entry's terms.  g = 0 acts trivially and psi is normalized,
-        so only g = (u, u) multiplies by a root and only g = h = (u, u) by
-        psi; the empty rest of R gives coefficient 1, which is not applied."""
+        lists an entry's terms.  g = 0 acts trivially, so only g = (u, u)
+        multiplies by a root, and by psi(h, g) only where it is not 1; the
+        empty rest of R gives coefficient 1, which is not applied."""
         if not R:
             return {(T, g): _ONE}
         out = {}
         for (U, h), x in times_w(T, R[0]).items():
             if g != id_f:
                 x = x * act_roots[g][R[0]]
-                if h != id_f:
-                    x = x * law[h][g][1]
-                h = law[h][g][0]
+                h, e = psi.law(h, g)
+                if e:
+                    x = x * psi_roots[e]
             for k, v in times_ws(U, h, R[1:]).items():
                 addin(out, k, x * v if len(R) > 1 else x)
         return out
@@ -503,13 +503,9 @@ def build_K(data) -> ComodAlg:
         for S in subsets[1:]:
             row[S] = row[S[:-1]] * roots[S[-1]]
         chi.append([row[S] for S in subsets])
-    # e_g e_f1 e_f2 = psi' e_h; no word holds an e_0, so g = 0 adds no psi
-    twist = {id_f: law}
-    if any(g != id_f for row in wtab for terms in row for _, g, _ in terms):
-        twist[u_f] = [[(h, p * q) for h, q in law[ua]] for ua, p in law[u_f]]
 
     zeroG = module.group.zero().coords
-    zeroGG = GG.zero().coords
+    zeroGG = psi.pair_group.zero().coords
     ue = module.u.coords + zeroG
     eu = zeroG + module.u.coords
     uu = data.uu_coords()
@@ -537,7 +533,7 @@ def build_K(data) -> ComodAlg:
     loewy = tuple(len(S) for S, fk in keys)
     K = ComodAlg(host, labels, {}, {}, {unit_k: _ONE}, group_part, loewy,
                  meta={"kind": "K", "data": data},
-                 factors=KFactors(nF, wtab, chi, twist))
+                 factors=KFactors(nF, wtab, chi, psi))
     # the coaction is multiplicative: lam(w_S) by prefix, then lam(w_S e_f)
     # by translation
     lam_S = {(): {(host.one_idx, unit_k): _ONE}}
@@ -546,9 +542,9 @@ def build_K(data) -> ComodAlg:
                                lamw[S[-1]])
     for i, (S, fk) in enumerate(keys):
         r = host.group_like(Fels[fk])
-        K.coaction[i] = {(h2, k - k % nF + law[k % nF][fk][0]):
-                         c * law[k % nF][fk][1]
+        K.coaction[i] = {(h2, k - k % nF + f): c * psi_roots[e]
                          for (h, k), c in lam_S[S].items()
+                         for f, e in (psi.law(k % nF, fk),)
                          for h2 in host.mono_mul(h, r)}
     return K
 
@@ -600,12 +596,12 @@ def _model_iso(K, gen_w, gen_e, mul, one, target, coords, note):
             rhs = _scaled(one, gram[i][j] if i != j else _HALF * gram[i][i])
             if lhs != rhs:
                 note("relations_w", (i, j))
-    fpos = data.psi.index
-    law = _twisted_law(data.psi)
-    for i in (0, *map(fpos.__getitem__, data.psi.gens)):  # 0: F's identity
+    psi = data.psi
+    fpos, roots = psi.index, roots_of_unity(psi.N)
+    for i in (0, *map(fpos.__getitem__, psi.gens)):  # 0: F's identity
         for j, b in enumerate(data.F):
-            h, c = law[i][j]
-            if mul(gen_e[i], gen_e[j]) != _scaled(gen_e[h], c):
+            h, e = psi.law(i, j)
+            if mul(gen_e[i], gen_e[j]) != _scaled(gen_e[h], roots[e]):
                 note("relations_psi", (data.F[i].coords, b.coords))
     N = data.module.group.exponent
     for f, e, (exps, _) in zip(data.F, gen_e, data.actions()):
@@ -1067,7 +1063,7 @@ def loewy_graded(A) -> ComodAlg:
     product is graded on them: each term of an entry is a term (T, g) of
     wtab, so an entry has a term above |S1| + |S2| exactly when wtab has,
     and the graded algebra keeps the top-degree terms of wtab, the same chi
-    and the twist rows of the g those terms use.  Any term above, or no
+    and the same psi.  Any term above, or no
     factors, runs the per-entry loop, which raises at the first entry in
     row-major order."""
     host = A.host
@@ -1150,8 +1146,7 @@ def _filtration_steps(A):
 
 def _graded_factors(factors, deg):
     """The factors of the graded algebra (loewy_graded), or None when there
-    are none, the degrees are not constant on blocks or a term lies above.
-    They keep the twist rows of exactly the g their top-degree terms use."""
+    are none, the degrees are not constant on blocks or a term lies above."""
     if factors is None:
         return None
     nF = factors.nF
@@ -1167,9 +1162,7 @@ def _graded_factors(factors, deg):
                 return None
             graded.append([t for t in terms if deg[t[0]] == d])
         wtab.append(graded)
-    used = {g for row in wtab for terms in row for _, g, _ in terms}
-    return factors._replace(wtab=wtab, twist={
-        g: rows for g, rows in factors.twist.items() if g in used})
+    return factors._replace(wtab=wtab)
 
 
 def same_tables(A, B):
@@ -1177,9 +1170,9 @@ def same_tables(A, B):
 
     When A and B have equal factors, which give equal entries, no product
     entry is read; otherwise every entry is compared, in row-major order.
-    So a difference is always found, and named, by that loop.  As factors
-    hold no twist row their entries do not read, loewy_graded(K) and the
-    beta = 0 model of K's datum have equal factors."""
+    So a difference is always found, and named, by that loop.  Factors
+    hold their datum's psi, which the beta = 0 model of K's datum shares,
+    so loewy_graded(K) and that model have equal factors."""
     if A.basis != B.basis:
         return False, "basis labels differ"
     if A.unit != B.unit:

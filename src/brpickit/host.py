@@ -28,7 +28,7 @@ import random
 from functools import cache
 
 from . import abelian as ab
-from .cyclo import CycloScalar
+from .cyclo import CycloScalar, roots_of_unity
 from .errors import CapacityError, DomainError, InputValidationError
 from .linalg import addin
 
@@ -354,13 +354,13 @@ def multiplicative_failures(A, pairs):
     are the x and + memo rows of id a, read inline.  lam[i] holds lam(i) as
     terms (s, mask of s, group rank r, k, id, s nG) for h = s nG + r.  ents
     holds A's entry (k1, k2) under k1 dim + k2, a tuple of (k, id): by the
-    KFactors.entry formula on A.factors.ids(vid), or from A.mul_basis.  For
-    each pair of terms the entry is read first, and only a nonzero one takes
-    the host product from H._tables (see HopfAlg), its root (-1)^p zeta_N^e
-    at rids[p N + e].  Both sides are keyed h dim + k: the left one drops
-    zero sums at the end, the right one, sum c_k lam(k) over A's entry
-    (i, j), at each step, as addin does.  They are equal exactly when their
-    id dicts are.
+    KFactors.entry formula on A.factors.ids(vid), psi's root zeta^e at
+    pids[e], or from A.mul_basis.  For each pair of terms the entry is read
+    first, and only a nonzero one takes the host product from H._tables (see
+    HopfAlg), its root (-1)^p zeta_N^e at rids[p N + e].  Both sides are
+    keyed h dim + k: the left one drops zero sums at the end, the right one,
+    sum c_k lam(k) over A's entry (i, j), at each step, as addin does.  They
+    are equal exactly when their id dicts are.
     """
     H, dim = A.host, A.dim
     nG, masks, srank, flip, gtab, chi, roots = H._tables
@@ -385,18 +385,21 @@ def multiplicative_failures(A, pairs):
         return got
 
     fac = A.factors and A.factors.ids(vid)
+    pids = fac and [vid(r) for r in roots_of_unity(fac.psi.N)]
+    law = fac and fac.psi.law
 
     def entry(i, j):
         if not fac:
             got = ents[i * dim + j] = tuple(
                 (k, vid(c)) for k, c in A.mul_basis(i, j).items())
             return got
-        nF, wtab, xs, twist = fac
+        nF, wtab, xs, _ = fac
         s1, f1 = divmod(i, nF)
         s2, f2 = divmod(j, nF)
         x, got = xs[f1][s2], ()
         for k, g, c in wtab[s1][s2]:
-            h, p = twist[g][f1][f2]
+            h, e = law(f1, f2) if not g else fac.twist(g, f1, f2)
+            p = pids[e]
             xp = prods[x].get(p)
             if xp is None:
                 xp = prods[x][p] = vid(vals[x] * vals[p])

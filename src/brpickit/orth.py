@@ -24,7 +24,7 @@ from . import abelian as ab
 from .abelian import FinAbGroup, GroupElement
 from .errors import CapacityError, DomainError
 
-# Largest |G+G^| enumerate_orth lists, and largest |F|^2 Twist.table tabulates.
+# Largest |G+G^| enumerate_orth lists.
 MAX_DSUM_ORDER = 1 << 20
 
 
@@ -236,9 +236,9 @@ class Twist:
     psi(a,c) psi(b,c).
     """
 
-    # _table: table(), built on first use
+    # _wE[k]: words[k] . E mod N; _law: the pairs law() has read
     __slots__ = ("pair_group", "elements", "index", "gens", "words", "N", "E",
-                 "_table")
+                 "_wE", "_law")
 
     def __init__(self, group: FinAbGroup, elements, N: int = 1, exponent=None):
         GG = ab.direct_sum(group, group)
@@ -284,37 +284,31 @@ class Twist:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "gens", tuple(gens))
-        object.__setattr__(self, "words", tuple(
-            w + (0,) * (r - len(w)) for w in map(words.__getitem__, index)))
+        words = tuple(w + (0,) * (r - len(w)) for w in map(words.__getitem__, index))
+        object.__setattr__(self, "words", words)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "E", E)
-        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_wE", tuple(
+            tuple(sum(map(mul, w, col)) % N for col in zip(*E)) for w in words))
+        object.__setattr__(self, "_law", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Twist is immutable")
 
-    def table(self) -> tuple:
-        """F x F as rows of (position of a + b, exponent of psi(a, b)), built
-        once: the one |F|^2 object, refused above MAX_DSUM_ORDER entries.
-        Row a + g is row a moved by g plus psi(g, .): filled by word length."""
-        if self._table is None:
-            n, fs, N = len(self.elements), self.pair_group.factors, self.N
-            if n * n > MAX_DSUM_ORDER:
-                raise CapacityError(f"|F| = {n}: its twisted law table exceeds "
-                                    f"the supported maximum of {MAX_DSUM_ORDER} entries")
-            words, index = self.words, self.index
-            shift = [[index[tuple((x + y) % f for x, y, f in zip(b, g, fs))]
-                      for b in index] for g in self.gens]
-            gain = [[sum(map(mul, row, y)) % N for y in words] for row in self.E]
-            at = {w: k for k, w in enumerate(words)}
-            rows = {0: (range(n), [0] * n)}  # 0: the identity sorts first
-            for w in sorted(words, key=sum)[1:]:
-                j = max(i for i, c in enumerate(w) if c)
-                pos, exps = rows[at[w[:j] + (w[j] - 1,) + w[j + 1:]]]
-                rows[at[w]] = ([shift[j][p] for p in pos],
-                               [(e + d) % N for e, d in zip(exps, gain[j])])
-            object.__setattr__(self, "_table", tuple(tuple(zip(*rows[k])) for k in range(n)))
-        return self._table
+    def law(self, i: int, j: int) -> tuple:
+        """(position of a + b, exponent of psi(a, b) mod N) at the i-th
+        element a and the j-th b: their coordinate sum looked up in index,
+        and words[i] E words[j].  Each pair is computed on its first read
+        and kept."""
+        try:
+            return self._law[i, j]
+        except KeyError:
+            a, b = self.elements[i].coords, self.elements[j].coords
+            got = self._law[i, j] = (
+                self.index[tuple((x + y) % f for x, y, f
+                                 in zip(a, b, self.pair_group.factors))],
+                sum(map(mul, self._wE[i], self.words[j])) % self.N)
+            return got
 
 
 @cache

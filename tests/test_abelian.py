@@ -126,7 +126,7 @@ def test_automorphism_composition_group_spotcheck():
 
 
 def test_addition_table_matches_add():
-    # a Twist's table holds the position of elements[i] + elements[j] at
+    # a Twist's law gives the position of elements[i] + elements[j] at
     # (i, j), on G x G, on G x 0 and on a subgroup of order 4
     for G in (Z2xZ3, FinAbGroup([2, 4])):
         GG = ab.direct_sum(G, G)
@@ -140,8 +140,9 @@ def test_addition_table_matches_add():
             U = orth.Twist(G, els)
             assert U.elements == tuple(sorted(els, key=lambda x: x.coords))
             assert U.index == {x.coords: k for k, x in enumerate(U.elements)}
-            for x, row in zip(U.elements, U.table()):
-                for y, (k, e) in zip(U.elements, row):
+            for i, x in enumerate(U.elements):
+                for j, y in enumerate(U.elements):
+                    k, e = U.law(i, j)
                     assert U.elements[k] == ab.add(x, y) and e == 0
 
 

@@ -67,14 +67,16 @@ def test_criterion_03(capsys):
         diag = sorted(tuple(g.coords) + tuple(g.coords) for g in G.elements())
         ok = ok and sorted(f.coords for f in U.elements) == diag
         psi = orth.psi_alpha(ident)
-        ok = ok and all(CycloScalar.root_of_unity(psi.N, e) == one
-                        for row in psi.table() for _, e in row)
+        n = len(psi.elements)
+        ok = ok and all(CycloScalar.root_of_unity(psi.N, psi.law(i, j)[1]) == one
+                        for i in range(n) for j in range(n))
         for alpha in orth.enumerate_orth(G):
             Ua = orth.u_alpha(alpha)
             pa = orth.psi_alpha(alpha)
-            val = {(a.coords, b.coords): CycloScalar.root_of_unity(pa.N, e)
-                   for a, row in zip(pa.elements, pa.table())
-                   for b, (_, e) in zip(pa.elements, row)}
+            val = {(a.coords, b.coords):
+                   CycloScalar.root_of_unity(pa.N, pa.law(i, j)[1])
+                   for i, a in enumerate(pa.elements)
+                   for j, b in enumerate(pa.elements)}
             for a in Ua.elements:
                 for b in Ua.elements:
                     mid = ab.add(a, b).coords

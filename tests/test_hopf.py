@@ -83,8 +83,8 @@ def test_equal_modules_share_hosts_and_families():
 
 def test_psi_alpha_cocycle_verdict_is_reached_once(monkeypatch):
     # psi_alpha's Twist proves psi a well-defined bicharacter once, and
-    # builds its table once; the data build_L makes of it keep that Twist
-    # and decide nothing again
+    # keeps each pair of its law it reads; the data build_L makes of it,
+    # and K's factors, keep that Twist and decide nothing again
     mod = dict(hh.module_zoo())["Z2Z4_d1"]
     alpha = bp.suite_alphas(mod)[-1]
     orth.u_alpha(alpha)
@@ -98,16 +98,16 @@ def test_psi_alpha_cocycle_verdict_is_reached_once(monkeypatch):
     for _ in range(3):
         K = hopf.build_L(mod, None, None, alpha)
         assert K.meta["data"].psi is psi
-        assert K.factors.twist[0] == hopf._twisted_law(psi)
-    assert built == [psi.N] and psi.table() is psi.table()
+        assert K.factors.psi is psi
+    assert built == [psi.N] and psi.law(1, 1) is psi.law(1, 1)
 
 
 def _exps(psi):
     """psi's exponents as {(a, b): e} over the coordinates of its elements,
-    read off its table."""
+    read off psi.law at every pair."""
     elems = [f.coords for f in psi.elements]
-    return {(a, b): e for a, row in zip(elems, psi.table())
-            for b, (_, e) in zip(elems, row)}
+    return {(a, b): psi.law(i, j)[1] for i, a in enumerate(elems)
+            for j, b in enumerate(elems)}
 
 
 def _values(psi):
@@ -400,7 +400,7 @@ def _zoo_twists():
 
 def test_cocycle_check_agrees_with_scalar_oracle():
     # every twist a Twist accepts is a 2-cocycle: at every (a, b) in F x F
-    # its table holds the position of a + b and the bilinear expansion of
+    # its law gives the position of a + b and the bilinear expansion of
     # psi's exponents on pairs of generators; the values zeta_N^e pass the
     # scalar oracle's 2-cocycle identity on every triple where |F| <= 16,
     # and are additive along every generator in each argument (which
@@ -413,8 +413,9 @@ def test_cocycle_check_agrees_with_scalar_oracle():
         elems = [f.coords for f in psi.elements]
         exps = _exps(psi)
         assert exps == oracles.expand_twist(psi), label
-        for a, row in zip(psi.elements, psi.table()):
-            assert [psi.elements[h] for h, _ in row] == [
+        for i, a in enumerate(psi.elements):
+            assert [psi.elements[psi.law(i, j)[0]]
+                    for j in range(len(elems))] == [
                 ab.add(a, b) for b in psi.elements], label
 
         assert oracles.bi_additive(elems, fs, exps, N, psi.gens), label
@@ -460,14 +461,17 @@ def test_cocycle_check_paths(monkeypatch):
 def test_twist_mutants_fail():
     # one generator-pair exponent moved by 1 (at N, or at 2 for psi = 1),
     # the first pair where that leaves psi well defined, which every twist
-    # with generators has: K over the mutant differs from K over psi in its
-    # products.  An exponent a generator's order does not
-    # kill (1 at (g, g) at M = 2 N ord(g), the rest scaled to M) is refused.
+    # with generators has: the law of psi and of the mutant is the bilinear
+    # expansion of its exponents at every pair, and K over the mutant
+    # differs from K over psi in its products.  An exponent a generator's
+    # order does not kill (1 at (g, g) at M = 2 N ord(g), the rest scaled
+    # to M) is refused.
     moved = 0
     twists = [t for t in _zoo_twists() if t[2].gens]
     for label, mod, psi in twists:
         values = _values(psi)
         M = psi.N if psi.N > 1 else 2
+        assert _exps(psi) == oracles.expand_twist(psi), label
         K = hopf.build_K(hopf.CompatibleData(mod, None, None, None, None,
                                              psi.elements, psi))
         for pair in sorted(values):
@@ -476,6 +480,7 @@ def test_twist_mutants_fail():
                                     lambda g, h: values[(g, h)] + ((g, h) == pair))
             except DomainError:
                 continue
+            assert _exps(mutant) == oracles.expand_twist(mutant), label
             data = hopf.CompatibleData(mod, None, None, None, None,
                                        psi.elements, mutant)
             same, why = hopf.same_tables(K, hopf.build_K(data))
@@ -1107,26 +1112,25 @@ def _outcome(fn, *args):
 
 def test_graded_model_on_factors_matches_the_entry_loop():
     """On every zoo datum, and on its variant with beta on the e_u sectors
-    only, whose K reads the (u, u) twist row: loewy_graded(K) holds a twist
-    row for exactly the g its graded word table uses, so its factors equal
-    those of the beta = 0 model, and same_tables decides on them what the
-    entry loop decides on factor-free copies."""
-    dropped = 0
+    only, whose K has terms in e_u: loewy_graded(K) keeps the top-degree
+    terms, which have none, and the datum's psi, so its factors equal those
+    of the beta = 0 model, and same_tables decides on them what the entry
+    loop decides on factor-free copies."""
+    eu_terms = 0
     for name, data in _zoo_data():
         for d in filter(None, (data, _beta_on(data, "eu"))):
             K = hopf.build_K(d)
             K0 = hopf.build_K(d.zero_beta())
             gr = hopf.loewy_graded(K)
-            used = {g for row in gr.factors.wtab for terms in row
-                    for _, g, _ in terms}
-            assert set(gr.factors.twist) == used, name
-            dropped += set(K.factors.twist) != used
+            assert gr.factors == K0.factors, name
+            eu_terms += any(g for row in K.factors.wtab for terms in row
+                           for _, g, _ in terms)
             got = hopf.same_tables(gr, K0)
             # decided on the factors: no product entry of gr was computed
             assert got == (True, None) and not gr.mult, name
             assert hopf.same_tables(hopf.loewy_graded(_factor_free(K)),
                                     _factor_free(K0)) == got, name
-    assert dropped >= 40, dropped
+    assert eu_terms >= 40, eu_terms
 
 
 def _beta_on(data, kind):
@@ -1620,20 +1624,28 @@ def test_multiplicativity_matches_a_tensor_mul_reference(monkeypatch):
     assert cases >= 200 and failed >= 60
 
 
+class _FlippedLaw:
+    """A stand-in for psi, with a law and an N only: psi(f, f) negated, f
+    the second element of F, and every other value kept, at 2N so that -1
+    is a root."""
+
+    def __init__(self, psi):
+        self.psi, self.N = psi, 2 * psi.N
+
+    def law(self, i, j):
+        h, e = self.psi.law(i, j)
+        return h, (2 * e + self.psi.N * ((i, j) == (1, 1))) % self.N
+
+
 def _twist_flipped(K):
-    """A hand-made factored copy of K whose e_f e_f picks up the other sign
-    under its first twist table, f the second element of F; None without
-    one."""
+    """A hand-made factored copy of K whose e_f e_f picks up the other sign,
+    f the second element of F; None without one."""
     fac = K.factors
     if fac.nF < 2:
         return None
-    g, rows = next(iter(fac.twist.items()))
-    rows = [list(r) for r in rows]
-    h, p = rows[1][1]
-    rows[1][1] = (h, -p)
     return hopf.ComodAlg(K.host, K.basis, {}, dict(K.coaction), K.unit,
                          K.group_part, K.loewy_degree,
-                         factors=fac._replace(twist=fac.twist | {g: rows}))
+                         factors=fac._replace(psi=_FlippedLaw(fac.psi)))
 
 
 def test_multiplicative_failures_same_on_factors_and_entries():
@@ -1868,9 +1880,10 @@ def _model_iso_kinds(K, gen_w, gen_e, mul, one, target, coords):
 def _psi_relations_hold(K, gen_e, mul):
     """e_a e_b = psi(a, b) e_(a+b) for every a, b in F: the full loop."""
     psi = K.meta["data"].psi
+    n = len(psi.elements)
     return all(mul(gen_e[i], gen_e[j])
                == host._scaled(gen_e[h], CycloScalar.root_of_unity(psi.N, e))
-               for i, row in enumerate(psi.table()) for j, (h, e) in enumerate(row))
+               for i in range(n) for j in range(n) for h, e in (psi.law(i, j),))
 
 
 def test_model_iso_notes_a_negated_e_image():

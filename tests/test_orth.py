@@ -362,15 +362,15 @@ def test_u_alpha_built_once_and_shared_with_psi():
             psi = orth.psi_alpha(b)
             assert psi is orth.psi_alpha(a)
             assert psi.elements == orth.u_alpha(a).elements
-            assert psi.table() is psi.table()
+            assert psi.law(0, 0) is psi.law(0, 0)
 
 
 def _exps(psi):
     """psi's exponents as {(a, b): e} over the coordinates of its elements,
-    read off its table."""
+    read off psi.law at every pair."""
     elems = [f.coords for f in psi.elements]
-    return {(a, b): e for a, row in zip(elems, psi.table())
-            for b, (_, e) in zip(elems, row)}
+    return {(a, b): psi.law(i, j)[1] for i, a in enumerate(elems)
+            for j, b in enumerate(elems)}
 
 
 def test_psi_identity_trivial():
