@@ -166,9 +166,8 @@ class RDatum:
         if type(ambient) is not int:
             raise DomainError(f"W.ambient: must be an integer, got {ambient!r}")
         W = la.Subspace.from_json(obj["W"])
-        gram = [[CycloScalar.from_string(s) for s in row]
-                for row in obj["beta"]["gram"]]
-        beta = la.BilinearForm(W, gram)
+        beta = la.BilinearForm(W, la.scalar_rows("beta.gram",
+                                                 obj["beta"]["gram"]))
         alpha = orth.OrthAut.from_json(module.group, obj["alpha"])
         return RDatum(module, W, beta, alpha)
 
@@ -229,7 +228,7 @@ class ODatum:
 
     @staticmethod
     def from_json(module: la.GModuleV, obj) -> "ODatum":
-        T = [[CycloScalar.from_string(s) for s in row] for row in obj["T"]]
+        T = la.scalar_rows("T", obj["T"])
         alpha = orth.OrthAut.from_json(module.group, obj["alpha"])
         return ODatum(module, T, alpha)
 

@@ -384,17 +384,13 @@ def compatible_violations(data) -> list:
 
 def _u_central(psi, uu) -> bool:
     """True when uu lies in psi's F and psi(g, uu) = psi(uu, g) at each
-    generator g, hence at every f: row and column g of E agree on uu's word."""
+    generator g, hence at every f: row and column g of E agree on uu's word.
+    The psi_u_central clause, and the seeded generators' rule for graph
+    lines and e_u-sector beta entries."""
     u = psi.index.get(uu)
     return u is not None and all(
         sum((x - y) * c for x, y, c in zip(row, col, psi.words[u])) % psi.N == 0
         for row, col in zip(psi.E, zip(*psi.E)))
-
-
-def alpha_supports_w3(module, alpha) -> bool:
-    """True when (u, u) lies in U_alpha and psi_alpha commutes with it, so
-    data with a nonzero graph sector can be built over alpha."""
-    return _u_central(orth.psi_alpha(alpha), module.u.coords * 2)
 
 
 def build_K(data) -> ComodAlg:
@@ -1223,39 +1219,34 @@ def family_alphas(module, bound=256):
 
 @cache
 def compatible_families(module):
-    """Candidate (name, F elements, psi, central_ok) tuples for a module.
-
-    psi is None (psi = 1) or an orth.Twist on F: psi_alpha, or an N = 2
-    sign twist, -1 where a rule bilinear mod 2 holds on F's generators.
-    central_ok marks whether the family's twist commutes with (u, u), i.e.
-    whether data over it may carry a nonzero third sector.
+    """Candidate (name, psi) pairs for a module, psi an orth.Twist on the
+    family's F: psi = 1, the shared orth.trivial_twist on F (the Twist a
+    CompatibleData given psi=None holds), psi_alpha, or an N = 2 sign
+    twist, -1 where a rule bilinear mod 2 holds on F's generators.
     """
     G = module.group
     GG = ab.direct_sum(G, G)
-    zero = GG.zero().coords
     uu = module.u.coords * 2
-    fams = []
-    diag = tuple(g.coords * 2 for g in G.elements())
-    fams.append(("diag", diag, None, True))
-    fams.append(("trivial", (zero,), None, True))
-    fams.append(("order2", (zero, uu), None, True))
-    fams.append(("order2_sign", (zero, uu),
-                 orth.Twist(G, [GG.zero(), GG.element(uu)], 2,
-                            lambda a, b: a == b == uu), True))
-    whole = tuple(a.coords + b.coords
+    # G.elements() runs in coordinate order, so each F is listed sorted,
+    # as CompatibleData keys trivial_twist
+    order2 = (GG.zero(), GG.element(uu))
+    whole = tuple(GG.element(a.coords + b.coords)
                   for a in G.elements() for b in G.elements())
+    fams = [("diag", orth.trivial_twist(G, tuple(
+                GG.element(g.coords * 2) for g in G.elements()))),
+            ("trivial", orth.trivial_twist(G, order2[:1])),
+            ("order2", orth.trivial_twist(G, order2)),
+            ("order2_sign", orth.Twist(G, order2, 2,
+                                       lambda a, b: a == b == uu))]
     alphas = family_alphas(module)
     if alphas:
-        fams.append(("whole", whole, None, True))
-        for k, alpha in enumerate(alphas):
-            psi = orth.psi_alpha(alpha)
-            fams.append((f"U_alpha_{k}", psi.elements, psi,
-                         alpha_supports_w3(module, alpha)))
+        fams.append(("whole", orth.trivial_twist(G, whole)))
+        fams += [(f"U_alpha_{k}", orth.psi_alpha(alpha))
+                 for k, alpha in enumerate(alphas)]
     if G.order == 2:
         # bicharacter twist on G x G that is not central at (u, u)
-        fams.append(("bichar", whole,
-                     orth.Twist(G, map(GG.element, whole), 2,
-                                lambda a, b: a[0] * b[1] % 2), False))
+        fams.append(("bichar", orth.Twist(G, whole, 2,
+                                          lambda a, b: a[0] * b[1] % 2)))
     return tuple(fams)
 
 
@@ -1266,34 +1257,48 @@ def _random_subset(rng, n, cap):
     return out
 
 
+def _random_gram(module, rng, pivots, sign, gens):
+    """A gram table on the rows with these pivots.  Entry (i, j), i <= j,
+    is drawn with probability 1/2 from _B_CHOICES where sign(i, j) is
+    nonzero and the pair's eigenvalues cancel on gens (la.pairs_satisfy),
+    and (j, i) is it times sign(i, j), +1 or -1."""
+    n = len(pivots)
+    gram = [[_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s = sign(i, j)
+            if not s or not la.pairs_satisfy(
+                    module, la.form_terms([(i, j)], pivots), gens):
+                continue
+            if rng.random() < 0.5:
+                c = la.sc(_B_CHOICES[rng.randrange(len(_B_CHOICES))])
+                gram[i][j] = c
+                gram[j][i] = c if s > 0 else -c
+    return gram
+
+
 def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
-    """A valid compatible datum drawn from stable sector families.
+    """A valid compatible datum over a family drawn from
+    compatible_families, whose Twist psi gives F, its generators and |F|.
 
     Sector positions are filtered so that every drawn datum passes
     compatible_violations: graph lines only where the character agrees on
     both components over F, beta entries only where the paired eigenvalues
-    cancel on all of F, e_u-sector entries only when (u, u) lies in F and
-    the twist commutes with it.  The first two are k = 0 questions
-    (la.pairs_satisfy), asked on the generators of F: every family is a
-    subgroup, with a Twist.
+    cancel on all of F, and graph lines and e_u-sector entries only when
+    _u_central(psi, (u, u)).  The first two are k = 0 questions
+    (la.pairs_satisfy), asked on psi's generators.
     """
     m = module.dim
-    fams = compatible_families(module)
-    name, F, psi, central_ok = fams[rng.randrange(len(fams))]
-    GG = ab.direct_sum(module.group, module.group)
-    Fels = [c if isinstance(c, ab.GroupElement) else GG.element(c) for c in F]
-    uu = module.u.coords * 2
-    has_uu = any(f.coords == uu for f in Fels) and central_ok
-
-    gens = (psi or orth.trivial_twist(module.group, tuple(Fels))).gens
-    graph_ok = _graph_positions(module, gens)
+    psi = rng.choice(compatible_families(module))[1]
+    has_uu = _u_central(psi, module.u.coords * 2)
+    graph_ok = _graph_positions(module, psi.gens)
 
     S1 = _random_subset(rng, m, 2)
     S2 = _random_subset(rng, m, 2)
     S3 = [] if not has_uu else \
         [i for i in graph_ok if not (i in S1 and i in S2)
          and rng.random() < 0.5][:2]
-    while (1 << (len(S1) + len(S2) + len(S3))) * len(Fels) > dim_cap:
+    while (1 << (len(S1) + len(S2) + len(S3))) * len(psi.elements) > dim_cap:
         for S in (S3, S2, S1):
             if S:
                 S.pop()
@@ -1304,53 +1309,32 @@ def random_compatible_data(module, rng, dim_cap=128) -> "CompatibleData":
     rows3 = [_graph_row(rng, m, i) for i in S3]
 
     types = [1] * len(S1) + [2] * len(S2) + [3] * len(S3)
-    pivots = S1 + [m + i for i in S2] + S3
-    nW = len(types)
 
-    gram = [[_ZERO] * nW for _ in range(nW)]
-    for i in range(nW):
-        for j in range(i, nW):
-            sector = tuple(sorted((types[i], types[j])))
-            if _SYM_SIGN[sector] < 0 and not has_uu:
-                continue
-            if not la.pairs_satisfy(
-                    module, la.form_terms([(i, j)], pivots), gens):
-                continue
-            if rng.random() < 0.5:
-                c = la.sc(_B_CHOICES[rng.randrange(len(_B_CHOICES))])
-                gram[i][j] = c
-                gram[j][i] = c if (i == j or _SYM_SIGN[sector] > 0) else -c
+    def sign(i, j):
+        s = _SYM_SIGN[tuple(sorted((types[i], types[j])))]
+        return s if s > 0 or has_uu else 0
 
+    gram = _random_gram(module, rng, S1 + [m + i for i in S2] + S3, sign,
+                        psi.gens)
     return CompatibleData(
         module,
         la.Subspace(2 * m, rows1) if rows1 else None,
         la.Subspace(2 * m, rows2) if rows2 else None,
         la.Subspace(2 * m, rows3) if rows3 else None,
-        gram, Fels, psi)
+        gram, psi.elements, psi)
 
 
 def random_graph_datum(module, rng, alpha, dim_cap=64):
-    """A relation datum (W, beta, alpha) with W a U_alpha-stable graph span."""
+    """A relation datum (W, beta, alpha) with W a U_alpha-stable graph span,
+    U_alpha, its generators and the (u, u) rule read from psi_alpha."""
     m = module.dim
-    gens = orth.u_generators(alpha)
-
-    graph_ok = (_graph_positions(module, gens)
-                if alpha_supports_w3(module, alpha) else [])
+    psi = orth.psi_alpha(alpha)
+    graph_ok = (_graph_positions(module, psi.gens)
+                if _u_central(psi, module.u.coords * 2) else [])
     S3 = [i for i in graph_ok if rng.random() < 0.6]
-    while (1 << len(S3)) * orth.u_order(alpha) > dim_cap and S3:
+    while (1 << len(S3)) * len(psi.elements) > dim_cap and S3:
         S3.pop()
     rows = [_graph_row(rng, m, i) for i in S3]
     W = la.Subspace(2 * m, rows) if rows else la.zero_space(2 * m)
-    nW = W.dim
-    gram = [[_ZERO] * nW for _ in range(nW)]
-    for a in range(nW):
-        for b in range(a, nW):
-            if not la.pairs_satisfy(
-                    module, la.form_terms([(a, b)], S3), gens):
-                continue
-            if rng.random() < 0.5:
-                c = la.sc(_B_CHOICES[rng.randrange(len(_B_CHOICES))])
-                gram[a][b] = c
-                gram[b][a] = c
+    gram = _random_gram(module, rng, S3, lambda i, j: 1, psi.gens)
     return bp.RDatum(module, W, la.BilinearForm(W, gram), alpha)
-

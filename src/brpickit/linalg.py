@@ -64,6 +64,18 @@ def sc(x) -> CycloScalar:
     raise DomainError(f"cannot use {type(x).__name__} as a scalar")
 
 
+def scalar_rows(field: str, rows) -> list:
+    """A JSON table of scalar strings, read row by row: a table or a row
+    that is not a list raises a DomainError naming the field and the row."""
+    if type(rows) is not list:
+        raise DomainError(f"{field}: must be a list of rows, got {rows!r}")
+    for i, r in enumerate(rows):
+        if type(r) is not list:
+            raise DomainError(f"{field}: row {i} must be a list of scalars, "
+                              f"got {r!r}")
+    return [[CycloScalar.from_string(s) for s in r] for r in rows]
+
+
 def mat(rows):
     return [[x if type(x) is CycloScalar else sc(x) for x in row]
             for row in rows]
@@ -280,8 +292,8 @@ class Subspace:
 
     @staticmethod
     def from_json(obj) -> "Subspace":
-        return Subspace(obj["ambient"],
-                        [[CycloScalar.from_string(s) for s in r] for r in obj["basis"]])
+        """The W of a relation datum's JSON, the one subspace it holds."""
+        return Subspace(obj["ambient"], scalar_rows("W.basis", obj["basis"]))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"

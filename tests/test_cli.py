@@ -580,6 +580,20 @@ BAD_FIELDS = [
          "W.ambient: must be an integer, got 2.0", "datum-W-ambient-float"),
     _bad({"datum": _w_with("0@1", True)}, ["brpic", "inv"], "datum",
          "W.ambient: must be an integer, got True", "datum-W-ambient-bool"),
+    # a string where a row belongs was read letter by letter, and the
+    # message quoted a fragment the spec never held
+    _bad({"datum": _alpha_with([[1, 0], [0, 1]]) | {"T": ["1@1", "1@1"]}},
+         ["brpic", "inv"], "datum",
+         "T: row 0 must be a list of scalars, got '1@1'", "datum-T-row"),
+    _bad({"datum": _w_with("0@1") | {"W": {"ambient": 2,
+                                           "basis": ["1@11@1"]}}},
+         ["brpic", "inv"], "datum",
+         "W.basis: row 0 must be a list of scalars, got '1@11@1'",
+         "datum-W-basis-row"),
+    _bad({"datum": _w_with("0@1") | {"beta": {"gram": ["0@1"]}}},
+         ["brpic", "inv"], "datum",
+         "beta.gram: row 0 must be a list of scalars, got '0@1'",
+         "datum-beta-gram-row"),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from contextlib import nullcontext
@@ -382,14 +383,12 @@ def _whole_F(G):
 @cache
 def _zoo_twists():
     """(name, module, psi) over the distinct twists of the zoo: every
-    compatible_families entry's (the trivial twist of its F where it has
-    none), so both sign twists, and psi_alpha of every suite alpha of every
-    zoo module."""
+    compatible_families entry's Twist, so both sign twists, and psi_alpha
+    of every suite alpha of every zoo module."""
     out = {}
     for name, mod in hh.module_zoo():
-        twists = [(f"{name}/{fam}", psi or hopf.CompatibleData(
-                      mod, None, None, None, None, F).psi)
-                  for fam, F, psi, _ in hopf.compatible_families(mod)]
+        twists = [(f"{name}/{fam}", psi)
+                  for fam, psi in hopf.compatible_families(mod)]
         twists += [(f"{name}/alpha {k}", orth.psi_alpha(a))
                    for k, a in enumerate(bp.suite_alphas(mod))]
         for label, psi in twists:
@@ -428,26 +427,32 @@ def test_cocycle_check_agrees_with_scalar_oracle():
 
 def test_cocycle_check_paths(monkeypatch):
     # a Twist is proved where it is built, once: a datum given a zoo
-    # family's Twist builds none, data given None over one F share the
+    # family's Twist builds none, data given None over one F (each
+    # family's F, after the trivial twists are forgotten) share the
     # trivial twist the first of them built, and an F that is not a
     # subgroup is refused by the one attempt, when the datum is made
-    tables = [(mod, F, psi) for _, mod in hh.module_zoo()
-              for _, F, psi, _ in hh.f_families(mod)]
+    tables = [(mod, psi) for _, mod in hh.module_zoo()
+              for _, psi in hh.f_families(mod)]
+    # the psi = 1 families hold the trivial twist a datum given None takes
+    assert all(hopf.CompatibleData(mod, None, None, None, None,
+                                   psi.elements).psi is psi
+               for mod, psi in tables if psi.N == 1)
     orth.trivial_twist.cache_clear()
     built = []
     init = orth.Twist.__init__
     monkeypatch.setattr(orth.Twist, "__init__",
                         lambda self, *args: built.append(1) or init(self, *args))
     trivial = {}
-    for mod, F, psi in tables:
-        data = hopf.CompatibleData(mod, None, None, None, None, F, psi)
+    for mod, psi in tables:
+        data = hopf.CompatibleData(mod, None, None, None, None, psi.elements,
+                                   psi)
         assert hopf.compatible_violations(data) == []
-        if psi is not None:
-            assert data.psi is psi and built == []
-        else:
-            key = (mod.group, data.F)
-            assert built == ([] if key in trivial else [1])
-            assert trivial.setdefault(key, data.psi) is data.psi
+        assert data.psi is psi and built == []
+        data = hopf.CompatibleData(mod, None, None, None, None, psi.elements)
+        assert hopf.compatible_violations(data) == []
+        key = (mod.group, data.F)
+        assert built == ([] if key in trivial else [1])
+        assert trivial.setdefault(key, data.psi) is data.psi
         built.clear()
     assert len(tables) > 50 and len(trivial) > 10
     mod = _sw()
@@ -504,14 +509,15 @@ def test_sign_twists_are_the_parents_sign_rules():
             continue
         uu = tuple(mod.u.coords) * 2
         whole = [f.coords for f in _whole_F(mod.group)]
-        rules = {"order2_sign": {(uu, uu): 1}}
+        zero = (0,) * len(uu)
+        rules = {"order2_sign": ((zero, uu), {(uu, uu): 1})}
         if mod.group.order == 2:
-            rules["bichar"] = {(a, b): 1 for a in whole
-                               for b in whole if a[0] * b[1] % 2}
-        fams = {n: (F, psi) for n, F, psi, _ in hopf.compatible_families(mod)}
+            rules["bichar"] = (whole, {(a, b): 1 for a in whole
+                                       for b in whole if a[0] * b[1] % 2})
+        fams = dict(hopf.compatible_families(mod))
         assert ("bichar" in fams) == (mod.group.order == 2)
-        for fam, minus in rules.items():
-            F, psi = fams[fam]
+        for fam, (F, minus) in rules.items():
+            psi = fams[fam]
             elems = [f.coords for f in psi.elements]
             assert psi.N == 2 and elems == sorted(F)
             want = {(a, b): minus.get((a, b), 0) for a in elems for b in elems}
@@ -522,9 +528,9 @@ def test_sign_twists_are_the_parents_sign_rules():
 
 def test_noncentral_twist_blocks_sector3_only():
     mod = _sw()
-    fams = dict((n, (F, psi, ok)) for n, F, psi, ok in hh.f_families(mod))
-    F, psi, central_ok = fams["bichar"]
-    assert not central_ok
+    psi = dict(hh.f_families(mod))["bichar"]
+    F = psi.elements
+    assert not hopf._u_central(psi, mod.u.coords * 2)
     d = hopf.CompatibleData(mod, None, None, _graph(1, [0], 1), None, F, psi)
     assert "psi_u_central" in hopf.compatible_violations(d)
     # without sector 3 the same twist is fine and yields a twisted group algebra
@@ -728,7 +734,7 @@ def _reference_sector_data(rng, mod):
     m = mod.dim
     out = [hh.random_data(mod, rng) for _ in range(3)]
     for _ in range(4):
-        _, F, psi, _ = rng.choice(hopf.compatible_families(mod))
+        _, psi = rng.choice(hopf.compatible_families(mod))
         sectors = []
         for offsets in ((0,), (m,), (0, m)):
             row = [ZERO] * (2 * m)
@@ -743,7 +749,8 @@ def _reference_sector_data(rng, mod):
             for j in range(i, n):
                 if rng.random() < 0.4:
                     gram[i][j] = gram[j][i] = la.sc(rng.choice((1, 2)))
-        out.append(hopf.CompatibleData(mod, *sectors, gram, F, psi))
+        out.append(hopf.CompatibleData(mod, *sectors, gram, psi.elements,
+                                       psi))
     return out
 
 
@@ -773,7 +780,38 @@ def test_sector_clauses_match_dense_reference():
 def test_all_suite_twists_support_sector3():
     for mod in (_sw(), hh.z4_module(), hh.z22_module()):
         for alpha in bp.suite_alphas(mod):
-            assert hopf.alpha_supports_w3(mod, alpha)
+            assert hopf._u_central(orth.psi_alpha(alpha), mod.u.coords * 2)
+
+
+def _draw_text(rng, rows, gram, F, psi):
+    """One line per draw: the sector bases and gram as scalar strings, F's
+    coordinates, psi's N and E, and rng's state after the draw."""
+    text = lambda m: [[c.to_string() for c in r] for r in m]
+    return repr((text(rows), text(gram), [f.coords for f in F], psi.N, psi.E,
+                 rng.getstate()))
+
+
+def test_seeded_draws_golden():
+    # recorded before the families became (name, Twist) pairs: verify's
+    # --json only counts instances, so a changed draw that still passes
+    # would show only here
+    lines = []
+    for name, mod in hh.module_zoo():
+        for seed in range(20):
+            rng = random.Random(seed)
+            d = hopf.random_compatible_data(mod, rng)
+            lines.append(_draw_text(rng, d.W1.basis + d.W2.basis + d.W3.basis,
+                                    d.gram, d.F, d.psi))
+        if mod.group.order <= 4:
+            rng = random.Random(name)
+            for alpha in bp.suite_alphas(mod):
+                g = hopf.random_graph_datum(mod, rng, alpha)
+                psi = orth.psi_alpha(alpha)
+                lines.append(_draw_text(rng, g.W.basis, g.beta.gram,
+                                        psi.elements, psi))
+    assert len(lines) == 218
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "064a76d58f9e5802fb186d8a4884f5dde951a8b1d0450c50ffa0bb7ec0c32ec7"
 
 
 def test_random_data_property_sweep():
@@ -797,13 +835,10 @@ def test_sector_filters_on_generators_match_all_of_F():
     generators of F as on all of F; each answer is seen both ways."""
     seen = set()
     for name, mod in hh.module_zoo():
-        GG = ab.direct_sum(mod.group, mod.group)
         m = mod.dim
-        for fam, F, _psi, _central in hopf.compatible_families(mod):
-            els = [c if isinstance(c, ab.GroupElement) else GG.element(c)
-                   for c in F]
-            every = [f.coords for f in els]
-            gens = orth.Twist(mod.group, els).gens
+        for fam, psi in hopf.compatible_families(mod):
+            every = [f.coords for f in psi.elements]
+            gens = psi.gens
             graph = hopf._graph_positions(mod, every)
             assert hopf._graph_positions(mod, gens) == graph, (name, fam)
             seen.add(len(graph) == m)
@@ -823,13 +858,13 @@ def _K_sample():
     modules with |G| <= 4, five seeded random data per zoo module, and one
     datum whose products meet e_u e_u = psi(uu, uu) with psi(uu, uu) = -1."""
     mod = dict(hh.module_zoo())["Z2_d2"]
-    _, F, psi, _ = next(f for f in hopf.compatible_families(mod)
-                        if f[0] == "order2_sign")
+    psi = dict(hopf.compatible_families(mod))["order2_sign"]
     # W1 and W2 the two lines of each axis, every 12-sector beta entry
     # nonzero, so two contractions of a product each leave an e_u
     data = hopf.CompatibleData(
         mod, [[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]], None,
-        [[0, 0, 1, 3], [0, 0, -1, 2], [-1, 1, 0, 0], [-3, -2, 0, 0]], F, psi)
+        [[0, 0, 1, 3], [0, 0, -1, 2], [-1, 1, 0, 0], [-3, -2, 0, 0]],
+        psi.elements, psi)
     out = [("Z2_d2/order2_sign, e_u e_u", data, hopf.build_K(data))]
     for name, mod in hh.module_zoo():
         if mod.group.order <= 4:
