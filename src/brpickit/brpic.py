@@ -40,6 +40,11 @@ of being assumed away.  The random generators only produce data whose
 blocks commute with the whole diagonal G-action; that set is closed under
 products, inverses and G x G-translations, so generated suites never
 trigger the failure path.
+
+At dim V = 0, A(V, u, G) = kG, BrPic(Rep kG) is all of O(G+G^) (Etingof-
+Nikshych-Ostrik 2010), and uu_in_U holds: (u, u) in U_alpha is needed only
+to present e_u, which occurs only in the relations of W's generators, and
+there are none.  At V != 0, W = 0 data included, it binds (ROADMAP item 10).
 """
 
 from functools import cache, partial
@@ -261,13 +266,17 @@ class LagDatum:
 
 # -- validation -------------------------------------------------------------
 
+def _uu_in_U(module, alpha) -> bool:
+    """(u, u) in U_alpha, iff u in S_alpha; True at dim V = 0 (above)."""
+    return not module.dim or orth.in_stabilizer(alpha, module.u.coords)
+
+
 def _rdatum_conditions(d: RDatum) -> dict:
     stable, invariant = la.form_invariant_under(
         d.module, d.beta, orth.stabilizer_generators(d.alpha))
     return {
         "axis_clear": not any(la.axis_meets(d.W)),
-        # (u, u) in U_alpha iff u in S_alpha
-        "uu_in_U": orth.in_stabilizer(d.alpha, d.module.u.coords),
+        "uu_in_U": _uu_in_U(d.module, d.alpha),
         "W_stable": stable,
         "beta_symmetric": d.beta.is_symmetric(),
         "beta_invariant": invariant,
@@ -280,7 +289,7 @@ def _odatum_conditions(d: ODatum) -> dict:
     AtD = la.product(la.transpose(d.block_A()), d.block_D())
     duality = AtD == identity_matrix(mod.dim)
     return {
-        "uu_in_U": orth.in_stabilizer(d.alpha, mod.u.coords),
+        "uu_in_U": _uu_in_U(mod, d.alpha),
         # B = 0 makes T block triangular with det T = det A det D, and
         # A^t D = I makes both factors nonzero; only otherwise is a rank needed
         "invertible": ((b_zero and duality)
@@ -623,14 +632,14 @@ def describe_brpic(module: la.GModuleV, bound: int = 256):
 
 
 def admissible_alphas(module: la.GModuleV, bound: int = 256):
-    """All enumerated alphas with (u, u) in U_alpha."""
-    return list(_admissible(module.group, module.u, bound))
+    """All enumerated alphas with (u, u) in U_alpha (all at dim V = 0)."""
+    return list(_admissible(module, bound))
 
 
 @cache
-def _admissible(group, u, bound):
-    return tuple(a for a in orth.enumerate_orth(group, bound)
-                 if orth.in_stabilizer(a, u.coords))
+def _admissible(module, bound):
+    return tuple(a for a in orth.enumerate_orth(module.group, bound)
+                 if _uu_in_U(module, a))
 
 
 def suite_alphas(module: la.GModuleV, bound: int = 256):
@@ -647,15 +656,15 @@ def suite_alphas(module: la.GModuleV, bound: int = 256):
     result is the whole set.  The closure composes the alphas' matrices
     by orth.compose_matrices, as orth_compose does.
     """
-    return list(_suite(module.group, module.u, bound))
+    return list(_suite(module, bound))
 
 
 @cache
-def _suite(group, u, bound):
-    admissible = _admissible(group, u, bound)
+def _suite(module, bound):
+    admissible = _admissible(module, bound)
     members = {a.matrix for a in admissible}
-    ident = orth.orth_identity(group).matrix
-    compose = cache(partial(orth.compose_matrices, group))
+    ident = orth.orth_identity(module.group).matrix
+    compose = cache(partial(orth.compose_matrices, module.group))
 
     def closure(gens):
         """The matrices gens generate, or None at the first product

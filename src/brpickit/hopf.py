@@ -61,13 +61,14 @@ coaction by (host index, basis index).
 import random
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import NamedTuple
 
 from . import abelian as ab
 from . import linalg as la
 from . import orth
 from . import brpic as bp
-from .cyclo import CycloScalar, roots_of_unity
+from .cyclo import roots_of_unity
 from .errors import BrpicError, CapacityError, DomainError, InputValidationError
 from .host import (_ONE, _ZERO, _apply, _coaction_law, _elem_add,
                    _recorder, _scaled, _subsets, _tensor_mul, _tuples,
@@ -85,19 +86,19 @@ class KFactors(NamedTuple):
 
     The basis index of w_S e_f is s nF + f, s the index of S among the
     subsets.  wtab[s1][s2] lists w_S1 w_S2 = sum c w_T e_g as terms
-    (index of w_T e_0, index of g, c), with distinct (index, g); chi[f][s]
-    is the root e_f picks up passing w_S; psi is the datum's Twist, which
-    gives e_g e_f1 e_f2 (twist) on demand.  entry(i, j) evaluates build_K's
-    formula for an entry on scalars, for ComodAlg;
-    host.multiplicative_failures evaluates it on ids(vid), these tables with
-    every scalar replaced by its value id, under its own memoized id
-    multiply.
+    (index of w_T e_0, index of g, c), with distinct (index, g); e_f picks
+    up zeta_N^chi[f][s] passing w_S, N the group's exponent; psi is the
+    datum's Twist, which gives e_g e_f1 e_f2 (twist) on demand.  entry(i,
+    j) evaluates build_K's formula for an entry on scalars, for ComodAlg;
+    host.multiplicative_failures evaluates it on ids(vid), the same
+    factors on value ids, under its own memoized id multiply.
     """
 
     nF: int
     wtab: list
     chi: list
     psi: orth.Twist
+    N: int
 
     def twist(self, g, f1, f2):
         """(h, e) with e_g e_f1 e_f2 = zeta_N^e e_h, N = psi.N: psi(f1, f2)
@@ -110,22 +111,21 @@ class KFactors(NamedTuple):
         return h, (d + e) % self.psi.N
 
     def entry(self, i, j):
-        """Entry (i, j) as {k + h: c (x zeta_N^e)}, over the terms (k, g, c)
-        of wtab[s1][s2] with x = chi[f1][s2] and (h, e) = twist(g, f1, f2);
-        distinct (k, g) give distinct k + h."""
-        nF, wtab, chi, psi = self
+        """Entry (i, j) as {k + h: c zeta_M^(x M/N + e M/psi.N)}, M = lcm(N,
+        psi.N), over the terms (k, g, c) of wtab[s1][s2] with x = chi[f1][s2]
+        and (h, e) = twist(g, f1, f2); distinct (k, g) give distinct k + h."""
+        nF, wtab, chi, psi, N = self
+        M = lcm(N, psi.N)
         s1, f1 = divmod(i, nF)
         s2, f2 = divmod(j, nF)
-        x, roots = chi[f1][s2], roots_of_unity(psi.N)
-        return {k + h: c * (x * roots[e]) for k, g, c in wtab[s1][s2]
+        x, se, roots = chi[f1][s2] * (M // N), M // psi.N, roots_of_unity(M)
+        return {k + h: c * roots[(x + e * se) % M] for k, g, c in wtab[s1][s2]
                 for h, e in (self.twist(g, f1, f2),)}
 
     def ids(self, vid):
-        """These factors with every scalar c replaced by vid(c)."""
-        nF, wtab, chi, psi = self
-        return KFactors(
-            nF, [[[(k, g, vid(c)) for k, g, c in t] for t in row] for row in wtab],
-            [[vid(x) for x in row] for row in chi], psi)
+        """These factors with every scalar c in wtab replaced by vid(c)."""
+        return self._replace(wtab=[[[(k, g, vid(c)) for k, g, c in t]
+                                    for t in row] for row in self.wtab])
 
 
 class ComodAlg:
@@ -403,10 +403,10 @@ def build_K(data) -> ComodAlg:
 
     over w_S1 w_S2 = sum c w_T e_g (times_ws, so g is 0 or (u, u)), with
     chi(f1, S2) the product of the roots e_f1 picks up passing each row of
-    S2 and e_g e_f1 e_f2 = psi'(g, f1, f2) e_h, h = g + f1 + f2.
-    K holds its product as those factors (K.factors, a KFactors), and
-    computes entry (i, j) by this formula on its first read, as
-    c (chi(f1, S2) psi').
+    S2 and e_g e_f1 e_f2 = psi'(g, f1, f2) e_h, h = g + f1 + f2.  Each
+    root is an exponent, chi mod N and psi' mod psi.N, until K (K.factors,
+    a KFactors) computes entry (i, j) on its first read, as c zeta_M^x
+    with M = lcm(N, psi.N) and zeta_M^x from roots_of_unity(M).
     The coaction is multiplicative.  lam(w_S) = lam(w_S') lam(w_s), with
     s = max S and S' = S minus s, is built by prefix and reads the entries
     it needs.  lam(w_S e_f) = lam(w_S) (f x e_f) is a translation: f is
@@ -433,10 +433,10 @@ def build_K(data) -> ComodAlg:
     psi = data.psi
     id_f = 0  # F's identity sorts first
     u_f = psi.index.get(data.uu_coords())
-    psi_roots = roots_of_unity(psi.N)
     N = module.group.exponent
-    act_roots = [[CycloScalar.root_of_unity(N, e) for e in exps]
-                 for exps, _ in data.actions()]
+    M = lcm(N, psi.N)
+    roots, sx, se = roots_of_unity(M), M // N, M // psi.N
+    acts = [exps for exps, _ in data.actions()]
     gram = data.gram
     types = data.types
 
@@ -455,7 +455,7 @@ def build_K(data) -> ComodAlg:
         odd = _SYM_SIGN[tuple(sorted((types[a], types[b])))] < 0
         out = {}
         for (U, g), x in times_w(T1, b).items():
-            x = x if g == id_f else x * act_roots[g][a]
+            x = x if g == id_f else x * roots[acts[g][a] * sx]
             out[(U + (a,), g)] = x if odd else -x
         if not c.is_zero():
             out[(T1, u_f if odd else id_f)] = -c if odd else c
@@ -468,17 +468,17 @@ def build_K(data) -> ComodAlg:
         w_b) e_g with e_h e_g read from psi.law, and each term then takes the
         rest of R, the order in which leftmost-first rewriting of the word
         lists an entry's terms.  g = 0 acts trivially, so only g = (u, u)
-        multiplies by a root, and by psi(h, g) only where it is not 1; the
-        empty rest of R gives coefficient 1, which is not applied."""
+        multiplies, by the one root of g.w_b and psi(h, g), where it is not
+        1; the empty rest of R gives coefficient 1, which is not applied."""
         if not R:
             return {(T, g): _ONE}
         out = {}
         for (U, h), x in times_w(T, R[0]).items():
             if g != id_f:
-                x = x * act_roots[g][R[0]]
                 h, e = psi.law(h, g)
+                e = (acts[g][R[0]] * sx + e * se) % M
                 if e:
-                    x = x * psi_roots[e]
+                    x = x * roots[e]
             for k, v in times_ws(U, h, R[1:]).items():
                 addin(out, k, x * v if len(R) > 1 else x)
         return out
@@ -492,13 +492,8 @@ def build_K(data) -> ComodAlg:
     wtab = [[[(kidx[(T, 0)], g, c)
               for (T, g), c in times_ws(S1, id_f, S2).items()]
              for S2 in subsets] for S1 in subsets]
-    # chi(f, S): the root e_f picks up passing w_S, built by prefix
-    chi = []
-    for roots in act_roots:
-        row = {(): _ONE}
-        for S in subsets[1:]:
-            row[S] = row[S[:-1]] * roots[S[-1]]
-        chi.append([row[S] for S in subsets])
+    # chi(f, S): the root e_f picks up passing w_S, an exponent mod N
+    chi = [[sum(exps[b] for b in S) % N for S in subsets] for exps in acts]
 
     zeroG = module.group.zero().coords
     zeroGG = psi.pair_group.zero().coords
@@ -529,7 +524,7 @@ def build_K(data) -> ComodAlg:
     loewy = tuple(len(S) for S, fk in keys)
     K = ComodAlg(host, labels, {}, {}, {unit_k: _ONE}, group_part, loewy,
                  meta={"kind": "K", "data": data},
-                 factors=KFactors(nF, wtab, chi, psi))
+                 factors=KFactors(nF, wtab, chi, psi, N))
     # the coaction is multiplicative: lam(w_S) by prefix, then lam(w_S e_f)
     # by translation
     lam_S = {(): {(host.one_idx, unit_k): _ONE}}
@@ -538,7 +533,7 @@ def build_K(data) -> ComodAlg:
                                lamw[S[-1]])
     for i, (S, fk) in enumerate(keys):
         r = host.group_like(Fels[fk])
-        K.coaction[i] = {(h2, k - k % nF + f): c * psi_roots[e]
+        K.coaction[i] = {(h2, k - k % nF + f): c * roots[e * se]
                          for (h, k), c in lam_S[S].items()
                          for f, e in (psi.law(k % nF, fk),)
                          for h2 in host.mono_mul(h, r)}
@@ -599,11 +594,10 @@ def _model_iso(K, gen_w, gen_e, mul, one, target, coords, note):
             h, e = psi.law(i, j)
             if mul(gen_e[i], gen_e[j]) != _scaled(gen_e[h], roots[e]):
                 note("relations_psi", (data.F[i].coords, b.coords))
-    N = data.module.group.exponent
+    roots = roots_of_unity(data.module.group.exponent)
     for f, e, (exps, _) in zip(data.F, gen_e, data.actions()):
         for wi in range(nW):
-            rhs = _scaled(mul(gen_w[wi], e),
-                          CycloScalar.root_of_unity(N, exps[wi]))
+            rhs = _scaled(mul(gen_w[wi], e), roots[exps[wi]])
             if mul(e, gen_w[wi]) != rhs:
                 note("relations_action", (f.coords, wi))
 
@@ -1007,7 +1001,7 @@ def verify_cotensor_iso(d, dt):
     one = {(L1.index[((), zeroGG)], unit2): _ONE}
 
     R = d.W.basis
-    eu1 = L1.index[((), data1.uu_coords())]
+    eu1 = data3.rows and L1.index[((), data1.uu_coords())]  # V = 0: no e_u
     phiw = []
     for row in data3.rows:
         v2 = [_ZERO] * m

@@ -26,6 +26,7 @@ computed once per call.
 import itertools
 import random
 from functools import cache
+from math import lcm
 
 from . import abelian as ab
 from .cyclo import CycloScalar, roots_of_unity
@@ -157,17 +158,18 @@ class HopfAlg:
 
     (zero when S1 and S2 meet), p the number of pairs a in S1, b in S2,
     a > b in one block, and chi_S2(g1) = zeta_N^e, e the sum of
-    pair(chi_b, g1) over b in S2, N the exponent of the group.  mono_mul
-    computes each entry from the factor tables in _tables, none above
-    O(dim) entries, and keeps no memo of entries:
+    pair(chi_b, g1) over b in S2, N the exponent of the group.  The sign
+    is zeta_N^(p N/2): N is even wherever p can be 1, as chi_i(c_i) = -1.
+    mono_mul computes each entry from the factor tables in _tables, none
+    above O(dim) entries, and keeps no memo of entries:
     - masks[rank(S)], the bitmask of S, and srank[mask] = rank(S) |G|;
     - flip[rank(S2)], the a whose pairs a > b, b in S2, in a's block are
       odd in number, so p = popcount(mask(S1) & flip[rank(S2)]) mod 2;
     - gtab[rank(g1) |G| + rank(g2)] = rank(g1 + g2) when |G| <= 64 (else
       None, and _gsum adds the ranks digit by digit);
     - chi[rank(S) |G| + rank(g)] = e, the dim character exponents;
-    - roots[p][e] = (-1)^p zeta_N^e, made on first use.
-    An entry with S2 empty is 1; every other is +-zeta_N^e.
+    - roots[e] = zeta_N^e, made on first use; an entry is
+      roots[(e + p N/2) mod N], or 1 when S2 is empty.
     multiplicative_failures multiplies coactions over the host from the
     same tables, with each root it reads held as a value id.
     """
@@ -242,7 +244,7 @@ class HopfAlg:
         object.__setattr__(self, "_tables", (
             nG, masks, dict(zip(masks, range(0, dim, nG))),
             [flip[S] for S in subsets], gtab,
-            [e for S in subsets for e in rows[S]], ([None] * N, [None] * N)))
+            [e for S in subsets for e in rows[S]], [None] * N))
 
     def __setattr__(self, name, value):
         raise AttributeError("HopfAlg is immutable")
@@ -281,16 +283,13 @@ class HopfAlg:
                               else self._gsum(r1, r2))
         if not s2:
             return {k: _ONE}
-        p = (m1 & flip[s2]).bit_count() & 1
-        e = chi[j - r2 + r1]
-        return {k: roots[p][e] or self._root(p, e)}
-
-    def _root(self, p, e):
-        """(-1)^p zeta_N^e, made on first use and kept in roots[p][e]."""
-        roots = self._tables[6]
-        z = CycloScalar.root_of_unity(len(roots[0]), e)
-        roots[p][e] = z = -z if p else z
-        return z
+        N = len(roots)
+        e = (chi[j - r2 + r1]
+             + ((m1 & flip[s2]).bit_count() & 1) * (N >> 1)) % N
+        z = roots[e]
+        if z is None:
+            z = roots[e] = CycloScalar.root_of_unity(N, e)
+        return {k: z}
 
     def mul(self, x, y):
         return _mul(self.mono_mul, x, y)
@@ -354,19 +353,19 @@ def multiplicative_failures(A, pairs):
     are the x and + memo rows of id a, read inline.  lam[i] holds lam(i) as
     terms (s, mask of s, group rank r, k, id, s nG) for h = s nG + r.  ents
     holds A's entry (k1, k2) under k1 dim + k2, a tuple of (k, id): by the
-    KFactors.entry formula on A.factors.ids(vid), psi's root zeta^e at
-    pids[e], or from A.mul_basis.  For each pair of terms the entry is read
-    first, and only a nonzero one takes the host product from H._tables (see
-    HopfAlg), its root (-1)^p zeta_N^e at rids[p N + e].  Both sides are
-    keyed h dim + k: the left one drops zero sums at the end, the right one,
-    sum c_k lam(k) over A's entry (i, j), at each step, as addin does.  They
-    are equal exactly when their id dicts are.
+    KFactors.entry formula on A.factors.ids(vid), a term's one root zeta_M^x
+    at kids[x], M = lcm(N, psi.N), or from A.mul_basis.  For each pair of
+    terms the entry is read first, and only a nonzero one takes the host
+    product from H._tables (see HopfAlg), its one root at rids[e].  Both
+    sides are keyed h dim + k: the left one drops zero sums at the end, the
+    right one, sum c_k lam(k) over A's entry (i, j), at each step, as addin
+    does.  They are equal exactly when their id dicts are.
     """
     H, dim = A.host, A.dim
     nG, masks, srank, flip, gtab, chi, roots = H._tables
-    N = len(roots[0])
+    N, half = len(roots), len(roots) >> 1
     ids, vals, zero, prods, sums = {}, [], [], [], []
-    rids, lam, ents = [None] * (2 * N), [None] * dim, {}
+    rids, lam, ents = [None] * N, [None] * dim, {}
 
     def vid(c):
         got = ids.get(c)
@@ -385,27 +384,25 @@ def multiplicative_failures(A, pairs):
         return got
 
     fac = A.factors and A.factors.ids(vid)
-    pids = fac and [vid(r) for r in roots_of_unity(fac.psi.N)]
     law = fac and fac.psi.law
+    kids = fac and [vid(r) for r in roots_of_unity(lcm(fac.N, fac.psi.N))]
 
     def entry(i, j):
         if not fac:
             got = ents[i * dim + j] = tuple(
                 (k, vid(c)) for k, c in A.mul_basis(i, j).items())
             return got
-        nF, wtab, xs, _ = fac
+        nF, wtab, xs = fac[:3]
+        M = len(kids)
         s1, f1 = divmod(i, nF)
         s2, f2 = divmod(j, nF)
-        x, got = xs[f1][s2], ()
+        x, se, got = xs[f1][s2] * (M // fac.N), M // fac.psi.N, ()
         for k, g, c in wtab[s1][s2]:
             h, e = law(f1, f2) if not g else fac.twist(g, f1, f2)
-            p = pids[e]
-            xp = prods[x].get(p)
-            if xp is None:
-                xp = prods[x][p] = vid(vals[x] * vals[p])
-            v = prods[c].get(xp)
+            r = kids[(x + e * se) % M]
+            v = prods[c].get(r)
             if v is None:
-                v = prods[c][xp] = vid(vals[c] * vals[xp])
+                v = prods[c][r] = vid(vals[c] * vals[r])
             got += ((k + h, v),)
         ents[i * dim + j] = got
         return got
@@ -432,12 +429,11 @@ def multiplicative_failures(A, pairs):
                     continue
                 c = c1
                 if s2:
-                    p = (m1 & flip[s2]).bit_count() & 1
-                    e = chi[sn2 + r1]
-                    root = rids[p * N + e]
+                    e = (chi[sn2 + r1]
+                         + ((m1 & flip[s2]).bit_count() & 1) * half) % N
+                    root = rids[e]
                     if root is None:
-                        root = rids[p * N + e] = vid(roots[p][e]
-                                                     or H._root(p, e))
+                        root = rids[e] = vid(CycloScalar.root_of_unity(N, e))
                     c = row1.get(root)
                     if c is None:
                         c = row1[root] = vid(vals[c1] * vals[root])

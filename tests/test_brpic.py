@@ -537,11 +537,33 @@ def test_describe_dims_match_the_oracle():
 
 
 def test_describe_dim_zero():
-    G = FinAbGroup([2])
-    mod = la.GModuleV(G, G.generator(0), [])
-    comps = bp.describe_brpic(mod)
-    assert len(comps) == 2
-    assert all(c["A_dim"] == 0 and c["C_dim"] == 0 for c in comps)
+    """At dim V = 0 the host is kG and BrPic(Rep kG) is all of O(G+G^)
+    (Etingof-Nikshych-Ostrik 2010): describe lists every alpha, the V = 0
+    data are closed under products and inverses, and each alpha's W = 0
+    model is an exact comodule algebra with trivial coinvariants, whose
+    cotensor product with the identity's model is the model of the
+    product, even where (u, u) lies outside U_alpha."""
+    for factors, u in (([2], [1]), ([4], [2]), ([6], [3]), ([8], [4]),
+                       ([2, 2], [1, 0]), ([2, 2], [1, 1]), ([2, 4], [0, 2]),
+                       ([2, 4], [1, 0]), ([2, 4], [1, 2])):
+        G = FinAbGroup(factors)
+        mod = la.GModuleV(G, G.element(u), [])
+        alphas = orth.enumerate_orth(G)
+        comps = bp.describe_brpic(mod)
+        assert [c["alpha"] for c in comps] == alphas, (factors, u)
+        assert all(c["A_dim"] == 0 and c["C_dim"] == 0 for c in comps)
+        data = [bp.ODatum(mod, [], a) for a in alphas]
+        ident = bp.identity_rdatum(mod)
+        for d in data:
+            assert bp.validate_odatum(bp.odatum_invert(d))["valid"], d.alpha
+            for dt in data:
+                assert bp.validate_odatum(bp.odatum_product(d, dt))["valid"], \
+                    (d.alpha, dt.alpha)
+            r = bp.odatum_to_rdatum(d)
+            rep = hopf.check_comodule_algebra(
+                hopf.build_L(mod, r.W, r.beta, r.alpha))
+            assert rep["ok"] and rep["coinvariants_dim"] == 1, d.alpha
+            assert hopf.verify_cotensor_iso(r, ident)["ok"], d.alpha
 
 
 def test_describe_capacity():

@@ -178,7 +178,7 @@ def _same_products(H, pairs):
 def _sized_tables(H):
     """The sizes of H's factor tables and memos."""
     nG, masks, srank, flip, gtab, chi, roots = H._tables
-    return [len(t) for t in (masks, srank, flip, gtab or (), chi, *roots,
+    return [len(t) for t in (masks, srank, flip, gtab or (), chi, roots,
                              H.index, H._com, H._anti)]
 
 
@@ -1213,7 +1213,7 @@ def _chi_flipped(K):
     if fac.nF < 2 or len(fac.wtab) < 2:
         return None
     chi = [list(row) for row in fac.chi]
-    chi[1][1] = -chi[1][1]
+    chi[1][1] = (chi[1][1] + fac.N // 2) % fac.N  # zeta_N^(N/2) = -1
     return hopf.ComodAlg(K.host, K.basis, {}, dict(K.coaction), K.unit,
                          K.group_part, K.loewy_degree,
                          factors=fac._replace(chi=chi))
