@@ -510,21 +510,17 @@ def _tau(d: RDatum) -> LagDatum:
         row = [gram[i][j] for i in range(m)]
         row += [-wbasis[j][k] for k in range(dm)]
         row += [wbasis[j][dm + k] for k in range(dm)]
-        rows.append(row)
-    ncols = m + 2 * dm
-    if rows:
-        K = la.kernel(rows)
-        kbasis = K.basis
-    else:
-        kbasis = [[_ONE if i == j else _ZERO for j in range(ncols)]
-                  for i in range(ncols)]
+        rows.append(dict(enumerate(row)))
     ambient = []
-    for k in kbasis:
+    for k in la.kernel_sparse_rows(rows, m + 2 * dm):
         w = [_ZERO] * (2 * dm)
-        for i in range(m):
-            if not k[i].is_zero():
-                w = [wi + k[i] * bi for wi, bi in zip(w, wbasis[i])]
-        ambient.append(w[:dm] + list(k[m:m + dm]) + w[dm:] + list(k[m + dm:]))
+        f = [_ZERO] * (2 * dm)
+        for i, x in k.items():
+            if i < m:
+                w = [wi + x * bi for wi, bi in zip(w, wbasis[i])]
+            else:
+                f[i - m] = x
+        ambient.append(w[:dm] + f[:dm] + w[dm:] + f[dm:])
     L = la.Subspace(4 * dm, ambient)
     return LagDatum(mod, L, d.alpha)
 
@@ -614,7 +610,8 @@ def describe_brpic(module: la.GModuleV, bound: int = 256):
     dm = module.dim
     components = []
     for alpha in admissible_alphas(module, bound):
-        pairs = orth.stabilizer_generators(alpha)
+        # at dim V = 0 no position is counted, so S_alpha goes unread
+        pairs = orth.stabilizer_generators(alpha) if dm else ()
 
         def kept(i, j):
             return la.pairs_satisfy(module, [_entry_term(dm, i, j)], pairs)

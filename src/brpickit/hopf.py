@@ -709,10 +709,12 @@ def coinvariants(A) -> list:
     part of lam(k) is not 1 x k.  Proof: for group-like p, the coordinate
     (p, k) of lam(x) - 1 x x is sum_i x_i lam(i)[p, k] - [p = 1] x_k, and
     only i = k contributes, so it reads x_k (lam(k)[p, k] - [p = 1]) = 0.
-    Only the other columns are eliminated; the kernel is the same, and so
-    is the basis kernel_sparse_rows gives for it (one vector per free
-    column, which a column forced to zero never is).  When a group-like
-    term sits off its own index, every column is eliminated."""
+    Only the other columns are eliminated, and kernel_sparse_rows gives the
+    full basis with zeros there: a column forced to zero has a constraint
+    row whose only entry is there, so the full reduced form is the one
+    without it plus that unit row, with the same free columns and vectors.
+    When a group-like term sits off its own index, every column is
+    eliminated."""
     host = A.host
     one = {host.one_idx: _ONE}
     parts = _group_like_parts(A.coact_basis, A.dim, host)
@@ -726,8 +728,8 @@ def coinvariants(A) -> list:
     for vec in la.kernel_sparse_rows([r for r in rows.values() if r],
                                      len(cols)):
         x = [_ZERO] * A.dim
-        for i, c in zip(cols, vec):
-            x[i] = c
+        for t, c in vec.items():
+            x[cols[t]] = c
         out.append(x)
     return out
 
@@ -834,11 +836,12 @@ def cotensor(L, K) -> ComodAlg:
     is in the kernel of (rho x id) - (id x lam).  Its coordinate (i, p, j)
     at a group-like p collects z_i'j rho(i')[p, i] and z_ij' lam(j')[p, j],
     and by the hypothesis only i' = i and j' = j have such terms, so it
-    reads z_ij (rho(i)[p, i] - lam(j)[p, j]) = 0.  A block in which no
-    column has agreeing parts therefore has kernel 0 and is skipped; every
-    other block keeps all its columns, so the echelon and C's basis are
-    the ones the full computation gives.  When a group-like term sits off
-    its own index, no block is skipped."""
+    reads z_ij (rho(i)[p, i] - lam(j)[p, j]) = 0.  Each block keeps only
+    the columns whose parts agree, and its kernel basis is the full one
+    with zeros at the others (the argument of coinvariants), so the
+    echelon and C's basis are the ones the full computation gives; a block
+    with no such column is empty.  When a group-like term sits off its own
+    index, every column is kept."""
     host = L.host
     if K.host is not host:
         if (K.host.kind != host.kind or K.host.group != host.group
@@ -885,14 +888,14 @@ def cotensor(L, K) -> ComodAlg:
 
     parts_r = _group_like_parts(lam_r.__getitem__, L.dim, H)
     parts_l = _group_like_parts(lam_l.__getitem__, K.dim, H)
-    skip = parts_r is not None and parts_l is not None
+    prune = parts_r is not None and parts_l is not None
     ech = la.Echelon()
     for ka in sorted(lcl):
         for kb in sorted(kcl):
-            if skip and not any(parts_r[i] == parts_l[j] for i in lcl[ka]
-                                for j in kcl[kb]):
+            cols = [(i, j) for i in lcl[ka] for j in kcl[kb]
+                    if not prune or parts_r[i] == parts_l[j]]
+            if not cols:
                 continue
-            cols = [(i, j) for i in lcl[ka] for j in kcl[kb]]
             rows = {}
             for t, (i, j) in enumerate(cols):
                 for (p, k), c in lam_r[i].items():
@@ -901,9 +904,7 @@ def cotensor(L, K) -> ComodAlg:
                     addin(rows.setdefault((i, p, k), {}), t, -c)
             for vec in la.kernel_sparse_rows(
                     [r_ for r_ in rows.values() if r_], len(cols)):
-                z = {cols[t]: c for t, c in enumerate(vec) if not c.is_zero()}
-                if z:
-                    ech.insert(z)
+                ech.insert({cols[t]: c for t, c in vec.items()})
 
     n = ech.dim
     labels = tuple(("z", t) for t in range(n))

@@ -6,10 +6,12 @@ cleared above), so two equal subspaces have literally equal bases and
 equality is a tuple comparison.
 
 One elimination engine.  Echelon is an incremental, exact reduced echelon
-form over sparse {key: scalar} rows.  rref, rank, kernel, Subspace, the
-matrix inverse, kernel_sparse_rows and the comodule-algebra code all run
-on it.  A scalar has one stored form (cyclo), so the order of elimination
-cannot show in a printed entry.
+form over sparse {key: scalar} rows.  rref, rank, Subspace, the matrix
+inverse and the comodule-algebra code all run on it, and so does the one
+null-space routine, kernel_sparse_rows, which takes sparse rows and gives
+sparse vectors that each caller reduces once, in what it builds from them.
+A scalar has one stored form (cyclo), so the order of elimination cannot
+show in a printed entry.
 
 A basis already in reduced echelon form is adopted, not reduced again, in
 one place: the composite of two relations (_compose_with_lift), whose
@@ -147,15 +149,6 @@ def support(M):
             if not x.is_zero()]
 
 
-def kernel(M) -> "Subspace":
-    """Right null space {x : Mx = 0} as a Subspace of the column ambient."""
-    M = _rectangular(mat(M))
-    if not M:
-        raise DomainError("kernel of an empty matrix has no ambient dimension")
-    n = len(M[0])
-    return Subspace(n, kernel_sparse_rows([dict(enumerate(r)) for r in M], n))
-
-
 def addin(acc, key, c):
     """acc[key] += c on a sparse {key: scalar} dict, dropping a zero sum."""
     v = acc.get(key)
@@ -224,26 +217,24 @@ class Echelon:
 
 
 def kernel_sparse_rows(rows, n) -> list:
-    """Common null space of sparse constraint rows ({col: scalar} dicts) in k^n.
+    """Common null space of sparse constraint rows ({col: scalar} dicts) in
+    k^n, the one null-space routine.
 
-    One basis vector per non-pivot column c of the rows' reduced echelon
-    form: 1 at c and minus each pivot row's entry at c in its pivot column.
-    Returns a list of dense basis vectors (not canonicalized).
+    One sparse vector {col: scalar} per free column c of the rows' reduced
+    echelon form, in ascending c: 1 at c and, at each pivot p whose row is
+    nonzero at c, minus that entry.  A reduced pivot row holds only its
+    pivot and free columns, so one pass over the pivot rows fills them.
+    The basis is not reduced; each caller reduces what it builds from it.
     """
     ech = Echelon()
     for row in rows:
         ech.insert(row)
-    basis = []
-    for c in range(n):
-        if c in ech.pivots:
-            continue
-        v = [_ZERO] * n
-        v[c] = _ONE
-        for p, (_, row) in ech.pivots.items():
-            if c in row:
-                v[p] = -row[c]
-        basis.append(v)
-    return basis
+    basis = {c: {c: _ONE} for c in range(n) if c not in ech.pivots}
+    for p, (_, row) in ech.pivots.items():
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    return list(basis.values())
 
 
 # -- subspaces -------------------------------------------------------------
@@ -509,13 +500,14 @@ def _compose_with_lift(W: Subspace, Wt: Subspace):
     With W spanned by rows (a_i | b_i) and Wt by rows (c_j | e_j), a
     coefficient pair (s, t) gives a composite vector (s.a | t.e) with middle
     witness s.b = t.c exactly when it lies in the kernel of
-    (s, t) -> s.b - t.c.  One rref of the rows (s.a | t.e | s, t), over a
-    kernel basis, gives the canonical composite basis in its first 2 dim V
-    columns and, on the same rows, the pair (s, t) of each basis row, its
-    witness coordinates in W and Wt.  The witness is unique because neither
-    factor meets an axis: s.a = 0 puts (0 | s.b) in W & (0+V), so s = 0,
-    and t.e = 0 puts (t.c | 0) in Wt & (V+0), so t = 0.  A pivot in the
-    (s, t) block would be a nonzero pair with no outer part.
+    (s, t) -> s.b - t.c.  One rref of the rows (s.a | t.e | s, t), over
+    any kernel basis (all span the same rows), gives the canonical
+    composite basis in its first 2 dim V columns and, on the same rows, the
+    pair (s, t) of each basis row, its witness coordinates in W and Wt.
+    The witness is unique because neither factor meets an axis: s.a = 0
+    puts (0 | s.b) in W & (0+V), so s = 0, and t.e = 0 puts (t.c | 0) in
+    Wt & (V+0), so t = 0.  A pivot in the (s, t) block would be a nonzero
+    pair with no outer part.
 
     The composite is adopted as [r[:2d] for r in R] with R's pivots, not
     reduced again.  Every pivot p_i of R lies below 2d, so cutting a row
@@ -532,9 +524,10 @@ def _compose_with_lift(W: Subspace, Wt: Subspace):
         if any(axis_meets(S)):
             raise DomainError(
                 f"witness not unique: {name} meets a coordinate axis")
-    p = W.dim
+    p, n = W.dim, W.dim + Wt.dim
     middles = [r[d:] for r in W.basis] + [[-x for x in r[:d]] for r in Wt.basis]
-    pairs = kernel(transpose(middles)).basis if middles else ()
+    pairs = [[v.get(c, _ZERO) for c in range(n)] for v in kernel_sparse_rows(
+        [dict(enumerate(col)) for col in zip(*middles)], n)] if middles else []
     rows = [a + e + list(st) for a, e, st in zip(
         product([st[:p] for st in pairs], [r[:d] for r in W.basis]),
         product([st[p:] for st in pairs], [r[d:] for r in Wt.basis]), pairs)]

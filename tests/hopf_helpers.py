@@ -1,6 +1,7 @@
 """Module zoo, thin wrappers around the package's seeded generators, the
-class order of a datum, and span membership."""
+class order of a datum, span membership and a reference null space."""
 
+import oracles
 from brpickit import abelian as ab
 from brpickit import brpic as bp
 from brpickit import hopf
@@ -28,6 +29,15 @@ def pair_of(G, e):
 def in_span(S, v):
     """Whether v lies in the subspace S: adding it leaves the dimension."""
     return la.Subspace(S.ambient_dim, [*S.basis, v]).dim == S.dim
+
+
+def kernel(M):
+    """The null space {x : Mx = 0} of a nonempty matrix M as a Subspace,
+    spanned by oracles.null_space on M's rows: a reference that solves
+    without linalg.kernel_sparse_rows."""
+    n = len(M[0])
+    return la.Subspace(n, oracles.null_space([dict(enumerate(r)) for r in M],
+                                             n, ZERO, ONE))
 
 
 def module_zoo():

@@ -566,6 +566,20 @@ def test_describe_dim_zero():
             assert hopf.verify_cotensor_iso(r, ident)["ok"], d.alpha
 
 
+def test_describe_reads_s_alpha_only_where_it_counts(monkeypatch):
+    """S_alpha's generators are solved once per listed alpha when dim V > 0,
+    and not at all at dim V = 0, where describe counts no position."""
+    calls = []
+    solve = orth.stabilizer_generators
+    monkeypatch.setattr(orth, "stabilizer_generators",
+                        lambda alpha: calls.append(alpha) or solve(alpha))
+    G = FinAbGroup([2, 2])
+    comps = bp.describe_brpic(la.GModuleV(G, G.element((1, 1)), []))
+    assert len(comps) == 72 and calls == []
+    comps = bp.describe_brpic(dict(hh.module_zoo())["Z2Z2_d1"])
+    assert calls == [c["alpha"] for c in comps] and calls
+
+
 def test_describe_capacity():
     with pytest.raises(CapacityError):
         bp.describe_brpic(sweedler_module(), bound=1)
@@ -1427,12 +1441,12 @@ def _cyclic_module(N, exps):
 
 
 def _compose_reference(W, Wt):
-    return oracles.compose_by_intersection(W, Wt, la.kernel, ZERO,
+    return oracles.compose_by_intersection(W, Wt, hh.kernel, ZERO,
                                            CycloScalar.one())[0]
 
 
 def _bullet_reference(W, beta, Wt, betat):
-    return oracles.bullet_by_intersection(W, beta, Wt, betat, la.kernel,
+    return oracles.bullet_by_intersection(W, beta, Wt, betat, hh.kernel,
                                           ZERO, CycloScalar.one())
 
 

@@ -394,6 +394,13 @@ GOLDEN = [
     ({"group": [2, 4], "u": [0, 2], "V": [[0, 1], [0, 3], [1, 1]]},
      ["verify", "group-axioms", "--seed", "1", "--count", "30"],
      "dea384569c8b4fe10be520e56ce0adbbba9b09432a7a32747bc4a771f74721a9"),
+    # recorded before cotensor kept only the unknowns whose group-like
+    # parts agree; 9 and 3 of the 30 instances have W_product_dim > 0, so
+    # W's rows enter the cotensor kernels
+    (SWEEDLER, ["verify", "cotensor", "--seed", "1", "--count", "30"],
+     "950f72ad46e811b307013cf4b5d718d6cbf864ea7ae6817ed547f9c28222a264"),
+    (Z2Z2, ["verify", "cotensor", "--seed", "1", "--count", "30"],
+     "2cd93ff1b35ad2d19c68723b826dc84ef2e4266718f7716192d22ce96e785d61"),
 ]
 
 

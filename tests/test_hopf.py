@@ -1554,6 +1554,44 @@ def test_cotensor_rows_match_the_unskipped_oracle(monkeypatch):
     assert len(solved) < blocks // 2, (len(solved), blocks)
 
 
+def test_cotensor_solves_only_the_unknowns_whose_parts_agree(monkeypatch):
+    """Each block cotensor solves is as wide as its unknowns (i, j) whose
+    group-like parts agree, and a block with none is not solved."""
+    kernel = la.kernel_sparse_rows
+    widths = []
+    monkeypatch.setattr(la, "kernel_sparse_rows",
+                        lambda rows, n: widths.append(n) or kernel(rows, n))
+    pruned = 0
+    for name, L, K, _wdim in _cotensor_cases():
+        H = host.build_supergroup(L.host.modules[0])
+        parts = []
+        for lam in _cotensor_legs(L, K):
+            parts.append([{p: c for (p, k), c in d.items() if not H.basis[p][0]}
+                          for d in lam])
+            assert all(k == i for i, d in enumerate(lam) for p, k in d
+                       if not H.basis[p][0]), name  # at their own index
+        uu = L.host.modules[0].u.coords * 2
+        factors = L.host.group.factors
+
+        def classes(group_part):
+            out = {}
+            for i, g in enumerate(group_part):
+                h = tuple((x + y) % f for x, y, f in zip(g.coords, uu, factors))
+                out.setdefault(min(g.coords, h), []).append(i)
+            return [out[c] for c in sorted(out)]
+        want = []
+        for block_l in classes(L.group_part):
+            for block_k in classes(K.group_part):
+                agree = sum(parts[0][i] == parts[1][j]
+                            for i in block_l for j in block_k)
+                want += [agree] if agree else []
+                pruned += 0 < agree < len(block_l) * len(block_k)
+        widths.clear()
+        hopf.cotensor(L, K)
+        assert widths == want, name
+    assert pruned > 0  # blocks with a column whose parts do not agree
+
+
 def test_coinvariants_match_the_full_kernel(monkeypatch):
     kernel = la.kernel_sparse_rows
     widths = []

@@ -46,11 +46,12 @@ def _full_space(n):
 
 def test_kernel_of_identity_and_zero():
     I3 = la.mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert la.kernel(I3).dim == 0
+    assert la.kernel_sparse_rows([dict(enumerate(r)) for r in I3], 3) == []
     Z = la.mat([[0, 0], [0, 0]])
-    K = la.kernel(Z)
-    assert K.dim == 2
-    assert K == _full_space(2)
+    K = la.kernel_sparse_rows([dict(enumerate(r)) for r in Z], 2)
+    assert K == [{0: la.sc(1)}, {1: la.sc(1)}]
+    assert la.Subspace(2, [[v.get(c, ZERO) for c in range(2)] for v in K]) \
+        == _full_space(2)
 
 
 def test_rank_and_transpose_product():
@@ -73,7 +74,7 @@ def test_subspace_canonical_equality():
 
 
 def _intersect(A, B):
-    return oracles.intersect(A, B, la.kernel, la.sc(0))
+    return oracles.intersect(A, B, hh.kernel, la.sc(0))
 
 
 def _sum(A, B):
@@ -121,11 +122,33 @@ def test_kernel_sparse_rows_matches_dense():
                     dense_row[j] = dense_row[j] + c
                 rows.append(row)
                 dense.append(dense_row)
-            if kdim is None or la.kernel(dense).dim == kdim:
+            if kdim is None or hh.kernel(dense).dim == kdim:
                 break
         sparse_basis = la.kernel_sparse_rows(rows, n)
-        assert la.Subspace(n, sparse_basis) == la.kernel(dense)
+        dense_basis = [[v.get(c, ZERO) for c in range(n)] for v in sparse_basis]
+        assert la.Subspace(n, dense_basis) == hh.kernel(dense)
         assert kdim is None or len(sparse_basis) == kdim
+
+
+def test_kernel_sparse_rows_gives_one_sparse_vector_per_free_column():
+    """Each basis vector is a dict holding 1 at its free column, its other
+    keys pivot columns of the reduced form with nonzero values, and the
+    vectors come in ascending free column."""
+    rng = random.Random(41)
+    for _ in range(30):
+        n = rng.randrange(1, 9)
+        rows = [{rng.randrange(n): _rand_scalar(rng)
+                 for _ in range(rng.randrange(1, 4))}
+                for _ in range(rng.randrange(6))]
+        dense = [[r.get(c, ZERO) for c in range(n)] for r in rows]
+        pivots = oracles.dense_rref(dense)[1]
+        free = [c for c in range(n) if c not in pivots]
+        basis = la.kernel_sparse_rows(rows, n)
+        assert len(basis) == len(free)
+        for v, c in zip(basis, free):
+            assert type(v) is dict and v[c] == la.sc(1)
+            assert all(k in pivots and not x.is_zero()
+                       for k, x in v.items() if k != c)
 
 
 def test_echelon_drops_zero_entries():
@@ -158,7 +181,7 @@ def test_axis_meets_matches_intersections():
             spaces.append(la.Subspace(2 * d, rows))
         for W in spaces:
             assert la.axis_meets(W) == oracles.axis_intersection_dims(
-                W, la.kernel, la.sc(0))
+                W, hh.kernel, la.sc(0))
         assert la.axis_meets(spaces[0]) == (d, 0)
         assert la.axis_meets(spaces[1]) == (0, d)
     assert la.axis_meets(la.zero_space(0)) == (0, 0)
@@ -537,7 +560,7 @@ def _axis_free(rng, d):
     neither axis by the intersection reference."""
     while True:
         W = la.Subspace(2 * d, _rand_matrix(rng, rng.randrange(1, d + 1), 2 * d))
-        if oracles.axis_intersection_dims(W, la.kernel, ZERO) == (0, 0):
+        if oracles.axis_intersection_dims(W, hh.kernel, ZERO) == (0, 0):
             return W
 
 
@@ -554,6 +577,6 @@ def test_compose_adopts_the_reduced_composite():
             again = la.Subspace(2 * d, composite.basis)
             assert composite == again and composite.pivots == again.pivots
             assert composite == oracles.compose_by_intersection(
-                W, Wt, la.kernel, ZERO, CycloScalar.one())[0]
+                W, Wt, hh.kernel, ZERO, CycloScalar.one())[0]
             dims.add(composite.dim)
     assert {1, 2, 3} <= dims
