@@ -38,10 +38,9 @@ first read.
 loewy_graded grades the tables, and same_tables proves two models equal
 when their tables are equal, without reading the dim^2 entries; any
 difference is left to their per-entry loops, which find and name it.
-Coactions, cotensor products (computed as exact kernels, blockwise over
-group-part classes), the Loewy filtration induced by the host coradical
-filtration and the diagonal comodule model of a host over its own double
-all live here.  Verification
+Coactions, cotensor products (each computed as one exact kernel), the
+Loewy filtration induced by the host coradical filtration and the diagonal
+comodule model of a host over its own double all live here.  Verification
 routines return reports with located witnesses; check_comodule_algebra
 verifies every K that build_K returns, and nothing is assumed to hold by
 construction.  Both isomorphism checks, check_diag_iso and
@@ -141,10 +140,9 @@ class ComodAlg:
     """
 
     __slots__ = ("host", "dim", "basis", "index", "mult", "coaction", "unit",
-                 "group_part", "loewy_degree", "meta", "factors", "_mulfn",
-                 "_coactfn")
+                 "loewy_degree", "meta", "factors", "_mulfn", "_coactfn")
 
-    def __init__(self, host, basis, mult, coaction, unit, group_part=None,
+    def __init__(self, host, basis, mult, coaction, unit, *,
                  loewy_degree=None, meta=None, mulfn=None, coactfn=None,
                  factors=None):
         basis = tuple(basis)
@@ -155,8 +153,6 @@ class ComodAlg:
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "coaction", coaction)
         object.__setattr__(self, "unit", dict(unit))
-        object.__setattr__(self, "group_part",
-                           tuple(group_part) if group_part is not None else None)
         object.__setattr__(self, "loewy_degree",
                            tuple(loewy_degree) if loewy_degree is not None else None)
         object.__setattr__(self, "meta", dict(meta) if meta else {})
@@ -520,9 +516,8 @@ def build_K(data) -> ComodAlg:
               _ONE)
         lamw.append(d)
 
-    group_part = tuple(Fels[fk] for S, fk in keys)
     loewy = tuple(len(S) for S, fk in keys)
-    K = ComodAlg(host, labels, {}, {}, {unit_k: _ONE}, group_part, loewy,
+    K = ComodAlg(host, labels, {}, {}, {unit_k: _ONE}, loewy_degree=loewy,
                  meta={"kind": "K", "data": data},
                  factors=KFactors(nF, wtab, chi, psi, N))
     # the coaction is multiplicative: lam(w_S) by prefix, then lam(w_S e_f)
@@ -661,7 +656,7 @@ def diag_comodule(H) -> ComodAlg:
 
     labels = tuple((S, g.coords) for S, g in H.basis)
     unit = {H.one_idx: _ONE}
-    return ComodAlg(B, labels, {}, coaction, unit, None, loewy,
+    return ComodAlg(B, labels, {}, coaction, unit, loewy_degree=loewy,
                     meta={"kind": "diag"}, mulfn=H.mono_mul)
 
 
@@ -821,8 +816,8 @@ def _induced_right(L, phi, leg2):
 
 
 def cotensor(L, K) -> ComodAlg:
-    """Exact cotensor product of two group-labeled comodule algebras over the
-    doubled host, computed blockwise over (u, u)-classes of group parts.
+    """Exact cotensor product of two comodule algebras over the doubled
+    host, computed as the kernel of one constraint system.
 
     Elements of L x K are keyed by basis pairs (a, b) and multiplied with
     _tensor_mul.  L coacts on the right over the supergroup host H through
@@ -836,12 +831,11 @@ def cotensor(L, K) -> ComodAlg:
     is in the kernel of (rho x id) - (id x lam).  Its coordinate (i, p, j)
     at a group-like p collects z_i'j rho(i')[p, i] and z_ij' lam(j')[p, j],
     and by the hypothesis only i' = i and j' = j have such terms, so it
-    reads z_ij (rho(i)[p, i] - lam(j)[p, j]) = 0.  Each block keeps only
-    the columns whose parts agree, and its kernel basis is the full one
-    with zeros at the others (the argument of coinvariants), so the
-    echelon and C's basis are the ones the full computation gives; a block
-    with no such column is empty.  When a group-like term sits off its own
-    index, every column is kept."""
+    reads z_ij (rho(i)[p, i] - lam(j)[p, j]) = 0.  Only the unknowns (i, j)
+    whose parts agree are solved, in (i, j) order, and the kernel basis is
+    the full one with zeros at the others (the argument of coinvariants),
+    so the echelon has the reduced rows the full computation gives.  When a
+    group-like term sits off its own index, every unknown is kept."""
     host = L.host
     if K.host is not host:
         if (K.host.kind != host.kind or K.host.group != host.group
@@ -849,10 +843,7 @@ def cotensor(L, K) -> ComodAlg:
             raise InputValidationError("factors live over different hosts")
     if host.kind != "tensor" or host.modules[0] != host.modules[1]:
         raise InputValidationError("cotensor needs the doubled host of a module")
-    if L.group_part is None or K.group_part is None:
-        raise DomainError("cotensor requires group-labeled factors")
-    module = host.modules[0]
-    H, phi, leg1, leg2, cop = _cotensor_frame(module)
+    H, phi, leg1, leg2, cop = _cotensor_frame(host.modules[0])
 
     lam_r = _induced_right(L, phi, leg2)
     lam_l = []
@@ -871,40 +862,21 @@ def cotensor(L, K) -> ComodAlg:
         raise BrpicError("internal invariant violation: induced left coaction "
                          "is not a comodule structure")
 
-    GG = host.group
-    uu = GG.element(module.u.coords * 2)
-
-    def klass(g):
-        a = g.coords
-        b = ab.add(g, uu).coords
-        return (a, b) if a <= b else (b, a)
-
-    lcl = {}
-    for i in range(L.dim):
-        lcl.setdefault(klass(L.group_part[i]), []).append(i)
-    kcl = {}
-    for j in range(K.dim):
-        kcl.setdefault(klass(K.group_part[j]), []).append(j)
-
     parts_r = _group_like_parts(lam_r.__getitem__, L.dim, H)
     parts_l = _group_like_parts(lam_l.__getitem__, K.dim, H)
     prune = parts_r is not None and parts_l is not None
+    cols = [(i, j) for i in range(L.dim) for j in range(K.dim)
+            if not prune or parts_r[i] == parts_l[j]]
+    rows = {}
+    for t, (i, j) in enumerate(cols):
+        for (p, k), c in lam_r[i].items():
+            addin(rows.setdefault((k, p, j), {}), t, c)
+        for (p, k), c in lam_l[j].items():
+            addin(rows.setdefault((i, p, k), {}), t, -c)
     ech = la.Echelon()
-    for ka in sorted(lcl):
-        for kb in sorted(kcl):
-            cols = [(i, j) for i in lcl[ka] for j in kcl[kb]
-                    if not prune or parts_r[i] == parts_l[j]]
-            if not cols:
-                continue
-            rows = {}
-            for t, (i, j) in enumerate(cols):
-                for (p, k), c in lam_r[i].items():
-                    addin(rows.setdefault((k, p, j), {}), t, c)
-                for (p, k), c in lam_l[j].items():
-                    addin(rows.setdefault((i, p, k), {}), t, -c)
-            for vec in la.kernel_sparse_rows(
-                    [r_ for r_ in rows.values() if r_], len(cols)):
-                ech.insert({cols[t]: c for t, c in vec.items()})
+    for vec in la.kernel_sparse_rows([r for r in rows.values() if r],
+                                     len(cols)):
+        ech.insert({cols[t]: c for t, c in vec.items()})
 
     n = ech.dim
     labels = tuple(("z", t) for t in range(n))
@@ -951,7 +923,7 @@ def cotensor(L, K) -> ComodAlg:
         raise BrpicError("internal invariant violation: unit is outside "
                          "the cotensor kernel")
 
-    return ComodAlg(host, labels, {}, {}, unit, None, None,
+    return ComodAlg(host, labels, {}, {}, unit,
                     meta={"kind": "cotensor", "echelon": ech},
                     mulfn=mulfn, coactfn=coactfn)
 
@@ -1107,8 +1079,8 @@ def loewy_graded(A) -> ComodAlg:
             if tot == deg[i]:
                 entry[(h, k)] = c
         coaction[i] = entry
-    return ComodAlg(host, A.basis, mult, coaction, A.unit, A.group_part,
-                    deg, meta={"kind": "graded"}, factors=factors)
+    return ComodAlg(host, A.basis, mult, coaction, A.unit, loewy_degree=deg,
+                    meta={"kind": "graded"}, factors=factors)
 
 
 def _filtration_steps(A):

@@ -1126,8 +1126,7 @@ def cotensor_rows(lam_r, lam_l, parts_l, parts_k, uu, factors, zero, one):
     (u, u) in the group with cyclic factors factors.  The unknowns z_ij are
     grouped by the classes {g, g + uu} of both group parts, blocks taken in
     sorted class order and columns in basis order; each block's null space
-    goes into one reduced form keyed (i, j).  Returns (rows, number of
-    blocks)."""
+    goes into one reduced form keyed (i, j)."""
     def klass(g):
         h = tuple((x + y) % f for x, y, f in zip(g, uu, factors))
         return min(tuple(g), h), max(tuple(g), h)
@@ -1151,4 +1150,4 @@ def cotensor_rows(lam_r, lam_l, parts_l, parts_k, uu, factors, zero, one):
                     row[t] = row.get(t, zero) - c
             for v in null_space(rows.values(), len(cols), zero, one):
                 red.insert({cols[t]: c for t, c in enumerate(v)})
-    return [red.pivots[q] for q in red.order], len(lcl) * len(kcl)
+    return [red.pivots[q] for q in red.order]

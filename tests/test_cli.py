@@ -401,6 +401,12 @@ GOLDEN = [
      "950f72ad46e811b307013cf4b5d718d6cbf864ea7ae6817ed547f9c28222a264"),
     (Z2Z2, ["verify", "cotensor", "--seed", "1", "--count", "30"],
      "2cd93ff1b35ad2d19c68723b826dc84ef2e4266718f7716192d22ce96e785d61"),
+    # recorded before cotensor solved one kernel for all (u, u)-classes of
+    # group parts; |U_alpha| runs from 8 to 64, and instance 1 has
+    # W_product_dim 1
+    ({"group": [2, 4], "u": [1, 0], "V": [[1, 1]]},
+     ["verify", "cotensor", "--seed", "1", "--count", "10"],
+     "43ab8ff836a80a82d086a3e03de99ce7bb29c0e752bc75484a3c2ad62e575483"),
 ]
 
 

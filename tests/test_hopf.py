@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import time
 from contextlib import nullcontext
@@ -712,19 +713,41 @@ def test_cotensor_iso_names_different_modules_first():
 
 
 def test_cotensor_of_diagonal_models():
-    # the diagonal comodule itself lives over the plain host, so the
-    # cotensor constructor must reject it ...
+    # the diagonal comodule lives over the doubled host (dim 16 for
+    # Sweedler), and squares to the size of H ...
     H = host.build_supergroup(_sw())
     D = hopf.diag_comodule(H)
-    with pytest.raises(DomainError, match="group-labeled"):
-        hopf.cotensor(D, D)
-    # ... while its model over the doubled host squares to the same size
+    assert D.host.dim == 16
+    C = hopf.cotensor(D, D)
+    assert C.dim == H.dim
+    rep = hopf.check_comodule_algebra(C)
+    assert rep["ok"] and rep["coinvariants_dim"] == 1
+    # ... as does its model over the doubled host
     Kd = hopf.build_L(_sw(), _graph(1, [0], 1), None,
                       orth.orth_identity(_sw().group))
     C = hopf.cotensor(Kd, Kd)
     assert C.dim == H.dim
     rep = hopf.check_comodule_algebra(C)
     assert rep["ok"] and rep["coinvariants_dim"] == 1
+
+
+def test_identity_bimodule_category_squares_to_its_size_in_both_models():
+    """On every zoo host H, the diagonal model D and K = build_L of the
+    identity datum give cotensors D D, D K, K D and K K of dim H, each a
+    comodule algebra with a one-dimensional coinvariant subalgebra."""
+    checked = 0
+    for name, mod in hh.module_zoo():
+        H = host.build_supergroup(mod)
+        d = bp.identity_rdatum(mod)
+        models = {"D": hopf.diag_comodule(H),
+                  "K": hopf.build_L(mod, d.W, d.beta, d.alpha)}
+        for a, b in itertools.product("DK", repeat=2):
+            C = hopf.cotensor(models[a], models[b])
+            assert C.dim == H.dim, (name, a, b)
+            rep = hopf.check_comodule_algebra(C)
+            assert rep["ok"] and rep["coinvariants_dim"] == 1, (name, a, b)
+            checked += 1
+    assert checked == 36
 
 
 def _reference_sector_data(rng, mod):
@@ -1134,7 +1157,7 @@ def _factor_free(A):
     loewy_graded and same_tables take their per-entry loops on it."""
     return hopf.ComodAlg(A.host, A.basis, hh.mult_table(A),
                          {i: A.coact_basis(i) for i in range(A.dim)}, A.unit,
-                         A.group_part, A.loewy_degree, A.meta)
+                         loewy_degree=A.loewy_degree, meta=A.meta)
 
 
 def _outcome(fn, *args):
@@ -1215,7 +1238,7 @@ def _chi_flipped(K):
     chi = [list(row) for row in fac.chi]
     chi[1][1] = (chi[1][1] + fac.N // 2) % fac.N  # zeta_N^(N/2) = -1
     return hopf.ComodAlg(K.host, K.basis, {}, dict(K.coaction), K.unit,
-                         K.group_part, K.loewy_degree,
+                         loewy_degree=K.loewy_degree,
                          factors=fac._replace(chi=chi))
 
 
@@ -1267,7 +1290,7 @@ def test_term_above_the_filtration_raises_on_both_paths():
         wtab = [list(row) for row in fac.wtab]
         wtab[-1][0] = wtab[-1][0] + [(2 * fac.nF, 0, ONE)]
         bad = hopf.ComodAlg(K.host, K.basis, {}, dict(K.coaction), K.unit,
-                            K.group_part, K.loewy_degree,
+                            loewy_degree=K.loewy_degree,
                             factors=fac._replace(wtab=wtab))
         msg = _outcome(hopf.loewy_graded, bad)
         s1 = (len(wtab) - 1) * fac.nF
@@ -1310,7 +1333,7 @@ def test_filtration_steps_by_rank_name_the_first_failing_degree(monkeypatch):
             for lam_j in (coaction[i], {**top, **low}):
                 A = hopf.ComodAlg(K.host, K.basis, hh.mult_table(K),
                                   coaction | {j: lam_j}, K.unit,
-                                  K.group_part, deg)
+                                  loewy_degree=deg)
                 failing = _failing_steps(A)
                 assert failing and failing[-1] < d, (name, d)
                 with monkeypatch.context() as m:
@@ -1358,7 +1381,7 @@ def _block_emptied(K, d):
            for key, c in K.coact_basis(i).items()}
     coaction = {t: K.coact_basis(t) for t in range(K.dim)}
     return hopf.ComodAlg(K.host, K.basis, {}, coaction | {i: lam}, K.unit,
-                         K.group_part, K.loewy_degree, factors=K.factors)
+                         loewy_degree=K.loewy_degree, factors=K.factors)
 
 
 def test_a_short_block_raises_the_full_echelon_message(monkeypatch):
@@ -1460,15 +1483,14 @@ def _off_index_pair():
     lam(x) = 1 x a + h x b and lam(y) = 1 x a + 2h x b, so lam(x) has
     group-like terms at y, and L cotensor K is the line e x a."""
     B = host.doubled_host(_sw())
-    zero = B.group.zero()
     h = B.group_like(B.group.element((1, 0)))
     one = B.one_idx
     two = la.sc(2)
-    L = hopf.ComodAlg(B, ["e"], {}, {0: {(one, 0): ONE}}, {0: ONE}, [zero])
+    L = hopf.ComodAlg(B, ["e"], {}, {0: {(one, 0): ONE}}, {0: ONE})
     K = hopf.ComodAlg(B, ["x", "y"], {}, {
         0: {(one, 0): two, (one, 1): -ONE, (h, 0): -ONE, (h, 1): ONE},
         1: {(one, 0): two, (one, 1): -ONE, (h, 0): -two, (h, 1): two},
-    }, {0: two, 1: -ONE}, [zero, zero])
+    }, {0: two, 1: -ONE})
     return L, K
 
 
@@ -1531,32 +1553,38 @@ def _cotensor_cases():
 
 
 def test_cotensor_rows_match_the_unskipped_oracle(monkeypatch):
+    """C's echelon, one kernel over the unknowns whose parts agree, is the
+    reduced basis the oracle gets blockwise over (u, u)-classes of the group
+    parts (read from build_K's labels (S, f)) with every unknown solved."""
     kernel = la.kernel_sparse_rows
     solved = []
     monkeypatch.setattr(la, "kernel_sparse_rows",
                         lambda rows, n: solved.append(n) or kernel(rows, n))
-    cases = _cotensor_cases() + [("off index", *_off_index_pair(), 0)]
-    blocks = 0
-    for name, L, K, _wdim in cases:
+    cases = [(name, L, K, [lab[1] for lab in L.basis],
+              [lab[1] for lab in K.basis], wdim)
+             for name, L, K, wdim in _cotensor_cases()]
+    L, K = _off_index_pair()
+    zero = L.host.group.zero().coords
+    cases.append(("off index", L, K, [zero], [zero, zero], 0))
+    for name, L, K, parts_l, parts_k, _wdim in cases:
+        solved.clear()
         C = hopf.cotensor(L, K)
+        assert len(solved) == 1, name  # one null space per cotensor
         lam_r, lam_l = _cotensor_legs(L, K)
         uu = L.host.modules[0].u.coords * 2
-        want, n = oracles.cotensor_rows(
-            lam_r, lam_l, [g.coords for g in L.group_part],
-            [g.coords for g in K.group_part], uu, L.host.group.factors,
+        want = oracles.cotensor_rows(
+            lam_r, lam_l, parts_l, parts_k, uu, L.host.group.factors,
             ZERO, ONE)
-        assert C.meta["echelon"].rows_by_pos == want, name
+        rows = C.meta["echelon"].rows_by_pos
+        assert {min(r): r for r in rows} == {min(r): r for r in want}, name
         assert C.dim == len(want), name
-        blocks += n
-    assert C.dim == 1  # the off-index pair: no block may be skipped
+    assert C.dim == 1  # the off-index pair: no unknown may be skipped
     assert sum(w > 0 for *_, w in cases) == 5  # Sweedler 1, Z2 x Z2 4
-    # most blocks are proved empty and never solved
-    assert len(solved) < blocks // 2, (len(solved), blocks)
 
 
 def test_cotensor_solves_only_the_unknowns_whose_parts_agree(monkeypatch):
-    """Each block cotensor solves is as wide as its unknowns (i, j) whose
-    group-like parts agree, and a block with none is not solved."""
+    """cotensor solves one kernel, as wide as its unknowns (i, j) over
+    L x K whose group-like parts agree."""
     kernel = la.kernel_sparse_rows
     widths = []
     monkeypatch.setattr(la, "kernel_sparse_rows",
@@ -1570,26 +1598,12 @@ def test_cotensor_solves_only_the_unknowns_whose_parts_agree(monkeypatch):
                           for d in lam])
             assert all(k == i for i, d in enumerate(lam) for p, k in d
                        if not H.basis[p][0]), name  # at their own index
-        uu = L.host.modules[0].u.coords * 2
-        factors = L.host.group.factors
-
-        def classes(group_part):
-            out = {}
-            for i, g in enumerate(group_part):
-                h = tuple((x + y) % f for x, y, f in zip(g.coords, uu, factors))
-                out.setdefault(min(g.coords, h), []).append(i)
-            return [out[c] for c in sorted(out)]
-        want = []
-        for block_l in classes(L.group_part):
-            for block_k in classes(K.group_part):
-                agree = sum(parts[0][i] == parts[1][j]
-                            for i in block_l for j in block_k)
-                want += [agree] if agree else []
-                pruned += 0 < agree < len(block_l) * len(block_k)
+        agree = sum(pl == pk for pl in parts[0] for pk in parts[1])
+        pruned += agree < L.dim * K.dim
         widths.clear()
         hopf.cotensor(L, K)
-        assert widths == want, name
-    assert pruned > 0  # blocks with a column whose parts do not agree
+        assert widths == [agree], name
+    assert pruned > 0  # pairs with an unknown whose parts do not agree
 
 
 def test_coinvariants_match_the_full_kernel(monkeypatch):
@@ -1649,8 +1663,9 @@ def _negated_term(K):
     lam = coaction[K.dim - 1]
     key = next(iter(lam))
     lam[key] = -lam[key]
-    return hopf.ComodAlg(K.host, K.basis, {}, coaction, K.unit, K.group_part,
-                         K.loewy_degree, K.meta, factors=K.factors)
+    return hopf.ComodAlg(K.host, K.basis, {}, coaction, K.unit,
+                         loewy_degree=K.loewy_degree, meta=K.meta,
+                         factors=K.factors)
 
 
 def _assert_reference_report(A, monkeypatch):
@@ -1717,7 +1732,7 @@ def _twist_flipped(K):
     if fac.nF < 2:
         return None
     return hopf.ComodAlg(K.host, K.basis, {}, dict(K.coaction), K.unit,
-                         K.group_part, K.loewy_degree,
+                         loewy_degree=K.loewy_degree,
                          factors=fac._replace(psi=_FlippedLaw(fac.psi)))
 
 
@@ -1795,8 +1810,9 @@ def _lifted(K, M, step=1, change=None):
     if change is not None:
         i, key = change
         coaction[i][key] = coaction[i][key] + 1
-    return hopf.ComodAlg(K.host, K.basis, {}, coaction, K.unit, K.group_part,
-                         K.loewy_degree, K.meta, factors=K.factors)
+    return hopf.ComodAlg(K.host, K.basis, {}, coaction, K.unit,
+                         loewy_degree=K.loewy_degree, meta=K.meta,
+                         factors=K.factors)
 
 
 def test_values_at_a_larger_conductor_keep_the_verdict(monkeypatch):
